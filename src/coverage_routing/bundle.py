@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -207,8 +206,7 @@ def solve_master(state: DualState) -> MasterResult:
 def evaluate_dual_function(table: ArcIndexTable, instance: Instance,
                            lam: Sequence[float], case: str,
                            ratio_mode: str = RATIO_SLOPE,
-                           use_dominance: bool = True,
-                           threads: int = 1) -> Tuple[RelaxValue, CutCoeffs]:
+                           use_dominance: bool = True) -> Tuple[RelaxValue, CutCoeffs]:
     """Exact dual-function value at ``lam``: solve one path problem per idle
     candidate and keep the best, plus the cut it generates."""
     coeffs = build_coeffs(table, instance, lam, case)
@@ -217,8 +215,8 @@ def evaluate_dual_function(table: ArcIndexTable, instance: Instance,
     def solve_one(vbar: int) -> Optional[PathTiming]:
         if case == "I":
             res = solve_case1(coeffs, vbar, table, use_dominance=use_dominance)
-            tmat = table.matrix(coeffs.bound_times(vbar))
-            times = tuple(float(tmat[i, j]) for i, j in
+            bound_times = coeffs.bound_times(vbar)
+            times = tuple(float(bound_times[table.arc_id[a]]) for a in
                           zip(res.nodes[:-1], res.nodes[1:]))
             return PathTiming(vbar, res.nodes, times, res.value)
         res2 = solve_case2(coeffs, vbar, T, table, ratio_mode=ratio_mode,
@@ -227,12 +225,7 @@ def evaluate_dual_function(table: ArcIndexTable, instance: Instance,
             return None
         return PathTiming(vbar, res2.nodes, res2.times, res2.value)
 
-    if threads > 1 and len(coeffs.idle_set) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(coeffs.idle_set,
-                               pool.map(solve_one, coeffs.idle_set)))
-    else:
-        results = {vbar: solve_one(vbar) for vbar in coeffs.idle_set}
+    results = {vbar: solve_one(vbar) for vbar in coeffs.idle_set}
     value = assemble_f_value(coeffs, results, T)
     cut = make_cut(coeffs, value.best, table, T)
     return value, cut
@@ -330,7 +323,7 @@ class DualResult:
 
 def run_dual(instance: Instance, case: str, phi: float = 0.5,
              tol: float = 1e-4, *, iter_limit: int = 1000,
-             time_limit: Optional[float] = None, threads: int = 1,
+             time_limit: Optional[float] = None,
              ratio_mode: str = RATIO_SLOPE, use_dominance: bool = True,
              table: Optional[ArcIndexTable] = None) -> DualResult:
     """Minimize the dual bound over multipliers ``<= 0``.
@@ -349,7 +342,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
 
     lam0 = np.zeros(len(table.target_ids))
     value0, cut0 = evaluate_dual_function(
-        table, instance, lam0, case, ratio_mode, use_dominance, threads)
+        table, instance, lam0, case, ratio_mode, use_dominance)
     lb0, repair = _greedy_primal_repair(table, instance, value0.best)
     state = DualState(
         lam_hat=lam0, cuts=[cut0], lb=min(lb0, value0.value),
@@ -380,8 +373,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
             continue
         state.lam_hat = master.lam
         value, cut = evaluate_dual_function(
-            table, instance, master.lam, case, ratio_mode, use_dominance,
-            threads)
+            table, instance, master.lam, case, ratio_mode, use_dominance)
         state.cuts.append(cut)
         if value.value < state.ub:
             state.ub = value.value

@@ -72,7 +72,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--tol", type=float, default=1e-4)
     s.add_argument("--time-limit", type=float, default=None)
     s.add_argument("--iter-limit", type=int, default=1000)
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--ratio-mode", choices=[RATIO_SLOPE, RATIO_PER_DISTANCE],
                    default=RATIO_SLOPE)
     s.add_argument("--oracle", action="store_true",
@@ -156,7 +155,7 @@ def _cmd_solve(args) -> int:
         res = bundle.run_dual(
             inst, case, phi=args.phi, tol=args.tol,
             iter_limit=args.iter_limit, time_limit=args.time_limit,
-            threads=max(1, args.threads), ratio_mode=args.ratio_mode,
+            ratio_mode=args.ratio_mode,
             table=table)
     except InfeasibleInstanceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

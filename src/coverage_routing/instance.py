@@ -6,8 +6,8 @@ homogeneous vehicle, and an operational deadline.  Arcs form the complete
 directed graph over the waypoints minus self-loops and the direct
 depot-to-depot hop.
 
-The :class:`ArcIndexTable` caches every per-arc and per-waypoint
-risk/coverage index so the optimization layers never touch raw geometry.
+The :class:`ArcIndexTable` caches every per-arc and per-waypoint coverage
+index so the optimization layers never touch raw geometry.
 """
 
 from __future__ import annotations
@@ -443,9 +443,8 @@ def generate_instance(seed: int,
 
 
 class ArcIndexTable:
-    """Precomputed risk/coverage indices for every (arc, target) and
-    (interior waypoint, target) pair, plus node distances and arc time
-    bounds."""
+    """Precomputed coverage indices for every (arc, target) and (interior
+    waypoint, target) pair, plus node distances and arc time bounds."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -455,6 +454,7 @@ class ArcIndexTable:
         self.arcs: Tuple[Tuple[int, int], ...] = tuple(instance.arcs())
         self.arc_id: Dict[Tuple[int, int], int] = {
             a: k for k, a in enumerate(self.arcs)}
+        self._arc_rows, self._arc_cols = np.array(self.arcs, dtype=np.intp).T
         self.target_ids: Tuple[int, ...] = tuple(t.id for t in instance.targets)
 
         pts = [w.point for w in instance.waypoints]
@@ -469,34 +469,25 @@ class ArcIndexTable:
 
         m = len(instance.targets)
         eps = instance.eps_geo
-        self.risk_index = np.zeros((len(self.arcs), m))
-        self.risk_frac = np.zeros((len(self.arcs), m))
         self.cov_index = np.zeros((len(self.arcs), m))
         self.cov_frac = np.zeros((len(self.arcs), m))
         veh = instance.vehicle
         for k, (i, j) in enumerate(self.arcs):
             for col, t in enumerate(instance.targets):
                 try:
-                    ri = geometry.arc_risk_index(pts[i], pts[j], t.point,
-                                                 t.risk_factor, t.risk_radius, eps)
                     ci = geometry.arc_coverage_index(pts[i], pts[j], t.point,
                                                      veh.coverage_factor,
                                                      veh.coverage_radius, eps)
                 except TargetTooCloseError as exc:
                     raise TargetTooCloseError(
                         f"target {t.id} against arc ({i},{j}): {exc}") from exc
-                self.risk_index[k, col] = ri.per_time_index
-                self.risk_frac[k, col] = ri.frac
                 self.cov_index[k, col] = ci.per_time_index
                 self.cov_frac[k, col] = ci.frac
 
-        self.wp_risk = np.zeros((n, m))
         self.wp_cov = np.zeros((n, m))
         for i in instance.interior_ids:
             for col, t in enumerate(instance.targets):
                 try:
-                    self.wp_risk[i - 1, col] = geometry.point_index(
-                        pts[i], t.point, t.risk_factor, t.risk_radius, eps)
                     self.wp_cov[i - 1, col] = geometry.point_index(
                         pts[i], t.point, veh.coverage_factor,
                         veh.coverage_radius, eps)
@@ -504,19 +495,15 @@ class ArcIndexTable:
                     raise TargetTooCloseError(
                         f"target {t.id} against waypoint {i}: {exc}") from exc
 
-        # effect per unit travel time on the arc as a whole
+        # coverage per unit travel time on the arc as a whole
         self.coverage_rate = self.cov_index * self.cov_frac
-        self.risk_rate = self.risk_index * self.risk_frac
-        # in-disk length of each arc per target (coverage disk)
-        self.d_bar = self.cov_frac * self.arc_dist[:, None]
         self.priorities = np.array([t.priority for t in instance.targets])
         self.required = np.array([t.min_coverage for t in instance.targets])
 
     def matrix(self, per_arc: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """Scatter a per-arc vector into a dense (n+2)x(n+2) node matrix."""
         out = np.full((self.n + 2, self.n + 2), fill)
-        for k, (i, j) in enumerate(self.arcs):
-            out[i, j] = per_arc[k]
+        out[self._arc_rows, self._arc_cols] = per_arc
         return out
 
     def waypoint_coverage_vector(self, node: int) -> np.ndarray:

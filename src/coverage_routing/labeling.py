@@ -1,0 +1,124 @@
+"""Depth-layered labeling skeleton shared by both deadline regimes.
+
+Both route searches are elementary-path labeling algorithms (Feillet et al.,
+*Networks* 2004): a label is a partial path from the entry depot, stored at
+its end node together with its visited-node set, and labels are expanded
+breadth-first by the number of interior waypoints they have visited.  The
+two regimes differ only in the label payload, in how a label is extended to
+a new node and merged into that node's store (dominance), and in how a label
+that reaches the exit is scored.  This module holds everything else: the
+per-node stores, the layered expansion loop, the final scan for the best
+completion, and path reconstruction.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+
+class Store:
+    """Labels ending at one node plus numpy mirrors of their visited-set
+    masks, values, times and alive flags, so dominance can pre-filter a whole
+    store at once.
+
+    A label must carry ``mask``, ``value``, ``depth``, ``parent`` and a
+    writable ``alive`` flag.
+    """
+
+    __slots__ = ("labels", "masks", "values", "times", "alive", "size")
+
+    def __init__(self):
+        self.labels: List = []
+        cap = 64
+        self.masks = np.zeros(cap, dtype=np.int64)
+        self.values = np.zeros(cap)
+        self.times = np.zeros(cap)
+        self.alive = np.zeros(cap, dtype=bool)
+        self.size = 0
+
+    def append(self, label, time: float = 0.0) -> int:
+        """Store ``label`` (realized at ``time``) and return its row."""
+        if self.size == len(self.masks):
+            self.masks = np.resize(self.masks, 2 * self.size)
+            self.values = np.resize(self.values, 2 * self.size)
+            self.times = np.resize(self.times, 2 * self.size)
+            self.alive = np.resize(self.alive, 2 * self.size)
+        k = self.size
+        self.masks[k] = label.mask
+        self.values[k] = label.value
+        self.times[k] = time
+        self.alive[k] = True
+        self.labels.append(label)
+        self.size = k + 1
+        return k
+
+    def kill(self, idx: int) -> None:
+        self.alive[idx] = False
+        self.labels[idx].alive = False
+
+
+def reconstruct(label) -> List[int]:
+    """Node sequence of a label, oldest first."""
+    nodes: List[int] = []
+    cur = label
+    while cur is not None:
+        nodes.append(cur.node)
+        cur = cur.parent
+    nodes.reverse()
+    return nodes
+
+
+def search(n: int, root, stores: Sequence[Store],
+           step: Callable[[object, int], None]) -> None:
+    """Expand ``root`` (the entry depot, depth 0), then every alive label of
+    depth 1, 2, ..., n-1 in node order and, within a node, insertion order.
+
+    ``step(label, j)`` is called once for every interior waypoint ``j`` the
+    label has not visited; it builds the extensions and stores the ones that
+    survive dominance.  A label killed before its layer is reached is never
+    expanded.
+    """
+    for j in range(1, n + 1):
+        step(root, j)
+    for depth in range(1, n):
+        for st in stores[1:]:
+            for idx in range(st.size):
+                label = st.labels[idx]
+                if not label.alive or label.depth != depth:
+                    continue
+                mask = label.mask
+                for j in range(1, n + 1):
+                    if not mask & (1 << (j - 1)):
+                        step(label, j)
+
+
+def best_completion(stores: Sequence[Store], vb_bit: int,
+                    complete: Callable[[object], Optional[Tuple]]) -> Optional[Tuple]:
+    """Best finished route over the alive labels.
+
+    Labels that have not visited the idle stop (``vb_bit``; 0 means no idle
+    stop is required) are skipped.  ``complete(label)`` scores the label's
+    closing leg to the exit and returns a tuple whose first entry is the
+    route value, or None when the label cannot finish.  The first strict
+    maximum in node order, then insertion order, wins; None means no label
+    finished.
+    """
+    best = None
+    for st in stores[1:]:
+        for idx in range(st.size):
+            label = st.labels[idx]
+            if not label.alive or (vb_bit and not label.mask & vb_bit):
+                continue
+            done = complete(label)
+            if done is not None and (best is None or done[0] > best[0]):
+                best = done
+    return best
+
+
+def counts(stores: Sequence[Store]) -> Tuple[int, int]:
+    """Labels stored and labels still alive over all stores."""
+    stored = sum(st.size for st in stores)
+    alive = sum(int(st.alive[:st.size].sum()) for st in stores)
+    return stored, alive

@@ -17,42 +17,37 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .instance import ArcIndexTable
+from .labeling import Store, best_completion, counts, reconstruct, search
 from .relaxation import RelaxCoeffs
 
 _NEG = -1e300
+
+#: per-node store size up to which the cross-set subset-dominance scan runs;
+#: above it only exact-state merging prunes.  The cap trades pruning effort
+#: for insert cost on big instances and never changes the returned value.
+SCAN_CAP = 4096
 
 
 @dataclass(slots=True)
 class LabelC1:
     """Partial path from the entry depot to ``node``.
 
-    ``mask`` has bit ``k-1`` set when interior waypoint ``k`` was visited;
-    the entry depot is implicitly visited by every label.
+    ``mask`` has bit ``k-1`` set when interior waypoint ``k`` was visited.
+    The entry depot is the root label (node 0, empty mask) that every path
+    starts from.
     """
 
     node: int
     mask: int
     value: float
     parent: Optional["LabelC1"]
-    order: int
     depth: int
     alive: bool = True
 
 
-def reconstruct(label: LabelC1) -> List[int]:
-    """Interior node sequence of a label, oldest first."""
-    nodes: List[int] = []
-    cur: Optional[LabelC1] = label
-    while cur is not None:
-        nodes.append(cur.node)
-        cur = cur.parent
-    nodes.reverse()
-    return nodes
-
-
 def path_value(label: LabelC1, values: np.ndarray) -> float:
     """Re-sum a label's value from its reconstructed path (cross-check)."""
-    nodes = [0] + reconstruct(label)
+    nodes = reconstruct(label)
     return float(sum(values[i, j] for i, j in zip(nodes[:-1], nodes[1:])))
 
 
@@ -85,39 +80,6 @@ def dominates_case1(l1: LabelC1, l2: LabelC1, vbar: int,
     return l1.value + c_extra >= l2.value
 
 
-class _Store:
-    """Per-node label store: a state dict for exact-visited-set merges plus
-    numpy mirrors for bulk subset-dominance checks."""
-
-    __slots__ = ("labels", "masks", "values", "alive", "size", "by_mask")
-
-    def __init__(self):
-        self.labels: List[LabelC1] = []
-        cap = 64
-        self.masks = np.zeros(cap, dtype=np.int64)
-        self.values = np.zeros(cap)
-        self.alive = np.zeros(cap, dtype=bool)
-        self.size = 0
-        self.by_mask: Dict[int, int] = {}
-
-    def append(self, label: LabelC1) -> None:
-        if self.size == len(self.masks):
-            self.masks = np.resize(self.masks, 2 * self.size)
-            self.values = np.resize(self.values, 2 * self.size)
-            self.alive = np.resize(self.alive, 2 * self.size)
-        k = self.size
-        self.masks[k] = label.mask
-        self.values[k] = label.value
-        self.alive[k] = True
-        self.labels.append(label)
-        self.by_mask[label.mask] = k
-        self.size = k + 1
-
-    def kill(self, idx: int) -> None:
-        self.alive[idx] = False
-        self.labels[idx].alive = False
-
-
 @dataclass
 class Case1Result:
     value: float
@@ -128,18 +90,13 @@ class Case1Result:
 
 
 def solve_case1(coeffs: RelaxCoeffs, vbar: int, table: ArcIndexTable,
-                use_dominance: bool = True, scan_cap: int = 4096) -> Case1Result:
+                use_dominance: bool = True) -> Case1Result:
     """Best simple route for one idle candidate.
 
     Returns the maximum sum of arc values over routes from the entry to the
     exit depot; for ``vbar != 0`` only routes visiting ``vbar`` qualify.  The
     returned value excludes the multiplier constant and the idle-gain term,
     which the caller adds.
-
-    ``scan_cap`` bounds the per-node store size up to which the cross-set
-    subset-dominance scan runs; above it only exact-state merging prunes.
-    The cap trades pruning effort for insert cost on big instances and never
-    changes the returned value.
     """
     n = table.n
     if not (vbar == 0 or 1 <= vbar <= n):
@@ -174,18 +131,22 @@ def solve_case1(coeffs: RelaxCoeffs, vbar: int, table: ArcIndexTable,
         c_extra_cache[key] = best
         return best
 
-    stores = [_Store() for _ in range(n + 1)]  # index by node 1..n
-    order = 0
+    stores = [Store() for _ in range(n + 1)]  # index by node 1..n
+    # per node: visited set -> store row, for exact-state merges
+    by_mask: List[Dict[int, int]] = [{} for _ in range(n + 1)]
+    rows = values.tolist()
 
-    def insert(node: int, mask: int, value: float,
-               parent: Optional[LabelC1], depth: int) -> None:
-        nonlocal order
+    def step(parent: LabelC1, node: int) -> None:
+        """Extend ``parent`` to ``node`` and store the result unless a
+        stored label dominates it."""
+        mask = parent.mask | (1 << (node - 1))
+        value = parent.value + rows[parent.node][node]
         st = stores[node]
         if use_dominance:
             # exact-state merge: same end node and same visited set means the
             # higher value wins outright (no children exist yet, since equal
             # cardinality states only collide within one extension layer)
-            row = st.by_mask.get(mask)
+            row = by_mask[node].get(mask)
             if row is not None and st.alive[row]:
                 old = st.labels[row]
                 if value > old.value:
@@ -193,7 +154,7 @@ def solve_case1(coeffs: RelaxCoeffs, vbar: int, table: ArcIndexTable,
                     old.parent = parent
                     st.values[row] = value
                 return
-        if use_dominance and st.size and st.size <= scan_cap:
+        if use_dominance and st.size and st.size <= SCAN_CAP:
             k = st.size
             m = st.masks[:k]
             v = st.values[:k]
@@ -230,46 +191,14 @@ def solve_case1(coeffs: RelaxCoeffs, vbar: int, table: ArcIndexTable,
                         ce = c_extra(e_mask, node)
                         if ce is not None and value + ce >= st.values[idx]:
                             st.kill(int(idx))
-        st.append(LabelC1(node, mask, value, parent, order, depth))
-        order += 1
+        by_mask[node][mask] = st.append(
+            LabelC1(node, mask, value, parent, parent.depth + 1))
 
-    row0 = values[0].tolist()
-    for i in range(1, n + 1):
-        insert(i, 1 << (i - 1), row0[i], None, 1)
+    search(n, LabelC1(0, 0, 0.0, None, 0), stores, step)
 
-    rows = values.tolist()
-    for depth in range(1, n):
-        for j in range(1, n + 1):
-            st = stores[j]
-            row = rows[j]
-            for idx in range(st.size):
-                label = st.labels[idx]
-                if not label.alive or label.depth != depth:
-                    continue
-                mask = label.mask
-                base = label.value
-                for i in range(1, n + 1):
-                    bit = 1 << (i - 1)
-                    if mask & bit:
-                        continue
-                    insert(i, mask | bit, base + row[i], label, depth + 1)
-
-    best_label = None
-    best_total = -np.inf
-    for i in range(1, n + 1):
-        st = stores[i]
-        for idx in range(st.size):
-            label = st.labels[idx]
-            if not label.alive:
-                continue
-            if vbar != 0 and not (label.mask & vb_bit):
-                continue
-            total = label.value + float(values[i, exit_id])
-            if total > best_total:
-                best_total = total
-                best_label = label
-
-    stored = sum(st.size for st in stores)
-    alive = sum(int(st.alive[:st.size].sum()) for st in stores)
-    nodes = tuple([0] + reconstruct(best_label) + [exit_id])
+    to_exit = values[:, exit_id].tolist()
+    best_total, best_label = best_completion(
+        stores, vb_bit, lambda label: (label.value + to_exit[label.node], label))
+    stored, alive = counts(stores)
+    nodes = tuple(reconstruct(best_label) + [exit_id])
     return Case1Result(best_total, nodes, best_label, stored, alive)

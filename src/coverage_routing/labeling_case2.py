@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .instance import ArcIndexTable
+from .labeling import Store, best_completion, counts, reconstruct, search
 from .relaxation import RelaxCoeffs
 
 _NEG = -1e300
@@ -54,24 +55,13 @@ class LabelC2:
     u0_span: float
     parent: Optional["LabelC2"]
     last_u: Optional[int]
-    order: int
     depth: int
     alive: bool = True
 
 
 def make_root() -> LabelC2:
     return LabelC2(0, 0, 0.0, 0.0, math.inf, 0.0, 0.0, -math.inf, 0.0, 0.0,
-                   None, None, 0, 0)
-
-
-def reconstruct(label: LabelC2) -> List[int]:
-    nodes: List[int] = []
-    cur: Optional[LabelC2] = label
-    while cur is not None:
-        nodes.append(cur.node)
-        cur = cur.parent
-    nodes.reverse()
-    return nodes
+                   None, None, 0)
 
 
 def envelope(label: LabelC2) -> Tuple[float, float, float, float, float, float]:
@@ -187,37 +177,6 @@ class Case2Result:
     envelope_violations: int
 
 
-class _Store:
-    __slots__ = ("labels", "masks", "values", "times", "alive", "size")
-
-    def __init__(self):
-        self.labels: List[LabelC2] = []
-        cap = 64
-        self.masks = np.zeros(cap, dtype=np.int64)
-        self.values = np.zeros(cap)
-        self.times = np.zeros(cap)
-        self.alive = np.zeros(cap, dtype=bool)
-        self.size = 0
-
-    def append(self, label: LabelC2) -> None:
-        if self.size == len(self.masks):
-            self.masks = np.resize(self.masks, 2 * self.size)
-            self.values = np.resize(self.values, 2 * self.size)
-            self.times = np.resize(self.times, 2 * self.size)
-            self.alive = np.resize(self.alive, 2 * self.size)
-        k = self.size
-        self.masks[k] = label.mask
-        self.values[k] = label.value
-        self.times[k] = label.time
-        self.alive[k] = True
-        self.labels.append(label)
-        self.size = k + 1
-
-    def kill(self, idx: int) -> None:
-        self.alive[idx] = False
-        self.labels[idx].alive = False
-
-
 class Case2Solver:
     """One route search for a fixed idle candidate under deadline ``T``."""
 
@@ -250,8 +209,7 @@ class Case2Solver:
                                       self.net_m)
         self.dist = table.node_dist
         self.speed_max = table.instance.vehicle.speed_max
-        self.stores = [_Store() for _ in range(n + 1)]
-        self.order = 1
+        self.stores = [Store() for _ in range(n + 1)]
         self.envelope_violations = 0
 
     # -- extension interface ------------------------------------------------
@@ -312,7 +270,7 @@ class Case2Solver:
         child = LabelC2(j, label.mask | (1 << (j - 1)),
                         label.value + f * arc_t, label.time + arc_t,
                         u1[0], u1[1], u1[2], u0[0], u0[1], u0[2],
-                        label, u, 0, label.depth + 1)
+                        label, u, label.depth + 1)
         if child.u1_span > 0.0 and child.u0_span > 0.0 \
                 and child.u1_slope < child.u0_slope - 1e-12:
             # threshold consistency of the frontier slopes; can only break
@@ -341,59 +299,39 @@ class Case2Solver:
                 for idx in np.flatnonzero(cand):
                     if dominates_case2(label, st.labels[idx], self.vbar):
                         st.kill(int(idx))
-        label.order = self.order
-        self.order += 1
-        st.append(label)
+        st.append(label, label.time)
+
+    def _step(self, label: LabelC2, j: int) -> None:
+        for child in self.extend(label, j):
+            self._insert(child)
+
+    def _complete(self, label: LabelC2) -> Optional[Tuple]:
+        """Exact timing of the label's route closed by the exit arc:
+        ``(value, nodes, times, label)``, or None when it cannot meet
+        ``T``."""
+        if label.time + self.tlo_m[label.node, self.exit_id] > self.T:
+            return None
+        nodes = reconstruct(label) + [self.exit_id]
+        arcs = list(zip(nodes[:-1], nodes[1:]))
+        net = np.array([self.net_m[p, q] for p, q in arcs])
+        t_lo = np.array([self.tlo_m[p, q] for p, q in arcs])
+        t_hi = np.array([self.thi_m[p, q] for p, q in arcs])
+        keys = np.array([self.key_m[p, q] for p, q in arcs])
+        timed = knapsack_times(net, t_lo, t_hi, self.T, keys)
+        if timed is None:
+            return None
+        times, value = timed
+        return value, nodes, times, label
 
     def solve(self) -> Optional[Case2Result]:
-        n = self.n
-        root = make_root()
-        for i in range(1, n + 1):
-            for child in self.extend(root, i):
-                self._insert(child)
-        for depth in range(1, n):
-            for j in range(1, n + 1):
-                st = self.stores[j]
-                for idx in range(st.size):
-                    label = st.labels[idx]
-                    if not label.alive or label.depth != depth:
-                        continue
-                    for i in range(1, n + 1):
-                        if label.mask & (1 << (i - 1)):
-                            continue
-                        for child in self.extend(label, i):
-                            self._insert(child)
-
-        best = None
-        for i in range(1, n + 1):
-            st = self.stores[i]
-            for idx in range(st.size):
-                label = st.labels[idx]
-                if not label.alive:
-                    continue
-                if self.vbar != 0 and not (label.mask & self.vb_bit):
-                    continue
-                if label.time + self.tlo_m[i, self.exit_id] > self.T:
-                    continue
-                nodes = reconstruct(label) + [self.exit_id]
-                arcs = list(zip(nodes[:-1], nodes[1:]))
-                net = np.array([self.net_m[p, q] for p, q in arcs])
-                t_lo = np.array([self.tlo_m[p, q] for p, q in arcs])
-                t_hi = np.array([self.thi_m[p, q] for p, q in arcs])
-                keys = np.array([self.key_m[p, q] for p, q in arcs])
-                timed = knapsack_times(net, t_lo, t_hi, self.T, keys)
-                if timed is None:
-                    continue
-                times, value = timed
-                if best is None or value > best[0]:
-                    best = (value, tuple(nodes), tuple(float(x) for x in times),
-                            label)
+        search(self.n, make_root(), self.stores, self._step)
+        best = best_completion(self.stores, self.vb_bit, self._complete)
         if best is None:
             return None
-        stored = sum(st.size for st in self.stores)
-        alive = sum(int(st.alive[:st.size].sum()) for st in self.stores)
-        return Case2Result(best[0], best[1], best[2], best[3], stored, alive,
-                           self.envelope_violations)
+        value, nodes, times, label = best
+        stored, alive = counts(self.stores)
+        return Case2Result(value, tuple(nodes), tuple(float(x) for x in times),
+                           label, stored, alive, self.envelope_violations)
 
 
 def solve_case2(coeffs: RelaxCoeffs, vbar: int, T: float,

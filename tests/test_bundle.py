@@ -169,16 +169,6 @@ class TestRunDual:
                     ValidateOptions(enforce_coverage=True), table=table)
                 assert rep.ok
 
-    def test_threads_match_sequential(self, rng):
-        inst = random_desk_instance(rng, n_range=(4, 5), m_range=(4, 6),
-                                    case="I")
-        table = build_index_table(inst)
-        seq = run_dual(inst, "I", tol=1e-4, iter_limit=100, table=table)
-        par = run_dual(inst, "I", tol=1e-4, iter_limit=100, table=table,
-                       threads=4)
-        assert seq.dual_bound == par.dual_bound
-        assert seq.iterations == par.iterations
-
     def test_bad_parameters(self):
         inst = generate_instance(61, 3, 4, coverage_radius=25.0)
         with pytest.raises(ValueError):

@@ -124,14 +124,6 @@ class TestSolveVerify:
         assert record["ratio_mode"] == "per-distance"
         assert "match" in record["oracle"]["relaxation_at_zero"]
 
-    def test_threads_flag(self, tmp_path, desk_instance_file):
-        out = tmp_path / "res.json"
-        base = tmp_path / "base.json"
-        run(["solve", str(desk_instance_file), "--out", str(base)])
-        run(["solve", str(desk_instance_file), "--threads", "4",
-             "--out", str(out)])
-        assert out.read_bytes() == base.read_bytes()
-
 
 class TestPresetPipeline:
     """gen -> solve -> verify holds together on every preset; the bigger

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_instance
 from coverage_routing.errors import SchemaError
-from coverage_routing.geometry import Point2, arc_coverage_index, arc_risk_index
+from coverage_routing.geometry import Point2, arc_coverage_index
 from coverage_routing.instance import (PathSolution, ValidateOptions,
                                        arc_energy, build_index_table,
                                        generate_instance, instance_to_json,
@@ -126,7 +126,6 @@ class TestIndexTable:
                              deadline=1000.0, coverage_radius=45.0,
                              risk_radius=2.0)
         table = build_index_table(inst)
-        assert np.all(table.risk_rate == 0.0)
         assert np.any(table.coverage_rate > 0.0)
 
     def test_arc_reversal_symmetric(self):
@@ -151,18 +150,8 @@ class TestIndexTable:
         ci = arc_coverage_index(inst.point(2), inst.point(4), t.point,
                                 inst.vehicle.coverage_factor,
                                 inst.vehicle.coverage_radius, inst.eps_geo)
-        ri = arc_risk_index(inst.point(2), inst.point(4), t.point,
-                            t.risk_factor, t.risk_radius, inst.eps_geo)
         assert table.cov_index[k, col] == ci.per_time_index
         assert table.cov_frac[k, col] == ci.frac
-        assert table.risk_index[k, col] == ri.per_time_index
-        assert table.risk_frac[k, col] == ri.frac
-
-    def test_d_bar_is_in_disk_length(self):
-        inst = generate_instance(33, 4, 4, coverage_radius=25.0)
-        table = build_index_table(inst)
-        assert np.allclose(table.d_bar,
-                           table.cov_frac * table.arc_dist[:, None])
 
 
 class TestArcEnergy:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_desk_instance, random_multipliers, relax_value
+from coverage_routing import labeling_case1
 from coverage_routing.instance import build_index_table, generate_instance
 from coverage_routing.labeling_case1 import (LabelC1, dominates_case1,
                                              path_value, reconstruct,
@@ -100,6 +101,21 @@ class TestSolveCase1:
                 assert with_dom.labels_stored <= without.labels_stored
                 assert with_dom.value == pytest.approx(without.value, abs=1e-9)
 
+    def test_scan_cap_never_changes_value(self, rng, monkeypatch):
+        # desk stores never outgrow the default cap, so force the capped
+        # branch: only exact-state merges prune
+        monkeypatch.setattr(labeling_case1, "SCAN_CAP", 0)
+        for _ in range(8):
+            inst = random_desk_instance(rng, n_range=(3, 6), m_range=(3, 6))
+            table = build_index_table(inst)
+            lam = random_multipliers(rng, len(table.target_ids))
+            coeffs = build_coeffs(table, inst, lam, "I")
+            for vbar in coeffs.idle_set:
+                capped = solve_case1(coeffs, vbar, table)
+                without = solve_case1(coeffs, vbar, table, use_dominance=False)
+                assert abs(capped.value - without.value) <= \
+                    1e-8 * max(1.0, abs(without.value))
+
     def test_three_way_battery(self, rng):
         for _ in range(25):
             inst = random_desk_instance(rng, n_range=(2, 6), m_range=(2, 8))
@@ -116,25 +132,25 @@ class TestSolveCase1:
 
 class TestDominanceRule:
     def test_clause_one_true(self):
-        l1 = LabelC1(2, 0b011, 10.0, None, 0, 2)
-        l2 = LabelC1(2, 0b011, 8.0, None, 1, 2)
+        l1 = LabelC1(2, 0b011, 10.0, None, 2)
+        l2 = LabelC1(2, 0b011, 8.0, None, 2)
         assert dominates_case1(l1, l2, vbar=1, c_extra=None)
 
     def test_subset_violation_false(self):
-        l1 = LabelC1(2, 0b110, 100.0, None, 0, 2)
-        l2 = LabelC1(2, 0b011, 1.0, None, 1, 2)
+        l1 = LabelC1(2, 0b110, 100.0, None, 2)
+        l2 = LabelC1(2, 0b011, 1.0, None, 2)
         assert not dominates_case1(l1, l2, vbar=0, c_extra=None)
 
     def test_different_end_false(self):
-        l1 = LabelC1(1, 0b001, 10.0, None, 0, 1)
-        l2 = LabelC1(2, 0b011, 1.0, None, 1, 2)
+        l1 = LabelC1(1, 0b001, 10.0, None, 1)
+        l2 = LabelC1(2, 0b011, 1.0, None, 2)
         assert not dominates_case1(l1, l2, vbar=0, c_extra=None)
 
     def test_detour_clause_numeric(self):
         # l1 skipped vbar=3, l2 visited it; domination must survive the
         # worst-case detour cost
-        l1 = LabelC1(1, 0b0001, 9.0, None, 0, 1)
-        l2 = LabelC1(1, 0b0101, 10.0, None, 1, 2)
+        l1 = LabelC1(1, 0b0001, 9.0, None, 1)
+        l2 = LabelC1(1, 0b0101, 10.0, None, 2)
         assert dominates_case1(l1, l2, vbar=3, c_extra=2.0)
         assert not dominates_case1(l1, l2, vbar=3, c_extra=0.5)
         assert not dominates_case1(l1, l2, vbar=3, c_extra=None)
@@ -168,8 +184,8 @@ class TestDominanceRule:
             mask2 = 0b0101  # visited vbar = 3
             c1 = rng.uniform(-5, 5)
             c2 = rng.uniform(-5, 5)
-            l1 = LabelC1(1, mask1, c1, None, 0, 1)
-            l2 = LabelC1(1, mask2, c2, None, 1, 2)
+            l1 = LabelC1(1, mask1, c1, None, 1)
+            l2 = LabelC1(1, mask2, c2, None, 2)
             candidates = [values[i, vbar] + values[vbar, exit_id]
                           - values[i, exit_id]
                           for i in [1] + [i for i in range(1, n + 1)
