@@ -236,7 +236,7 @@ def timing_to_solution(timing: PathTiming, table: ArcIndexTable,
     """Materialize a relaxation witness as a route: with an idle stop the
     whole deadline remainder is spent there."""
     idle = max(0.0, deadline - float(sum(timing.times))) if timing.vbar else 0.0
-    cov = _coverage_of(table, timing.nodes, timing.times, timing.vbar, idle)
+    cov = table.route_coverage(timing.nodes, timing.times, timing.vbar, idle)
     return PathSolution(
         nodes=timing.nodes,
         times=timing.times,
@@ -245,16 +245,6 @@ def timing_to_solution(timing: PathTiming, table: ArcIndexTable,
         objective=float(table.priorities @ cov),
         per_target_coverage=tuple(zip(table.target_ids, map(float, cov))),
     )
-
-
-def _coverage_of(table: ArcIndexTable, nodes: Tuple[int, ...],
-                 times: Sequence[float], vbar: int, idle: float) -> np.ndarray:
-    cov = np.zeros(len(table.target_ids))
-    for (i, j), t in zip(zip(nodes[:-1], nodes[1:]), times):
-        cov += table.coverage_rate[table.arc_id[(i, j)]] * t
-    if vbar and idle > 0:
-        cov += table.wp_cov[vbar - 1] * idle
-    return cov
 
 
 def _greedy_primal_repair(table: ArcIndexTable, instance: Instance,
@@ -280,7 +270,7 @@ def _greedy_primal_repair(table: ArcIndexTable, instance: Instance,
             continue
         for vbar in [0] + interior:
             idle = (T - total) if vbar else 0.0
-            cov = _coverage_of(table, nodes, times, vbar, idle)
+            cov = table.route_coverage(nodes, times, vbar, idle)
             if np.all(cov >= table.required - 1e-9):
                 val = float(table.priorities @ cov)
                 if val > best_val:

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +35,10 @@ PRESETS = {
 }
 
 DEADLINE_SCALE = {"I": 1.0, "II": 0.1}
+
+#: the route searches keep visited sets as ``np.int64`` masks, one bit per
+#: interior waypoint
+MAX_WAYPOINTS = 63
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,9 @@ def validate_instance(instance: Instance) -> None:
     n = instance.n
     if n < 1:
         raise SchemaError("need at least one interior waypoint")
+    if n > MAX_WAYPOINTS:
+        raise SchemaError(f"at most {MAX_WAYPOINTS} interior waypoints are "
+                          f"supported, got {n}")
     for pos, wp in enumerate(instance.waypoints):
         if wp.id != pos:
             raise SchemaError(f"waypoint ids must be 0..{n + 1} in order, "
@@ -506,6 +513,18 @@ class ArcIndexTable:
         out[self._arc_rows, self._arc_cols] = per_arc
         return out
 
+    def route_coverage(self, nodes: Sequence[int], times: Sequence[float],
+                       idle_node: Optional[int], idle_time: float) -> np.ndarray:
+        """Per-target coverage of a route: each arc's coverage rate times its
+        travel time, plus the idle stop's rate times the idle time (no idle
+        stop when ``idle_node`` is None or 0)."""
+        cov = np.zeros(len(self.target_ids))
+        for (i, j), t in zip(zip(nodes[:-1], nodes[1:]), times):
+            cov += self.coverage_rate[self.arc_id[(i, j)]] * t
+        if idle_node and idle_time > 0:
+            cov += self.wp_cov[idle_node - 1] * idle_time
+        return cov
+
     def waypoint_coverage_vector(self, node: int) -> np.ndarray:
         """Per-target idle coverage rates at an interior waypoint (zeros for
         the no-idle pseudo-node 0)."""
@@ -705,13 +724,8 @@ def validate_solution(instance: Instance, sol: PathSolution,
     checks.append(ConstraintCheck("deadline", deadline_slack >= -opts.tol,
                                   deadline_slack))
 
-    # recompute coverage per target
-    m = len(instance.targets)
-    cov = np.zeros(m)
-    for (a, t) in zip(arcs, sol.times):
-        cov += table.coverage_rate[table.arc_id[a]] * t
-    if sol.idle_node is not None and sol.idle_time > 0:
-        cov += table.wp_cov[sol.idle_node - 1] * sol.idle_time
+    cov = table.route_coverage(sol.nodes, sol.times, sol.idle_node,
+                               sol.idle_time)
     objective = float(table.priorities @ cov)
 
     if sol.objective is not None:

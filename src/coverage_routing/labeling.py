@@ -23,8 +23,10 @@ class Store:
     masks, values, times and alive flags, so dominance can pre-filter a whole
     store at once.
 
-    A label must carry ``mask``, ``value``, ``depth``, ``parent`` and a
-    writable ``alive`` flag.
+    A label must carry ``node``, ``mask``, ``value`` and ``parent``.
+    ``alive`` is the only record of which rows dominance killed.  Under
+    :func:`search` rows are appended layer by layer, so each layer of a store
+    is one contiguous row range.
     """
 
     __slots__ = ("labels", "masks", "values", "times", "alive", "size")
@@ -56,7 +58,6 @@ class Store:
 
     def kill(self, idx: int) -> None:
         self.alive[idx] = False
-        self.labels[idx].alive = False
 
 
 def reconstruct(label) -> List[int]:
@@ -72,26 +73,35 @@ def reconstruct(label) -> List[int]:
 
 def search(n: int, root, stores: Sequence[Store],
            step: Callable[[object, int], None]) -> None:
-    """Expand ``root`` (the entry depot, depth 0), then every alive label of
-    depth 1, 2, ..., n-1 in node order and, within a node, insertion order.
+    """Expand ``root`` (the entry depot, layer 0), then every alive label of
+    layer 1, 2, ..., n-1 in node order and, within a node, insertion order.
+    Layer d holds the labels that visited d interior waypoints.
 
     ``step(label, j)`` is called once for every interior waypoint ``j`` the
     label has not visited; it builds the extensions and stores the ones that
-    survive dominance.  A label killed before its layer is reached is never
-    expanded.
+    survive dominance.  Expanding layer d only appends layer-d+1 rows, so
+    each store's layer d is the row range between its sizes at the starts of
+    layers d-1 and d.  Dominance may kill a stored row only when its visited
+    set contains the new label's; every stored row is from the new label's
+    layer or an earlier one, so a killed row has the same visited set and is
+    in layer d+1 too.  Layer d's alive flags are therefore final when the
+    layer starts.
     """
     for j in range(1, n + 1):
         step(root, j)
-    for depth in range(1, n):
-        for st in stores[1:]:
-            for idx in range(st.size):
-                label = st.labels[idx]
-                if not label.alive or label.depth != depth:
-                    continue
+    starts = [0] * len(stores)
+    for _ in range(1, n):
+        ends = [st.size for st in stores]
+        for k in range(1, len(stores)):
+            st = stores[k]
+            lo = starts[k]
+            for idx in np.flatnonzero(st.alive[lo:ends[k]]).tolist():
+                label = st.labels[lo + idx]
                 mask = label.mask
                 for j in range(1, n + 1):
                     if not mask & (1 << (j - 1)):
                         step(label, j)
+        starts = ends
 
 
 def best_completion(stores: Sequence[Store], vb_bit: int,
@@ -107,9 +117,9 @@ def best_completion(stores: Sequence[Store], vb_bit: int,
     """
     best = None
     for st in stores[1:]:
-        for idx in range(st.size):
+        for idx in np.flatnonzero(st.alive[:st.size]).tolist():
             label = st.labels[idx]
-            if not label.alive or (vb_bit and not label.mask & vb_bit):
+            if vb_bit and not label.mask & vb_bit:
                 continue
             done = complete(label)
             if done is not None and (best is None or done[0] > best[0]):

@@ -7,6 +7,11 @@ size.  Labels are pruned by a dominance rule that also compares labels whose
 visited sets differ: a label that skipped the idle stop can still dominate
 one that visited it, after charging the worst-case value of inserting the
 idle stop just before the exit depot.
+
+Dominance here only rejects new labels and never kills a stored one.  A
+stored label at the new label's node is from its layer or an earlier one, so
+its visited set is never a strict superset of the new label's, and a stored
+label with the same visited set absorbs the new one (exact-state merge).
 """
 
 from __future__ import annotations
@@ -41,8 +46,6 @@ class LabelC1:
     mask: int
     value: float
     parent: Optional["LabelC1"]
-    depth: int
-    alive: bool = True
 
 
 def path_value(label: LabelC1, values: np.ndarray) -> float:
@@ -147,7 +150,7 @@ def solve_case1(coeffs: RelaxCoeffs, vbar: int, table: ArcIndexTable,
             # higher value wins outright (no children exist yet, since equal
             # cardinality states only collide within one extension layer)
             row = by_mask[node].get(mask)
-            if row is not None and st.alive[row]:
+            if row is not None:
                 old = st.labels[row]
                 if value > old.value:
                     old.value = value
@@ -158,10 +161,9 @@ def solve_case1(coeffs: RelaxCoeffs, vbar: int, table: ArcIndexTable,
             k = st.size
             m = st.masks[:k]
             v = st.values[:k]
-            a = st.alive[:k]
             new_in = bool(mask & vb_bit)
-            # existing dominates new?
-            subset = a & ((m & ~mask) == 0)
+            # stored labels whose visited set is a subset of the new one's
+            subset = (m & ~mask) == 0
             if subset.any():
                 vals = v[subset]
                 if new_in:
@@ -178,23 +180,9 @@ def solve_case1(coeffs: RelaxCoeffs, vbar: int, table: ArcIndexTable,
                     win = vals >= value
                 if win.any():
                     return
-            # new dominates existing?
-            sup = a & ((mask & ~m) == 0)
-            if sup.any():
-                for idx in np.flatnonzero(sup):
-                    e_mask = int(st.masks[idx])
-                    e_in = bool(e_mask & vb_bit)
-                    if new_in == e_in:
-                        if value >= st.values[idx]:
-                            st.kill(int(idx))
-                    elif not new_in and e_in:
-                        ce = c_extra(e_mask, node)
-                        if ce is not None and value + ce >= st.values[idx]:
-                            st.kill(int(idx))
-        by_mask[node][mask] = st.append(
-            LabelC1(node, mask, value, parent, parent.depth + 1))
+        by_mask[node][mask] = st.append(LabelC1(node, mask, value, parent))
 
-    search(n, LabelC1(0, 0, 0.0, None, 0), stores, step)
+    search(n, LabelC1(0, 0, 0.0, None), stores, step)
 
     to_exit = values[:, exit_id].tolist()
     best_total, best_label = best_completion(

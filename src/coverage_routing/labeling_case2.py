@@ -55,13 +55,11 @@ class LabelC2:
     u0_span: float
     parent: Optional["LabelC2"]
     last_u: Optional[int]
-    depth: int
-    alive: bool = True
 
 
 def make_root() -> LabelC2:
     return LabelC2(0, 0, 0.0, 0.0, math.inf, 0.0, 0.0, -math.inf, 0.0, 0.0,
-                   None, None, 0)
+                   None, None)
 
 
 def envelope(label: LabelC2) -> Tuple[float, float, float, float, float, float]:
@@ -270,7 +268,7 @@ class Case2Solver:
         child = LabelC2(j, label.mask | (1 << (j - 1)),
                         label.value + f * arc_t, label.time + arc_t,
                         u1[0], u1[1], u1[2], u0[0], u0[1], u0[2],
-                        label, u, label.depth + 1)
+                        label, u)
         if child.u1_span > 0.0 and child.u0_span > 0.0 \
                 and child.u1_slope < child.u0_slope - 1e-12:
             # threshold consistency of the frontier slopes; can only break

@@ -53,8 +53,6 @@ class RelaxCoeffs:
     """Everything the per-``vbar`` path solvers need at a fixed multiplier."""
 
     case: str
-    lam: np.ndarray
-    weights: np.ndarray            # priority - lam, per target
     constant: float                # sum_w required_w * lam_w
     idle_set: Tuple[int, ...]      # 0 plus every waypoint with positive gain
     idle_gain: Dict[int, float]
@@ -102,8 +100,6 @@ def build_coeffs(table: ArcIndexTable, instance: Instance,
             idle_gain[i] = g
     return RelaxCoeffs(
         case=case,
-        lam=lam,
-        weights=weights,
         constant=float(table.required @ lam),
         idle_set=tuple(idle_set),
         idle_gain=idle_gain,
@@ -129,7 +125,6 @@ class RelaxValue:
 
     value: float
     best: PathTiming
-    per_vbar: Tuple[Tuple[int, float], ...]
 
 
 def assemble_f_value(coeffs: RelaxCoeffs,
@@ -145,22 +140,16 @@ def assemble_f_value(coeffs: RelaxCoeffs,
     if best.get(0) is None:
         raise InfeasibleInstanceError(
             "no route fits the operational deadline")
-    totals = []
+    top = top_bt = None
     for vbar in coeffs.idle_set:
         bt = best.get(vbar)
         if bt is None:
             continue
         gain_term = deadline * coeffs.idle_gain[vbar] if vbar != 0 else 0.0
-        totals.append((gain_term + bt.value, vbar, bt))
-    top, top_vbar, top_bt = totals[0]
-    for tot, vbar, bt in totals[1:]:
-        if tot > top:
-            top, top_vbar, top_bt = tot, vbar, bt
-    return RelaxValue(
-        value=coeffs.constant + top,
-        best=top_bt,
-        per_vbar=tuple((vbar, coeffs.constant + tot) for tot, vbar, _ in totals),
-    )
+        tot = gain_term + bt.value
+        if top is None or tot > top:
+            top, top_bt = tot, bt
+    return RelaxValue(value=coeffs.constant + top, best=top_bt)
 
 
 @dataclass(frozen=True)

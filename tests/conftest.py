@@ -7,7 +7,8 @@ import pytest
 from coverage_routing.bundle import evaluate_dual_function
 from coverage_routing.instance import (Instance, Physics, Target, Vehicle,
                                        Waypoint, build_index_table,
-                                       finalize_instance, generate_instance)
+                                       finalize_instance, generate_instance,
+                                       serialize_instance)
 from coverage_routing.geometry import Point2
 
 
@@ -53,6 +54,18 @@ def random_desk_instance(rng, n_range=(2, 6), m_range=(2, 8), case="I",
                                  **kw)
         if inst.targets:
             return inst
+
+
+def too_many_waypoints_document():
+    """Instance document with 64 interior waypoints, one more than the
+    64-bit visited-set masks hold: the 63 of a generated instance plus a
+    copy of waypoint 1 moved half a unit, then the exit depot."""
+    doc = serialize_instance(generate_instance(0, 63, 2))
+    exit_wp = doc["waypoints"].pop()
+    extra = dict(doc["waypoints"][1], id=64)
+    extra["x"] += 0.5
+    doc["waypoints"] += [extra, dict(exit_wp, id=65)]
+    return doc
 
 
 def random_multipliers(rng, m, scale=5.0):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import too_many_waypoints_document
 from coverage_routing.cli import main
 from coverage_routing.instance import load_instance
 
@@ -114,6 +115,12 @@ class TestSolveVerify:
         assert run(["verify", str(tmp_path / "no.json"),
                     str(tmp_path / "nope.json")]) == 4
         assert run(["solve", str(tmp_path / "no.json")]) == 4
+
+    def test_too_many_waypoints_input_error(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(too_many_waypoints_document()))
+        assert run(["solve", str(path)]) == 4
+        assert "at most 63" in capsys.readouterr().err
 
     def test_ratio_mode_flag_reported(self, tmp_path, desk_instance_file):
         out = tmp_path / "res.json"

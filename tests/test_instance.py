@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_instance
+from conftest import make_instance, too_many_waypoints_document
 from coverage_routing.errors import SchemaError
 from coverage_routing.geometry import Point2, arc_coverage_index
 from coverage_routing.instance import (PathSolution, ValidateOptions,
@@ -118,6 +118,12 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             make_instance([(0.0, 0.0), (3.0, 0.0), (3.0, 0.0)],
                           [(1.0, 1.0)], deadline=10.0)
+
+    def test_waypoint_limit(self):
+        assert load_instance(serialize_instance(
+            generate_instance(0, 63, 2))).n == 63
+        with pytest.raises(SchemaError, match="at most 63"):
+            load_instance(too_many_waypoints_document())
 
 
 class TestIndexTable:

@@ -132,25 +132,25 @@ class TestSolveCase1:
 
 class TestDominanceRule:
     def test_clause_one_true(self):
-        l1 = LabelC1(2, 0b011, 10.0, None, 2)
-        l2 = LabelC1(2, 0b011, 8.0, None, 2)
+        l1 = LabelC1(2, 0b011, 10.0, None)
+        l2 = LabelC1(2, 0b011, 8.0, None)
         assert dominates_case1(l1, l2, vbar=1, c_extra=None)
 
     def test_subset_violation_false(self):
-        l1 = LabelC1(2, 0b110, 100.0, None, 2)
-        l2 = LabelC1(2, 0b011, 1.0, None, 2)
+        l1 = LabelC1(2, 0b110, 100.0, None)
+        l2 = LabelC1(2, 0b011, 1.0, None)
         assert not dominates_case1(l1, l2, vbar=0, c_extra=None)
 
     def test_different_end_false(self):
-        l1 = LabelC1(1, 0b001, 10.0, None, 1)
-        l2 = LabelC1(2, 0b011, 1.0, None, 2)
+        l1 = LabelC1(1, 0b001, 10.0, None)
+        l2 = LabelC1(2, 0b011, 1.0, None)
         assert not dominates_case1(l1, l2, vbar=0, c_extra=None)
 
     def test_detour_clause_numeric(self):
         # l1 skipped vbar=3, l2 visited it; domination must survive the
         # worst-case detour cost
-        l1 = LabelC1(1, 0b0001, 9.0, None, 1)
-        l2 = LabelC1(1, 0b0101, 10.0, None, 2)
+        l1 = LabelC1(1, 0b0001, 9.0, None)
+        l2 = LabelC1(1, 0b0101, 10.0, None)
         assert dominates_case1(l1, l2, vbar=3, c_extra=2.0)
         assert not dominates_case1(l1, l2, vbar=3, c_extra=0.5)
         assert not dominates_case1(l1, l2, vbar=3, c_extra=None)
@@ -184,8 +184,8 @@ class TestDominanceRule:
             mask2 = 0b0101  # visited vbar = 3
             c1 = rng.uniform(-5, 5)
             c2 = rng.uniform(-5, 5)
-            l1 = LabelC1(1, mask1, c1, None, 1)
-            l2 = LabelC1(1, mask2, c2, None, 2)
+            l1 = LabelC1(1, mask1, c1, None)
+            l2 = LabelC1(1, mask2, c2, None)
             candidates = [values[i, vbar] + values[vbar, exit_id]
                           - values[i, exit_id]
                           for i in [1] + [i for i in range(1, n + 1)

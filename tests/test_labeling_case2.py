@@ -42,7 +42,7 @@ def _plain_matrices(n_nodes, net_val=1.0, lo=1.0, hi=4.0, d=10.0):
 def _label(node, mask, value, time, u1=(math.inf, 0.0, 0.0),
            u0=(-math.inf, 0.0, 0.0)):
     return LabelC2(node, mask, value, time, u1[0], u1[1], u1[2],
-                   u0[0], u0[1], u0[2], None, None, 1)
+                   u0[0], u0[1], u0[2], None, None)
 
 
 class TestExtensionRules:
