@@ -43,6 +43,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _phi(text: str) -> float:
+    """``--phi``: the level parameter, strictly inside (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must lie strictly inside (0, 1), got {text}")
+    return value
+
+
+def _tol(text: str) -> float:
+    """``--tol``: the relative gap tolerance, positive."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="covroute",
                 description="Maximal-coverage surveillance routing under an "
@@ -68,8 +85,8 @@ def _build_parser() -> _Parser:
     s.add_argument("instance", type=Path)
     s.add_argument("--case", choices=["I", "II"], default=None,
                    help="default: the instance's generated case, else I")
-    s.add_argument("--phi", type=float, default=0.5)
-    s.add_argument("--tol", type=float, default=1e-4)
+    s.add_argument("--phi", type=_phi, default=0.5)
+    s.add_argument("--tol", type=_tol, default=1e-4)
     s.add_argument("--time-limit", type=float, default=None)
     s.add_argument("--iter-limit", type=int, default=1000)
     s.add_argument("--ratio-mode", choices=[RATIO_SLOPE, RATIO_PER_DISTANCE],

@@ -1,17 +1,15 @@
 """Maximum-value simple-path search when the deadline never binds (case I).
 
 Every arc's travel time is pre-optimized (bound-valued), so a route is scored
-by summing fixed arc values and the search is a label-correcting dynamic
+by summing fixed arc values and the search is a Held-Karp style dynamic
 program over (end node, visited set) states, breadth-first by visited-set
-size.  Labels are pruned by a dominance rule that also compares labels whose
-visited sets differ: a label that skipped the idle stop can still dominate
-one that visited it, after charging the worst-case value of inserting the
-idle stop just before the exit depot.
+size.  Two labels in the same state have the same completions, so only the
+better one is kept (exact-state merge); no other label is pruned.
 
-Dominance here only rejects new labels and never kills a stored one.  A
-stored label at the new label's node is from its layer or an earlier one, so
-its visited set is never a strict superset of the new label's, and a stored
-label with the same visited set absorbs the new one (exact-state merge).
+The merge is exact in floating point too.  Every completion adds the same
+arc values, in the same order, to both merged labels, and rounded addition
+is monotone (``a <= b`` implies ``fl(a + c) <= fl(b + c)``), so the kept
+label's completions are never worse than the dropped one's.
 """
 
 from __future__ import annotations
@@ -26,11 +24,6 @@ from .labeling import Store, best_completion, counts, reconstruct, search
 from .relaxation import RelaxCoeffs
 
 _NEG = -1e300
-
-#: per-node store size up to which the cross-set subset-dominance scan runs;
-#: above it only exact-state merging prunes.  The cap trades pruning effort
-#: for insert cost on big instances and never changes the returned value.
-SCAN_CAP = 4096
 
 
 @dataclass(slots=True)
@@ -52,35 +45,6 @@ def path_value(label: LabelC1, values: np.ndarray) -> float:
     """Re-sum a label's value from its reconstructed path (cross-check)."""
     nodes = reconstruct(label)
     return float(sum(values[i, j] for i, j in zip(nodes[:-1], nodes[1:])))
-
-
-def dominates_case1(l1: LabelC1, l2: LabelC1, vbar: int,
-                    c_extra: Optional[float]) -> bool:
-    """True when ``l1`` makes ``l2`` redundant.
-
-    Requires the same end node and ``visited(l1) subseteq visited(l2)``.
-    When both or neither visited the idle stop, plain value comparison
-    decides.  When only ``l2`` visited it, ``l1`` must still win after paying
-    ``c_extra``: the worst-case value of rerouting any completion of ``l2``
-    through the idle stop just before the exit.  The minimum must range over
-    every node that can immediately precede the exit in a completion of
-    ``l2``, which is its current end node plus all nodes it has not visited;
-    dropping the end node from that set over-prunes (it loses completions
-    that exit directly).  ``c_extra=None`` declines the comparison.
-    """
-    if l1.node != l2.node:
-        return False
-    if l1.mask & ~l2.mask:
-        return False
-    vb_bit = 0 if vbar == 0 else 1 << (vbar - 1)
-    in1 = bool(l1.mask & vb_bit)
-    in2 = bool(l2.mask & vb_bit)
-    if in1 == in2:
-        return l1.value >= l2.value
-    # subset relation rules out in1 and not in2
-    if c_extra is None:
-        return False
-    return l1.value + c_extra >= l2.value
 
 
 @dataclass
@@ -108,40 +72,14 @@ def solve_case1(coeffs: RelaxCoeffs, vbar: int, table: ArcIndexTable,
     values = table.matrix(coeffs.arc_values(vbar), fill=_NEG)
     vb_bit = 0 if vbar == 0 else 1 << (vbar - 1)
 
-    # worst-case value of inserting vbar between i and the exit
-    ext_cost = np.full(n + 1, np.inf)
-    if vbar != 0:
-        for i in range(1, n + 1):
-            if i != vbar:
-                ext_cost[i] = (values[i, vbar] + values[vbar, exit_id]
-                               - values[i, exit_id])
-    c_extra_cache: Dict[Tuple[int, int], Optional[float]] = {}
-
-    def c_extra(mask: int, end: int) -> Optional[float]:
-        """Worst-case value of inserting vbar before the exit, over every
-        node that can precede the exit: the end node itself (direct exit) or
-        any yet-unvisited node."""
-        key = (mask, end)
-        got = c_extra_cache.get(key)
-        if got is not None or key in c_extra_cache:
-            return got
-        best = float(ext_cost[end]) if end != vbar else None
-        for i in range(1, n + 1):
-            if not (mask >> (i - 1)) & 1 and i != vbar:
-                e = float(ext_cost[i])
-                if best is None or e < best:
-                    best = e
-        c_extra_cache[key] = best
-        return best
-
     stores = [Store() for _ in range(n + 1)]  # index by node 1..n
     # per node: visited set -> store row, for exact-state merges
     by_mask: List[Dict[int, int]] = [{} for _ in range(n + 1)]
     rows = values.tolist()
 
     def step(parent: LabelC1, node: int) -> None:
-        """Extend ``parent`` to ``node`` and store the result unless a
-        stored label dominates it."""
+        """Extend ``parent`` to ``node`` and store the result unless the
+        stored label in the same state is at least as good."""
         mask = parent.mask | (1 << (node - 1))
         value = parent.value + rows[parent.node][node]
         st = stores[node]
@@ -157,29 +95,6 @@ def solve_case1(coeffs: RelaxCoeffs, vbar: int, table: ArcIndexTable,
                     old.parent = parent
                     st.values[row] = value
                 return
-        if use_dominance and st.size and st.size <= SCAN_CAP:
-            k = st.size
-            m = st.masks[:k]
-            v = st.values[:k]
-            new_in = bool(mask & vb_bit)
-            # stored labels whose visited set is a subset of the new one's
-            subset = (m & ~mask) == 0
-            if subset.any():
-                vals = v[subset]
-                if new_in:
-                    # clause 1 where the existing label also visited vbar,
-                    # clause 2 (pay the detour cost) where it did not
-                    e_in = (m[subset] & vb_bit) != 0
-                    ce = c_extra(mask, node)
-                    if ce is None:
-                        win = e_in & (vals >= value)
-                    else:
-                        win = np.where(e_in, vals >= value, vals + ce >= value)
-                else:
-                    # subset relation forces equal vbar membership here
-                    win = vals >= value
-                if win.any():
-                    return
         by_mask[node][mask] = st.append(LabelC1(node, mask, value, parent))
 
     search(n, LabelC1(0, 0, 0.0, None), stores, step)

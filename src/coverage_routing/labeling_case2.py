@@ -113,10 +113,9 @@ def dominates_case2(l1: LabelC2, l2: LabelC2, vbar: int = 0) -> bool:
     re-timing one of its own arcs, ``l1`` can reach at least that value no
     later.
 
-    The membership requirement has no analog of the case-I detour clause: a
-    label that skipped the idle stop would have to reroute every completion
-    of one that visited it, paying a detour in both value and time, so the
-    comparison is simply declined.
+    Idle-stop membership must match: a label that skipped the idle stop
+    would have to reroute every completion of one that visited it, paying a
+    detour in both value and time, so the comparison is simply declined.
     """
     if l1.node != l2.node:
         return False

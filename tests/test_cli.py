@@ -122,6 +122,15 @@ class TestSolveVerify:
         assert run(["solve", str(path)]) == 4
         assert "at most 63" in capsys.readouterr().err
 
+    def test_out_of_range_phi_tol_usage_error(self, desk_instance_file,
+                                              capsys):
+        for flag, value in (("--phi", "2"), ("--phi", "0"), ("--tol", "0")):
+            with pytest.raises(SystemExit) as exc:
+                run(["solve", str(desk_instance_file), flag, value])
+            assert exc.value.code == 4
+            err = capsys.readouterr().err
+            assert "usage:" in err and f"argument {flag}" in err
+
     def test_ratio_mode_flag_reported(self, tmp_path, desk_instance_file):
         out = tmp_path / "res.json"
         code = run(["solve", str(desk_instance_file), "--ratio-mode",

@@ -1,15 +1,13 @@
 import itertools
-import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_desk_instance, random_multipliers, relax_value
-from coverage_routing import labeling_case1
 from coverage_routing.instance import build_index_table, generate_instance
-from coverage_routing.labeling_case1 import (LabelC1, dominates_case1,
-                                             path_value, reconstruct,
-                                             solve_case1)
+from coverage_routing.labeling_case1 import path_value, solve_case1
 from coverage_routing.oracle import oracle_relaxation
 from coverage_routing.relaxation import build_coeffs
 
@@ -90,31 +88,27 @@ class TestSolveCase1:
                 pytest.approx(got.value, abs=1e-9)
 
     def test_dominance_never_stores_more_labels(self, rng):
+        """Dominance keeps exactly one label per (node, visited set) state
+        and leaves the value bit-identical.  The last input is one where a
+        rule comparing rounded ``value + detour cost`` sums across visited
+        sets would prune the optimal label at idle candidate 3."""
+        cases = []
         for _ in range(5):
             inst = random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6))
             table = build_index_table(inst)
             lam = random_multipliers(rng, len(table.target_ids))
+            cases.append((inst, table, lam))
+        inst = generate_instance(986341, 4, 2, case="I", coverage_radius=25.0)
+        table = build_index_table(inst)
+        cases.append((inst, table, np.zeros(len(table.target_ids))))
+        for inst, table, lam in cases:
             coeffs = build_coeffs(table, inst, lam, "I")
+            n = table.n
             for vbar in coeffs.idle_set:
                 with_dom = solve_case1(coeffs, vbar, table)
                 without = solve_case1(coeffs, vbar, table, use_dominance=False)
-                assert with_dom.labels_stored <= without.labels_stored
-                assert with_dom.value == pytest.approx(without.value, abs=1e-9)
-
-    def test_scan_cap_never_changes_value(self, rng, monkeypatch):
-        # desk stores never outgrow the default cap, so force the capped
-        # branch: only exact-state merges prune
-        monkeypatch.setattr(labeling_case1, "SCAN_CAP", 0)
-        for _ in range(8):
-            inst = random_desk_instance(rng, n_range=(3, 6), m_range=(3, 6))
-            table = build_index_table(inst)
-            lam = random_multipliers(rng, len(table.target_ids))
-            coeffs = build_coeffs(table, inst, lam, "I")
-            for vbar in coeffs.idle_set:
-                capped = solve_case1(coeffs, vbar, table)
-                without = solve_case1(coeffs, vbar, table, use_dominance=False)
-                assert abs(capped.value - without.value) <= \
-                    1e-8 * max(1.0, abs(without.value))
+                assert with_dom.labels_stored == n * 2 ** (n - 1)
+                assert with_dom.value == without.value
 
     def test_three_way_battery(self, rng):
         for _ in range(25):
@@ -130,69 +124,35 @@ class TestSolveCase1:
             assert abs(v_off.value - orc.value) <= 1e-8 * scale
 
 
-class TestDominanceRule:
-    def test_clause_one_true(self):
-        l1 = LabelC1(2, 0b011, 10.0, None)
-        l2 = LabelC1(2, 0b011, 8.0, None)
-        assert dominates_case1(l1, l2, vbar=1, c_extra=None)
+@st.composite
+def _case1_inputs(draw):
+    """A generated case-I instance with at least one target, and multipliers
+    that are zero or random and non-positive."""
+    inst = generate_instance(draw(st.integers(0, 10 ** 6)),
+                             draw(st.integers(2, 6)), draw(st.integers(1, 6)),
+                             case="I",
+                             coverage_radius=draw(st.sampled_from(
+                                 [5.0, 10.0, 15.0, 25.0])))
+    m = len(inst.targets)
+    assume(m > 0)
+    if draw(st.booleans()):
+        lam = np.zeros(m)
+    else:
+        lam = np.array(draw(st.lists(st.floats(-10.0, 0.0),
+                                     min_size=m, max_size=m)))
+    return inst, lam
 
-    def test_subset_violation_false(self):
-        l1 = LabelC1(2, 0b110, 100.0, None)
-        l2 = LabelC1(2, 0b011, 1.0, None)
-        assert not dominates_case1(l1, l2, vbar=0, c_extra=None)
 
-    def test_different_end_false(self):
-        l1 = LabelC1(1, 0b001, 10.0, None)
-        l2 = LabelC1(2, 0b011, 1.0, None)
-        assert not dominates_case1(l1, l2, vbar=0, c_extra=None)
-
-    def test_detour_clause_numeric(self):
-        # l1 skipped vbar=3, l2 visited it; domination must survive the
-        # worst-case detour cost
-        l1 = LabelC1(1, 0b0001, 9.0, None)
-        l2 = LabelC1(1, 0b0101, 10.0, None)
-        assert dominates_case1(l1, l2, vbar=3, c_extra=2.0)
-        assert not dominates_case1(l1, l2, vbar=3, c_extra=0.5)
-        assert not dominates_case1(l1, l2, vbar=3, c_extra=None)
-
-    def test_detour_clause_against_exhaustive_completions(self):
-        # random tiny value matrices: whenever the rule claims dominance the
-        # dominating label's best completion must match or beat the other's
-        rng = random.Random(4)
-        n, exit_id, vbar = 4, 5, 3
-        for _ in range(300):
-            values = np.full((n + 2, n + 2), -1e300)
-            for i in range(n + 1):
-                for j in list(range(1, n + 1)) + [exit_id]:
-                    if i != j:
-                        values[i, j] = rng.uniform(-5, 5)
-
-            def best_completion(end, mask, need_vbar):
-                free = [i for i in range(1, n + 1)
-                        if not (mask >> (i - 1)) & 1]
-                best = -np.inf
-                for r in range(len(free) + 1):
-                    for perm in itertools.permutations(free, r):
-                        if need_vbar and vbar not in perm:
-                            continue
-                        nodes = (end,) + perm + (exit_id,)
-                        best = max(best, sum(values[i, j] for i, j in
-                                             zip(nodes[:-1], nodes[1:])))
-                return best
-
-            mask1 = 0b0001
-            mask2 = 0b0101  # visited vbar = 3
-            c1 = rng.uniform(-5, 5)
-            c2 = rng.uniform(-5, 5)
-            l1 = LabelC1(1, mask1, c1, None)
-            l2 = LabelC1(1, mask2, c2, None)
-            candidates = [values[i, vbar] + values[vbar, exit_id]
-                          - values[i, exit_id]
-                          for i in [1] + [i for i in range(1, n + 1)
-                                          if not (mask2 >> (i - 1)) & 1]
-                          if i != vbar]
-            c_extra = min(candidates)
-            if dominates_case1(l1, l2, vbar, c_extra):
-                total1 = c1 + best_completion(1, mask1, True)
-                total2 = c2 + best_completion(1, mask2, False)
-                assert total1 >= total2 - 1e-9
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_case1_inputs())
+def test_dominance_is_exact_and_matches_oracle(inputs):
+    inst, lam = inputs
+    table = build_index_table(inst)
+    coeffs = build_coeffs(table, inst, lam, "I")
+    for vbar in coeffs.idle_set:
+        on = solve_case1(coeffs, vbar, table)
+        off = solve_case1(coeffs, vbar, table, use_dominance=False)
+        assert on.value == off.value
+    got = relax_value(table, inst, lam, "I")
+    orc = oracle_relaxation(table, inst, lam, "I")
+    assert abs(got.value - orc.value) <= 1e-8 * max(1.0, abs(orc.value))
