@@ -208,13 +208,16 @@ def evaluate_dual_function(table: ArcIndexTable, instance: Instance,
                            ratio_mode: str = RATIO_SLOPE,
                            use_dominance: bool = True) -> Tuple[RelaxValue, CutCoeffs]:
     """Exact dual-function value at ``lam``: solve one path problem per idle
-    candidate and keep the best, plus the cut it generates."""
+    candidate and keep the best, plus the cut it generates.
+
+    ``ratio_mode`` and ``use_dominance`` steer the case-II search only; the
+    case-I table has neither."""
     coeffs = build_coeffs(table, instance, lam, case)
     T = instance.deadline
 
     def solve_one(vbar: int) -> Optional[PathTiming]:
         if case == "I":
-            res = solve_case1(coeffs, vbar, table, use_dominance=use_dominance)
+            res = solve_case1(coeffs, vbar, table)
             bound_times = coeffs.bound_times(vbar)
             times = tuple(float(bound_times[table.arc_id[a]]) for a in
                           zip(res.nodes[:-1], res.nodes[1:]))
@@ -321,7 +324,8 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     Stops when ``UB - LB <= tol * max(1, |UB|)`` or a limit is hit; the
     returned ``dual_bound`` (the best evaluated value) is always a valid
     bound on the primal optimum.  The trace keeps one row per iteration plus
-    an initialization row.
+    an initialization row.  ``ratio_mode`` and ``use_dominance`` apply to
+    case II only.
     """
     if not (0.0 < phi < 1.0):
         raise ValueError(f"phi must sit strictly inside (0, 1), got {phi}")

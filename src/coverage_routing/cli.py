@@ -60,6 +60,22 @@ def _tol(text: str) -> float:
     return value
 
 
+def _time_limit(text: str) -> float:
+    """``--time-limit``: wall seconds, positive (``inf`` allowed, NaN not)."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _iter_limit(text: str) -> int:
+    """``--iter-limit``: bundle iterations, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="covroute",
                 description="Maximal-coverage surveillance routing under an "
@@ -87,8 +103,8 @@ def _build_parser() -> _Parser:
                    help="default: the instance's generated case, else I")
     s.add_argument("--phi", type=_phi, default=0.5)
     s.add_argument("--tol", type=_tol, default=1e-4)
-    s.add_argument("--time-limit", type=float, default=None)
-    s.add_argument("--iter-limit", type=int, default=1000)
+    s.add_argument("--time-limit", type=_time_limit, default=None)
+    s.add_argument("--iter-limit", type=_iter_limit, default=1000)
     s.add_argument("--ratio-mode", choices=[RATIO_SLOPE, RATIO_PER_DISTANCE],
                    default=RATIO_SLOPE)
     s.add_argument("--oracle", action="store_true",
@@ -167,6 +183,8 @@ def _cmd_solve(args) -> int:
     t0 = time.monotonic()
     inst = load_instance(args.instance)
     case = args.case or str(inst.meta_dict().get("case") or "I")
+    if case not in ("I", "II"):
+        raise SchemaError(f"meta.case must be 'I' or 'II', got {case!r}")
     table = build_index_table(inst)
     try:
         res = bundle.run_dual(

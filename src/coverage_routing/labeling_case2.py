@@ -13,6 +13,10 @@ speeding up the cheapest slow arc walks down-left, slowing the dearest fast
 arc walks up-right.  Dominance compares those frontiers pointwise.  Complete
 routes are finally re-timed exactly, so the token's interior split never has
 to be guessed during the search.
+
+The search is an elementary-path labeling algorithm (Feillet et al.,
+*Networks* 2004): labels are stored at their end node and expanded
+breadth-first by the number of interior waypoints they have visited.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .instance import ArcIndexTable
-from .labeling import Store, best_completion, counts, reconstruct, search
 from .relaxation import RelaxCoeffs
 
 _NEG = -1e300
@@ -55,6 +58,53 @@ class LabelC2:
     u0_span: float
     parent: Optional["LabelC2"]
     last_u: Optional[int]
+
+
+class Store:
+    """Labels ending at one node plus numpy mirrors of their visited-set
+    masks, values, times and alive flags, so dominance can pre-filter a whole
+    store at once.
+
+    ``alive`` is the only record of which rows dominance killed.  Rows are
+    appended layer by layer, so each layer of a store is one contiguous row
+    range.
+    """
+
+    __slots__ = ("labels", "masks", "values", "times", "alive", "size")
+
+    def __init__(self):
+        self.labels: List[LabelC2] = []
+        cap = 64
+        self.masks = np.zeros(cap, dtype=np.int64)
+        self.values = np.zeros(cap)
+        self.times = np.zeros(cap)
+        self.alive = np.zeros(cap, dtype=bool)
+        self.size = 0
+
+    def append(self, label: LabelC2) -> None:
+        if self.size == len(self.masks):
+            self.masks = np.resize(self.masks, 2 * self.size)
+            self.values = np.resize(self.values, 2 * self.size)
+            self.times = np.resize(self.times, 2 * self.size)
+            self.alive = np.resize(self.alive, 2 * self.size)
+        k = self.size
+        self.masks[k] = label.mask
+        self.values[k] = label.value
+        self.times[k] = label.time
+        self.alive[k] = True
+        self.labels.append(label)
+        self.size = k + 1
+
+
+def reconstruct(label: LabelC2) -> List[int]:
+    """Node sequence of a label, oldest first."""
+    nodes: List[int] = []
+    cur = label
+    while cur is not None:
+        nodes.append(cur.node)
+        cur = cur.parent
+    nodes.reverse()
+    return nodes
 
 
 def make_root() -> LabelC2:
@@ -295,12 +345,45 @@ class Case2Solver:
             if cand.any():
                 for idx in np.flatnonzero(cand):
                     if dominates_case2(label, st.labels[idx], self.vbar):
-                        st.kill(int(idx))
-        st.append(label, label.time)
+                        st.alive[idx] = False
+        st.append(label)
 
     def _step(self, label: LabelC2, j: int) -> None:
         for child in self.extend(label, j):
             self._insert(child)
+
+    def _search(self) -> None:
+        """Expand the root (the entry depot, layer 0), then every alive label
+        of layer 1, 2, ..., n-1 in node order and, within a node, insertion
+        order.  Layer d holds the labels that visited d interior waypoints.
+
+        Expanding layer d only appends layer-d+1 rows, so each store's layer
+        d is the row range between its sizes at the starts of layers d-1 and
+        d.  Dominance may kill a stored row only when its visited set
+        contains the new label's; every stored row is from the new label's
+        layer or an earlier one, so a killed row has the same visited set and
+        is in layer d+1 too.  Layer d's alive flags are therefore final when
+        the layer starts.
+        """
+        n = self.n
+        stores = self.stores
+        step = self._step
+        root = make_root()
+        for j in range(1, n + 1):
+            step(root, j)
+        starts = [0] * len(stores)
+        for _ in range(1, n):
+            ends = [st.size for st in stores]
+            for k in range(1, len(stores)):
+                st = stores[k]
+                lo = starts[k]
+                for idx in np.flatnonzero(st.alive[lo:ends[k]]).tolist():
+                    label = st.labels[lo + idx]
+                    mask = label.mask
+                    for j in range(1, n + 1):
+                        if not mask & (1 << (j - 1)):
+                            step(label, j)
+            starts = ends
 
     def _complete(self, label: LabelC2) -> Optional[Tuple]:
         """Exact timing of the label's route closed by the exit arc:
@@ -309,24 +392,34 @@ class Case2Solver:
         if label.time + self.tlo_m[label.node, self.exit_id] > self.T:
             return None
         nodes = reconstruct(label) + [self.exit_id]
-        arcs = list(zip(nodes[:-1], nodes[1:]))
-        net = np.array([self.net_m[p, q] for p, q in arcs])
-        t_lo = np.array([self.tlo_m[p, q] for p, q in arcs])
-        t_hi = np.array([self.thi_m[p, q] for p, q in arcs])
-        keys = np.array([self.key_m[p, q] for p, q in arcs])
-        timed = knapsack_times(net, t_lo, t_hi, self.T, keys)
+        path = np.array(nodes)
+        arcs = (path[:-1], path[1:])
+        timed = knapsack_times(self.net_m[arcs], self.tlo_m[arcs],
+                               self.thi_m[arcs], self.T, self.key_m[arcs])
         if timed is None:
             return None
         times, value = timed
         return value, nodes, times, label
 
     def solve(self) -> Optional[Case2Result]:
-        search(self.n, make_root(), self.stores, self._step)
-        best = best_completion(self.stores, self.vb_bit, self._complete)
+        """Search, then return the first strict maximum over the alive
+        labels' completions in node order, then insertion order; labels that
+        skipped the idle stop are not completed."""
+        self._search()
+        best = None
+        for st in self.stores[1:]:
+            for idx in np.flatnonzero(st.alive[:st.size]).tolist():
+                label = st.labels[idx]
+                if self.vb_bit and not label.mask & self.vb_bit:
+                    continue
+                done = self._complete(label)
+                if done is not None and (best is None or done[0] > best[0]):
+                    best = done
         if best is None:
             return None
         value, nodes, times, label = best
-        stored, alive = counts(self.stores)
+        stored = sum(st.size for st in self.stores)
+        alive = sum(int(st.alive[:st.size].sum()) for st in self.stores)
         return Case2Result(value, tuple(nodes), tuple(float(x) for x in times),
                            label, stored, alive, self.envelope_violations)
 

@@ -131,6 +131,28 @@ class TestSolveVerify:
             err = capsys.readouterr().err
             assert "usage:" in err and f"argument {flag}" in err
 
+    def test_bad_limits_usage_error(self, desk_instance_file, capsys):
+        """A NaN, zero or negative time limit and an iteration limit below 1
+        are usage errors, not a run without a limit or with 0 iterations."""
+        for flag, value in (("--time-limit", "nan"), ("--time-limit", "0"),
+                            ("--time-limit", "-1"), ("--iter-limit", "0"),
+                            ("--iter-limit", "-3")):
+            with pytest.raises(SystemExit) as exc:
+                run(["solve", str(desk_instance_file), flag, value])
+            assert exc.value.code == 4
+            err = capsys.readouterr().err
+            assert "usage:" in err and f"argument {flag}" in err
+
+    def test_unknown_meta_case_input_error(self, tmp_path,
+                                           desk_instance_file, capsys):
+        doc = json.loads(desk_instance_file.read_text())
+        doc["meta"]["case"] = "X"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["solve", str(bad)]) == 4
+        assert "meta.case" in capsys.readouterr().err
+
     def test_ratio_mode_flag_reported(self, tmp_path, desk_instance_file):
         out = tmp_path / "res.json"
         code = run(["solve", str(desk_instance_file), "--ratio-mode",
@@ -150,7 +172,7 @@ class TestPresetPipeline:
         ("small", "I", [], (0,)),
         ("small", "II", ["--iter-limit", "2"], (0, 2)),
         ("medium", "I", ["--iter-limit", "1"], (0, 2)),
-        ("large", "I", ["--iter-limit", "0"], (2,)),
+        ("large", "I", ["--iter-limit", "1"], (2,)),
     ])
     def test_preset_pipeline(self, tmp_path, preset, case, extra, codes):
         inst = tmp_path / "inst.json"

@@ -1,4 +1,5 @@
-"""Layer order of the label stores, which the shared search relies on."""
+"""What the layered searches rely on: the case-I table keeps every
+reachable state, and each case-II store is layer ordered."""
 
 import numpy as np
 

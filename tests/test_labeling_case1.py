@@ -7,24 +7,29 @@ from hypothesis import strategies as st
 
 from conftest import random_desk_instance, random_multipliers, relax_value
 from coverage_routing.instance import build_index_table, generate_instance
-from coverage_routing.labeling_case1 import path_value, solve_case1
+from coverage_routing.labeling_case1 import solve_case1
 from coverage_routing.oracle import oracle_relaxation
 from coverage_routing.relaxation import build_coeffs
 
 
 def brute_force_best(values, n, exit_id, vbar):
+    """Best route value, summed in path order, and the number of routes
+    that reach it exactly."""
+    rows = values.tolist()
     best = -np.inf
-    best_path = None
+    ties = 0
     for r in range(1, n + 1):
         for perm in itertools.permutations(range(1, n + 1), r):
             if vbar != 0 and vbar not in perm:
                 continue
             nodes = (0,) + perm + (exit_id,)
-            val = sum(values[i, j] for i, j in zip(nodes[:-1], nodes[1:]))
+            val = sum(rows[i][j] for i, j in zip(nodes[:-1], nodes[1:]))
             if val > best:
                 best = val
-                best_path = nodes
-    return best, best_path
+                ties = 1
+            elif val == best:
+                ties += 1
+    return best, ties
 
 
 class TestSolveCase1:
@@ -83,15 +88,13 @@ class TestSolveCase1:
                         zip((0,) + interior, interior)) + \
                 values[got.nodes[-2], table.exit_id]
             assert resum == pytest.approx(got.value, abs=1e-9)
-            assert path_value(got.label, values) + \
-                values[got.nodes[-2], table.exit_id] == \
-                pytest.approx(got.value, abs=1e-9)
 
     def test_dominance_never_stores_more_labels(self, rng):
-        """Dominance keeps exactly one label per (node, visited set) state
-        and leaves the value bit-identical.  The last input is one where a
-        rule comparing rounded ``value + detour cost`` sums across visited
-        sets would prune the optimal label at idle candidate 3."""
+        """The table keeps exactly one label per (node, visited set) state
+        and its value equals the best path-order sum bit for bit.  The last
+        input is one where a rule comparing rounded ``value + detour cost``
+        sums across visited sets would prune the optimal label at idle
+        candidate 3."""
         cases = []
         for _ in range(5):
             inst = random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6))
@@ -105,10 +108,45 @@ class TestSolveCase1:
             coeffs = build_coeffs(table, inst, lam, "I")
             n = table.n
             for vbar in coeffs.idle_set:
-                with_dom = solve_case1(coeffs, vbar, table)
-                without = solve_case1(coeffs, vbar, table, use_dominance=False)
-                assert with_dom.labels_stored == n * 2 ** (n - 1)
-                assert with_dom.value == without.value
+                got = solve_case1(coeffs, vbar, table)
+                values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
+                expect, _ = brute_force_best(values, n, table.exit_id, vbar)
+                assert got.labels_stored == n * 2 ** (n - 1)
+                assert got.value == expect
+
+    # (seed, waypoints, targets, coverage radius, multiplier, idle candidate,
+    # route): inputs with several exactly optimal routes, and the route the
+    # former per-label search returned for each
+    TIED = [
+        (5, 2, 2, 25.0, 0.0, 1, (0, 2, 1, 3)),
+        (7, 4, 4, 15.0, -2.0, 0, (0, 4, 1, 2, 3, 5)),
+        (9, 6, 2, 10.0, 0.0, 0, (0, 5, 3, 2, 1, 7)),
+        (12, 4, 1, 10.0, -2.0, 0, (0, 4, 3, 1, 5)),
+        (14, 6, 3, 25.0, -2.0, 4, (0, 4, 5, 2, 7)),
+        (18, 5, 3, 10.0, -2.0, 0, (0, 5, 1, 6)),
+        (19, 6, 4, 15.0, 0.0, 1, (0, 6, 4, 2, 3, 1, 7)),
+        (23, 5, 4, 25.0, 0.0, 0, (0, 5, 2, 4, 6)),
+        (26, 3, 3, 25.0, -2.0, 3, (0, 2, 3, 1, 4)),
+        (38, 5, 3, 25.0, 0.0, 5, (0, 5, 1, 4, 3, 6)),
+    ]
+
+    @pytest.mark.parametrize("seed,n,m,radius,lam,vbar,route", TIED)
+    def test_tied_optimum_keeps_route(self, seed, n, m, radius, lam, vbar,
+                                      route):
+        """Among exactly tied optima the table returns the route the former
+        per-label search did: smallest predecessor per state, then the first
+        best completion by end node, visited-set size and sorted visited
+        set."""
+        inst = generate_instance(seed, n, m, case="I", coverage_radius=radius)
+        table = build_index_table(inst)
+        coeffs = build_coeffs(table, inst,
+                              np.full(len(table.target_ids), lam), "I")
+        values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
+        expect, ties = brute_force_best(values, n, table.exit_id, vbar)
+        got = solve_case1(coeffs, vbar, table)
+        assert ties > 1
+        assert got.value == expect
+        assert got.nodes == route
 
     def test_three_way_battery(self, rng):
         for _ in range(25):
@@ -129,7 +167,7 @@ def _case1_inputs(draw):
     """A generated case-I instance with at least one target, and multipliers
     that are zero or random and non-positive."""
     inst = generate_instance(draw(st.integers(0, 10 ** 6)),
-                             draw(st.integers(2, 6)), draw(st.integers(1, 6)),
+                             draw(st.integers(1, 6)), draw(st.integers(1, 6)),
                              case="I",
                              coverage_radius=draw(st.sampled_from(
                                  [5.0, 10.0, 15.0, 25.0])))
@@ -150,9 +188,9 @@ def test_dominance_is_exact_and_matches_oracle(inputs):
     table = build_index_table(inst)
     coeffs = build_coeffs(table, inst, lam, "I")
     for vbar in coeffs.idle_set:
-        on = solve_case1(coeffs, vbar, table)
-        off = solve_case1(coeffs, vbar, table, use_dominance=False)
-        assert on.value == off.value
+        values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
+        expect, _ = brute_force_best(values, table.n, table.exit_id, vbar)
+        assert solve_case1(coeffs, vbar, table).value == expect
     got = relax_value(table, inst, lam, "I")
     orc = oracle_relaxation(table, inst, lam, "I")
     assert abs(got.value - orc.value) <= 1e-8 * max(1.0, abs(orc.value))
