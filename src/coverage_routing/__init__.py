@@ -25,8 +25,8 @@ from .labeling_case1 import Case1Result, solve_case1
 from .labeling_case2 import (Case2Result, Case2Solver, LabelC2,
                              dominates_case2, envelope, knapsack_times,
                              solve_case2)
-from .oracle import (EnumerationBudget, OraclePrimalResult, OracleRelaxResult,
-                     count_paths, iter_paths, oracle_primal, oracle_relaxation)
+from .oracle import (OraclePrimalResult, OracleRelaxResult, iter_paths,
+                     oracle_primal, oracle_relaxation)
 from .relaxation import (CutCoeffs, Multipliers, PathTiming, RelaxCoeffs,
                          RelaxValue, assemble_f_value, build_coeffs, make_cut)
 from .simplex import LpResult, dense_lp_solve

@@ -38,6 +38,11 @@ TIME_LIMIT = "time-limit"
 MASTER_FEASIBLE = "feasible"
 MASTER_INFEASIBLE = "infeasible"
 
+#: projection walk: relative step below which the iterate has settled, and
+#: the step cap after which it is returned inexactly
+PROJECTION_TOL = 1e-10
+PROJECTION_MAX_STEPS = 1000
+
 
 @dataclass
 class TraceRow:
@@ -89,9 +94,8 @@ class MasterResult:
 
 
 def _project_onto_polyhedron(center: np.ndarray, G: np.ndarray,
-                             h: np.ndarray, start: np.ndarray,
-                             tol: float = 1e-10,
-                             max_iter: int = 1000) -> Tuple[np.ndarray, np.ndarray, List[int], bool]:
+                             h: np.ndarray, start: np.ndarray
+                             ) -> Tuple[np.ndarray, np.ndarray, List[int], bool]:
     """Projection of ``center`` onto ``{x : G x <= h}`` by a primal active-set
     method started from the feasible point ``start``.
 
@@ -106,7 +110,7 @@ def _project_onto_polyhedron(center: np.ndarray, G: np.ndarray,
     n = len(center)
     work: List[int] = []
     p = np.zeros(n)
-    for _ in range(max_iter):
+    for _ in range(PROJECTION_MAX_STEPS):
         if work:
             A = G[work]
             y = center + np.linalg.pinv(A, rcond=1e-12) @ (h[work] - A @ center)
@@ -114,7 +118,7 @@ def _project_onto_polyhedron(center: np.ndarray, G: np.ndarray,
             y = center.copy()
         p = y - x
         scale = max(1.0, float(np.max(np.abs(x))))
-        if np.max(np.abs(p)) <= tol * scale:
+        if np.max(np.abs(p)) <= PROJECTION_TOL * scale:
             g = 2.0 * (x - center)
             if work:
                 A = G[work]
@@ -303,7 +307,6 @@ class DualResult:
     best_lam: np.ndarray
     iterations: int
     trace: Tuple[TraceRow, ...]
-    witness: PathTiming
     solution: PathSolution
     repair_solution: Optional[PathSolution]
     #: one entry per UB improvement: (iteration, multipliers, value, witness)
@@ -317,15 +320,15 @@ class DualResult:
 def run_dual(instance: Instance, case: str, phi: float = 0.5,
              tol: float = 1e-4, *, iter_limit: int = 1000,
              time_limit: Optional[float] = None,
-             ratio_mode: str = RATIO_SLOPE, use_dominance: bool = True,
+             ratio_mode: str = RATIO_SLOPE,
              table: Optional[ArcIndexTable] = None) -> DualResult:
     """Minimize the dual bound over multipliers ``<= 0``.
 
     Stops when ``UB - LB <= tol * max(1, |UB|)`` or a limit is hit; the
     returned ``dual_bound`` (the best evaluated value) is always a valid
     bound on the primal optimum.  The trace keeps one row per iteration plus
-    an initialization row.  ``ratio_mode`` and ``use_dominance`` apply to
-    case II only.
+    an initialization row.  ``ratio_mode`` applies to case II only; the
+    case-II search always prunes by dominance.
     """
     if not (0.0 < phi < 1.0):
         raise ValueError(f"phi must sit strictly inside (0, 1), got {phi}")
@@ -336,7 +339,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
 
     lam0 = np.zeros(len(table.target_ids))
     value0, cut0 = evaluate_dual_function(
-        table, instance, lam0, case, ratio_mode, use_dominance)
+        table, instance, lam0, case, ratio_mode)
     lb0, repair = _greedy_primal_repair(table, instance, value0.best)
     state = DualState(
         lam_hat=lam0, cuts=[cut0], lb=min(lb0, value0.value),
@@ -367,7 +370,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
             continue
         state.lam_hat = master.lam
         value, cut = evaluate_dual_function(
-            table, instance, master.lam, case, ratio_mode, use_dominance)
+            table, instance, master.lam, case, ratio_mode)
         state.cuts.append(cut)
         if value.value < state.ub:
             state.ub = value.value
@@ -391,7 +394,6 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
         best_lam=state.best_lam,
         iterations=state.iterations,
         trace=tuple(state.trace),
-        witness=best_value.best,
         solution=timing_to_solution(best_value.best, table, instance.deadline),
         repair_solution=repair,
         ub_history=tuple(ub_history),

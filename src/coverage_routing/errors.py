@@ -25,7 +25,7 @@ class InfeasibleInstanceError(CoverageRoutingError):
 
 class BudgetExceededError(CoverageRoutingError):
     """An exhaustive-enumeration routine refused an instance larger than its
-    configured budget."""
+    fixed size limit."""
 
 
 class CyclingError(CoverageRoutingError, RuntimeError):

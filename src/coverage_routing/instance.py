@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -25,7 +25,17 @@ from . import geometry
 from .errors import SchemaError, TargetTooCloseError
 from .geometry import Point2
 
+#: fixed parameters of generated instances: the side of the square field,
+#: the range target priorities are drawn from, every target's risk factor and
+#: radius, and the vehicle (speeds, energy, coverage factor)
 FIELD_SIZE = 100.0
+PRIORITY_RANGE = (1, 5)
+RISK_FACTOR = 1.0
+RISK_RADIUS = 5.0
+SPEED_MIN = 1.0
+SPEED_MAX = 10.0
+ENERGY_MAX = 67500.0
+COVERAGE_FACTOR = 1.0
 
 #: preset -> (interior waypoints, targets drawn, coverage radius)
 PRESETS = {
@@ -141,15 +151,31 @@ def _segment_pairs(instance: Instance) -> Iterator[Tuple[int, int]]:
             yield (i, j)
 
 
+def _check_finite(where: str, obj, may_be_inf: Tuple[str, ...] = ()) -> None:
+    """Every float field of the dataclass ``obj`` must be finite; the fields
+    named in ``may_be_inf`` may also be +inf (the file format's rule)."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, float) and not (
+                math.isfinite(v) or (f.name in may_be_inf and v == math.inf)):
+            raise SchemaError(f"field '{f.name}' in {where} must be finite, got {v}")
+
+
 def validate_instance(instance: Instance) -> None:
-    """Raise :class:`SchemaError` on any structural defect."""
+    """Raise :class:`SchemaError` on any structural defect, or on a number
+    that :func:`load_instance` would refuse (NaN, or an infinity outside
+    ``energy_max`` and ``window_close``)."""
     n = instance.n
     if n < 1:
         raise SchemaError("need at least one interior waypoint")
     if n > MAX_WAYPOINTS:
         raise SchemaError(f"at most {MAX_WAYPOINTS} interior waypoints are "
                           f"supported, got {n}")
+    _check_finite("document", instance)  # the deadline
+    _check_finite("physics", instance.physics)
+    _check_finite("vehicle", instance.vehicle, ("energy_max",))
     for pos, wp in enumerate(instance.waypoints):
+        _check_finite(f"waypoints[{pos}]", wp, ("window_close",))
         if wp.id != pos:
             raise SchemaError(f"waypoint ids must be 0..{n + 1} in order, "
                               f"found id {wp.id} at position {pos}")
@@ -168,6 +194,7 @@ def validate_instance(instance: Instance) -> None:
         if t.id in seen or t.id < 0:
             raise SchemaError(f"duplicate or negative target id {t.id}")
         seen.add(t.id)
+        _check_finite(f"target {t.id}", t)
         if t.min_coverage < 0:
             raise SchemaError(f"target {t.id} has negative coverage requirement")
         if t.risk_radius <= 0 or t.risk_factor < 0:
@@ -214,23 +241,10 @@ def _clean_targets(instance: Instance) -> Instance:
                    removed_targets=instance.removed_targets + tuple(removed))
 
 
-def _check_target_clearance(instance: Instance) -> None:
-    eps = instance.eps_geo
-    for t in instance.targets:
-        for (i, j) in _segment_pairs(instance):
-            if geometry.point_segment_distance(
-                    t.point, instance.point(i), instance.point(j)) <= eps:
-                raise SchemaError(
-                    f"target {t.id} lies on arc ({i},{j}) and cleaning is disabled")
-
-
-def finalize_instance(instance: Instance, clean: bool = True) -> Instance:
-    """Validate and (by default) clean the target set."""
+def finalize_instance(instance: Instance) -> Instance:
+    """Validate and clean the target set."""
     validate_instance(instance)
-    if clean:
-        return _clean_targets(instance)
-    _check_target_clearance(instance)
-    return instance
+    return _clean_targets(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +307,7 @@ def _ident(doc: dict, key: str, where: str) -> int:
     return v
 
 
-def load_instance(source: Union[str, Path, dict], clean: bool = True) -> Instance:
+def load_instance(source: Union[str, Path, dict]) -> Instance:
     """Build a validated :class:`Instance` from a JSON file path or a parsed
     document.  Targets dropped during cleaning are reported on
     ``instance.removed_targets``."""
@@ -355,7 +369,7 @@ def load_instance(source: Union[str, Path, dict], clean: bool = True) -> Instanc
         deadline=_num(doc, "deadline", "document"),
         meta=tuple(sorted(meta.items())),
     )
-    return finalize_instance(instance, clean=clean)
+    return finalize_instance(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -370,25 +384,15 @@ def generate_instance(seed: int,
                       case: str = "I",
                       deadline_scale: Optional[float] = None,
                       coverage_radius: Optional[float] = None,
-                      risk_radius: float = 5.0,
-                      risk_factor: float = 1.0,
-                      coverage_factor: float = 1.0,
-                      speed_min: float = 1.0,
-                      speed_max: float = 10.0,
-                      beta: float = 1.0,
-                      gamma: float = 1.0,
-                      energy_max: float = 67500.0,
-                      min_coverage: float = 1.0,
-                      priority_range: Tuple[int, int] = (1, 5),
-                      field_size: float = FIELD_SIZE) -> Instance:
-    """Draw a random instance on a ``field_size`` square, deterministically in
+                      min_coverage: float = 1.0) -> Instance:
+    """Draw a random instance on a ``FIELD_SIZE`` square, deterministically in
     ``seed``.
 
     A preset fixes the waypoint/target counts and the coverage radius; counts
     given explicitly override it.  The deadline is ``arc_count * max arc
     length * scale`` with scale 1.0 for case I (never binding) and 0.1 for
     case II unless overridden.  Target priorities are integers drawn
-    uniformly from ``priority_range``.
+    uniformly from ``PRIORITY_RANGE``.
     """
     if preset is not None:
         if preset not in PRESETS:
@@ -407,15 +411,15 @@ def generate_instance(seed: int,
     scale = deadline_scale if deadline_scale is not None else DEADLINE_SCALE[case]
 
     rng = random.Random(seed)
-    depot = Point2(rng.uniform(0, field_size), rng.uniform(0, field_size))
-    pts = [Point2(rng.uniform(0, field_size), rng.uniform(0, field_size))
+    depot = Point2(rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE))
+    pts = [Point2(rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE))
            for _ in range(n_waypoints)]
     raw_targets = []
     for tid in range(n_targets):
-        p = Point2(rng.uniform(0, field_size), rng.uniform(0, field_size))
-        prio = rng.randint(*priority_range)
-        raw_targets.append(Target(tid, p, risk_factor, float(prio),
-                                  risk_radius, min_coverage))
+        p = Point2(rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE))
+        prio = rng.randint(*PRIORITY_RANGE)
+        raw_targets.append(Target(tid, p, RISK_FACTOR, float(prio),
+                                  RISK_RADIUS, min_coverage))
 
     n = n_waypoints
     arc_count = (n + 1) * (n + 2) - (n + 1) - 1
@@ -433,16 +437,16 @@ def generate_instance(seed: int,
     instance = Instance(
         waypoints=waypoints,
         targets=tuple(raw_targets),
-        vehicle=Vehicle(coverage_factor, coverage_radius, speed_min, speed_max,
-                        energy_max, 1.0),
-        physics=Physics(beta, gamma),
+        vehicle=Vehicle(COVERAGE_FACTOR, coverage_radius, SPEED_MIN, SPEED_MAX,
+                        ENERGY_MAX),
+        physics=Physics(),
         deadline=deadline,
         meta=tuple(sorted({
             "seed": seed, "preset": preset, "case": case,
             "deadline_scale": scale,
         }.items())),
     )
-    return finalize_instance(instance, clean=True)
+    return finalize_instance(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +621,17 @@ def load_solution(source: Union[str, Path, dict]) -> PathSolution:
         raise SchemaError(f"bad solution document: {exc}") from exc
 
 
+#: constraint slack a route may fall short by, and the largest difference
+#: between a solution's claimed objective and the recomputed one
+VALIDATE_TOL = 1e-9
+OBJECTIVE_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class ValidateOptions:
     enforce_coverage: bool = False
     check_time_windows: bool = False
     check_energy: bool = False
-    tol: float = 1e-9
-    objective_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -717,11 +725,11 @@ def validate_solution(instance: Instance, sol: PathSolution,
     speed_slack = min(
         min(v - veh.speed_min for v in speeds),
         min(veh.speed_max - v for v in speeds))
-    checks.append(ConstraintCheck("speed-bounds", speed_slack >= -opts.tol,
+    checks.append(ConstraintCheck("speed-bounds", speed_slack >= -VALIDATE_TOL,
                                   speed_slack))
 
     deadline_slack = instance.deadline - sol.total_time
-    checks.append(ConstraintCheck("deadline", deadline_slack >= -opts.tol,
+    checks.append(ConstraintCheck("deadline", deadline_slack >= -VALIDATE_TOL,
                                   deadline_slack))
 
     cov = table.route_coverage(sol.nodes, sol.times, sol.idle_node,
@@ -731,14 +739,15 @@ def validate_solution(instance: Instance, sol: PathSolution,
     if sol.objective is not None:
         diff = abs(objective - sol.objective)
         checks.append(ConstraintCheck("objective-consistency",
-                                      diff <= opts.objective_tol,
-                                      opts.objective_tol - diff))
+                                      diff <= OBJECTIVE_TOL,
+                                      OBJECTIVE_TOL - diff))
 
     per_target = tuple(
         PerTargetCoverage(t.id, float(cov[col]), t.min_coverage)
         for col, t in enumerate(instance.targets))
     if opts.enforce_coverage:
-        failing = [p for p in per_target if p.coverage < p.required - opts.tol]
+        failing = [p for p in per_target
+                   if p.coverage < p.required - VALIDATE_TOL]
         if failing:
             for p in failing:
                 checks.append(ConstraintCheck(f"coverage[{p.id}]", False,
@@ -762,7 +771,7 @@ def validate_solution(instance: Instance, sol: PathSolution,
             idle = sol.idle_time if j == sol.idle_node else 0.0
             slack = min(slack, wp.window_close - (service + idle))
             clock = service + idle
-        ok = slack >= -opts.tol
+        ok = slack >= -VALIDATE_TOL
         checks.append(ConstraintCheck("time-windows", ok,
                                       slack if math.isfinite(slack) else 0.0))
 
@@ -770,6 +779,6 @@ def validate_solution(instance: Instance, sol: PathSolution,
         used = sum(arc_energy(d, v, instance.physics.beta, instance.physics.gamma)
                    for d, v in zip(dists, speeds))
         e_slack = veh.energy_max - used
-        checks.append(ConstraintCheck("energy", e_slack >= -opts.tol, e_slack))
+        checks.append(ConstraintCheck("energy", e_slack >= -VALIDATE_TOL, e_slack))
 
     return ValidationReport(tuple(checks), objective, per_target)

@@ -17,6 +17,9 @@ Ties are broken deterministically.  A state keeps its smallest best
 predecessor node.  The returned route is the first best completion in this
 order: end node ascending, then visited-set size, then the lexicographic
 order of the sorted visited waypoints.
+
+The search refuses, before allocating anything, an instance whose table
+would exceed :data:`MAX_TABLE_BYTES`.
 """
 
 from __future__ import annotations
@@ -26,10 +29,16 @@ from typing import Tuple
 
 import numpy as np
 
+from .errors import SchemaError
 from .instance import ArcIndexTable
 from .relaxation import RelaxCoeffs
 
 _NEG = -1e300
+
+#: largest case-I table, in bytes: ``2^n * (9(n+1) + 16)`` for n waypoints
+#: (value and predecessor per state, plus the int64 mask and visited-set-size
+#: columns), which allows at most 22 waypoints
+MAX_TABLE_BYTES = 1 << 30
 
 
 @dataclass
@@ -53,6 +62,11 @@ def solve_case1(coeffs: RelaxCoeffs, vbar: int,
     n = table.n
     if not (vbar == 0 or 1 <= vbar <= n):
         raise ValueError(f"idle candidate {vbar} is not a waypoint id")
+    table_bytes = (1 << n) * (9 * (n + 1) + 16)
+    if table_bytes > MAX_TABLE_BYTES:
+        raise SchemaError(
+            f"case I needs a {table_bytes / 2**30:.1f} GiB table for {n} "
+            f"waypoints, above the {MAX_TABLE_BYTES / 2**30:.0f} GiB limit")
     exit_id = table.exit_id
     values = table.matrix(coeffs.arc_values(vbar), fill=_NEG)
 

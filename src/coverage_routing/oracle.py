@@ -3,15 +3,14 @@
 Everything here scores candidate routes directly from the index table (per
 target, then weighted), independently of the coefficient algebra used by the
 labeling solvers, so agreement between the two is a meaningful check.  The
-enumeration refuses instances beyond its budget instead of silently
-truncating.
+enumeration refuses instances with more than :data:`MAX_WAYPOINTS` interior
+waypoints instead of silently truncating; there is no wall-clock budget, so
+a call runs to completion once accepted.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -21,24 +20,8 @@ from .errors import BudgetExceededError, InfeasibleInstanceError
 from .instance import ArcIndexTable, Instance, build_index_table
 from .simplex import OPTIMAL, dense_lp_solve
 
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_waypoints: int = 8
-    max_paths: Optional[int] = None
-    wall_clock: Optional[float] = None
-
-
-DEFAULT_BUDGET = EnumerationBudget()
-
-
-def count_paths(n: int) -> int:
-    """Number of simple depot-to-depot routes: ordered nonempty subsets of
-    the interior waypoints."""
-    total = 0
-    for k in range(1, n + 1):
-        total += math.factorial(n) // math.factorial(n - k)
-    return total
+#: largest interior-waypoint count the enumeration accepts (109,600 routes)
+MAX_WAYPOINTS = 8
 
 
 def iter_paths(n: int) -> Iterator[Tuple[int, ...]]:
@@ -48,24 +31,11 @@ def iter_paths(n: int) -> Iterator[Tuple[int, ...]]:
         yield from itertools.permutations(nodes, k)
 
 
-def _check_budget(n: int, budget: EnumerationBudget) -> None:
-    if n > budget.max_waypoints:
+def _check_size(n: int) -> None:
+    if n > MAX_WAYPOINTS:
         raise BudgetExceededError(
-            f"{n} interior waypoints exceeds the enumeration budget "
-            f"({budget.max_waypoints})")
-    if budget.max_paths is not None and count_paths(n) > budget.max_paths:
-        raise BudgetExceededError(
-            f"{count_paths(n)} paths exceed the enumeration budget "
-            f"({budget.max_paths})")
-
-
-class _Deadline:
-    def __init__(self, seconds: Optional[float]):
-        self.until = None if seconds is None else time.monotonic() + seconds
-
-    def check(self) -> None:
-        if self.until is not None and time.monotonic() > self.until:
-            raise BudgetExceededError("enumeration wall-clock budget exceeded")
+            f"{n} interior waypoints exceeds the enumeration limit "
+            f"({MAX_WAYPOINTS})")
 
 
 @dataclass(frozen=True)
@@ -106,8 +76,7 @@ def greedy_times(net: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
 
 
 def oracle_relaxation(table: ArcIndexTable, instance: Instance,
-                      lam: Sequence[float], case: str,
-                      budget: EnumerationBudget = DEFAULT_BUDGET) -> OracleRelaxResult:
+                      lam: Sequence[float], case: str) -> OracleRelaxResult:
     """Solve the relaxed problem at one multiplier vector by brute force.
 
     Every simple route is scored for every worthwhile idle stop; the value is
@@ -117,8 +86,7 @@ def oracle_relaxation(table: ArcIndexTable, instance: Instance,
     if case not in ("I", "II"):
         raise ValueError(f"case must be 'I' or 'II', got {case!r}")
     n = table.n
-    _check_budget(n, budget)
-    clock = _Deadline(budget.wall_clock)
+    _check_size(n)
     lam = _validated_lam(lam, len(table.target_ids))
     weights = table.priorities - lam
     constant = float(table.required @ lam)
@@ -128,11 +96,7 @@ def oracle_relaxation(table: ArcIndexTable, instance: Instance,
     exit_id = table.exit_id
 
     best = None
-    n_seen = 0
     for path in iter_paths(n):
-        n_seen += 1
-        if n_seen % 256 == 0:
-            clock.check()
         arc_ids = [table.arc_id[(0, path[0])]]
         arc_ids += [table.arc_id[(path[k], path[k + 1])]
                     for k in range(len(path) - 1)]
@@ -175,8 +139,8 @@ class OraclePrimalResult:
     coverage: Tuple[float, ...]
 
 
-def oracle_primal(instance: Instance, table: Optional[ArcIndexTable] = None,
-                  budget: EnumerationBudget = DEFAULT_BUDGET) -> OraclePrimalResult:
+def oracle_primal(instance: Instance,
+                  table: Optional[ArcIndexTable] = None) -> OraclePrimalResult:
     """Exact optimum of the deadline model: max weighted coverage subject to
     per-target minimums.
 
@@ -187,18 +151,12 @@ def oracle_primal(instance: Instance, table: Optional[ArcIndexTable] = None,
     """
     table = table or build_index_table(instance)
     n = table.n
-    _check_budget(n, budget)
-    clock = _Deadline(budget.wall_clock)
-    m = len(table.target_ids)
+    _check_size(n)
     T = instance.deadline
     exit_id = table.exit_id
 
     best = None
-    n_seen = 0
     for path in iter_paths(n):
-        n_seen += 1
-        if n_seen % 64 == 0:
-            clock.check()
         arc_ids = [table.arc_id[(0, path[0])]]
         arc_ids += [table.arc_id[(path[k], path[k + 1])]
                     for k in range(len(path) - 1)]

@@ -1,6 +1,6 @@
 """Dense two-phase simplex for the small linear programs used in this package.
 
-Solves ``max/min c.x  s.t.  A x <= b,  lo <= x <= hi`` for problems with at
+Solves ``max c.x  s.t.  A x <= b,  lo <= x <= hi`` for problems with at
 most a few hundred rows and columns.  Everything is kept in one dense tableau;
 entering columns follow Dantzig's rule with a pivot-count guard that falls
 back to Bland's rule if cycling is suspected.  Infeasible systems come back
@@ -99,9 +99,9 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
 
 def dense_lp_solve(c: Sequence[float], A: Sequence[Sequence[float]],
                    b: Sequence[float],
-                   bounds: Optional[Sequence[Tuple[float, Optional[float]]]] = None,
-                   maximize: bool = True) -> LpResult:
-    """Solve ``opt c.x  s.t.  A x <= b,  lo <= x <= hi``.
+                   bounds: Optional[Sequence[Tuple[float, Optional[float]]]] = None
+                   ) -> LpResult:
+    """Solve ``max c.x  s.t.  A x <= b,  lo <= x <= hi``.
 
     ``bounds`` gives one ``(lo, hi)`` pair per variable; ``hi=None`` means
     unbounded above and the default is ``(0, None)``.  Lower bounds must be
@@ -182,10 +182,9 @@ def dense_lp_solve(c: Sequence[float], A: Sequence[Sequence[float]],
         basis = basis[keep_rows]
         m = len(basis)
 
-    # Phase 2 over structural columns only.
+    # Phase 2 over structural columns only; the tableau minimizes -c.z.
     obj = np.zeros(n_cols + 1)
-    z_cost = -c if maximize else c.copy()
-    obj[:n] = z_cost
+    obj[:n] = -c
     T[-1, :] = obj
     for i in range(m):
         if obj[basis[i]] != 0.0:

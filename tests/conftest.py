@@ -14,7 +14,7 @@ from coverage_routing.geometry import Point2
 
 def make_instance(waypoints, targets, *, deadline, coverage_radius=10.0,
                   speed_min=1.0, speed_max=10.0, risk_radius=5.0,
-                  min_coverage=1.0, coverage_factor=1.0, clean=True):
+                  min_coverage=1.0, coverage_factor=1.0):
     """Hand-built instance: waypoints as (x, y) for interior nodes, targets
     as (x, y[, priority]) tuples.  Depots sit at the first given point unless
     a pair ('depot', (x, y)) leads the waypoint list."""
@@ -37,7 +37,7 @@ def make_instance(waypoints, targets, *, deadline, coverage_radius=10.0,
         vehicle=Vehicle(coverage_factor, coverage_radius, speed_min,
                         speed_max, 67500.0, 1.0),
         physics=Physics(1.0, 1.0), deadline=deadline)
-    return finalize_instance(inst, clean=clean)
+    return finalize_instance(inst)
 
 
 def random_desk_instance(rng, n_range=(2, 6), m_range=(2, 8), case="I",

@@ -116,14 +116,11 @@ def test_criterion_3_labeling_case1():
         m = len(table.target_ids)
         lam = random_multipliers(rng, m) if trial % 2 else np.zeros(m)
         orc = oracle_relaxation(table, inst, lam, "I")
-        v_on = relax_value(table, inst, lam, "I", use_dominance=True)
-        v_off = relax_value(table, inst, lam, "I", use_dominance=False)
-        scale = max(1.0, abs(orc.value))
-        assert abs(v_on.value - orc.value) <= 1e-8 * scale
-        assert abs(v_off.value - orc.value) <= 1e-8 * scale
+        got = relax_value(table, inst, lam, "I")
+        assert abs(got.value - orc.value) <= 1e-8 * max(1.0, abs(orc.value))
     elapsed = time.time() - t0
     assert elapsed < 120.0
-    _report(3, "case-I labeling three-way agreement",
+    _report(3, "case-I table vs enumeration oracle",
             f"(200 instances, |V0| <= 7, {elapsed:.1f}s)")
 
 

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coverage_routing
 from conftest import too_many_waypoints_document
 from coverage_routing.cli import main
 from coverage_routing.instance import load_instance
@@ -43,6 +49,19 @@ class TestGen:
 
     def test_bad_flags(self):
         assert run(["gen", "--seed", "1"]) == 4  # no sizes, no preset
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--deadline-scale", "--coverage-radius",
+                                      "--min-coverage"])
+    def test_non_finite_parameter_input_error(self, tmp_path, capsys, flag,
+                                              value):
+        """A NaN or infinite parameter is refused, not written as a
+        ``NaN``/``Infinity`` token that ``solve`` then rejects."""
+        out = tmp_path / "inst.json"
+        assert run(["gen", "--waypoints", "3", "--targets", "3", flag, value,
+                    "--out", str(out)]) == 4
+        assert not out.exists()
+        assert "must be finite" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -186,3 +205,26 @@ class TestPresetPipeline:
         assert record["dual_bound"] <= record["initial_bound"] + 1e-9
         sol = out.with_suffix(out.suffix + ".sol.json")
         assert run(["verify", str(inst), str(sol)]) == 0
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_oversized_case1_table_input_error(tmp_path):
+    """30 waypoints pass the 63-waypoint cap, but the case-I table would
+    take 295 GiB: solve refuses it before allocating (exit 4).  The solve
+    runs in a child under a 4 GiB address-space limit, so a regression
+    fails fast with MemoryError instead of exhausting memory."""
+    inst = tmp_path / "inst.json"
+    assert run(["gen", "--waypoints", "30", "--targets", "3",
+                "--out", str(inst)]) == 0
+    src = str(Path(coverage_routing.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverage_routing.cli", "solve", str(inst)],
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 4, proc.stderr
+    assert "case I needs a 295.0 GiB table" in proc.stderr

@@ -96,17 +96,26 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             load_instance(doc)
 
+    def test_only_energy_and_window_close_may_be_infinite(self):
+        doc = serialize_instance(generate_instance(1, 3, 3))
+        doc["vehicle"]["energy_max"] = math.inf
+        doc["waypoints"][1]["window_close"] = math.inf
+        load_instance(doc)
+        for block, key, bad in ((doc["vehicle"], "energy_max", math.nan),
+                                (doc["waypoints"][1], "window_close", math.nan),
+                                (doc["waypoints"][1], "window_close", -math.inf),
+                                (doc["targets"][0], "min_coverage", math.inf)):
+            good, block[key] = block[key], bad
+            with pytest.raises(SchemaError, match="must be finite"):
+                load_instance(doc)
+            block[key] = good
+
     def test_target_on_arc_cleaned_with_report(self):
         # target exactly halfway between the two interior waypoints
         inst = make_instance([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)],
                              [(15.0, 0.0), (15.0, 5.0)], deadline=1000.0)
         assert [t.id for t in inst.targets] == [1]
         assert inst.removed_targets == ((0, "on-arc"),)
-
-    def test_target_on_arc_without_cleaning(self):
-        with pytest.raises(SchemaError):
-            make_instance([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)],
-                          [(15.0, 0.0)], deadline=1000.0, clean=False)
 
     def test_uncoverable_target_dropped(self):
         inst = make_instance([(0.0, 0.0), (10.0, 0.0)], [(90.0, 90.0)],

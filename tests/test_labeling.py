@@ -1,11 +1,10 @@
-"""What the layered searches rely on: the case-I table keeps every
-reachable state, and each case-II store is layer ordered."""
+"""What the layered case-II search relies on: each store is layer
+ordered."""
 
 import numpy as np
 
 from conftest import random_desk_instance, random_multipliers
 from coverage_routing.instance import build_index_table
-from coverage_routing.labeling_case1 import solve_case1
 from coverage_routing.labeling_case2 import (RATIO_PER_DISTANCE, RATIO_SLOPE,
                                              Case2Solver)
 from coverage_routing.relaxation import build_coeffs
@@ -20,16 +19,6 @@ def _battery(rng, case, count):
         m = len(table.target_ids)
         for lam in (np.zeros(m), random_multipliers(rng, m)):
             yield inst, table, build_coeffs(table, inst, lam, case)
-
-
-def test_case1_never_kills_a_stored_label(rng):
-    searches = 0
-    for _, table, coeffs in _battery(rng, "I", 12):
-        for vbar in coeffs.idle_set:
-            res = solve_case1(coeffs, vbar, table)
-            assert res.labels_alive == res.labels_stored
-            searches += 1
-    assert searches >= 24
 
 
 def test_case2_stores_are_layer_ordered(rng):

@@ -7,8 +7,7 @@ from conftest import make_instance, random_desk_instance, random_multipliers
 from coverage_routing.errors import BudgetExceededError, InfeasibleInstanceError
 from coverage_routing.geometry import arc_coverage_index
 from coverage_routing.instance import build_index_table, generate_instance
-from coverage_routing.oracle import (EnumerationBudget, count_paths,
-                                     iter_paths, oracle_primal,
+from coverage_routing.oracle import (iter_paths, oracle_primal,
                                      oracle_relaxation)
 
 
@@ -18,7 +17,7 @@ class TestEnumeration:
             formula = sum(
                 math.factorial(k) * math.comb(n, k) for k in range(1, n + 1))
             paths = list(iter_paths(n))
-            assert len(paths) == count_paths(n) == formula
+            assert len(paths) == formula
             assert len(set(paths)) == len(paths)
 
     def test_budget_refuses_large_instances(self):
@@ -27,14 +26,6 @@ class TestEnumeration:
         lam = np.zeros(len(table.target_ids))
         with pytest.raises(BudgetExceededError):
             oracle_relaxation(table, inst, lam, "I")
-
-    def test_budget_refuses_by_path_count(self):
-        inst = generate_instance(72, 4, 4, coverage_radius=30.0)
-        table = build_index_table(inst)
-        lam = np.zeros(len(table.target_ids))
-        with pytest.raises(BudgetExceededError):
-            oracle_relaxation(table, inst, lam, "I",
-                              EnumerationBudget(max_paths=5))
 
 
 class TestOracleRelaxation:

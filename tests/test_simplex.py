@@ -74,11 +74,6 @@ class TestBasics:
         res = dense_lp_solve([1.0], [], [])
         assert res.status == UNBOUNDED
 
-    def test_minimize_orientation(self):
-        res = dense_lp_solve([2.0, 3.0], [[-1.0, -1.0]], [-4.0], maximize=False)
-        assert res.status == OPTIMAL
-        assert res.objective == pytest.approx(8.0, abs=1e-9)
-
     def test_shifted_lower_bounds(self):
         res = dense_lp_solve([1.0], [[1.0]], [4.0], bounds=[(2.0, 5.0)])
         assert res.status == OPTIMAL
