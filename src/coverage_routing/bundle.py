@@ -13,9 +13,8 @@ repair is feasible.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,15 +54,7 @@ class TraceRow:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "f_value": self.f_value,
-            "lb": self.lb,
-            "ub": self.ub,
-            "f_lev": self.f_lev,
-            "master_status": self.master_status,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -222,10 +213,9 @@ def evaluate_dual_function(table: ArcIndexTable, instance: Instance,
     def solve_one(vbar: int) -> Optional[PathTiming]:
         if case == "I":
             res = solve_case1(coeffs, vbar, table)
-            bound_times = coeffs.bound_times(vbar)
-            times = tuple(float(bound_times[table.arc_id[a]]) for a in
-                          zip(res.nodes[:-1], res.nodes[1:]))
-            return PathTiming(vbar, res.nodes, times, res.value)
+            times = coeffs.bound_times(vbar)[table.arc_ids(res.nodes)]
+            return PathTiming(vbar, res.nodes, tuple(map(float, times)),
+                              res.value)
         res2 = solve_case2(coeffs, vbar, T, table, ratio_mode=ratio_mode,
                            use_dominance=use_dominance)
         if res2 is None:
@@ -238,20 +228,29 @@ def evaluate_dual_function(table: ArcIndexTable, instance: Instance,
     return value, cut
 
 
+def _route_solution(table: ArcIndexTable, nodes: Tuple[int, ...],
+                    times: Sequence[float], vbar: int, idle: float,
+                    cov: np.ndarray) -> PathSolution:
+    """A timed route with its per-target coverage ``cov``; ``vbar`` 0 means
+    no idle stop."""
+    return PathSolution(
+        nodes=nodes,
+        times=tuple(map(float, times)),
+        idle_node=vbar if vbar else None,
+        idle_time=idle,
+        objective=float(table.priorities @ cov),
+        per_target_coverage=tuple(zip(table.target_ids, map(float, cov))),
+    )
+
+
 def timing_to_solution(timing: PathTiming, table: ArcIndexTable,
                        deadline: float) -> PathSolution:
     """Materialize a relaxation witness as a route: with an idle stop the
     whole deadline remainder is spent there."""
     idle = max(0.0, deadline - float(sum(timing.times))) if timing.vbar else 0.0
     cov = table.route_coverage(timing.nodes, timing.times, timing.vbar, idle)
-    return PathSolution(
-        nodes=timing.nodes,
-        times=timing.times,
-        idle_node=timing.vbar if timing.vbar else None,
-        idle_time=idle,
-        objective=float(table.priorities @ cov),
-        per_target_coverage=tuple(zip(table.target_ids, map(float, cov))),
-    )
+    return _route_solution(table, timing.nodes, timing.times, timing.vbar,
+                           idle, cov)
 
 
 def _greedy_primal_repair(table: ArcIndexTable, instance: Instance,
@@ -259,14 +258,12 @@ def _greedy_primal_repair(table: ArcIndexTable, instance: Instance,
     """Best feasible route obtainable by re-timing the witness path and
     idling the deadline remainder at one of its waypoints."""
     nodes = witness.nodes
-    arcs = list(zip(nodes[:-1], nodes[1:]))
-    ids = [table.arc_id[a] for a in arcs]
+    ids = table.arc_ids(nodes)
     T = instance.deadline
     fast = table.min_time[ids]
     slow = table.max_time[ids]
     interior = [v for v in nodes if 0 < v <= table.n]
 
-    best_val = -math.inf
     best_sol = None
     timings = [fast, np.asarray(witness.times)]
     if float(slow.sum()) <= T:
@@ -279,19 +276,12 @@ def _greedy_primal_repair(table: ArcIndexTable, instance: Instance,
             idle = (T - total) if vbar else 0.0
             cov = table.route_coverage(nodes, times, vbar, idle)
             if np.all(cov >= table.required - 1e-9):
-                val = float(table.priorities @ cov)
-                if val > best_val:
-                    best_val = val
-                    best_sol = PathSolution(
-                        nodes=nodes, times=tuple(map(float, times)),
-                        idle_node=vbar if vbar else None, idle_time=idle,
-                        objective=val,
-                        per_target_coverage=tuple(
-                            zip(table.target_ids, map(float, cov))),
-                    )
+                sol = _route_solution(table, nodes, times, vbar, idle, cov)
+                if best_sol is None or sol.objective > best_sol.objective:
+                    best_sol = sol
     if best_sol is None:
         return LB_FLOOR, None
-    return best_val, best_sol
+    return best_sol.objective, best_sol
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +371,6 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
         state.trace.append(TraceRow(state.iterations, value.value, state.lb,
                                     state.ub, f_lev, MASTER_FEASIBLE,
                                     time.monotonic() - t0))
-    else:
-        status = ITERATION_LIMIT
     if state.ub - state.lb <= tol * max(1.0, abs(state.ub)):
         status = CONVERGED
 

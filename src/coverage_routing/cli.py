@@ -43,37 +43,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _phi(text: str) -> float:
-    """``--phi``: the level parameter, strictly inside (0, 1)."""
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"must lie strictly inside (0, 1), got {text}")
-    return value
+def _checked(cast, ok, must: str):
+    """An argparse ``type=`` that casts the text with ``cast`` and refuses a
+    value failing ``ok`` with "must <must>, got <text>".  It carries the
+    cast's name, so an uncastable text reads "invalid float value"."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {must}, got {text}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
 
 
-def _tol(text: str) -> float:
-    """``--tol``: the relative gap tolerance, positive."""
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _time_limit(text: str) -> float:
-    """``--time-limit``: wall seconds, positive (``inf`` allowed, NaN not)."""
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _iter_limit(text: str) -> int:
-    """``--iter-limit``: bundle iterations, at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
+#: --phi strictly inside (0, 1); --tol and --time-limit positive (an
+#: infinite time limit passes, NaN does not); --iter-limit at least 1
+_phi = _checked(float, lambda v: 0.0 < v < 1.0, "lie strictly inside (0, 1)")
+_positive = _checked(float, lambda v: v > 0.0, "be positive")
+_iter_limit = _checked(int, lambda v: v >= 1, "be at least 1")
 
 
 def _build_parser() -> _Parser:
@@ -102,8 +89,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--case", choices=["I", "II"], default=None,
                    help="default: the instance's generated case, else I")
     s.add_argument("--phi", type=_phi, default=0.5)
-    s.add_argument("--tol", type=_tol, default=1e-4)
-    s.add_argument("--time-limit", type=_time_limit, default=None)
+    s.add_argument("--tol", type=_positive, default=1e-4)
+    s.add_argument("--time-limit", type=_positive, default=None)
     s.add_argument("--iter-limit", type=_iter_limit, default=1000)
     s.add_argument("--ratio-mode", choices=[RATIO_SLOPE, RATIO_PER_DISTANCE],
                    default=RATIO_SLOPE)
@@ -133,13 +120,10 @@ def _dump(doc: dict) -> str:
 
 
 def _cmd_gen(args) -> int:
-    kwargs = {}
-    if args.coverage_radius is not None:
-        kwargs["coverage_radius"] = args.coverage_radius
     inst = generate_instance(
         args.seed, args.waypoints, args.targets, preset=args.preset,
         case=args.case, deadline_scale=args.deadline_scale,
-        min_coverage=args.min_coverage, **kwargs)
+        coverage_radius=args.coverage_radius, min_coverage=args.min_coverage)
     for tid, reason in inst.removed_targets:
         print(f"removed target {tid}: {reason}", file=sys.stderr)
     text = instance_to_json(inst)

@@ -124,8 +124,7 @@ class Instance:
 
     @property
     def arc_count(self) -> int:
-        n1 = self.n + 1
-        return n1 * (n1 + 1) - n1 - 1
+        return _arc_count(self.n)
 
     @property
     def eps_geo(self) -> float:
@@ -140,10 +139,17 @@ class Instance:
         return dict(self.meta)
 
 
-def _segment_pairs(instance: Instance) -> Iterator[Tuple[int, int]]:
-    """Unordered node pairs whose segment is traversed by some arc (every
-    pair except the depot pair)."""
-    out = instance.exit_id
+def _arc_count(n: int) -> int:
+    """Arcs of a network with ``n`` interior waypoints."""
+    n1 = n + 1
+    return n1 * (n1 + 1) - n1 - 1
+
+
+def _segment_pairs(n: int) -> Iterator[Tuple[int, int]]:
+    """Unordered node pairs whose segment is traversed by some arc of a
+    network with ``n`` interior waypoints (every pair except the depot
+    pair)."""
+    out = n + 1
     for i in range(out + 1):
         for j in range(i + 1, out + 1):
             if i == 0 and j == out:
@@ -201,7 +207,7 @@ def validate_instance(instance: Instance) -> None:
             raise SchemaError(f"target {t.id} has bad risk parameters")
         if t.priority < 0:
             raise SchemaError(f"target {t.id} has negative priority")
-    for (i, j) in _segment_pairs(instance):
+    for (i, j) in _segment_pairs(n):
         if geometry.dist(instance.point(i), instance.point(j)) == 0.0:
             raise SchemaError(f"waypoints {i} and {j} coincide")
 
@@ -209,7 +215,7 @@ def validate_instance(instance: Instance) -> None:
 def _clean_targets(instance: Instance) -> Instance:
     """Drop targets that sit on an arc or that no arc/waypoint can cover."""
     eps = instance.eps_geo
-    pairs = list(_segment_pairs(instance))
+    pairs = list(_segment_pairs(instance.n))
     kept: List[Target] = []
     removed: List[Tuple[int, str]] = []
     for t in instance.targets:
@@ -286,10 +292,41 @@ def save_instance(instance: Instance, path: Union[str, Path]) -> None:
     Path(path).write_text(instance_to_json(instance))
 
 
-def _num(doc: dict, key: str, where: str, allow_inf: bool = False) -> float:
-    if key not in doc:
+def _read_json(source: Union[str, Path, dict]) -> dict:
+    """The JSON object in the file at ``source``, or ``source`` itself when
+    it is already a parsed document."""
+    doc = source
+    if isinstance(source, (str, Path)):
+        try:
+            doc = json.loads(Path(source).read_text())
+        except ValueError as exc:  # a JSON or a UTF-8 decoding error
+            raise SchemaError(f"not valid JSON: {source}: {exc}") from exc
+    return _object(doc, "the document")
+
+
+def _object(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {type(v).__name__}")
+    return v
+
+
+def _field(doc: Union[dict, list], key: Union[str, int], where: str):
+    """``doc[key]`` of an object, or of an array at a valid index."""
+    if isinstance(doc, dict) and key not in doc:
         raise SchemaError(f"missing field '{key}' in {where}")
-    v = doc[key]
+    return doc[key]
+
+
+def _array(doc: dict, key: str, where: str) -> list:
+    v = _field(doc, key, where)
+    if not isinstance(v, list):
+        raise SchemaError(f"field '{key}' in {where} must be an array")
+    return v
+
+
+def _num(doc: Union[dict, list], key: Union[str, int], where: str,
+         allow_inf: bool = False) -> float:
+    v = _field(doc, key, where)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"field '{key}' in {where} must be a number, got {v!r}")
     v = float(v)
@@ -298,10 +335,8 @@ def _num(doc: dict, key: str, where: str, allow_inf: bool = False) -> float:
     return v
 
 
-def _ident(doc: dict, key: str, where: str) -> int:
-    if key not in doc:
-        raise SchemaError(f"missing field '{key}' in {where}")
-    v = doc[key]
+def _ident(doc: Union[dict, list], key: Union[str, int], where: str) -> int:
+    v = _field(doc, key, where)
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
         raise SchemaError(f"field '{key}' in {where} must be a nonnegative integer")
     return v
@@ -311,24 +346,15 @@ def load_instance(source: Union[str, Path, dict]) -> Instance:
     """Build a validated :class:`Instance` from a JSON file path or a parsed
     document.  Targets dropped during cleaning are reported on
     ``instance.removed_targets``."""
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {source}: {exc}") from exc
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        raise SchemaError(f"unsupported instance source {type(source)!r}")
-
+    doc = _read_json(source)
     for key in ("waypoints", "targets", "vehicle", "physics", "deadline"):
         if key not in doc:
             raise SchemaError(f"missing top-level key '{key}'")
 
-    phys = doc["physics"]
+    phys = _object(doc["physics"], "'physics'")
     physics = Physics(beta=_num(phys, "beta", "physics"),
                       gamma=_num(phys, "gamma", "physics"))
-    veh = doc["vehicle"]
+    veh = _object(doc["vehicle"], "'vehicle'")
     vehicle = Vehicle(
         coverage_factor=_num(veh, "coverage_factor", "vehicle"),
         coverage_radius=_num(veh, "coverage_radius", "vehicle"),
@@ -338,8 +364,9 @@ def load_instance(source: Union[str, Path, dict]) -> Instance:
         priority=_num(veh, "priority", "vehicle") if "priority" in veh else 1.0,
     )
     waypoints = []
-    for k, w in enumerate(doc["waypoints"]):
+    for k, w in enumerate(_array(doc, "waypoints", "document")):
         where = f"waypoints[{k}]"
+        _object(w, where)
         waypoints.append(Waypoint(
             id=_ident(w, "id", where),
             point=Point2(_num(w, "x", where), _num(w, "y", where)),
@@ -348,8 +375,9 @@ def load_instance(source: Union[str, Path, dict]) -> Instance:
                           if "window_close" in w else math.inf),
         ))
     targets = []
-    for k, t in enumerate(doc["targets"]):
+    for k, t in enumerate(_array(doc, "targets", "document")):
         where = f"targets[{k}]"
+        _object(t, where)
         targets.append(Target(
             id=_ident(t, "id", where),
             point=Point2(_num(t, "x", where), _num(t, "y", where)),
@@ -358,9 +386,7 @@ def load_instance(source: Union[str, Path, dict]) -> Instance:
             risk_radius=_num(t, "risk_radius", where),
             min_coverage=_num(t, "min_coverage", where),
         ))
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict):
-        raise SchemaError("'meta' must be an object")
+    meta = _object(doc.get("meta", {}), "'meta'")
     instance = Instance(
         waypoints=tuple(waypoints),
         targets=tuple(targets),
@@ -421,16 +447,10 @@ def generate_instance(seed: int,
         raw_targets.append(Target(tid, p, RISK_FACTOR, float(prio),
                                   RISK_RADIUS, min_coverage))
 
-    n = n_waypoints
-    arc_count = (n + 1) * (n + 2) - (n + 1) - 1
     all_pts = [depot] + pts + [depot]
-    max_d = 0.0
-    for i in range(n + 2):
-        for j in range(i + 1, n + 2):
-            if i == 0 and j == n + 1:
-                continue
-            max_d = max(max_d, geometry.dist(all_pts[i], all_pts[j]))
-    deadline = arc_count * max_d * scale
+    max_d = max(geometry.dist(all_pts[i], all_pts[j])
+                for (i, j) in _segment_pairs(n_waypoints))
+    deadline = _arc_count(n_waypoints) * max_d * scale
 
     waypoints = tuple(
         Waypoint(idx, p, 0.0, deadline) for idx, p in enumerate(all_pts))
@@ -517,14 +537,18 @@ class ArcIndexTable:
         out[self._arc_rows, self._arc_cols] = per_arc
         return out
 
+    def arc_ids(self, nodes: Sequence[int]) -> List[int]:
+        """Arc ids of the consecutive node pairs of a route."""
+        return [self.arc_id[a] for a in zip(nodes[:-1], nodes[1:])]
+
     def route_coverage(self, nodes: Sequence[int], times: Sequence[float],
                        idle_node: Optional[int], idle_time: float) -> np.ndarray:
         """Per-target coverage of a route: each arc's coverage rate times its
         travel time, plus the idle stop's rate times the idle time (no idle
         stop when ``idle_node`` is None or 0)."""
         cov = np.zeros(len(self.target_ids))
-        for (i, j), t in zip(zip(nodes[:-1], nodes[1:]), times):
-            cov += self.coverage_rate[self.arc_id[(i, j)]] * t
+        for k, t in zip(self.arc_ids(nodes), times):
+            cov += self.coverage_rate[k] * t
         if idle_node and idle_time > 0:
             cov += self.wp_cov[idle_node - 1] * idle_time
         return cov
@@ -599,26 +623,28 @@ def save_solution(sol: PathSolution, path: Union[str, Path]) -> None:
 
 
 def load_solution(source: Union[str, Path, dict]) -> PathSolution:
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {source}: {exc}") from exc
-    else:
-        doc = source
-    try:
-        cov = doc.get("per_target_coverage")
-        return PathSolution(
-            nodes=tuple(int(v) for v in doc["nodes"]),
-            times=tuple(float(v) for v in doc["times"]),
-            idle_node=None if doc.get("idle_node") is None else int(doc["idle_node"]),
-            idle_time=float(doc.get("idle_time", 0.0)),
-            objective=None if doc.get("objective") is None else float(doc["objective"]),
-            per_target_coverage=None if cov is None else tuple(
-                (int(k), float(v)) for k, v in sorted(cov.items(), key=lambda kv: int(kv[0]))),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad solution document: {exc}") from exc
+    """Read a route from a JSON file path or a parsed document, with the
+    number rules of :func:`load_instance`."""
+    doc = _read_json(source)
+    nodes = _array(doc, "nodes", "solution")
+    times = _array(doc, "times", "solution")
+    cov = doc.get("per_target_coverage")
+    if cov is not None:
+        _object(cov, "'per_target_coverage'")
+        if not all(k.isascii() and k.isdigit() for k in cov):
+            raise SchemaError("'per_target_coverage' keys must be target ids")
+        cov = tuple(sorted((int(k), _num(cov, k, "per_target_coverage"))
+                           for k in cov))
+    return PathSolution(
+        nodes=tuple(_ident(nodes, k, "nodes") for k in range(len(nodes))),
+        times=tuple(_num(times, k, "times") for k in range(len(times))),
+        idle_node=(None if doc.get("idle_node") is None
+                   else _ident(doc, "idle_node", "solution")),
+        idle_time=_num(doc, "idle_time", "solution") if "idle_time" in doc else 0.0,
+        objective=(None if doc.get("objective") is None
+                   else _num(doc, "objective", "solution")),
+        per_target_coverage=cov,
+    )
 
 
 #: constraint slack a route may fall short by, and the largest difference

@@ -250,10 +250,9 @@ class Case2Solver:
         if ratio_mode == RATIO_SLOPE:
             self.key_m = self.net_m
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                self.key_m = np.where(table.matrix(table.arc_dist, fill=0.0) > 0,
-                                      self.net_m / np.maximum(table.matrix(table.arc_dist, fill=1.0), 1e-300),
-                                      self.net_m)
+            # arcs have positive length; the 1.0 fill keeps net_m's fill
+            # wherever there is no arc
+            self.key_m = self.net_m / table.matrix(table.arc_dist, fill=1.0)
         self.dist = table.node_dist
         self.speed_max = table.instance.vehicle.speed_max
         self.stores = [Store() for _ in range(n + 1)]

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleInstanceError
 from .instance import ArcIndexTable, Instance, build_index_table
+from .relaxation import check_multipliers
 from .simplex import OPTIMAL, dense_lp_solve
 
 #: largest interior-waypoint count the enumeration accepts (109,600 routes)
@@ -45,15 +46,6 @@ class OracleRelaxResult:
     nodes: Tuple[int, ...]
     times: Tuple[float, ...]
     idle_time: float
-
-
-def _validated_lam(lam: Sequence[float], m: int) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (m,):
-        raise ValueError(f"need {m} multipliers, got shape {lam.shape}")
-    if np.any(lam > 1e-12):
-        raise ValueError("multipliers must be <= 0")
-    return np.minimum(lam, 0.0)
 
 
 def greedy_times(net: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
@@ -87,7 +79,7 @@ def oracle_relaxation(table: ArcIndexTable, instance: Instance,
         raise ValueError(f"case must be 'I' or 'II', got {case!r}")
     n = table.n
     _check_size(n)
-    lam = _validated_lam(lam, len(table.target_ids))
+    lam = check_multipliers(lam, len(table.target_ids))
     weights = table.priorities - lam
     constant = float(table.required @ lam)
     gains = table.wp_cov @ weights
@@ -97,10 +89,7 @@ def oracle_relaxation(table: ArcIndexTable, instance: Instance,
 
     best = None
     for path in iter_paths(n):
-        arc_ids = [table.arc_id[(0, path[0])]]
-        arc_ids += [table.arc_id[(path[k], path[k + 1])]
-                    for k in range(len(path) - 1)]
-        arc_ids.append(table.arc_id[(path[-1], exit_id)])
+        arc_ids = table.arc_ids((0,) + path + (exit_id,))
         raw = table.coverage_rate[arc_ids] @ weights
         t_lo = table.min_time[arc_ids]
         t_hi = table.max_time[arc_ids]
@@ -157,10 +146,7 @@ def oracle_primal(instance: Instance,
 
     best = None
     for path in iter_paths(n):
-        arc_ids = [table.arc_id[(0, path[0])]]
-        arc_ids += [table.arc_id[(path[k], path[k + 1])]
-                    for k in range(len(path) - 1)]
-        arc_ids.append(table.arc_id[(path[-1], exit_id)])
+        arc_ids = table.arc_ids((0,) + path + (exit_id,))
         n_arcs = len(arc_ids)
         n_idle = len(path)
         # variables: travel times then per-visited-waypoint idle times
@@ -186,9 +172,7 @@ def oracle_primal(instance: Instance,
     n_arcs = len(path) + 1
     times = tuple(float(t) for t in x[:n_arcs])
     idles = tuple((i, float(y)) for i, y in zip(path, x[n_arcs:]) if y > 1e-12)
-    arc_ids = [table.arc_id[(0, path[0])]]
-    arc_ids += [table.arc_id[(path[k], path[k + 1])] for k in range(len(path) - 1)]
-    arc_ids.append(table.arc_id[(path[-1], exit_id)])
+    arc_ids = table.arc_ids((0,) + path + (exit_id,))
     cov = table.coverage_rate[arc_ids].T @ np.asarray(times)
     for i, y in idles:
         cov = cov + table.wp_cov[i - 1] * y

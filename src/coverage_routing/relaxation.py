@@ -189,8 +189,7 @@ def make_cut(coeffs: RelaxCoeffs, timing: PathTiming, table: ArcIndexTable,
     vbar = timing.vbar
     idle_cov = table.waypoint_coverage_vector(vbar)
     coverage = deadline * idle_cov.copy() if vbar != 0 else np.zeros(len(table.target_ids))
-    for (i, j), t in zip(zip(timing.nodes[:-1], timing.nodes[1:]), timing.times):
-        rate = table.coverage_rate[table.arc_id[(i, j)]]
-        coverage = coverage + (rate - idle_cov) * t
+    for k, t in zip(table.arc_ids(timing.nodes), timing.times):
+        coverage = coverage + (table.coverage_rate[k] - idle_cov) * t
     return CutCoeffs(coverage=coverage, required=table.required.copy(),
                      priorities=table.priorities.copy())

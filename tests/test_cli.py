@@ -143,12 +143,17 @@ class TestSolveVerify:
 
     def test_out_of_range_phi_tol_usage_error(self, desk_instance_file,
                                               capsys):
-        for flag, value in (("--phi", "2"), ("--phi", "0"), ("--tol", "0")):
+        for flag, value, reason in (
+                ("--phi", "2", "must lie strictly inside (0, 1), got 2"),
+                ("--phi", "0", "must lie strictly inside (0, 1), got 0"),
+                ("--phi", "abc", "invalid float value: 'abc'"),
+                ("--tol", "0", "must be positive, got 0"),
+                ("--iter-limit", "2.5", "invalid int value: '2.5'")):
             with pytest.raises(SystemExit) as exc:
                 run(["solve", str(desk_instance_file), flag, value])
             assert exc.value.code == 4
             err = capsys.readouterr().err
-            assert "usage:" in err and f"argument {flag}" in err
+            assert "usage:" in err and f"argument {flag}: {reason}" in err
 
     def test_bad_limits_usage_error(self, desk_instance_file, capsys):
         """A NaN, zero or negative time limit and an iteration limit below 1
@@ -171,6 +176,45 @@ class TestSolveVerify:
         capsys.readouterr()
         assert run(["solve", str(bad)]) == 4
         assert "meta.case" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which,doc", [
+        ("solution", []),
+        ("solution", {"per_target_coverage": [1]}),
+        ("solution", {"per_target_coverage": {"first": 1.0}}),
+        ("solution", {"nodes": [0, 1.7, 4], "times": ["8", True]}),
+        ("solution", {"nodes": [0, 1.7, 4]}),
+        ("solution", {"times": ["8", 1.0]}),
+        ("solution", {"times": [8.0, True]}),
+        ("solution", {"nodes": 4}),
+        ("instance", []),
+        ("instance", {"waypoints": 7}),
+        ("instance", {"targets": [1]}),
+        ("instance", {"physics": 5}),
+        ("instance", {"vehicle": [30.0]}),
+        ("instance", {"meta": "II"}),
+        ("instance", b"\xff\xfe{}"),
+    ], ids=lambda v: (v if isinstance(v, str) else
+                      "not-utf-8" if isinstance(v, bytes) else json.dumps(v)))
+    def test_malformed_document_input_error(self, tmp_path,
+                                            desk_instance_file, capsys,
+                                            which, doc):
+        """A document of the wrong shape, or a fractional, string or
+        boolean where a node id or time belongs, is an input error (exit 4)
+        reported in one line, not a crash or a coerced route.  A ``bytes``
+        document is written as it is."""
+        docs = {"instance": json.loads(desk_instance_file.read_text()),
+                "solution": {"nodes": [0, 1, 4, 5], "times": [8.0, 1.0, 2.0]}}
+        docs[which] = {**docs[which], **doc} if isinstance(doc, dict) else doc
+        paths = []
+        for name in ("instance", "solution"):
+            paths.append(tmp_path / f"{name}.json")
+            text = docs[name]
+            paths[-1].write_bytes(text if isinstance(text, bytes)
+                                  else json.dumps(text).encode())
+        capsys.readouterr()
+        assert run(["verify"] + [str(p) for p in paths]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
 
     def test_ratio_mode_flag_reported(self, tmp_path, desk_instance_file):
         out = tmp_path / "res.json"
