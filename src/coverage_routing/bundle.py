@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -203,26 +203,26 @@ def evaluate_dual_function(table: ArcIndexTable, instance: Instance,
                            ratio_mode: str = RATIO_SLOPE,
                            use_dominance: bool = True) -> Tuple[RelaxValue, CutCoeffs]:
     """Exact dual-function value at ``lam``: solve one path problem per idle
-    candidate and keep the best, plus the cut it generates.
+    candidate and keep the best, plus the cut it generates.  Case I fills
+    one table for all candidates; case II searches each on its own.
 
     ``ratio_mode`` and ``use_dominance`` steer the case-II search only; the
     case-I table has neither."""
     coeffs = build_coeffs(table, instance, lam, case)
     T = instance.deadline
-
-    def solve_one(vbar: int) -> Optional[PathTiming]:
-        if case == "I":
-            res = solve_case1(coeffs, vbar, table)
+    results: Dict[int, Optional[PathTiming]] = {}
+    if case == "I":
+        fill = solve_case1(coeffs, coeffs.idle_set, table)
+        for vbar, res in fill.results.items():
             times = coeffs.bound_times(vbar)[table.arc_ids(res.nodes)]
-            return PathTiming(vbar, res.nodes, tuple(map(float, times)),
-                              res.value)
-        res2 = solve_case2(coeffs, vbar, T, table, ratio_mode=ratio_mode,
-                           use_dominance=use_dominance)
-        if res2 is None:
-            return None
-        return PathTiming(vbar, res2.nodes, res2.times, res2.value)
-
-    results = {vbar: solve_one(vbar) for vbar in coeffs.idle_set}
+            results[vbar] = PathTiming(vbar, res.nodes,
+                                       tuple(map(float, times)), res.value)
+    else:
+        for vbar in coeffs.idle_set:
+            res2 = solve_case2(coeffs, vbar, T, table, ratio_mode=ratio_mode,
+                               use_dominance=use_dominance)
+            results[vbar] = None if res2 is None else PathTiming(
+                vbar, res2.nodes, res2.times, res2.value)
     value = assemble_f_value(coeffs, results, T)
     cut = make_cut(coeffs, value.best, table, T)
     return value, cut

@@ -249,7 +249,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_solve(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except (SchemaError, FileNotFoundError) as exc:
+    except (SchemaError, OSError) as exc:  # OSError: a file we cannot open
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleInstanceError as exc:

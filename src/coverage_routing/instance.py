@@ -532,9 +532,10 @@ class ArcIndexTable:
         self.required = np.array([t.min_coverage for t in instance.targets])
 
     def matrix(self, per_arc: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """Scatter a per-arc vector into a dense (n+2)x(n+2) node matrix."""
-        out = np.full((self.n + 2, self.n + 2), fill)
-        out[self._arc_rows, self._arc_cols] = per_arc
+        """Scatter a per-arc vector into a dense (n+2)x(n+2) node matrix;
+        leading axes of ``per_arc`` stay leading axes of the result."""
+        out = np.full(per_arc.shape[:-1] + (self.n + 2, self.n + 2), fill)
+        out[..., self._arc_rows, self._arc_cols] = per_arc
         return out
 
     def arc_ids(self, nodes: Sequence[int]) -> List[int]:
@@ -648,7 +649,8 @@ def load_solution(source: Union[str, Path, dict]) -> PathSolution:
 
 
 #: constraint slack a route may fall short by, and the largest difference
-#: between a solution's claimed objective and the recomputed one
+#: between a solution's claimed objective, or claimed coverage of a target,
+#: and the recomputed one
 VALIDATE_TOL = 1e-9
 OBJECTIVE_TOL = 1e-8
 
@@ -710,8 +712,8 @@ def validate_solution(instance: Instance, sol: PathSolution,
     """Check a candidate route against the model constraints.
 
     Structural problems are reported as failed checks, never raised.  The
-    objective is recomputed from the index table and compared against the
-    solution's claimed value when one is present.
+    objective and the per-target coverage are recomputed from the index
+    table and compared against the solution's claimed values when present.
     """
     opts = opts or ValidateOptions()
     checks: List[ConstraintCheck] = []
@@ -767,6 +769,19 @@ def validate_solution(instance: Instance, sol: PathSolution,
         checks.append(ConstraintCheck("objective-consistency",
                                       diff <= OBJECTIVE_TOL,
                                       OBJECTIVE_TOL - diff))
+    if sol.per_target_coverage is not None:
+        claimed = dict(sol.per_target_coverage)
+        ids = [t.id for t in instance.targets]
+        if set(claimed) != set(ids):
+            mismatch = len(set(claimed) ^ set(ids))
+            checks.append(ConstraintCheck("coverage-consistency", False,
+                                          -float(mismatch)))
+        else:
+            diff = max((abs(claimed[i] - c) for i, c in zip(ids, cov)),
+                       default=0.0)
+            checks.append(ConstraintCheck("coverage-consistency",
+                                          diff <= OBJECTIVE_TOL,
+                                          OBJECTIVE_TOL - diff))
 
     per_target = tuple(
         PerTargetCoverage(t.id, float(cov[col]), t.min_coverage)

@@ -21,7 +21,7 @@ dual function, tight at the multiplier vector that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +34,9 @@ CASE_II = "II"
 #: Multiplier vectors are plain arrays aligned with the index table's target
 #: order; every entry must be <= 0 (see :func:`check_multipliers`).
 Multipliers = np.ndarray
+
+#: one idle candidate, or a sequence of them
+Idle = Union[int, Sequence[int]]
 
 _LAMBDA_TOL = 1e-12
 
@@ -60,18 +63,22 @@ class RelaxCoeffs:
     t_lo: np.ndarray               # per arc, fastest traversal time
     t_hi: np.ndarray               # per arc, slowest traversal time
 
-    def net_rates(self, vbar: int) -> np.ndarray:
-        """Per-arc value per unit time, net of the idle opportunity cost."""
+    def net_rates(self, vbar: Idle) -> np.ndarray:
+        """Per-arc value per unit time, net of the idle opportunity cost; a
+        sequence of candidates gives one row per candidate."""
+        if np.ndim(vbar):
+            gains = np.array([self.idle_gain[v] for v in vbar])
+            return self.f_raw - gains[:, None]
         return self.f_raw - self.idle_gain[vbar]
 
-    def bound_times(self, vbar: int) -> np.ndarray:
+    def bound_times(self, vbar: Idle) -> np.ndarray:
         """Case-I optimal times: slowest where the net rate is positive,
         fastest otherwise."""
         if self.case != CASE_I:
             raise ValueError("bound-valued times are a case-I construct")
         return np.where(self.net_rates(vbar) > 0.0, self.t_hi, self.t_lo)
 
-    def arc_values(self, vbar: int) -> np.ndarray:
+    def arc_values(self, vbar: Idle) -> np.ndarray:
         """Case-I value collected on each arc at its chosen time."""
         return self.net_rates(vbar) * self.bound_times(vbar)
 

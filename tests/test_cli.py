@@ -130,10 +130,44 @@ class TestSolveVerify:
         capsys.readouterr()
         assert run(["verify", str(desk_instance_file), str(sol_file)]) != 0
 
+    def test_tampered_coverage_fails_verify(self, tmp_path,
+                                            desk_instance_file, capsys):
+        """A witness whose claimed per-target coverage was inflated fails
+        verify (exit 1); the untouched witness passes."""
+        out = tmp_path / "res.json"
+        run(["solve", str(desk_instance_file), "--out", str(out)])
+        sol_file = out.with_suffix(out.suffix + ".sol.json")
+        assert run(["verify", str(desk_instance_file), str(sol_file)]) == 0
+        doc = json.loads(sol_file.read_text())
+        doc["per_target_coverage"] = {
+            k: 100 * v + 5 for k, v in doc["per_target_coverage"].items()}
+        sol_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", str(desk_instance_file), str(sol_file)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = [c["name"] for c in report["constraints"] if not c["pass"]]
+        assert failed == ["coverage-consistency"]
+
     def test_missing_file_usage_error(self, tmp_path):
         assert run(["verify", str(tmp_path / "no.json"),
                     str(tmp_path / "nope.json")]) == 4
         assert run(["solve", str(tmp_path / "no.json")]) == 4
+
+    def test_unreadable_file_input_error(self, tmp_path, desk_instance_file,
+                                         capsys, monkeypatch):
+        """A directory, or a file the user may not read, where a document
+        should be is an input error (exit 4), not a crash (exit 1)."""
+        assert run(["verify", str(desk_instance_file), str(tmp_path)]) == 4
+        assert "input error" in capsys.readouterr().err
+        assert run(["solve", str(tmp_path)]) == 4
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        assert run(["verify", str(desk_instance_file),
+                    str(desk_instance_file)]) == 4
+        assert "Permission denied" in capsys.readouterr().err
 
     def test_too_many_waypoints_input_error(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -257,7 +291,7 @@ def _limit_address_space():
 
 def test_oversized_case1_table_input_error(tmp_path):
     """30 waypoints pass the 63-waypoint cap, but the case-I table would
-    take 295 GiB: solve refuses it before allocating (exit 4).  The solve
+    take 414 GiB: solve refuses it before allocating (exit 4).  The solve
     runs in a child under a 4 GiB address-space limit, so a regression
     fails fast with MemoryError instead of exhausting memory."""
     inst = tmp_path / "inst.json"
@@ -271,4 +305,4 @@ def test_oversized_case1_table_input_error(tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
         preexec_fn=_limit_address_space)
     assert proc.returncode == 4, proc.stderr
-    assert "case I needs a 295.0 GiB table" in proc.stderr
+    assert "case I needs a 414.0 GiB table" in proc.stderr

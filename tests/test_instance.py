@@ -238,6 +238,28 @@ class TestValidateSolution:
         check = {c.name: c for c in report.constraints}["objective-consistency"]
         assert not check.passed
 
+    def test_coverage_mismatch_flagged(self):
+        """Claimed per-target coverage must name the instance's targets and
+        match the recomputed values."""
+        inst = _square_instance()
+        route = dict(nodes=(0, 1, 2, 3), times=(2.0, 4.0, 5.0), idle_node=1,
+                     idle_time=10.0)
+        truth = validate_solution(inst, PathSolution(**route)).per_target
+        honest = tuple((p.id, p.coverage) for p in truth)
+
+        def check(cov):
+            report = validate_solution(
+                inst, PathSolution(**route, per_target_coverage=cov))
+            return {c.name: c for c in report.constraints}[
+                "coverage-consistency"]
+
+        assert check(honest).passed
+        assert not check(tuple((i, 100 * c + 5) for i, c in honest)).passed
+        assert len(honest) == 1
+        assert not check(()).passed
+        assert not check(honest + ((99, 0.0),)).passed
+        assert not check(((99, honest[0][1]),)).passed
+
     def test_structural_error_reported_not_thrown(self):
         inst = _square_instance()
         sol = PathSolution(nodes=(0, 2, 2, 3), times=(1.0, 1.0, 1.0))

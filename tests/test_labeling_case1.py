@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_desk_instance, random_multipliers, relax_value
+from coverage_routing import labeling_case1
+from coverage_routing.errors import SchemaError
 from coverage_routing.instance import build_index_table, generate_instance
-from coverage_routing.labeling_case1 import solve_case1
+from coverage_routing.labeling_case1 import fill_bytes, solve_case1
 from coverage_routing.oracle import oracle_relaxation
 from coverage_routing.relaxation import build_coeffs
 
@@ -37,10 +39,11 @@ class TestSolveCase1:
         inst = generate_instance(41, 2, 4, coverage_radius=35.0)
         table = build_index_table(inst)
         coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "I")
+        fill = solve_case1(coeffs, coeffs.idle_set, table)
         for vbar in coeffs.idle_set:
             values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
             expect, _ = brute_force_best(values, 2, 3, vbar)
-            got = solve_case1(coeffs, vbar, table)
+            got = fill.results[vbar]
             assert got.value == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
     def test_negative_arc_values_still_exact(self, rng):
@@ -50,11 +53,12 @@ class TestSolveCase1:
             table = build_index_table(inst)
             lam = random_multipliers(rng, len(table.target_ids), scale=10.0)
             coeffs = build_coeffs(table, inst, lam, "I")
+            fill = solve_case1(coeffs, coeffs.idle_set, table)
             for vbar in coeffs.idle_set:
                 values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
                 expect, _ = brute_force_best(values, table.n, table.exit_id,
                                              vbar)
-                got = solve_case1(coeffs, vbar, table)
+                got = fill.results[vbar]
                 assert got.value == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
     def test_route_visits_idle_candidate(self, rng):
@@ -63,25 +67,26 @@ class TestSolveCase1:
             table = build_index_table(inst)
             coeffs = build_coeffs(table, inst,
                                   np.zeros(len(table.target_ids)), "I")
+            fill = solve_case1(coeffs, coeffs.idle_set, table)
             for vbar in coeffs.idle_set:
-                got = solve_case1(coeffs, vbar, table)
                 if vbar != 0:
-                    assert vbar in got.nodes
+                    assert vbar in fill.results[vbar].nodes
 
     def test_bad_idle_candidate_rejected(self):
         inst = generate_instance(41, 2, 4, coverage_radius=35.0)
         table = build_index_table(inst)
         coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "I")
         with pytest.raises(ValueError):
-            solve_case1(coeffs, 7, table)
+            solve_case1(coeffs, (0, 7), table)
 
     def test_reconstruction_resums_value(self, rng):
         inst = random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6))
         table = build_index_table(inst)
         lam = random_multipliers(rng, len(table.target_ids))
         coeffs = build_coeffs(table, inst, lam, "I")
+        fill = solve_case1(coeffs, coeffs.idle_set, table)
         for vbar in coeffs.idle_set:
-            got = solve_case1(coeffs, vbar, table)
+            got = fill.results[vbar]
             values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
             interior = got.nodes[1:-1]
             resum = sum(values[i, j] for i, j in
@@ -107,12 +112,13 @@ class TestSolveCase1:
         for inst, table, lam in cases:
             coeffs = build_coeffs(table, inst, lam, "I")
             n = table.n
+            fill = solve_case1(coeffs, coeffs.idle_set, table)
+            states = len(coeffs.idle_set) * n * 2 ** (n - 1)
+            assert fill.labels_alive == fill.labels_stored == states
             for vbar in coeffs.idle_set:
-                got = solve_case1(coeffs, vbar, table)
                 values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
                 expect, _ = brute_force_best(values, n, table.exit_id, vbar)
-                assert got.labels_alive == got.labels_stored == n * 2 ** (n - 1)
-                assert got.value == expect
+                assert fill.results[vbar].value == expect
 
     # (seed, waypoints, targets, coverage radius, multiplier, idle candidate,
     # route): inputs with several exactly optimal routes, and the route the
@@ -136,14 +142,16 @@ class TestSolveCase1:
         """Among exactly tied optima the table returns the route the former
         per-label search did: smallest predecessor per state, then the first
         best completion by end node, visited-set size and sorted visited
-        set."""
+        set.  The fill covers every idle candidate at once, and the others
+        must not change the tie rule of this one."""
         inst = generate_instance(seed, n, m, case="I", coverage_radius=radius)
         table = build_index_table(inst)
         coeffs = build_coeffs(table, inst,
                               np.full(len(table.target_ids), lam), "I")
         values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
         expect, ties = brute_force_best(values, n, table.exit_id, vbar)
-        got = solve_case1(coeffs, vbar, table)
+        assert vbar in coeffs.idle_set
+        got = solve_case1(coeffs, coeffs.idle_set, table).results[vbar]
         assert ties > 1
         assert got.value == expect
         assert got.nodes == route
@@ -157,6 +165,47 @@ class TestSolveCase1:
             got = relax_value(table, inst, lam, "I")
             orc = oracle_relaxation(table, inst, lam, "I")
             assert abs(got.value - orc.value) <= 1e-8 * max(1.0, abs(orc.value))
+
+    @pytest.mark.parametrize("state_bytes,table_bytes",
+                             [(1, 1), (400, 1), (400, 10 ** 4)])
+    def test_chunked_fill_matches_one_chunk(self, rng, monkeypatch,
+                                            state_bytes, table_bytes):
+        """Byte budgets so small that every layer takes several gathers and
+        the candidates several tables give the results of one chunk, repr
+        for repr."""
+        cases = []
+        for _ in range(6):
+            inst = random_desk_instance(rng, n_range=(3, 6), m_range=(2, 6))
+            table = build_index_table(inst)
+            lam = random_multipliers(rng, len(table.target_ids))
+            cases.append((table, build_coeffs(table, inst, lam, "I")))
+        assert any(len(c.idle_set) > 2 for _, c in cases)
+        whole = [repr(solve_case1(c, c.idle_set, t)) for t, c in cases]
+        monkeypatch.setattr(labeling_case1, "STATE_CHUNK_BYTES", state_bytes)
+        monkeypatch.setattr(labeling_case1, "TABLE_CHUNK_BYTES", table_bytes)
+        assert [repr(solve_case1(c, c.idle_set, t)) for t, c in cases] == whole
+
+
+def test_size_guard_flips_between_21_and_22_waypoints(monkeypatch):
+    """The byte formula allows 21 waypoints and refuses 22 without building
+    either table, and the guard refuses a fill just above the limit (checked
+    on a small instance with the limit one byte below its fill).  The
+    formula's index-array term is the size of the cached arrays."""
+    limit = labeling_case1.MAX_TABLE_BYTES
+    assert fill_bytes(21) <= limit < fill_bytes(22)
+    assert fill_bytes(21) >= 2 ** 21 * 22 * 9 + 21 * 2 ** 20 * 9
+    n = 5
+    cached = sum(a.nbytes for layer in labeling_case1._layers(n)
+                 for a in layer)
+    assert cached == 9 * n * 2 ** (n - 1)
+    inst = generate_instance(41, n, 4, coverage_radius=35.0)
+    table = build_index_table(inst)
+    coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "I")
+    monkeypatch.setattr(labeling_case1, "MAX_TABLE_BYTES", fill_bytes(n) - 1)
+    with pytest.raises(SchemaError, match="5 waypoints"):
+        solve_case1(coeffs, coeffs.idle_set, table)
+    monkeypatch.setattr(labeling_case1, "MAX_TABLE_BYTES", fill_bytes(n))
+    assert solve_case1(coeffs, coeffs.idle_set, table).results
 
 
 @st.composite
@@ -184,10 +233,12 @@ def test_dominance_is_exact_and_matches_oracle(inputs):
     inst, lam = inputs
     table = build_index_table(inst)
     coeffs = build_coeffs(table, inst, lam, "I")
+    fill = solve_case1(coeffs, coeffs.idle_set, table)
+    assert set(fill.results) == set(coeffs.idle_set)
     for vbar in coeffs.idle_set:
         values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
         expect, _ = brute_force_best(values, table.n, table.exit_id, vbar)
-        assert solve_case1(coeffs, vbar, table).value == expect
+        assert fill.results[vbar].value == expect
     got = relax_value(table, inst, lam, "I")
     orc = oracle_relaxation(table, inst, lam, "I")
     assert abs(got.value - orc.value) <= 1e-8 * max(1.0, abs(orc.value))
