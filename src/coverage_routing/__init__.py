@@ -8,7 +8,7 @@ problem solved exactly by labeling dynamic programs inside a level bundle
 loop; exhaustive oracles certify every layer at desk scale.
 """
 
-from .bundle import (DualResult, DualState, MasterResult, TraceRow,
+from .bundle import (DualResult, MasterResult, TraceRow,
                      evaluate_dual_function, kkt_residual, run_dual,
                      solve_master)
 from .errors import (BudgetExceededError, CoverageRoutingError, CyclingError,
@@ -21,7 +21,7 @@ from .instance import (ArcIndexTable, Instance, PathSolution, Physics, Target,
                        arc_energy, build_index_table, generate_instance,
                        instance_to_json, load_instance, load_solution,
                        save_instance, save_solution, validate_solution)
-from .labeling_case1 import Case1Fill, Case1Result, solve_case1
+from .labeling_case1 import Case1Fill, solve_case1
 from .labeling_case2 import (Case2Result, Case2Solver, LabelC2,
                              dominates_case2, envelope, knapsack_times,
                              solve_case2)

@@ -1,21 +1,22 @@
 """Level bundle method for the dual of the coverage-requirement relaxation.
 
 The dual function (min over multipliers ``lam <= 0``) is evaluated exactly by
-the labeling solvers; each evaluation yields an affine cut.  The next iterate
-is the projection of the current one onto the level set ``{lam <= 0 :
-all cuts <= f_lev}`` with ``f_lev = phi*LB + (1-phi)*UB``.  An empty level
-set certifies ``LB = f_lev``; otherwise the new iterate is evaluated, a cut
-is added, and ``UB`` shrinks toward the dual value.  ``LB`` starts from a
-greedy primal repair of the first relaxation solution (any feasible primal
-value lower-bounds the dual optimum by weak duality) or a deep floor when no
-repair is feasible.
+the labeling solvers; each evaluation yields an affine cut (a gradient and
+an offset).  The next iterate is the projection of the current one onto the
+level set ``{lam <= 0 : all cuts <= f_lev}`` with ``f_lev = phi*LB +
+(1-phi)*UB``; the master sees only the iterate, the cuts and ``f_lev``.  An
+empty level set certifies ``LB = f_lev``; otherwise the new iterate is
+evaluated, a cut is added, and ``UB`` shrinks toward the dual value.  ``LB``
+starts from a greedy primal repair of the first relaxation solution (any
+feasible primal value lower-bounds the dual optimum by weak duality) or a
+deep floor when no repair is feasible.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .instance import (ArcIndexTable, Instance, PathSolution,
                        build_index_table)
 from .labeling_case1 import solve_case1
 from .labeling_case2 import RATIO_SLOPE, solve_case2
-from .relaxation import (CutCoeffs, PathTiming, RelaxValue, assemble_f_value,
-                         build_coeffs, make_cut)
+from .relaxation import (CASE_I, CutCoeffs, PathTiming, RelaxValue,
+                         assemble_f_value, build_coeffs, make_cut)
 from .simplex import OPTIMAL, dense_lp_solve
 
 LB_FLOOR = -1e9
@@ -55,21 +56,6 @@ class TraceRow:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class DualState:
-    lam_hat: np.ndarray
-    cuts: List[CutCoeffs]
-    lb: float
-    ub: float
-    phi: float
-    best_lam: np.ndarray
-    iterations: int = 0
-    trace: List[TraceRow] = field(default_factory=list)
-
-    def level(self) -> float:
-        return self.phi * self.lb + (1.0 - self.phi) * self.ub
 
 
 @dataclass
@@ -164,24 +150,25 @@ def kkt_residual(center: np.ndarray, G: np.ndarray, h: np.ndarray,
     return max(station, primal, dual, comp)
 
 
-def solve_master(state: DualState) -> MasterResult:
-    """One projection master solve at the current level parameter.
+def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
+                 f_lev: float) -> MasterResult:
+    """One projection master solve: project ``lam_hat`` onto the level set
+    ``{lam <= 0 : every cut <= f_lev}``.
 
     Feasibility of the level set is decided first by a phase-1 linear
-    program; when empty, the caller may lift ``LB`` to the level parameter.
+    program; when empty, the caller may lift ``LB`` to ``f_lev``.
     """
-    if not state.cuts:
+    if not cuts:
         raise ValueError("cut pool is empty")
-    f_lev = state.level()
-    m = len(state.lam_hat)
-    grads = np.array([c.gradient for c in state.cuts])
-    rhs = np.array([f_lev - c.offset for c in state.cuts])
+    m = len(lam_hat)
+    grads = np.array([c.gradient for c in cuts])
+    rhs = np.array([f_lev - c.offset for c in cuts])
     G = np.vstack([grads, np.eye(m)])
     h = np.concatenate([rhs, np.zeros(m)])
 
-    viol = G @ state.lam_hat - h
+    viol = G @ lam_hat - h
     if float(viol.max(initial=0.0)) <= 1e-12:
-        return MasterResult(MASTER_FEASIBLE, state.lam_hat.copy())
+        return MasterResult(MASTER_FEASIBLE, lam_hat.copy())
 
     # phase 1 in mu = -lam >= 0 space
     lp = dense_lp_solve(np.zeros(m), -grads, rhs)
@@ -189,7 +176,7 @@ def solve_master(state: DualState) -> MasterResult:
         return MasterResult(MASTER_INFEASIBLE, None)
     start = -lp.x
 
-    x, mu, work, exact = _project_onto_polyhedron(state.lam_hat, G, h, start)
+    x, mu, work, exact = _project_onto_polyhedron(lam_hat, G, h, start)
     x = np.minimum(x, 0.0)
     return MasterResult(MASTER_FEASIBLE, x, tuple(sorted(work)), exact)
 
@@ -210,21 +197,17 @@ def evaluate_dual_function(table: ArcIndexTable, instance: Instance,
     case-I table has neither."""
     coeffs = build_coeffs(table, instance, lam, case)
     T = instance.deadline
-    results: Dict[int, Optional[PathTiming]] = {}
-    if case == "I":
-        fill = solve_case1(coeffs, coeffs.idle_set, table)
-        for vbar, res in fill.results.items():
-            times = coeffs.bound_times(vbar)[table.arc_ids(res.nodes)]
-            results[vbar] = PathTiming(vbar, res.nodes,
-                                       tuple(map(float, times)), res.value)
+    if case == CASE_I:
+        results = solve_case1(coeffs, coeffs.idle_set, table).results
     else:
+        results = {}
         for vbar in coeffs.idle_set:
             res2 = solve_case2(coeffs, vbar, T, table, ratio_mode=ratio_mode,
                                use_dominance=use_dominance)
             results[vbar] = None if res2 is None else PathTiming(
                 vbar, res2.nodes, res2.times, res2.value)
     value = assemble_f_value(coeffs, results, T)
-    cut = make_cut(coeffs, value.best, table, T)
+    cut = make_cut(value.best, table, T)
     return value, cut
 
 
@@ -318,12 +301,17 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     returned ``dual_bound`` (the best evaluated value) is always a valid
     bound on the primal optimum.  The trace keeps one row per iteration plus
     an initialization row.  ``ratio_mode`` applies to case II only; the
-    case-II search always prunes by dominance.
+    case-II search always prunes by dominance.  ``time_limit`` (seconds,
+    ``inf`` allowed) must be positive and ``iter_limit`` at least 1.
     """
     if not (0.0 < phi < 1.0):
         raise ValueError(f"phi must sit strictly inside (0, 1), got {phi}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if iter_limit < 1:
+        raise ValueError(f"iteration limit must be at least 1, got {iter_limit}")
+    if time_limit is not None and not time_limit > 0:  # NaN fails too
+        raise ValueError(f"time limit must be positive, got {time_limit}")
     table = table or build_index_table(instance)
     t0 = time.monotonic()
 
@@ -331,57 +319,58 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     value0, cut0 = evaluate_dual_function(
         table, instance, lam0, case, ratio_mode)
     lb0, repair = _greedy_primal_repair(table, instance, value0.best)
-    state = DualState(
-        lam_hat=lam0, cuts=[cut0], lb=min(lb0, value0.value),
-        ub=value0.value, phi=phi, best_lam=lam0.copy())
-    best_value = value0
+    lam_hat, cuts = lam0, [cut0]
+    lb, ub = min(lb0, value0.value), value0.value
+    best_lam, best_value = lam0.copy(), value0
     ub_history = [(0, lam0.copy(), value0.value, value0.best)]
-    state.trace.append(TraceRow(0, value0.value, state.lb, state.ub, None,
-                                "initial", time.monotonic() - t0))
+    trace = [TraceRow(0, value0.value, lb, ub, None, "initial",
+                      time.monotonic() - t0)]
+
+    def converged() -> bool:
+        return ub - lb <= tol * max(1.0, abs(ub))
 
     status = ITERATION_LIMIT
-    while state.iterations < iter_limit:
-        if state.ub - state.lb <= tol * max(1.0, abs(state.ub)):
+    iterations = 0
+    while iterations < iter_limit:
+        if converged():
             status = CONVERGED
             break
         if time_limit is not None and time.monotonic() - t0 > time_limit:
             status = TIME_LIMIT
             break
-        state.iterations += 1
-        f_lev = state.level()
-        master = solve_master(state)
+        iterations += 1
+        f_lev = phi * lb + (1.0 - phi) * ub
+        master = solve_master(lam_hat, cuts, f_lev)
         if master.status == MASTER_INFEASIBLE:
             # empty level set: no multiplier reaches f_lev, so it is a lower
             # bound on the dual value
-            state.lb = f_lev
-            state.trace.append(TraceRow(state.iterations, None, state.lb,
-                                        state.ub, f_lev, MASTER_INFEASIBLE,
-                                        time.monotonic() - t0))
+            lb = f_lev
+            trace.append(TraceRow(iterations, None, lb, ub, f_lev,
+                                  MASTER_INFEASIBLE, time.monotonic() - t0))
             continue
-        state.lam_hat = master.lam
+        lam_hat = master.lam
         value, cut = evaluate_dual_function(
             table, instance, master.lam, case, ratio_mode)
-        state.cuts.append(cut)
-        if value.value < state.ub:
-            state.ub = value.value
-            state.best_lam = master.lam.copy()
+        cuts.append(cut)
+        if value.value < ub:
+            ub = value.value
+            best_lam = master.lam.copy()
             best_value = value
-            ub_history.append((state.iterations, master.lam.copy(),
-                               value.value, value.best))
-        state.trace.append(TraceRow(state.iterations, value.value, state.lb,
-                                    state.ub, f_lev, MASTER_FEASIBLE,
-                                    time.monotonic() - t0))
-    if state.ub - state.lb <= tol * max(1.0, abs(state.ub)):
+            ub_history.append((iterations, master.lam.copy(), value.value,
+                               value.best))
+        trace.append(TraceRow(iterations, value.value, lb, ub, f_lev,
+                              MASTER_FEASIBLE, time.monotonic() - t0))
+    if converged():
         status = CONVERGED
 
     return DualResult(
         status=status,
-        dual_bound=state.ub,
-        lower_bound=state.lb,
+        dual_bound=ub,
+        lower_bound=lb,
         initial_bound=value0.value,
-        best_lam=state.best_lam,
-        iterations=state.iterations,
-        trace=tuple(state.trace),
+        best_lam=best_lam,
+        iterations=iterations,
+        trace=tuple(trace),
         solution=timing_to_solution(best_value.best, table, instance.deadline),
         repair_solution=repair,
         ub_history=tuple(ub_history),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -162,9 +163,30 @@ def _oracle_block(inst, table, case, res) -> dict:
     return block
 
 
+def _probe_writable(path: Path) -> None:
+    """Raise the OSError that writing ``path`` would raise (a missing
+    directory, a directory in the file's place, a file the user may not
+    write), leaving the file system as it was."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        path.unlink()
+
+
 def _cmd_solve(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
+    # an unwritable destination fails here, before any work is done
+    meta_path, sol_path = None, args.solution
+    if args.out is not None:
+        _probe_writable(args.out)  # first: "." or "/" has no name to extend
+        meta_path = args.out.with_suffix(args.out.suffix + ".meta.json")
+        sol_path = sol_path or args.out.with_suffix(
+            args.out.suffix + ".sol.json")
+    for path in (meta_path, sol_path, args.trace):
+        if path is not None:
+            _probe_writable(path)
     inst = load_instance(args.instance)
     case = args.case or str(inst.meta_dict().get("case") or "I")
     if case not in ("I", "II"):
@@ -208,11 +230,7 @@ def _cmd_solve(args) -> int:
             "wall_time_s": wall,
             "per_iteration_wall": [row.wall_time for row in res.trace],
         }
-        args.out.with_suffix(args.out.suffix + ".meta.json").write_text(
-            _dump(meta))
-    sol_path = args.solution
-    if sol_path is None and args.out is not None:
-        sol_path = args.out.with_suffix(args.out.suffix + ".sol.json")
+        meta_path.write_text(_dump(meta))
     if sol_path is not None:
         save_solution(res.solution, sol_path)
     if args.trace is not None:

@@ -500,8 +500,8 @@ class ArcIndexTable:
 
         m = len(instance.targets)
         eps = instance.eps_geo
-        self.cov_index = np.zeros((len(self.arcs), m))
-        self.cov_frac = np.zeros((len(self.arcs), m))
+        # coverage per unit travel time on the arc as a whole
+        self.coverage_rate = np.zeros((len(self.arcs), m))
         veh = instance.vehicle
         for k, (i, j) in enumerate(self.arcs):
             for col, t in enumerate(instance.targets):
@@ -512,8 +512,7 @@ class ArcIndexTable:
                 except TargetTooCloseError as exc:
                     raise TargetTooCloseError(
                         f"target {t.id} against arc ({i},{j}): {exc}") from exc
-                self.cov_index[k, col] = ci.per_time_index
-                self.cov_frac[k, col] = ci.frac
+                self.coverage_rate[k, col] = ci.per_time_index * ci.frac
 
         self.wp_cov = np.zeros((n, m))
         for i in instance.interior_ids:
@@ -526,8 +525,6 @@ class ArcIndexTable:
                     raise TargetTooCloseError(
                         f"target {t.id} against waypoint {i}: {exc}") from exc
 
-        # coverage per unit travel time on the arc as a whole
-        self.coverage_rate = self.cov_index * self.cov_frac
         self.priorities = np.array([t.priority for t in instance.targets])
         self.required = np.array([t.min_coverage for t in instance.targets])
 

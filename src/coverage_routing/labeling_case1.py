@@ -8,7 +8,8 @@ and ends at ``j`` (bit ``j-1`` of ``mask`` stands for waypoint ``j``).
 Node 0 is the entry depot, reached only by the empty path.  The candidates
 of one dual evaluation differ only in their arc values, so one fill serves
 them all along the candidate axis (it sits before the node axis, so that
-the predecessor ``argmax`` runs along contiguous memory).
+the predecessor ``argmax`` runs along contiguous memory).  Each candidate's
+best route comes back as a :class:`PathTiming` timed at its bound times.
 
 The table is filled layer by layer (by visited-set size).  One gather over
 all of a layer's (mask, end node) states adds every predecessor state's
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .instance import ArcIndexTable
-from .relaxation import RelaxCoeffs
+from .relaxation import PathTiming, RelaxCoeffs
 
 _NEG = -1e300
 
@@ -69,15 +70,9 @@ def fill_bytes(n: int) -> int:
 
 
 @dataclass
-class Case1Result:
-    value: float
-    nodes: Tuple[int, ...]
-
-
-@dataclass
 class Case1Fill:
-    #: best route per idle candidate
-    results: Dict[int, Case1Result]
+    #: best timed route per idle candidate
+    results: Dict[int, PathTiming]
     #: reachable (end node, visited set) states over all candidates; the
     #: table prunes none
     labels_stored: int
@@ -136,9 +131,10 @@ def _fill(n: int, vin: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _best_routes(n: int, exit_id: int, dp: np.ndarray, par: np.ndarray,
-                 vexit: np.ndarray, vbars: Sequence[int]) -> List[Case1Result]:
-    """Best completion through the exit arc per candidate; ``vexit[k, j-1]``
-    is candidate ``k``'s value of arc ``j -> exit``."""
+                 vexit: np.ndarray, vbars: Sequence[int]
+                 ) -> List[Tuple[float, Tuple[int, ...]]]:
+    """Best completion (value, route) through the exit arc per candidate;
+    ``vexit[k, j-1]`` is candidate ``k``'s value of arc ``j -> exit``."""
     need = np.array([1 << (v - 1) if v else 0 for v in vbars])
     step = max(1, STATE_CHUNK_BYTES // (n * len(vbars) * 8))
     starts = range(0, 1 << n, step)
@@ -171,13 +167,14 @@ def _best_routes(n: int, exit_id: int, dp: np.ndarray, par: np.ndarray,
             route.append(node)
             mask, node = mask ^ (1 << (node - 1)), int(par[mask, k, node])
         route.append(0)
-        out.append(Case1Result(float(best[k]), tuple(reversed(route))))
+        out.append((float(best[k]), tuple(reversed(route))))
     return out
 
 
 def solve_case1(coeffs: RelaxCoeffs, vbars: Sequence[int],
                 table: ArcIndexTable) -> Case1Fill:
-    """Best simple route for each idle candidate in ``vbars``.
+    """Best simple route for each idle candidate in ``vbars``, timed at
+    the candidate's case-I bound times.
 
     A candidate's value is the maximum sum of arc values over routes from
     the entry to the exit depot through at least one waypoint; for
@@ -198,11 +195,15 @@ def solve_case1(coeffs: RelaxCoeffs, vbars: Sequence[int],
     vin = values[:, :n + 1].transpose(2, 0, 1)
     vexit = values[:, 1:n + 1, table.exit_id]
     step = max(1, TABLE_CHUNK_BYTES // ((1 << n) * (n + 1) * 9))
-    results: Dict[int, Case1Result] = {}
+    routes: List[Tuple[float, Tuple[int, ...]]] = []
     for k in range(0, len(vbars), step):
         dp, par = _fill(n, np.ascontiguousarray(vin[:, k:k + step]))
-        chunk = vbars[k:k + step]
-        results.update(zip(chunk, _best_routes(n, table.exit_id, dp, par,
-                                               vexit[k:k + step], chunk)))
+        routes += _best_routes(n, table.exit_id, dp, par, vexit[k:k + step],
+                               vbars[k:k + step])
+    times = coeffs.bound_times(vbars)
+    results = {
+        vbar: PathTiming(vbar, nodes,
+                         tuple(map(float, t[table.arc_ids(nodes)])), value)
+        for vbar, t, (value, nodes) in zip(vbars, times, routes)}
     states = len(vbars) * (n << (n - 1))
     return Case1Fill(results, states, states)

@@ -111,8 +111,8 @@ def build_coeffs(table: ArcIndexTable, instance: Instance,
         idle_set=tuple(idle_set),
         idle_gain=idle_gain,
         f_raw=f_raw,
-        t_lo=table.min_time.copy(),
-        t_hi=table.max_time.copy(),
+        t_lo=table.min_time,
+        t_hi=table.max_time,
     )
 
 
@@ -161,42 +161,30 @@ def assemble_f_value(coeffs: RelaxCoeffs,
 
 @dataclass(frozen=True)
 class CutCoeffs:
-    """Affine underestimator of the dual function.
+    """Affine underestimator ``gradient . lam + offset`` of the dual
+    function, tight at the multiplier vector its solution was computed for.
 
-    ``coverage`` is the per-target coverage delivered by the generating
-    solution; the cut reads ``(required - coverage) . lam +
-    priorities . coverage`` and is tight at the multiplier vector the
-    solution was computed for.
+    With ``coverage`` the per-target coverage the generating solution
+    delivers, ``gradient = required - coverage`` and ``offset = priorities .
+    coverage``.
     """
 
-    coverage: np.ndarray
-    required: np.ndarray
-    priorities: np.ndarray
-
-    @property
-    def gradient(self) -> np.ndarray:
-        return self.required - self.coverage
-
-    @property
-    def offset(self) -> float:
-        return float(self.priorities @ self.coverage)
+    gradient: np.ndarray
+    offset: float
 
     def value_at(self, lam: np.ndarray) -> float:
         return float(self.gradient @ lam) + self.offset
 
 
-def make_cut(coeffs: RelaxCoeffs, timing: PathTiming, table: ArcIndexTable,
+def make_cut(timing: PathTiming, table: ArcIndexTable,
              deadline: float) -> CutCoeffs:
-    """Build the cut generated by one relaxation solution.
-
-    The per-target coverage of the solution (idle time is the deadline
-    remainder when an idle stop is used) is exactly the cut's coefficient
-    vector.
-    """
+    """Build the cut generated by one relaxation solution from the
+    solution's per-target coverage (idle time is the deadline remainder
+    when an idle stop is used)."""
     vbar = timing.vbar
     idle_cov = table.waypoint_coverage_vector(vbar)
-    coverage = deadline * idle_cov.copy() if vbar != 0 else np.zeros(len(table.target_ids))
+    coverage = deadline * idle_cov if vbar != 0 else np.zeros(len(table.target_ids))
     for k, t in zip(table.arc_ids(timing.nodes), timing.times):
         coverage = coverage + (table.coverage_rate[k] - idle_cov) * t
-    return CutCoeffs(coverage=coverage, required=table.required.copy(),
-                     priorities=table.priorities.copy())
+    return CutCoeffs(gradient=table.required - coverage,
+                     offset=float(table.priorities @ coverage))

@@ -245,7 +245,7 @@ def test_criterion_7_improvement_direction():
             continue
         value0, cut0 = evaluate_dual_function(
             table, inst, np.zeros(len(table.target_ids)), case)
-        if np.all(cut0.coverage >= table.required - 1e-9):
+        if np.all(cut0.gradient <= 1e-9):  # required - coverage
             continue  # requirements not binding at the unconstrained optimum
         res = run_dual(inst, case, tol=1e-4, iter_limit=400, table=table)
         assert res.dual_bound < res.initial_bound - 1e-9

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import make_instance, random_desk_instance
 from coverage_routing.bundle import (CONVERGED, MASTER_INFEASIBLE,
-                                     DualState, _project_onto_polyhedron,
-                                     kkt_residual, run_dual, solve_master,
+                                     _project_onto_polyhedron, kkt_residual,
+                                     run_dual, solve_master,
                                      timing_to_solution)
 from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import (ValidateOptions, build_index_table,
@@ -17,52 +17,27 @@ from coverage_routing.relaxation import CutCoeffs, build_coeffs
 
 
 def _cut(gradient, offset):
-    # synthesize a cut with the requested affine form
-    g = np.asarray(gradient, dtype=float)
-    required = np.zeros_like(g)
-    priorities = np.ones_like(g)
-    coverage = -g  # required - coverage = gradient
-    # choose priorities so that priorities @ coverage = offset
-    s = float(priorities @ coverage)
-    if abs(s) > 1e-12:
-        priorities = priorities * (offset / s)
-    elif abs(offset) > 1e-12:
-        coverage = np.ones_like(g)
-        required = coverage + g
-        priorities = np.full_like(g, offset / float(coverage.sum()))
-    return CutCoeffs(coverage=coverage, required=required,
-                     priorities=priorities)
-
-
-class TestLevelParameter:
-    def test_midpoint(self):
-        state = DualState(lam_hat=np.zeros(2), cuts=[], lb=0.0, ub=10.0,
-                          phi=0.5, best_lam=np.zeros(2))
-        assert state.level() == 5.0
+    return CutCoeffs(np.asarray(gradient, dtype=float), float(offset))
 
 
 class TestSolveMaster:
     def test_feasible_center_projects_to_itself(self):
         lam = np.array([-1.0, -2.0])
         cut = _cut([1.0, 1.0], 0.0)  # cut value at lam = -3
-        state = DualState(lam_hat=lam, cuts=[cut], lb=-10.0, ub=0.0,
-                          phi=0.5, best_lam=lam)
-        # f_lev = -5 and the cut sits at -3 > -5? then lam is infeasible;
-        # flip: lb=0, ub=0 would converge. pick level above the cut value
-        state.lb = -2.0
-        state.ub = 0.0  # f_lev = -1 < cut(-3)? no: -1 > -3, feasible
-        res = solve_master(state)
+        res = solve_master(lam, [cut], -1.0)  # -3 <= f_lev: lam is feasible
         assert res.status == "feasible"
         assert np.allclose(res.lam, lam)
 
     def test_empty_level_set_reported(self):
         # single cut with nonpositive gradient: minimum over lam <= 0 is at 0
         cut = _cut([-1.0, -0.5], 4.0)
-        state = DualState(lam_hat=np.zeros(2), cuts=[cut], lb=0.0, ub=2.0,
-                          phi=0.5, best_lam=np.zeros(2))
         # cut minimum over lam <= 0 equals 4 > f_lev = 1
-        res = solve_master(state)
+        res = solve_master(np.zeros(2), [cut], 1.0)
         assert res.status == MASTER_INFEASIBLE
+
+    def test_empty_cut_pool_rejected(self):
+        with pytest.raises(ValueError):
+            solve_master(np.zeros(2), [], 1.0)
 
     def test_projection_kkt_residuals(self, rng):
         for _ in range(25):
@@ -123,6 +98,8 @@ class TestRunDual:
             assert all(a <= b + 1e-12 for a, b in zip(lbs, lbs[1:]))
             assert all(a >= b - 1e-12 for a, b in zip(ubs, ubs[1:]))
             for prev, row in zip(res.trace, res.trace[1:]):
+                # the level is the phi = 0.5 point of the previous bracket
+                assert row.f_lev == 0.5 * prev.lb + (1.0 - 0.5) * prev.ub
                 assert prev.lb - 1e-12 <= row.f_lev <= prev.ub + 1e-12
                 if row.master_status == MASTER_INFEASIBLE:
                     assert row.lb == row.f_lev
@@ -175,3 +152,11 @@ class TestRunDual:
             run_dual(inst, "I", phi=1.0)
         with pytest.raises(ValueError):
             run_dual(inst, "I", tol=0.0)
+        for limit in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                run_dual(inst, "I", time_limit=limit)
+        with pytest.raises(ValueError):
+            run_dual(inst, "I", iter_limit=0)
+        # an infinite time limit is no limit
+        res = run_dual(inst, "I", time_limit=math.inf, iter_limit=1)
+        assert res.iterations <= 1

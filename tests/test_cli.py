@@ -169,6 +169,33 @@ class TestSolveVerify:
                     str(desk_instance_file)]) == 4
         assert "Permission denied" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, dest", [
+        ("--out", "missing/x.json"),
+        ("--out", "."),
+        ("--out", "meta-dir"),
+        ("--out", "sol-dir"),
+        ("--solution", "missing/x.sol.json"),
+        ("--solution", "."),
+        ("--trace", "missing/tr.jsonl"),
+    ])
+    def test_unwritable_output_fails_before_solve(self, tmp_path, capsys,
+                                                  monkeypatch,
+                                                  desk_instance_file, flag,
+                                                  dest):
+        """A destination that cannot be written, including the ``.meta.json``
+        and ``.sol.json`` siblings of ``--out``, is an input error (exit 4)
+        found before the solve: nothing on stdout, no "solved in" line, and
+        no file left behind."""
+        (tmp_path / "meta-dir.meta.json").mkdir()
+        (tmp_path / "sol-dir.sol.json").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        assert run(["solve", str(desk_instance_file), flag, dest]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "input error" in err and "solved in" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_too_many_waypoints_input_error(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         path.write_text(json.dumps(too_many_waypoints_document()))

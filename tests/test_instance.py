@@ -150,10 +150,8 @@ class TestIndexTable:
             if (j, i) not in table.arc_id:
                 continue
             a, b = table.arc_id[(i, j)], table.arc_id[(j, i)]
-            assert np.allclose(table.cov_index[a], table.cov_index[b],
-                               rtol=1e-12, atol=1e-12)
-            assert np.allclose(table.cov_frac[a], table.cov_frac[b],
-                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(table.coverage_rate[a],
+                               table.coverage_rate[b], rtol=1e-12, atol=1e-12)
 
     def test_spot_entry_matches_direct_geometry(self):
         inst = generate_instance(33, 5, 6, coverage_radius=25.0)
@@ -165,8 +163,7 @@ class TestIndexTable:
         ci = arc_coverage_index(inst.point(2), inst.point(4), t.point,
                                 inst.vehicle.coverage_factor,
                                 inst.vehicle.coverage_radius, inst.eps_geo)
-        assert table.cov_index[k, col] == ci.per_time_index
-        assert table.cov_frac[k, col] == ci.frac
+        assert table.coverage_rate[k, col] == ci.per_time_index * ci.frac
 
 
 class TestArcEnergy:

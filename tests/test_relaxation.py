@@ -170,5 +170,7 @@ class TestConvexityAndCuts:
         for (i, j), t in zip(zip(value.best.nodes[:-1], value.best.nodes[1:]),
                              value.best.times):
             expect += table.coverage_rate[table.arc_id[(i, j)], 0] * t
-        assert cut.coverage[0] == pytest.approx(expect, rel=1e-12)
-        assert cut.coverage[0] < inst.deadline  # no T-sized term crept in
+        # offset = priority * coverage for the single target
+        coverage = cut.offset / table.priorities[0]
+        assert coverage == pytest.approx(expect, rel=1e-12)
+        assert coverage < inst.deadline  # no T-sized term crept in
