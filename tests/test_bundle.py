@@ -20,6 +20,21 @@ def _cut(gradient, offset):
     return CutCoeffs(np.asarray(gradient, dtype=float), float(offset))
 
 
+class TestLevelParameter:
+    def test_midpoint(self, rng):
+        # the first master level is the phi point of the initial bracket;
+        # phi = 0.5 puts it exactly at the midpoint
+        while True:
+            inst = random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6))
+            try:
+                res = run_dual(inst, "I", phi=0.5, iter_limit=1)
+            except InfeasibleInstanceError:
+                continue
+            if res.iterations == 1:
+                break
+        init, first = res.trace[0], res.trace[1]
+        assert init.lb < init.ub
+        assert first.f_lev == 0.5 * init.lb + 0.5 * init.ub
 class TestSolveMaster:
     def test_feasible_center_projects_to_itself(self):
         lam = np.array([-1.0, -2.0])
