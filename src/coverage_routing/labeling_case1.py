@@ -1,4 +1,8 @@
-"""Maximum-value simple-path search when the deadline never binds (case I).
+"""Maximum-value simple-path search without the deadline.
+
+This is the whole search in case I, where the deadline never binds.  In
+case II it is a screen: a candidate whose best route here fits the deadline
+needs no case-II search.
 
 Every arc's travel time is pre-optimized (bound-valued), so a route is scored
 by summing fixed arc values and the search is the Held-Karp dynamic program:
@@ -174,7 +178,7 @@ def _best_routes(n: int, exit_id: int, dp: np.ndarray, par: np.ndarray,
 def solve_case1(coeffs: RelaxCoeffs, vbars: Sequence[int],
                 table: ArcIndexTable) -> Case1Fill:
     """Best simple route for each idle candidate in ``vbars``, timed at
-    the candidate's case-I bound times.
+    the candidate's bound times (the deadline is ignored).
 
     A candidate's value is the maximum sum of arc values over routes from
     the entry to the exit depot through at least one waypoint; for
@@ -189,8 +193,9 @@ def solve_case1(coeffs: RelaxCoeffs, vbars: Sequence[int],
     nbytes = fill_bytes(n)
     if nbytes > MAX_TABLE_BYTES:
         raise SchemaError(
-            f"case I needs a {nbytes / 2**30:.1f} GiB table for {n} "
-            f"waypoints, above the {MAX_TABLE_BYTES / 2**30:.0f} GiB limit")
+            f"case {coeffs.case} needs a {nbytes / 2**30:.1f} GiB table for "
+            f"{n} waypoints, above the {MAX_TABLE_BYTES / 2**30:.0f} GiB "
+            f"limit")
     values = table.matrix(coeffs.arc_values(vbars), fill=_NEG)
     vin = values[:, :n + 1].transpose(2, 0, 1)
     vexit = values[:, 1:n + 1, table.exit_id]

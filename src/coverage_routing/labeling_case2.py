@@ -17,6 +17,11 @@ to be guessed during the search.
 The search is an elementary-path labeling algorithm (Feillet et al.,
 *Networks* 2004): labels are stored at their end node and expanded
 breadth-first by the number of interior waypoints they have visited.
+
+Under the slope key the dual evaluation runs it only where the deadline
+binds: for an idle candidate whose deadline-free best route (the
+``labeling_case1`` table) fits the deadline, that route is the optimum and
+no search runs.  The per-distance key searches every candidate.
 """
 
 from __future__ import annotations

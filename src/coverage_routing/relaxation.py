@@ -9,10 +9,12 @@ cost:
     net_rate(arc, vbar) = sum_w (priority_w - lam_w)
                           * (coverage_rate(arc, w) - idle_cov(vbar, w)).
 
-With a deadline slack enough to never bind (case I) the optimal travel time
-per arc is bound-valued and known from the sign of ``net_rate``; with a
-binding deadline (case II) the times stay free and the timing problem is a
-continuous knapsack solved by the labeling layer.
+Without the deadline the optimal travel time per arc is bound-valued and
+known from the sign of ``net_rate`` (:meth:`RelaxCoeffs.bound_times`).  With
+a deadline slack enough to never bind (case I) that timing is optimal.  In
+case II it is optimal for every idle candidate whose deadline-free best
+route fits the deadline; where the deadline binds, the times stay free and
+the timing problem is a continuous knapsack solved by the labeling layer.
 
 Each relaxation solution also yields an affine underestimator (cut) of the
 dual function, tight at the multiplier vector that produced it.
@@ -72,14 +74,12 @@ class RelaxCoeffs:
         return self.f_raw - self.idle_gain[vbar]
 
     def bound_times(self, vbar: Idle) -> np.ndarray:
-        """Case-I optimal times: slowest where the net rate is positive,
-        fastest otherwise."""
-        if self.case != CASE_I:
-            raise ValueError("bound-valued times are a case-I construct")
+        """Optimal times without the deadline, in either case: slowest where
+        the net rate is positive, fastest otherwise."""
         return np.where(self.net_rates(vbar) > 0.0, self.t_hi, self.t_lo)
 
     def arc_values(self, vbar: Idle) -> np.ndarray:
-        """Case-I value collected on each arc at its chosen time."""
+        """Value collected on each arc at its bound time."""
         return self.net_rates(vbar) * self.bound_times(vbar)
 
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import random_desk_instance, random_multipliers, relax_value
+from conftest import (case2_search_value, random_desk_instance,
+                      random_multipliers, relax_value)
 from coverage_routing.bundle import evaluate_dual_function, run_dual
 from coverage_routing.cli import main as cli_main
 from coverage_routing.errors import InfeasibleInstanceError
@@ -145,6 +146,11 @@ def test_criterion_4_labeling_case2():
         scale = max(1.0, abs(orc.value))
         assert abs(v_on.value - orc.value) <= 1e-8 * scale
         assert abs(v_off.value - orc.value) <= 1e-8 * scale
+        # the evaluation screens out most searches at these deadlines, so
+        # the search itself is checked for every candidate too
+        for dominance in (True, False):
+            v = case2_search_value(table, inst, lam, use_dominance=dominance)
+            assert abs(v.value - orc.value) <= 1e-8 * scale
         compared += 1
     elapsed = time.time() - t0
     assert elapsed < 300.0

@@ -4,9 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import make_instance, random_desk_instance
+from conftest import (case2_search_value, make_instance,
+                      random_desk_instance, random_multipliers)
+from coverage_routing import bundle
 from coverage_routing.bundle import (CONVERGED, MASTER_INFEASIBLE,
-                                     _project_onto_polyhedron, kkt_residual,
+                                     _project_onto_polyhedron,
+                                     evaluate_dual_function, kkt_residual,
                                      run_dual, solve_master,
                                      timing_to_solution)
 from coverage_routing.errors import InfeasibleInstanceError
@@ -35,6 +38,62 @@ class TestLevelParameter:
         init, first = res.trace[0], res.trace[1]
         assert init.lb < init.ub
         assert first.f_lev == 0.5 * init.lb + 0.5 * init.ub
+
+
+class TestCase2Screen:
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The idle candidates ``evaluate_dual_function`` searches, in call
+        order."""
+        calls = []
+        search = bundle.solve_case2
+
+        def counted(coeffs, vbar, *args, **kwargs):
+            calls.append(vbar)
+            return search(coeffs, vbar, *args, **kwargs)
+
+        monkeypatch.setattr(bundle, "solve_case2", counted)
+        return calls
+
+    def test_screened_evaluation_matches_all_search(self, rng, searched):
+        # at deadline scales 0.03 to 0.1 the deadline-free route fits for
+        # some candidates and overruns for others, so both branches run
+        screened = compared = 0
+        while compared < 40:
+            inst = random_desk_instance(rng, n_range=(3, 6), m_range=(2, 7),
+                                        case="II",
+                                        scale_choices=(0.03, 0.05, 0.07, 0.1))
+            table = build_index_table(inst)
+            m = len(table.target_ids)
+            lam = random_multipliers(rng, m) if compared % 2 else np.zeros(m)
+            idle = build_coeffs(table, inst, lam, "II").idle_set
+            before = len(searched)
+            try:
+                ref = case2_search_value(table, inst, lam)
+            except InfeasibleInstanceError:
+                with pytest.raises(InfeasibleInstanceError):
+                    evaluate_dual_function(table, inst, lam, "II")
+                continue
+            value, _ = evaluate_dual_function(table, inst, lam, "II")
+            assert abs(value.value - ref.value) <= \
+                1e-8 * max(1.0, abs(ref.value))
+            screened += len(idle) - (len(searched) - before)
+            compared += 1
+        assert screened and searched
+
+    def test_per_distance_searches_every_candidate(self, searched):
+        inst = generate_instance(12, 5, 7, case="II", coverage_radius=25.0)
+        table = build_index_table(inst)
+        lam = np.zeros(len(table.target_ids))
+        idle = build_coeffs(table, inst, lam, "II").idle_set
+        evaluate_dual_function(table, inst, lam, "II", ratio_mode="slope")
+        assert len(searched) < len(idle)
+        searched.clear()
+        evaluate_dual_function(table, inst, lam, "II",
+                               ratio_mode="per-distance")
+        assert searched == list(idle)
+
+
 class TestSolveMaster:
     def test_feasible_center_projects_to_itself(self):
         lam = np.array([-1.0, -2.0])

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_desk_instance, random_multipliers, relax_value
+from conftest import (case2_search_value, random_desk_instance,
+                      random_multipliers, relax_value)
 from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import build_index_table, generate_instance
 from coverage_routing.labeling_case2 import (Case2Solver, LabelC2,
@@ -299,6 +300,10 @@ class TestSolveCase2:
             scale = max(1.0, abs(orc.value))
             assert abs(v_on.value - orc.value) <= 1e-8 * scale
             assert abs(v_off.value - orc.value) <= 1e-8 * scale
+            for dominance in (True, False):
+                v = case2_search_value(table, inst, lam,
+                                       use_dominance=dominance)
+                assert abs(v.value - orc.value) <= 1e-8 * scale
             compared += 1
 
     def test_threshold_structure_of_solutions(self, rng):

@@ -61,12 +61,20 @@ class TestBuildCoeffs:
             assert np.all(base >= flipped_hi - 1e-12)
             assert np.all(base >= flipped_lo - 1e-12)
 
-    def test_case2_keeps_times_free(self):
+    def test_case2_bound_times_follow_sign_rule(self):
+        # bound times are the deadline-free optimum in case II as well; the
+        # case-II screen checks its candidates' routes against the deadline
+        # at these times
         inst = generate_instance(11, 3, 4, case="II", coverage_radius=30.0)
         table = _table(inst)
-        coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "II")
-        with pytest.raises(ValueError):
-            coeffs.bound_times(0)
+        lam = random_multipliers(random.Random(1), len(table.target_ids))
+        coeffs = build_coeffs(table, inst, lam, "II")
+        times = coeffs.bound_times(coeffs.idle_set)
+        for vbar, row in zip(coeffs.idle_set, times):
+            net = coeffs.net_rates(vbar)
+            assert np.array_equal(row, coeffs.bound_times(vbar))
+            assert np.all(row[net > 0] == coeffs.t_hi[net > 0])
+            assert np.all(row[net <= 0] == coeffs.t_lo[net <= 0])
 
 
 class TestAssemble:
