@@ -3,16 +3,16 @@
 Dualizing the per-target coverage requirements at multipliers <= 0 leaves a
 best-route problem per idle candidate.  With a slack deadline every arc's
 travel time is bound-valued up front (case I) and one table fill solves all
-candidates.  Under a deadline (case II) the same fill screens the
-candidates: where a candidate's deadline-free best route fits the deadline,
-no route does better.  Only where the deadline binds is the timing a
-continuous knapsack threaded through a search for that candidate.  Both
-cases are checked against exhaustive enumeration.
+candidates.  Under a deadline (case II) one call solves them too: the same
+fill, without the deadline, settles every candidate whose best route fits
+it, and only where the deadline binds is the timing a continuous knapsack
+threaded through a search for that candidate.  Both cases are checked
+against exhaustive enumeration.
 """
 
 import numpy as np
 
-from coverage_routing import (build_coeffs, build_index_table,
+from coverage_routing import (Case2Solver, build_coeffs, build_index_table,
                               evaluate_dual_function, generate_instance,
                               oracle_relaxation, solve_case1, solve_case2)
 
@@ -51,35 +51,39 @@ table2 = build_index_table(inst_tight)
 coeffs2 = build_coeffs(table2, inst_tight, lam, "II")
 T = inst_tight.deadline
 print(f"\ndeadline T = {T:.1f}")
-# the deadline-free fill: a candidate whose best route fits T needs no search
+# one call answers every candidate; it searches only where the deadline-free
+# best route (the case-I fill, without the deadline) overruns the deadline
+routes = solve_case2(coeffs2, coeffs2.idle_set, T, table2)
 free = solve_case1(coeffs2, coeffs2.idle_set, table2).results
+print(f"searches stored {routes.labels_stored} labels, "
+      f"{routes.labels_alive} left alive")
 best2 = None
-for vbar in coeffs2.idle_set:
+for vbar, res in routes.results.items():
     free_time = sum(free[vbar].times)
     # the search runs here for every candidate, to show that it agrees with
-    # the screen; evaluate_dual_function runs it only where the deadline binds
-    res = solve_case2(coeffs2, vbar, T, table2)
+    # the screen
+    search = Case2Solver(coeffs2, vbar, T, table2).solve()
     if res is None:
-        print(f"  idle candidate {vbar}: no route fits the deadline")
+        print(f"  idle candidate {vbar}: no route fits the deadline "
+              f"(search agrees: {search is None})")
         continue
     gain = T * coeffs2.idle_gain[vbar] if vbar else 0.0
     total = coeffs2.constant + gain + res.value
-    ids = [table2.arc_id[a] for a in zip(res.nodes[:-1], res.nodes[1:])]
+    ids = table2.arc_ids(res.nodes)
     lo, hi = coeffs2.t_lo[ids], coeffs2.t_hi[ids]
     t = np.asarray(res.times)
     interior = int(np.sum((t > lo + 1e-9) & (t < hi - 1e-9)))
-    if free_time <= T:
-        how = (f"deadline-free route fits ({free_time:.1f}), "
-               f"search agrees: {abs(res.value - free[vbar].value) < 1e-8}")
-    else:
-        how = f"deadline binds ({free_time:.1f}), searched"
+    how = (f"deadline-free route fits ({free_time:.1f}), settled"
+           if free_time <= T else f"deadline binds ({free_time:.1f}), searched")
+    agrees = search is not None and abs(search.value - res.value) < 1e-8
     print(f"  idle candidate {vbar}: route {res.nodes} value {total:.3f} "
-          f"({interior} arc between its speed bounds; {how})")
+          f"({interior} arc between its speed bounds; {how}; "
+          f"search agrees: {agrees})")
     if best2 is None or total > best2[0]:
         best2 = (total, vbar)
 value2, _ = evaluate_dual_function(table2, inst_tight, lam, "II")
 orc2 = oracle_relaxation(table2, inst_tight, lam, "II")
 print(f"case-II relaxation value: {best2[0]:.6f} "
-      f"(screened evaluation {value2.value:.6f})")
+      f"(evaluate_dual_function {value2.value:.6f})")
 agree2 = max(abs(orc2.value - best2[0]), abs(orc2.value - value2.value)) < 1e-8
 print(f"exhaustive enumeration:   {orc2.value:.6f} (agree: {agree2})")

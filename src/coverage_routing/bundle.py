@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .errors import MasterNumericsError
 from .instance import (ArcIndexTable, Instance, PathSolution,
                        build_index_table)
 from .labeling_case1 import solve_case1
-from .labeling_case2 import RATIO_SLOPE, knapsack_times, solve_case2
-from .relaxation import (CASE_I, CASE_II, CutCoeffs, PathTiming, RelaxValue,
+from .labeling_case2 import RATIO_SLOPE, solve_case2
+from .relaxation import (CASE_I, CutCoeffs, PathTiming, RelaxValue,
                          assemble_f_value, build_coeffs, make_cut)
 from .simplex import OPTIMAL, dense_lp_solve
 
@@ -189,40 +189,20 @@ def evaluate_dual_function(table: ArcIndexTable, instance: Instance,
                            lam: Sequence[float], case: str,
                            ratio_mode: str = RATIO_SLOPE,
                            use_dominance: bool = True) -> Tuple[RelaxValue, CutCoeffs]:
-    """Exact dual-function value at ``lam``: solve one path problem per idle
-    candidate and keep the best, plus the cut it generates.  Case I fills
-    one table for all candidates.
+    """Exact dual-function value at ``lam``: the best path over the idle
+    candidates, plus the cut it generates.  One labeling call answers every
+    candidate: a table fill in case I, the screened search of
+    ``labeling_case2`` in case II.
 
-    Case II under the slope key fills the same table first, at bound times
-    and without the deadline.  A candidate whose deadline-free best route
-    fits the deadline takes that route, timed as the search would time it:
-    no route can do better under the deadline.  Only candidates whose
-    deadline-free route overruns it search on their own.  Under the
-    per-distance key, a heuristic order, every candidate searches.
-
-    ``ratio_mode`` and ``use_dominance`` steer the case-II search only; the
-    table has neither."""
+    ``ratio_mode`` and ``use_dominance`` steer the case-II search only."""
     coeffs = build_coeffs(table, instance, lam, case)
     T = instance.deadline
-    results: Dict[int, Optional[PathTiming]] = {}
-    if case == CASE_I or ratio_mode == RATIO_SLOPE:
-        results = solve_case1(coeffs, coeffs.idle_set, table).results
-    if case == CASE_II:
-        for vbar in coeffs.idle_set:
-            free = results.get(vbar)
-            if free is not None and float(np.sum(free.times)) <= T:
-                ids = table.arc_ids(free.nodes)
-                net = coeffs.net_rates(vbar)[ids]
-                times, value = knapsack_times(net, coeffs.t_lo[ids],
-                                              coeffs.t_hi[ids], T, net)
-                results[vbar] = PathTiming(vbar, free.nodes,
-                                           tuple(map(float, times)), value)
-                continue
-            res2 = solve_case2(coeffs, vbar, T, table, ratio_mode=ratio_mode,
-                               use_dominance=use_dominance)
-            results[vbar] = None if res2 is None else PathTiming(
-                vbar, res2.nodes, res2.times, res2.value)
-    value = assemble_f_value(coeffs, results, T)
+    if case == CASE_I:
+        routes = solve_case1(coeffs, coeffs.idle_set, table)
+    else:
+        routes = solve_case2(coeffs, coeffs.idle_set, T, table, ratio_mode,
+                             use_dominance)
+    value = assemble_f_value(coeffs, routes.results, T)
     cut = make_cut(value.best, table, T)
     return value, cut
 

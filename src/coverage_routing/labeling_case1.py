@@ -1,8 +1,7 @@
 """Maximum-value simple-path search without the deadline.
 
 This is the whole search in case I, where the deadline never binds.  In
-case II it is a screen: a candidate whose best route here fits the deadline
-needs no case-II search.
+case II it is the screen described in ``labeling_case2``.
 
 Every arc's travel time is pre-optimized (bound-valued), so a route is scored
 by summing fixed arc values and the search is the Held-Karp dynamic program:
@@ -43,14 +42,13 @@ visited waypoints.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import SchemaError
 from .instance import ArcIndexTable
-from .relaxation import PathTiming, RelaxCoeffs
+from .relaxation import BestRoutes, PathTiming, RelaxCoeffs
 
 _NEG = -1e300
 
@@ -71,16 +69,6 @@ def fill_bytes(n: int) -> int:
     one = (1 << n) * (n + 1) * 9
     return max(one, TABLE_CHUNK_BYTES) + 9 * ((n << n) >> 1) \
         + 4 * STATE_CHUNK_BYTES
-
-
-@dataclass
-class Case1Fill:
-    #: best timed route per idle candidate
-    results: Dict[int, PathTiming]
-    #: reachable (end node, visited set) states over all candidates; the
-    #: table prunes none
-    labels_stored: int
-    labels_alive: int
 
 
 @functools.lru_cache(maxsize=1)
@@ -176,7 +164,7 @@ def _best_routes(n: int, exit_id: int, dp: np.ndarray, par: np.ndarray,
 
 
 def solve_case1(coeffs: RelaxCoeffs, vbars: Sequence[int],
-                table: ArcIndexTable) -> Case1Fill:
+                table: ArcIndexTable) -> BestRoutes:
     """Best simple route for each idle candidate in ``vbars``, timed at
     the candidate's bound times (the deadline is ignored).
 
@@ -184,6 +172,8 @@ def solve_case1(coeffs: RelaxCoeffs, vbars: Sequence[int],
     the entry to the exit depot through at least one waypoint; for
     ``vbar != 0`` only routes visiting ``vbar`` qualify.  It excludes the
     multiplier constant and the idle-gain term, which the caller adds.
+    The label counts are the reachable (end node, visited set) states over
+    all candidates; the table prunes none.
     """
     n = table.n
     vbars = tuple(vbars)
@@ -211,4 +201,4 @@ def solve_case1(coeffs: RelaxCoeffs, vbars: Sequence[int],
                          tuple(map(float, t[table.arc_ids(nodes)])), value)
         for vbar, t, (value, nodes) in zip(vbars, times, routes)}
     states = len(vbars) * (n << (n - 1))
-    return Case1Fill(results, states, states)
+    return BestRoutes(results, states, states)

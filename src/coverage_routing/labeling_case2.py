@@ -18,22 +18,24 @@ The search is an elementary-path labeling algorithm (Feillet et al.,
 *Networks* 2004): labels are stored at their end node and expanded
 breadth-first by the number of interior waypoints they have visited.
 
-Under the slope key the dual evaluation runs it only where the deadline
-binds: for an idle candidate whose deadline-free best route (the
-``labeling_case1`` table) fits the deadline, that route is the optimum and
-no search runs.  The per-distance key searches every candidate.
+The screen: :func:`solve_case2` first fills the deadline-free
+``labeling_case1`` table for all idle candidates.  A candidate whose best
+route there fits the deadline at its bound times takes that route, timed
+at those bound times under either key order; no route beats its
+deadline-free value.  Only the other candidates are searched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .instance import ArcIndexTable
-from .relaxation import RelaxCoeffs
+from .labeling_case1 import solve_case1
+from .relaxation import BestRoutes, PathTiming, RelaxCoeffs
 
 _NEG = -1e300
 
@@ -218,15 +220,23 @@ def knapsack_times(net: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
     return times, float(net @ times)
 
 
-@dataclass
-class Case2Result:
-    value: float
-    nodes: Tuple[int, ...]
-    times: Tuple[float, ...]
-    label: LabelC2
-    labels_stored: int
-    labels_alive: int
-    envelope_violations: int
+def _ratio_keys(net: np.ndarray, dist: np.ndarray, ratio_mode: str) -> np.ndarray:
+    """Tradeoff-arc keys: ``net`` itself, or per unit of ``dist``."""
+    if ratio_mode not in (RATIO_SLOPE, RATIO_PER_DISTANCE):
+        raise ValueError(f"unknown ratio mode {ratio_mode!r}")
+    return net if ratio_mode == RATIO_SLOPE else net / dist
+
+
+def _time_route(vbar: int, nodes: Sequence[int], arcs, net: np.ndarray,
+                t_lo: np.ndarray, t_hi: np.ndarray, keys: np.ndarray,
+                T: float) -> Optional[PathTiming]:
+    """Knapsack timing of route ``nodes``, whose arcs ``arcs`` picks in
+    route order from the other arrays; None when it cannot meet ``T``."""
+    timed = knapsack_times(net[arcs], t_lo[arcs], t_hi[arcs], T, keys[arcs])
+    if timed is None:
+        return None
+    times, value = timed
+    return PathTiming(vbar, tuple(nodes), tuple(map(float, times)), value)
 
 
 class Case2Solver:
@@ -235,8 +245,6 @@ class Case2Solver:
     def __init__(self, coeffs: RelaxCoeffs, vbar: int, T: float,
                  table: ArcIndexTable, ratio_mode: str = RATIO_SLOPE,
                  use_dominance: bool = True):
-        if ratio_mode not in (RATIO_SLOPE, RATIO_PER_DISTANCE):
-            raise ValueError(f"unknown ratio mode {ratio_mode!r}")
         n = table.n
         if not (vbar == 0 or 1 <= vbar <= n):
             raise ValueError(f"idle candidate {vbar} is not a waypoint id")
@@ -250,14 +258,10 @@ class Case2Solver:
         self.use_dominance = use_dominance
         net = coeffs.net_rates(vbar)
         self.net_m = table.matrix(net, fill=_NEG)
+        self.key_m = table.matrix(_ratio_keys(net, table.arc_dist, ratio_mode),
+                                  fill=_NEG)
         self.tlo_m = table.matrix(coeffs.t_lo, fill=math.inf)
         self.thi_m = table.matrix(coeffs.t_hi, fill=math.inf)
-        if ratio_mode == RATIO_SLOPE:
-            self.key_m = self.net_m
-        else:
-            # arcs have positive length; the 1.0 fill keeps net_m's fill
-            # wherever there is no arc
-            self.key_m = self.net_m / table.matrix(table.arc_dist, fill=1.0)
         self.dist = table.node_dist
         self.speed_max = table.instance.vehicle.speed_max
         self.stores = [Store() for _ in range(n + 1)]
@@ -389,26 +393,22 @@ class Case2Solver:
                             step(label, j)
             starts = ends
 
-    def _complete(self, label: LabelC2) -> Optional[Tuple]:
-        """Exact timing of the label's route closed by the exit arc:
-        ``(value, nodes, times, label)``, or None when it cannot meet
-        ``T``."""
+    def _complete(self, label: LabelC2) -> Optional[PathTiming]:
+        """Exact timing of the label's route closed by the exit arc, or None
+        when it cannot meet ``T``."""
         if label.time + self.tlo_m[label.node, self.exit_id] > self.T:
             return None
         nodes = reconstruct(label) + [self.exit_id]
         path = np.array(nodes)
-        arcs = (path[:-1], path[1:])
-        timed = knapsack_times(self.net_m[arcs], self.tlo_m[arcs],
-                               self.thi_m[arcs], self.T, self.key_m[arcs])
-        if timed is None:
-            return None
-        times, value = timed
-        return value, nodes, times, label
+        return _time_route(self.vbar, nodes, (path[:-1], path[1:]),
+                           self.net_m, self.tlo_m, self.thi_m, self.key_m,
+                           self.T)
 
-    def solve(self) -> Optional[Case2Result]:
+    def solve(self) -> Optional[PathTiming]:
         """Search, then return the first strict maximum over the alive
         labels' completions in node order, then insertion order; labels that
-        skipped the idle stop are not completed."""
+        skipped the idle stop are not completed.  None when no route through
+        the idle stop fits ``T``."""
         self._search()
         best = None
         for st in self.stores[1:]:
@@ -417,25 +417,37 @@ class Case2Solver:
                 if self.vb_bit and not label.mask & self.vb_bit:
                     continue
                 done = self._complete(label)
-                if done is not None and (best is None or done[0] > best[0]):
+                if done is not None and (best is None or done.value > best.value):
                     best = done
-        if best is None:
-            return None
-        value, nodes, times, label = best
-        stored = sum(st.size for st in self.stores)
-        alive = sum(int(st.alive[:st.size].sum()) for st in self.stores)
-        return Case2Result(value, tuple(nodes), tuple(float(x) for x in times),
-                           label, stored, alive, self.envelope_violations)
+        return best
 
 
-def solve_case2(coeffs: RelaxCoeffs, vbar: int, T: float,
+def solve_case2(coeffs: RelaxCoeffs, vbars: Sequence[int], T: float,
                 table: ArcIndexTable, ratio_mode: str = RATIO_SLOPE,
-                use_dominance: bool = True) -> Optional[Case2Result]:
-    """Best deadline-feasible route for one idle candidate, or None when no
-    route through it fits ``T``.
+                use_dominance: bool = True) -> BestRoutes:
+    """Best deadline-feasible route for each idle candidate in ``vbars``
+    (None where none fits ``T``), searching only where the module's screen
+    does not settle it; the label counts cover the searches.
 
-    The returned value is the route's exact optimal timing value (at most one
-    arc strictly between its speed bounds); multiplier constants and the
+    A value is the route's exact optimal timing value (at most one arc
+    strictly between its speed bounds); multiplier constants and the
     idle-gain term are the caller's to add.
     """
-    return Case2Solver(coeffs, vbar, T, table, ratio_mode, use_dominance).solve()
+    vbars = tuple(vbars)
+    nets = coeffs.net_rates(vbars)
+    keys = _ratio_keys(nets, table.arc_dist, ratio_mode)
+    free = solve_case1(coeffs, vbars, table).results
+    results = {}
+    stored = alive = 0
+    for vbar, net, key in zip(vbars, nets, keys):
+        route = free[vbar]
+        if float(np.sum(route.times)) <= T:
+            results[vbar] = _time_route(vbar, route.nodes,
+                                        table.arc_ids(route.nodes), net,
+                                        coeffs.t_lo, coeffs.t_hi, key, T)
+            continue
+        solver = Case2Solver(coeffs, vbar, T, table, ratio_mode, use_dominance)
+        results[vbar] = solver.solve()
+        stored += sum(st.size for st in solver.stores)
+        alive += sum(int(st.alive[:st.size].sum()) for st in solver.stores)
+    return BestRoutes(results, stored, alive)

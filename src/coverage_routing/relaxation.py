@@ -12,9 +12,8 @@ cost:
 Without the deadline the optimal travel time per arc is bound-valued and
 known from the sign of ``net_rate`` (:meth:`RelaxCoeffs.bound_times`).  With
 a deadline slack enough to never bind (case I) that timing is optimal.  In
-case II it is optimal for every idle candidate whose deadline-free best
-route fits the deadline; where the deadline binds, the times stay free and
-the timing problem is a continuous knapsack solved by the labeling layer.
+case II the times stay free: the timing problem is a continuous knapsack,
+and ``labeling_case2`` says where the bound timing still settles it.
 
 Each relaxation solution also yields an affine underestimator (cut) of the
 dual function, tight at the multiplier vector that produced it.
@@ -124,6 +123,16 @@ class PathTiming:
     nodes: Tuple[int, ...]
     times: Tuple[float, ...]
     value: float                   # sum of net_rate * time over the path
+
+
+@dataclass
+class BestRoutes:
+    """Best timed route per idle candidate (None where no route fits), and
+    the labels or table states the labeling stored and left alive."""
+
+    results: Dict[int, Optional[PathTiming]]
+    labels_stored: int
+    labels_alive: int
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from coverage_routing.bundle import evaluate_dual_function
-from coverage_routing.labeling_case2 import solve_case2
-from coverage_routing.relaxation import (PathTiming, assemble_f_value,
-                                         build_coeffs)
+from coverage_routing.labeling_case2 import Case2Solver
+from coverage_routing.relaxation import assemble_f_value, build_coeffs
 from coverage_routing.instance import (Instance, Physics, Target, Vehicle,
                                        Waypoint, build_index_table,
                                        finalize_instance, generate_instance,
@@ -83,16 +82,15 @@ def relax_value(table, inst, lam, case, use_dominance=True,
     return value
 
 
-def case2_search_value(table, inst, lam, use_dominance=True):
+def case2_search_value(table, inst, lam, use_dominance=True,
+                       ratio_mode="slope"):
     """Case-II relaxation value with a search for every idle candidate, the
-    deadline-free screen of :func:`evaluate_dual_function` left out."""
+    deadline-free screen of :func:`solve_case2` left out."""
     coeffs = build_coeffs(table, inst, lam, "II")
-    results = {}
-    for vbar in coeffs.idle_set:
-        res = solve_case2(coeffs, vbar, inst.deadline, table,
-                          use_dominance=use_dominance)
-        results[vbar] = None if res is None else PathTiming(
-            vbar, res.nodes, res.times, res.value)
+    results = {
+        vbar: Case2Solver(coeffs, vbar, inst.deadline, table, ratio_mode,
+                          use_dominance).solve()
+        for vbar in coeffs.idle_set}
     return assemble_f_value(coeffs, results, inst.deadline)
 
 

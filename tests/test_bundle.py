@@ -6,7 +6,6 @@ import pytest
 
 from conftest import (case2_search_value, make_instance,
                       random_desk_instance, random_multipliers)
-from coverage_routing import bundle
 from coverage_routing.bundle import (CONVERGED, MASTER_INFEASIBLE,
                                      _project_onto_polyhedron,
                                      evaluate_dual_function, kkt_residual,
@@ -15,6 +14,7 @@ from coverage_routing.bundle import (CONVERGED, MASTER_INFEASIBLE,
 from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import (ValidateOptions, build_index_table,
                                        generate_instance, validate_solution)
+from coverage_routing.labeling_case2 import Case2Solver
 from coverage_routing.oracle import oracle_primal
 from coverage_routing.relaxation import CutCoeffs, build_coeffs
 
@@ -43,23 +43,27 @@ class TestLevelParameter:
 class TestCase2Screen:
     @pytest.fixture
     def searched(self, monkeypatch):
-        """The idle candidates ``evaluate_dual_function`` searches, in call
-        order."""
+        """The idle candidates a case-II search runs for, in call order."""
         calls = []
-        search = bundle.solve_case2
+        search = Case2Solver.solve
 
-        def counted(coeffs, vbar, *args, **kwargs):
-            calls.append(vbar)
-            return search(coeffs, vbar, *args, **kwargs)
+        def counted(solver):
+            calls.append(solver.vbar)
+            return search(solver)
 
-        monkeypatch.setattr(bundle, "solve_case2", counted)
+        monkeypatch.setattr(Case2Solver, "solve", counted)
         return calls
 
-    def test_screened_evaluation_matches_all_search(self, rng, searched):
+    @staticmethod
+    def _compare(rng, searched, count, ratio_mode="slope",
+                 use_dominance=True):
+        """Screened evaluations of ``count`` random desk evaluations against
+        a search for every candidate; returns how many candidates the
+        evaluations screened and searched."""
         # at deadline scales 0.03 to 0.1 the deadline-free route fits for
         # some candidates and overruns for others, so both branches run
-        screened = compared = 0
-        while compared < 40:
+        screened = searches = compared = 0
+        while compared < count:
             inst = random_desk_instance(rng, n_range=(3, 6), m_range=(2, 7),
                                         case="II",
                                         scale_choices=(0.03, 0.05, 0.07, 0.1))
@@ -67,31 +71,45 @@ class TestCase2Screen:
             m = len(table.target_ids)
             lam = random_multipliers(rng, m) if compared % 2 else np.zeros(m)
             idle = build_coeffs(table, inst, lam, "II").idle_set
-            before = len(searched)
+            kw = dict(ratio_mode=ratio_mode, use_dominance=use_dominance)
             try:
-                ref = case2_search_value(table, inst, lam)
+                ref = case2_search_value(table, inst, lam, **kw)
             except InfeasibleInstanceError:
                 with pytest.raises(InfeasibleInstanceError):
-                    evaluate_dual_function(table, inst, lam, "II")
+                    evaluate_dual_function(table, inst, lam, "II", **kw)
                 continue
-            value, _ = evaluate_dual_function(table, inst, lam, "II")
+            before = len(searched)
+            value, _ = evaluate_dual_function(table, inst, lam, "II", **kw)
             assert abs(value.value - ref.value) <= \
                 1e-8 * max(1.0, abs(ref.value))
+            searches += len(searched) - before
             screened += len(idle) - (len(searched) - before)
             compared += 1
-        assert screened and searched
+        return screened, searches
 
-    def test_per_distance_searches_every_candidate(self, searched):
-        inst = generate_instance(12, 5, 7, case="II", coverage_radius=25.0)
+    def test_screened_evaluation_matches_all_search(self, rng, searched):
+        screened, searches = self._compare(rng, searched, 40)
+        assert screened and searches
+
+    @pytest.mark.parametrize("ratio_mode", ["slope", "per-distance"])
+    @pytest.mark.parametrize("use_dominance", [True, False])
+    def test_screen_is_exact_under_both_keys(self, rng, searched, ratio_mode,
+                                             use_dominance):
+        # a settled candidate's route takes its bound times under either
+        # key order, and no route beats its deadline-free value
+        screened, searches = self._compare(rng, searched, 15, ratio_mode,
+                                           use_dominance)
+        assert screened and searches
+
+    def test_unknown_ratio_mode_fails_before_the_screen(self, searched):
+        inst = generate_instance(0, 5, 8, case="II")
         table = build_index_table(inst)
         lam = np.zeros(len(table.target_ids))
-        idle = build_coeffs(table, inst, lam, "II").idle_set
-        evaluate_dual_function(table, inst, lam, "II", ratio_mode="slope")
-        assert len(searched) < len(idle)
-        searched.clear()
-        evaluate_dual_function(table, inst, lam, "II",
-                               ratio_mode="per-distance")
-        assert searched == list(idle)
+        evaluate_dual_function(table, inst, lam, "II")
+        assert not searched  # the screen settles every candidate
+        with pytest.raises(ValueError, match="unknown ratio mode"):
+            evaluate_dual_function(table, inst, lam, "II",
+                                   ratio_mode="per-time")
 
 
 class TestSolveMaster:

@@ -316,15 +316,16 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
-def _solve_capped(inst):
-    """``covroute solve inst`` in a child under a 4 GiB address-space
-    limit, so that a solve that allocates past it fails fast with
-    MemoryError instead of exhausting memory."""
+def _solve_capped(inst, *flags):
+    """``covroute solve inst [flags]`` in a child under a 4 GiB
+    address-space limit, so that a solve that allocates past it fails fast
+    with MemoryError instead of exhausting memory."""
     src = str(Path(coverage_routing.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "coverage_routing.cli", "solve", str(inst)],
+        [sys.executable, "-m", "coverage_routing.cli", "solve", str(inst),
+         *flags],
         capture_output=True, text=True, env=env, timeout=300,
         preexec_fn=_limit_address_space)
 
@@ -342,10 +343,12 @@ def test_oversized_case1_table_input_error(tmp_path):
 
 def test_oversized_case2_fill_input_error(tmp_path):
     """Case II fills the same table (without the deadline) before any
-    search, so 30 case-II waypoints are refused up front too (exit 4)."""
+    search, under either key order, so 30 case-II waypoints are refused up
+    front too (exit 4)."""
     inst = tmp_path / "inst.json"
     assert run(["gen", "--waypoints", "30", "--targets", "3", "--case", "II",
                 "--out", str(inst)]) == 0
-    proc = _solve_capped(inst)
-    assert proc.returncode == 4, proc.stderr
-    assert "case II needs a 414.0 GiB table" in proc.stderr
+    for mode in ("slope", "per-distance"):
+        proc = _solve_capped(inst, "--ratio-mode", mode)
+        assert proc.returncode == 4, proc.stderr
+        assert "case II needs a 414.0 GiB table" in proc.stderr

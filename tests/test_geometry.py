@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coverage_routing.errors import DegenerateSegmentError, TargetTooCloseError
@@ -62,22 +64,21 @@ class TestChordDiskIntersect:
         with pytest.raises(ValueError):
             chord_disk_intersect(Point2(0, 0), Point2(1, 0), Point2(0, 0), 0.0)
 
-    def test_endpoints_on_circle_or_original(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            a = Point2(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            b = Point2(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            if dist(a, b) == 0.0:
-                continue
-            c = Point2(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            r = rng.uniform(0.3, 4.0)
-            ch = chord_disk_intersect(a, b, c, r)
-            if ch.is_empty:
-                continue
-            for p, orig in ((ch.p_start, a), (ch.p_end, b)):
-                on_circle = abs(dist(p, c) - r) <= 1e-9
-                is_original = dist(p, orig) <= 1e-9 and dist(p, c) <= r + 1e-9
-                assert on_circle or is_original
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @given(*[st.floats(-100.0, 100.0)] * 6, st.floats(0.01, 100.0))
+    def test_endpoints_on_circle_or_original(self, ax, ay, bx, by, cx, cy, r):
+        """A segment end outside the disk is cut back to a point on the
+        circle, and one inside is kept, both to a few ulps of the largest
+        coordinate."""
+        a, b, c = Point2(ax, ay), Point2(bx, by), Point2(cx, cy)
+        assume(dist(a, b) > 1e-6)
+        ch = chord_disk_intersect(a, b, c, r)
+        assume(not ch.is_empty)
+        ulp = math.ulp(max(map(abs, (ax, ay, bx, by, cx, cy, r))))
+        for p, orig in ((ch.p_start, a), (ch.p_end, b)):
+            on_circle = abs(dist(p, c) - r) <= 8 * ulp
+            assert on_circle or (dist(orig, c) <= r
+                                 and dist(p, orig) <= 8 * ulp)
 
 
 class TestArcIndices:

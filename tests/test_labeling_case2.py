@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (case2_search_value, random_desk_instance,
                       random_multipliers, relax_value)
@@ -102,33 +104,38 @@ class TestExtensionRules:
         assert fast.u0_key == 1.5 and fast.u1_key == 2.0
 
     def test_incremental_time_matches_scratch_recompute(self, rng):
+        checked = 0
         for _ in range(5):
             inst = random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6),
                                         case="II")
             table = build_index_table(inst)
             coeffs = build_coeffs(table, inst,
                                   np.zeros(len(table.target_ids)), "II")
-            res = solve_case2(coeffs, 0, inst.deadline, table)
-            if res is None:
-                continue
-            label = res.label
-            chain = []
-            cur = label
-            while cur is not None and cur.parent is not None:
-                chain.append(cur)
-                cur = cur.parent
-            chain.reverse()
-            t = 0.0
-            v = 0.0
-            prev = 0
-            for lab in chain:
-                arc_t = (coeffs.t_hi if lab.last_u == 1 else
-                         coeffs.t_lo)[table.arc_id[(prev, lab.node)]]
-                t += arc_t
-                v += coeffs.net_rates(0)[table.arc_id[(prev, lab.node)]] * arc_t
-                prev = lab.node
-            assert t == pytest.approx(label.time, abs=1e-12)
-            assert v == pytest.approx(label.value, abs=1e-10)
+            net = coeffs.net_rates(0)
+            solver = Case2Solver(coeffs, 0, inst.deadline, table)
+            solver.solve()
+            for store in solver.stores:
+                for idx in np.flatnonzero(store.alive[:store.size]):
+                    label = store.labels[idx]
+                    chain = []
+                    cur = label
+                    while cur.parent is not None:
+                        chain.append(cur)
+                        cur = cur.parent
+                    t = 0.0
+                    v = 0.0
+                    prev = 0
+                    for lab in reversed(chain):
+                        arc = table.arc_id[(prev, lab.node)]
+                        arc_t = (coeffs.t_hi if lab.last_u == 1 else
+                                 coeffs.t_lo)[arc]
+                        t += arc_t
+                        v += net[arc] * arc_t
+                        prev = lab.node
+                    assert t == pytest.approx(label.time, abs=1e-12)
+                    assert v == pytest.approx(label.value, abs=1e-10)
+                    checked += 1
+        assert checked
 
 
 class TestFeasibleExtension:
@@ -229,6 +236,19 @@ class TestDominance:
         assert agreements > 100
 
 
+@st.composite
+def _knapsack_inputs(draw):
+    """Rates, speed bounds and a budget from all-fast to past all-slow."""
+    k = draw(st.integers(1, 7))
+    net = draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k))
+    t_lo = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    span = draw(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k))
+    t_lo = np.array(t_lo)
+    t_hi = t_lo + np.array(span)
+    T = float(t_lo.sum()) + draw(st.floats(0.0, 1.2)) * float(sum(span))
+    return np.array(net), t_lo, t_hi, T
+
+
 class TestKnapsackTiming:
     def test_three_arc_fixture(self):
         net = np.array([3.0, 1.0, -2.0])
@@ -242,22 +262,19 @@ class TestKnapsackTiming:
         assert np.allclose(times, [1.0, 0.6, 0.1])
         assert value == pytest.approx(3.4, abs=1e-12)
 
-    def test_matches_lp_oracle(self, rng):
-        for _ in range(60):
-            k = rng.randint(1, 7)
-            net = np.array([rng.uniform(-4, 4) for _ in range(k)])
-            t_lo = np.array([rng.uniform(0.05, 1.0) for _ in range(k)])
-            t_hi = t_lo + np.array([rng.uniform(0.0, 3.0) for _ in range(k)])
-            T = float(t_lo.sum()) + rng.uniform(0.0, float((t_hi - t_lo).sum()) * 1.2)
-            got = knapsack_times(net, t_lo, t_hi, T)
-            assert got is not None
-            times, value = got
-            lp = dense_lp_solve(net, [np.ones(k)], [T],
-                                bounds=list(zip(t_lo, t_hi)))
-            assert lp.status == "optimal"
-            assert value == pytest.approx(lp.objective, abs=1e-8)
-            interior = np.sum((times > t_lo + 1e-9) & (times < t_hi - 1e-9))
-            assert interior <= 1
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_knapsack_inputs())
+    def test_matches_lp_oracle(self, inputs):
+        """Under the slope key the timing is an optimal vertex of the timing
+        LP: the LP optimum, with at most one arc strictly between its
+        bounds."""
+        net, t_lo, t_hi, T = inputs
+        times, value = knapsack_times(net, t_lo, t_hi, T)
+        lp = dense_lp_solve(net, [np.ones(len(net))], [T],
+                            bounds=list(zip(t_lo, t_hi)))
+        assert lp.status == "optimal"
+        assert value == pytest.approx(lp.objective, abs=1e-8)
+        assert np.sum((times > t_lo + 1e-9) & (times < t_hi - 1e-9)) <= 1
 
     def test_infeasible_budget(self):
         assert knapsack_times(np.array([1.0]), np.array([2.0]),
@@ -276,7 +293,7 @@ class TestSolveCase2:
             coeffs2 = build_coeffs(table, inst, lam, "II")
             totals = []
             for vbar in coeffs2.idle_set:
-                r = solve_case2(coeffs2, vbar, inst.deadline, table)
+                r = Case2Solver(coeffs2, vbar, inst.deadline, table).solve()
                 assert r is not None
                 gain = inst.deadline * coeffs2.idle_gain[vbar] if vbar else 0.0
                 totals.append(gain + r.value)
@@ -315,7 +332,7 @@ class TestSolveCase2:
             coeffs = build_coeffs(table, inst,
                                   np.zeros(len(table.target_ids)), "II")
             for vbar in coeffs.idle_set:
-                res = solve_case2(coeffs, vbar, inst.deadline, table)
+                res = Case2Solver(coeffs, vbar, inst.deadline, table).solve()
                 if res is None:
                     continue
                 ids = [table.arc_id[a] for a in
@@ -345,12 +362,14 @@ class TestSolveCase2:
             coeffs = build_coeffs(table, inst,
                                   np.zeros(len(table.target_ids)), "II")
             for vbar in coeffs.idle_set:
-                res = solve_case2(coeffs, vbar, inst.deadline, table)
-                if res is not None:
-                    assert res.envelope_violations == 0
+                solver = Case2Solver(coeffs, vbar, inst.deadline, table)
+                solver.solve()
+                assert solver.envelope_violations == 0
 
     def test_infeasible_returns_none(self):
         inst = generate_instance(53, 3, 4, case="II", coverage_radius=30.0)
         table = build_index_table(inst)
         coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "II")
-        assert solve_case2(coeffs, 0, 1e-6, table) is None
+        assert Case2Solver(coeffs, 0, 1e-6, table).solve() is None
+        assert solve_case2(coeffs, coeffs.idle_set, 1e-6, table).results == \
+            dict.fromkeys(coeffs.idle_set)
