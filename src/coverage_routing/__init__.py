@@ -22,13 +22,12 @@ from .instance import (ArcIndexTable, Instance, PathSolution, Physics, Target,
                        instance_to_json, load_instance, load_solution,
                        save_instance, save_solution, validate_solution)
 from .labeling_case1 import solve_case1
-from .labeling_case2 import (Case2Solver, LabelC2, dominates_case2, envelope,
+from .labeling_case2 import (Case2Solver, LabelC2, curve, dominates_case2,
                              knapsack_times, solve_case2)
 from .oracle import (OraclePrimalResult, OracleRelaxResult, iter_paths,
                      oracle_primal, oracle_relaxation)
-from .relaxation import (BestRoutes, CutCoeffs, Multipliers, PathTiming,
-                         RelaxCoeffs, RelaxValue, assemble_f_value,
-                         build_coeffs, make_cut)
+from .relaxation import (BestRoutes, CutCoeffs, PathTiming, RelaxCoeffs,
+                         RelaxValue, assemble_f_value, build_coeffs, make_cut)
 from .simplex import LpResult, dense_lp_solve
 
 __version__ = "0.1.0"

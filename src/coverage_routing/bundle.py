@@ -281,10 +281,6 @@ class DualResult:
     #: one entry per UB improvement: (iteration, multipliers, value, witness)
     ub_history: Tuple[Tuple[int, np.ndarray, float, PathTiming], ...]
 
-    @property
-    def gap(self) -> float:
-        return self.dual_bound - self.lower_bound
-
 
 def run_dual(instance: Instance, case: str, phi: float = 0.5,
              tol: float = 1e-4, *, iter_limit: int = 1000,

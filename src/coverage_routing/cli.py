@@ -94,7 +94,11 @@ def _build_parser() -> _Parser:
     s.add_argument("--time-limit", type=_positive, default=None)
     s.add_argument("--iter-limit", type=_iter_limit, default=1000)
     s.add_argument("--ratio-mode", choices=[RATIO_SLOPE, RATIO_PER_DISTANCE],
-                   default=RATIO_SLOPE)
+                   default=RATIO_SLOPE,
+                   help="case-II timing order of tradeoff arcs; per-distance "
+                        "is a heuristic whose dual_bound is not certified "
+                        "(only slope certifies; --oracle reports any "
+                        "shortfall)")
     s.add_argument("--oracle", action="store_true",
                    help="append exhaustive-oracle values (desk instances)")
     s.add_argument("--out", type=Path, default=None,

@@ -32,10 +32,6 @@ from .instance import ArcIndexTable, Instance
 CASE_I = "I"
 CASE_II = "II"
 
-#: Multiplier vectors are plain arrays aligned with the index table's target
-#: order; every entry must be <= 0 (see :func:`check_multipliers`).
-Multipliers = np.ndarray
-
 #: one idle candidate, or a sequence of them
 Idle = Union[int, Sequence[int]]
 

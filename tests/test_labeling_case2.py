@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,23 +11,22 @@ from conftest import (case2_search_value, random_desk_instance,
                       random_multipliers, relax_value)
 from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import build_index_table, generate_instance
-from coverage_routing.labeling_case2 import (Case2Solver, LabelC2,
-                                             dominates_case2, envelope,
-                                             knapsack_times, make_root,
+from coverage_routing.labeling_case2 import (Case2Solver, LabelC2, curve,
+                                             dominates_case2, knapsack_times,
                                              reconstruct, solve_case2)
 from coverage_routing.oracle import oracle_relaxation
 from coverage_routing.relaxation import build_coeffs
 from coverage_routing.simplex import dense_lp_solve
 
 
-def _solver_with(net, dist, t_lo, t_hi, T, vbar=0):
+def _solver_with(net, dist, t_lo, t_hi, T, vbar=0, keys=None):
     """Solver over a 4-interior-waypoint playground with hand-set matrices."""
     inst = generate_instance(51, 4, 3, coverage_radius=30.0)
     table = build_index_table(inst)
     coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "II")
     s = Case2Solver(coeffs, vbar, T, table)
     s.net_m = net
-    s.key_m = net
+    s.key_m = net if keys is None else keys
     s.tlo_m = t_lo
     s.thi_m = t_hi
     s.dist = dist
@@ -42,10 +42,25 @@ def _plain_matrices(n_nodes, net_val=1.0, lo=1.0, hi=4.0, d=10.0):
     return net, t_lo, t_hi, dist
 
 
-def _label(node, mask, value, time, u1=(math.inf, 0.0, 0.0),
-           u0=(-math.inf, 0.0, 0.0)):
-    return LabelC2(node, mask, value, time, u1[0], u1[1], u1[2],
-                   u0[0], u0[1], u0[2], None, None)
+def _label(node, mask, time, value, arcs=()):
+    return LabelC2(node, mask, time, value, tuple(arcs), None)
+
+
+def _walk(net, t_lo, t_hi, keys=None):
+    """Label of the path 0 -> 1 -> ... -> k over the given arcs, extended
+    one arc at a time under a deadline that never binds."""
+    k = len(net)
+    size = max(k + 1, 6)
+    mats = [np.zeros((size, size)) for _ in range(4)]
+    for m, arc in zip(mats, (net, t_lo, t_hi,
+                             net if keys is None else keys)):
+        m[np.arange(k), np.arange(1, k + 1)] = arc
+    s = _solver_with(mats[0], np.zeros((size, size)), mats[1], mats[2],
+                     T=1e12, keys=mats[3])
+    label = _label(0, 0, 0.0, 0.0)
+    for j in range(1, k + 1):
+        [label] = s.extend(label, j)
+    return label
 
 
 class TestExtensionRules:
@@ -59,51 +74,13 @@ class TestExtensionRules:
         child = kids[0]
         assert child.time == pytest.approx(lab.time + 1.0)
         assert child.value == pytest.approx(-3.0)
-        # tradeoff trackers inherited untouched
-        assert child.u1_key == math.inf and child.u0_key == -math.inf
-
-    def test_positive_rate_empty_set_forks(self):
-        net, t_lo, t_hi, dist = _plain_matrices(6, net_val=2.0)
-        s = _solver_with(net, dist, t_lo, t_hi, T=1000.0)
-        kids = s.extend(_label(1, 0b0001, 0.0, 0.0), 2)
-        assert len(kids) == 2
-        assert sorted(k.last_u for k in kids) == [0, 1]
-
-    def test_key_at_least_min_slow_key_forces_slow(self):
-        net, t_lo, t_hi, dist = _plain_matrices(6, net_val=2.0)
-        net[1, 2] = 5.0
-        s = _solver_with(net, dist, t_lo, t_hi, T=1000.0)
-        lab = _label(1, 0b0001, 0.0, 0.0, u1=(2.0, 2.0, 3.0))
-        kids = s.extend(lab, 2)
-        assert [k.last_u for k in kids] == [1]
-        assert kids[0].time == pytest.approx(4.0)
-        # the new slow arc does not displace the smaller tracked key
-        assert kids[0].u1_key == 2.0
-
-    def test_key_at_most_max_fast_key_forces_fast(self):
-        net, t_lo, t_hi, dist = _plain_matrices(6, net_val=2.0)
-        net[1, 2] = 0.5
-        s = _solver_with(net, dist, t_lo, t_hi, T=1000.0)
-        lab = _label(1, 0b0001, 0.0, 0.0, u0=(1.0, 1.0, 3.0))
-        kids = s.extend(lab, 2)
-        assert [k.last_u for k in kids] == [0]
-        assert kids[0].time == pytest.approx(1.0)
-        assert kids[0].u0_key == 1.0
-
-    def test_middle_key_forks_and_updates_trackers(self):
-        net, t_lo, t_hi, dist = _plain_matrices(6, net_val=2.0)
-        net[1, 2] = 1.5
-        s = _solver_with(net, dist, t_lo, t_hi, T=1000.0)
-        lab = _label(1, 0b0001, 0.0, 0.0, u1=(2.0, 2.0, 3.0),
-                     u0=(1.0, 1.0, 3.0))
-        kids = s.extend(lab, 2)
-        assert sorted(k.last_u for k in kids) == [0, 1]
-        slow = next(k for k in kids if k.last_u == 1)
-        fast = next(k for k in kids if k.last_u == 0)
-        assert slow.u1_key == 1.5 and slow.u0_key == 1.0
-        assert fast.u0_key == 1.5 and fast.u1_key == 2.0
+        # no tradeoff arc joins the pour
+        assert child.arcs == ()
 
     def test_incremental_time_matches_scratch_recompute(self, rng):
+        """Every alive label's all-fast time and value are its path's, and
+        its tradeoff arcs are the path's positive-rate arcs in pouring
+        order."""
         checked = 0
         for _ in range(5):
             inst = random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6),
@@ -117,23 +94,19 @@ class TestExtensionRules:
             for store in solver.stores:
                 for idx in np.flatnonzero(store.alive[:store.size]):
                     label = store.labels[idx]
-                    chain = []
-                    cur = label
-                    while cur.parent is not None:
-                        chain.append(cur)
-                        cur = cur.parent
-                    t = 0.0
-                    v = 0.0
-                    prev = 0
-                    for lab in reversed(chain):
-                        arc = table.arc_id[(prev, lab.node)]
-                        arc_t = (coeffs.t_hi if lab.last_u == 1 else
-                                 coeffs.t_lo)[arc]
-                        t += arc_t
-                        v += net[arc] * arc_t
-                        prev = lab.node
+                    ids = table.arc_ids(reconstruct(label))
+                    t = v = 0.0
+                    for arc in ids:
+                        t += coeffs.t_lo[arc]
+                        v += net[arc] * coeffs.t_lo[arc]
                     assert t == pytest.approx(label.time, abs=1e-12)
                     assert v == pytest.approx(label.value, abs=1e-10)
+                    span = coeffs.t_hi[ids] - coeffs.t_lo[ids]
+                    order = sorted((k for k in range(len(ids))
+                                    if net[ids[k]] > 0.0 and span[k] > 0.0),
+                                   key=lambda k: (-net[ids[k]], k))
+                    assert [a[1:] for a in label.arcs] == \
+                        [(net[ids[k]], span[k]) for k in order]
                     checked += 1
         assert checked
 
@@ -142,98 +115,187 @@ class TestFeasibleExtension:
     def test_huge_deadline_always_true(self):
         net, t_lo, t_hi, dist = _plain_matrices(6)
         s = _solver_with(net, dist, t_lo, t_hi, T=1e12)
-        assert s.feasible_extension(_label(1, 0b0001, 0.0, 0.0), 2, 1)
+        assert s.extend(_label(1, 0b0001, 0.0, 0.0), 2)
 
     def test_closing_legs_alone_exceed(self):
         net, t_lo, t_hi, dist = _plain_matrices(6)
         s = _solver_with(net, dist, t_lo, t_hi, T=1.5)
         # arc takes 1.0 fast and the closing leg d/speed_max = 10/10 = 1.0
-        assert not s.feasible_extension(_label(1, 0b0001, 0.0, 0.0), 2, 0)
+        assert s.extend(_label(1, 0b0001, 0.0, 0.0), 2) == []
 
     def test_boundary_equality_is_feasible(self):
         net, t_lo, t_hi, dist = _plain_matrices(6)
         s = _solver_with(net, dist, t_lo, t_hi, T=2.0)
-        assert s.feasible_extension(_label(1, 0b0001, 0.0, 0.0), 2, 0)
+        assert s.extend(_label(1, 0b0001, 0.0, 0.0), 2)
 
     def test_unvisited_idle_stop_adds_two_legs(self):
         net, t_lo, t_hi, dist = _plain_matrices(6)
         s = _solver_with(net, dist, t_lo, t_hi, T=2.5, vbar=3)
         lab = _label(1, 0b0001, 0.0, 0.0)
         # fast arc 1.0 plus d(2,3)/10 + d(3,exit)/10 = 2.0 closing
-        assert not s.feasible_extension(lab, 2, 0)
+        assert s.extend(lab, 2) == []
         lab_seen = _label(1, 0b0101, 0.0, 0.0)
-        assert s.feasible_extension(lab_seen, 2, 0)
+        assert s.extend(lab_seen, 2)
+
+
+@st.composite
+def _arc_sequences(draw, max_arcs=7):
+    """Rates, speed bounds and per-distance keys of a path, plus a budget
+    from below all-fast to past all-slow.  Rates and distances come partly
+    from short lists, so equal keys are common."""
+    k = draw(st.integers(1, max_arcs))
+    rate = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-1.0, 1.0, 2.0]))
+    dist = st.one_of(st.floats(0.5, 5.0), st.sampled_from([1.0, 2.0]))
+    net = np.array(draw(st.lists(rate, min_size=k, max_size=k)))
+    t_lo = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k,
+                                  max_size=k)))
+    span = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=k,
+                                  max_size=k)))
+    d = np.array(draw(st.lists(dist, min_size=k, max_size=k)))
+    B = float(t_lo.sum()) + draw(st.floats(-0.2, 1.2)) * float(span.sum())
+    return net, t_lo, t_lo + span, net / d, B
+
+
+@st.composite
+def _tradeoff_paths(draw):
+    """Rates, speed bounds and a budget of a path of two to four tradeoff
+    arcs, the budget between its all-fast and all-slow times."""
+    k = draw(st.integers(2, 4))
+    net, t_lo, span = (np.array(draw(st.lists(st.floats(lo, hi), min_size=k,
+                                              max_size=k)))
+                       for lo, hi in ((0.1, 4.0), (0.05, 1.0), (0.1, 3.0)))
+    B = float(t_lo.sum()) + draw(st.floats(0.2, 1.0)) * float(span.sum())
+    return net, t_lo, t_lo + span, B
+
+
+class TestCurve:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_arc_sequences(), st.booleans())
+    def test_curve_is_the_knapsack(self, arcs, per_distance):
+        """Extending arc by arc and reading the curve at ``B`` gives the
+        knapsack timing's value under either key, ties by position."""
+        net, t_lo, t_hi, dkeys, B = arcs
+        keys = dkeys if per_distance else net
+        label = _walk(net, t_lo, t_hi, keys)
+        timed = knapsack_times(net, t_lo, t_hi, B, keys)
+        if timed is None:
+            assert curve(label, B) == -math.inf
+        else:
+            scale = max(1.0, float(np.abs(net) @ t_hi))
+            assert abs(curve(label, B) - timed[1]) <= 1e-12 * scale
+
+
+def _completed(net, t_lo, t_hi, rest, T):
+    """Slope-key knapsack value at ``T`` of a path followed by the arcs of
+    ``rest``; -inf when it cannot meet ``T``."""
+    timed = knapsack_times(*(np.concatenate([a, b]) for a, b in
+                             zip((net, t_lo, t_hi), rest)), T)
+    return -math.inf if timed is None else timed[1]
 
 
 class TestDominance:
     def test_trivial_corner_case(self):
-        l1 = _label(2, 0b001, 10.0, 5.0)
-        l2 = _label(2, 0b011, 4.0, 9.0, u1=(1.0, 1.0, 2.0), u0=(0.5, 0.5, 2.0))
-        # l1's single point beats both extremes of l2's frontier
-        assert dominates_case2(l1, l2)
+        l1 = _label(2, 0b001, 5.0, 10.0)
+        l2 = _label(2, 0b011, 9.0, 4.0, arcs=[(1.0, 1.0, 2.0)])
+        # l1's flat curve stays above l2's curve, which tops out at 6
+        assert dominates_case2(l1, l2, 20.0)
+        assert not dominates_case2(l2, l1, 20.0)
 
-    def test_identical_labels_do_not_dominate(self):
-        l1 = _label(2, 0b011, 4.0, 9.0)
-        l2 = _label(2, 0b011, 4.0, 9.0)
-        assert not dominates_case2(l1, l2)
-        assert not dominates_case2(l2, l1)
+    def test_identical_labels_keep_one(self):
+        net, t_lo, t_hi, dist = _plain_matrices(6)
+        s = _solver_with(net, dist, t_lo, t_hi, T=20.0)
+        l1 = _label(2, 0b011, 9.0, 4.0, arcs=[(1.0, 1.0, 2.0)])
+        l2 = dataclasses.replace(l1)
+        assert dominates_case2(l1, l2, 20.0)
+        assert dominates_case2(l2, l1, 20.0)
+        s._insert(l1)
+        s._insert(l2)
+        assert s.stores[2].labels == [l1]
 
     def test_subset_condition_required(self):
-        l1 = _label(2, 0b110, 100.0, 1.0)
-        l2 = _label(2, 0b011, 0.0, 9.0)
-        assert not dominates_case2(l1, l2)
+        l1 = _label(2, 0b110, 1.0, 100.0)
+        l2 = _label(2, 0b011, 9.0, 0.0)
+        assert not dominates_case2(l1, l2, 20.0)
 
     def test_idle_membership_mismatch_declined(self):
-        l1 = _label(2, 0b010, 100.0, 1.0)
-        l2 = _label(2, 0b110, 0.0, 9.0)
-        assert dominates_case2(l1, l2, vbar=0)
-        assert not dominates_case2(l1, l2, vbar=3)
+        l1 = _label(2, 0b010, 1.0, 100.0)
+        l2 = _label(2, 0b110, 9.0, 0.0)
+        assert dominates_case2(l1, l2, 20.0, vbar=0)
+        assert not dominates_case2(l1, l2, 20.0, vbar=3)
 
     def test_frontier_comparison_matches_dense_sampling(self):
+        """The verdict, taken at the curves' breakpoints, agrees with the
+        curves compared on a dense grid of budgets up to ``T``."""
         rng = random.Random(8)
         checked = agreements = 0
         while checked < 200:
             def rand_label():
-                f_lo = rng.uniform(0.2, 3.0)
-                f_hi = rng.uniform(f_lo, 4.0)
-                return _label(
-                    2, 0b011, rng.uniform(0, 10), rng.uniform(2, 10),
-                    u1=(f_hi, f_hi, rng.uniform(0, 3)),
-                    u0=(f_lo, f_lo, rng.uniform(0, 3)))
+                arcs = sorted(((f, f, rng.uniform(0, 3)) for f in
+                               (rng.uniform(0.2, 4.0)
+                                for _ in range(rng.randint(0, 3)))),
+                              key=lambda a: -a[0])
+                return _label(2, 0b011, rng.uniform(2, 10),
+                              rng.uniform(0, 10), arcs)
 
             l1, l2 = rand_label(), rand_label()
-            if not (l1.value >= l2.value and l1.time <= l2.time
-                    and (l1.value > l2.value or l1.time < l2.time)):
+            if l1.time > l2.time:
                 continue
-            verdict = dominates_case2(l1, l2)
-
-            e1, e2 = envelope(l1), envelope(l2)
-
-            def points(env, k=500):
-                (ta, ca, tb, cb, tc, cc) = env
-                out = []
-                for (t0, c0, t1, c1) in ((ta, ca, tb, cb), (tb, cb, tc, cc)):
-                    for i in range(k):
-                        s = i / (k - 1)
-                        out.append((t0 + s * (t1 - t0), c0 + s * (c1 - c0)))
-                return out
-
-            p1 = points(e1)
-            margin = 0.0
-            sampled_ok = True
-            for (t2, c2) in points(e2):
-                best = max((c for (t1c, c) in p1 if t1c <= t2 + 1e-9),
-                           default=-math.inf)
-                margin = min(margin if margin else math.inf, best - c2)
-                if best < c2 - 1e-9:
-                    sampled_ok = False
+            T = l2.time + rng.uniform(0, 8)
+            verdict = dominates_case2(l1, l2, T)
+            margin = min(curve(l1, b) - curve(l2, b)
+                         for b in np.linspace(l2.time, T, 2000))
             checked += 1
             # skip knife-edge cases where sampling resolution decides
             if abs(margin) < 1e-3:
                 continue
-            assert verdict == sampled_ok
+            assert verdict == (margin > 0.0)
             agreements += 1
         assert agreements > 100
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_tradeoff_paths(), _arc_sequences(3), st.data())
+    def test_dominance_survives_any_completion(self, path, rest, data):
+        """Under the slope key, whenever ``l1`` dominates ``l2``, ``l1``
+        followed by any completion reaches at least ``l2`` followed by it
+        by ``T``.  The completions are a rate-0 wait of 25 lengths, then
+        the arcs of ``rest``.  ``l1`` is ``l2``'s path with its arcs
+        perturbed and a value bonus, so the two curves often cross; or,
+        for a ``lift``, ``l2``'s path with every rate raised by it (0: an
+        identical copy), which always dominates."""
+        net2, lo2, hi2, B = path
+        k = len(net2)
+
+        def factors(lo, hi):
+            return np.array(data.draw(st.lists(st.floats(lo, hi),
+                                               min_size=k, max_size=k)))
+
+        lift = data.draw(st.one_of(st.none(), st.just(0.0),
+                                   st.floats(0.01, 1.0)))
+        if lift is None:
+            net1 = net2 + factors(-1.0, 1.0)
+            lo1 = lo2 * factors(0.7, 1.0)
+            hi1 = lo1 + (hi2 - lo2) * factors(0.5, 1.5)
+            bonus = data.draw(st.floats(0.0, 2.0))
+        else:
+            net1, lo1, hi1, bonus = net2 + lift, lo2, hi2, 0.0
+        l1 = _walk(net1, lo1, hi1)
+        l1 = dataclasses.replace(l1, node=9, mask=0b1,
+                                 value=l1.value + bonus)
+        l2 = dataclasses.replace(_walk(net2, lo2, hi2), node=9, mask=0b11)
+        net_r, lo_r, hi_r = rest[:3]
+        T = B + float(lo_r.sum())
+        verdict = dominates_case2(l1, l2, T)
+        if lift is not None:
+            assert verdict
+        if not verdict:
+            return
+        scale = max(1.0, float(np.abs(net2) @ hi2 + np.abs(net_r) @ hi_r))
+        for wait in np.linspace(0.0, max(0.0, B - l2.time), 25):
+            tail = (np.append(0.0, net_r), np.append(wait, lo_r),
+                    np.append(wait, hi_r))
+            v1 = _completed(net1, lo1, hi1, tail, T) + bonus
+            v2 = _completed(net2, lo2, hi2, tail, T)
+            assert v1 >= v2 - 1e-12 * scale
 
 
 @st.composite
@@ -354,17 +416,40 @@ class TestSolveCase2:
                                   <= kappa + 1e-9)
         assert seen_interior > 0
 
-    def test_slope_mode_keeps_frontier_ordered(self, rng):
-        for _ in range(5):
-            inst = random_desk_instance(rng, n_range=(2, 5), m_range=(2, 6),
-                                        case="II")
+    def test_binding_deadline_battery(self, rng, monkeypatch):
+        """Under deadlines that bind for most candidates, the search for
+        every candidate agrees with the oracle at zero and at random
+        multipliers, dominance on and off, and dominance kills labels."""
+        killed = 0
+        solve = Case2Solver.solve
+
+        def counted(self):
+            nonlocal killed
+            res = solve(self)
+            killed += sum(st.size - int(st.alive[:st.size].sum())
+                          for st in self.stores)
+            return res
+
+        monkeypatch.setattr(Case2Solver, "solve", counted)
+        compared = 0
+        while compared < 30:
+            inst = random_desk_instance(
+                rng, n_range=(3, 6), m_range=(2, 7), case="II",
+                scale_choices=(0.02, 0.03, 0.05, 0.08))
             table = build_index_table(inst)
-            coeffs = build_coeffs(table, inst,
-                                  np.zeros(len(table.target_ids)), "II")
-            for vbar in coeffs.idle_set:
-                solver = Case2Solver(coeffs, vbar, inst.deadline, table)
-                solver.solve()
-                assert solver.envelope_violations == 0
+            m = len(table.target_ids)
+            for lam in (np.zeros(m), random_multipliers(rng, m)):
+                try:
+                    orc = oracle_relaxation(table, inst, lam, "II")
+                except InfeasibleInstanceError:
+                    continue
+                scale = max(1.0, abs(orc.value))
+                for dominance in (True, False):
+                    v = case2_search_value(table, inst, lam,
+                                           use_dominance=dominance)
+                    assert abs(v.value - orc.value) <= 1e-8 * scale
+                compared += 1
+        assert killed > 0
 
     def test_infeasible_returns_none(self):
         inst = generate_instance(53, 3, 4, case="II", coverage_radius=30.0)
