@@ -23,11 +23,11 @@ m = len(table.target_ids)
 lam = np.array([-0.5 * (k + 1) for k in range(m)])
 
 # --- case I: deadline never binds ---------------------------------------------
-coeffs = build_coeffs(table, inst_free, lam, "I")
+coeffs = build_coeffs(table, lam, "I")
 print(f"multipliers: {np.round(lam, 2)}")
 print(f"idle candidates (positive weighted idle coverage): {coeffs.idle_set}")
 # one table fill serves every idle candidate along a candidate axis
-fill = solve_case1(coeffs, coeffs.idle_set, table)
+fill = solve_case1(coeffs)
 print(f"one fill: {fill.labels_stored} (visited set, end node) states over "
       f"{len(coeffs.idle_set)} candidates")
 best = None
@@ -48,13 +48,13 @@ print(f"exhaustive enumeration:  {orc.value:.6f} "
 inst_tight = generate_instance(seed=12, n_waypoints=5, n_targets=7, case="II",
                                deadline_scale=0.1, coverage_radius=25.0)
 table2 = build_index_table(inst_tight)
-coeffs2 = build_coeffs(table2, inst_tight, lam, "II")
+coeffs2 = build_coeffs(table2, lam, "II")
 T = inst_tight.deadline
 print(f"\ndeadline T = {T:.1f}")
 # one call answers every candidate; it searches only where the deadline-free
 # best route (the case-I fill, without the deadline) overruns the deadline
-routes = solve_case2(coeffs2, coeffs2.idle_set, T, table2)
-free = solve_case1(coeffs2, coeffs2.idle_set, table2).results
+routes = solve_case2(coeffs2)
+free = solve_case1(coeffs2).results
 print(f"searches stored {routes.labels_stored} labels, "
       f"{routes.labels_alive} left alive")
 best2 = None
@@ -62,7 +62,7 @@ for vbar, res in routes.results.items():
     free_time = sum(free[vbar].times)
     # the search runs here for every candidate, to show that it agrees with
     # the screen
-    search = Case2Solver(coeffs2, vbar, T, table2).solve()
+    search = Case2Solver(coeffs2, vbar).solve()
     if res is None:
         print(f"  idle candidate {vbar}: no route fits the deadline "
               f"(search agrees: {search is None})")
@@ -70,7 +70,7 @@ for vbar, res in routes.results.items():
     gain = T * coeffs2.idle_gain[vbar] if vbar else 0.0
     total = coeffs2.constant + gain + res.value
     ids = table2.arc_ids(res.nodes)
-    lo, hi = coeffs2.t_lo[ids], coeffs2.t_hi[ids]
+    lo, hi = table2.min_time[ids], table2.max_time[ids]
     t = np.asarray(res.times)
     interior = int(np.sum((t > lo + 1e-9) & (t < hi - 1e-9)))
     how = (f"deadline-free route fits ({free_time:.1f}), settled"
@@ -81,7 +81,7 @@ for vbar, res in routes.results.items():
           f"search agrees: {agrees})")
     if best2 is None or total > best2[0]:
         best2 = (total, vbar)
-value2, _ = evaluate_dual_function(table2, inst_tight, lam, "II")
+value2, _ = evaluate_dual_function(table2, lam, "II")
 orc2 = oracle_relaxation(table2, inst_tight, lam, "II")
 print(f"case-II relaxation value: {best2[0]:.6f} "
       f"(evaluate_dual_function {value2.value:.6f})")

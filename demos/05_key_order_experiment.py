@@ -50,7 +50,7 @@ for seed in range(25):
         continue
     table = build_index_table(inst)
     lam = np.zeros(len(table.target_ids))
-    value, _ = evaluate_dual_function(table, inst, lam, "II",
+    value, _ = evaluate_dual_function(table, lam, "II",
                                       ratio_mode="per-distance")
     orc = oracle_relaxation(table, inst, lam, "II")
     checked += 1

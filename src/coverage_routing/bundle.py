@@ -104,22 +104,22 @@ def _project_onto_polyhedron(center: np.ndarray, G: np.ndarray,
                 mu_w = np.zeros(0)
             if mu_w.size == 0 or mu_w.min() >= -1e-9:
                 mu = np.zeros(len(G))
-                for k, idx in enumerate(work):
-                    mu[idx] = max(0.0, mu_w[k])
+                mu[work] = np.where(mu_w > 0.0, mu_w, 0.0)
                 return x, mu, work, True
             work.pop(int(np.argmin(mu_w)))
             continue
-        alpha = 1.0
-        blocking = -1
+        # ratio test: the first row outside the working set to block the step
         Gp = G @ p
         resid = h - G @ x
-        for i in range(len(G)):
-            if i in work or Gp[i] <= 1e-11 * scale:
-                continue
-            a_i = max(resid[i], 0.0) / Gp[i]
-            if a_i < alpha:
-                alpha = a_i
-                blocking = i
+        free = Gp > 1e-11 * scale
+        free[work] = False
+        rows = np.flatnonzero(free)
+        ratios = np.where(resid[rows] < 0.0, 0.0, resid[rows]) / Gp[rows]
+        below = np.flatnonzero(ratios < 1.0)
+        alpha, blocking = 1.0, -1
+        if below.size:
+            k = below[np.argmin(ratios[below])]
+            alpha, blocking = ratios[k], int(rows[k])
         x = x + alpha * p
         if blocking >= 0:
             if work:
@@ -185,9 +185,8 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
 # dual function evaluation
 
 
-def evaluate_dual_function(table: ArcIndexTable, instance: Instance,
-                           lam: Sequence[float], case: str,
-                           ratio_mode: str = RATIO_SLOPE,
+def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
+                           case: str, ratio_mode: str = RATIO_SLOPE,
                            use_dominance: bool = True) -> Tuple[RelaxValue, CutCoeffs]:
     """Exact dual-function value at ``lam``: the best path over the idle
     candidates, plus the cut it generates.  One labeling call answers every
@@ -195,16 +194,13 @@ def evaluate_dual_function(table: ArcIndexTable, instance: Instance,
     ``labeling_case2`` in case II.
 
     ``ratio_mode`` and ``use_dominance`` steer the case-II search only."""
-    coeffs = build_coeffs(table, instance, lam, case)
-    T = instance.deadline
+    coeffs = build_coeffs(table, lam, case)
     if case == CASE_I:
-        routes = solve_case1(coeffs, coeffs.idle_set, table)
+        routes = solve_case1(coeffs)
     else:
-        routes = solve_case2(coeffs, coeffs.idle_set, T, table, ratio_mode,
-                             use_dominance)
-    value = assemble_f_value(coeffs, routes.results, T)
-    cut = make_cut(value.best, table, T)
-    return value, cut
+        routes = solve_case2(coeffs, ratio_mode, use_dominance)
+    value = assemble_f_value(coeffs, routes.results)
+    return value, make_cut(value.best, table)
 
 
 def _route_solution(table: ArcIndexTable, nodes: Tuple[int, ...],
@@ -222,23 +218,24 @@ def _route_solution(table: ArcIndexTable, nodes: Tuple[int, ...],
     )
 
 
-def timing_to_solution(timing: PathTiming, table: ArcIndexTable,
-                       deadline: float) -> PathSolution:
+def timing_to_solution(timing: PathTiming,
+                       table: ArcIndexTable) -> PathSolution:
     """Materialize a relaxation witness as a route: with an idle stop the
     whole deadline remainder is spent there."""
-    idle = max(0.0, deadline - float(sum(timing.times))) if timing.vbar else 0.0
+    T = table.instance.deadline
+    idle = max(0.0, T - float(sum(timing.times))) if timing.vbar else 0.0
     cov = table.route_coverage(timing.nodes, timing.times, timing.vbar, idle)
     return _route_solution(table, timing.nodes, timing.times, timing.vbar,
                            idle, cov)
 
 
-def _greedy_primal_repair(table: ArcIndexTable, instance: Instance,
-                          witness: PathTiming) -> Tuple[float, Optional[PathSolution]]:
+def _greedy_primal_repair(table: ArcIndexTable, witness: PathTiming
+                          ) -> Tuple[float, Optional[PathSolution]]:
     """Best feasible route obtainable by re-timing the witness path and
     idling the deadline remainder at one of its waypoints."""
     nodes = witness.nodes
     ids = table.arc_ids(nodes)
-    T = instance.deadline
+    T = table.instance.deadline
     fast = table.min_time[ids]
     slow = table.max_time[ids]
     interior = [v for v in nodes if 0 < v <= table.n]
@@ -294,7 +291,8 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     bound on the primal optimum.  The trace keeps one row per iteration plus
     an initialization row.  ``ratio_mode`` applies to case II only; the
     case-II search always prunes by dominance.  ``time_limit`` (seconds,
-    ``inf`` allowed) must be positive and ``iter_limit`` at least 1.
+    ``inf`` allowed) must be positive and ``iter_limit`` at least 1.  A
+    given ``table`` must be the instance's index table.
     """
     if not (0.0 < phi < 1.0):
         raise ValueError(f"phi must sit strictly inside (0, 1), got {phi}")
@@ -305,12 +303,13 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     if time_limit is not None and not time_limit > 0:  # NaN fails too
         raise ValueError(f"time limit must be positive, got {time_limit}")
     table = table or build_index_table(instance)
+    if table.instance != instance:
+        raise ValueError("the index table was built for another instance")
     t0 = time.monotonic()
 
     lam0 = np.zeros(len(table.target_ids))
-    value0, cut0 = evaluate_dual_function(
-        table, instance, lam0, case, ratio_mode)
-    lb0, repair = _greedy_primal_repair(table, instance, value0.best)
+    value0, cut0 = evaluate_dual_function(table, lam0, case, ratio_mode)
+    lb0, repair = _greedy_primal_repair(table, value0.best)
     lam_hat, cuts = lam0, [cut0]
     lb, ub = min(lb0, value0.value), value0.value
     best_lam, best_value = lam0.copy(), value0
@@ -341,8 +340,8 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
                                   MASTER_INFEASIBLE, time.monotonic() - t0))
             continue
         lam_hat = master.lam
-        value, cut = evaluate_dual_function(
-            table, instance, master.lam, case, ratio_mode)
+        value, cut = evaluate_dual_function(table, master.lam, case,
+                                            ratio_mode)
         cuts.append(cut)
         if value.value < ub:
             ub = value.value
@@ -363,7 +362,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
         best_lam=best_lam,
         iterations=iterations,
         trace=tuple(trace),
-        solution=timing_to_solution(best_value.best, table, instance.deadline),
+        solution=timing_to_solution(best_value.best, table),
         repair_solution=repair,
         ub_history=tuple(ub_history),
     )

@@ -47,7 +47,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import SchemaError
-from .instance import ArcIndexTable
 from .relaxation import BestRoutes, PathTiming, RelaxCoeffs
 
 _NEG = -1e300
@@ -126,46 +125,32 @@ def _best_routes(n: int, exit_id: int, dp: np.ndarray, par: np.ndarray,
                  vexit: np.ndarray, vbars: Sequence[int]
                  ) -> List[Tuple[float, Tuple[int, ...]]]:
     """Best completion (value, route) through the exit arc per candidate;
-    ``vexit[k, j-1]`` is candidate ``k``'s value of arc ``j -> exit``."""
-    need = np.array([1 << (v - 1) if v else 0 for v in vbars])
-    step = max(1, STATE_CHUNK_BYTES // (n * len(vbars) * 8))
-    starts = range(0, 1 << n, step)
-
-    def totals(a):
-        """Completed values of the masks from ``a`` on, ``[mask, k, end]``,
-        and whether each mask qualifies for each candidate."""
-        masks = np.arange(a, min(a + step, 1 << n))
-        ok = ((masks[:, None] & need) == need)[..., None]
-        return np.where(ok, dp[a:a + step, :, 1:] + vexit, -np.inf), ok
-
-    tops = np.array([totals(a)[0].max(axis=(0, 2)) for a in starts])
-    best = tops.max(axis=0)
-    ties: List[List[Tuple[int, int]]] = [[] for _ in vbars]
-    for a, top in zip(starts, tops):
-        if (top == best).any():
-            total, ok = totals(a)
-            for r, k, c in np.argwhere((total == best[:, None]) & ok):
-                ties[k].append((a + int(r), int(c) + 1))
-
-    def scan_order(state):
-        mask, node = state
-        return node, bin(mask).count("1"), [b for b in range(n) if mask >> b & 1]
-
+    ``vexit[k, j-1]`` is candidate ``k``'s value of arc ``j -> exit``.
+    The completed values overwrite ``dp``; only ``par`` is read after."""
+    dp[:, :, 1:] += vexit
     out = []
-    for k in range(len(vbars)):
-        mask, node = min(ties[k], key=scan_order)
+    for k, vbar in enumerate(vbars):
+        if vbar:  # masks without the idle stop do not qualify
+            dp.reshape(-1, 2, 1 << (vbar - 1), *dp.shape[1:])[
+                :, 0, :, k, 1:] = -np.inf
+        total = dp[:, k, 1:]
+        tops = total.max(axis=0)
+        best = tops.max()
+        node = int(np.argmax(tops == best)) + 1
+        mask = min(np.flatnonzero(total[:, node - 1] == best).tolist(),
+                   key=lambda m: (bin(m).count("1"),
+                                  [b for b in range(n) if m >> b & 1]))
         route = [exit_id]
         while node:
             route.append(node)
             mask, node = mask ^ (1 << (node - 1)), int(par[mask, k, node])
         route.append(0)
-        out.append((float(best[k]), tuple(reversed(route))))
+        out.append((float(best), tuple(reversed(route))))
     return out
 
 
-def solve_case1(coeffs: RelaxCoeffs, vbars: Sequence[int],
-                table: ArcIndexTable) -> BestRoutes:
-    """Best simple route for each idle candidate in ``vbars``, timed at
+def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:
+    """Best simple route for each idle candidate of ``coeffs``, timed at
     the candidate's bound times (the deadline is ignored).
 
     A candidate's value is the maximum sum of arc values over routes from
@@ -175,11 +160,9 @@ def solve_case1(coeffs: RelaxCoeffs, vbars: Sequence[int],
     The label counts are the reachable (end node, visited set) states over
     all candidates; the table prunes none.
     """
+    table = coeffs.table
     n = table.n
-    vbars = tuple(vbars)
-    for vbar in vbars:
-        if not (vbar == 0 or 1 <= vbar <= n):
-            raise ValueError(f"idle candidate {vbar} is not a waypoint id")
+    vbars = coeffs.idle_set
     nbytes = fill_bytes(n)
     if nbytes > MAX_TABLE_BYTES:
         raise SchemaError(
@@ -192,9 +175,11 @@ def solve_case1(coeffs: RelaxCoeffs, vbars: Sequence[int],
     step = max(1, TABLE_CHUNK_BYTES // ((1 << n) * (n + 1) * 9))
     routes: List[Tuple[float, Tuple[int, ...]]] = []
     for k in range(0, len(vbars), step):
-        dp, par = _fill(n, np.ascontiguousarray(vin[:, k:k + step]))
-        routes += _best_routes(n, table.exit_id, dp, par, vexit[k:k + step],
-                               vbars[k:k + step])
+        # no name holds a chunk's tables, so they are freed before the next
+        routes += _best_routes(
+            n, table.exit_id,
+            *_fill(n, np.ascontiguousarray(vin[:, k:k + step])),
+            vexit[k:k + step], vbars[k:k + step])
     times = coeffs.bound_times(vbars)
     results = {
         vbar: PathTiming(vbar, nodes,

@@ -37,7 +37,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .instance import ArcIndexTable
 from .labeling_case1 import solve_case1
 from .relaxation import BestRoutes, PathTiming, RelaxCoeffs
 
@@ -187,12 +186,14 @@ def _ratio_keys(net: np.ndarray, dist: np.ndarray, ratio_mode: str) -> np.ndarra
     return net if ratio_mode == RATIO_SLOPE else net / dist
 
 
-def _time_route(vbar: int, nodes: Sequence[int], arcs, net: np.ndarray,
-                t_lo: np.ndarray, t_hi: np.ndarray, keys: np.ndarray,
-                T: float) -> Optional[PathTiming]:
-    """Knapsack timing of route ``nodes``, whose arcs ``arcs`` picks in
-    route order from the other arrays; None when it cannot meet ``T``."""
-    timed = knapsack_times(net[arcs], t_lo[arcs], t_hi[arcs], T, keys[arcs])
+def _time_route(coeffs: RelaxCoeffs, vbar: int, nodes: Sequence[int],
+                net: np.ndarray, keys: np.ndarray) -> Optional[PathTiming]:
+    """Knapsack timing of route ``nodes`` under the deadline, from the
+    per-arc rates ``net`` and ``keys``; None when it cannot meet it."""
+    table = coeffs.table
+    ids = table.arc_ids(nodes)
+    timed = knapsack_times(net[ids], table.min_time[ids], table.max_time[ids],
+                           coeffs.deadline, keys[ids])
     if timed is None:
         return None
     times, value = timed
@@ -202,24 +203,25 @@ def _time_route(vbar: int, nodes: Sequence[int], arcs, net: np.ndarray,
 class Case2Solver:
     """One route search for a fixed idle candidate under deadline ``T``."""
 
-    def __init__(self, coeffs: RelaxCoeffs, vbar: int, T: float,
-                 table: ArcIndexTable, ratio_mode: str = RATIO_SLOPE,
-                 use_dominance: bool = True):
+    def __init__(self, coeffs: RelaxCoeffs, vbar: int,
+                 ratio_mode: str = RATIO_SLOPE, use_dominance: bool = True):
+        table = coeffs.table
         n = table.n
         if not (vbar == 0 or 1 <= vbar <= n):
             raise ValueError(f"idle candidate {vbar} is not a waypoint id")
+        self.coeffs = coeffs
         self.vbar = vbar
         self.vb_bit = 0 if vbar == 0 else 1 << (vbar - 1)
-        self.T = T
+        self.T = coeffs.deadline
         self.n = n
         self.exit_id = table.exit_id
         self.use_dominance = use_dominance
-        net = coeffs.net_rates(vbar)
-        self.net_m = table.matrix(net, fill=_NEG)
-        self.key_m = table.matrix(_ratio_keys(net, table.arc_dist, ratio_mode),
-                                  fill=_NEG)
-        self.tlo_m = table.matrix(coeffs.t_lo, fill=math.inf)
-        self.thi_m = table.matrix(coeffs.t_hi, fill=math.inf)
+        self.net = coeffs.net_rates(vbar)
+        self.keys = _ratio_keys(self.net, table.arc_dist, ratio_mode)
+        self.net_m = table.matrix(self.net, fill=_NEG)
+        self.key_m = table.matrix(self.keys, fill=_NEG)
+        self.tlo_m = table.matrix(table.min_time, fill=math.inf)
+        self.thi_m = table.matrix(table.max_time, fill=math.inf)
         self.dist = table.node_dist
         self.speed_max = table.instance.vehicle.speed_max
         self.stores = [Store() for _ in range(n + 1)]
@@ -320,38 +322,32 @@ class Case2Solver:
                     best, top = label, value
         if best is None:
             return None
-        nodes = reconstruct(best) + [self.exit_id]
-        path = np.array(nodes)
-        return _time_route(self.vbar, nodes, (path[:-1], path[1:]),
-                           self.net_m, self.tlo_m, self.thi_m, self.key_m,
-                           self.T)
+        return _time_route(self.coeffs, self.vbar,
+                           reconstruct(best) + [self.exit_id], self.net,
+                           self.keys)
 
 
-def solve_case2(coeffs: RelaxCoeffs, vbars: Sequence[int], T: float,
-                table: ArcIndexTable, ratio_mode: str = RATIO_SLOPE,
+def solve_case2(coeffs: RelaxCoeffs, ratio_mode: str = RATIO_SLOPE,
                 use_dominance: bool = True) -> BestRoutes:
-    """Best deadline-feasible route for each idle candidate in ``vbars``
-    (None where none fits ``T``), searching only where the module's screen
-    does not settle it; the label counts cover the searches.
+    """Best deadline-feasible route for each idle candidate of ``coeffs``
+    (None where none fits the deadline), searching only where the module's
+    screen does not settle it; the label counts cover the searches.
 
     A value is the route's exact optimal timing value (at most one arc
     strictly between its speed bounds); multiplier constants and the
     idle-gain term are the caller's to add.
     """
-    vbars = tuple(vbars)
-    nets = coeffs.net_rates(vbars)
-    keys = _ratio_keys(nets, table.arc_dist, ratio_mode)
-    free = solve_case1(coeffs, vbars, table).results
+    nets = coeffs.net_rates(coeffs.idle_set)
+    keys = _ratio_keys(nets, coeffs.table.arc_dist, ratio_mode)
+    free = solve_case1(coeffs).results
     results = {}
     stored = alive = 0
-    for vbar, net, key in zip(vbars, nets, keys):
+    for vbar, net, key in zip(coeffs.idle_set, nets, keys):
         route = free[vbar]
-        if float(np.sum(route.times)) <= T:
-            results[vbar] = _time_route(vbar, route.nodes,
-                                        table.arc_ids(route.nodes), net,
-                                        coeffs.t_lo, coeffs.t_hi, key, T)
+        if float(np.sum(route.times)) <= coeffs.deadline:
+            results[vbar] = _time_route(coeffs, vbar, route.nodes, net, key)
             continue
-        solver = Case2Solver(coeffs, vbar, T, table, ratio_mode, use_dominance)
+        solver = Case2Solver(coeffs, vbar, ratio_mode, use_dominance)
         results[vbar] = solver.solve()
         stored += sum(st.size for st in solver.stores)
         alive += sum(int(st.alive[:st.size].sum()) for st in solver.stores)

@@ -9,6 +9,10 @@ cost:
     net_rate(arc, vbar) = sum_w (priority_w - lam_w)
                           * (coverage_rate(arc, w) - idle_cov(vbar, w)).
 
+A :class:`RelaxCoeffs` is the whole relaxed problem at one multiplier: it
+carries the index table, and with it the instance's deadline and the arc
+time bounds, next to the multiplier-dependent rates and idle candidates.
+
 Without the deadline the optimal travel time per arc is bound-valued and
 known from the sign of ``net_rate`` (:meth:`RelaxCoeffs.bound_times`).  With
 a deadline slack enough to never bind (case I) that timing is optimal.  In
@@ -27,7 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import InfeasibleInstanceError
-from .instance import ArcIndexTable, Instance
+from .instance import ArcIndexTable
 
 CASE_I = "I"
 CASE_II = "II"
@@ -50,15 +54,20 @@ def check_multipliers(lam: Sequence[float], n_targets: int) -> np.ndarray:
 
 @dataclass
 class RelaxCoeffs:
-    """Everything the per-``vbar`` path solvers need at a fixed multiplier."""
+    """The relaxed problem at a fixed multiplier: the index table (the
+    instance, its deadline and the arc time bounds) plus everything that
+    depends on the multiplier."""
 
+    table: ArcIndexTable
     case: str
     constant: float                # sum_w required_w * lam_w
     idle_set: Tuple[int, ...]      # 0 plus every waypoint with positive gain
     idle_gain: Dict[int, float]
     f_raw: np.ndarray              # per arc, gross value rate
-    t_lo: np.ndarray               # per arc, fastest traversal time
-    t_hi: np.ndarray               # per arc, slowest traversal time
+
+    @property
+    def deadline(self) -> float:
+        return self.table.instance.deadline
 
     def net_rates(self, vbar: Idle) -> np.ndarray:
         """Per-arc value per unit time, net of the idle opportunity cost; a
@@ -71,15 +80,16 @@ class RelaxCoeffs:
     def bound_times(self, vbar: Idle) -> np.ndarray:
         """Optimal times without the deadline, in either case: slowest where
         the net rate is positive, fastest otherwise."""
-        return np.where(self.net_rates(vbar) > 0.0, self.t_hi, self.t_lo)
+        return np.where(self.net_rates(vbar) > 0.0, self.table.max_time,
+                        self.table.min_time)
 
     def arc_values(self, vbar: Idle) -> np.ndarray:
         """Value collected on each arc at its bound time."""
         return self.net_rates(vbar) * self.bound_times(vbar)
 
 
-def build_coeffs(table: ArcIndexTable, instance: Instance,
-                 lam: Sequence[float], case: str) -> RelaxCoeffs:
+def build_coeffs(table: ArcIndexTable, lam: Sequence[float],
+                 case: str) -> RelaxCoeffs:
     """Assemble all multiplier-dependent coefficients.
 
     The idle candidate set keeps waypoints whose weighted idle coverage is
@@ -95,19 +105,18 @@ def build_coeffs(table: ArcIndexTable, instance: Instance,
 
     idle_gain = {0: 0.0}
     idle_set = [0]
-    for i in instance.interior_ids:
+    for i in range(1, table.n + 1):
         g = float(gains[i - 1])
         if g > 0.0:
             idle_set.append(i)
             idle_gain[i] = g
     return RelaxCoeffs(
+        table=table,
         case=case,
         constant=float(table.required @ lam),
         idle_set=tuple(idle_set),
         idle_gain=idle_gain,
         f_raw=f_raw,
-        t_lo=table.min_time,
-        t_hi=table.max_time,
     )
 
 
@@ -140,8 +149,7 @@ class RelaxValue:
 
 
 def assemble_f_value(coeffs: RelaxCoeffs,
-                     best: Dict[int, Optional[PathTiming]],
-                     deadline: float) -> RelaxValue:
+                     best: Dict[int, Optional[PathTiming]]) -> RelaxValue:
     """Combine per-``vbar`` path optima into the relaxation value.
 
     ``best`` maps each idle candidate to its optimal :class:`PathTiming`, or
@@ -157,7 +165,7 @@ def assemble_f_value(coeffs: RelaxCoeffs,
         bt = best.get(vbar)
         if bt is None:
             continue
-        gain_term = deadline * coeffs.idle_gain[vbar] if vbar != 0 else 0.0
+        gain_term = coeffs.deadline * coeffs.idle_gain[vbar] if vbar else 0.0
         tot = gain_term + bt.value
         if top is None or tot > top:
             top, top_bt = tot, bt
@@ -181,13 +189,13 @@ class CutCoeffs:
         return float(self.gradient @ lam) + self.offset
 
 
-def make_cut(timing: PathTiming, table: ArcIndexTable,
-             deadline: float) -> CutCoeffs:
+def make_cut(timing: PathTiming, table: ArcIndexTable) -> CutCoeffs:
     """Build the cut generated by one relaxation solution from the
     solution's per-target coverage (idle time is the deadline remainder
     when an idle stop is used)."""
     vbar = timing.vbar
     idle_cov = table.waypoint_coverage_vector(vbar)
+    deadline = table.instance.deadline
     coverage = deadline * idle_cov if vbar != 0 else np.zeros(len(table.target_ids))
     for k, t in zip(table.arc_ids(timing.nodes), timing.times):
         coverage = coverage + (table.coverage_rate[k] - idle_cov) * t

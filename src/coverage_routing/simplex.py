@@ -37,10 +37,9 @@ class LpResult:
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    piv = T[row]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * piv
+    rows = np.flatnonzero(T[:, col] != 0.0)
+    rows = rows[rows != row]
+    T[rows] -= np.outer(T[rows, col], T[row])
 
 
 def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
@@ -57,24 +56,14 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
     pivots = 0
     while True:
         costs = T[-1, :n_cols]
-        if m == 0:
-            improving = np.flatnonzero(allowed & (costs < -_PIVOT_EPS))
-            return (UNBOUNDED if len(improving) else OPTIMAL), pivots
-        if pivots < dantzig_cap:
-            col = -1
-            best = -_PIVOT_EPS
-            for jj in range(n_cols):
-                if allowed[jj] and costs[jj] < best:
-                    best = costs[jj]
-                    col = jj
-        else:
-            col = -1
-            for jj in range(n_cols):
-                if allowed[jj] and costs[jj] < -_PIVOT_EPS:
-                    col = jj
-                    break
-        if col < 0:
+        improving = np.flatnonzero(allowed & (costs < -_PIVOT_EPS))
+        if not len(improving):
             return OPTIMAL, pivots
+        if m == 0:
+            return UNBOUNDED, pivots
+        # Dantzig: the first most negative cost; Bland: the first negative
+        col = int(improving[np.argmin(costs[improving])]
+                  if pivots < dantzig_cap else improving[0])
 
         ratios = np.full(m, np.inf)
         column = T[:m, col]

@@ -76,7 +76,7 @@ def random_multipliers(rng, m, scale=5.0):
 
 def relax_value(table, inst, lam, case, use_dominance=True,
                 ratio_mode="slope"):
-    value, _ = evaluate_dual_function(table, inst, lam, case,
+    value, _ = evaluate_dual_function(table, lam, case,
                                       ratio_mode=ratio_mode,
                                       use_dominance=use_dominance)
     return value
@@ -86,12 +86,11 @@ def case2_search_value(table, inst, lam, use_dominance=True,
                        ratio_mode="slope"):
     """Case-II relaxation value with a search for every idle candidate, the
     deadline-free screen of :func:`solve_case2` left out."""
-    coeffs = build_coeffs(table, inst, lam, "II")
+    coeffs = build_coeffs(table, lam, "II")
     results = {
-        vbar: Case2Solver(coeffs, vbar, inst.deadline, table, ratio_mode,
-                          use_dominance).solve()
+        vbar: Case2Solver(coeffs, vbar, ratio_mode, use_dominance).solve()
         for vbar in coeffs.idle_set}
-    return assemble_f_value(coeffs, results, inst.deadline)
+    return assemble_f_value(coeffs, results)
 
 
 @pytest.fixture

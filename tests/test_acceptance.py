@@ -172,7 +172,7 @@ def test_criterion_5_cut_validity():
         for _ in range(2):
             lam = random_multipliers(rng, m)
             try:
-                value, cut = evaluate_dual_function(table, inst, lam, case)
+                value, cut = evaluate_dual_function(table, lam, case)
             except InfeasibleInstanceError:
                 continue
             assert cut.value_at(lam) == pytest.approx(value.value, abs=1e-8)
@@ -250,7 +250,7 @@ def test_criterion_7_improvement_direction():
         except InfeasibleInstanceError:
             continue
         value0, cut0 = evaluate_dual_function(
-            table, inst, np.zeros(len(table.target_ids)), case)
+            table, np.zeros(len(table.target_ids)), case)
         if np.all(cut0.gradient <= 1e-9):  # required - coverage
             continue  # requirements not binding at the unconstrained optimum
         res = run_dual(inst, case, tol=1e-4, iter_limit=400, table=table)

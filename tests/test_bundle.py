@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -70,16 +71,16 @@ class TestCase2Screen:
             table = build_index_table(inst)
             m = len(table.target_ids)
             lam = random_multipliers(rng, m) if compared % 2 else np.zeros(m)
-            idle = build_coeffs(table, inst, lam, "II").idle_set
+            idle = build_coeffs(table, lam, "II").idle_set
             kw = dict(ratio_mode=ratio_mode, use_dominance=use_dominance)
             try:
                 ref = case2_search_value(table, inst, lam, **kw)
             except InfeasibleInstanceError:
                 with pytest.raises(InfeasibleInstanceError):
-                    evaluate_dual_function(table, inst, lam, "II", **kw)
+                    evaluate_dual_function(table, lam, "II", **kw)
                 continue
             before = len(searched)
-            value, _ = evaluate_dual_function(table, inst, lam, "II", **kw)
+            value, _ = evaluate_dual_function(table, lam, "II", **kw)
             assert abs(value.value - ref.value) <= \
                 1e-8 * max(1.0, abs(ref.value))
             searches += len(searched) - before
@@ -105,10 +106,10 @@ class TestCase2Screen:
         inst = generate_instance(0, 5, 8, case="II")
         table = build_index_table(inst)
         lam = np.zeros(len(table.target_ids))
-        evaluate_dual_function(table, inst, lam, "II")
+        evaluate_dual_function(table, lam, "II")
         assert not searched  # the screen settles every candidate
         with pytest.raises(ValueError, match="unknown ratio mode"):
-            evaluate_dual_function(table, inst, lam, "II",
+            evaluate_dual_function(table, lam, "II",
                                    ratio_mode="per-time")
 
 
@@ -210,7 +211,7 @@ class TestRunDual:
         res = run_dual(inst, "I", tol=1e-4, iter_limit=300, table=table)
         assert len(res.ub_history) >= 1
         for (it, lam, value, timing) in res.ub_history:
-            coeffs = build_coeffs(table, inst, lam, "I")
+            coeffs = build_coeffs(table, lam, "I")
             net = coeffs.net_rates(timing.vbar)
             path_val = sum(net[table.arc_id[a]] * t for a, t in
                            zip(zip(timing.nodes[:-1], timing.nodes[1:]),
@@ -237,6 +238,12 @@ class TestRunDual:
                     inst, res.repair_solution,
                     ValidateOptions(enforce_coverage=True), table=table)
                 assert rep.ok
+
+    def test_table_of_another_instance_rejected(self):
+        inst = generate_instance(61, 3, 4, coverage_radius=25.0)
+        other = build_index_table(dataclasses.replace(inst, deadline=1e-6))
+        with pytest.raises(ValueError, match="another instance"):
+            run_dual(inst, "I", table=other)
 
     def test_bad_parameters(self):
         inst = generate_instance(61, 3, 4, coverage_radius=25.0)

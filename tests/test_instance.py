@@ -314,10 +314,10 @@ class TestEndToEndConsistency:
             lam = (np.zeros(m) if done % 3 else
                    random_multipliers(rng, m, scale=4.0))
             try:
-                value, _ = evaluate_dual_function(table, inst, lam, case)
+                value, _ = evaluate_dual_function(table, lam, case)
             except InfeasibleInstanceError:
                 continue
-            sol = timing_to_solution(value.best, table, inst.deadline)
+            sol = timing_to_solution(value.best, table)
             report = validate_solution(inst, sol, table=table)
             assert report.ok, [c for c in report.constraints if not c.passed]
             done += 1

@@ -18,7 +18,7 @@ def _battery(rng, case, count):
         table = build_index_table(inst)
         m = len(table.target_ids)
         for lam in (np.zeros(m), random_multipliers(rng, m)):
-            yield inst, table, build_coeffs(table, inst, lam, case)
+            yield inst, table, build_coeffs(table, lam, case)
 
 
 def test_case2_stores_are_layer_ordered(rng):
@@ -28,7 +28,7 @@ def test_case2_stores_are_layer_ordered(rng):
     for inst, table, coeffs in _battery(rng, "II", 8):
         for vbar in coeffs.idle_set:
             for mode in (RATIO_SLOPE, RATIO_PER_DISTANCE):
-                solver = Case2Solver(coeffs, vbar, inst.deadline, table, mode)
+                solver = Case2Solver(coeffs, vbar, mode)
                 solver.solve()
                 for st in solver.stores:
                     sizes = [bin(int(m)).count("1") for m in st.masks[:st.size]]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,8 +39,8 @@ class TestSolveCase1:
     def test_two_waypoint_network_exhaustive(self):
         inst = generate_instance(41, 2, 4, coverage_radius=35.0)
         table = build_index_table(inst)
-        coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "I")
-        fill = solve_case1(coeffs, coeffs.idle_set, table)
+        coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
+        fill = solve_case1(coeffs)
         for vbar in coeffs.idle_set:
             values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
             expect, _ = brute_force_best(values, 2, 3, vbar)
@@ -52,8 +53,8 @@ class TestSolveCase1:
             inst = random_desk_instance(rng, n_range=(2, 4), m_range=(2, 5))
             table = build_index_table(inst)
             lam = random_multipliers(rng, len(table.target_ids), scale=10.0)
-            coeffs = build_coeffs(table, inst, lam, "I")
-            fill = solve_case1(coeffs, coeffs.idle_set, table)
+            coeffs = build_coeffs(table, lam, "I")
+            fill = solve_case1(coeffs)
             for vbar in coeffs.idle_set:
                 values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
                 expect, _ = brute_force_best(values, table.n, table.exit_id,
@@ -65,26 +66,18 @@ class TestSolveCase1:
         for _ in range(5):
             inst = random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6))
             table = build_index_table(inst)
-            coeffs = build_coeffs(table, inst,
-                                  np.zeros(len(table.target_ids)), "I")
-            fill = solve_case1(coeffs, coeffs.idle_set, table)
+            coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
+            fill = solve_case1(coeffs)
             for vbar in coeffs.idle_set:
                 if vbar != 0:
                     assert vbar in fill.results[vbar].nodes
-
-    def test_bad_idle_candidate_rejected(self):
-        inst = generate_instance(41, 2, 4, coverage_radius=35.0)
-        table = build_index_table(inst)
-        coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "I")
-        with pytest.raises(ValueError):
-            solve_case1(coeffs, (0, 7), table)
 
     def test_reconstruction_resums_value(self, rng):
         inst = random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6))
         table = build_index_table(inst)
         lam = random_multipliers(rng, len(table.target_ids))
-        coeffs = build_coeffs(table, inst, lam, "I")
-        fill = solve_case1(coeffs, coeffs.idle_set, table)
+        coeffs = build_coeffs(table, lam, "I")
+        fill = solve_case1(coeffs)
         for vbar in coeffs.idle_set:
             got = fill.results[vbar]
             values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
@@ -94,7 +87,7 @@ class TestSolveCase1:
                 values[got.nodes[-2], table.exit_id]
             assert resum == pytest.approx(got.value, abs=1e-9)
 
-    def test_dominance_never_stores_more_labels(self, rng):
+    def test_one_label_per_state(self, rng):
         """The table keeps exactly one label per (node, visited set) state
         and its value equals the best path-order sum bit for bit.  The last
         input is one where a rule comparing rounded ``value + detour cost``
@@ -110,9 +103,9 @@ class TestSolveCase1:
         table = build_index_table(inst)
         cases.append((inst, table, np.zeros(len(table.target_ids))))
         for inst, table, lam in cases:
-            coeffs = build_coeffs(table, inst, lam, "I")
+            coeffs = build_coeffs(table, lam, "I")
             n = table.n
-            fill = solve_case1(coeffs, coeffs.idle_set, table)
+            fill = solve_case1(coeffs)
             states = len(coeffs.idle_set) * n * 2 ** (n - 1)
             assert fill.labels_alive == fill.labels_stored == states
             for vbar in coeffs.idle_set:
@@ -146,12 +139,11 @@ class TestSolveCase1:
         must not change the tie rule of this one."""
         inst = generate_instance(seed, n, m, case="I", coverage_radius=radius)
         table = build_index_table(inst)
-        coeffs = build_coeffs(table, inst,
-                              np.full(len(table.target_ids), lam), "I")
+        coeffs = build_coeffs(table, np.full(len(table.target_ids), lam), "I")
         values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
         expect, ties = brute_force_best(values, n, table.exit_id, vbar)
         assert vbar in coeffs.idle_set
-        got = solve_case1(coeffs, coeffs.idle_set, table).results[vbar]
+        got = solve_case1(coeffs).results[vbar]
         assert ties > 1
         assert got.value == expect
         assert got.nodes == route
@@ -178,12 +170,12 @@ class TestSolveCase1:
             inst = random_desk_instance(rng, n_range=(3, 6), m_range=(2, 6))
             table = build_index_table(inst)
             lam = random_multipliers(rng, len(table.target_ids))
-            cases.append((table, build_coeffs(table, inst, lam, "I")))
-        assert any(len(c.idle_set) > 2 for _, c in cases)
-        whole = [repr(solve_case1(c, c.idle_set, t)) for t, c in cases]
+            cases.append(build_coeffs(table, lam, "I"))
+        assert any(len(c.idle_set) > 2 for c in cases)
+        whole = [repr(solve_case1(c)) for c in cases]
         monkeypatch.setattr(labeling_case1, "STATE_CHUNK_BYTES", state_bytes)
         monkeypatch.setattr(labeling_case1, "TABLE_CHUNK_BYTES", table_bytes)
-        assert [repr(solve_case1(c, c.idle_set, t)) for t, c in cases] == whole
+        assert [repr(solve_case1(c)) for c in cases] == whole
 
 
 def test_size_guard_flips_between_21_and_22_waypoints(monkeypatch):
@@ -200,12 +192,34 @@ def test_size_guard_flips_between_21_and_22_waypoints(monkeypatch):
     assert cached == 9 * n * 2 ** (n - 1)
     inst = generate_instance(41, n, 4, coverage_radius=35.0)
     table = build_index_table(inst)
-    coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "I")
+    coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
     monkeypatch.setattr(labeling_case1, "MAX_TABLE_BYTES", fill_bytes(n) - 1)
     with pytest.raises(SchemaError, match="5 waypoints"):
-        solve_case1(coeffs, coeffs.idle_set, table)
+        solve_case1(coeffs)
     monkeypatch.setattr(labeling_case1, "MAX_TABLE_BYTES", fill_bytes(n))
-    assert solve_case1(coeffs, coeffs.idle_set, table).results
+    assert solve_case1(coeffs).results
+
+
+def test_fill_stays_within_fill_bytes(monkeypatch):
+    """With one candidate per table chunk, a fill never holds more than
+    :func:`fill_bytes`: each chunk's tables are freed before the next
+    chunk is filled, and the completion scan adds no table-sized
+    temporaries."""
+    monkeypatch.setattr(labeling_case1, "TABLE_CHUNK_BYTES", 1)
+    n = 13
+    inst = generate_instance(0, n, 3, coverage_radius=20.0)
+    table = build_index_table(inst)
+    coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
+    assert len(coeffs.idle_set) > 2
+    cached = sum(a.nbytes for layer in labeling_case1._layers(n)
+                 for a in layer)
+    tracemalloc.start()
+    try:
+        solve_case1(coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak + cached <= fill_bytes(n)
 
 
 @st.composite
@@ -229,11 +243,11 @@ def _case1_inputs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(_case1_inputs())
-def test_dominance_is_exact_and_matches_oracle(inputs):
+def test_fill_is_exact_and_matches_oracle(inputs):
     inst, lam = inputs
     table = build_index_table(inst)
-    coeffs = build_coeffs(table, inst, lam, "I")
-    fill = solve_case1(coeffs, coeffs.idle_set, table)
+    coeffs = build_coeffs(table, lam, "I")
+    fill = solve_case1(coeffs)
     assert set(fill.results) == set(coeffs.idle_set)
     for vbar in coeffs.idle_set:
         values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)

@@ -23,8 +23,9 @@ def _solver_with(net, dist, t_lo, t_hi, T, vbar=0, keys=None):
     """Solver over a 4-interior-waypoint playground with hand-set matrices."""
     inst = generate_instance(51, 4, 3, coverage_radius=30.0)
     table = build_index_table(inst)
-    coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "II")
-    s = Case2Solver(coeffs, vbar, T, table)
+    coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "II")
+    s = Case2Solver(coeffs, vbar)
+    s.T = T
     s.net_m = net
     s.key_m = net if keys is None else keys
     s.tlo_m = t_lo
@@ -86,10 +87,9 @@ class TestExtensionRules:
             inst = random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6),
                                         case="II")
             table = build_index_table(inst)
-            coeffs = build_coeffs(table, inst,
-                                  np.zeros(len(table.target_ids)), "II")
+            coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "II")
             net = coeffs.net_rates(0)
-            solver = Case2Solver(coeffs, 0, inst.deadline, table)
+            solver = Case2Solver(coeffs, 0)
             solver.solve()
             for store in solver.stores:
                 for idx in np.flatnonzero(store.alive[:store.size]):
@@ -97,11 +97,11 @@ class TestExtensionRules:
                     ids = table.arc_ids(reconstruct(label))
                     t = v = 0.0
                     for arc in ids:
-                        t += coeffs.t_lo[arc]
-                        v += net[arc] * coeffs.t_lo[arc]
+                        t += table.min_time[arc]
+                        v += net[arc] * table.min_time[arc]
                     assert t == pytest.approx(label.time, abs=1e-12)
                     assert v == pytest.approx(label.value, abs=1e-10)
-                    span = coeffs.t_hi[ids] - coeffs.t_lo[ids]
+                    span = table.max_time[ids] - table.min_time[ids]
                     order = sorted((k for k in range(len(ids))
                                     if net[ids[k]] > 0.0 and span[k] > 0.0),
                                    key=lambda k: (-net[ids[k]], k))
@@ -352,10 +352,10 @@ class TestSolveCase2:
             m = len(table.target_ids)
             lam = random_multipliers(rng, m)
             v1 = relax_value(table, inst, lam, "I")
-            coeffs2 = build_coeffs(table, inst, lam, "II")
+            coeffs2 = build_coeffs(table, lam, "II")
             totals = []
             for vbar in coeffs2.idle_set:
-                r = Case2Solver(coeffs2, vbar, inst.deadline, table).solve()
+                r = Case2Solver(coeffs2, vbar).solve()
                 assert r is not None
                 gain = inst.deadline * coeffs2.idle_gain[vbar] if vbar else 0.0
                 totals.append(gain + r.value)
@@ -391,17 +391,16 @@ class TestSolveCase2:
             inst = random_desk_instance(rng, n_range=(2, 5), m_range=(2, 6),
                                         case="II")
             table = build_index_table(inst)
-            coeffs = build_coeffs(table, inst,
-                                  np.zeros(len(table.target_ids)), "II")
+            coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "II")
             for vbar in coeffs.idle_set:
-                res = Case2Solver(coeffs, vbar, inst.deadline, table).solve()
+                res = Case2Solver(coeffs, vbar).solve()
                 if res is None:
                     continue
                 ids = [table.arc_id[a] for a in
                        zip(res.nodes[:-1], res.nodes[1:])]
                 net = coeffs.net_rates(vbar)[ids]
-                lo = coeffs.t_lo[ids]
-                hi = coeffs.t_hi[ids]
+                lo = table.min_time[ids]
+                hi = table.max_time[ids]
                 times = np.asarray(res.times)
                 at_lo = times <= lo + 1e-9
                 at_hi = times >= hi - 1e-9
@@ -453,8 +452,14 @@ class TestSolveCase2:
 
     def test_infeasible_returns_none(self):
         inst = generate_instance(53, 3, 4, case="II", coverage_radius=30.0)
+        table = build_index_table(dataclasses.replace(inst, deadline=1e-6))
+        coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "II")
+        assert Case2Solver(coeffs, 0).solve() is None
+        assert solve_case2(coeffs).results == dict.fromkeys(coeffs.idle_set)
+
+    def test_bad_idle_candidate_rejected(self):
+        inst = generate_instance(41, 2, 4, coverage_radius=35.0)
         table = build_index_table(inst)
-        coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "II")
-        assert Case2Solver(coeffs, 0, 1e-6, table).solve() is None
-        assert solve_case2(coeffs, coeffs.idle_set, 1e-6, table).results == \
-            dict.fromkeys(coeffs.idle_set)
+        coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "II")
+        with pytest.raises(ValueError, match="idle candidate 7"):
+            Case2Solver(coeffs, 7)

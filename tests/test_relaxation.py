@@ -24,7 +24,7 @@ class TestBuildCoeffs:
         lam = np.zeros(len(table.target_ids))
         lam[0] = 0.5
         with pytest.raises(ValueError):
-            build_coeffs(table, inst, lam, "I")
+            build_coeffs(table, lam, "I")
 
     def test_idle_set_empty_without_waypoint_coverage(self):
         # targets coverable from arcs only: no waypoint within radius
@@ -33,31 +33,31 @@ class TestBuildCoeffs:
             [(10.0, 3.0)], deadline=5000.0, coverage_radius=4.0)
         table = _table(inst)
         assert len(inst.targets) == 1
-        coeffs = build_coeffs(table, inst, np.zeros(1), "I")
+        coeffs = build_coeffs(table, np.zeros(1), "I")
         assert coeffs.idle_set == (0,)
         assert coeffs.idle_gain == {0: 0.0}
 
     def test_sign_rule_selects_bounds(self):
         inst = generate_instance(11, 4, 6, coverage_radius=25.0)
         table = _table(inst)
-        coeffs = build_coeffs(table, inst, np.zeros(len(table.target_ids)), "I")
+        coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
         for vbar in coeffs.idle_set:
             net = coeffs.net_rates(vbar)
             times = coeffs.bound_times(vbar)
-            assert np.all(times[net > 0] == coeffs.t_hi[net > 0])
-            assert np.all(times[net <= 0] == coeffs.t_lo[net <= 0])
+            assert np.all(times[net > 0] == table.max_time[net > 0])
+            assert np.all(times[net <= 0] == table.min_time[net <= 0])
 
     def test_flipping_any_bound_never_helps(self):
         inst = generate_instance(13, 4, 6, coverage_radius=25.0)
         table = _table(inst)
         rng = random.Random(0)
         lam = random_multipliers(rng, len(table.target_ids))
-        coeffs = build_coeffs(table, inst, lam, "I")
+        coeffs = build_coeffs(table, lam, "I")
         for vbar in coeffs.idle_set:
             net = coeffs.net_rates(vbar)
             base = coeffs.arc_values(vbar)
-            flipped_hi = net * coeffs.t_hi
-            flipped_lo = net * coeffs.t_lo
+            flipped_hi = net * table.max_time
+            flipped_lo = net * table.min_time
             assert np.all(base >= flipped_hi - 1e-12)
             assert np.all(base >= flipped_lo - 1e-12)
 
@@ -68,13 +68,13 @@ class TestBuildCoeffs:
         inst = generate_instance(11, 3, 4, case="II", coverage_radius=30.0)
         table = _table(inst)
         lam = random_multipliers(random.Random(1), len(table.target_ids))
-        coeffs = build_coeffs(table, inst, lam, "II")
+        coeffs = build_coeffs(table, lam, "II")
         times = coeffs.bound_times(coeffs.idle_set)
         for vbar, row in zip(coeffs.idle_set, times):
             net = coeffs.net_rates(vbar)
             assert np.array_equal(row, coeffs.bound_times(vbar))
-            assert np.all(row[net > 0] == coeffs.t_hi[net > 0])
-            assert np.all(row[net <= 0] == coeffs.t_lo[net <= 0])
+            assert np.all(row[net > 0] == table.max_time[net > 0])
+            assert np.all(row[net <= 0] == table.min_time[net <= 0])
 
 
 class TestAssemble:
@@ -156,7 +156,7 @@ class TestConvexityAndCuts:
         for _ in range(3):
             lam = random_multipliers(rng, m)
             try:
-                value, cut = evaluate_dual_function(table, inst, lam, case)
+                value, cut = evaluate_dual_function(table, lam, case)
             except InfeasibleInstanceError:
                 pytest.skip("deadline admits no route")
             assert cut.value_at(lam) == pytest.approx(value.value, abs=1e-8)
@@ -172,7 +172,7 @@ class TestConvexityAndCuts:
             [("depot", (0.0, 0.0)), (20.0, 0.0), (20.0, 20.0)],
             [(10.0, 3.0)], deadline=9000.0, coverage_radius=4.0)
         table = _table(inst)
-        value, cut = evaluate_dual_function(table, inst, np.zeros(1), "I")
+        value, cut = evaluate_dual_function(table, np.zeros(1), "I")
         assert value.best.vbar == 0
         expect = 0.0
         for (i, j), t in zip(zip(value.best.nodes[:-1], value.best.nodes[1:]),
