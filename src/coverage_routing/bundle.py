@@ -82,15 +82,21 @@ def _project_onto_polyhedron(center: np.ndarray, G: np.ndarray,
     say) swaps out its most parallel colleague instead of stacking up, which
     keeps the equality subproblems well conditioned.  If the walk still fails
     to settle, the current iterate is returned inexactly; it is always
-    feasible, which is all the level loop needs for validity."""
+    feasible, which is all the level loop needs for validity.
+
+    The working set's rows ``A`` and their pseudo-inverse ``P`` are
+    factorised once per working set and reused until the set changes."""
     x = start.astype(float).copy()
     n = len(center)
     work: List[int] = []
+    P = None  # pinv(G[work]), None while out of date
     p = np.zeros(n)
     for _ in range(PROJECTION_MAX_STEPS):
         if work:
-            A = G[work]
-            y = center + np.linalg.pinv(A, rcond=1e-12) @ (h[work] - A @ center)
+            if P is None:
+                A = G[work]
+                P = np.linalg.pinv(A, rcond=1e-12)
+            y = center + P @ (h[work] - A @ center)
         else:
             y = center.copy()
         p = y - x
@@ -98,7 +104,6 @@ def _project_onto_polyhedron(center: np.ndarray, G: np.ndarray,
         if np.max(np.abs(p)) <= PROJECTION_TOL * scale:
             g = 2.0 * (x - center)
             if work:
-                A = G[work]
                 mu_w, *_ = np.linalg.lstsq(A.T, -g, rcond=None)
             else:
                 mu_w = np.zeros(0)
@@ -107,6 +112,7 @@ def _project_onto_polyhedron(center: np.ndarray, G: np.ndarray,
                 mu[work] = np.where(mu_w > 0.0, mu_w, 0.0)
                 return x, mu, work, True
             work.pop(int(np.argmin(mu_w)))
+            P = None
             continue
         # ratio test: the first row outside the working set to block the step
         Gp = G @ p
@@ -123,14 +129,14 @@ def _project_onto_polyhedron(center: np.ndarray, G: np.ndarray,
         x = x + alpha * p
         if blocking >= 0:
             if work:
-                A = G[work]
                 row = G[blocking]
-                coef, *_ = np.linalg.lstsq(A.T, row, rcond=None)
+                coef = P.T @ row
                 ortho = row - A.T @ coef
                 if np.linalg.norm(ortho) <= 1e-9 * max(np.linalg.norm(row), 1.0):
                     # nearly dependent: swap out the most parallel member
                     work.pop(int(np.argmax(np.abs(coef))))
             work.append(blocking)
+            P = None
     if not np.all(np.isfinite(x)) or float(np.max(G @ x - h, initial=0.0)) > 1e-6:
         raise MasterNumericsError(
             f"projection lost feasibility (|work|={len(work)}, "

@@ -9,18 +9,29 @@ form: with ``theta`` the angle subtended at ``w`` by the sub-segment endpoints
     integral = factor * theta / (sin(theta) * d(p,w) * d(q,w))
                * (len(sub-segment) / len(arc)) * travel_time.
 
-This module computes the sub-segment and packages the two leading factors as
-an :class:`ArcIndex` (a rate per unit time plus the in-disk fraction).  The
-same machinery serves both the risk side (detection of the vehicle by a
-target) and the coverage side (surveillance of the target by the vehicle);
-only the factor and radius differ.
+:func:`segment_disk_batch` computes the sub-segment and the two leading
+factors (a rate per unit time and the in-disk fraction) for a whole batch of
+segments against a whole batch of disk centers at once; the per-pair
+functions below are single-entry calls into it.  The same machinery serves
+both the risk side (detection of the vehicle by a target) and the coverage
+side (surveillance of the target by the vehicle); only the factor and radius
+differ.
+
+The batch arithmetic is the per-pair arithmetic, element by element: numpy's
+``+ - * /``, ``sqrt`` and ``abs`` round exactly as Python floats do, and the
+transcendental steps (``hypot``, ``atan2``, ``sin``) stay scalar ``math``
+calls, because numpy's versions differ from them in the last bit on a
+fraction of inputs.  A batch entry is therefore bit-identical to the
+per-pair result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import DegenerateSegmentError, TargetTooCloseError
 
@@ -72,44 +83,6 @@ class ChordIntersection:
 _EMPTY_CHORD = ChordIntersection(EMPTY, None, None, 0.0)
 
 
-def chord_disk_intersect(a: Point2, b: Point2, center: Point2,
-                         radius: float) -> ChordIntersection:
-    """Intersect segment ``[a, b]`` with the closed disk around ``center``.
-
-    Raises :class:`DegenerateSegmentError` when ``a == b`` and ``ValueError``
-    for a non-positive radius.
-    """
-    ux, uy = b.x - a.x, b.y - a.y
-    seg2 = ux * ux + uy * uy
-    if seg2 == 0.0:
-        raise DegenerateSegmentError(f"segment endpoints coincide at ({a.x}, {a.y})")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-
-    seg_len = math.sqrt(seg2)
-    ax, ay = a.x - center.x, a.y - center.y
-    # Foot of the perpendicular from the center, in segment parameter units,
-    # and the signed center-to-line distance.  This form keeps the computed
-    # endpoints on the circle to ~1 ulp instead of solving the raw quadratic.
-    t_mid = -(ax * ux + ay * uy) / seg2
-    line_dist = (ax * uy - ay * ux) / seg_len
-    half2 = radius * radius - line_dist * line_dist
-    if half2 <= 0.0:
-        return _EMPTY_CHORD
-    half = math.sqrt(half2) / seg_len
-
-    s_lo = max(0.0, t_mid - half)
-    s_hi = min(1.0, t_mid + half)
-    if s_lo >= s_hi:
-        return _EMPTY_CHORD
-    return ChordIntersection(
-        SEGMENT,
-        Point2(a.x + s_lo * ux, a.y + s_lo * uy),
-        Point2(a.x + s_hi * ux, a.y + s_hi * uy),
-        s_hi - s_lo,
-    )
-
-
 @dataclass(frozen=True)
 class ArcIndex:
     """Per-unit-time index of an arc against one disk, plus in-disk fraction.
@@ -122,42 +95,237 @@ class ArcIndex:
     frac: float
 
 
-def _theta_over_sin(theta: float) -> float:
-    if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        return 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
-    return theta / math.sin(theta)
+# ---------------------------------------------------------------------------
+# the batch kernel
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of every entry pair, in the shape of ``x``."""
+    flat = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
+    return np.array(list(flat), dtype=float).reshape(x.shape)
+
+
+def _above0(v: np.ndarray) -> np.ndarray:
+    """``max(0.0, v)`` entry by entry, with Python's tie rule."""
+    return np.where(v > 0.0, v, 0.0)
+
+
+def _below1(v: np.ndarray) -> np.ndarray:
+    """``min(1.0, v)`` entry by entry, with Python's tie rule."""
+    return np.where(v < 1.0, v, 1.0)
+
+
+def _theta_over_sin(theta: np.ndarray) -> np.ndarray:
+    out = np.empty_like(theta)
+    small = theta < _SMALL_ANGLE
+    t2 = theta[small] * theta[small]
+    out[small] = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
+    big = theta[~small]
+    out[~small] = big / np.array(list(map(math.sin, big.tolist())), dtype=float)
+    return out
+
+
+class _Frame(NamedTuple):
+    """Segments (rows) against centers (columns): each segment's start and
+    direction, its squared length, and the center's projection onto the
+    segment's line in segment parameter units."""
+
+    ax: np.ndarray
+    ay: np.ndarray
+    ux: np.ndarray
+    uy: np.ndarray
+    seg2: np.ndarray
+    t_mid: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+
+    def foot_offsets(self):
+        """Center minus its nearest point of the closed segment."""
+        s = _below1(_above0(self.t_mid))
+        return (self.cx - (self.ax + s * self.ux),
+                self.cy - (self.ay + s * self.uy))
+
+
+def _frame(ax, ay, bx, by, cx, cy) -> _Frame:
+    ax, ay, bx, by = (np.asarray(v, dtype=float)[:, None] for v in (ax, ay, bx, by))
+    cx, cy = (np.asarray(v, dtype=float)[None, :] for v in (cx, cy))
+    ux, uy = bx - ax, by - ay
+    seg2 = ux * ux + uy * uy
+    degenerate = np.flatnonzero(seg2 == 0.0)
+    if degenerate.size:
+        k = degenerate[0]
+        raise DegenerateSegmentError(
+            f"segment endpoints coincide at ({float(ax[k, 0])}, {float(ay[k, 0])})")
+    t_mid = -((ax - cx) * ux + (ay - cy) * uy) / seg2
+    return _Frame(ax, ay, ux, uy, seg2, t_mid, cx, cy)
+
+
+@dataclass(frozen=True)
+class SegmentDiskBatch:
+    """Every segment of a batch against every disk center of a batch.  Each
+    array has one row per segment and one column per center."""
+
+    #: the in-disk sub-segment as segment parameters ``a + s*(b - a)``;
+    #: both 0 where the chord is empty
+    s_lo: np.ndarray
+    s_hi: np.ndarray
+    #: the chord has positive length
+    hit: np.ndarray
+    #: the center lies farther than ``eps`` from the closed segment
+    clear: np.ndarray
+    #: ``ArcIndex.per_time_index`` of each pair; 0 where the chord is empty
+    #: or the pair fails the clearance test
+    per_time: np.ndarray
+
+    @property
+    def frac(self) -> np.ndarray:
+        """In-disk share of each segment's length."""
+        return self.s_hi - self.s_lo
+
+    @property
+    def rate(self) -> np.ndarray:
+        """Effect per unit travel time over the whole segment:
+        ``per_time_index * frac``."""
+        return self.per_time * self.frac
+
+
+def segment_disk_batch(ax, ay, bx, by, cx, cy, factor: float, radius: float,
+                       eps: float = 0.0) -> SegmentDiskBatch:
+    """Segments ``[a_k, b_k]`` (coordinate arrays of equal length) against
+    closed disks of one ``radius`` around the centers ``c_l``, with the
+    inverse-square ``factor`` and the clearance ``eps``.
+
+    Raises ``ValueError`` for a negative factor or a non-positive radius and
+    :class:`DegenerateSegmentError` for a segment whose endpoints coincide.
+    Pairs that fail the clearance test are reported in ``clear``, not
+    raised, and get a zero ``per_time`` (the index is singular there).
+    """
+    if factor < 0.0:
+        raise ValueError(f"factor must be nonnegative, got {factor}")
+    fr = _frame(ax, ay, bx, by, cx, cy)
+    if radius <= 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    ax, ay, ux, uy, cx, cy = fr.ax, fr.ay, fr.ux, fr.uy, fr.cx, fr.cy
+
+    # Clearance: np.hypot may differ from math.hypot in the last bit, so it
+    # only settles the pairs far from the threshold; math.hypot decides the
+    # rest.
+    dx, dy = fr.foot_offsets()
+    near = np.hypot(dx, dy) <= 2.0 * eps
+    clear = ~near
+    clear[near] = ~(_hypot(dx[near], dy[near]) <= eps)
+
+    # The chord is t_mid -/+ half around the foot of the perpendicular,
+    # with half from the signed center-to-line distance.  This form keeps
+    # the computed endpoints on the circle to ~1 ulp instead of solving the
+    # raw quadratic.
+    seg_len = np.sqrt(fr.seg2)
+    line_dist = ((ax - cx) * uy - (ay - cy) * ux) / seg_len
+    half2 = radius * radius - line_dist * line_dist
+    hit = ~(half2 <= 0.0)
+    half = np.sqrt(np.where(hit, half2, 0.0)) / seg_len
+    lo = _above0(fr.t_mid - half)
+    hi = _below1(fr.t_mid + half)
+    hit &= ~(lo >= hi)
+    s_lo = np.where(hit, lo, 0.0)
+    s_hi = np.where(hit, hi, 0.0)
+
+    per_time = np.zeros(hit.shape)
+    todo = hit & clear
+    if factor != 0.0 and todo.any():
+        def at(v):
+            return np.broadcast_to(v, todo.shape)[todo]
+        pax, pay, pux, puy, pcx, pcy, lo, hi = map(
+            at, (ax, ay, ux, uy, cx, cy, s_lo, s_hi))
+        v1x, v1y = pax + lo * pux - pcx, pay + lo * puy - pcy
+        v2x, v2y = pax + hi * pux - pcx, pay + hi * puy - pcy
+        cross = np.abs(v1x * v2y - v1y * v2x)
+        dot = v1x * v2x + v1y * v2y
+        theta = np.array(list(map(math.atan2, cross.tolist(), dot.tolist())),
+                         dtype=float)
+        per_time[todo] = factor * _theta_over_sin(theta) / (
+            _hypot(v1x, v1y) * _hypot(v2x, v2y))
+    return SegmentDiskBatch(s_lo, s_hi, hit, clear, per_time)
+
+
+def distances(px, py, qx, qy) -> np.ndarray:
+    """``dist(p_k, q_l)`` for every point ``p_k`` (rows) and ``q_l``
+    (columns)."""
+    px, py = (np.asarray(v, dtype=float)[:, None] for v in (px, py))
+    qx, qy = (np.asarray(v, dtype=float)[None, :] for v in (qx, qy))
+    return _hypot(qx - px, qy - py)
+
+
+def point_rates(d: np.ndarray, factor: float, radius: float) -> np.ndarray:
+    """Per-unit-time index at distances ``d`` (all positive) from a sensor:
+    ``factor/d**2`` inside the closed disk, zero outside."""
+    out = np.zeros(d.shape)
+    inside = d <= radius
+    di = d[inside]
+    out[inside] = factor / (di * di)
+    return out
+
+
+def on_arc_error(w: Point2, eps: float) -> TargetTooCloseError:
+    """The error for a target ``w`` within ``eps`` of an arc."""
+    return TargetTooCloseError(
+        f"target at ({w.x}, {w.y}) lies on arc within clearance {eps}")
+
+
+def on_waypoint_error(w: Point2, eps: float) -> TargetTooCloseError:
+    """The error for a target ``w`` within ``eps`` of a waypoint."""
+    return TargetTooCloseError(
+        f"target at ({w.x}, {w.y}) coincides with waypoint within {eps}")
+
+
+# ---------------------------------------------------------------------------
+# single pairs
+
+
+def _single(a: Point2, b: Point2, c: Point2, factor: float, radius: float,
+            eps: float = 0.0) -> SegmentDiskBatch:
+    return segment_disk_batch([a.x], [a.y], [b.x], [b.y], [c.x], [c.y],
+                              factor, radius, eps)
+
+
+def chord_disk_intersect(a: Point2, b: Point2, center: Point2,
+                         radius: float) -> ChordIntersection:
+    """Intersect segment ``[a, b]`` with the closed disk around ``center``.
+
+    Raises :class:`DegenerateSegmentError` when ``a == b`` and ``ValueError``
+    for a non-positive radius.
+    """
+    batch = _single(a, b, center, 0.0, radius)
+    if not batch.hit[0, 0]:
+        return _EMPTY_CHORD
+    s_lo, s_hi = float(batch.s_lo[0, 0]), float(batch.s_hi[0, 0])
+    ux, uy = b.x - a.x, b.y - a.y
+    return ChordIntersection(
+        SEGMENT,
+        Point2(a.x + s_lo * ux, a.y + s_lo * uy),
+        Point2(a.x + s_hi * ux, a.y + s_hi * uy),
+        s_hi - s_lo,
+    )
 
 
 def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     """Distance from ``p`` to the closed segment ``[a, b]``."""
-    ux, uy = b.x - a.x, b.y - a.y
-    seg2 = ux * ux + uy * uy
-    if seg2 == 0.0:
+    try:
+        fr = _frame([a.x], [a.y], [b.x], [b.y], [p.x], [p.y])
+    except DegenerateSegmentError:
         return dist(p, a)
-    s = ((p.x - a.x) * ux + (p.y - a.y) * uy) / seg2
-    s = min(1.0, max(0.0, s))
-    return math.hypot(p.x - (a.x + s * ux), p.y - (a.y + s * uy))
+    dx, dy = fr.foot_offsets()
+    return math.hypot(float(dx[0, 0]), float(dy[0, 0]))
 
 
 def _arc_index(i: Point2, j: Point2, w: Point2, factor: float, radius: float,
                eps: float, what: str) -> ArcIndex:
     if factor < 0.0:
         raise ValueError(f"{what} factor must be nonnegative, got {factor}")
-    if point_segment_distance(w, i, j) <= eps:
-        raise TargetTooCloseError(
-            f"target at ({w.x}, {w.y}) lies on arc within clearance {eps}")
-    chord = chord_disk_intersect(i, j, w, radius)
-    if chord.is_empty:
-        return ArcIndex(0.0, 0.0)
-    if factor == 0.0:
-        return ArcIndex(0.0, chord.frac)
-    v1x, v1y = chord.p_start.x - w.x, chord.p_start.y - w.y
-    v2x, v2y = chord.p_end.x - w.x, chord.p_end.y - w.y
-    d1 = math.hypot(v1x, v1y)
-    d2 = math.hypot(v2x, v2y)
-    theta = math.atan2(abs(v1x * v2y - v1y * v2x), v1x * v2x + v1y * v2y)
-    return ArcIndex(factor * _theta_over_sin(theta) / (d1 * d2), chord.frac)
+    batch = _single(i, j, w, factor, radius, eps)
+    if not batch.clear[0, 0]:
+        raise on_arc_error(w, eps)
+    return ArcIndex(float(batch.per_time[0, 0]), float(batch.frac[0, 0]))
 
 
 def arc_risk_index(i: Point2, j: Point2, w: Point2, sigma: float,
@@ -189,8 +357,5 @@ def point_index(p: Point2, w: Point2, factor: float, radius: float,
         raise ValueError(f"factor must be nonnegative, got {factor}")
     d = dist(p, w)
     if d <= eps:
-        raise TargetTooCloseError(
-            f"target at ({w.x}, {w.y}) coincides with waypoint within {eps}")
-    if d <= radius:
-        return factor / (d * d)
-    return 0.0
+        raise on_waypoint_error(w, eps)
+    return float(point_rates(np.array([d]), factor, radius)[0])

@@ -208,36 +208,38 @@ def validate_instance(instance: Instance) -> None:
         if t.priority < 0:
             raise SchemaError(f"target {t.id} has negative priority")
     for (i, j) in _segment_pairs(n):
-        if geometry.dist(instance.point(i), instance.point(j)) == 0.0:
+        # the squared length, not the distance: a segment whose square
+        # underflows to 0 has no direction for the chord geometry
+        a, b = instance.point(i), instance.point(j)
+        dx, dy = b.x - a.x, b.y - a.y
+        if dx * dx + dy * dy == 0.0:
             raise SchemaError(f"waypoints {i} and {j} coincide")
+
+
+def _xy(points: Sequence[Point2]) -> Tuple[np.ndarray, np.ndarray]:
+    """The points' x and y coordinates as two arrays."""
+    return (np.array([p.x for p in points], dtype=float),
+            np.array([p.y for p in points], dtype=float))
 
 
 def _clean_targets(instance: Instance) -> Instance:
     """Drop targets that sit on an arc or that no arc/waypoint can cover."""
-    eps = instance.eps_geo
-    pairs = list(_segment_pairs(instance.n))
+    xs, ys = _xy([w.point for w in instance.waypoints])
+    tx, ty = _xy([t.point for t in instance.targets])
+    i, j = np.array(list(_segment_pairs(instance.n)), dtype=np.intp).T
+    radius = instance.vehicle.coverage_radius
+    chords = geometry.segment_disk_batch(xs[i], ys[i], xs[j], ys[j], tx, ty,
+                                         0.0, radius, instance.eps_geo)
+    inner = slice(1, instance.n + 1)
+    near_waypoint = geometry.distances(xs[inner], ys[inner], tx, ty) <= radius
+    on_arc = ~chords.clear.all(axis=0)
+    coverable = near_waypoint.any(axis=0) | chords.hit.any(axis=0)
     kept: List[Target] = []
     removed: List[Tuple[int, str]] = []
-    for t in instance.targets:
-        on_arc = any(
-            geometry.point_segment_distance(t.point, instance.point(i),
-                                            instance.point(j)) <= eps
-            for (i, j) in pairs)
-        if on_arc:
+    for t, arc, cov in zip(instance.targets, on_arc, coverable):
+        if arc:
             removed.append((t.id, "on-arc"))
-            continue
-        coverable = any(
-            geometry.dist(instance.point(i), t.point) <= instance.vehicle.coverage_radius
-            for i in instance.interior_ids)
-        if not coverable:
-            for (i, j) in pairs:
-                chord = geometry.chord_disk_intersect(
-                    instance.point(i), instance.point(j), t.point,
-                    instance.vehicle.coverage_radius)
-                if not chord.is_empty:
-                    coverable = True
-                    break
-        if coverable:
+        elif cov:
             kept.append(t)
         else:
             removed.append((t.id, "uncoverable"))
@@ -488,42 +490,39 @@ class ArcIndexTable:
         self._arc_rows, self._arc_cols = np.array(self.arcs, dtype=np.intp).T
         self.target_ids: Tuple[int, ...] = tuple(t.id for t in instance.targets)
 
-        pts = [w.point for w in instance.waypoints]
-        self.node_dist = np.zeros((n + 2, n + 2))
-        for i in range(n + 2):
-            for j in range(i + 1, n + 2):
-                d = geometry.dist(pts[i], pts[j])
-                self.node_dist[i, j] = self.node_dist[j, i] = d
-        self.arc_dist = np.array([self.node_dist[i, j] for (i, j) in self.arcs])
+        xs, ys = _xy([w.point for w in instance.waypoints])
+        tx, ty = _xy([t.point for t in instance.targets])
+        self.node_dist = geometry.distances(xs, ys, xs, ys)
+        self.arc_dist = self.node_dist[self._arc_rows, self._arc_cols]
         self.min_time = self.arc_dist / instance.vehicle.speed_max
         self.max_time = self.arc_dist / instance.vehicle.speed_min
 
-        m = len(instance.targets)
         eps = instance.eps_geo
-        # coverage per unit travel time on the arc as a whole
-        self.coverage_rate = np.zeros((len(self.arcs), m))
         veh = instance.vehicle
-        for k, (i, j) in enumerate(self.arcs):
-            for col, t in enumerate(instance.targets):
-                try:
-                    ci = geometry.arc_coverage_index(pts[i], pts[j], t.point,
-                                                     veh.coverage_factor,
-                                                     veh.coverage_radius, eps)
-                except TargetTooCloseError as exc:
-                    raise TargetTooCloseError(
-                        f"target {t.id} against arc ({i},{j}): {exc}") from exc
-                self.coverage_rate[k, col] = ci.per_time_index * ci.frac
+        rows, cols = self._arc_rows, self._arc_cols
+        chords = geometry.segment_disk_batch(
+            xs[rows], ys[rows], xs[cols], ys[cols], tx, ty,
+            veh.coverage_factor, veh.coverage_radius, eps)
+        if not chords.clear.all():
+            k, col = np.unravel_index(np.argmin(chords.clear), chords.clear.shape)
+            (i, j), t = self.arcs[k], instance.targets[col]
+            exc = geometry.on_arc_error(t.point, eps)
+            raise TargetTooCloseError(
+                f"target {t.id} against arc ({i},{j}): {exc}") from exc
+        # coverage per unit travel time on the arc as a whole
+        self.coverage_rate = chords.rate
 
-        self.wp_cov = np.zeros((n, m))
-        for i in instance.interior_ids:
-            for col, t in enumerate(instance.targets):
-                try:
-                    self.wp_cov[i - 1, col] = geometry.point_index(
-                        pts[i], t.point, veh.coverage_factor,
-                        veh.coverage_radius, eps)
-                except TargetTooCloseError as exc:
-                    raise TargetTooCloseError(
-                        f"target {t.id} against waypoint {i}: {exc}") from exc
+        inner = slice(1, n + 1)
+        d = geometry.distances(xs[inner], ys[inner], tx, ty)
+        close = d <= eps
+        if close.any():
+            k, col = np.unravel_index(np.argmax(close), d.shape)
+            t = instance.targets[col]
+            exc = geometry.on_waypoint_error(t.point, eps)
+            raise TargetTooCloseError(
+                f"target {t.id} against waypoint {k + 1}: {exc}") from exc
+        self.wp_cov = geometry.point_rates(d, veh.coverage_factor,
+                                           veh.coverage_radius)
 
         self.priorities = np.array([t.priority for t in instance.targets])
         self.required = np.array([t.min_coverage for t in instance.targets])

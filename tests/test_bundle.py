@@ -151,6 +151,23 @@ class TestSolveMaster:
             assert exact
             assert kkt_residual(center, G, h, x, mu) <= 1e-8
 
+    def test_nearly_parallel_cut_swaps_out_its_twin(self):
+        # Two cuts whose gradients differ in one component by a relative
+        # 1e-12 and whose lines cross at (-0.5, -0.5).  Walking along the
+        # first from (-0.1, -0.9) toward (-0.8, -0.2), the walk is blocked by
+        # the second, which is tighter past the crossing.  It is nearly
+        # dependent on the first, so it replaces it instead of joining it.
+        d = 1e-12
+        G = np.array([[1e3, 1e3], [1e3, 1e3 * (1.0 + d)], [1.0, 0.0], [0.0, 1.0]])
+        h = np.array([-1e3, -1e3 * (1.0 + 0.5 * d), 0.0, 0.0])
+        center = np.array([-0.3, 0.3])
+        x, mu, work, exact = _project_onto_polyhedron(
+            center, G, h, np.array([-0.1, -3.0]))
+        assert exact
+        assert work == [1]
+        assert kkt_residual(center, G, h, x, mu) <= 1e-8
+        assert np.allclose(x, [-0.8, -0.2], atol=1e-9)
+
 
 class TestRunDual:
     def test_zero_requirements_converge_immediately(self):

@@ -7,11 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import reference_geometry as ref
 from coverage_routing.errors import DegenerateSegmentError, TargetTooCloseError
 from coverage_routing.geometry import (Point2, arc_coverage_index,
                                        arc_risk_index, chord_disk_intersect,
                                        dist, point_index,
-                                       point_segment_distance)
+                                       point_segment_distance,
+                                       segment_disk_batch)
 
 SQ3 = math.sqrt(3.0)
 
@@ -207,3 +209,75 @@ class TestPointIndex:
     def test_negative_factor_rejected(self):
         with pytest.raises(ValueError):
             point_index(Point2(1, 0), Point2(0, 0), -1.0, 1.0)
+
+
+# Coordinates on a half-unit grid (tangent and radial chords, targets on
+# segments and on circles) or anywhere in a box.
+COORD = st.one_of(st.integers(-8, 8).map(lambda v: v / 2.0),
+                  st.floats(-50.0, 50.0, allow_subnormal=False))
+POINT = st.builds(Point2, COORD, COORD)
+RADIUS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.0]),
+                   st.floats(0.01, 60.0))
+FACTOR = st.sampled_from([0.0, 1.0, 1.7])
+
+
+def _outcome(fn, *args):
+    """The result of ``fn``, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestScalarReference:
+    """The batch kernel and the per-pair calls into it against the per-pair
+    code they replaced, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @given(POINT, POINT, POINT, RADIUS, FACTOR, st.sampled_from([0.0, 1e-9, 0.5]))
+    def test_single_pairs_match_reference(self, a, b, w, r, factor, eps):
+        assume(a == b or dist(a, b) > 1e-6)
+        assert _outcome(point_segment_distance, w, a, b) == \
+            ref.point_segment_distance(w, a, b)
+        assert _outcome(point_index, a, w, factor, r, eps) == \
+            _outcome(ref.point_index, a, w, factor, r, eps)
+        assert _outcome(chord_disk_intersect, a, b, w, r) == \
+            _outcome(ref.chord_disk_intersect, a, b, w, r)
+        assume(a != b)
+        for fn in (arc_risk_index, arc_coverage_index):
+            assert _outcome(fn, a, b, w, factor, r, eps) == \
+                _outcome(ref.arc_index, a, b, w, factor, r, eps)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(POINT, POINT), min_size=1, max_size=6),
+           st.lists(POINT, min_size=0, max_size=6), RADIUS, FACTOR,
+           st.sampled_from([0.0, 1e-9, 0.5]))
+    def test_batch_entries_match_reference(self, segs, centers, r, factor, eps):
+        assume(all(dist(a, b) > 1e-6 for a, b in segs))
+        (ax, ay), (bx, by) = ([[p[k].x for p in segs], [p[k].y for p in segs]]
+                              for k in (0, 1))
+        batch = segment_disk_batch(ax, ay, bx, by, [c.x for c in centers],
+                                   [c.y for c in centers], factor, r, eps)
+        assert batch.hit.shape == (len(segs), len(centers))
+        for k, (a, b) in enumerate(segs):
+            for col, w in enumerate(centers):
+                chord = ref.chord_disk_intersect(a, b, w, r)
+                assert batch.hit[k, col] == (not chord.is_empty)
+                assert batch.frac[k, col] == chord.frac
+                clear = ref.point_segment_distance(w, a, b) > eps
+                assert batch.clear[k, col] == clear
+                if clear:
+                    idx = ref.arc_index(a, b, w, factor, r, eps)
+                    assert batch.per_time[k, col] == idx.per_time_index
+                    assert batch.rate[k, col] == idx.per_time_index * idx.frac
+                if not chord.is_empty:
+                    s_lo, s_hi = batch.s_lo[k, col], batch.s_hi[k, col]
+                    assert (a.x + s_lo * (b.x - a.x), a.y + s_lo * (b.y - a.y)) == \
+                        (chord.p_start.x, chord.p_start.y)
+                    assert (a.x + s_hi * (b.x - a.x), a.y + s_hi * (b.y - a.y)) == \
+                        (chord.p_end.x, chord.p_end.y)
+
+    def test_degenerate_segment_in_batch_rejected(self):
+        with pytest.raises(DegenerateSegmentError, match=r"coincide at \(1.0, 2.0\)"):
+            segment_disk_batch([0.0, 1.0], [0.0, 2.0], [3.0, 1.0], [0.0, 2.0],
+                               [5.0], [5.0], 1.0, 1.0)

@@ -3,16 +3,66 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_geometry as ref
 from conftest import make_instance, too_many_waypoints_document
-from coverage_routing.errors import SchemaError
-from coverage_routing.geometry import Point2, arc_coverage_index
-from coverage_routing.instance import (PathSolution, ValidateOptions,
-                                       arc_energy, build_index_table,
+from coverage_routing.errors import SchemaError, TargetTooCloseError
+from coverage_routing.geometry import Point2
+from coverage_routing.instance import (Instance, PathSolution, Physics,
+                                       Target, ValidateOptions, Vehicle,
+                                       Waypoint, arc_energy,
+                                       build_index_table, finalize_instance,
                                        generate_instance, instance_to_json,
                                        load_instance, load_solution,
                                        serialize_instance, solution_to_json,
                                        validate_solution)
+
+
+def raw_instance(waypoints, targets, radius, factor=1.0):
+    """Instance straight from (x, y) pairs, neither validated nor cleaned;
+    the first waypoint is both depots."""
+    pts = [Point2(*p) for p in [waypoints[0], *waypoints[1:], waypoints[0]]]
+    return Instance(
+        waypoints=tuple(Waypoint(k, p, 0.0, 100.0) for k, p in enumerate(pts)),
+        targets=tuple(Target(k, Point2(*p), 1.0, 1.0, 1.0, 0.1)
+                      for k, p in enumerate(targets)),
+        vehicle=Vehicle(factor, radius, 1.0, 10.0, 1e9),
+        physics=Physics(), deadline=100.0)
+
+
+# One instance per kind of edge: against the arc (0,0)-(4,0), (2,3) makes a
+# tangent chord at radius 3, (6,0) a radial one (theta = 0), (1,1) a chord
+# clipped at the arc's start, and (4,3) sits exactly on the coverage circle
+# of waypoint (4,0).
+EDGES = raw_instance([(0.0, 0.0), (4.0, 0.0)],
+                     [(2.0, 3.0), (6.0, 0.0), (1.0, 1.0), (4.0, 3.0)], 3.0)
+EDGES_NO_FACTOR = raw_instance([(0.0, 0.0), (4.0, 0.0)],
+                               [(2.0, 3.0), (6.0, 0.0), (1.0, 1.0), (4.0, 3.0)],
+                               3.0, factor=0.0)
+# targets on an arc and on a waypoint, next to coverable and uncoverable ones
+ON_ARC = raw_instance([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)],
+                      [(15.0, 5.0), (15.0, 0.0), (10.0, 0.0), (40.0, 40.0)], 10.0)
+
+
+@st.composite
+def instances(draw):
+    """Small raw instances, on a half-unit grid (targets on arcs, on
+    waypoints and on coverage circles, tangent and radial chords) or with
+    coordinates anywhere in a box."""
+    if draw(st.booleans()):
+        coord = st.integers(0, 12).map(lambda v: v / 2.0)
+        radius = st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0])
+    else:
+        coord = st.floats(0.0, 60.0, allow_subnormal=False)
+        radius = st.floats(0.5, 40.0)
+    point = st.tuples(coord, coord)
+    wps = draw(st.lists(point, min_size=2, max_size=5,
+                        unique_by=lambda p: (round(p[0], 3), round(p[1], 3))))
+    tgs = draw(st.lists(point, min_size=0, max_size=6))
+    return raw_instance(wps, tgs, draw(radius),
+                        draw(st.sampled_from([0.0, 1.0, 2.5])))
 
 
 class TestGeneration:
@@ -127,6 +177,9 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             make_instance([(0.0, 0.0), (3.0, 0.0), (3.0, 0.0)],
                           [(1.0, 1.0)], deadline=10.0)
+        # apart, but the squared offset underflows to 0
+        with pytest.raises(SchemaError, match="waypoints 0 and 1 coincide"):
+            make_instance([(0.0, 0.0), (0.0, 1e-200)], [], deadline=10.0)
 
     def test_waypoint_limit(self):
         assert load_instance(serialize_instance(
@@ -153,17 +206,59 @@ class TestIndexTable:
             assert np.allclose(table.coverage_rate[a],
                                table.coverage_rate[b], rtol=1e-12, atol=1e-12)
 
-    def test_spot_entry_matches_direct_geometry(self):
-        inst = generate_instance(33, 5, 6, coverage_radius=25.0)
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(instances())
+    @example(EDGES)
+    @example(EDGES_NO_FACTOR)
+    @example(ON_ARC)
+    def test_every_entry_matches_scalar_reference(self, inst):
+        try:
+            want = ref.table_arrays(inst)
+        except TargetTooCloseError as exc:
+            with pytest.raises(TargetTooCloseError) as got:
+                build_index_table(inst)
+            assert str(got.value) == str(exc)
+            assert str(got.value.__cause__) == str(exc.__cause__)
+            return
         table = build_index_table(inst)
-        arc = (2, 4)
-        k = table.arc_id[arc]
-        col = 0
-        t = inst.targets[col]
-        ci = arc_coverage_index(inst.point(2), inst.point(4), t.point,
-                                inst.vehicle.coverage_factor,
-                                inst.vehicle.coverage_radius, inst.eps_geo)
-        assert table.coverage_rate[k, col] == ci.per_time_index * ci.frac
+        for name, arr in zip(("coverage_rate", "wp_cov", "node_dist"), want):
+            assert getattr(table, name).shape == arr.shape
+            assert getattr(table, name).tobytes() == arr.tobytes()
+
+    def test_edge_instance_reaches_each_branch(self):
+        a, b = EDGES.point(0), EDGES.point(1)
+        tangent, radial, clipped, on_circle = (t.point for t in EDGES.targets)
+        assert ref.chord_disk_intersect(a, b, tangent, 3.0).is_empty
+        assert ref.point_segment_distance(tangent, a, b) == 3.0
+        ch = ref.chord_disk_intersect(a, b, radial, 3.0)
+        assert ch.p_start == Point2(3.0, 0.0) and ch.p_end == b
+        ch = ref.chord_disk_intersect(a, b, clipped, 3.0)
+        assert ch.p_start == a and 0.0 < ch.frac < 1.0
+        assert ref.point_index(b, on_circle, 1.0, 3.0) == 1.0 / 9.0
+        table = build_index_table(EDGES)
+        assert table.wp_cov[0, 3] == 1.0 / 9.0
+        assert np.all(build_index_table(EDGES_NO_FACTOR).coverage_rate == 0.0)
+
+    def test_uncleaned_target_on_arc_keeps_message(self):
+        inst = raw_instance([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)],
+                            [(15.0, 5.0), (15.0, 0.0)], 10.0)
+        eps = inst.eps_geo
+        with pytest.raises(TargetTooCloseError) as info:
+            build_index_table(inst)
+        assert str(info.value) == (
+            f"target 1 against arc (0,2): target at (15.0, 0.0) lies on arc "
+            f"within clearance {eps}")
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(instances())
+    @example(ON_ARC)
+    def test_cleaning_matches_scalar_reference(self, inst):
+        want = ref.removed_targets(inst)
+        cleaned = finalize_instance(inst)
+        assert list(cleaned.removed_targets) == want
+        dropped = {tid for tid, _ in want}
+        assert cleaned.targets == tuple(t for t in inst.targets
+                                        if t.id not in dropped)
 
 
 class TestArcEnergy:
