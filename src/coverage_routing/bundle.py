@@ -70,78 +70,102 @@ class MasterResult:
 # projection master
 
 
-def _project_onto_polyhedron(center: np.ndarray, G: np.ndarray,
-                             h: np.ndarray, start: np.ndarray
+def _project_onto_polyhedron(center: np.ndarray, C: np.ndarray,
+                             d: np.ndarray, start: np.ndarray
                              ) -> Tuple[np.ndarray, np.ndarray, List[int], bool]:
-    """Projection of ``center`` onto ``{x : G x <= h}`` by a primal active-set
-    method started from the feasible point ``start``.
+    """Projection of ``center`` onto ``{x : C x <= d, x <= 0}`` by a primal
+    active-set method started from the feasible point ``start``.
 
-    Returns the projection, the constraint multipliers, the final working
-    set, and an exactness flag.  The working set is kept at full row rank: a
-    blocking row that is nearly dependent on it (two almost-parallel cuts,
-    say) swaps out its most parallel colleague instead of stacking up, which
-    keeps the equality subproblems well conditioned.  If the walk still fails
-    to settle, the current iterate is returned inexactly; it is always
-    feasible, which is all the level loop needs for validity.
+    Returns the projection, the multipliers of the rows ``[C; I]`` (cuts,
+    then bounds), the final working set as row numbers of ``[C; I]``, and
+    an exactness flag.  The working set is a list of cut rows ``W`` plus a
+    mask ``B`` of coordinates fixed at 0; it starts with every coordinate
+    that is 0 at ``start`` (Nocedal & Wright, *Numerical Optimization*,
+    Alg. 16.3).  Each equality step factorises only the block
+    ``C[W, ~B]``, once per working set; the bound multipliers follow in
+    closed form as ``-g_B - C[W, B]^T mu_W``.
 
-    The working set's rows ``A`` and their pseudo-inverse ``P`` are
-    factorised once per working set and reused until the set changes."""
+    The working set is kept at full row rank: a blocking row that is nearly
+    dependent on it (two almost-parallel cuts, say) swaps out its most
+    parallel colleague instead of stacking up, which keeps the equality
+    subproblems well conditioned.  If the walk still fails to settle, the
+    current iterate is returned inexactly; it is always feasible, which is
+    all the level loop needs for validity."""
+    k, m = C.shape
     x = start.astype(float).copy()
-    n = len(center)
     work: List[int] = []
-    P = None  # pinv(G[work]), None while out of date
-    p = np.zeros(n)
-    for _ in range(PROJECTION_MAX_STEPS):
-        if work:
-            if P is None:
-                A = G[work]
-                P = np.linalg.pinv(A, rcond=1e-12)
-            y = center + P @ (h[work] - A @ center)
+    fixed = x == 0.0
+    P = None  # pinv(C[W, ~B]), None while the working set is out of date
+    p = np.zeros(m)
+
+    def active() -> List[int]:
+        # the working set as row numbers of [C; I]
+        return work + (k + np.flatnonzero(fixed)).tolist()
+
+    def drop(j: int) -> None:
+        # member j of the working set in the order [W; coordinates of B]
+        if j < len(work):
+            work.pop(j)
         else:
-            y = center.copy()
+            fixed[np.flatnonzero(fixed)[j - len(work)]] = False
+
+    for _ in range(PROJECTION_MAX_STEPS):
+        if P is None:
+            cols = np.flatnonzero(~fixed)
+            Cw = C[work]
+            A = Cw[:, cols]
+            P = np.linalg.pinv(A, rcond=1e-12) if work else A.T
+        y = np.where(fixed, 0.0, center)
+        y[cols] += P @ (d[work] - A @ center[cols])
         p = y - x
         scale = max(1.0, float(np.max(np.abs(x))))
         if np.max(np.abs(p)) <= PROJECTION_TOL * scale:
             g = 2.0 * (x - center)
-            if work:
-                mu_w, *_ = np.linalg.lstsq(A.T, -g, rcond=None)
-            else:
-                mu_w = np.zeros(0)
-            if mu_w.size == 0 or mu_w.min() >= -1e-9:
-                mu = np.zeros(len(G))
-                mu[work] = np.where(mu_w > 0.0, mu_w, 0.0)
-                return x, mu, work, True
-            work.pop(int(np.argmin(mu_w)))
+            mu_w = P.T @ -g[cols]
+            mu_b = -g[fixed] - Cw[:, fixed].T @ mu_w
+            mu_all = np.concatenate([mu_w, mu_b])
+            if mu_all.size == 0 or mu_all.min() >= -1e-9:
+                mu = np.zeros(k + m)
+                mu[active()] = np.where(mu_all > 0.0, mu_all, 0.0)
+                return x, mu, active(), True
+            drop(int(np.argmin(mu_all)))
             P = None
             continue
-        # ratio test: the first row outside the working set to block the step
-        Gp = G @ p
-        resid = h - G @ x
-        free = Gp > 1e-11 * scale
-        free[work] = False
-        rows = np.flatnonzero(free)
+        # ratio test: the first row of [C; I] outside the working set to
+        # block the step
+        Gp = np.concatenate([C @ p, p])
+        resid = np.concatenate([d - C @ x, -x])
+        blocks = Gp > 1e-11 * scale
+        blocks[work] = False
+        blocks[k:][fixed] = False
+        rows = np.flatnonzero(blocks)
         ratios = np.where(resid[rows] < 0.0, 0.0, resid[rows]) / Gp[rows]
         below = np.flatnonzero(ratios < 1.0)
         alpha, blocking = 1.0, -1
         if below.size:
-            k = below[np.argmin(ratios[below])]
-            alpha, blocking = ratios[k], int(rows[k])
+            j = below[np.argmin(ratios[below])]
+            alpha, blocking = ratios[j], int(rows[j])
         x = x + alpha * p
         if blocking >= 0:
-            if work:
-                row = G[blocking]
-                coef = P.T @ row
-                ortho = row - A.T @ coef
-                if np.linalg.norm(ortho) <= 1e-9 * max(np.linalg.norm(row), 1.0):
-                    # nearly dependent: swap out the most parallel member
-                    work.pop(int(np.argmax(np.abs(coef))))
-            work.append(blocking)
+            row = C[blocking] if blocking < k else np.eye(1, m, blocking - k)[0]
+            coef_w = P.T @ row[cols]
+            ortho = row[cols] - A.T @ coef_w
+            if np.linalg.norm(ortho) <= 1e-9 * max(np.linalg.norm(row), 1.0):
+                # nearly dependent: swap out the most parallel member
+                coef_b = row[fixed] - Cw[:, fixed].T @ coef_w
+                drop(int(np.argmax(np.abs(np.concatenate([coef_w, coef_b])))))
+            if blocking < k:
+                work.append(blocking)
+            else:
+                fixed[blocking - k] = True
+                x[blocking - k] = 0.0
             P = None
-    if not np.all(np.isfinite(x)) or float(np.max(G @ x - h, initial=0.0)) > 1e-6:
+    viol = np.concatenate([C @ x - d, x])
+    if not np.all(np.isfinite(x)) or float(np.max(viol)) > 1e-6:
         raise MasterNumericsError(
-            f"projection lost feasibility (|work|={len(work)}, "
+            f"projection lost feasibility (|work|={len(active())}, "
             f"last step {np.max(np.abs(p)):.3e})")
-    return x, np.zeros(len(G)), work, False
+    return x, np.zeros(k + m), active(), False
 
 
 def kkt_residual(center: np.ndarray, G: np.ndarray, h: np.ndarray,
@@ -162,18 +186,19 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
     ``{lam <= 0 : every cut <= f_lev}``.
 
     Feasibility of the level set is decided first by a phase-1 linear
-    program; when empty, the caller may lift ``LB`` to ``f_lev``.
+    program; when empty, the caller may lift ``LB`` to ``f_lev``.  The
+    projection walks from the phase-1 vertex with the cuts as rows and the
+    bounds ``lam <= 0`` as coordinates fixed at 0; ``active`` numbers the
+    rows of its final working set over ``[cuts; bounds]``.
     """
     if not cuts:
         raise ValueError("cut pool is empty")
     m = len(lam_hat)
     grads = np.array([c.gradient for c in cuts])
     rhs = np.array([f_lev - c.offset for c in cuts])
-    G = np.vstack([grads, np.eye(m)])
-    h = np.concatenate([rhs, np.zeros(m)])
 
-    viol = G @ lam_hat - h
-    if float(viol.max(initial=0.0)) <= 1e-12:
+    if float(max(np.max(grads @ lam_hat - rhs),
+                 np.max(lam_hat, initial=0.0))) <= 1e-12:
         return MasterResult(MASTER_FEASIBLE, lam_hat.copy())
 
     # phase 1 in mu = -lam >= 0 space
@@ -182,7 +207,7 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
         return MasterResult(MASTER_INFEASIBLE, None)
     start = -lp.x
 
-    x, mu, work, exact = _project_onto_polyhedron(lam_hat, G, h, start)
+    x, mu, work, exact = _project_onto_polyhedron(lam_hat, grads, rhs, start)
     x = np.minimum(x, 0.0)
     return MasterResult(MASTER_FEASIBLE, x, tuple(sorted(work)), exact)
 

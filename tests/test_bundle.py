@@ -4,24 +4,65 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (case2_search_value, make_instance,
                       random_desk_instance, random_multipliers)
+from coverage_routing import bundle
 from coverage_routing.bundle import (CONVERGED, MASTER_INFEASIBLE,
                                      _project_onto_polyhedron,
                                      evaluate_dual_function, kkt_residual,
                                      run_dual, solve_master,
                                      timing_to_solution)
-from coverage_routing.errors import InfeasibleInstanceError
+from coverage_routing.errors import CyclingError, InfeasibleInstanceError
 from coverage_routing.instance import (ValidateOptions, build_index_table,
                                        generate_instance, validate_solution)
 from coverage_routing.labeling_case2 import Case2Solver
 from coverage_routing.oracle import oracle_primal
 from coverage_routing.relaxation import CutCoeffs, build_coeffs
+from coverage_routing.simplex import OPTIMAL, dense_lp_solve
+from reference_master import project_full_rows, project_with_bound_rows
 
 
 def _cut(gradient, offset):
     return CutCoeffs(np.asarray(gradient, dtype=float), float(offset))
+
+
+def _stacked(C, d):
+    """``{x : C x <= d, x <= 0}`` as the rows ``G x <= h``."""
+    m = C.shape[1]
+    return np.vstack([C, np.eye(m)]), np.concatenate([d, np.zeros(m)])
+
+
+@st.composite
+def _wide_level_sets(draw):
+    """A master projection shaped like one on wide-I: 30 to 60 multipliers,
+    1 to 12 cuts whose gradients are coverage minus requirement (most
+    targets uncovered, so most components negative), a sparse nonpositive
+    center, and the phase-1 vertex as the start, most of it 0."""
+    n, k = draw(st.integers(30, 60)), draw(st.integers(1, 12))
+    req_scale = 10.0 ** draw(st.integers(-2, 1))
+    cov_scale = 10.0 ** draw(st.integers(0, 3))
+    center_scale = 10.0 ** draw(st.integers(0, 3))
+    covered_share = draw(st.sampled_from([0.1, 0.3, 0.5]))
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    req = r.uniform(0.01, 1.0, n) * req_scale
+    covered = r.random((k, n)) < covered_share
+    C = np.where(covered, r.uniform(0.0, cov_scale, (k, n)), 0.0) - req
+    # a sparse feasible point, with some cuts tight at it, keeps the level
+    # set nonempty
+    inner = np.where(r.random(n) < 0.2, -r.uniform(0.0, 10.0, n), 0.0)
+    d = C @ inner + r.uniform(0.0, 10.0, k) * r.integers(0, 2, k)
+    center = np.where(r.random(n) < 0.3,
+                      -r.uniform(0.0, center_scale, n), 0.0)
+    try:
+        lp = dense_lp_solve(np.zeros(n), -C, d)
+    except CyclingError:
+        # phase 1's own rounding defect, not the projection's: no vertex
+        assume(False)
+    assert lp.status == OPTIMAL
+    return center, C, d, -lp.x
 
 
 class TestLevelParameter:
@@ -133,23 +174,24 @@ class TestSolveMaster:
             solve_master(np.zeros(2), [], 1.0)
 
     def test_projection_kkt_residuals(self, rng):
+        ran = 0
         for _ in range(25):
             m = 5
             n_cuts = rng.randint(1, 8)
-            G = np.array([[rng.uniform(-2, 2) for _ in range(m)]
-                          for _ in range(n_cuts + m)])
-            G[n_cuts:] = np.eye(m)
-            h = np.array([rng.uniform(-1, 3) for _ in range(n_cuts)]
-                         + [0.0] * m)
+            C = np.array([[rng.uniform(-2, 2) for _ in range(m)]
+                          for _ in range(n_cuts)])
+            d = np.array([rng.uniform(-1, 3) for _ in range(n_cuts)])
             center = np.array([rng.uniform(-3, 1) for _ in range(m)])
             # find a feasible start: mu-space LP mirror of the master
-            from coverage_routing.simplex import OPTIMAL, dense_lp_solve
-            lp = dense_lp_solve(np.zeros(m), -G[:n_cuts], h[:n_cuts])
+            lp = dense_lp_solve(np.zeros(m), -C, d)
             if lp.status != OPTIMAL:
                 continue
-            x, mu, work, exact = _project_onto_polyhedron(center, G, h, -lp.x)
+            x, mu, work, exact = _project_onto_polyhedron(center, C, d, -lp.x)
             assert exact
+            G, h = _stacked(C, d)
             assert kkt_residual(center, G, h, x, mu) <= 1e-8
+            ran += 1
+        assert ran >= 20
 
     def test_nearly_parallel_cut_swaps_out_its_twin(self):
         # Two cuts whose gradients differ in one component by a relative
@@ -157,16 +199,104 @@ class TestSolveMaster:
         # first from (-0.1, -0.9) toward (-0.8, -0.2), the walk is blocked by
         # the second, which is tighter past the crossing.  It is nearly
         # dependent on the first, so it replaces it instead of joining it.
+        # The start has no zero coordinate, so no bound starts in the
+        # working set.
         d = 1e-12
-        G = np.array([[1e3, 1e3], [1e3, 1e3 * (1.0 + d)], [1.0, 0.0], [0.0, 1.0]])
-        h = np.array([-1e3, -1e3 * (1.0 + 0.5 * d), 0.0, 0.0])
+        C = np.array([[1e3, 1e3], [1e3, 1e3 * (1.0 + d)]])
+        h = np.array([-1e3, -1e3 * (1.0 + 0.5 * d)])
         center = np.array([-0.3, 0.3])
         x, mu, work, exact = _project_onto_polyhedron(
-            center, G, h, np.array([-0.1, -3.0]))
+            center, C, h, np.array([-0.1, -3.0]))
         assert exact
         assert work == [1]
-        assert kkt_residual(center, G, h, x, mu) <= 1e-8
+        assert kkt_residual(center, *_stacked(C, h), x, mu) <= 1e-8
         assert np.allclose(x, [-0.8, -0.2], atol=1e-9)
+
+    def test_all_zero_start_drops_bounds_on_negative_multipliers(self):
+        # Every coordinate starts fixed at 0.  The center pulls all three
+        # below 0, so each bound's multiplier is negative and must be
+        # dropped; the walk then ends on the cut -sum(x) <= 6 alone, with
+        # multiplier 2 (stationarity: 2 (x - c) = mu (1, 1, 1)).
+        C = np.array([[-1.0, -1.0, -1.0]])
+        d = np.array([6.0])
+        center = np.array([-2.0, -3.0, -4.0])
+        x, mu, work, exact = _project_onto_polyhedron(center, C, d,
+                                                      np.zeros(3))
+        assert exact
+        assert work == [0]
+        assert np.allclose(x, [-1.0, -2.0, -3.0], atol=1e-12)
+        assert mu[0] == pytest.approx(2.0)
+        assert np.all(mu[1:] == 0.0)
+        assert kkt_residual(center, *_stacked(C, d), x, mu) <= 1e-12
+
+    def test_zero_coordinate_of_the_center_stays_fixed(self):
+        # A zero start coordinate whose center coordinate is 0 too has a
+        # zero bound multiplier: it stays in the working set, the others go.
+        C = np.array([[1.0, 1.0, 1.0, 1.0]])
+        center = np.array([-1.0, -2.0, 0.0, -3.0])
+        x, mu, work, exact = _project_onto_polyhedron(
+            center, C, np.array([10.0]), np.zeros(4))
+        assert exact
+        assert work == [1 + 2]
+        assert np.array_equal(x, center)
+
+    def test_start_without_zero_coordinates(self, rng):
+        # strictly interior starts: the walk begins with an empty working
+        # set, as the full-row walk always did
+        for _ in range(20):
+            m, n_cuts = rng.randint(3, 8), rng.randint(1, 6)
+            C = np.array([[rng.uniform(-2, 2) for _ in range(m)]
+                          for _ in range(n_cuts)])
+            start = np.array([rng.uniform(-2, -0.1) for _ in range(m)])
+            d = C @ start + np.array([rng.uniform(0, 1) for _ in range(n_cuts)])
+            center = np.array([rng.uniform(-3, 1) for _ in range(m)])
+            x, mu, work, exact = _project_onto_polyhedron(center, C, d, start)
+            x_ref, _, _, exact_ref = project_with_bound_rows(center, C, d,
+                                                             start)
+            assert exact and exact_ref
+            assert np.max(np.abs(x - x_ref)) <= 1e-9 * max(
+                1.0, float(np.max(np.abs(center))))
+            assert kkt_residual(center, *_stacked(C, d), x, mu) <= 1e-8
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_wide_level_sets())
+    def test_matches_full_row_walk_on_wide_level_sets(self, level_set):
+        center, C, d, start = level_set
+        G, h = _stacked(C, d)
+        x, mu, _, exact = _project_onto_polyhedron(center, C, d, start)
+        x_ref, mu_ref, _, exact_ref = project_full_rows(center, G, h, start)
+        assert exact and exact_ref
+        scale = max(1.0, float(np.max(np.abs(center))))
+        assert np.max(np.abs(x - x_ref)) <= 1e-9 * scale
+        # no larger, up to the residual's own rounding: a tight row is met to
+        # within a few ulps of the problem's largest entry, and
+        # complementarity multiplies that by its multiplier
+        floor = 1e-12 * max(1.0, float(np.max(mu_ref))) * max(
+            scale, float(np.max(np.abs(d))), float(np.max(np.abs(C))))
+        assert kkt_residual(center, G, h, x, mu) <= max(
+            kkt_residual(center, G, h, x_ref, mu_ref), floor)
+
+    def test_walk_factorises_under_half_as_often_as_the_full_row_walk(
+            self, monkeypatch):
+        # pinv and lstsq calls (each one SVD) over a whole wide-I run; the
+        # full-row walk patched in reproduces the previous master's run
+        inst = generate_instance(0, 6, 60, case="I", coverage_radius=20.0,
+                                 min_coverage=0.01)
+        table = build_index_table(inst)
+        calls = []
+        for name in ("pinv", "lstsq"):
+            def counted(*args, _real=getattr(np.linalg, name), **kw):
+                calls.append(1)
+                return _real(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, counted)
+        res = run_dual(inst, "I", table=table)
+        walked = len(calls)
+        calls.clear()
+        monkeypatch.setattr(bundle, "_project_onto_polyhedron",
+                            project_with_bound_rows)
+        res_ref = run_dual(inst, "I", table=table)
+        assert res.status == res_ref.status == CONVERGED
+        assert 0 < walked < len(calls) / 2
 
 
 class TestRunDual:
