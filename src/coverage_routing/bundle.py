@@ -4,12 +4,24 @@ The dual function (min over multipliers ``lam <= 0``) is evaluated exactly by
 the labeling solvers; each evaluation yields an affine cut (a gradient and
 an offset).  The next iterate is the projection of the current one onto the
 level set ``{lam <= 0 : all cuts <= f_lev}`` with ``f_lev = phi*LB +
-(1-phi)*UB``; the master sees only the iterate, the cuts and ``f_lev``.  An
-empty level set certifies ``LB = f_lev``; otherwise the new iterate is
-evaluated, a cut is added, and ``UB`` shrinks toward the dual value.  ``LB``
-starts from a greedy primal repair of the first relaxation solution (any
-feasible primal value lower-bounds the dual optimum by weak duality) or a
-deep floor when no repair is feasible.
+(1-phi)*UB``; the master sees only the iterate, the cuts and ``f_lev``.  If
+the iterate can be projected, it is evaluated, a cut is added, and ``UB``
+shrinks toward the dual value.  ``LB`` moves only on a checked certificate
+that the level set is empty: weights ``y >= 0`` summing to 1 over the cuts
+whose aggregated gradient ``sum y_k g_k`` is ``<= 0`` in every component.
+The aggregated cut then lies below the dual function at every ``lam <= 0``,
+so its offset ``sum y_k o_k``, above ``f_lev``, is the new ``LB``: a lower
+bound on the cut model's minimum, and often that minimum itself (the level
+method of Lemarechal, Nemirovskii & Nesterov, *Math. Programming* 1995).
+An emptiness verdict without such a certificate leaves ``LB`` alone; the
+next level then moves from the refuted one toward ``UB``.
+
+``LB`` starts from a greedy primal repair of the first relaxation solution
+(any feasible primal value lower-bounds the dual optimum by weak duality) or
+a deep floor when no repair is feasible.  Every route's value is at least 0,
+so a dual value below 0 proves that no route meets the requirements and that
+the dual is unbounded below: the loop stops there, converged.  No
+certificate can hold on such an instance, so ``LB`` stays at the floor.
 """
 
 from __future__ import annotations
@@ -37,6 +49,8 @@ TIME_LIMIT = "time-limit"
 
 MASTER_FEASIBLE = "feasible"
 MASTER_INFEASIBLE = "infeasible"
+#: phase 1 found the level set empty, but its certificate failed the check
+MASTER_UNVERIFIED = "unverified"
 
 #: projection walk: relative step below which the iterate has settled, and
 #: the step cap after which it is returned inexactly
@@ -64,6 +78,8 @@ class MasterResult:
     lam: Optional[np.ndarray]
     active: Tuple[int, ...] = ()
     exact: bool = True
+    #: with ``MASTER_INFEASIBLE``: the certified lower bound ``sum y_k o_k``
+    bound: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +202,24 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
     ``{lam <= 0 : every cut <= f_lev}``.
 
     Feasibility of the level set is decided first by a phase-1 linear
-    program; when empty, the caller may lift ``LB`` to ``f_lev``.  The
-    projection walks from the phase-1 vertex with the cuts as rows and the
-    bounds ``lam <= 0`` as coordinates fixed at 0; ``active`` numbers the
-    rows of its final working set over ``[cuts; bounds]``.
+    program.  Its emptiness verdict is ``MASTER_INFEASIBLE`` only with a
+    Farkas certificate that passes ``simplex._verify_farkas``: weights
+    ``y >= 0`` summing to 1 with ``sum y_k g_k <= 0`` up to rounding and
+    ``sum y_k o_k > f_lev``.  Since ``lam <= 0``, every cut aggregated by
+    ``y`` stays at or above ``sum y_k o_k``, which ``bound`` returns as a
+    lower bound on the dual function.  A verdict whose certificate fails is
+    ``MASTER_UNVERIFIED`` and bounds nothing.
+
+    Otherwise the projection walks from the phase-1 vertex with the cuts as
+    rows and the bounds ``lam <= 0`` as coordinates fixed at 0; ``active``
+    numbers the rows of its final working set over ``[cuts; bounds]``.
     """
     if not cuts:
         raise ValueError("cut pool is empty")
     m = len(lam_hat)
     grads = np.array([c.gradient for c in cuts])
-    rhs = np.array([f_lev - c.offset for c in cuts])
+    offsets = np.array([c.offset for c in cuts])
+    rhs = f_lev - offsets
 
     if float(max(np.max(grads @ lam_hat - rhs),
                  np.max(lam_hat, initial=0.0))) <= 1e-12:
@@ -204,7 +228,10 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
     # phase 1 in mu = -lam >= 0 space
     lp = dense_lp_solve(np.zeros(m), -grads, rhs)
     if lp.status != OPTIMAL:
-        return MasterResult(MASTER_INFEASIBLE, None)
+        if lp.farkas is None:
+            return MasterResult(MASTER_UNVERIFIED, None)
+        return MasterResult(MASTER_INFEASIBLE, None,
+                            bound=float(lp.farkas @ offsets))
     start = -lp.x
 
     x, mu, work, exact = _project_onto_polyhedron(lam_hat, grads, rhs, start)
@@ -317,13 +344,18 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
              table: Optional[ArcIndexTable] = None) -> DualResult:
     """Minimize the dual bound over multipliers ``<= 0``.
 
-    Stops when ``UB - LB <= tol * max(1, |UB|)`` or a limit is hit; the
-    returned ``dual_bound`` (the best evaluated value) is always a valid
-    bound on the primal optimum.  The trace keeps one row per iteration plus
-    an initialization row.  ``ratio_mode`` applies to case II only; the
-    case-II search always prunes by dominance.  ``time_limit`` (seconds,
-    ``inf`` allowed) must be positive and ``iter_limit`` at least 1.  A
-    given ``table`` must be the instance's index table.
+    Stops when ``UB - LB <= tol * max(1, |UB|)``, when ``UB < 0`` (no route
+    meets the requirements, see the module docstring), or when a limit is
+    hit; the returned ``dual_bound`` (the best evaluated value) is always a
+    valid bound on the primal optimum, and ``lower_bound`` moves only on a
+    checked certificate (:func:`solve_master`).  The trace keeps one row per
+    iteration plus an initialization row.  Each level is the ``phi`` point
+    between ``LB`` and ``UB``, except after a ``MASTER_UNVERIFIED`` row,
+    where the refuted level takes ``LB``'s place.  ``ratio_mode`` applies to
+    case II only; the case-II search always prunes by dominance.
+    ``time_limit`` (seconds, ``inf`` allowed) must be positive and
+    ``iter_limit`` at least 1.  A given ``table`` must be the instance's
+    index table.
     """
     if not (0.0 < phi < 1.0):
         raise ValueError(f"phi must sit strictly inside (0, 1), got {phi}")
@@ -349,10 +381,11 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
                       time.monotonic() - t0)]
 
     def converged() -> bool:
-        return ub - lb <= tol * max(1.0, abs(ub))
+        return ub < 0.0 or ub - lb <= tol * max(1.0, abs(ub))
 
     status = ITERATION_LIMIT
     iterations = 0
+    floor = lb  # the level's lower end: LB, or a level phase 1 failed to prove
     while iterations < iter_limit:
         if converged():
             status = CONVERGED
@@ -361,14 +394,18 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
             status = TIME_LIMIT
             break
         iterations += 1
-        f_lev = phi * lb + (1.0 - phi) * ub
+        f_lev = phi * floor + (1.0 - phi) * ub
         master = solve_master(lam_hat, cuts, f_lev)
-        if master.status == MASTER_INFEASIBLE:
-            # empty level set: no multiplier reaches f_lev, so it is a lower
-            # bound on the dual value
-            lb = f_lev
-            trace.append(TraceRow(iterations, None, lb, ub, f_lev,
-                                  MASTER_INFEASIBLE, time.monotonic() - t0))
+        verdict = master.status
+        if verdict == MASTER_INFEASIBLE and not master.bound <= ub:
+            # a certificate that an evaluated value contradicts
+            verdict = MASTER_UNVERIFIED
+        if verdict == MASTER_INFEASIBLE:
+            lb = max(f_lev, master.bound)
+        floor = f_lev if verdict == MASTER_UNVERIFIED else lb
+        if verdict != MASTER_FEASIBLE:
+            trace.append(TraceRow(iterations, None, lb, ub, f_lev, verdict,
+                                  time.monotonic() - t0))
             continue
         lam_hat = master.lam
         value, cut = evaluate_dual_function(table, master.lam, case,

@@ -6,7 +6,9 @@ entering columns follow Dantzig's rule with a pivot-count guard that falls
 back to Bland's rule if cycling is suspected.  Infeasible systems come back
 with a Farkas certificate ``y >= 0`` satisfying ``y.A >= 0`` and ``y.b < 0``
 for the shifted system (variables measured from their lower bounds, upper
-bounds appended as rows).
+bounds appended as rows), when the phase-1 duals pass that check; the check
+is scale-free (see :func:`_verify_farkas`), and a verdict whose duals fail it
+comes back with ``farkas=None``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ UNBOUNDED = "unbounded"
 
 _PIVOT_EPS = 1e-10
 _FEAS_TOL = 1e-9
+#: rounding allowance of a Farkas certificate's ``y.A >= 0``, relative to
+#: the largest entry of ``A``, with ``y`` scaled to sum to 1
+_FARKAS_RTOL = 1e-9
 
 
 @dataclass
@@ -194,8 +199,19 @@ def dense_lp_solve(c: Sequence[float], A: Sequence[Sequence[float]],
 
 def _verify_farkas(u: np.ndarray, A_all: np.ndarray,
                    b_all: np.ndarray) -> Optional[np.ndarray]:
-    """Return ``u`` if it certifies infeasibility of ``Ax <= b, x >= 0``."""
+    """Return ``u``, clipped at 0 and scaled to sum to 1, if it certifies
+    infeasibility of ``Ax <= b, x >= 0``, else None.
+
+    The check reads the scaled vector only, so it gives the same verdict at
+    any scale of ``u``: ``u.b < 0``, and every component of ``u.A`` at least
+    ``-_FARKAS_RTOL * max|A|``, which admits the rounding of the sum and
+    nothing a wrong verdict leaves."""
     u = np.maximum(u, 0.0)
-    if u @ b_all < -_FEAS_TOL and np.all(A_all.T @ u >= -_FEAS_TOL):
+    total = float(u.sum())
+    if not (np.isfinite(total) and total > 0.0):
+        return None
+    u = u / total
+    floor = -_FARKAS_RTOL * float(np.max(np.abs(A_all), initial=0.0))
+    if u @ b_all < 0.0 and np.all(A_all.T @ u >= floor):
         return u
     return None

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 
@@ -10,18 +11,21 @@ from hypothesis import strategies as st
 from conftest import (case2_search_value, make_instance,
                       random_desk_instance, random_multipliers)
 from coverage_routing import bundle
-from coverage_routing.bundle import (CONVERGED, MASTER_INFEASIBLE,
-                                     _project_onto_polyhedron,
+from coverage_routing.bundle import (CONVERGED, LB_FLOOR,
+                                     MASTER_INFEASIBLE, MASTER_UNVERIFIED,
+                                     MasterResult, _project_onto_polyhedron,
                                      evaluate_dual_function, kkt_residual,
                                      run_dual, solve_master,
                                      timing_to_solution)
 from coverage_routing.errors import CyclingError, InfeasibleInstanceError
 from coverage_routing.instance import (ValidateOptions, build_index_table,
-                                       generate_instance, validate_solution)
+                                       generate_instance, instance_to_json,
+                                       load_instance, validate_solution)
 from coverage_routing.labeling_case2 import Case2Solver
-from coverage_routing.oracle import oracle_primal
+from coverage_routing.oracle import oracle_primal, oracle_relaxation
 from coverage_routing.relaxation import CutCoeffs, build_coeffs
-from coverage_routing.simplex import OPTIMAL, dense_lp_solve
+from coverage_routing.simplex import (INFEASIBLE, OPTIMAL, LpResult,
+                                      dense_lp_solve)
 from reference_master import project_full_rows, project_with_bound_rows
 
 
@@ -165,9 +169,29 @@ class TestSolveMaster:
     def test_empty_level_set_reported(self):
         # single cut with nonpositive gradient: minimum over lam <= 0 is at 0
         cut = _cut([-1.0, -0.5], 4.0)
-        # cut minimum over lam <= 0 equals 4 > f_lev = 1
+        # cut minimum over lam <= 0 equals 4 > f_lev = 1, and the
+        # certificate bounds the dual by that minimum, not by f_lev
         res = solve_master(np.zeros(2), [cut], 1.0)
         assert res.status == MASTER_INFEASIBLE
+        assert res.bound == pytest.approx(4.0, rel=1e-15)
+
+    def test_certificate_bound_lies_below_the_model_minimum(self):
+        # min over lam <= 0 of max(5 + lam1 - 2 lam2, 7 - 3 lam1 + lam2) is
+        # 19/3: its dual weights (1/3, 2/3) aggregate the gradients to
+        # (-5/3, 0) <= 0.  Any certificate bounds it from below and lies
+        # above the level it refutes.
+        cuts = [_cut([1.0, -2.0], 5.0), _cut([-3.0, 1.0], 7.0)]
+        res = solve_master(np.array([-1.0, -1.0]), cuts, 2.0)
+        assert res.status == MASTER_INFEASIBLE
+        assert 2.0 < res.bound <= 19.0 / 3.0 + 1e-12
+
+    def test_emptiness_without_a_certificate_is_unverified(self, monkeypatch):
+        # a phase-1 "infeasible" whose duals failed the Farkas check
+        monkeypatch.setattr(bundle, "dense_lp_solve", lambda *a: LpResult(
+            INFEASIBLE, None, None, farkas=None))
+        res = solve_master(np.zeros(2), [_cut([1.0, 1.0], 4.0)], 1.0)
+        assert res.status == MASTER_UNVERIFIED
+        assert res.lam is None and res.bound is None
 
     def test_empty_cut_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -337,13 +361,116 @@ class TestRunDual:
             ubs = [r.ub for r in res.trace]
             assert all(a <= b + 1e-12 for a, b in zip(lbs, lbs[1:]))
             assert all(a >= b - 1e-12 for a, b in zip(ubs, ubs[1:]))
+            assert all(r.lb <= r.ub for r in res.trace)
             for prev, row in zip(res.trace, res.trace[1:]):
-                # the level is the phi = 0.5 point of the previous bracket
-                assert row.f_lev == 0.5 * prev.lb + (1.0 - 0.5) * prev.ub
+                # the level is the phi = 0.5 point of the previous bracket;
+                # after an unverified emptiness the refuted level is its
+                # lower end instead of LB
+                low = (prev.f_lev if prev.master_status == MASTER_UNVERIFIED
+                       else prev.lb)
+                assert row.f_lev == 0.5 * low + (1.0 - 0.5) * prev.ub
                 assert prev.lb - 1e-12 <= row.f_lev <= prev.ub + 1e-12
                 if row.master_status == MASTER_INFEASIBLE:
-                    assert row.lb == row.f_lev
+                    # a certificate lifts LB at least to the refuted level
+                    assert row.lb >= row.f_lev
+                else:
+                    assert row.lb == prev.lb
             done += 1
+
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_lb_never_exceeds_the_dual_function(self, rng, case):
+        # the reported LB stays at or below every dual value the run
+        # evaluated and the brute-force relaxation at random multipliers;
+        # unmeetable requirements are drawn too, where phase 1's emptiness
+        # verdicts are false
+        runs = finite = 0
+        while runs < 8:
+            inst = random_desk_instance(
+                rng, n_range=(3, 5), m_range=(3, 6), case=case,
+                min_coverage=rng.choice((0.2, 1.0, 3.0)))
+            table = build_index_table(inst)
+            try:
+                res = run_dual(inst, case, tol=1e-4, iter_limit=300,
+                               table=table)
+            except InfeasibleInstanceError:
+                continue
+            assert res.status == CONVERGED
+            evaluated = [r.f_value for r in res.trace if r.f_value is not None]
+            assert res.lower_bound <= min(evaluated)
+            if res.dual_bound < 0.0:
+                assert res.lower_bound == LB_FLOOR
+            else:
+                finite += 1
+            m = len(table.target_ids)
+            for _ in range(5):
+                lam = random_multipliers(rng, m, scale=8.0)
+                ora = oracle_relaxation(table, inst, lam, case).value
+                assert res.lower_bound <= ora + 1e-9 * max(1.0, abs(ora))
+            runs += 1
+        assert 0 < finite < runs
+
+    def test_unverified_emptiness_never_moves_lb(self, monkeypatch):
+        # the first six masters report emptiness without a certificate that
+        # holds: alternately unverified, and certified above UB, which an
+        # evaluated value contradicts.  LB stays, and each level moves
+        # halfway from the refuted one toward UB.
+        inst = generate_instance(0, 4, 6, coverage_radius=25.0,
+                                 min_coverage=0.2)
+        real = bundle.solve_master
+        answers = iter([MasterResult(MASTER_UNVERIFIED, None),
+                        MasterResult(MASTER_INFEASIBLE, None, bound=math.inf)]
+                       * 3)
+
+        def master(lam_hat, cuts, f_lev):
+            return next(answers, None) or real(lam_hat, cuts, f_lev)
+
+        monkeypatch.setattr(bundle, "solve_master", master)
+        res = run_dual(inst, "I", iter_limit=7)
+        head = res.trace[:7]
+        assert [r.master_status for r in head[1:]] == [MASTER_UNVERIFIED] * 6
+        assert all(r.lb == head[0].lb and r.ub == head[0].ub for r in head)
+        for prev, row in zip(head[1:], head[2:]):
+            assert row.f_lev == 0.5 * prev.f_lev + 0.5 * prev.ub
+        assert head[-1].f_lev > head[1].f_lev
+
+    @pytest.mark.parametrize("seed, min_coverage",
+                             [(4, 0.1), (1, 0.03), (4, 0.03)])
+    def test_unmet_requirements_stop_at_the_first_negative_value(
+            self, seed, min_coverage):
+        # no route meets these requirements, so the dual runs off below 0;
+        # each input raised CyclingError from a phase 1 further down that
+        # path, and now the first negative value ends the run, converged,
+        # with LB left at the floor
+        inst = generate_instance(seed, 6, 60, case="I", coverage_radius=20.0,
+                                 min_coverage=min_coverage)
+        res = run_dual(inst, "I")
+        assert res.status == CONVERGED
+        assert res.dual_bound < 0.0 and res.lower_bound == LB_FLOOR
+        assert [r.ub < 0.0 for r in res.trace].count(True) == 1
+        assert res.trace[-1].ub == res.dual_bound
+
+    def test_rotated_wide_instance_keeps_lb_below_the_dual(self):
+        # wide-I instance 6 (the benchmark's batch), mirrored and rotated by
+        # an arbitrary angle: rounding used to send phase 1 to a false
+        # emptiness that lifted LB to 17419.90, above the dual value 17404.45
+        # the unrotated instance evaluates
+        inst = generate_instance(6, 6, 60, case="I", coverage_radius=20.0,
+                                 min_coverage=0.01)
+        doc = json.loads(instance_to_json(inst))
+        theta, c = 4.181694103618545, 50.0
+        for p in doc["waypoints"] + doc["targets"]:
+            dx, dy = c - p["x"], p["y"] - c
+            p["x"] = c + math.cos(theta) * dx - math.sin(theta) * dy
+            p["y"] = c + math.sin(theta) * dx + math.cos(theta) * dy
+        rotated = load_instance(doc)
+        table = build_index_table(rotated)
+        res = run_dual(rotated, "I", phi=0.5, tol=1e-4, table=table)
+        plain = run_dual(inst, "I", phi=0.5, tol=1e-4)
+        assert res.status == plain.status == CONVERGED
+        evaluated = [r.f_value for r in res.trace if r.f_value is not None]
+        # the rotated instance's dual at the unrotated run's best multipliers
+        at_plain, _ = evaluate_dual_function(table, plain.best_lam, "I")
+        assert res.lower_bound <= min(evaluated + [at_plain.value])
 
     def test_ub_updates_are_witnessed(self, rng):
         while True:
