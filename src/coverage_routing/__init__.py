@@ -13,7 +13,7 @@ from .bundle import (DualResult, MasterResult, TraceRow,
                      solve_master)
 from .errors import (BudgetExceededError, CoverageRoutingError, CyclingError,
                      DegenerateSegmentError, InfeasibleInstanceError,
-                     MasterNumericsError, SchemaError, TargetTooCloseError)
+                     SchemaError, TargetTooCloseError)
 from .geometry import (ArcIndex, ChordIntersection, Point2, arc_coverage_index,
                        arc_risk_index, chord_disk_intersect, dist, point_index)
 from .instance import (ArcIndexTable, Instance, PathSolution, Physics, Target,

@@ -4,17 +4,20 @@ The dual function (min over multipliers ``lam <= 0``) is evaluated exactly by
 the labeling solvers; each evaluation yields an affine cut (a gradient and
 an offset).  The next iterate is the projection of the current one onto the
 level set ``{lam <= 0 : all cuts <= f_lev}`` with ``f_lev = phi*LB +
-(1-phi)*UB``; the master sees only the iterate, the cuts and ``f_lev``.  If
-the iterate can be projected, it is evaluated, a cut is added, and ``UB``
-shrinks toward the dual value.  ``LB`` moves only on a checked certificate
-that the level set is empty: weights ``y >= 0`` summing to 1 over the cuts
-whose aggregated gradient ``sum y_k g_k`` is ``<= 0`` in every component.
-The aggregated cut then lies below the dual function at every ``lam <= 0``,
-so its offset ``sum y_k o_k``, above ``f_lev``, is the new ``LB``: a lower
-bound on the cut model's minimum, and often that minimum itself (the level
-method of Lemarechal, Nemirovskii & Nesterov, *Math. Programming* 1995).
-An emptiness verdict without such a certificate leaves ``LB`` alone; the
-next level then moves from the refuted one toward ``UB``.
+(1-phi)*UB``; the master sees only the iterate, the cuts and ``f_lev``.  It
+projects by one dual active-set QP (Goldfarb & Idnani, *Math. Programming*
+1983) started at the iterate, which needs no feasible point: it either
+reaches the projection or proves the level set empty.  If the iterate can be
+projected, it is evaluated, a cut is added, and ``UB`` shrinks toward the
+dual value.  ``LB`` moves only on a checked certificate that the level set
+is empty, which the QP's last dual step supplies: weights ``y >= 0`` summing
+to 1 over the cuts whose aggregated gradient ``sum y_k g_k`` is ``<= 0`` in
+every component.  The aggregated cut then lies below the dual function at
+every ``lam <= 0``, so its offset ``sum y_k o_k``, above ``f_lev``, is the
+new ``LB``: a lower bound on the cut model's minimum, and often that minimum
+itself (the level method of Lemarechal, Nemirovskii & Nesterov, *Math.
+Programming* 1995).  An emptiness verdict without such a certificate leaves
+``LB`` alone; the next level then moves from the refuted one toward ``UB``.
 
 ``LB`` starts from a greedy primal repair of the first relaxation solution
 (any feasible primal value lower-bounds the dual optimum by weak duality) or
@@ -32,14 +35,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import MasterNumericsError
 from .instance import (ArcIndexTable, Instance, PathSolution,
                        build_index_table)
 from .labeling_case1 import solve_case1
 from .labeling_case2 import RATIO_SLOPE, solve_case2
 from .relaxation import (CASE_I, CutCoeffs, PathTiming, RelaxValue,
                          assemble_f_value, build_coeffs, make_cut)
-from .simplex import OPTIMAL, dense_lp_solve
+from .simplex import _verify_farkas
+# not called here: bench/tracing.py times the simplex under this name
+from .simplex import dense_lp_solve  # noqa: F401
 
 LB_FLOOR = -1e9
 
@@ -49,13 +53,20 @@ TIME_LIMIT = "time-limit"
 
 MASTER_FEASIBLE = "feasible"
 MASTER_INFEASIBLE = "infeasible"
-#: phase 1 found the level set empty, but its certificate failed the check
+#: the projection found the level set empty, but its certificate failed the
+#: check
 MASTER_UNVERIFIED = "unverified"
 
-#: projection walk: relative step below which the iterate has settled, and
-#: the step cap after which it is returned inexactly
+#: projection: violation per unit row norm (relative to the iterate and the
+#: row's distance from the origin) below which a row counts as met, and the
+#: step cap after which the iterate is returned inexactly
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_STEPS = 1000
+#: a primal step direction shorter than this, relative to the dual step
+#: (rows have unit norm), is zero; a dual step entry must exceed the other
+#: to count as positive
+_ZERO_STEP = 1e-9
+_DUAL_STEP_EPS = 1e-12
 
 
 @dataclass
@@ -86,101 +97,130 @@ class MasterResult:
 # projection master
 
 
-def _project_onto_polyhedron(center: np.ndarray, C: np.ndarray,
-                             d: np.ndarray, start: np.ndarray
-                             ) -> Tuple[np.ndarray, np.ndarray, List[int], bool]:
-    """Projection of ``center`` onto ``{x : C x <= d, x <= 0}`` by a primal
-    active-set method started from the feasible point ``start``.
+def _project_dual(center: np.ndarray, C: np.ndarray, d: np.ndarray
+                  ) -> Tuple[Optional[np.ndarray], np.ndarray, List[int], bool]:
+    """Projection of ``center`` onto ``{x : C x <= d, x <= 0}`` by the dual
+    active-set method of Goldfarb & Idnani (*Math. Programming* 1983) with
+    ``H = I``: it starts at ``center`` and adds violated rows until none is
+    left, so it needs no feasible start.
 
     Returns the projection, the multipliers of the rows ``[C; I]`` (cuts,
-    then bounds), the final working set as row numbers of ``[C; I]``, and
-    an exactness flag.  The working set is a list of cut rows ``W`` plus a
-    mask ``B`` of coordinates fixed at 0; it starts with every coordinate
-    that is 0 at ``start`` (Nocedal & Wright, *Numerical Optimization*,
-    Alg. 16.3).  Each equality step factorises only the block
-    ``C[W, ~B]``, once per working set; the bound multipliers follow in
-    closed form as ``-g_B - C[W, B]^T mu_W``.
+    then bounds) for the objective ``|x - center|^2``, the final working set
+    as row numbers of ``[C; I]``, and an exactness flag.  On an empty set the
+    projection is None and the multipliers are weights ``w >= 0`` of
+    ``[C; I]`` whose rows sum to 0 while ``w . [d; 0] < 0``.
 
-    The working set is kept at full row rank: a blocking row that is nearly
-    dependent on it (two almost-parallel cuts, say) swaps out its most
-    parallel colleague instead of stacking up, which keeps the equality
-    subproblems well conditioned.  If the walk still fails to settle, the
-    current iterate is returned inexactly; it is always feasible, which is
-    all the level loop needs for validity."""
+    The cuts are scaled to unit norm.  The working set is a list of cut rows
+    plus a mask of coordinates fixed at 0; every coordinate that is 0 at
+    ``center`` starts fixed with multiplier 0.  Each step takes the most
+    violated row per unit norm.  Its primal direction ``z`` (the row
+    projected onto the null space of the working set) and dual direction
+    ``r`` (its coefficients over the working rows) come from one Gram system
+    of the working cuts over the free coordinates.  A full step makes the
+    row tight and adds it.  A partial step stops where working multipliers
+    reach 0 and drops those rows; fixed coordinates that tie at multiplier 0
+    go together.  A working row that rounding lets slip past the tolerance
+    is added anew with its multiplier.  A zero primal step with no positive
+    entry of ``r`` proves the set empty, with weights ``[-r; 1]``.  If the
+    step cap is hit, the current iterate is returned inexactly with zero
+    multipliers; if rounding makes the working set singular, None is, with
+    zero weights."""
     k, m = C.shape
-    x = start.astype(float).copy()
+    norms = np.sqrt(np.einsum("ij,ij->i", C, C))
+    norms[norms == 0.0] = 1.0
+    # the rows of [C; I] at unit norm, with their right-hand sides
+    A = np.vstack([C / norms[:, None], np.eye(m)])
+    b = np.concatenate([d / norms, np.zeros(m)])
+    abs_b = np.abs(b)
+    x = center.astype(float)
+    free = x != 0.0
+    u_b = np.zeros(m)  # multipliers of the fixed coordinates, 0 elsewhere
     work: List[int] = []
-    fixed = x == 0.0
-    P = None  # pinv(C[W, ~B]), None while the working set is out of date
-    p = np.zeros(m)
+    u_w = np.zeros(0)
+    Aw = np.zeros((0, m))
+    p, u_p = -1, 0.0  # the row being added, and its multiplier so far
 
     def active() -> List[int]:
-        # the working set as row numbers of [C; I]
-        return work + (k + np.flatnonzero(fixed)).tolist()
+        return work + (k + np.flatnonzero(~free)).tolist()
 
-    def drop(j: int) -> None:
-        # member j of the working set in the order [W; coordinates of B]
-        if j < len(work):
-            work.pop(j)
-        else:
-            fixed[np.flatnonzero(fixed)[j - len(work)]] = False
+    def over_rows(on_work: np.ndarray, on_bounds: np.ndarray) -> np.ndarray:
+        # values per working row of A, as values per row of [C; I]
+        out = np.zeros(k + m)
+        out[work] = on_work / norms[work]
+        out[k:] = on_bounds
+        return out
 
     for _ in range(PROJECTION_MAX_STEPS):
-        if P is None:
-            cols = np.flatnonzero(~fixed)
-            Cw = C[work]
-            A = Cw[:, cols]
-            P = np.linalg.pinv(A, rcond=1e-12) if work else A.T
-        y = np.where(fixed, 0.0, center)
-        y[cols] += P @ (d[work] - A @ center[cols])
-        p = y - x
-        scale = max(1.0, float(np.max(np.abs(x))))
-        if np.max(np.abs(p)) <= PROJECTION_TOL * scale:
-            g = 2.0 * (x - center)
-            mu_w = P.T @ -g[cols]
-            mu_b = -g[fixed] - Cw[:, fixed].T @ mu_w
-            mu_all = np.concatenate([mu_w, mu_b])
-            if mu_all.size == 0 or mu_all.min() >= -1e-9:
-                mu = np.zeros(k + m)
-                mu[active()] = np.where(mu_all > 0.0, mu_all, 0.0)
-                return x, mu, active(), True
-            drop(int(np.argmin(mu_all)))
-            P = None
-            continue
-        # ratio test: the first row of [C; I] outside the working set to
-        # block the step
-        Gp = np.concatenate([C @ p, p])
-        resid = np.concatenate([d - C @ x, -x])
-        blocks = Gp > 1e-11 * scale
-        blocks[work] = False
-        blocks[k:][fixed] = False
-        rows = np.flatnonzero(blocks)
-        ratios = np.where(resid[rows] < 0.0, 0.0, resid[rows]) / Gp[rows]
-        below = np.flatnonzero(ratios < 1.0)
-        alpha, blocking = 1.0, -1
-        if below.size:
-            j = below[np.argmin(ratios[below])]
-            alpha, blocking = ratios[j], int(rows[j])
-        x = x + alpha * p
-        if blocking >= 0:
-            row = C[blocking] if blocking < k else np.eye(1, m, blocking - k)[0]
-            coef_w = P.T @ row[cols]
-            ortho = row[cols] - A.T @ coef_w
-            if np.linalg.norm(ortho) <= 1e-9 * max(np.linalg.norm(row), 1.0):
-                # nearly dependent: swap out the most parallel member
-                coef_b = row[fixed] - Cw[:, fixed].T @ coef_w
-                drop(int(np.argmax(np.abs(np.concatenate([coef_w, coef_b])))))
-            if blocking < k:
-                work.append(blocking)
+        if p < 0:
+            # fixed coordinates are exactly 0, so only working cuts can be
+            # violated among the working rows
+            scale = max(1.0, float(np.max(np.abs(x))))
+            v = A @ x - b
+            v[v <= PROJECTION_TOL * np.maximum(scale, abs_b)] = -np.inf
+            p = int(np.argmax(v))
+            if v[p] == -np.inf:
+                return x, over_rows(2.0 * u_w, 2.0 * u_b), active(), True
+            u_p = 0.0
+            if p in work:
+                # a working row that rounding has let slip is added anew,
+                # keeping its multiplier
+                i = work.index(p)
+                u_p = float(u_w[i])
+                del work[i]
+                u_w, Aw = np.delete(u_w, i), np.delete(Aw, i, axis=0)
+        a_p, v_p = A[p], float(A[p] @ x - b[p])
+        if work:
+            Af = Aw * free
+            try:
+                r_w = np.linalg.solve(Af @ Aw.T, Af @ a_p)
+            except np.linalg.LinAlgError:
+                # rounding has made the working set dependent: no verdict
+                return None, np.zeros(k + m), active(), False
+            s = a_p - Aw.T @ r_w
+        else:
+            r_w, s = np.zeros(0), a_p
+        # s is z on the free coordinates and r on the fixed ones
+        z = np.where(free, s, 0.0)
+        r_b = np.where(free, 0.0, s)
+        ratio_w = np.divide(u_w, r_w, out=np.full(len(u_w), np.inf),
+                            where=r_w > _DUAL_STEP_EPS)
+        ratio_b = np.divide(u_b, r_b, out=np.full(m, np.inf),
+                            where=r_b > _DUAL_STEP_EPS)
+        t1 = min(float(ratio_w.min(initial=np.inf)), float(ratio_b.min()))
+        # z is a difference of terms as large as r, and as inexact; with as
+        # many working cuts as free coordinates it is 0
+        zz = float(z @ z)
+        moves = (len(work) < np.count_nonzero(free) and
+                 zz > (_ZERO_STEP * (1.0 + float(np.abs(r_w).sum()))) ** 2)
+        if not moves and t1 == np.inf:
+            weights = over_rows(-r_w, -r_b)
+            weights[p] += 1.0 / norms[p] if p < k else 1.0
+            return None, weights, active(), True
+        t2 = max(v_p, 0.0) / zz if moves else np.inf
+        t = min(t1, t2)
+        if moves:
+            x = x - t * z
+        u_w = u_w - t * r_w
+        u_b = u_b - t * r_b
+        u_p += t
+        if t2 <= t1:
+            if p < k:
+                work.append(p)
+                u_w = np.append(u_w, u_p)
+                Aw = np.vstack([Aw, a_p])
             else:
-                fixed[blocking - k] = True
-                x[blocking - k] = 0.0
-            P = None
-    viol = np.concatenate([C @ x - d, x])
-    if not np.all(np.isfinite(x)) or float(np.max(viol)) > 1e-6:
-        raise MasterNumericsError(
-            f"projection lost feasibility (|work|={len(active())}, "
-            f"last step {np.max(np.abs(p)):.3e})")
+                free[p - k] = False
+                x[p - k] = 0.0
+                u_b[p - k] = u_p
+            p = -1
+            continue
+        keep = ratio_w != t1
+        if not keep.all():
+            work = [w for w, kept in zip(work, keep) if kept]
+            u_w, Aw = u_w[keep], Aw[keep]
+        gone = ratio_b == t1
+        free |= gone
+        u_b[gone] = 0.0
     return x, np.zeros(k + m), active(), False
 
 
@@ -199,44 +239,36 @@ def kkt_residual(center: np.ndarray, G: np.ndarray, h: np.ndarray,
 def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
                  f_lev: float) -> MasterResult:
     """One projection master solve: project ``lam_hat`` onto the level set
-    ``{lam <= 0 : every cut <= f_lev}``.
+    ``{lam <= 0 : every cut <= f_lev}`` by the dual active-set method of
+    :func:`_project_dual`, with the cuts as rows and the bounds ``lam <= 0``
+    as coordinates fixed at 0; ``active`` numbers the rows of its final
+    working set over ``[cuts; bounds]``.  The projection comes back clipped
+    to ``lam <= 0``, where the dual function is a valid bound at any point:
+    it may exceed 0 within the tolerance, or further when the step cap is
+    hit and ``exact`` is False.
 
-    Feasibility of the level set is decided first by a phase-1 linear
-    program.  Its emptiness verdict is ``MASTER_INFEASIBLE`` only with a
+    The projection's emptiness verdict is ``MASTER_INFEASIBLE`` only with a
     Farkas certificate that passes ``simplex._verify_farkas``: weights
-    ``y >= 0`` summing to 1 with ``sum y_k g_k <= 0`` up to rounding and
-    ``sum y_k o_k > f_lev``.  Since ``lam <= 0``, every cut aggregated by
-    ``y`` stays at or above ``sum y_k o_k``, which ``bound`` returns as a
-    lower bound on the dual function.  A verdict whose certificate fails is
-    ``MASTER_UNVERIFIED`` and bounds nothing.
-
-    Otherwise the projection walks from the phase-1 vertex with the cuts as
-    rows and the bounds ``lam <= 0`` as coordinates fixed at 0; ``active``
-    numbers the rows of its final working set over ``[cuts; bounds]``.
+    ``y >= 0`` over the cuts, summing to 1, with ``sum y_k g_k <= 0`` up to
+    rounding and ``sum y_k o_k > f_lev``.  Since ``lam <= 0``, every cut
+    aggregated by ``y`` stays at or above ``sum y_k o_k``, which ``bound``
+    returns as a lower bound on the dual function.  A verdict whose
+    certificate fails, or a projection that rounding stopped without one,
+    is ``MASTER_UNVERIFIED`` and bounds nothing.
     """
     if not cuts:
         raise ValueError("cut pool is empty")
-    m = len(lam_hat)
     grads = np.array([c.gradient for c in cuts])
     offsets = np.array([c.offset for c in cuts])
     rhs = f_lev - offsets
-
-    if float(max(np.max(grads @ lam_hat - rhs),
-                 np.max(lam_hat, initial=0.0))) <= 1e-12:
-        return MasterResult(MASTER_FEASIBLE, lam_hat.copy())
-
-    # phase 1 in mu = -lam >= 0 space
-    lp = dense_lp_solve(np.zeros(m), -grads, rhs)
-    if lp.status != OPTIMAL:
-        if lp.farkas is None:
+    x, mu, work, exact = _project_dual(lam_hat, grads, rhs)
+    if x is None:
+        y = _verify_farkas(mu[:len(cuts)], -grads, rhs)
+        if y is None:
             return MasterResult(MASTER_UNVERIFIED, None)
-        return MasterResult(MASTER_INFEASIBLE, None,
-                            bound=float(lp.farkas @ offsets))
-    start = -lp.x
-
-    x, mu, work, exact = _project_onto_polyhedron(lam_hat, grads, rhs, start)
-    x = np.minimum(x, 0.0)
-    return MasterResult(MASTER_FEASIBLE, x, tuple(sorted(work)), exact)
+        return MasterResult(MASTER_INFEASIBLE, None, bound=float(y @ offsets))
+    return MasterResult(MASTER_FEASIBLE, np.minimum(x, 0.0),
+                        tuple(sorted(work)), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +417,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
 
     status = ITERATION_LIMIT
     iterations = 0
-    floor = lb  # the level's lower end: LB, or a level phase 1 failed to prove
+    floor = lb  # the level's lower end: LB, or a refuted level left unproved
     while iterations < iter_limit:
         if converged():
             status = CONVERGED

@@ -31,7 +31,3 @@ class BudgetExceededError(CoverageRoutingError):
 class CyclingError(CoverageRoutingError, RuntimeError):
     """The simplex pivot guard tripped even after falling back to Bland's
     rule."""
-
-
-class MasterNumericsError(CoverageRoutingError, RuntimeError):
-    """The projection subproblem of the dual loop failed numerically."""

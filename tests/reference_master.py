@@ -1,8 +1,8 @@
-"""Full-row reference for the master projection: the primal active-set walk
+"""Full-row reference for the master projection: a primal active-set walk
 over ``{x : G x <= h}`` with every bound ``x <= 0`` an ordinary row of ``G``,
-started with an empty working set.  ``coverage_routing.bundle`` replaced it
-with a walk that keeps the bounds as fixed coordinates; tests compare the two
-projections and count the factorisations each makes."""
+started from a feasible point with an empty working set.
+``coverage_routing.bundle`` projects by a dual active-set method that needs
+no feasible start; tests compare the two projections."""
 
 from __future__ import annotations
 
@@ -10,8 +10,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from coverage_routing.bundle import PROJECTION_MAX_STEPS, PROJECTION_TOL
-from coverage_routing.errors import MasterNumericsError
+#: relative step below which the walk has settled, and the step cap after
+#: which it is returned inexactly
+PROJECTION_TOL = 1e-10
+PROJECTION_MAX_STEPS = 1000
 
 
 def project_full_rows(center: np.ndarray, G: np.ndarray, h: np.ndarray,
@@ -72,7 +74,7 @@ def project_full_rows(center: np.ndarray, G: np.ndarray, h: np.ndarray,
             work.append(blocking)
             P = None
     if not np.all(np.isfinite(x)) or float(np.max(G @ x - h, initial=0.0)) > 1e-6:
-        raise MasterNumericsError(
+        raise RuntimeError(
             f"projection lost feasibility (|work|={len(work)}, "
             f"last step {np.max(np.abs(p)):.3e})")
     return x, np.zeros(len(G)), work, False
@@ -82,8 +84,7 @@ def project_with_bound_rows(center: np.ndarray, C: np.ndarray, d: np.ndarray,
                             start: np.ndarray
                             ) -> Tuple[np.ndarray, np.ndarray, List[int], bool]:
     """``project_full_rows`` on ``{x : C x <= d, x <= 0}`` with the bounds
-    stacked under the cuts, as the master built it: a drop-in for
-    ``bundle._project_onto_polyhedron``."""
+    stacked under the cuts."""
     m = len(center)
     G = np.vstack([C, np.eye(m)])
     h = np.concatenate([d, np.zeros(m)])

@@ -5,27 +5,27 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conftest import (case2_search_value, make_instance,
                       random_desk_instance, random_multipliers)
 from coverage_routing import bundle
-from coverage_routing.bundle import (CONVERGED, LB_FLOOR,
+from coverage_routing.bundle import (CONVERGED, LB_FLOOR, MASTER_FEASIBLE,
                                      MASTER_INFEASIBLE, MASTER_UNVERIFIED,
-                                     MasterResult, _project_onto_polyhedron,
+                                     MasterResult, _project_dual,
                                      evaluate_dual_function, kkt_residual,
                                      run_dual, solve_master,
                                      timing_to_solution)
-from coverage_routing.errors import CyclingError, InfeasibleInstanceError
+from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import (ValidateOptions, build_index_table,
                                        generate_instance, instance_to_json,
                                        load_instance, validate_solution)
 from coverage_routing.labeling_case2 import Case2Solver
 from coverage_routing.oracle import oracle_primal, oracle_relaxation
 from coverage_routing.relaxation import CutCoeffs, build_coeffs
-from coverage_routing.simplex import (INFEASIBLE, OPTIMAL, LpResult,
-                                      dense_lp_solve)
+from coverage_routing.simplex import OPTIMAL, dense_lp_solve
 from reference_master import project_full_rows, project_with_bound_rows
 
 
@@ -39,34 +39,66 @@ def _stacked(C, d):
     return np.vstack([C, np.eye(m)]), np.concatenate([d, np.zeros(m)])
 
 
-@st.composite
-def _wide_level_sets(draw):
-    """A master projection shaped like one on wide-I: 30 to 60 multipliers,
-    1 to 12 cuts whose gradients are coverage minus requirement (most
-    targets uncovered, so most components negative), a sparse nonpositive
-    center, and the phase-1 vertex as the start, most of it 0."""
-    n, k = draw(st.integers(30, 60)), draw(st.integers(1, 12))
-    req_scale = 10.0 ** draw(st.integers(-2, 1))
-    cov_scale = 10.0 ** draw(st.integers(0, 3))
-    center_scale = 10.0 ** draw(st.integers(0, 3))
-    covered_share = draw(st.sampled_from([0.1, 0.3, 0.5]))
-    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def _highs_vertex(C, d):
+    """A vertex of ``{x : C x <= d, x <= 0}`` from HiGHS, or None if HiGHS
+    finds the set empty; solved in ``mu = -x >= 0`` like a phase 1."""
+    res = linprog(np.zeros(C.shape[1]), A_ub=-C, b_ub=d, bounds=(0, None),
+                  method="highs")
+    assert res.status in (0, 2), res.message
+    return -res.x if res.status == 0 else None
+
+
+def _wide_level_set(n, k, req_scale, cov_scale, center_scale, covered_share,
+                    kind, seed):
+    """A master projection shaped like one on wide-I: ``n`` multipliers,
+    ``k`` cuts whose gradients are coverage minus requirement (most targets
+    uncovered, so most components negative), a sparse nonpositive center,
+    and a HiGHS vertex of the level set, most of it 0, or None when HiGHS
+    finds the set empty.
+
+    A sparse point with some cuts tight at it keeps the level set nonempty
+    (``kind`` "inner"); lowering every right-hand side below it may empty
+    it ("lowered"); and a last cut that some weights aggregate with the
+    others to a gradient ``<= 0``, at a negative aggregated right-hand side,
+    empties it for sure ("empty")."""
+    r = np.random.default_rng(seed)
     req = r.uniform(0.01, 1.0, n) * req_scale
     covered = r.random((k, n)) < covered_share
     C = np.where(covered, r.uniform(0.0, cov_scale, (k, n)), 0.0) - req
-    # a sparse feasible point, with some cuts tight at it, keeps the level
-    # set nonempty
     inner = np.where(r.random(n) < 0.2, -r.uniform(0.0, 10.0, n), 0.0)
     d = C @ inner + r.uniform(0.0, 10.0, k) * r.integers(0, 2, k)
+    if kind == "lowered":
+        d -= r.uniform(0.0, 10.0, k) * float(np.abs(C @ inner).max())
+    elif kind == "empty":
+        y = r.uniform(0.1, 1.0, k)
+        gap = np.where(r.random(n) < 0.3, r.uniform(0.0, cov_scale, n), 0.0)
+        C[-1] = -(y[:-1] @ C[:-1] + gap) / y[-1]
+        d[-1] = -(y[:-1] @ d[:-1] + r.uniform(0.01, 10.0)) / y[-1]
     center = np.where(r.random(n) < 0.3,
                       -r.uniform(0.0, center_scale, n), 0.0)
-    try:
-        lp = dense_lp_solve(np.zeros(n), -C, d)
-    except CyclingError:
-        # phase 1's own rounding defect, not the projection's: no vertex
-        assume(False)
-    assert lp.status == OPTIMAL
-    return center, C, d, -lp.x
+    return center, C, d, _highs_vertex(C, d)
+
+
+@st.composite
+def _wide_level_sets(draw):
+    """:func:`_wide_level_set` over 30 to 60 multipliers, 1 to 12 cuts and
+    every kind, a third of them empty."""
+    return _wide_level_set(
+        draw(st.integers(30, 60)), draw(st.integers(1, 12)),
+        10.0 ** draw(st.integers(-2, 1)), 10.0 ** draw(st.integers(0, 3)),
+        10.0 ** draw(st.integers(0, 3)),
+        draw(st.sampled_from([0.1, 0.3, 0.5])),
+        draw(st.sampled_from(["inner", "inner", "lowered", "empty"])),
+        draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _kkt_floor(mu, C, d, x):
+    """The rounding floor of a projection's KKT residual: a row counts as
+    met to within a few ulps of the problem's largest entry, and
+    complementarity multiplies that by the largest multiplier."""
+    return 1e-12 * max(1.0, float(np.max(mu))) * max(
+        1.0, float(np.max(np.abs(x))), float(np.max(np.abs(d))),
+        float(np.max(np.abs(C))))
 
 
 class TestLevelParameter:
@@ -186,10 +218,11 @@ class TestSolveMaster:
         assert 2.0 < res.bound <= 19.0 / 3.0 + 1e-12
 
     def test_emptiness_without_a_certificate_is_unverified(self, monkeypatch):
-        # a phase-1 "infeasible" whose duals failed the Farkas check
-        monkeypatch.setattr(bundle, "dense_lp_solve", lambda *a: LpResult(
-            INFEASIBLE, None, None, farkas=None))
-        res = solve_master(np.zeros(2), [_cut([1.0, 1.0], 4.0)], 1.0)
+        # an empty level set whose certificate fails the Farkas check
+        args = (np.zeros(2), [_cut([-1.0, -0.5], 4.0)], 1.0)
+        assert solve_master(*args).status == MASTER_INFEASIBLE
+        monkeypatch.setattr(bundle, "_verify_farkas", lambda *a: None)
+        res = solve_master(*args)
         assert res.status == MASTER_UNVERIFIED
         assert res.lam is None and res.bound is None
 
@@ -206,11 +239,12 @@ class TestSolveMaster:
                           for _ in range(n_cuts)])
             d = np.array([rng.uniform(-1, 3) for _ in range(n_cuts)])
             center = np.array([rng.uniform(-3, 1) for _ in range(m)])
-            # find a feasible start: mu-space LP mirror of the master
+            # the simplex decides whether the level set is empty
             lp = dense_lp_solve(np.zeros(m), -C, d)
+            x, mu, work, exact = _project_dual(center, C, d)
             if lp.status != OPTIMAL:
+                assert x is None
                 continue
-            x, mu, work, exact = _project_onto_polyhedron(center, C, d, -lp.x)
             assert exact
             G, h = _stacked(C, d)
             assert kkt_residual(center, G, h, x, mu) <= 1e-8
@@ -219,33 +253,30 @@ class TestSolveMaster:
 
     def test_nearly_parallel_cut_swaps_out_its_twin(self):
         # Two cuts whose gradients differ in one component by a relative
-        # 1e-12 and whose lines cross at (-0.5, -0.5).  Walking along the
-        # first from (-0.1, -0.9) toward (-0.8, -0.2), the walk is blocked by
-        # the second, which is tighter past the crossing.  It is nearly
-        # dependent on the first, so it replaces it instead of joining it.
-        # The start has no zero coordinate, so no bound starts in the
-        # working set.
+        # 1e-12 and whose lines cross at (-0.5, -0.5).  From (-0.3, 0.3)
+        # both are violated, and the projection (-0.8, -0.2) lies on both
+        # to within rounding.  The twins never stack up in the working
+        # set: whichever enters, the other is met.
         d = 1e-12
         C = np.array([[1e3, 1e3], [1e3, 1e3 * (1.0 + d)]])
         h = np.array([-1e3, -1e3 * (1.0 + 0.5 * d)])
         center = np.array([-0.3, 0.3])
-        x, mu, work, exact = _project_onto_polyhedron(
-            center, C, h, np.array([-0.1, -3.0]))
+        x, mu, work, exact = _project_dual(center, C, h)
         assert exact
-        assert work == [1]
+        assert work in ([0], [1])
         assert kkt_residual(center, *_stacked(C, h), x, mu) <= 1e-8
         assert np.allclose(x, [-0.8, -0.2], atol=1e-9)
 
     def test_all_zero_start_drops_bounds_on_negative_multipliers(self):
-        # Every coordinate starts fixed at 0.  The center pulls all three
-        # below 0, so each bound's multiplier is negative and must be
-        # dropped; the walk then ends on the cut -sum(x) <= 6 alone, with
-        # multiplier 2 (stationarity: 2 (x - c) = mu (1, 1, 1)).
-        C = np.array([[-1.0, -1.0, -1.0]])
-        d = np.array([6.0])
-        center = np.array([-2.0, -3.0, -4.0])
-        x, mu, work, exact = _project_onto_polyhedron(center, C, d,
-                                                      np.zeros(3))
+        # Every coordinate of the center is 0, so each starts fixed with
+        # multiplier 0.  The cut x1 + 2 x2 + 3 x3 <= -14 needs all three
+        # to move: each bound's multiplier would turn negative along the
+        # dual step, so all three drop together, and the step ends on the
+        # cut alone with multiplier 2 (stationarity: 2 (x - c) = -mu a).
+        C = np.array([[1.0, 2.0, 3.0]])
+        d = np.array([-14.0])
+        center = np.zeros(3)
+        x, mu, work, exact = _project_dual(center, C, d)
         assert exact
         assert work == [0]
         assert np.allclose(x, [-1.0, -2.0, -3.0], atol=1e-12)
@@ -254,19 +285,19 @@ class TestSolveMaster:
         assert kkt_residual(center, *_stacked(C, d), x, mu) <= 1e-12
 
     def test_zero_coordinate_of_the_center_stays_fixed(self):
-        # A zero start coordinate whose center coordinate is 0 too has a
-        # zero bound multiplier: it stays in the working set, the others go.
+        # A zero coordinate of the center starts fixed with multiplier 0;
+        # the center meets the cut, so it is its own projection and the
+        # bound stays in the working set.
         C = np.array([[1.0, 1.0, 1.0, 1.0]])
         center = np.array([-1.0, -2.0, 0.0, -3.0])
-        x, mu, work, exact = _project_onto_polyhedron(
-            center, C, np.array([10.0]), np.zeros(4))
+        x, mu, work, exact = _project_dual(center, C, np.array([10.0]))
         assert exact
         assert work == [1 + 2]
         assert np.array_equal(x, center)
 
     def test_start_without_zero_coordinates(self, rng):
-        # strictly interior starts: the walk begins with an empty working
-        # set, as the full-row walk always did
+        # level sets with a strictly interior point, from which the full-row
+        # reference walk starts with an empty working set
         for _ in range(20):
             m, n_cuts = rng.randint(3, 8), rng.randint(1, 6)
             C = np.array([[rng.uniform(-2, 2) for _ in range(m)]
@@ -274,7 +305,7 @@ class TestSolveMaster:
             start = np.array([rng.uniform(-2, -0.1) for _ in range(m)])
             d = C @ start + np.array([rng.uniform(0, 1) for _ in range(n_cuts)])
             center = np.array([rng.uniform(-3, 1) for _ in range(m)])
-            x, mu, work, exact = _project_onto_polyhedron(center, C, d, start)
+            x, mu, work, exact = _project_dual(center, C, d)
             x_ref, _, _, exact_ref = project_with_bound_rows(center, C, d,
                                                              start)
             assert exact and exact_ref
@@ -285,42 +316,87 @@ class TestSolveMaster:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(_wide_level_sets())
     def test_matches_full_row_walk_on_wide_level_sets(self, level_set):
+        # every draw counts: a set HiGHS finds empty has no projection, and
+        # a nonempty one projects where the reference walk from the HiGHS
+        # vertex does, relative to the larger of the center and the
+        # projection (a far level set puts the projection far out)
         center, C, d, start = level_set
+        x, mu, _, exact = _project_dual(center, C, d)
+        if start is None:
+            assert x is None
+            return
+        assert exact
         G, h = _stacked(C, d)
-        x, mu, _, exact = _project_onto_polyhedron(center, C, d, start)
-        x_ref, mu_ref, _, exact_ref = project_full_rows(center, G, h, start)
-        assert exact and exact_ref
-        scale = max(1.0, float(np.max(np.abs(center))))
+        x_ref, _, _, exact_ref = project_full_rows(center, G, h, start)
+        assert exact_ref
+        scale = max(1.0, float(np.max(np.abs(center))),
+                    float(np.max(np.abs(x_ref))))
         assert np.max(np.abs(x - x_ref)) <= 1e-9 * scale
-        # no larger, up to the residual's own rounding: a tight row is met to
-        # within a few ulps of the problem's largest entry, and
-        # complementarity multiplies that by its multiplier
-        floor = 1e-12 * max(1.0, float(np.max(mu_ref))) * max(
-            scale, float(np.max(np.abs(d))), float(np.max(np.abs(C))))
-        assert kkt_residual(center, G, h, x, mu) <= max(
-            kkt_residual(center, G, h, x_ref, mu_ref), floor)
+        assert kkt_residual(center, G, h, x, mu) <= _kkt_floor(mu, C, d, x)
 
-    def test_walk_factorises_under_half_as_often_as_the_full_row_walk(
-            self, monkeypatch):
-        # pinv and lstsq calls (each one SVD) over a whole wide-I run; the
-        # full-row walk patched in reproduces the previous master's run
-        inst = generate_instance(0, 6, 60, case="I", coverage_radius=20.0,
-                                 min_coverage=0.01)
-        table = build_index_table(inst)
-        calls = []
-        for name in ("pinv", "lstsq"):
-            def counted(*args, _real=getattr(np.linalg, name), **kw):
-                calls.append(1)
-                return _real(*args, **kw)
-            monkeypatch.setattr(np.linalg, name, counted)
-        res = run_dual(inst, "I", table=table)
-        walked = len(calls)
-        calls.clear()
-        monkeypatch.setattr(bundle, "_project_onto_polyhedron",
-                            project_with_bound_rows)
-        res_ref = run_dual(inst, "I", table=table)
-        assert res.status == res_ref.status == CONVERGED
-        assert 0 < walked < len(calls) / 2
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_wide_level_sets())
+    def test_emptiness_verdict_agrees_with_highs(self, level_set):
+        # the level set {lam <= 0 : C lam + offsets <= 0} of cuts with
+        # offsets -d at f_lev = 0: feasible exactly when HiGHS finds it
+        # nonempty, and an empty one never comes back feasible
+        center, C, d, start = level_set
+        res = solve_master(center, [_cut(g, -o) for g, o in zip(C, d)], 0.0)
+        if start is None:
+            assert res.status != MASTER_FEASIBLE
+        else:
+            assert res.status == MASTER_FEASIBLE
+            assert res.exact
+
+    @pytest.mark.parametrize("params", [
+        (35, 12, 0.01, 1000.0, 1.0, 0.3, "empty", 4191505880),
+        (39, 5, 0.01, 1000.0, 1000.0, 0.1, "empty", 2559851831)])
+    def test_nearly_dependent_empty_sets_never_come_back_feasible(self,
+                                                                  params):
+        # sets built empty whose cuts are dependent up to rounding on most
+        # coordinates: fixing coordinates leaves as many working cuts as
+        # free coordinates in the first, and a singular Gram matrix in the
+        # second; neither may come back feasible
+        center, C, d, start = _wide_level_set(*params)
+        assert start is None
+        res = solve_master(center, [_cut(g, -o) for g, o in zip(C, d)], 0.0)
+        assert res.status != MASTER_FEASIBLE
+
+    def test_projection_meets_every_row_along_a_run(self, monkeypatch):
+        # small-I instance 2 projects far centers while LB sits at the
+        # floor, where rounding lets a working row drift; a row that slips
+        # past the tolerance is added anew, so every exact projection meets
+        # every cut within PROJECTION_TOL per unit norm
+        real = bundle._project_dual
+        checked = []
+
+        def checked_projection(center, C, d):
+            x, mu, work, exact = real(center, C, d)
+            if x is not None and exact:
+                norms = np.linalg.norm(C, axis=1)
+                tol = bundle.PROJECTION_TOL * np.maximum(
+                    max(1.0, float(np.max(np.abs(x)))), np.abs(d) / norms)
+                assert np.all((C @ x - d) / norms <= tol)
+                checked.append(len(C))
+            return x, mu, work, exact
+
+        monkeypatch.setattr(bundle, "_project_dual", checked_projection)
+        res = run_dual(generate_instance(2, preset="small", case="I"), "I")
+        assert res.status == CONVERGED and checked
+
+    def test_run_dual_never_calls_phase_one(self, monkeypatch):
+        # the master needs no feasible start: a whole wide-I run, whose
+        # level sets are empty now and then, never reaches the simplex
+        def refuse(*args, **kw):
+            raise AssertionError("dense_lp_solve called")
+
+        monkeypatch.setattr(bundle, "dense_lp_solve", refuse)
+        for seed in (0, 6):
+            inst = generate_instance(seed, 6, 60, case="I",
+                                     coverage_radius=20.0, min_coverage=0.01)
+            res = run_dual(inst, "I")
+            assert res.status == CONVERGED
+            assert MASTER_INFEASIBLE in {r.master_status for r in res.trace}
 
 
 class TestRunDual:
@@ -448,6 +524,19 @@ class TestRunDual:
         assert res.dual_bound < 0.0 and res.lower_bound == LB_FLOOR
         assert [r.ub < 0.0 for r in res.trace].count(True) == 1
         assert res.trace[-1].ub == res.dual_bound
+
+    @pytest.mark.parametrize("seed, min_coverage", [(1, 0.01), (4, 0.1)])
+    def test_diverging_duals_meet_no_unverified_level(self, seed,
+                                                      min_coverage):
+        # the dual runs off below 0 through level sets that are all
+        # nonempty; a phase-1 master called most of them empty without a
+        # certificate that held, and needed 41 and 31 iterations
+        inst = generate_instance(seed, 6, 60, case="I", coverage_radius=20.0,
+                                 min_coverage=min_coverage)
+        res = run_dual(inst, "I")
+        assert res.status == CONVERGED and res.dual_bound < 0.0
+        assert res.iterations <= 10
+        assert all(r.master_status != MASTER_UNVERIFIED for r in res.trace)
 
     def test_rotated_wide_instance_keeps_lb_below_the_dual(self):
         # wide-I instance 6 (the benchmark's batch), mirrored and rotated by
