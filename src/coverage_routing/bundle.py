@@ -9,15 +9,18 @@ projects by one dual active-set QP (Goldfarb & Idnani, *Math. Programming*
 1983) started at the iterate, which needs no feasible point: it either
 reaches the projection or proves the level set empty.  If the iterate can be
 projected, it is evaluated, a cut is added, and ``UB`` shrinks toward the
-dual value.  ``LB`` moves only on a checked certificate that the level set
-is empty, which the QP's last dual step supplies: weights ``y >= 0`` summing
-to 1 over the cuts whose aggregated gradient ``sum y_k g_k`` is ``<= 0`` in
-every component.  The aggregated cut then lies below the dual function at
-every ``lam <= 0``, so its offset ``sum y_k o_k``, above ``f_lev``, is the
-new ``LB``: a lower bound on the cut model's minimum, and often that minimum
-itself (the level method of Lemarechal, Nemirovskii & Nesterov, *Math.
-Programming* 1995).  An emptiness verdict without such a certificate leaves
-``LB`` alone; the next level then moves from the refuted one toward ``UB``.
+dual value.  ``LB`` moves only on a certificate that the level set is
+empty: weights ``y >= 0`` summing to 1 over the cuts whose aggregated
+gradient ``sum y_k g_k`` is ``<= 0`` in every component.  The QP's last dual
+step supplies the weights, or, when rounding makes its working cuts
+dependent, their null combination; one check, :func:`_verify_farkas`,
+accepts or refuses either.  The aggregated cut then lies below the dual
+function at every ``lam <= 0``, so its offset ``sum y_k o_k``, above
+``f_lev``, is the new ``LB``: a lower bound on the cut model's minimum, and
+often that minimum itself (the level method of Lemarechal, Nemirovskii &
+Nesterov, *Math. Programming* 1995).  An emptiness verdict without such a
+certificate leaves ``LB`` alone; the next level then moves from the refuted
+one toward ``UB``.
 
 ``LB`` starts from a greedy primal repair of the first relaxation solution
 (any feasible primal value lower-bounds the dual optimum by weak duality) or
@@ -35,13 +38,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .instance import (ArcIndexTable, Instance, PathSolution,
+from .instance import (VALIDATE_TOL, ArcIndexTable, Instance, PathSolution,
                        build_index_table)
 from .labeling_case1 import solve_case1
 from .labeling_case2 import RATIO_SLOPE, solve_case2
 from .relaxation import (CASE_I, CutCoeffs, PathTiming, RelaxValue,
                          assemble_f_value, build_coeffs, make_cut)
-from .simplex import _verify_farkas
 # not called here: bench/tracing.py times the simplex under this name
 from .simplex import dense_lp_solve  # noqa: F401
 
@@ -67,6 +69,9 @@ PROJECTION_MAX_STEPS = 1000
 #: to count as positive
 _ZERO_STEP = 1e-9
 _DUAL_STEP_EPS = 1e-12
+#: rounding allowance of a Farkas certificate's ``y.A >= 0``, relative to
+#: the largest entry of ``A``, with ``y`` scaled to sum to 1
+_FARKAS_RTOL = 1e-9
 
 
 @dataclass
@@ -123,8 +128,11 @@ def _project_dual(center: np.ndarray, C: np.ndarray, d: np.ndarray
     is added anew with its multiplier.  A zero primal step with no positive
     entry of ``r`` proves the set empty, with weights ``[-r; 1]``.  If the
     step cap is hit, the current iterate is returned inexactly with zero
-    multipliers; if rounding makes the working set singular, None is, with
-    zero weights."""
+    multipliers.  If rounding makes the Gram matrix singular, the working
+    cuts are dependent over the free coordinates: the set is reported empty
+    with the last left singular vector of those cuts, signed to a
+    nonnegative sum, as cut weights, for the caller's certificate check to
+    accept or refuse."""
     k, m = C.shape
     norms = np.sqrt(np.einsum("ij,ij->i", C, C))
     norms[norms == 0.0] = 1.0
@@ -174,8 +182,10 @@ def _project_dual(center: np.ndarray, C: np.ndarray, d: np.ndarray
             try:
                 r_w = np.linalg.solve(Af @ Aw.T, Af @ a_p)
             except np.linalg.LinAlgError:
-                # rounding has made the working set dependent: no verdict
-                return None, np.zeros(k + m), active(), False
+                # the working cuts are dependent over the free coordinates
+                y = np.linalg.svd(Af)[0][:, -1]
+                y = y if y.sum() >= 0.0 else -y
+                return None, over_rows(y, np.zeros(m)), active(), True
             s = a_p - Aw.T @ r_w
         else:
             r_w, s = np.zeros(0), a_p
@@ -248,13 +258,14 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
     hit and ``exact`` is False.
 
     The projection's emptiness verdict is ``MASTER_INFEASIBLE`` only with a
-    Farkas certificate that passes ``simplex._verify_farkas``: weights
+    Farkas certificate that passes :func:`_verify_farkas`: weights
     ``y >= 0`` over the cuts, summing to 1, with ``sum y_k g_k <= 0`` up to
     rounding and ``sum y_k o_k > f_lev``.  Since ``lam <= 0``, every cut
     aggregated by ``y`` stays at or above ``sum y_k o_k``, which ``bound``
-    returns as a lower bound on the dual function.  A verdict whose
-    certificate fails, or a projection that rounding stopped without one,
-    is ``MASTER_UNVERIFIED`` and bounds nothing.
+    returns as a lower bound on the dual function.  Every emptiness verdict
+    of the projection, the singular-Gram one included, goes through that
+    check; one whose certificate fails is ``MASTER_UNVERIFIED`` and bounds
+    nothing.
     """
     if not cuts:
         raise ValueError("cut pool is empty")
@@ -269,6 +280,28 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
         return MasterResult(MASTER_INFEASIBLE, None, bound=float(y @ offsets))
     return MasterResult(MASTER_FEASIBLE, np.minimum(x, 0.0),
                         tuple(sorted(work)), exact)
+
+
+def _verify_farkas(u: np.ndarray, A_all: np.ndarray,
+                   b_all: np.ndarray) -> Optional[np.ndarray]:
+    """Return ``u``, clipped at 0 and scaled to sum to 1, if it certifies
+    infeasibility of ``Ax <= b, x >= 0``, else None.
+
+    The check reads the scaled vector only, so it gives the same verdict at
+    any scale of ``u``: ``u.b < 0``, and every component of ``u.A`` at least
+    ``-_FARKAS_RTOL * max|A|``, which admits the rounding of the sum and
+    nothing a wrong verdict leaves.  The bound that the master reads from
+    ``u`` is not exact, though: where the cut model's minimum sits at a far
+    ``x``, the admitted slack times that ``x`` can lift the bound above it."""
+    u = np.maximum(u, 0.0)
+    total = float(u.sum())
+    if not (np.isfinite(total) and total > 0.0):
+        return None
+    u = u / total
+    floor = -_FARKAS_RTOL * float(np.max(np.abs(A_all), initial=0.0))
+    if u @ b_all < 0.0 and np.all(A_all.T @ u >= floor):
+        return u
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +369,12 @@ def _greedy_primal_repair(table: ArcIndexTable, witness: PathTiming
         timings.append(slow)
     for times in timings:
         total = float(times.sum())
-        if total > T + 1e-9:
+        if total > T + VALIDATE_TOL:
             continue
         for vbar in [0] + interior:
             idle = (T - total) if vbar else 0.0
             cov = table.route_coverage(nodes, times, vbar, idle)
-            if np.all(cov >= table.required - 1e-9):
+            if np.all(cov >= table.required - VALIDATE_TOL):
                 sol = _route_solution(table, nodes, times, vbar, idle, cov)
                 if best_sol is None or sol.objective > best_sol.objective:
                     best_sol = sol
@@ -365,8 +398,6 @@ class DualResult:
     trace: Tuple[TraceRow, ...]
     solution: PathSolution
     repair_solution: Optional[PathSolution]
-    #: one entry per UB improvement: (iteration, multipliers, value, witness)
-    ub_history: Tuple[Tuple[int, np.ndarray, float, PathTiming], ...]
 
 
 def run_dual(instance: Instance, case: str, phi: float = 0.5,
@@ -408,7 +439,6 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     lam_hat, cuts = lam0, [cut0]
     lb, ub = min(lb0, value0.value), value0.value
     best_lam, best_value = lam0.copy(), value0
-    ub_history = [(0, lam0.copy(), value0.value, value0.best)]
     trace = [TraceRow(0, value0.value, lb, ub, None, "initial",
                       time.monotonic() - t0)]
 
@@ -447,8 +477,6 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
             ub = value.value
             best_lam = master.lam.copy()
             best_value = value
-            ub_history.append((iterations, master.lam.copy(), value.value,
-                               value.best))
         trace.append(TraceRow(iterations, value.value, lb, ub, f_lev,
                               MASTER_FEASIBLE, time.monotonic() - t0))
     if converged():
@@ -464,5 +492,4 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
         trace=tuple(trace),
         solution=timing_to_solution(best_value.best, table),
         repair_solution=repair,
-        ub_history=tuple(ub_history),
     )

@@ -27,8 +27,8 @@ from . import bundle, oracle
 from .errors import (BudgetExceededError, CoverageRoutingError,
                      InfeasibleInstanceError, SchemaError)
 from .instance import (ValidateOptions, build_index_table, generate_instance,
-                       instance_to_json, load_instance, load_solution,
-                       save_solution, validate_solution)
+                       instance_to_json, json_text, load_instance,
+                       load_solution, save_solution, validate_solution)
 from .labeling_case2 import RATIO_PER_DISTANCE, RATIO_SLOPE
 
 EXIT_OK = 0
@@ -118,10 +118,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--check-energy", action="store_true")
     v.add_argument("--out", type=Path, default=None)
     return p
-
-
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _cmd_gen(args) -> int:
@@ -224,17 +220,17 @@ def _cmd_solve(args) -> int:
     if args.oracle:
         record["oracle"] = _oracle_block(inst, table, case, res)
 
-    sys.stdout.write(_dump(record))
+    sys.stdout.write(json_text(record))
     print(f"solved in {wall:.3f}s ({res.iterations} iterations)",
           file=sys.stderr)
     if args.out is not None:
-        args.out.write_text(_dump(record))
+        args.out.write_text(json_text(record))
         meta = {
             "started": started,
             "wall_time_s": wall,
             "per_iteration_wall": [row.wall_time for row in res.trace],
         }
-        meta_path.write_text(_dump(meta))
+        meta_path.write_text(json_text(meta))
     if sol_path is not None:
         save_solution(res.solution, sol_path)
     if args.trace is not None:
@@ -254,7 +250,7 @@ def _cmd_verify(args) -> int:
         check_time_windows=args.check_time_windows,
         check_energy=args.check_energy)
     report = validate_solution(inst, sol, opts)
-    text = _dump(report.to_dict())
+    text = json_text(report.to_dict())
     sys.stdout.write(text)
     if args.out is not None:
         args.out.write_text(text)

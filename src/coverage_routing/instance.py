@@ -259,6 +259,12 @@ def finalize_instance(instance: Instance) -> Instance:
 # serialization
 
 
+def json_text(doc: dict) -> str:
+    """The text of the package's JSON files (instances, solutions, records,
+    reports): indented, keys sorted, one trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def serialize_instance(instance: Instance) -> dict:
     return {
         "meta": instance.meta_dict(),
@@ -287,7 +293,7 @@ def serialize_instance(instance: Instance) -> dict:
 
 
 def instance_to_json(instance: Instance) -> str:
-    return json.dumps(serialize_instance(instance), indent=2, sort_keys=True) + "\n"
+    return json_text(serialize_instance(instance))
 
 
 def save_instance(instance: Instance, path: Union[str, Path]) -> None:
@@ -612,7 +618,7 @@ class PathSolution:
 
 
 def solution_to_json(sol: PathSolution) -> str:
-    return json.dumps(sol.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json_text(sol.to_dict())
 
 
 def save_solution(sol: PathSolution, path: Union[str, Path]) -> None:

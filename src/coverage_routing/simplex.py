@@ -3,12 +3,8 @@
 Solves ``max c.x  s.t.  A x <= b,  lo <= x <= hi`` for problems with at
 most a few hundred rows and columns.  Everything is kept in one dense tableau;
 entering columns follow Dantzig's rule with a pivot-count guard that falls
-back to Bland's rule if cycling is suspected.  Infeasible systems come back
-with a Farkas certificate ``y >= 0`` satisfying ``y.A >= 0`` and ``y.b < 0``
-for the shifted system (variables measured from their lower bounds, upper
-bounds appended as rows), when the phase-1 duals pass that check; the check
-is scale-free (see :func:`_verify_farkas`), and a verdict whose duals fail it
-comes back with ``farkas=None``.
+back to Bland's rule if cycling is suspected.  An infeasible system comes
+back as a bare status, with no certificate.
 """
 
 from __future__ import annotations
@@ -26,9 +22,6 @@ UNBOUNDED = "unbounded"
 
 _PIVOT_EPS = 1e-10
 _FEAS_TOL = 1e-9
-#: rounding allowance of a Farkas certificate's ``y.A >= 0``, relative to
-#: the largest entry of ``A``, with ``y`` scaled to sum to 1
-_FARKAS_RTOL = 1e-9
 
 
 @dataclass
@@ -36,7 +29,6 @@ class LpResult:
     status: str
     x: Optional[np.ndarray]
     objective: Optional[float]
-    farkas: Optional[np.ndarray] = None
     pivots: int = 0
 
 
@@ -100,7 +92,7 @@ def dense_lp_solve(c: Sequence[float], A: Sequence[Sequence[float]],
     ``bounds`` gives one ``(lo, hi)`` pair per variable; ``hi=None`` means
     unbounded above and the default is ``(0, None)``.  Lower bounds must be
     finite.  Returns an :class:`LpResult` whose ``x`` is a basic optimal
-    solution, or an infeasibility certificate (see module docstring).
+    solution, or a bare ``INFEASIBLE`` or ``UNBOUNDED`` status.
     """
     c = np.asarray(c, dtype=float)
     n = len(c)
@@ -150,11 +142,7 @@ def dense_lp_solve(c: Sequence[float], A: Sequence[Sequence[float]],
         raise CyclingError("phase-1 subproblem reported unbounded")
     phase1 = -T[-1, -1]
     if phase1 > _FEAS_TOL:
-        # Farkas vector from the phase-1 duals: y_i = 1 - reduced_cost(art_i),
-        # mapped back through the row sign flips.
-        y = 1.0 - T[-1, n_struct:n_cols]
-        u = _verify_farkas(-(sign * y), A_all, b_all)
-        return LpResult(INFEASIBLE, None, None, farkas=u, pivots=pivots)
+        return LpResult(INFEASIBLE, None, None, pivots=pivots)
 
     # Drive any artificial still in the basis out of it (or drop its row).
     keep_rows = np.ones(m, dtype=bool)
@@ -195,23 +183,3 @@ def dense_lp_solve(c: Sequence[float], A: Sequence[Sequence[float]],
             z[basis[i]] = T[i, -1]
     x = z[:n] + lo
     return LpResult(OPTIMAL, x, float(c @ x), pivots=pivots)
-
-
-def _verify_farkas(u: np.ndarray, A_all: np.ndarray,
-                   b_all: np.ndarray) -> Optional[np.ndarray]:
-    """Return ``u``, clipped at 0 and scaled to sum to 1, if it certifies
-    infeasibility of ``Ax <= b, x >= 0``, else None.
-
-    The check reads the scaled vector only, so it gives the same verdict at
-    any scale of ``u``: ``u.b < 0``, and every component of ``u.A`` at least
-    ``-_FARKAS_RTOL * max|A|``, which admits the rounding of the sum and
-    nothing a wrong verdict leaves."""
-    u = np.maximum(u, 0.0)
-    total = float(u.sum())
-    if not (np.isfinite(total) and total > 0.0):
-        return None
-    u = u / total
-    floor = -_FARKAS_RTOL * float(np.max(np.abs(A_all), initial=0.0))
-    if u @ b_all < 0.0 and np.all(A_all.T @ u >= floor):
-        return u
-    return None

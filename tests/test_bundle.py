@@ -15,8 +15,8 @@ from coverage_routing import bundle
 from coverage_routing.bundle import (CONVERGED, LB_FLOOR, MASTER_FEASIBLE,
                                      MASTER_INFEASIBLE, MASTER_UNVERIFIED,
                                      MasterResult, _project_dual,
-                                     evaluate_dual_function, kkt_residual,
-                                     run_dual, solve_master,
+                                     _verify_farkas, evaluate_dual_function,
+                                     kkt_residual, run_dual, solve_master,
                                      timing_to_solution)
 from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import (ValidateOptions, build_index_table,
@@ -41,9 +41,15 @@ def _stacked(C, d):
 
 def _highs_vertex(C, d):
     """A vertex of ``{x : C x <= d, x <= 0}`` from HiGHS, or None if HiGHS
-    finds the set empty; solved in ``mu = -x >= 0`` like a phase 1."""
-    res = linprog(np.zeros(C.shape[1]), A_ub=-C, b_ub=d, bounds=(0, None),
-                  method="highs")
+    finds the set empty; solved in ``mu = -x >= 0`` like a phase 1.  HiGHS's
+    default method leaves a few nearly dependent empty sets undecided; its
+    interior-point method decides those."""
+    def solve(method):
+        return linprog(np.zeros(C.shape[1]), A_ub=-C, b_ub=d,
+                       bounds=(0, None), method=method)
+    res = solve("highs")
+    if res.status not in (0, 2):
+        res = solve("highs-ipm")
     assert res.status in (0, 2), res.message
     return -res.x if res.status == 0 else None
 
@@ -350,17 +356,44 @@ class TestSolveMaster:
 
     @pytest.mark.parametrize("params", [
         (35, 12, 0.01, 1000.0, 1.0, 0.3, "empty", 4191505880),
-        (39, 5, 0.01, 1000.0, 1000.0, 0.1, "empty", 2559851831)])
+        (39, 5, 0.01, 1000.0, 1000.0, 0.1, "empty", 2559851831),
+        (37, 5, 0.1, 1000.0, 1.0, 0.5, "empty", 3887611424)])
     def test_nearly_dependent_empty_sets_never_come_back_feasible(self,
                                                                   params):
         # sets built empty whose cuts are dependent up to rounding on most
         # coordinates: fixing coordinates leaves as many working cuts as
         # free coordinates in the first, and a singular Gram matrix in the
-        # second; neither may come back feasible
+        # second; the third only HiGHS's interior-point method decides.
+        # Each comes back certified empty above the level 0
         center, C, d, start = _wide_level_set(*params)
         assert start is None
         res = solve_master(center, [_cut(g, -o) for g, o in zip(C, d)], 0.0)
-        assert res.status != MASTER_FEASIBLE
+        assert res.status == MASTER_INFEASIBLE and res.bound > 0.0
+
+    def test_singular_gram_exit_certifies_below_the_model_minimum(
+            self, monkeypatch):
+        # the draw whose working cuts turn singular over the free
+        # coordinates: their null combination passes the check, and its
+        # bound lies below the cut model's minimum over lam <= 0
+        center, C, d, _ = _wide_level_set(
+            39, 5, 0.01, 1000.0, 1000.0, 0.1, "empty", 2559851831)
+        svd = np.linalg.svd
+        calls = []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        res = solve_master(center, [_cut(g, -o) for g, o in zip(C, d)], 0.0)
+        assert calls and res.status == MASTER_INFEASIBLE
+        k, n = C.shape
+        model = linprog(np.append(np.zeros(n), 1.0),
+                        A_ub=np.hstack([C, -np.ones((k, 1))]), b_ub=d,
+                        bounds=[(None, 0.0)] * n + [(None, None)],
+                        method="highs")
+        assert model.status == 0
+        assert 0.0 < res.bound <= model.fun
 
     def test_projection_meets_every_row_along_a_run(self, monkeypatch):
         # small-I instance 2 projects far centers while LB sits at the
@@ -397,6 +430,41 @@ class TestSolveMaster:
             res = run_dual(inst, "I")
             assert res.status == CONVERGED
             assert MASTER_INFEASIBLE in {r.master_status for r in res.trace}
+
+
+class TestFarkasCheck:
+    # The master's emptiness check in mu = -lam >= 0 space, rows -g_k . mu
+    # <= f_lev - o_k, for the cuts (g, o) = ((1, -2), 5) and ((-1 + d, 1), 7)
+    # at f_lev = 2.  Equal weights aggregate the gradients to (d / 2, -1 / 2)
+    # and the offsets to 6 > 2: with d <= 0 the system is empty.
+    @staticmethod
+    def system(d=0.0):
+        A = -np.array([[1.0, -2.0], [-1.0 + d, 1.0]])
+        return A, 2.0 - np.array([5.0, 7.0])
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_valid_certificate_accepted_at_any_scale(self, scale):
+        u = _verify_farkas(scale * np.array([1.0, 1.0]), *self.system())
+        assert u is not None
+        assert np.allclose(u, [0.5, 0.5], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_garbage_refused_at_any_scale(self, scale):
+        # one cut alone: its gradient (1, -2) ascends along the first
+        # multiplier by half the largest gradient entry
+        assert _verify_farkas(scale * np.array([1.0, 0.0]),
+                              *self.system()) is None
+        # an ascent of rounding size is admitted, one of 1e-6 of the
+        # largest entry is not
+        for rel, ok in ((1e-13, True), (1e-6, False)):
+            got = _verify_farkas(scale * np.array([1.0, 1.0]),
+                                 *self.system(4.0 * rel))
+            assert (got is not None) == ok
+
+    def test_no_weight_or_no_gap_is_no_certificate(self):
+        A, b = self.system()
+        assert _verify_farkas(np.array([-1.0, 0.0]), A, b) is None
+        assert _verify_farkas(np.array([1.0, 1.0]), A, -b) is None
 
 
 class TestRunDual:
@@ -572,17 +640,20 @@ class TestRunDual:
             except InfeasibleInstanceError:
                 continue
         res = run_dual(inst, "I", tol=1e-4, iter_limit=300, table=table)
-        assert len(res.ub_history) >= 1
-        for (it, lam, value, timing) in res.ub_history:
-            coeffs = build_coeffs(table, lam, "I")
-            net = coeffs.net_rates(timing.vbar)
-            path_val = sum(net[table.arc_id[a]] * t for a, t in
-                           zip(zip(timing.nodes[:-1], timing.nodes[1:]),
-                               timing.times))
-            gain = inst.deadline * coeffs.idle_gain[timing.vbar] \
-                if timing.vbar else 0.0
-            assert coeffs.constant + gain + path_val == \
-                pytest.approx(value, rel=1e-9, abs=1e-8)
+        # the final pair: the dual at best_lam is dual_bound, bit for bit,
+        # and its witness timing adds up to it
+        value, _ = evaluate_dual_function(table, res.best_lam, "I")
+        assert value.value == res.dual_bound
+        timing = value.best
+        coeffs = build_coeffs(table, res.best_lam, "I")
+        net = coeffs.net_rates(timing.vbar)
+        path_val = sum(net[table.arc_id[a]] * t for a, t in
+                       zip(zip(timing.nodes[:-1], timing.nodes[1:]),
+                           timing.times))
+        gain = inst.deadline * coeffs.idle_gain[timing.vbar] \
+            if timing.vbar else 0.0
+        assert coeffs.constant + gain + path_val == \
+            pytest.approx(res.dual_bound, rel=1e-9, abs=1e-8)
 
     def test_witness_solutions_validate(self, rng):
         for _ in range(4):

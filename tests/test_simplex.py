@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coverage_routing.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,
-                                      _verify_farkas, dense_lp_solve)
+                                      dense_lp_solve)
 
 
 def vertex_enum_max(c, A, b, bounds):
@@ -56,19 +56,12 @@ class TestBasics:
     def test_contradictory_bounds_certificate(self):
         res = dense_lp_solve([1.0], [], [], bounds=[(2.0, 1.0)])
         assert res.status == INFEASIBLE
-        assert res.farkas is not None
 
     def test_infeasible_row_certificate(self):
         # x <= -1 with x >= 0
         res = dense_lp_solve([1.0], [[1.0]], [-1.0])
         assert res.status == INFEASIBLE
-        u = res.farkas
-        assert u is not None
-        A_all = np.array([[1.0]])
-        b_all = np.array([-1.0])
-        assert np.all(u >= 0)
-        assert np.all(A_all.T @ u >= -1e-9)
-        assert u @ b_all < -1e-9
+        assert res.x is None and res.objective is None
 
     def test_unbounded(self):
         res = dense_lp_solve([1.0], [], [])
@@ -89,42 +82,6 @@ class TestBasics:
         res = dense_lp_solve(c, A, b)
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(0.05, abs=1e-9)
-
-
-class TestFarkasCheck:
-    # The master's phase 1 in mu = -lam >= 0 space, rows -g_k . mu <= f_lev -
-    # o_k, for the cuts (g, o) = ((1, -2), 5) and ((-1 + d, 1), 7) at f_lev
-    # = 2.  Equal weights aggregate the gradients to (d / 2, -1 / 2) and the
-    # offsets to 6 > 2: with d <= 0 the system is empty.
-    @staticmethod
-    def system(d=0.0):
-        A = -np.array([[1.0, -2.0], [-1.0 + d, 1.0]])
-        return A, 2.0 - np.array([5.0, 7.0])
-
-    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
-    def test_valid_certificate_accepted_at_any_scale(self, scale):
-        u = _verify_farkas(scale * np.array([1.0, 1.0]), *self.system())
-        assert u is not None
-        assert np.allclose(u, [0.5, 0.5], rtol=1e-15, atol=0.0)
-
-    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
-    def test_garbage_refused_at_any_scale(self, scale):
-        # one cut alone: its gradient (1, -2) ascends along the first
-        # multiplier by half the largest gradient entry, the size of the
-        # vectors phase 1 returns on diverging duals
-        assert _verify_farkas(scale * np.array([1.0, 0.0]),
-                              *self.system()) is None
-        # an ascent of rounding size is admitted, one of 1e-6 of the
-        # largest entry is not
-        for rel, ok in ((1e-13, True), (1e-6, False)):
-            got = _verify_farkas(scale * np.array([1.0, 1.0]),
-                                 *self.system(4.0 * rel))
-            assert (got is not None) == ok
-
-    def test_no_weight_or_no_gap_is_no_certificate(self):
-        A, b = self.system()
-        assert _verify_farkas(np.array([-1.0, 0.0]), A, b) is None
-        assert _verify_farkas(np.array([1.0, 1.0]), A, -b) is None
 
 
 class TestAgainstVertexEnumeration:
