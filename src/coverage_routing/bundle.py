@@ -12,15 +12,15 @@ projected, it is evaluated, a cut is added, and ``UB`` shrinks toward the
 dual value.  ``LB`` moves only on a certificate that the level set is
 empty: weights ``y >= 0`` summing to 1 over the cuts whose aggregated
 gradient ``sum y_k g_k`` is ``<= 0`` in every component.  The QP's last dual
-step supplies the weights, or, when rounding makes its working cuts
-dependent, their null combination; one check, :func:`_verify_farkas`,
-accepts or refuses either.  The aggregated cut then lies below the dual
-function at every ``lam <= 0``, so its offset ``sum y_k o_k``, above
-``f_lev``, is the new ``LB``: a lower bound on the cut model's minimum, and
-often that minimum itself (the level method of Lemarechal, Nemirovskii &
-Nesterov, *Math. Programming* 1995).  An emptiness verdict without such a
-certificate leaves ``LB`` alone; the next level then moves from the refuted
-one toward ``UB``.
+step supplies the weights, and one check, :func:`_verify_farkas`, accepts
+or refuses them; when rounding makes its working cuts dependent, the QP
+stops with no weights, which the check refuses.  The aggregated cut then
+lies below the dual function at every ``lam <= 0``, so its offset
+``sum y_k o_k``, above ``f_lev``, is the new ``LB``: a lower bound on the
+cut model's minimum, and often that minimum itself (the level method of
+Lemarechal, Nemirovskii & Nesterov, *Math. Programming* 1995).  An
+emptiness verdict without such a certificate leaves ``LB`` alone; the next
+level then moves from the refuted one toward ``UB``.
 
 ``LB`` starts from a greedy primal repair of the first relaxation solution
 (any feasible primal value lower-bounds the dual optimum by weak duality) or
@@ -129,10 +129,10 @@ def _project_dual(center: np.ndarray, C: np.ndarray, d: np.ndarray
     entry of ``r`` proves the set empty, with weights ``[-r; 1]``.  If the
     step cap is hit, the current iterate is returned inexactly with zero
     multipliers.  If rounding makes the Gram matrix singular, the working
-    cuts are dependent over the free coordinates: the set is reported empty
-    with the last left singular vector of those cuts, signed to a
-    nonnegative sum, as cut weights, for the caller's certificate check to
-    accept or refuse."""
+    cuts are dependent over the free coordinates, and None comes back
+    inexactly with zero weights, which certify nothing: the null combination
+    of those cuts meets the certificate check only within its rounding
+    slack, and can bound far above the cut model's minimum."""
     k, m = C.shape
     norms = np.sqrt(np.einsum("ij,ij->i", C, C))
     norms[norms == 0.0] = 1.0
@@ -182,10 +182,9 @@ def _project_dual(center: np.ndarray, C: np.ndarray, d: np.ndarray
             try:
                 r_w = np.linalg.solve(Af @ Aw.T, Af @ a_p)
             except np.linalg.LinAlgError:
-                # the working cuts are dependent over the free coordinates
-                y = np.linalg.svd(Af)[0][:, -1]
-                y = y if y.sum() >= 0.0 else -y
-                return None, over_rows(y, np.zeros(m)), active(), True
+                # rounding has made the working cuts dependent over the free
+                # coordinates: no weights, so no verdict
+                return None, np.zeros(k + m), active(), False
             s = a_p - Aw.T @ r_w
         else:
             r_w, s = np.zeros(0), a_p
@@ -263,9 +262,9 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
     rounding and ``sum y_k o_k > f_lev``.  Since ``lam <= 0``, every cut
     aggregated by ``y`` stays at or above ``sum y_k o_k``, which ``bound``
     returns as a lower bound on the dual function.  Every emptiness verdict
-    of the projection, the singular-Gram one included, goes through that
-    check; one whose certificate fails is ``MASTER_UNVERIFIED`` and bounds
-    nothing.
+    of the projection goes through that check; one whose certificate fails,
+    or that rounding stopped with no weights at a singular Gram matrix, is
+    ``MASTER_UNVERIFIED`` and bounds nothing.
     """
     if not cuts:
         raise ValueError("cut pool is empty")

@@ -357,43 +357,47 @@ class TestSolveMaster:
     @pytest.mark.parametrize("params", [
         (35, 12, 0.01, 1000.0, 1.0, 0.3, "empty", 4191505880),
         (39, 5, 0.01, 1000.0, 1000.0, 0.1, "empty", 2559851831),
-        (37, 5, 0.1, 1000.0, 1.0, 0.5, "empty", 3887611424)])
-    def test_nearly_dependent_empty_sets_never_come_back_feasible(self,
-                                                                  params):
+        (37, 5, 0.1, 1000.0, 1.0, 0.5, "empty", 3887611424),
+        (34, 7, 0.01, 1000.0, 10.0, 0.1, "empty", 2760433148)])
+    def test_nearly_dependent_empty_sets_never_come_back_feasible(
+            self, params, monkeypatch):
         # sets built empty whose cuts are dependent up to rounding on most
         # coordinates: fixing coordinates leaves as many working cuts as
         # free coordinates in the first, and a singular Gram matrix in the
-        # second; the third only HiGHS's interior-point method decides.
-        # Each comes back certified empty above the level 0
+        # second and the fourth; the third only HiGHS's interior-point
+        # method decides.  None comes back feasible.  The regular exit
+        # certifies the first and the third above the level 0.  A
+        # singular-exit set may not be certified above the cut model's
+        # minimum over lam <= 0: on the fourth, the null combination of the
+        # working cuts passes the check within its slack and would bound it
+        # by 83.41, against a minimum of 0.754
         center, C, d, start = _wide_level_set(*params)
         assert start is None
+        solve, singular = np.linalg.solve, []
+
+        def recorded_solve(*args):
+            try:
+                return solve(*args)
+            except np.linalg.LinAlgError:
+                singular.append(1)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
         res = solve_master(center, [_cut(g, -o) for g, o in zip(C, d)], 0.0)
-        assert res.status == MASTER_INFEASIBLE and res.bound > 0.0
-
-    def test_singular_gram_exit_certifies_below_the_model_minimum(
-            self, monkeypatch):
-        # the draw whose working cuts turn singular over the free
-        # coordinates: their null combination passes the check, and its
-        # bound lies below the cut model's minimum over lam <= 0
-        center, C, d, _ = _wide_level_set(
-            39, 5, 0.01, 1000.0, 1000.0, 0.1, "empty", 2559851831)
-        svd = np.linalg.svd
-        calls = []
-
-        def counted_svd(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        res = solve_master(center, [_cut(g, -o) for g, o in zip(C, d)], 0.0)
-        assert calls and res.status == MASTER_INFEASIBLE
-        k, n = C.shape
-        model = linprog(np.append(np.zeros(n), 1.0),
-                        A_ub=np.hstack([C, -np.ones((k, 1))]), b_ub=d,
-                        bounds=[(None, 0.0)] * n + [(None, None)],
-                        method="highs")
-        assert model.status == 0
-        assert 0.0 < res.bound <= model.fun
+        monkeypatch.undo()
+        assert bool(singular) == (params[-1] in (2559851831, 2760433148))
+        if not singular:
+            assert res.status == MASTER_INFEASIBLE and res.bound > 0.0
+            return
+        assert res.status != MASTER_FEASIBLE
+        if res.status == MASTER_INFEASIBLE:
+            k, n = C.shape
+            model = linprog(np.append(np.zeros(n), 1.0),
+                            A_ub=np.hstack([C, -np.ones((k, 1))]), b_ub=d,
+                            bounds=[(None, 0.0)] * n + [(None, None)],
+                            method="highs")
+            assert model.status == 0
+            assert 0.0 < res.bound <= model.fun
 
     def test_projection_meets_every_row_along_a_run(self, monkeypatch):
         # small-I instance 2 projects far centers while LB sits at the
