@@ -13,8 +13,9 @@ dual value.  ``LB`` moves only on a certificate that the level set is
 empty: weights ``y >= 0`` summing to 1 over the cuts whose aggregated
 gradient ``sum y_k g_k`` is ``<= 0`` in every component.  The QP's last dual
 step supplies the weights, and one check, :func:`_verify_farkas`, accepts
-or refuses them; when rounding makes its working cuts dependent, the QP
-stops with no weights, which the check refuses.  The aggregated cut then
+or refuses them; when rounding makes its working cuts dependent, or when
+it reaches its step cap, the QP stops with no point and no weights, which
+the check refuses.  The aggregated cut then
 lies below the dual function at every ``lam <= 0``, so its offset
 ``sum y_k o_k``, above ``f_lev``, is the new ``LB``: a lower bound on the
 cut model's minimum, and often that minimum itself (the level method of
@@ -55,13 +56,14 @@ TIME_LIMIT = "time-limit"
 
 MASTER_FEASIBLE = "feasible"
 MASTER_INFEASIBLE = "infeasible"
-#: the projection found the level set empty, but its certificate failed the
-#: check
+#: the projection gave no verdict that holds: it found the level set empty
+#: but its certificate failed the check, or it stopped short (at a singular
+#: Gram matrix or at the step cap) with no point and no certificate
 MASTER_UNVERIFIED = "unverified"
 
 #: projection: violation per unit row norm (relative to the iterate and the
 #: row's distance from the origin) below which a row counts as met, and the
-#: step cap after which the iterate is returned inexactly
+#: step cap after which the projection stops with no verdict
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_STEPS = 1000
 #: a primal step direction shorter than this, relative to the dual step
@@ -93,6 +95,7 @@ class MasterResult:
     status: str
     lam: Optional[np.ndarray]
     active: Tuple[int, ...] = ()
+    #: False when the projection stopped short (``MASTER_UNVERIFIED``)
     exact: bool = True
     #: with ``MASTER_INFEASIBLE``: the certified lower bound ``sum y_k o_k``
     bound: Optional[float] = None
@@ -126,13 +129,14 @@ def _project_dual(center: np.ndarray, C: np.ndarray, d: np.ndarray
     reach 0 and drops those rows; fixed coordinates that tie at multiplier 0
     go together.  A working row that rounding lets slip past the tolerance
     is added anew with its multiplier.  A zero primal step with no positive
-    entry of ``r`` proves the set empty, with weights ``[-r; 1]``.  If the
-    step cap is hit, the current iterate is returned inexactly with zero
-    multipliers.  If rounding makes the Gram matrix singular, the working
-    cuts are dependent over the free coordinates, and None comes back
-    inexactly with zero weights, which certify nothing: the null combination
-    of those cuts meets the certificate check only within its rounding
-    slack, and can bound far above the cut model's minimum."""
+    entry of ``r`` proves the set empty, with weights ``[-r; 1]``.  Two
+    exits give no verdict: None comes back inexactly with zero weights,
+    which certify nothing.  If the step cap is hit, the iterate is no
+    projection, and on a nearly dependent empty set it can have run off
+    without bound.  If rounding makes the Gram matrix singular, the working
+    cuts are dependent over the free coordinates; the null combination of
+    those cuts meets the certificate check only within its rounding slack,
+    and can bound far above the cut model's minimum."""
     k, m = C.shape
     norms = np.sqrt(np.einsum("ij,ij->i", C, C))
     norms[norms == 0.0] = 1.0
@@ -230,7 +234,8 @@ def _project_dual(center: np.ndarray, C: np.ndarray, d: np.ndarray
         gone = ratio_b == t1
         free |= gone
         u_b[gone] = 0.0
-    return x, np.zeros(k + m), active(), False
+    # the step cap: the iterate is no projection, and it may have run off
+    return None, np.zeros(k + m), active(), False
 
 
 def kkt_residual(center: np.ndarray, G: np.ndarray, h: np.ndarray,
@@ -253,8 +258,7 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
     as coordinates fixed at 0; ``active`` numbers the rows of its final
     working set over ``[cuts; bounds]``.  The projection comes back clipped
     to ``lam <= 0``, where the dual function is a valid bound at any point:
-    it may exceed 0 within the tolerance, or further when the step cap is
-    hit and ``exact`` is False.
+    it may exceed 0 within the tolerance.
 
     The projection's emptiness verdict is ``MASTER_INFEASIBLE`` only with a
     Farkas certificate that passes :func:`_verify_farkas`: weights
@@ -262,9 +266,10 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
     rounding and ``sum y_k o_k > f_lev``.  Since ``lam <= 0``, every cut
     aggregated by ``y`` stays at or above ``sum y_k o_k``, which ``bound``
     returns as a lower bound on the dual function.  Every emptiness verdict
-    of the projection goes through that check; one whose certificate fails,
-    or that rounding stopped with no weights at a singular Gram matrix, is
-    ``MASTER_UNVERIFIED`` and bounds nothing.
+    of the projection goes through that check; one whose certificate fails
+    is ``MASTER_UNVERIFIED`` and bounds nothing.  So is a projection that
+    stops short with no weights, at a singular Gram matrix or at the step
+    cap (``exact`` False): its last iterate is no point of the level set.
     """
     if not cuts:
         raise ValueError("cut pool is empty")
@@ -275,10 +280,10 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
     if x is None:
         y = _verify_farkas(mu[:len(cuts)], -grads, rhs)
         if y is None:
-            return MasterResult(MASTER_UNVERIFIED, None)
+            return MasterResult(MASTER_UNVERIFIED, None, exact=exact)
         return MasterResult(MASTER_INFEASIBLE, None, bound=float(y @ offsets))
     return MasterResult(MASTER_FEASIBLE, np.minimum(x, 0.0),
-                        tuple(sorted(work)), exact)
+                        tuple(sorted(work)))
 
 
 def _verify_farkas(u: np.ndarray, A_all: np.ndarray,
@@ -353,30 +358,44 @@ def timing_to_solution(timing: PathTiming,
 
 def _greedy_primal_repair(table: ArcIndexTable, witness: PathTiming
                           ) -> Tuple[float, Optional[PathSolution]]:
-    """Best feasible route obtainable by re-timing the witness path and
-    idling the deadline remainder at one of its waypoints."""
+    """Best feasible route obtainable by re-timing the witness path (all
+    fast, as witnessed, all slow if that fits the deadline) and idling the
+    deadline remainder at one of its waypoints, or at none.
+
+    Every (timing, idle stop) pair is scored at once: one coverage call for
+    the timings, each waypoint's idle term broadcast over them, and one
+    coverage mask.  Routes are built for the feasible pairs only; the first
+    strict maximum wins, in the order fast, witnessed, slow, then no idle
+    stop, then the waypoints in path order."""
     nodes = witness.nodes
     ids = table.arc_ids(nodes)
     T = table.instance.deadline
-    fast = table.min_time[ids]
     slow = table.max_time[ids]
-    interior = [v for v in nodes if 0 < v <= table.n]
-
-    best_sol = None
-    timings = [fast, np.asarray(witness.times)]
+    timings = [table.min_time[ids], np.asarray(witness.times, dtype=float)]
     if float(slow.sum()) <= T:
         timings.append(slow)
-    for times in timings:
-        total = float(times.sum())
-        if total > T + VALIDATE_TOL:
-            continue
-        for vbar in [0] + interior:
-            idle = (T - total) if vbar else 0.0
-            cov = table.route_coverage(nodes, times, vbar, idle)
-            if np.all(cov >= table.required - VALIDATE_TOL):
-                sol = _route_solution(table, nodes, times, vbar, idle, cov)
-                if best_sol is None or sol.objective > best_sol.objective:
-                    best_sol = sol
+    times = np.array(timings)
+    totals = np.array([t.sum() for t in timings])
+    idle = T - totals
+    stops = [0] + [v for v in nodes if 0 < v <= table.n]
+
+    base = table.route_coverage(nodes, times, None, 0.0)
+    # coverage per (timing, idle stop, target): the idle term only where
+    # the idle time is positive, as route_coverage adds it
+    cov = np.repeat(base[:, None, :], len(stops), axis=1)
+    spent = idle > 0
+    rates = table.wp_cov[np.array(stops[1:], dtype=np.intp) - 1]
+    cov[spent, 1:] += rates * idle[spent, None, None]
+    ok = np.all(cov >= table.required - VALIDATE_TOL, axis=2)
+    ok[totals > T + VALIDATE_TOL] = False
+
+    best_sol = None
+    for j, s in zip(*np.nonzero(ok)):
+        vbar = stops[s]
+        sol = _route_solution(table, nodes, times[j], vbar,
+                              float(idle[j]) if vbar else 0.0, cov[j, s])
+        if best_sol is None or sol.objective > best_sol.objective:
+            best_sol = sol
     if best_sol is None:
         return LB_FLOOR, None
     return best_sol.objective, best_sol
@@ -413,7 +432,9 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     checked certificate (:func:`solve_master`).  The trace keeps one row per
     iteration plus an initialization row.  Each level is the ``phi`` point
     between ``LB`` and ``UB``, except after a ``MASTER_UNVERIFIED`` row,
-    where the refuted level takes ``LB``'s place.  ``ratio_mode`` applies to
+    where the refuted level takes ``LB``'s place: such a row evaluates no
+    point and moves no bound, whether its certificate failed or the
+    projection stopped short at the step cap.  ``ratio_mode`` applies to
     case II only; the case-II search always prunes by dominance.
     ``time_limit`` (seconds, ``inf`` allowed) must be positive and
     ``iter_limit`` at least 1.  A given ``table`` must be the instance's

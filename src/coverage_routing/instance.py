@@ -547,11 +547,19 @@ class ArcIndexTable:
     def route_coverage(self, nodes: Sequence[int], times: Sequence[float],
                        idle_node: Optional[int], idle_time: float) -> np.ndarray:
         """Per-target coverage of a route: each arc's coverage rate times its
-        travel time, plus the idle stop's rate times the idle time (no idle
-        stop when ``idle_node`` is None or 0)."""
-        cov = np.zeros(len(self.target_ids))
-        for k, t in zip(self.arc_ids(nodes), times):
-            cov += self.coverage_rate[k] * t
+        travel time, added in path order, plus the idle stop's rate times
+        the idle time, added last and only when the idle time is positive
+        (no idle stop when ``idle_node`` is None or 0).
+
+        ``times`` may hold a batch of timings of the route, one per row
+        (shape ``(J, L)`` for ``L`` arcs); the result then has one row of
+        target coverages per timing, each equal bit for bit to the call
+        with that timing alone."""
+        times = np.asarray(times, dtype=float)
+        rates = self.coverage_rate[self.arc_ids(nodes)]
+        cov = np.zeros(times.shape[:-1] + (len(self.target_ids),))
+        for k, rate in enumerate(rates):
+            cov += times[..., k, None] * rate
         if idle_node and idle_time > 0:
             cov += self.wp_cov[idle_node - 1] * idle_time
         return cov

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -27,6 +27,7 @@ from coverage_routing.oracle import oracle_primal, oracle_relaxation
 from coverage_routing.relaxation import CutCoeffs, build_coeffs
 from coverage_routing.simplex import OPTIMAL, dense_lp_solve
 from reference_master import project_full_rows, project_with_bound_rows
+import reference_repair
 
 
 def _cut(gradient, offset):
@@ -96,6 +97,25 @@ def _wide_level_sets(draw):
         draw(st.sampled_from([0.1, 0.3, 0.5])),
         draw(st.sampled_from(["inner", "inner", "lowered", "empty"])),
         draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _master_recording_singular(center, C, d, monkeypatch):
+    """``solve_master`` on the level set ``{lam <= 0 : C lam <= d}`` (cuts
+    with offsets ``-d`` at level 0), and whether its QP met a singular Gram
+    matrix."""
+    solve, singular = np.linalg.solve, []
+
+    def recorded_solve(*args):
+        try:
+            return solve(*args)
+        except np.linalg.LinAlgError:
+            singular.append(1)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    res = solve_master(center, [_cut(g, -o) for g, o in zip(C, d)], 0.0)
+    monkeypatch.undo()
+    return res, bool(singular)
 
 
 def _kkt_floor(mu, C, d, x):
@@ -373,19 +393,8 @@ class TestSolveMaster:
         # by 83.41, against a minimum of 0.754
         center, C, d, start = _wide_level_set(*params)
         assert start is None
-        solve, singular = np.linalg.solve, []
-
-        def recorded_solve(*args):
-            try:
-                return solve(*args)
-            except np.linalg.LinAlgError:
-                singular.append(1)
-                raise
-
-        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
-        res = solve_master(center, [_cut(g, -o) for g, o in zip(C, d)], 0.0)
-        monkeypatch.undo()
-        assert bool(singular) == (params[-1] in (2559851831, 2760433148))
+        res, singular = _master_recording_singular(center, C, d, monkeypatch)
+        assert singular == (params[-1] in (2559851831, 2760433148))
         if not singular:
             assert res.status == MASTER_INFEASIBLE and res.bound > 0.0
             return
@@ -398,6 +407,21 @@ class TestSolveMaster:
                             method="highs")
             assert model.status == 0
             assert 0.0 < res.bound <= model.fun
+
+    @pytest.mark.parametrize("params", [
+        (37, 12, 0.01, 1000.0, 1.0, 0.1, "empty", 2373363519),
+        (30, 12, 0.01, 1000.0, 1.0, 0.3, "empty", 3133076801)])
+    def test_step_capped_projection_is_no_verdict(self, params, monkeypatch):
+        # sets built empty, and empty to HiGHS, on which the QP runs to the
+        # step cap with no singular Gram matrix while its iterate runs off
+        # (to max|x| 9.4e30 and 1.9e171): no point comes back to evaluate
+        # and no bound
+        center, C, d, start = _wide_level_set(*params)
+        assert start is None
+        res, singular = _master_recording_singular(center, C, d, monkeypatch)
+        assert not singular
+        assert res.status == MASTER_UNVERIFIED and not res.exact
+        assert res.lam is None and res.bound is None
 
     def test_projection_meets_every_row_along_a_run(self, monkeypatch):
         # small-I instance 2 projects far centers while LB sits at the
@@ -581,6 +605,23 @@ class TestRunDual:
             assert row.f_lev == 0.5 * prev.f_lev + 0.5 * prev.ub
         assert head[-1].f_lev > head[1].f_lev
 
+    def test_step_capped_masters_evaluate_nothing(self, monkeypatch):
+        # a one-step cap stops every projection that needs a second step:
+        # such a master evaluates no point and moves no bound, and the next
+        # level moves halfway from the refuted one toward UB
+        inst = generate_instance(0, 4, 6, coverage_radius=25.0,
+                                 min_coverage=0.2)
+        monkeypatch.setattr(bundle, "PROJECTION_MAX_STEPS", 1)
+        res = run_dual(inst, "I", iter_limit=20)
+        rows = res.trace
+        assert MASTER_UNVERIFIED in {r.master_status for r in rows}
+        for prev, row in zip(rows, rows[1:]):
+            if row.master_status == MASTER_UNVERIFIED:
+                assert row.f_value is None
+                assert (row.lb, row.ub) == (prev.lb, prev.ub)
+            if prev.master_status == MASTER_UNVERIFIED:
+                assert row.f_lev == 0.5 * prev.f_lev + 0.5 * prev.ub
+
     @pytest.mark.parametrize("seed, min_coverage",
                              [(4, 0.1), (1, 0.03), (4, 0.03)])
     def test_unmet_requirements_stop_at_the_first_negative_value(
@@ -697,3 +738,80 @@ class TestRunDual:
         # an infinite time limit is no limit
         res = run_dual(inst, "I", time_limit=math.inf, iter_limit=1)
         assert res.iterations <= 1
+
+
+class TestGreedyRepair:
+    """The array repair against the per-pair loop of
+    ``tests/reference_repair.py``, bit for bit: the value and every field of
+    the route, coverages and objective included."""
+
+    @staticmethod
+    def _same(table, witness):
+        got = bundle._greedy_primal_repair(table, witness)
+        want = reference_repair.greedy_primal_repair(table, witness)
+        assert repr(got) == repr(want)
+        return got
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 8),
+           st.sampled_from(["I", "II"]), st.sampled_from([15.0, 25.0, 40.0]),
+           st.sampled_from([0.01, 0.1, 1.0]),
+           st.sampled_from([0.0, 0.5, 5.0]))
+    def test_matches_the_loop_on_desk_instances(self, seed, n, m, case,
+                                                 radius, min_coverage, scale):
+        inst = generate_instance(
+            seed, n, m, case=case, deadline_scale=0.2 if case == "II" else None,
+            coverage_radius=radius, min_coverage=min_coverage)
+        assume(inst.targets)
+        table = build_index_table(inst)
+        lam = -scale * np.random.default_rng(seed).random(len(inst.targets))
+        try:
+            value, _ = evaluate_dual_function(table, lam, case)
+        except InfeasibleInstanceError:
+            return
+        self._same(table, value.best)
+
+    @pytest.mark.parametrize("case, args, kw", [
+        ("I", (2,), dict(preset="small")),
+        ("II", (0, 7, 10), {}),
+        ("I", (4, 6, 60), dict(coverage_radius=20.0, min_coverage=0.01)),
+        ("I", (1, 5, 8), dict(coverage_radius=40.0, min_coverage=0.01)),
+        ("II", (1, 5, 8), dict(coverage_radius=40.0, min_coverage=0.01))])
+    def test_matches_the_loop_on_every_witness_of_a_run(self, case, args, kw,
+                                                        monkeypatch):
+        # the shapes of the three benchmark workloads (small-I, desk-II,
+        # wide-I), then two runs whose witnesses mostly repair to a route
+        inst = generate_instance(*args, case=case, **kw)
+        real, witnesses = bundle.evaluate_dual_function, []
+
+        def recorded(*args, **kw):
+            value, cut = real(*args, **kw)
+            witnesses.append(value.best)
+            return value, cut
+
+        monkeypatch.setattr(bundle, "evaluate_dual_function", recorded)
+        table = build_index_table(inst)
+        run_dual(inst, case, table=table)
+        assert len(witnesses) > 1
+        for witness in witnesses:
+            self._same(table, witness)
+
+    @pytest.mark.parametrize("case, found", [("I", 18), ("II", 17)])
+    def test_finds_the_loop_routes_at_iteration_zero(self, case, found):
+        # wide coverage disks and low requirements: the repair of the
+        # lam = 0 witness finds a route on about half the seeds
+        routes = 0
+        for seed in range(40):
+            inst = generate_instance(seed, 5, 8, case=case,
+                                     coverage_radius=40.0, min_coverage=0.01)
+            table = build_index_table(inst)
+            value, _ = evaluate_dual_function(
+                table, np.zeros(len(inst.targets)), case)
+            lb, sol = self._same(table, value.best)
+            if sol is not None:
+                routes += 1
+                assert lb == sol.objective
+                assert validate_solution(
+                    inst, sol, ValidateOptions(enforce_coverage=True),
+                    table=table).ok
+        assert routes == found

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_geometry as ref
+import reference_repair as ref_repair
 from conftest import make_instance, too_many_waypoints_document
 from coverage_routing.errors import SchemaError, TargetTooCloseError
 from coverage_routing.geometry import Point2
@@ -248,6 +249,33 @@ class TestIndexTable:
         assert str(info.value) == (
             f"target 1 against arc (0,2): target at (15.0, 0.0) lies on arc "
             f"within clearance {eps}")
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 9), st.integers(1, 8),
+           st.integers(1, 4), st.sampled_from([-1.0, 0.0, 0.5, 30.0]))
+    def test_batched_route_coverage_matches_one_timing_calls(
+            self, seed, n, m, batch, idle_time):
+        # a random route through the instance, timed ``batch`` ways between
+        # its all-fast and all-slow times: each row of one batched call is
+        # the call with that timing alone, and that call sums arc by arc
+        # like the per-pair reference, bit for bit
+        inst = generate_instance(seed, n, m, coverage_radius=30.0)
+        table = build_index_table(inst)
+        r = np.random.default_rng(seed)
+        stops = r.permutation(np.arange(1, n + 1))[:r.integers(1, n + 1)]
+        nodes = [0, *map(int, stops), n + 1]
+        ids = table.arc_ids(nodes)
+        times = r.uniform(table.min_time[ids], table.max_time[ids],
+                          (batch, len(ids)))
+        idle_node = int(r.choice([0, *stops]))
+        cov = table.route_coverage(nodes, times, idle_node, idle_time)
+        assert cov.shape == (batch, len(inst.targets))
+        for row, t in zip(cov, times):
+            one = table.route_coverage(nodes, t, idle_node, idle_time)
+            assert row.tobytes() == one.tobytes()
+            want = ref_repair.route_coverage(table, nodes, tuple(t),
+                                             idle_node, idle_time)
+            assert one.tobytes() == want.tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(instances())
