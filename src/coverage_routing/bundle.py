@@ -318,7 +318,9 @@ def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
     """Exact dual-function value at ``lam``: the best path over the idle
     candidates, plus the cut it generates.  One labeling call answers every
     candidate: a table fill in case I, the screened search of
-    ``labeling_case2`` in case II.
+    ``labeling_case2`` in case II.  The candidates are compared by value,
+    and in case I only the maximizing candidate's route is traced and
+    timed.
 
     ``ratio_mode`` and ``use_dominance`` steer the case-II search only."""
     coeffs = build_coeffs(table, lam, case)
@@ -326,7 +328,7 @@ def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
         routes = solve_case1(coeffs)
     else:
         routes = solve_case2(coeffs, ratio_mode, use_dominance)
-    value = assemble_f_value(coeffs, routes.results)
+    value = assemble_f_value(coeffs, routes)
     return value, make_cut(value.best, table)
 
 

@@ -11,8 +11,12 @@ and ends at ``j`` (bit ``j-1`` of ``mask`` stands for waypoint ``j``).
 Node 0 is the entry depot, reached only by the empty path.  The candidates
 of one dual evaluation differ only in their arc values, so one fill serves
 them all along the candidate axis (it sits before the node axis, so that
-the predecessor ``argmax`` runs along contiguous memory).  Each candidate's
-best route comes back as a :class:`PathTiming` timed at its bound times.
+the predecessor ``argmax`` runs along contiguous memory).  One pass over
+the completed table finds every candidate's best value, end node and
+visited set; only the idle-stop exclusion and the tie column take one
+slice per candidate.  A candidate's route is back-traced and timed at its
+bound times only when asked for, so a dual evaluation, which needs the
+maximizing candidate's route alone, traces and times one.
 
 The table is filled layer by layer (by visited-set size).  One gather over
 all of a layer's (mask, end node) states adds every predecessor state's
@@ -28,9 +32,11 @@ predecessor bytes.  Candidates are filled in chunks of at most
 :data:`TABLE_CHUNK_BYTES` (one candidate at least), and each layer is
 gathered in chunks of at most :data:`STATE_CHUNK_BYTES`.  The per-layer
 index arrays take 9 bytes for each of the ``n * 2^(n-1)`` states; they are
-built once per waypoint count and cached.  The search refuses, before
-allocating anything, an instance whose fill (see :func:`fill_bytes`) would
-exceed :data:`MAX_TABLE_BYTES`.
+built once per waypoint count and cached.  A fill of one chunk keeps its
+predecessor table for tracing as long as its result lives; a fill of
+several traces each chunk's routes before the chunk's tables are freed.
+The search refuses, before allocating anything, an instance whose fill
+(see :func:`fill_bytes`) would exceed :data:`MAX_TABLE_BYTES`.
 
 Ties are broken per candidate, exactly as a fill for that candidate alone
 would break them.  A state keeps its smallest best predecessor node.  The
@@ -42,7 +48,7 @@ visited waypoints.
 from __future__ import annotations
 
 import functools
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -121,32 +127,57 @@ def _fill(n: int, vin: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return dp, par
 
 
-def _best_routes(n: int, exit_id: int, dp: np.ndarray, par: np.ndarray,
-                 vexit: np.ndarray, vbars: Sequence[int]
-                 ) -> List[Tuple[float, Tuple[int, ...]]]:
-    """Best completion (value, route) through the exit arc per candidate;
-    ``vexit[k, j-1]`` is candidate ``k``'s value of arc ``j -> exit``.
-    The completed values overwrite ``dp``; only ``par`` is read after."""
-    dp[:, :, 1:] += vexit
-    out = []
+def _mask_order(n: int, mask: int) -> Tuple[int, List[int]]:
+    """Tie order of visited sets: size, then the sorted visited waypoints."""
+    return bin(mask).count("1"), [b for b in range(n) if mask >> b & 1]
+
+
+def _best_ends(n: int, dp: np.ndarray, vexit: np.ndarray,
+               vbars: Sequence[int]
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best completion through the exit arc per candidate of a chunk: its
+    value, its first best end node and its first best visited set.
+    ``vexit[k, j]`` is candidate ``k``'s value of arc ``j -> exit``, and 0
+    at the entry depot, whose column no completion reads.  The completed
+    values overwrite ``dp``."""
+    dp += vexit
     for k, vbar in enumerate(vbars):
         if vbar:  # masks without the idle stop do not qualify
             dp.reshape(-1, 2, 1 << (vbar - 1), *dp.shape[1:])[
-                :, 0, :, k, 1:] = -np.inf
-        total = dp[:, k, 1:]
-        tops = total.max(axis=0)
-        best = tops.max()
-        node = int(np.argmax(tops == best)) + 1
-        mask = min(np.flatnonzero(total[:, node - 1] == best).tolist(),
-                   key=lambda m: (bin(m).count("1"),
-                                  [b for b in range(n) if m >> b & 1]))
+                :, 0, :, k] = -np.inf
+    tops = dp.max(axis=0)[:, 1:]
+    best = tops.max(axis=1)
+    ends = (tops == best[:, None]).argmax(axis=1) + 1
+    # per candidate, so that no float column is copied out of the table
+    hits = np.empty(dp.shape[:2], dtype=bool)
+    for k, end in enumerate(ends):
+        np.equal(dp[:, k, end], best[k], out=hits[:, k])
+    first = hits.argmax(axis=0)
+    for k in np.flatnonzero(hits.sum(axis=0) > 1):
+        first[k] = min(np.flatnonzero(hits[:, k]).tolist(),
+                       key=functools.partial(_mask_order, n))
+    return best, ends, first
+
+
+def _fill_chunk(n: int, exit_id: int, vin: np.ndarray, vexit: np.ndarray,
+                vbars: Sequence[int]
+                ) -> Tuple[np.ndarray, Callable[[int], Tuple[int, ...]]]:
+    """Fill one candidate chunk: each candidate's best value, and a tracer
+    of the ``k``-th candidate's best route.  The tracer holds the chunk's
+    predecessor table; the value table is freed on return."""
+    dp, par = _fill(n, vin)
+    best, ends, masks = _best_ends(n, dp, vexit, vbars)
+
+    def trace(k: int) -> Tuple[int, ...]:
+        node, mask = int(ends[k]), int(masks[k])
         route = [exit_id]
         while node:
             route.append(node)
             mask, node = mask ^ (1 << (node - 1)), int(par[mask, k, node])
         route.append(0)
-        out.append((float(best), tuple(reversed(route))))
-    return out
+        return tuple(reversed(route))
+
+    return best, trace
 
 
 def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:
@@ -157,6 +188,7 @@ def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:
     the entry to the exit depot through at least one waypoint; for
     ``vbar != 0`` only routes visiting ``vbar`` qualify.  It excludes the
     multiplier constant and the idle-gain term, which the caller adds.
+    A route is traced and timed when :meth:`BestRoutes.timing` asks for it.
     The label counts are the reachable (end node, visited set) states over
     all candidates; the table prunes none.
     """
@@ -171,19 +203,32 @@ def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:
             f"limit")
     values = table.matrix(coeffs.arc_values(vbars), fill=_NEG)
     vin = values[:, :n + 1].transpose(2, 0, 1)
-    vexit = values[:, 1:n + 1, table.exit_id]
+    vexit = values[:, :n + 1, table.exit_id].copy()
+    vexit[:, 0] = 0.0
     step = max(1, TABLE_CHUNK_BYTES // ((1 << n) * (n + 1) * 9))
-    routes: List[Tuple[float, Tuple[int, ...]]] = []
-    for k in range(0, len(vbars), step):
-        # no name holds a chunk's tables, so they are freed before the next
-        routes += _best_routes(
-            n, table.exit_id,
-            *_fill(n, np.ascontiguousarray(vin[:, k:k + step])),
-            vexit[k:k + step], vbars[k:k + step])
+    if step >= len(vbars):
+        best, trace = _fill_chunk(n, table.exit_id,
+                                  np.ascontiguousarray(vin), vexit, vbars)
+    else:
+        best, nodes = [], []
+        for k in range(0, len(vbars), step):
+            chunk, trace = _fill_chunk(
+                n, table.exit_id,
+                np.ascontiguousarray(vin[:, k:k + step]),
+                vexit[k:k + step], vbars[k:k + step])
+            best.extend(chunk)
+            nodes.extend(map(trace, range(len(chunk))))
+            del trace  # frees the chunk's tables before the next fill
+        trace = nodes.__getitem__
+    found = dict(zip(vbars, map(float, best)))
     times = coeffs.bound_times(vbars)
-    results = {
-        vbar: PathTiming(vbar, nodes,
-                         tuple(map(float, t[table.arc_ids(nodes)])), value)
-        for vbar, t, (value, nodes) in zip(vbars, times, routes)}
+
+    def route(vbar: int) -> PathTiming:
+        k = vbars.index(vbar)
+        path = trace(k)
+        return PathTiming(vbar, path,
+                          tuple(map(float, times[k, table.arc_ids(path)])),
+                          found[vbar])
+
     states = len(vbars) * (n << (n - 1))
-    return BestRoutes(results, states, states)
+    return BestRoutes(found, route, states, states)

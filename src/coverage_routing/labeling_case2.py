@@ -351,4 +351,4 @@ def solve_case2(coeffs: RelaxCoeffs, ratio_mode: str = RATIO_SLOPE,
         results[vbar] = solver.solve()
         stored += sum(st.size for st in solver.stores)
         alive += sum(int(st.alive[:st.size].sum()) for st in solver.stores)
-    return BestRoutes(results, stored, alive)
+    return BestRoutes.from_results(results, stored, alive)

@@ -26,7 +26,7 @@ dual function, tight at the multiplier vector that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -130,14 +130,56 @@ class PathTiming:
     value: float                   # sum of net_rate * time over the path
 
 
-@dataclass
 class BestRoutes:
-    """Best timed route per idle candidate (None where no route fits), and
-    the labels or table states the labeling stored and left alive."""
+    """Best route per idle candidate, and the labels or table states the
+    labeling stored and left alive.
 
-    results: Dict[int, Optional[PathTiming]]
-    labels_stored: int
-    labels_alive: int
+    ``values`` holds every candidate's best value (None where no route fits
+    the deadline).  :meth:`timing` builds a candidate's timed route only
+    when asked, so a caller that needs one route pays for one; ``results``
+    builds them all.  Equality and ``repr`` go by content: every
+    candidate's value and node route, and the two counts.
+    """
+
+    def __init__(self, values: Dict[int, Optional[float]],
+                 route: Callable[[int], PathTiming], labels_stored: int,
+                 labels_alive: int):
+        self.values = values
+        self._route = route
+        self.labels_stored = labels_stored
+        self.labels_alive = labels_alive
+
+    @classmethod
+    def from_results(cls, results: Dict[int, Optional[PathTiming]],
+                     labels_stored: int, labels_alive: int) -> "BestRoutes":
+        """Routes that are timed already (None where none fits)."""
+        values = {vbar: None if bt is None else bt.value
+                  for vbar, bt in results.items()}
+        return cls(values, results.__getitem__, labels_stored, labels_alive)
+
+    def timing(self, vbar: int) -> Optional[PathTiming]:
+        """Candidate ``vbar``'s best timed route, or None where none fits."""
+        return None if self.values[vbar] is None else self._route(vbar)
+
+    @property
+    def results(self) -> Dict[int, Optional[PathTiming]]:
+        """Every candidate's best timed route (None where none fits)."""
+        return {vbar: self.timing(vbar) for vbar in self.values}
+
+    def _content(self) -> tuple:
+        routes = {vbar: None if bt is None else bt.nodes
+                  for vbar, bt in self.results.items()}
+        return self.values, routes, self.labels_stored, self.labels_alive
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BestRoutes):
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __repr__(self) -> str:
+        values, routes, stored, alive = self._content()
+        return (f"BestRoutes(values={values!r}, routes={routes!r}, "
+                f"labels_stored={stored!r}, labels_alive={alive!r})")
 
 
 @dataclass(frozen=True)
@@ -148,28 +190,30 @@ class RelaxValue:
     best: PathTiming
 
 
-def assemble_f_value(coeffs: RelaxCoeffs,
-                     best: Dict[int, Optional[PathTiming]]) -> RelaxValue:
+def assemble_f_value(coeffs: RelaxCoeffs, best: BestRoutes) -> RelaxValue:
     """Combine per-``vbar`` path optima into the relaxation value.
 
-    ``best`` maps each idle candidate to its optimal :class:`PathTiming`, or
-    None when no path through it fits the deadline.  The no-idle branch must
+    ``best`` holds each idle candidate's optimal value, or None when no path
+    through it fits the deadline.  The totals are compared by value, and
+    only the maximizing candidate's route is timed (the first one in
+    ``coeffs.idle_set`` order among equal totals).  The no-idle branch must
     be solvable, otherwise no route fits at all and the instance is
     infeasible.
     """
-    if best.get(0) is None:
+    if best.values.get(0) is None:
         raise InfeasibleInstanceError(
             "no route fits the operational deadline")
-    top = top_bt = None
+    top = top_vbar = None
     for vbar in coeffs.idle_set:
-        bt = best.get(vbar)
-        if bt is None:
+        value = best.values.get(vbar)
+        if value is None:
             continue
         gain_term = coeffs.deadline * coeffs.idle_gain[vbar] if vbar else 0.0
-        tot = gain_term + bt.value
+        tot = gain_term + value
         if top is None or tot > top:
-            top, top_bt = tot, bt
-    return RelaxValue(value=coeffs.constant + top, best=top_bt)
+            top, top_vbar = tot, vbar
+    return RelaxValue(value=coeffs.constant + top,
+                      best=best.timing(top_vbar))
 
 
 @dataclass(frozen=True)

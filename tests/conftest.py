@@ -6,7 +6,8 @@ import pytest
 
 from coverage_routing.bundle import evaluate_dual_function
 from coverage_routing.labeling_case2 import Case2Solver
-from coverage_routing.relaxation import assemble_f_value, build_coeffs
+from coverage_routing.relaxation import (BestRoutes, assemble_f_value,
+                                         build_coeffs)
 from coverage_routing.instance import (Instance, Physics, Target, Vehicle,
                                        Waypoint, build_index_table,
                                        finalize_instance, generate_instance,
@@ -90,7 +91,7 @@ def case2_search_value(table, inst, lam, use_dominance=True,
     results = {
         vbar: Case2Solver(coeffs, vbar, ratio_mode, use_dominance).solve()
         for vbar in coeffs.idle_set}
-    return assemble_f_value(coeffs, results)
+    return assemble_f_value(coeffs, BestRoutes.from_results(results, 0, 0))
 
 
 @pytest.fixture

@@ -1,18 +1,21 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference_case1
 from conftest import random_desk_instance, random_multipliers, relax_value
 from coverage_routing import labeling_case1
+from coverage_routing.bundle import evaluate_dual_function
 from coverage_routing.errors import SchemaError
 from coverage_routing.instance import build_index_table, generate_instance
 from coverage_routing.labeling_case1 import fill_bytes, solve_case1
 from coverage_routing.oracle import oracle_relaxation
-from coverage_routing.relaxation import build_coeffs
+from coverage_routing.relaxation import PathTiming, build_coeffs
 
 
 def brute_force_best(values, n, exit_id, vbar):
@@ -148,6 +151,37 @@ class TestSolveCase1:
         assert got.value == expect
         assert got.nodes == route
 
+    @pytest.mark.parametrize("nets,route", [
+        # equal sizes: {1, 2, 5} comes before {1, 3, 4} by sorted waypoints
+        ({(0, 3): 1, (3, 4): 1, (4, 1): 1, (0, 2): 1, (2, 5): 1, (5, 1): 1,
+          (1, 6): 1}, (0, 2, 5, 1, 6)),
+        # {1, 4} comes before {1, 2, 3} by size
+        ({(0, 2): 1, (2, 3): 1, (3, 1): 1, (0, 4): 2, (4, 1): 1, (1, 6): 1},
+         (0, 4, 1, 6)),
+    ])
+    def test_tied_visited_sets_keep_route(self, nets, route):
+        """Where several visited sets reach the best value at the best end
+        node, the smaller set wins, then the one with the first smaller
+        waypoint.  Idling at waypoint 1 earns 10 per unit time, every arc
+        takes 1 and earns 10 plus its entry in ``nets``, so those arcs are
+        worth their entry and every other arc -10 at idle candidate 1:
+        exactly two routes share the best value 4."""
+        inst = generate_instance(1, 5, 1, case="I", coverage_radius=25.0)
+        table = build_index_table(inst)
+        assert len(table.target_ids) == 1
+        table.coverage_rate = np.zeros((len(table.arcs), 1))
+        for arc, net in nets.items():
+            table.coverage_rate[table.arc_id[arc]] = 10.0 + net
+        table.wp_cov = np.zeros((table.n, 1))
+        table.wp_cov[0] = 10.0
+        table.priorities = np.ones(1)
+        table.min_time = table.max_time = np.ones(len(table.arcs))
+        coeffs = build_coeffs(table, np.zeros(1), "I")
+        assert coeffs.idle_set == (0, 1)
+        got = solve_case1(coeffs).results[1]
+        assert (got.nodes, got.value) == (route, 4.0)
+        assert repr(got) == repr(reference_case1.solve_case1(coeffs)[1])
+
     def test_three_way_battery(self, rng):
         for _ in range(25):
             inst = random_desk_instance(rng, n_range=(2, 6), m_range=(2, 8))
@@ -172,10 +206,37 @@ class TestSolveCase1:
             lam = random_multipliers(rng, len(table.target_ids))
             cases.append(build_coeffs(table, lam, "I"))
         assert any(len(c.idle_set) > 2 for c in cases)
-        whole = [repr(solve_case1(c)) for c in cases]
+        whole = [solve_case1(c) for c in cases]
+        texts = list(map(repr, whole))
         monkeypatch.setattr(labeling_case1, "STATE_CHUNK_BYTES", state_bytes)
         monkeypatch.setattr(labeling_case1, "TABLE_CHUNK_BYTES", table_bytes)
-        assert [repr(solve_case1(c)) for c in cases] == whole
+        chunked = [solve_case1(c) for c in cases]
+        assert list(map(repr, chunked)) == texts
+        # equality goes by content, not by object
+        assert chunked == whole
+        assert all(r != whole[0] for r in whole[1:])
+
+    @pytest.mark.parametrize("table_bytes", [labeling_case1.TABLE_CHUNK_BYTES,
+                                             1])
+    def test_dual_evaluation_times_one_route(self, monkeypatch, table_bytes):
+        """A case-I dual evaluation compares every candidate's value but
+        traces and times only the maximizing candidate's route, in a fill
+        of one chunk and in a fill of one candidate per chunk."""
+        built = []
+        init = PathTiming.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(PathTiming, "__init__", counted)
+        monkeypatch.setattr(labeling_case1, "TABLE_CHUNK_BYTES", table_bytes)
+        inst = generate_instance(0, 6, 60, case="I", coverage_radius=20.0)
+        table = build_index_table(inst)
+        lam = np.zeros(len(table.target_ids))
+        assert len(build_coeffs(table, lam, "I").idle_set) > 2
+        value, _ = evaluate_dual_function(table, lam, "I")
+        assert len(built) == 1 and built[0] is value.best
 
 
 def test_size_guard_flips_between_21_and_22_waypoints(monkeypatch):
@@ -204,22 +265,73 @@ def test_fill_stays_within_fill_bytes(monkeypatch):
     """With one candidate per table chunk, a fill never holds more than
     :func:`fill_bytes`: each chunk's tables are freed before the next
     chunk is filled, and the completion scan adds no table-sized
-    temporaries."""
+    temporaries.  At 16 waypoints a float column of all masks, copied out
+    of the table per candidate, would already exceed the formula's slack
+    for temporaries."""
     monkeypatch.setattr(labeling_case1, "TABLE_CHUNK_BYTES", 1)
-    n = 13
-    inst = generate_instance(0, n, 3, coverage_radius=20.0)
+    for n in (13, 16):
+        inst = generate_instance(0, n, 3, coverage_radius=20.0)
+        table = build_index_table(inst)
+        coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
+        assert len(coeffs.idle_set) > 2
+        cached = sum(a.nbytes for layer in labeling_case1._layers(n)
+                     for a in layer)
+        tracemalloc.start()
+        try:
+            solve_case1(coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak + cached <= fill_bytes(n)
+
+
+@st.composite
+def _tied_inputs(draw):
+    """Case-I coefficients whose coverage rates, priorities and arc time
+    bounds are integers from 0 to 2 (priorities and times from 1), so that
+    many routes tie exactly on value, end node and visited set (also across
+    visited sets of different sizes); and whether to fill one candidate per
+    chunk with one state per gather."""
+    n = draw(st.integers(3, 6))
+    inst = generate_instance(draw(st.integers(0, 10 ** 6)), n,
+                             draw(st.integers(1, 3)), case="I",
+                             coverage_radius=25.0)
+    assume(inst.targets)
     table = build_index_table(inst)
-    coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
-    assert len(coeffs.idle_set) > 2
-    cached = sum(a.nbytes for layer in labeling_case1._layers(n)
-                 for a in layer)
-    tracemalloc.start()
-    try:
-        solve_case1(coeffs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak + cached <= fill_bytes(n)
+    m = len(table.target_ids)
+
+    def ints(*shape, low=0):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.integers(low, 2), min_size=size,
+                                      max_size=size)),
+                        dtype=float).reshape(shape)
+
+    arcs = len(table.arcs)
+    table.coverage_rate = ints(arcs, m)
+    table.wp_cov = ints(n, m)
+    table.priorities = ints(m, low=1)
+    table.min_time = ints(arcs, low=1)
+    table.max_time = np.maximum(table.min_time, ints(arcs, low=1))
+    return (build_coeffs(table, np.zeros(m), "I"), draw(st.booleans()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_tied_inputs())
+def test_routes_match_per_candidate_reference(inputs):
+    """Every idle candidate's timed route, repr for repr, equals the one the
+    per-candidate scan of ``reference_case1`` traces and times, on inputs
+    full of exact ties and in fills of one candidate per chunk."""
+    coeffs, chunked = inputs
+    tables, states = (1, 1) if chunked else (
+        labeling_case1.TABLE_CHUNK_BYTES, labeling_case1.STATE_CHUNK_BYTES)
+    with mock.patch.multiple(labeling_case1, TABLE_CHUNK_BYTES=tables,
+                             STATE_CHUNK_BYTES=states):
+        got = solve_case1(coeffs)
+        expect = reference_case1.solve_case1(coeffs)
+    assert list(got.results) == list(coeffs.idle_set)
+    assert got.values == {v: bt.value for v, bt in expect.items()}
+    assert ({v: repr(bt) for v, bt in got.results.items()}
+            == {v: repr(bt) for v, bt in expect.items()})
 
 
 @st.composite
