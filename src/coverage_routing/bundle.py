@@ -1,21 +1,26 @@
 """Level bundle method for the dual of the coverage-requirement relaxation.
 
 The dual function (min over multipliers ``lam <= 0``) is evaluated exactly by
-the labeling solvers; each evaluation yields an affine cut (a gradient and
-an offset).  The next iterate is the projection of the current one onto the
-level set ``{lam <= 0 : all cuts <= f_lev}`` with ``f_lev = phi*LB +
-(1-phi)*UB``; the master sees only the iterate, the cuts and ``f_lev``.  It
-projects by one dual active-set QP (Goldfarb & Idnani, *Math. Programming*
-1983) started at the iterate, which needs no feasible point: it either
-reaches the projection or proves the level set empty.  If the iterate can be
-projected, it is evaluated, a cut is added, and ``UB`` shrinks toward the
-dual value.  ``LB`` moves only on a certificate that the level set is
-empty: weights ``y >= 0`` summing to 1 over the cuts whose aggregated
-gradient ``sum y_k g_k`` is ``<= 0`` in every component.  The QP's last dual
-step supplies the weights, and one check, :func:`_verify_farkas`, accepts
-or refuses them; when rounding makes its working cuts dependent, or when
-it reaches its step cap, the QP stops with no point and no weights, which
-the check refuses.  The aggregated cut then
+the labeling solvers.  It is a maximum over idle candidates, and each
+candidate's best route, with its timing fixed, is affine in ``lam`` and lies
+at or below it everywhere; so one evaluation adds one affine cut (a gradient
+and an offset) per candidate that has a route: the maximizing candidate's
+first, then the others in idle-set order (the multicut idea of Birge &
+Louveaux, *EJOR* 1988).  The first evaluation's other cuts join the pool
+after trace row 0 is recorded.  The next iterate is the projection of the
+current one onto the level set ``{lam <= 0 : all cuts <= f_lev}`` with
+``f_lev = phi*LB + (1-phi)*UB``; the master sees only the iterate, the cuts
+and ``f_lev``.  It projects by one dual active-set QP (Goldfarb & Idnani,
+*Math. Programming* 1983) started at the iterate, which needs no feasible
+point: it either reaches the projection or proves the level set empty.  If
+the iterate can be projected, it is evaluated, its cuts are added, and
+``UB`` shrinks toward the dual value.  ``LB`` moves only on a certificate
+that the level set is empty: weights ``y >= 0`` summing to 1 over the cuts
+whose aggregated gradient ``sum y_k g_k`` is ``<= 0`` in every component.
+The QP's last dual step supplies the weights, and one check,
+:func:`_verify_farkas`, accepts or refuses them; when rounding makes its
+working cuts dependent, or when it reaches its step cap, the QP stops with
+no point and no weights, which the check refuses.  The aggregated cut then
 lies below the dual function at every ``lam <= 0``, so its offset
 ``sum y_k o_k``, above ``f_lev``, is the new ``LB``: a lower bound on the
 cut model's minimum, and often that minimum itself (the level method of
@@ -44,7 +49,8 @@ from .instance import (VALIDATE_TOL, ArcIndexTable, Instance, PathSolution,
 from .labeling_case1 import solve_case1
 from .labeling_case2 import RATIO_SLOPE, solve_case2
 from .relaxation import (CASE_I, CutCoeffs, PathTiming, RelaxValue,
-                         assemble_f_value, build_coeffs, make_cut)
+                         assemble_f_value, build_coeffs, make_cut,
+                         timed_coverage)
 # not called here: bench/tracing.py times the simplex under this name
 from .simplex import dense_lp_solve  # noqa: F401
 
@@ -320,7 +326,10 @@ def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
     candidate: a table fill in case I, the screened search of
     ``labeling_case2`` in case II.  The candidates are compared by value,
     and in case I only the maximizing candidate's route is traced and
-    timed.
+    timed here.  The value's ``routes`` give every other candidate's route,
+    and :func:`_candidate_cuts` turns them into one more cut each: a
+    candidate's route, with its timing fixed, is affine in ``lam`` and lies
+    at or below the dual function everywhere.
 
     ``ratio_mode`` and ``use_dominance`` steer the case-II search only."""
     coeffs = build_coeffs(table, lam, case)
@@ -330,6 +339,17 @@ def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
         routes = solve_case2(coeffs, ratio_mode, use_dominance)
     value = assemble_f_value(coeffs, routes)
     return value, make_cut(value.best, table)
+
+
+def _candidate_cuts(value: RelaxValue, table: ArcIndexTable
+                    ) -> List[CutCoeffs]:
+    """The cut of every idle candidate's route but the maximizing one's, in
+    idle-set order; candidates without a route add none.  Each is tight at
+    the evaluated multipliers for its own candidate."""
+    routes, top = value.routes, value.best.vbar
+    return [make_cut(routes.timing(vbar), table)
+            for vbar, found in routes.values.items()
+            if found is not None and vbar != top]
 
 
 def _route_solution(table: ArcIndexTable, nodes: Tuple[int, ...],
@@ -351,9 +371,7 @@ def timing_to_solution(timing: PathTiming,
                        table: ArcIndexTable) -> PathSolution:
     """Materialize a relaxation witness as a route: with an idle stop the
     whole deadline remainder is spent there."""
-    T = table.instance.deadline
-    idle = max(0.0, T - float(sum(timing.times))) if timing.vbar else 0.0
-    cov = table.route_coverage(timing.nodes, timing.times, timing.vbar, idle)
+    idle, cov = timed_coverage(timing, table)
     return _route_solution(table, timing.nodes, timing.times, timing.vbar,
                            idle, cov)
 
@@ -463,6 +481,9 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     best_lam, best_value = lam0.copy(), value0
     trace = [TraceRow(0, value0.value, lb, ub, None, "initial",
                       time.monotonic() - t0)]
+    # the other candidates' cuts come after row 0, so the first bound does
+    # not wait for them
+    cuts += _candidate_cuts(value0, table)
 
     def converged() -> bool:
         return ub < 0.0 or ub - lb <= tol * max(1.0, abs(ub))
@@ -495,6 +516,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
         value, cut = evaluate_dual_function(table, master.lam, case,
                                             ratio_mode)
         cuts.append(cut)
+        cuts += _candidate_cuts(value, table)
         if value.value < ub:
             ub = value.value
             best_lam = master.lam.copy()

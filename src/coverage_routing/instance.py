@@ -557,19 +557,11 @@ class ArcIndexTable:
         with that timing alone."""
         times = np.asarray(times, dtype=float)
         rates = self.coverage_rate[self.arc_ids(nodes)]
-        cov = np.zeros(times.shape[:-1] + (len(self.target_ids),))
-        for k, rate in enumerate(rates):
-            cov += times[..., k, None] * rate
+        # a running sum adds the arc terms one by one, in path order
+        cov = np.add.accumulate(times[..., None] * rates, axis=-2)[..., -1, :]
         if idle_node and idle_time > 0:
             cov += self.wp_cov[idle_node - 1] * idle_time
         return cov
-
-    def waypoint_coverage_vector(self, node: int) -> np.ndarray:
-        """Per-target idle coverage rates at an interior waypoint (zeros for
-        the no-idle pseudo-node 0)."""
-        if node == 0:
-            return np.zeros(len(self.target_ids))
-        return self.wp_cov[node - 1]
 
 
 def build_index_table(instance: Instance) -> ArcIndexTable:

@@ -19,13 +19,14 @@ a deadline slack enough to never bind (case I) that timing is optimal.  In
 case II the times stay free: the timing problem is a continuous knapsack,
 and ``labeling_case2`` says where the bound timing still settles it.
 
-Each relaxation solution also yields an affine underestimator (cut) of the
-dual function, tight at the multiplier vector that produced it.
+Each idle candidate's best route also yields an affine underestimator (cut)
+of the dual function, tight for that candidate at the multiplier vector that
+produced it, and so tight for the dual function where the candidate wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -184,10 +185,13 @@ class BestRoutes:
 
 @dataclass(frozen=True)
 class RelaxValue:
-    """The relaxation optimum at one multiplier vector."""
+    """The relaxation optimum at one multiplier vector: its value, the
+    maximizing candidate's timed route, and every candidate's best route
+    (``routes``, left out of equality and ``repr``)."""
 
     value: float
     best: PathTiming
+    routes: BestRoutes = field(compare=False, repr=False)
 
 
 def assemble_f_value(coeffs: RelaxCoeffs, best: BestRoutes) -> RelaxValue:
@@ -213,7 +217,7 @@ def assemble_f_value(coeffs: RelaxCoeffs, best: BestRoutes) -> RelaxValue:
         if top is None or tot > top:
             top, top_vbar = tot, vbar
     return RelaxValue(value=coeffs.constant + top,
-                      best=best.timing(top_vbar))
+                      best=best.timing(top_vbar), routes=best)
 
 
 @dataclass(frozen=True)
@@ -233,15 +237,20 @@ class CutCoeffs:
         return float(self.gradient @ lam) + self.offset
 
 
+def timed_coverage(timing: PathTiming, table: ArcIndexTable
+                   ) -> Tuple[float, np.ndarray]:
+    """A timed route's idle time, the whole deadline remainder at its idle
+    stop (0 without one), and its per-target coverage."""
+    idle = 0.0
+    if timing.vbar:
+        idle = max(0.0, table.instance.deadline - float(sum(timing.times)))
+    return idle, table.route_coverage(timing.nodes, timing.times, timing.vbar,
+                                      idle)
+
+
 def make_cut(timing: PathTiming, table: ArcIndexTable) -> CutCoeffs:
     """Build the cut generated by one relaxation solution from the
-    solution's per-target coverage (idle time is the deadline remainder
-    when an idle stop is used)."""
-    vbar = timing.vbar
-    idle_cov = table.waypoint_coverage_vector(vbar)
-    deadline = table.instance.deadline
-    coverage = deadline * idle_cov if vbar != 0 else np.zeros(len(table.target_ids))
-    for k, t in zip(table.arc_ids(timing.nodes), timing.times):
-        coverage = coverage + (table.coverage_rate[k] - idle_cov) * t
+    solution's per-target coverage (:func:`timed_coverage`)."""
+    _, coverage = timed_coverage(timing, table)
     return CutCoeffs(gradient=table.required - coverage,
                      offset=float(table.priorities @ coverage))

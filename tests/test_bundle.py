@@ -740,6 +740,141 @@ class TestRunDual:
         assert res.iterations <= 1
 
 
+def _recorded_run(monkeypatch, inst, case, table, **kw):
+    """``run_dual``, with the dual evaluations it made (multipliers and
+    value, in order) and the cut pool each of its masters received."""
+    evals, pools = [], []
+    real_eval = bundle.evaluate_dual_function
+    real_master = bundle.solve_master
+
+    def evaluate(table, lam, *args, **kw):
+        value, cut = real_eval(table, lam, *args, **kw)
+        evals.append((np.array(lam, dtype=float), value))
+        return value, cut
+
+    def master(lam_hat, cuts, f_lev):
+        pools.append(list(cuts))
+        return real_master(lam_hat, cuts, f_lev)
+
+    monkeypatch.setattr(bundle, "evaluate_dual_function", evaluate)
+    monkeypatch.setattr(bundle, "solve_master", master)
+    try:
+        res = run_dual(inst, case, table=table, **kw)
+    finally:
+        monkeypatch.undo()
+    return res, evals, pools
+
+
+def _model_minimum(cuts):
+    """HiGHS's minimum over ``lam <= 0`` of the cut model ``max_k g_k . lam
+    + o_k``, solved as ``min t`` subject to ``g_k . lam - t <= -o_k``; -inf
+    where the model is unbounded below."""
+    G = np.array([c.gradient for c in cuts])
+    o = np.array([c.offset for c in cuts])
+    m = G.shape[1]
+    obj = np.zeros(m + 1)
+    obj[-1] = 1.0
+    res = linprog(obj, A_ub=np.hstack([G, -np.ones((len(cuts), 1))]),
+                  b_ub=-o, bounds=[(None, 0.0)] * m + [(None, None)],
+                  method="highs")
+    assert res.status in (0, 3), res.message
+    return res.fun if res.status == 0 else -math.inf
+
+
+class TestCutPool:
+    """One dual evaluation adds one cut per idle candidate that has a
+    route: the maximizing candidate's first, then the others in idle-set
+    order."""
+
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_every_pool_cut_is_valid_and_tight(self, rng, case, monkeypatch):
+        runs = extra = 0
+        while runs < 6:
+            inst = random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6),
+                                        case=case)
+            table = build_index_table(inst)
+            try:
+                res, evals, pools = _recorded_run(monkeypatch, inst, case,
+                                                  table, iter_limit=300)
+            except InfeasibleInstanceError:
+                continue
+            if not pools:
+                continue
+            # each candidate's cut at the multipliers that generated it is
+            # that candidate's total: constant, idle gain and route value
+            groups = []
+            for lam, value in evals:
+                coeffs = build_coeffs(table, lam, case)
+                top, found = value.best.vbar, value.routes.values
+                order = [top] + [v for v in coeffs.idle_set
+                                 if v != top and found[v] is not None]
+                groups.append([(lam, coeffs.constant + found[v] + (
+                    inst.deadline * coeffs.idle_gain[v] if v else 0.0))
+                    for v in order])
+            want = [pair for group in groups for pair in group]
+            cuts = pools[-1]
+            # the last master sees every evaluation's cuts but, at most, the
+            # last evaluation's
+            assert len(cuts) in (len(want), len(want) - len(groups[-1]))
+            for cut, (lam, total) in zip(cuts, want):
+                assert abs(cut.value_at(lam) - total) <= \
+                    1e-9 * max(1.0, abs(total))
+            extra += sum(len(group) - 1 for group in groups)
+            m = len(table.target_ids)
+            for _ in range(5):
+                lam = random_multipliers(rng, m, scale=8.0)
+                top = max(c.value_at(lam) for c in cuts)
+                f_val = evaluate_dual_function(table, lam, case)[0].value
+                ora = oracle_relaxation(table, inst, lam, case).value
+                assert top <= f_val + 1e-9 * max(1.0, abs(f_val))
+                assert top <= ora + 1e-9 * max(1.0, abs(ora))
+            runs += 1
+        # some evaluations add cuts beyond the maximizing candidate's
+        assert extra > 0
+
+    @pytest.mark.parametrize("case, args, kw", [
+        pytest.param("I", (s,), dict(preset="small"), id=f"small-I-{s}")
+        for s in range(4)] + [
+        pytest.param("II", (s, 7, 10), {}, id=f"desk-II-{s}")
+        for s in range(4)] + [
+        pytest.param("I", (s, 6, 60),
+                     dict(coverage_radius=20.0, min_coverage=0.01),
+                     id=f"wide-I-{s}")
+        for s in range(8)])
+    def test_certified_lb_stays_below_the_model_minimum(self, case, args,
+                                                        kw, monkeypatch):
+        # the benchmark's workload shapes (small-I, desk-II, wide-I): every
+        # certified LB is at most the minimum of the cut model its master
+        # saw, which lies below the dual function
+        inst = generate_instance(*args, case=case, **kw)
+        table = build_index_table(inst)
+        res, _, pools = _recorded_run(monkeypatch, inst, case, table)
+        assert len(pools) == res.iterations
+        for row, cuts in zip(res.trace[1:], pools):
+            if row.master_status == MASTER_INFEASIBLE:
+                low = _model_minimum(cuts)
+                assert row.lb <= low + 1e-9 * max(1.0, abs(low))
+
+    def test_small_preset_evaluates_fewer_points(self):
+        # 35 trace rows were evaluated on these seeds with the winner's cut
+        # alone; row 0 is the lam = 0 evaluation and the repair of its
+        # winner, as before
+        evaluated = 0
+        for seed in range(4):
+            inst = generate_instance(seed, preset="small", case="I")
+            table = build_index_table(inst)
+            res = run_dual(inst, "I", table=table)
+            assert res.status == CONVERGED
+            evaluated += sum(r.f_value is not None for r in res.trace)
+            value0, _ = evaluate_dual_function(
+                table, np.zeros(len(inst.targets)), "I")
+            lb0, _ = bundle._greedy_primal_repair(table, value0.best)
+            row = res.trace[0]
+            assert row.f_value == row.ub == value0.value
+            assert row.lb == min(lb0, value0.value)
+        assert evaluated < 35
+
+
 class TestGreedyRepair:
     """The array repair against the per-pair loop of
     ``tests/reference_repair.py``, bit for bit: the value and every field of

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import (make_instance, random_desk_instance, random_multipliers,
                       relax_value)
-from coverage_routing.bundle import evaluate_dual_function
+from coverage_routing.bundle import (evaluate_dual_function,
+                                     timing_to_solution)
 from coverage_routing.instance import build_index_table, generate_instance
 from coverage_routing.oracle import oracle_primal, oracle_relaxation
 from coverage_routing.relaxation import (PathTiming, assemble_f_value,
@@ -164,6 +165,33 @@ class TestConvexityAndCuts:
                 probe = random_multipliers(rng, m, scale=8.0)
                 f_probe = oracle_relaxation(table, inst, probe, case).value
                 assert cut.value_at(probe) <= f_probe + 1e-8
+
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_cut_gradient_is_the_witness_shortfall(self, rng, case):
+        # a cut and the witness route read one coverage kernel: for every
+        # candidate's route, the gradient is the requirements minus the
+        # witness's per-target coverage, bit for bit
+        done = idle = 0
+        while done < 8:
+            inst = random_desk_instance(rng, n_range=(2, 5), m_range=(2, 6),
+                                        case=case)
+            table = _table(inst)
+            lam = random_multipliers(rng, len(table.target_ids))
+            try:
+                value, _ = evaluate_dual_function(table, lam, case)
+            except InfeasibleInstanceError:
+                continue
+            for timing in value.routes.results.values():
+                if timing is None:
+                    continue
+                cut = make_cut(timing, table)
+                sol = timing_to_solution(timing, table)
+                cov = np.array([c for _, c in sol.per_target_coverage])
+                assert np.array_equal(cut.gradient, table.required - cov)
+                assert cut.offset == sol.objective
+                idle += timing.vbar != 0
+            done += 1
+        assert idle > 0
 
     def test_no_idle_cut_lacks_deadline_term(self):
         # single target coverable from an arc only: idling never pays, so the
