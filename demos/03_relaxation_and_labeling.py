@@ -81,7 +81,7 @@ for vbar, res in routes.results.items():
           f"search agrees: {agrees})")
     if best2 is None or total > best2[0]:
         best2 = (total, vbar)
-value2, _ = evaluate_dual_function(table2, lam, "II")
+value2 = evaluate_dual_function(table2, lam, "II")
 orc2 = oracle_relaxation(table2, inst_tight, lam, "II")
 print(f"case-II relaxation value: {best2[0]:.6f} "
       f"(evaluate_dual_function {value2.value:.6f})")

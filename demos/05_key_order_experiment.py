@@ -50,8 +50,8 @@ for seed in range(25):
         continue
     table = build_index_table(inst)
     lam = np.zeros(len(table.target_ids))
-    value, _ = evaluate_dual_function(table, lam, "II",
-                                      ratio_mode="per-distance")
+    value = evaluate_dual_function(table, lam, "II",
+                                   ratio_mode="per-distance")
     orc = oracle_relaxation(table, inst, lam, "II")
     checked += 1
     gap = orc.value - value.value

@@ -6,8 +6,8 @@ candidate's best route, with its timing fixed, is affine in ``lam`` and lies
 at or below it everywhere; so one evaluation adds one affine cut (a gradient
 and an offset) per candidate that has a route: the maximizing candidate's
 first, then the others in idle-set order (the multicut idea of Birge &
-Louveaux, *EJOR* 1988).  The first evaluation's other cuts join the pool
-after trace row 0 is recorded.  The next iterate is the projection of the
+Louveaux, *EJOR* 1988), built after the evaluation's trace row is recorded
+so that no bound waits for them.  The next iterate is the projection of the
 current one onto the level set ``{lam <= 0 : all cuts <= f_lev}`` with
 ``f_lev = phi*LB + (1-phi)*UB``; the master sees only the iterate, the cuts
 and ``f_lev``.  It projects by one dual active-set QP (Goldfarb & Idnani,
@@ -320,16 +320,14 @@ def _verify_farkas(u: np.ndarray, A_all: np.ndarray,
 
 def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
                            case: str, ratio_mode: str = RATIO_SLOPE,
-                           use_dominance: bool = True) -> Tuple[RelaxValue, CutCoeffs]:
+                           use_dominance: bool = True) -> RelaxValue:
     """Exact dual-function value at ``lam``: the best path over the idle
-    candidates, plus the cut it generates.  One labeling call answers every
-    candidate: a table fill in case I, the screened search of
-    ``labeling_case2`` in case II.  The candidates are compared by value,
-    and in case I only the maximizing candidate's route is traced and
-    timed here.  The value's ``routes`` give every other candidate's route,
-    and :func:`_candidate_cuts` turns them into one more cut each: a
-    candidate's route, with its timing fixed, is affine in ``lam`` and lies
-    at or below the dual function everywhere.
+    candidates.  One labeling call answers every candidate: a table fill in
+    case I, the screened search of ``labeling_case2`` in case II.  The
+    candidates are compared by value, and in case I only the maximizing
+    candidate's route is traced and timed here.  The value's ``routes``
+    give every other candidate's route; :func:`_candidate_cuts` turns them
+    all into cuts.
 
     ``ratio_mode`` and ``use_dominance`` steer the case-II search only."""
     coeffs = build_coeffs(table, lam, case)
@@ -337,19 +335,21 @@ def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
         routes = solve_case1(coeffs)
     else:
         routes = solve_case2(coeffs, ratio_mode, use_dominance)
-    value = assemble_f_value(coeffs, routes)
-    return value, make_cut(value.best, table)
+    return assemble_f_value(coeffs, routes)
 
 
 def _candidate_cuts(value: RelaxValue, table: ArcIndexTable
                     ) -> List[CutCoeffs]:
-    """The cut of every idle candidate's route but the maximizing one's, in
-    idle-set order; candidates without a route add none.  Each is tight at
-    the evaluated multipliers for its own candidate."""
+    """The cut of every idle candidate's route: the maximizing candidate's
+    first, then the others in idle-set order; candidates without a route
+    add none.  A route with its timing fixed is affine in ``lam`` and lies
+    at or below the dual function everywhere, tight at the evaluated
+    multipliers for its own candidate."""
     routes, top = value.routes, value.best.vbar
-    return [make_cut(routes.timing(vbar), table)
-            for vbar, found in routes.values.items()
-            if found is not None and vbar != top]
+    return [make_cut(value.best, table)] + [
+        make_cut(routes.timing(vbar), table)
+        for vbar, found in routes.values.items()
+        if found is not None and vbar != top]
 
 
 def _route_solution(table: ArcIndexTable, nodes: Tuple[int, ...],
@@ -382,11 +382,12 @@ def _greedy_primal_repair(table: ArcIndexTable, witness: PathTiming
     fast, as witnessed, all slow if that fits the deadline) and idling the
     deadline remainder at one of its waypoints, or at none.
 
-    Every (timing, idle stop) pair is scored at once: one coverage call for
-    the timings, each waypoint's idle term broadcast over them, and one
-    coverage mask.  Routes are built for the feasible pairs only; the first
-    strict maximum wins, in the order fast, witnessed, slow, then no idle
-    stop, then the waypoints in path order."""
+    Every (timing, idle stop) pair is covered at once: one coverage call
+    for the timings, each waypoint's idle term broadcast over them, and one
+    coverage mask.  Each feasible pair is scored by its objective; the
+    first strict maximum wins, in the order fast, witnessed, slow, then no
+    idle stop, then the waypoints in path order, and only its route is
+    built."""
     nodes = witness.nodes
     ids = table.arc_ids(nodes)
     T = table.instance.deadline
@@ -409,16 +410,18 @@ def _greedy_primal_repair(table: ArcIndexTable, witness: PathTiming
     ok = np.all(cov >= table.required - VALIDATE_TOL, axis=2)
     ok[totals > T + VALIDATE_TOL] = False
 
-    best_sol = None
+    best = None
     for j, s in zip(*np.nonzero(ok)):
-        vbar = stops[s]
-        sol = _route_solution(table, nodes, times[j], vbar,
-                              float(idle[j]) if vbar else 0.0, cov[j, s])
-        if best_sol is None or sol.objective > best_sol.objective:
-            best_sol = sol
-    if best_sol is None:
+        objective = float(table.priorities @ cov[j, s])
+        if best is None or objective > best[0]:
+            best = objective, j, s
+    if best is None:
         return LB_FLOOR, None
-    return best_sol.objective, best_sol
+    objective, j, s = best
+    vbar = stops[s]
+    return objective, _route_solution(table, nodes, times[j], vbar,
+                                      float(idle[j]) if vbar else 0.0,
+                                      cov[j, s])
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +453,16 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     hit; the returned ``dual_bound`` (the best evaluated value) is always a
     valid bound on the primal optimum, and ``lower_bound`` moves only on a
     checked certificate (:func:`solve_master`).  The trace keeps one row per
-    iteration plus an initialization row.  Each level is the ``phi`` point
-    between ``LB`` and ``UB``, except after a ``MASTER_UNVERIFIED`` row,
-    where the refuted level takes ``LB``'s place: such a row evaluates no
-    point and moves no bound, whether its certificate failed or the
-    projection stopped short at the step cap.  ``ratio_mode`` applies to
-    case II only; the case-II search always prunes by dominance.
-    ``time_limit`` (seconds, ``inf`` allowed) must be positive and
-    ``iter_limit`` at least 1.  A given ``table`` must be the instance's
-    index table.
+    iteration plus an initialization row; an evaluated row is recorded
+    before :func:`_candidate_cuts` builds its cuts.  Each level is the
+    ``phi`` point between ``LB`` and ``UB``, except after a
+    ``MASTER_UNVERIFIED`` row, where the refuted level takes ``LB``'s place:
+    such a row evaluates no point and moves no bound, whether its
+    certificate failed or the projection stopped short at the step cap.
+    ``ratio_mode`` applies to case II only; the case-II search always
+    prunes by dominance.  ``time_limit`` (seconds, ``inf`` allowed) must be
+    positive and ``iter_limit`` at least 1.  A given ``table`` must be the
+    instance's index table.
     """
     if not (0.0 < phi < 1.0):
         raise ValueError(f"phi must sit strictly inside (0, 1), got {phi}")
@@ -474,16 +478,14 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     t0 = time.monotonic()
 
     lam0 = np.zeros(len(table.target_ids))
-    value0, cut0 = evaluate_dual_function(table, lam0, case, ratio_mode)
+    value0 = evaluate_dual_function(table, lam0, case, ratio_mode)
     lb0, repair = _greedy_primal_repair(table, value0.best)
-    lam_hat, cuts = lam0, [cut0]
+    lam_hat = lam0
     lb, ub = min(lb0, value0.value), value0.value
     best_lam, best_value = lam0.copy(), value0
     trace = [TraceRow(0, value0.value, lb, ub, None, "initial",
                       time.monotonic() - t0)]
-    # the other candidates' cuts come after row 0, so the first bound does
-    # not wait for them
-    cuts += _candidate_cuts(value0, table)
+    cuts = _candidate_cuts(value0, table)
 
     def converged() -> bool:
         return ub < 0.0 or ub - lb <= tol * max(1.0, abs(ub))
@@ -513,16 +515,14 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
                                   time.monotonic() - t0))
             continue
         lam_hat = master.lam
-        value, cut = evaluate_dual_function(table, master.lam, case,
-                                            ratio_mode)
-        cuts.append(cut)
-        cuts += _candidate_cuts(value, table)
+        value = evaluate_dual_function(table, master.lam, case, ratio_mode)
         if value.value < ub:
             ub = value.value
             best_lam = master.lam.copy()
             best_value = value
         trace.append(TraceRow(iterations, value.value, lb, ub, f_lev,
                               MASTER_FEASIBLE, time.monotonic() - t0))
+        cuts += _candidate_cuts(value, table)
     if converged():
         status = CONVERGED
 

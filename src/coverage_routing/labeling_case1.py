@@ -201,7 +201,9 @@ def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:
             f"case {coeffs.case} needs a {nbytes / 2**30:.1f} GiB table for "
             f"{n} waypoints, above the {MAX_TABLE_BYTES / 2**30:.0f} GiB "
             f"limit")
-    values = table.matrix(coeffs.arc_values(vbars), fill=_NEG)
+    net = coeffs.net_rates(vbars)
+    times = coeffs.bound_times(net)
+    values = table.matrix(net * times, fill=_NEG)
     vin = values[:, :n + 1].transpose(2, 0, 1)
     vexit = values[:, :n + 1, table.exit_id].copy()
     vexit[:, 0] = 0.0
@@ -221,7 +223,6 @@ def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:
             del trace  # frees the chunk's tables before the next fill
         trace = nodes.__getitem__
     found = dict(zip(vbars, map(float, best)))
-    times = coeffs.bound_times(vbars)
 
     def route(vbar: int) -> PathTiming:
         k = vbars.index(vbar)

@@ -219,7 +219,8 @@ class Case2Solver:
         self.net = coeffs.net_rates(vbar)
         self.keys = _ratio_keys(self.net, table.arc_dist, ratio_mode)
         self.net_m = table.matrix(self.net, fill=_NEG)
-        self.key_m = table.matrix(self.keys, fill=_NEG)
+        self.key_m = (self.net_m if ratio_mode == RATIO_SLOPE
+                      else table.matrix(self.keys, fill=_NEG))
         self.tlo_m = table.matrix(table.min_time, fill=math.inf)
         self.thi_m = table.matrix(table.max_time, fill=math.inf)
         self.dist = table.node_dist

@@ -78,15 +78,11 @@ class RelaxCoeffs:
             return self.f_raw - gains[:, None]
         return self.f_raw - self.idle_gain[vbar]
 
-    def bound_times(self, vbar: Idle) -> np.ndarray:
-        """Optimal times without the deadline, in either case: slowest where
-        the net rate is positive, fastest otherwise."""
-        return np.where(self.net_rates(vbar) > 0.0, self.table.max_time,
-                        self.table.min_time)
-
-    def arc_values(self, vbar: Idle) -> np.ndarray:
-        """Value collected on each arc at its bound time."""
-        return self.net_rates(vbar) * self.bound_times(vbar)
+    def bound_times(self, net: np.ndarray) -> np.ndarray:
+        """Optimal times without the deadline, in either case, for the net
+        rates ``net`` (:meth:`net_rates`): slowest where the rate is
+        positive, fastest otherwise."""
+        return np.where(net > 0.0, self.table.max_time, self.table.min_time)
 
 
 def build_coeffs(table: ArcIndexTable, lam: Sequence[float],

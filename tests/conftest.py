@@ -77,10 +77,8 @@ def random_multipliers(rng, m, scale=5.0):
 
 def relax_value(table, inst, lam, case, use_dominance=True,
                 ratio_mode="slope"):
-    value, _ = evaluate_dual_function(table, lam, case,
-                                      ratio_mode=ratio_mode,
-                                      use_dominance=use_dominance)
-    return value
+    return evaluate_dual_function(table, lam, case, ratio_mode=ratio_mode,
+                                  use_dominance=use_dominance)
 
 
 def case2_search_value(table, inst, lam, use_dominance=True,

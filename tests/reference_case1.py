@@ -15,6 +15,13 @@ from coverage_routing import labeling_case1
 from coverage_routing.relaxation import PathTiming, RelaxCoeffs
 
 
+def arc_values(coeffs: RelaxCoeffs, vbar) -> np.ndarray:
+    """Each arc's value at its bound time, for one idle candidate or a
+    sequence of them."""
+    net = coeffs.net_rates(vbar)
+    return net * coeffs.bound_times(net)
+
+
 def best_routes(n: int, exit_id: int, dp: np.ndarray, par: np.ndarray,
                 vexit: np.ndarray, vbars: Sequence[int]
                 ) -> List[Tuple[float, Tuple[int, ...]]]:
@@ -48,7 +55,7 @@ def solve_case1(coeffs: RelaxCoeffs) -> Dict[int, PathTiming]:
     table = coeffs.table
     n = table.n
     vbars = coeffs.idle_set
-    values = table.matrix(coeffs.arc_values(vbars), fill=labeling_case1._NEG)
+    values = table.matrix(arc_values(coeffs, vbars), fill=labeling_case1._NEG)
     vin = values[:, :n + 1].transpose(2, 0, 1)
     vexit = values[:, 1:n + 1, table.exit_id]
     step = max(1, labeling_case1.TABLE_CHUNK_BYTES
@@ -59,7 +66,7 @@ def solve_case1(coeffs: RelaxCoeffs) -> Dict[int, PathTiming]:
             n, table.exit_id,
             *labeling_case1._fill(n, np.ascontiguousarray(vin[:, k:k + step])),
             vexit[k:k + step], vbars[k:k + step])
-    times = coeffs.bound_times(vbars)
+    times = coeffs.bound_times(coeffs.net_rates(vbars))
     return {
         vbar: PathTiming(vbar, nodes,
                          tuple(map(float, t[table.arc_ids(nodes)])), value)

@@ -24,6 +24,7 @@ from coverage_routing.geometry import (Point2, arc_risk_index,
 from coverage_routing.instance import build_index_table, generate_instance
 from coverage_routing.labeling_case2 import knapsack_times
 from coverage_routing.oracle import oracle_primal, oracle_relaxation
+from coverage_routing.relaxation import make_cut
 from coverage_routing.simplex import dense_lp_solve
 
 
@@ -172,9 +173,10 @@ def test_criterion_5_cut_validity():
         for _ in range(2):
             lam = random_multipliers(rng, m)
             try:
-                value, cut = evaluate_dual_function(table, lam, case)
+                value = evaluate_dual_function(table, lam, case)
             except InfeasibleInstanceError:
                 continue
+            cut = make_cut(value.best, table)
             assert cut.value_at(lam) == pytest.approx(value.value, abs=1e-8)
             for _ in range(20):
                 probe = random_multipliers(rng, m, scale=8.0)
@@ -249,8 +251,9 @@ def test_criterion_7_improvement_direction():
             oracle_primal(inst, table)
         except InfeasibleInstanceError:
             continue
-        value0, cut0 = evaluate_dual_function(
+        value0 = evaluate_dual_function(
             table, np.zeros(len(table.target_ids)), case)
+        cut0 = make_cut(value0.best, table)
         if np.all(cut0.gradient <= 1e-9):  # required - coverage
             continue  # requirements not binding at the unconstrained optimum
         res = run_dual(inst, case, tol=1e-4, iter_limit=400, table=table)

@@ -183,7 +183,7 @@ class TestCase2Screen:
                     evaluate_dual_function(table, lam, "II", **kw)
                 continue
             before = len(searched)
-            value, _ = evaluate_dual_function(table, lam, "II", **kw)
+            value = evaluate_dual_function(table, lam, "II", **kw)
             assert abs(value.value - ref.value) <= \
                 1e-8 * max(1.0, abs(ref.value))
             searches += len(searched) - before
@@ -671,7 +671,7 @@ class TestRunDual:
         assert res.status == plain.status == CONVERGED
         evaluated = [r.f_value for r in res.trace if r.f_value is not None]
         # the rotated instance's dual at the unrotated run's best multipliers
-        at_plain, _ = evaluate_dual_function(table, plain.best_lam, "I")
+        at_plain = evaluate_dual_function(table, plain.best_lam, "I")
         assert res.lower_bound <= min(evaluated + [at_plain.value])
 
     def test_ub_updates_are_witnessed(self, rng):
@@ -687,7 +687,7 @@ class TestRunDual:
         res = run_dual(inst, "I", tol=1e-4, iter_limit=300, table=table)
         # the final pair: the dual at best_lam is dual_bound, bit for bit,
         # and its witness timing adds up to it
-        value, _ = evaluate_dual_function(table, res.best_lam, "I")
+        value = evaluate_dual_function(table, res.best_lam, "I")
         assert value.value == res.dual_bound
         timing = value.best
         coeffs = build_coeffs(table, res.best_lam, "I")
@@ -748,9 +748,9 @@ def _recorded_run(monkeypatch, inst, case, table, **kw):
     real_master = bundle.solve_master
 
     def evaluate(table, lam, *args, **kw):
-        value, cut = real_eval(table, lam, *args, **kw)
+        value = real_eval(table, lam, *args, **kw)
         evals.append((np.array(lam, dtype=float), value))
-        return value, cut
+        return value
 
     def master(lam_hat, cuts, f_lev):
         pools.append(list(cuts))
@@ -824,7 +824,7 @@ class TestCutPool:
             for _ in range(5):
                 lam = random_multipliers(rng, m, scale=8.0)
                 top = max(c.value_at(lam) for c in cuts)
-                f_val = evaluate_dual_function(table, lam, case)[0].value
+                f_val = evaluate_dual_function(table, lam, case).value
                 ora = oracle_relaxation(table, inst, lam, case).value
                 assert top <= f_val + 1e-9 * max(1.0, abs(f_val))
                 assert top <= ora + 1e-9 * max(1.0, abs(ora))
@@ -855,6 +855,42 @@ class TestCutPool:
                 low = _model_minimum(cuts)
                 assert row.lb <= low + 1e-9 * max(1.0, abs(low))
 
+    @pytest.mark.parametrize("case, args, kw", [
+        ("I", (0, 6, 60), dict(coverage_radius=20.0, min_coverage=0.01)),
+        ("II", (1, 5, 8), dict(coverage_radius=40.0, min_coverage=0.01))])
+    def test_cuts_are_built_after_their_trace_row(self, case, args, kw,
+                                                  monkeypatch):
+        # an evaluated row, row 0 included, is recorded before any of its
+        # cuts is built, so no bound waits for a cut; a row that evaluates
+        # nothing builds none
+        events = []
+        real_cut, real_row = bundle.make_cut, bundle.TraceRow
+
+        def cut(*args):
+            events.append("cut")
+            return real_cut(*args)
+
+        def row(*args):
+            events.append("empty" if args[1] is None else "row")
+            return real_row(*args)
+
+        monkeypatch.setattr(bundle, "make_cut", cut)
+        monkeypatch.setattr(bundle, "TraceRow", row)
+        res = run_dual(generate_instance(*args, case=case, **kw), case)
+        assert res.iterations > 1
+        assert events[0] == "row"
+        # the number of cuts built after each row, up to the next one
+        kinds, built = [], []
+        for event in events:
+            if event == "cut":
+                built[-1] += 1
+            else:
+                kinds.append(event)
+                built.append(0)
+        assert len(kinds) == len(res.trace)
+        for kind, cuts in zip(kinds, built):
+            assert (cuts > 0) == (kind == "row")
+
     def test_small_preset_evaluates_fewer_points(self):
         # 35 trace rows were evaluated on these seeds with the winner's cut
         # alone; row 0 is the lam = 0 evaluation and the repair of its
@@ -866,7 +902,7 @@ class TestCutPool:
             res = run_dual(inst, "I", table=table)
             assert res.status == CONVERGED
             evaluated += sum(r.f_value is not None for r in res.trace)
-            value0, _ = evaluate_dual_function(
+            value0 = evaluate_dual_function(
                 table, np.zeros(len(inst.targets)), "I")
             lb0, _ = bundle._greedy_primal_repair(table, value0.best)
             row = res.trace[0]
@@ -901,7 +937,7 @@ class TestGreedyRepair:
         table = build_index_table(inst)
         lam = -scale * np.random.default_rng(seed).random(len(inst.targets))
         try:
-            value, _ = evaluate_dual_function(table, lam, case)
+            value = evaluate_dual_function(table, lam, case)
         except InfeasibleInstanceError:
             return
         self._same(table, value.best)
@@ -920,9 +956,9 @@ class TestGreedyRepair:
         real, witnesses = bundle.evaluate_dual_function, []
 
         def recorded(*args, **kw):
-            value, cut = real(*args, **kw)
+            value = real(*args, **kw)
             witnesses.append(value.best)
-            return value, cut
+            return value
 
         monkeypatch.setattr(bundle, "evaluate_dual_function", recorded)
         table = build_index_table(inst)
@@ -930,6 +966,27 @@ class TestGreedyRepair:
         assert len(witnesses) > 1
         for witness in witnesses:
             self._same(table, witness)
+
+    def test_builds_one_route_for_the_best_pair(self, monkeypatch):
+        # the lam = 0 witness of the console-script check's repair.json
+        # instance: six (timing, idle stop) pairs meet the requirements, and
+        # only the best of them becomes a route
+        inst = generate_instance(1, 5, 8, coverage_radius=40.0,
+                                 min_coverage=0.01)
+        table = build_index_table(inst)
+        value = evaluate_dual_function(
+            table, np.zeros(len(inst.targets)), "I")
+        real, built = bundle._route_solution, []
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bundle, "_route_solution", counted)
+        lb, sol = self._same(table, value.best)
+        assert len(built) == 1
+        assert lb == sol.objective == pytest.approx(80.45542620505148,
+                                                    rel=1e-12)
 
     @pytest.mark.parametrize("case, found", [("I", 18), ("II", 17)])
     def test_finds_the_loop_routes_at_iteration_zero(self, case, found):
@@ -940,7 +997,7 @@ class TestGreedyRepair:
             inst = generate_instance(seed, 5, 8, case=case,
                                      coverage_radius=40.0, min_coverage=0.01)
             table = build_index_table(inst)
-            value, _ = evaluate_dual_function(
+            value = evaluate_dual_function(
                 table, np.zeros(len(inst.targets)), case)
             lb, sol = self._same(table, value.best)
             if sol is not None:

@@ -437,7 +437,7 @@ class TestEndToEndConsistency:
             lam = (np.zeros(m) if done % 3 else
                    random_multipliers(rng, m, scale=4.0))
             try:
-                value, _ = evaluate_dual_function(table, lam, case)
+                value = evaluate_dual_function(table, lam, case)
             except InfeasibleInstanceError:
                 continue
             sol = timing_to_solution(value.best, table)

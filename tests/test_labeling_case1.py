@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_case1
+from reference_case1 import arc_values
 from conftest import random_desk_instance, random_multipliers, relax_value
 from coverage_routing import labeling_case1
 from coverage_routing.bundle import evaluate_dual_function
@@ -15,7 +16,7 @@ from coverage_routing.errors import SchemaError
 from coverage_routing.instance import build_index_table, generate_instance
 from coverage_routing.labeling_case1 import fill_bytes, solve_case1
 from coverage_routing.oracle import oracle_relaxation
-from coverage_routing.relaxation import PathTiming, build_coeffs
+from coverage_routing.relaxation import PathTiming, RelaxCoeffs, build_coeffs
 
 
 def brute_force_best(values, n, exit_id, vbar):
@@ -45,7 +46,7 @@ class TestSolveCase1:
         coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
         fill = solve_case1(coeffs)
         for vbar in coeffs.idle_set:
-            values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
+            values = table.matrix(arc_values(coeffs, vbar), fill=-1e300)
             expect, _ = brute_force_best(values, 2, 3, vbar)
             got = fill.results[vbar]
             assert got.value == pytest.approx(expect, rel=1e-12, abs=1e-12)
@@ -59,7 +60,7 @@ class TestSolveCase1:
             coeffs = build_coeffs(table, lam, "I")
             fill = solve_case1(coeffs)
             for vbar in coeffs.idle_set:
-                values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
+                values = table.matrix(arc_values(coeffs, vbar), fill=-1e300)
                 expect, _ = brute_force_best(values, table.n, table.exit_id,
                                              vbar)
                 got = fill.results[vbar]
@@ -83,7 +84,7 @@ class TestSolveCase1:
         fill = solve_case1(coeffs)
         for vbar in coeffs.idle_set:
             got = fill.results[vbar]
-            values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
+            values = table.matrix(arc_values(coeffs, vbar), fill=-1e300)
             interior = got.nodes[1:-1]
             resum = sum(values[i, j] for i, j in
                         zip((0,) + interior, interior)) + \
@@ -112,7 +113,7 @@ class TestSolveCase1:
             states = len(coeffs.idle_set) * n * 2 ** (n - 1)
             assert fill.labels_alive == fill.labels_stored == states
             for vbar in coeffs.idle_set:
-                values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
+                values = table.matrix(arc_values(coeffs, vbar), fill=-1e300)
                 expect, _ = brute_force_best(values, n, table.exit_id, vbar)
                 assert fill.results[vbar].value == expect
 
@@ -143,7 +144,7 @@ class TestSolveCase1:
         inst = generate_instance(seed, n, m, case="I", coverage_radius=radius)
         table = build_index_table(inst)
         coeffs = build_coeffs(table, np.full(len(table.target_ids), lam), "I")
-        values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
+        values = table.matrix(arc_values(coeffs, vbar), fill=-1e300)
         expect, ties = brute_force_best(values, n, table.exit_id, vbar)
         assert vbar in coeffs.idle_set
         got = solve_case1(coeffs).results[vbar]
@@ -235,8 +236,27 @@ class TestSolveCase1:
         table = build_index_table(inst)
         lam = np.zeros(len(table.target_ids))
         assert len(build_coeffs(table, lam, "I").idle_set) > 2
-        value, _ = evaluate_dual_function(table, lam, "I")
+        value = evaluate_dual_function(table, lam, "I")
         assert len(built) == 1 and built[0] is value.best
+
+
+def test_one_fill_computes_the_net_rates_once(monkeypatch):
+    # every candidate's bound times and arc values come from one net-rate
+    # matrix, also when every route is traced and timed
+    calls = []
+    real = RelaxCoeffs.net_rates
+
+    def counted(self, vbar):
+        calls.append(vbar)
+        return real(self, vbar)
+
+    monkeypatch.setattr(RelaxCoeffs, "net_rates", counted)
+    inst = generate_instance(0, 6, 60, case="I", coverage_radius=20.0)
+    table = build_index_table(inst)
+    coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
+    assert len(coeffs.idle_set) > 2
+    assert all(solve_case1(coeffs).results.values())
+    assert calls == [coeffs.idle_set]
 
 
 def test_size_guard_flips_between_21_and_22_waypoints(monkeypatch):
@@ -362,7 +382,7 @@ def test_fill_is_exact_and_matches_oracle(inputs):
     fill = solve_case1(coeffs)
     assert set(fill.results) == set(coeffs.idle_set)
     for vbar in coeffs.idle_set:
-        values = table.matrix(coeffs.arc_values(vbar), fill=-1e300)
+        values = table.matrix(arc_values(coeffs, vbar), fill=-1e300)
         expect, _ = brute_force_best(values, table.n, table.exit_id, vbar)
         assert fill.results[vbar].value == expect
     got = relax_value(table, inst, lam, "I")

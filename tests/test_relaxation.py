@@ -44,7 +44,7 @@ class TestBuildCoeffs:
         coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
         for vbar in coeffs.idle_set:
             net = coeffs.net_rates(vbar)
-            times = coeffs.bound_times(vbar)
+            times = coeffs.bound_times(net)
             assert np.all(times[net > 0] == table.max_time[net > 0])
             assert np.all(times[net <= 0] == table.min_time[net <= 0])
 
@@ -56,7 +56,7 @@ class TestBuildCoeffs:
         coeffs = build_coeffs(table, lam, "I")
         for vbar in coeffs.idle_set:
             net = coeffs.net_rates(vbar)
-            base = coeffs.arc_values(vbar)
+            base = net * coeffs.bound_times(net)
             flipped_hi = net * table.max_time
             flipped_lo = net * table.min_time
             assert np.all(base >= flipped_hi - 1e-12)
@@ -70,10 +70,10 @@ class TestBuildCoeffs:
         table = _table(inst)
         lam = random_multipliers(random.Random(1), len(table.target_ids))
         coeffs = build_coeffs(table, lam, "II")
-        times = coeffs.bound_times(coeffs.idle_set)
+        times = coeffs.bound_times(coeffs.net_rates(coeffs.idle_set))
         for vbar, row in zip(coeffs.idle_set, times):
             net = coeffs.net_rates(vbar)
-            assert np.array_equal(row, coeffs.bound_times(vbar))
+            assert np.array_equal(row, coeffs.bound_times(net))
             assert np.all(row[net > 0] == table.max_time[net > 0])
             assert np.all(row[net <= 0] == table.min_time[net <= 0])
 
@@ -157,9 +157,10 @@ class TestConvexityAndCuts:
         for _ in range(3):
             lam = random_multipliers(rng, m)
             try:
-                value, cut = evaluate_dual_function(table, lam, case)
+                value = evaluate_dual_function(table, lam, case)
             except InfeasibleInstanceError:
                 pytest.skip("deadline admits no route")
+            cut = make_cut(value.best, table)
             assert cut.value_at(lam) == pytest.approx(value.value, abs=1e-8)
             for _ in range(20):
                 probe = random_multipliers(rng, m, scale=8.0)
@@ -178,7 +179,7 @@ class TestConvexityAndCuts:
             table = _table(inst)
             lam = random_multipliers(rng, len(table.target_ids))
             try:
-                value, _ = evaluate_dual_function(table, lam, case)
+                value = evaluate_dual_function(table, lam, case)
             except InfeasibleInstanceError:
                 continue
             for timing in value.routes.results.values():
@@ -200,7 +201,8 @@ class TestConvexityAndCuts:
             [("depot", (0.0, 0.0)), (20.0, 0.0), (20.0, 20.0)],
             [(10.0, 3.0)], deadline=9000.0, coverage_radius=4.0)
         table = _table(inst)
-        value, cut = evaluate_dual_function(table, np.zeros(1), "I")
+        value = evaluate_dual_function(table, np.zeros(1), "I")
+        cut = make_cut(value.best, table)
         assert value.best.vbar == 0
         expect = 0.0
         for (i, j), t in zip(zip(value.best.nodes[:-1], value.best.nodes[1:]),
