@@ -8,7 +8,7 @@ problem solved exactly by labeling dynamic programs inside a level bundle
 loop; exhaustive oracles certify every layer at desk scale.
 """
 
-from .bundle import (DualResult, MasterResult, TraceRow,
+from .bundle import (CutPool, DualResult, MasterResult, TraceRow,
                      evaluate_dual_function, kkt_residual, run_dual,
                      solve_master)
 from .errors import (BudgetExceededError, CoverageRoutingError, CyclingError,
@@ -26,8 +26,8 @@ from .labeling_case2 import (Case2Solver, LabelC2, curve, dominates_case2,
                              knapsack_times, solve_case2)
 from .oracle import (OraclePrimalResult, OracleRelaxResult, iter_paths,
                      oracle_primal, oracle_relaxation)
-from .relaxation import (BestRoutes, CutCoeffs, PathTiming, RelaxCoeffs,
-                         RelaxValue, assemble_f_value, build_coeffs, make_cut)
+from .relaxation import (BestRoutes, PathTiming, RelaxCoeffs, RelaxValue,
+                         assemble_f_value, build_coeffs, make_cut)
 from .simplex import LpResult, dense_lp_solve
 
 __version__ = "0.1.0"

@@ -7,26 +7,29 @@ at or below it everywhere; so one evaluation adds one affine cut (a gradient
 and an offset) per candidate that has a route: the maximizing candidate's
 first, then the others in idle-set order (the multicut idea of Birge &
 Louveaux, *EJOR* 1988), built after the evaluation's trace row is recorded
-so that no bound waits for them.  The next iterate is the projection of the
-current one onto the level set ``{lam <= 0 : all cuts <= f_lev}`` with
-``f_lev = phi*LB + (1-phi)*UB``; the master sees only the iterate, the cuts
-and ``f_lev``.  It projects by one dual active-set QP (Goldfarb & Idnani,
-*Math. Programming* 1983) started at the iterate, which needs no feasible
-point: it either reaches the projection or proves the level set empty.  If
-the iterate can be projected, it is evaluated, its cuts are added, and
-``UB`` shrinks toward the dual value.  ``LB`` moves only on a certificate
-that the level set is empty: weights ``y >= 0`` summing to 1 over the cuts
-whose aggregated gradient ``sum y_k g_k`` is ``<= 0`` in every component.
-The QP's last dual step supplies the weights, and one check,
-:func:`_verify_farkas`, accepts or refuses them; when rounding makes its
-working cuts dependent, or when it reaches its step cap, the QP stops with
-no point and no weights, which the check refuses.  The aggregated cut then
-lies below the dual function at every ``lam <= 0``, so its offset
-``sum y_k o_k``, above ``f_lev``, is the new ``LB``: a lower bound on the
-cut model's minimum, and often that minimum itself (the level method of
-Lemarechal, Nemirovskii & Nesterov, *Math. Programming* 1995).  An
-emptiness verdict without such a certificate leaves ``LB`` alone; the next
-level then moves from the refuted one toward ``UB``.
+so that no bound waits for them, and all of them in one :func:`make_cut`
+pass.  The cuts live in a :class:`CutPool` of arrays that holds each cut's
+norm and unit row from the moment it is added.  The next iterate is the
+projection of the current one onto the level set ``{lam <= 0 : all cuts <=
+f_lev}`` with ``f_lev = phi*LB + (1-phi)*UB``; the master sees only the
+iterate, the pool and ``f_lev``.  It projects by one dual active-set QP
+(Goldfarb & Idnani, *Math. Programming* 1983) started at the iterate, which
+needs no feasible point: it either reaches the projection or proves the
+level set empty, with steps that keep their bookkeeping in Python floats
+and preallocated buffers.  If the iterate can be projected, it is
+evaluated, its cuts are added, and ``UB`` shrinks toward the dual value.
+``LB`` moves only on a certificate that the level set is empty: weights
+``y >= 0`` summing to 1 over the cuts whose aggregated gradient ``sum y_k
+g_k`` is ``<= 0`` in every component.  The QP's last dual step supplies the
+weights, and one check, :func:`_verify_farkas`, accepts or refuses them;
+when rounding makes its working cuts dependent, or when it reaches its step
+cap, the QP stops with no point and no weights, which the check refuses.
+The aggregated cut then lies below the dual function at every ``lam <=
+0``, so its offset ``sum y_k o_k``, above ``f_lev``, is the new ``LB``: a
+lower bound on the cut model's minimum, and often that minimum itself (the
+level method of Lemarechal, Nemirovskii & Nesterov, *Math. Programming*
+1995).  An emptiness verdict without such a certificate leaves ``LB``
+alone; the next level then moves from the refuted one toward ``UB``.
 
 ``LB`` starts from a greedy primal repair of the first relaxation solution
 (any feasible primal value lower-bounds the dual optimum by weak duality) or
@@ -48,9 +51,8 @@ from .instance import (VALIDATE_TOL, ArcIndexTable, Instance, PathSolution,
                        build_index_table)
 from .labeling_case1 import solve_case1
 from .labeling_case2 import RATIO_SLOPE, solve_case2
-from .relaxation import (CASE_I, CutCoeffs, PathTiming, RelaxValue,
-                         assemble_f_value, build_coeffs, make_cut,
-                         timed_coverage)
+from .relaxation import (CASE_I, PathTiming, RelaxValue, assemble_f_value,
+                         build_coeffs, make_cut, timed_coverage)
 # not called here: bench/tracing.py times the simplex under this name
 from .simplex import dense_lp_solve  # noqa: F401
 
@@ -111,12 +113,43 @@ class MasterResult:
 # projection master
 
 
-def _project_dual(center: np.ndarray, C: np.ndarray, d: np.ndarray
+class CutPool:
+    """The cuts ``g . lam + o`` a run has collected, one row each, in the
+    order they were added: their gradients and offsets, and for the
+    projection each gradient's norm (1 for a zero gradient) and ``rows``,
+    the gradients at unit norm stacked over the bound rows ``I``.  Norms
+    and unit rows are computed once per cut, and ``rows`` is rebuilt only
+    when cuts are added."""
+
+    def __init__(self, gradients: np.ndarray, offsets: np.ndarray):
+        m = gradients.shape[1]
+        self.gradients = np.zeros((0, m))
+        self.offsets = np.zeros(0)
+        self.norms = np.zeros(0)
+        self.rows = np.eye(m)
+        self.add(gradients, offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def add(self, gradients: np.ndarray, offsets: np.ndarray) -> None:
+        """Append cuts; earlier arrays are replaced, never changed."""
+        k = len(self)
+        norms = np.sqrt(np.einsum("ij,ij->i", gradients, gradients))
+        norms[norms == 0.0] = 1.0
+        self.gradients = np.concatenate([self.gradients, gradients])
+        self.offsets = np.concatenate([self.offsets, offsets])
+        self.norms = np.concatenate([self.norms, norms])
+        self.rows = np.concatenate(
+            [self.rows[:k], gradients / norms[:, None], self.rows[k:]])
+
+
+def _project_dual(center: np.ndarray, pool: CutPool, d: np.ndarray
                   ) -> Tuple[Optional[np.ndarray], np.ndarray, List[int], bool]:
-    """Projection of ``center`` onto ``{x : C x <= d, x <= 0}`` by the dual
-    active-set method of Goldfarb & Idnani (*Math. Programming* 1983) with
-    ``H = I``: it starts at ``center`` and adds violated rows until none is
-    left, so it needs no feasible start.
+    """Projection of ``center`` onto ``{x : C x <= d, x <= 0}``, ``C`` the
+    pool's gradients, by the dual active-set method of Goldfarb & Idnani
+    (*Math. Programming* 1983) with ``H = I``: it starts at ``center`` and
+    adds violated rows until none is left, so it needs no feasible start.
 
     Returns the projection, the multipliers of the rows ``[C; I]`` (cuts,
     then bounds) for the objective ``|x - center|^2``, the final working set
@@ -124,39 +157,54 @@ def _project_dual(center: np.ndarray, C: np.ndarray, d: np.ndarray
     projection is None and the multipliers are weights ``w >= 0`` of
     ``[C; I]`` whose rows sum to 0 while ``w . [d; 0] < 0``.
 
-    The cuts are scaled to unit norm.  The working set is a list of cut rows
-    plus a mask of coordinates fixed at 0; every coordinate that is 0 at
-    ``center`` starts fixed with multiplier 0.  Each step takes the most
-    violated row per unit norm.  Its primal direction ``z`` (the row
-    projected onto the null space of the working set) and dual direction
-    ``r`` (its coefficients over the working rows) come from one Gram system
-    of the working cuts over the free coordinates.  A full step makes the
-    row tight and adds it.  A partial step stops where working multipliers
-    reach 0 and drops those rows; fixed coordinates that tie at multiplier 0
-    go together.  A working row that rounding lets slip past the tolerance
-    is added anew with its multiplier.  A zero primal step with no positive
-    entry of ``r`` proves the set empty, with weights ``[-r; 1]``.  Two
-    exits give no verdict: None comes back inexactly with zero weights,
-    which certify nothing.  If the step cap is hit, the iterate is no
-    projection, and on a nearly dependent empty set it can have run off
-    without bound.  If rounding makes the Gram matrix singular, the working
-    cuts are dependent over the free coordinates; the null combination of
-    those cuts meets the certificate check only within its rounding slack,
-    and can bound far above the cut model's minimum."""
-    k, m = C.shape
-    norms = np.sqrt(np.einsum("ij,ij->i", C, C))
-    norms[norms == 0.0] = 1.0
-    # the rows of [C; I] at unit norm, with their right-hand sides
-    A = np.vstack([C / norms[:, None], np.eye(m)])
+    The cuts are the pool's unit rows, with ``d`` scaled alike.  The working
+    set is a list of cut rows plus a mask of coordinates fixed at 0; every
+    coordinate that is 0 at ``center`` starts fixed with multiplier 0.  Each
+    step takes the most violated row per unit norm, from one product with
+    the pool's stacked ``[unit rows; I]``.  Its primal direction ``z`` (the
+    row projected onto the null space of the working set) and dual
+    direction ``r`` (its coefficients over the working rows) come from one
+    Gram system of the working cuts over the free coordinates.  A full step
+    makes the row tight and adds it.  A partial step stops where working
+    multipliers reach 0 and drops those rows; fixed coordinates that tie at
+    multiplier 0 go together.  A working row that rounding lets slip past
+    the tolerance is added anew with its multiplier.  A zero primal step
+    with no positive entry of ``r`` proves the set empty, with weights
+    ``[-r; 1]``.  Two exits give no verdict: None comes back inexactly with
+    zero weights, which certify nothing.  If the step cap is hit, the
+    iterate is no projection, and on a nearly dependent empty set it can
+    have run off without bound.  If rounding makes the Gram matrix
+    singular, the working cuts are dependent over the free coordinates; the
+    null combination of those cuts meets the certificate check only within
+    its rounding slack, and can bound far above the cut model's minimum.
+
+    Past the Gram system of the working cuts, a step allocates nothing: the
+    working cuts' multipliers and their ratio test are Python floats, the
+    working rows, violations, thresholds, step parts and bound ratios live
+    in buffers made once per call, and a counter tracks the free
+    coordinates.  Every operation that feeds the iterate, the multipliers
+    or the weights is the one the step made on fresh arrays, in the same
+    order, so the results are the same bit for bit."""
+    k, m = len(pool), len(center)
+    norms, A = pool.norms, pool.rows
     b = np.concatenate([d / norms, np.zeros(m)])
     abs_b = np.abs(b)
     x = center.astype(float)
     free = x != 0.0
+    n_free = int(np.count_nonzero(free))
     u_b = np.zeros(m)  # multipliers of the fixed coordinates, 0 elsewhere
     work: List[int] = []
-    u_w = np.zeros(0)
-    Aw = np.zeros((0, m))
+    u_w: List[float] = []
     p, u_p = -1, 0.0  # the row being added, and its multiplier so far
+    # buffers: the working cut rows (the first len(work) in use) and their
+    # copy over the free coordinates; the violations, their thresholds and
+    # the rows within them; the step s with its parts z and r_b, the bound
+    # ratios, a mask over the coordinates and a spare vector for products
+    rows, masked = np.empty((2, min(k, m), m))
+    v, thr = np.empty((2, k + m))
+    met = np.empty(k + m, dtype=bool)
+    s, z, r_b, ratio_b, tmp = np.empty((5, m))
+    mask = np.empty(m, dtype=bool)
 
     def active() -> List[int]:
         return work + (k + np.flatnonzero(~free)).tolist()
@@ -172,45 +220,63 @@ def _project_dual(center: np.ndarray, C: np.ndarray, d: np.ndarray
         if p < 0:
             # fixed coordinates are exactly 0, so only working cuts can be
             # violated among the working rows
-            scale = max(1.0, float(np.max(np.abs(x))))
-            v = A @ x - b
-            v[v <= PROJECTION_TOL * np.maximum(scale, abs_b)] = -np.inf
-            p = int(np.argmax(v))
-            if v[p] == -np.inf:
-                return x, over_rows(2.0 * u_w, 2.0 * u_b), active(), True
+            scale = max(1.0, float(np.maximum.reduce(np.abs(x, out=tmp))))
+            np.multiply(np.maximum(abs_b, scale, out=thr), PROJECTION_TOL,
+                        out=thr)
+            np.matmul(A, x, out=v)
+            v -= b
+            p = int(v.argmax())
+            if not v[p] > thr[p]:
+                # the largest violation is within its tolerance: look for
+                # the largest among those that are not
+                np.copyto(v, -np.inf, where=np.less_equal(v, thr, out=met))
+                p = int(v.argmax())
+                if v[p] == -np.inf:
+                    return (x, over_rows(np.multiply(u_w, 2.0), 2.0 * u_b),
+                            active(), True)
             u_p = 0.0
             if p in work:
                 # a working row that rounding has let slip is added anew,
                 # keeping its multiplier
                 i = work.index(p)
-                u_p = float(u_w[i])
                 del work[i]
-                u_w, Aw = np.delete(u_w, i), np.delete(Aw, i, axis=0)
-        a_p, v_p = A[p], float(A[p] @ x - b[p])
+                u_p = u_w.pop(i)
+                rows[i:len(work)] = rows[i + 1:len(work) + 1]
+        a_p = A[p]
+        v_p = float(a_p @ x) - b.item(p)
         if work:
-            Af = Aw * free
+            Aw = rows[:len(work)]
+            Af = np.multiply(Aw, free, out=masked[:len(work)])
             try:
                 r_w = np.linalg.solve(Af @ Aw.T, Af @ a_p)
             except np.linalg.LinAlgError:
                 # rounding has made the working cuts dependent over the free
                 # coordinates: no weights, so no verdict
                 return None, np.zeros(k + m), active(), False
-            s = a_p - Aw.T @ r_w
+            np.subtract(a_p, np.matmul(Aw.T, r_w, out=s), out=s)
         else:
-            r_w, s = np.zeros(0), a_p
+            r_w = np.zeros(0)
+            s[:] = a_p
+        r = r_w.tolist()
         # s is z on the free coordinates and r on the fixed ones
-        z = np.where(free, s, 0.0)
-        r_b = np.where(free, 0.0, s)
-        ratio_w = np.divide(u_w, r_w, out=np.full(len(u_w), np.inf),
-                            where=r_w > _DUAL_STEP_EPS)
-        ratio_b = np.divide(u_b, r_b, out=np.full(m, np.inf),
-                            where=r_b > _DUAL_STEP_EPS)
-        t1 = min(float(ratio_w.min(initial=np.inf)), float(ratio_b.min()))
+        z.fill(0.0)
+        np.copyto(z, s, where=free)
+        np.copyto(r_b, s)
+        np.copyto(r_b, 0.0, where=free)
+        ratio_w = [u / q if q > _DUAL_STEP_EPS else np.inf
+                   for u, q in zip(u_w, r)]
+        ratio_b.fill(np.inf)
+        np.divide(u_b, r_b, out=ratio_b,
+                  where=np.greater(r_b, _DUAL_STEP_EPS, out=mask))
+        t1_b = float(np.minimum.reduce(ratio_b))
+        t1 = min(min(ratio_w, default=np.inf), t1_b)
         # z is a difference of terms as large as r, and as inexact; with as
         # many working cuts as free coordinates it is 0
         zz = float(z @ z)
-        moves = (len(work) < np.count_nonzero(free) and
-                 zz > (_ZERO_STEP * (1.0 + float(np.abs(r_w).sum()))) ** 2)
+        # |r|'s sum as numpy takes it: fewer than 8 terms left to right
+        size = sum(map(abs, r)) if len(r) < 8 else float(np.abs(r_w).sum())
+        moves = (len(work) < n_free and
+                 zz > (_ZERO_STEP * (1.0 + size)) ** 2)
         if not moves and t1 == np.inf:
             weights = over_rows(-r_w, -r_b)
             weights[p] += 1.0 / norms[p] if p < k else 1.0
@@ -218,28 +284,32 @@ def _project_dual(center: np.ndarray, C: np.ndarray, d: np.ndarray
         t2 = max(v_p, 0.0) / zz if moves else np.inf
         t = min(t1, t2)
         if moves:
-            x = x - t * z
-        u_w = u_w - t * r_w
-        u_b = u_b - t * r_b
+            x -= np.multiply(z, t, out=tmp)
+        u_w = [u - t * q for u, q in zip(u_w, r)]
+        u_b -= np.multiply(r_b, t, out=tmp)
         u_p += t
         if t2 <= t1:
             if p < k:
+                rows[len(work)] = a_p
                 work.append(p)
-                u_w = np.append(u_w, u_p)
-                Aw = np.vstack([Aw, a_p])
+                u_w.append(u_p)
             else:
                 free[p - k] = False
+                n_free -= 1
                 x[p - k] = 0.0
                 u_b[p - k] = u_p
             p = -1
             continue
-        keep = ratio_w != t1
-        if not keep.all():
-            work = [w for w, kept in zip(work, keep) if kept]
-            u_w, Aw = u_w[keep], Aw[keep]
-        gone = ratio_b == t1
-        free |= gone
-        u_b[gone] = 0.0
+        if t1 in ratio_w:
+            kept = [i for i, ratio in enumerate(ratio_w) if ratio != t1]
+            work = [work[i] for i in kept]
+            u_w = [u_w[i] for i in kept]
+            rows[:len(kept)] = rows[kept]
+        if t1_b == t1:
+            gone = np.equal(ratio_b, t1, out=mask)
+            free |= gone
+            n_free = int(np.count_nonzero(free))
+            np.copyto(u_b, 0.0, where=gone)
     # the step cap: the iterate is no projection, and it may have run off
     return None, np.zeros(k + m), active(), False
 
@@ -256,15 +326,15 @@ def kkt_residual(center: np.ndarray, G: np.ndarray, h: np.ndarray,
     return max(station, primal, dual, comp)
 
 
-def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
+def solve_master(lam_hat: np.ndarray, pool: CutPool,
                  f_lev: float) -> MasterResult:
     """One projection master solve: project ``lam_hat`` onto the level set
-    ``{lam <= 0 : every cut <= f_lev}`` by the dual active-set method of
-    :func:`_project_dual`, with the cuts as rows and the bounds ``lam <= 0``
-    as coordinates fixed at 0; ``active`` numbers the rows of its final
-    working set over ``[cuts; bounds]``.  The projection comes back clipped
-    to ``lam <= 0``, where the dual function is a valid bound at any point:
-    it may exceed 0 within the tolerance.
+    ``{lam <= 0 : every cut of the pool <= f_lev}`` by the dual active-set
+    method of :func:`_project_dual`, with the pool's unit rows as rows and
+    the bounds ``lam <= 0`` as coordinates fixed at 0; ``active`` numbers
+    the rows of its final working set over ``[cuts; bounds]``.  The
+    projection comes back clipped to ``lam <= 0``, where the dual function
+    is a valid bound at any point: it may exceed 0 within the tolerance.
 
     The projection's emptiness verdict is ``MASTER_INFEASIBLE`` only with a
     Farkas certificate that passes :func:`_verify_farkas`: weights
@@ -277,17 +347,16 @@ def solve_master(lam_hat: np.ndarray, cuts: Sequence[CutCoeffs],
     stops short with no weights, at a singular Gram matrix or at the step
     cap (``exact`` False): its last iterate is no point of the level set.
     """
-    if not cuts:
+    if not len(pool):
         raise ValueError("cut pool is empty")
-    grads = np.array([c.gradient for c in cuts])
-    offsets = np.array([c.offset for c in cuts])
-    rhs = f_lev - offsets
-    x, mu, work, exact = _project_dual(lam_hat, grads, rhs)
+    rhs = f_lev - pool.offsets
+    x, mu, work, exact = _project_dual(lam_hat, pool, rhs)
     if x is None:
-        y = _verify_farkas(mu[:len(cuts)], -grads, rhs)
+        y = _verify_farkas(mu[:len(pool)], -pool.gradients, rhs)
         if y is None:
             return MasterResult(MASTER_UNVERIFIED, None, exact=exact)
-        return MasterResult(MASTER_INFEASIBLE, None, bound=float(y @ offsets))
+        return MasterResult(MASTER_INFEASIBLE, None,
+                            bound=float(y @ pool.offsets))
     return MasterResult(MASTER_FEASIBLE, np.minimum(x, 0.0),
                         tuple(sorted(work)))
 
@@ -339,17 +408,17 @@ def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
 
 
 def _candidate_cuts(value: RelaxValue, table: ArcIndexTable
-                    ) -> List[CutCoeffs]:
-    """The cut of every idle candidate's route: the maximizing candidate's
-    first, then the others in idle-set order; candidates without a route
-    add none.  A route with its timing fixed is affine in ``lam`` and lies
-    at or below the dual function everywhere, tight at the evaluated
-    multipliers for its own candidate."""
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """The cut of every idle candidate's route, as gradients and offsets
+    from one :func:`make_cut` pass: the maximizing candidate's first, then
+    the others in idle-set order; candidates without a route add none.  A
+    route with its timing fixed is affine in ``lam`` and lies at or below
+    the dual function everywhere, tight at the evaluated multipliers for
+    its own candidate."""
     routes, top = value.routes, value.best.vbar
-    return [make_cut(value.best, table)] + [
-        make_cut(routes.timing(vbar), table)
-        for vbar, found in routes.values.items()
-        if found is not None and vbar != top]
+    return make_cut([value.best] + [
+        routes.timing(vbar) for vbar, found in routes.values.items()
+        if found is not None and vbar != top], table)
 
 
 def _route_solution(table: ArcIndexTable, nodes: Tuple[int, ...],
@@ -485,7 +554,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     best_lam, best_value = lam0.copy(), value0
     trace = [TraceRow(0, value0.value, lb, ub, None, "initial",
                       time.monotonic() - t0)]
-    cuts = _candidate_cuts(value0, table)
+    pool = CutPool(*_candidate_cuts(value0, table))
 
     def converged() -> bool:
         return ub < 0.0 or ub - lb <= tol * max(1.0, abs(ub))
@@ -502,7 +571,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
             break
         iterations += 1
         f_lev = phi * floor + (1.0 - phi) * ub
-        master = solve_master(lam_hat, cuts, f_lev)
+        master = solve_master(lam_hat, pool, f_lev)
         verdict = master.status
         if verdict == MASTER_INFEASIBLE and not master.bound <= ub:
             # a certificate that an evaluated value contradicts
@@ -522,7 +591,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
             best_value = value
         trace.append(TraceRow(iterations, value.value, lb, ub, f_lev,
                               MASTER_FEASIBLE, time.monotonic() - t0))
-        cuts += _candidate_cuts(value, table)
+        pool.add(*_candidate_cuts(value, table))
     if converged():
         status = CONVERGED
 

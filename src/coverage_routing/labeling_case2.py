@@ -340,7 +340,7 @@ def solve_case2(coeffs: RelaxCoeffs, ratio_mode: str = RATIO_SLOPE,
     """
     nets = coeffs.net_rates(coeffs.idle_set)
     keys = _ratio_keys(nets, coeffs.table.arc_dist, ratio_mode)
-    free = solve_case1(coeffs).results
+    free = solve_case1(coeffs, nets).results
     results = {}
     stored = alive = 0
     for vbar, net, key in zip(coeffs.idle_set, nets, keys):

@@ -216,37 +216,44 @@ def assemble_f_value(coeffs: RelaxCoeffs, best: BestRoutes) -> RelaxValue:
                       best=best.timing(top_vbar), routes=best)
 
 
-@dataclass(frozen=True)
-class CutCoeffs:
-    """Affine underestimator ``gradient . lam + offset`` of the dual
-    function, tight at the multiplier vector its solution was computed for.
-
-    With ``coverage`` the per-target coverage the generating solution
-    delivers, ``gradient = required - coverage`` and ``offset = priorities .
-    coverage``.
-    """
-
-    gradient: np.ndarray
-    offset: float
-
-    def value_at(self, lam: np.ndarray) -> float:
-        return float(self.gradient @ lam) + self.offset
+def _idle_time(timing: PathTiming, table: ArcIndexTable) -> float:
+    """A timed route's idle time: the whole deadline remainder at its idle
+    stop, 0 without one."""
+    if not timing.vbar:
+        return 0.0
+    return max(0.0, table.instance.deadline - float(sum(timing.times)))
 
 
 def timed_coverage(timing: PathTiming, table: ArcIndexTable
                    ) -> Tuple[float, np.ndarray]:
-    """A timed route's idle time, the whole deadline remainder at its idle
-    stop (0 without one), and its per-target coverage."""
-    idle = 0.0
-    if timing.vbar:
-        idle = max(0.0, table.instance.deadline - float(sum(timing.times)))
+    """A timed route's idle time (:func:`_idle_time`) and its per-target
+    coverage."""
+    idle = _idle_time(timing, table)
     return idle, table.route_coverage(timing.nodes, timing.times, timing.vbar,
                                       idle)
 
 
-def make_cut(timing: PathTiming, table: ArcIndexTable) -> CutCoeffs:
-    """Build the cut generated by one relaxation solution from the
-    solution's per-target coverage (:func:`timed_coverage`)."""
-    _, coverage = timed_coverage(timing, table)
-    return CutCoeffs(gradient=table.required - coverage,
-                     offset=float(table.priorities @ coverage))
+def make_cut(timings: Sequence[PathTiming], table: ArcIndexTable
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """The cuts ``gradient . lam + offset`` of timed routes, built in one
+    pass: one row of gradients ``required - coverage`` and one offset
+    ``priorities . coverage`` per route, in the given order, with
+    ``coverage`` the route's per-target coverage (:func:`timed_coverage`).
+
+    The routes' arc rates are gathered at once, padded to the longest route
+    with zero-time arcs and closed by the idle stop's rate at the idle time
+    (0 without one), and one running sum along the path axis adds each
+    route's terms in path order, idle term last; a zero-time term adds
+    nothing, so every row equals :meth:`ArcIndexTable.route_coverage` of
+    its route bit for bit."""
+    ids = [table.arc_ids(timing.nodes) for timing in timings]
+    width = max(map(len, ids))
+    times = np.array([[*timing.times] + [0.0] * (width - len(timing.times))
+                      + [_idle_time(timing, table)] for timing in timings])
+    # a route without an idle stop takes some waypoint's rate at time 0
+    rates = np.concatenate(
+        [table.coverage_rate[[row + [0] * (width - len(row)) for row in ids]],
+         table.wp_cov[[timing.vbar - 1 for timing in timings], None]], axis=1)
+    cov = np.add.accumulate(times[..., None] * rates, axis=1)[:, -1]
+    offsets = np.array([float(table.priorities @ row) for row in cov])
+    return table.required - cov, offsets

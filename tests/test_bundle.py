@@ -14,7 +14,7 @@ from conftest import (case2_search_value, make_instance,
 from coverage_routing import bundle
 from coverage_routing.bundle import (CONVERGED, LB_FLOOR, MASTER_FEASIBLE,
                                      MASTER_INFEASIBLE, MASTER_UNVERIFIED,
-                                     MasterResult, _project_dual,
+                                     CutPool, MasterResult, _project_dual,
                                      _verify_farkas, evaluate_dual_function,
                                      kkt_residual, run_dual, solve_master,
                                      timing_to_solution)
@@ -24,14 +24,21 @@ from coverage_routing.instance import (ValidateOptions, build_index_table,
                                        load_instance, validate_solution)
 from coverage_routing.labeling_case2 import Case2Solver
 from coverage_routing.oracle import oracle_primal, oracle_relaxation
-from coverage_routing.relaxation import CutCoeffs, build_coeffs
+from coverage_routing.relaxation import build_coeffs
 from coverage_routing.simplex import OPTIMAL, dense_lp_solve
 from reference_master import project_full_rows, project_with_bound_rows
+import reference_cuts
+import reference_master
 import reference_repair
 
 
-def _cut(gradient, offset):
-    return CutCoeffs(np.asarray(gradient, dtype=float), float(offset))
+def _pool(gradients, offsets=None):
+    """The cut pool of the rows ``gradients``, with zero offsets unless
+    given."""
+    gradients = np.asarray(gradients, dtype=float)
+    if offsets is None:
+        offsets = np.zeros(len(gradients))
+    return CutPool(gradients, np.asarray(offsets, dtype=float))
 
 
 def _stacked(C, d):
@@ -113,7 +120,7 @@ def _master_recording_singular(center, C, d, monkeypatch):
             raise
 
     monkeypatch.setattr(np.linalg, "solve", recorded_solve)
-    res = solve_master(center, [_cut(g, -o) for g, o in zip(C, d)], 0.0)
+    res = solve_master(center, _pool(C, -d), 0.0)
     monkeypatch.undo()
     return res, bool(singular)
 
@@ -219,17 +226,17 @@ class TestCase2Screen:
 class TestSolveMaster:
     def test_feasible_center_projects_to_itself(self):
         lam = np.array([-1.0, -2.0])
-        cut = _cut([1.0, 1.0], 0.0)  # cut value at lam = -3
-        res = solve_master(lam, [cut], -1.0)  # -3 <= f_lev: lam is feasible
+        cut = _pool([[1.0, 1.0]], [0.0])  # cut value at lam = -3
+        res = solve_master(lam, cut, -1.0)  # -3 <= f_lev: lam is feasible
         assert res.status == "feasible"
         assert np.allclose(res.lam, lam)
 
     def test_empty_level_set_reported(self):
         # single cut with nonpositive gradient: minimum over lam <= 0 is at 0
-        cut = _cut([-1.0, -0.5], 4.0)
+        cut = _pool([[-1.0, -0.5]], [4.0])
         # cut minimum over lam <= 0 equals 4 > f_lev = 1, and the
         # certificate bounds the dual by that minimum, not by f_lev
-        res = solve_master(np.zeros(2), [cut], 1.0)
+        res = solve_master(np.zeros(2), cut, 1.0)
         assert res.status == MASTER_INFEASIBLE
         assert res.bound == pytest.approx(4.0, rel=1e-15)
 
@@ -238,14 +245,14 @@ class TestSolveMaster:
         # 19/3: its dual weights (1/3, 2/3) aggregate the gradients to
         # (-5/3, 0) <= 0.  Any certificate bounds it from below and lies
         # above the level it refutes.
-        cuts = [_cut([1.0, -2.0], 5.0), _cut([-3.0, 1.0], 7.0)]
+        cuts = _pool([[1.0, -2.0], [-3.0, 1.0]], [5.0, 7.0])
         res = solve_master(np.array([-1.0, -1.0]), cuts, 2.0)
         assert res.status == MASTER_INFEASIBLE
         assert 2.0 < res.bound <= 19.0 / 3.0 + 1e-12
 
     def test_emptiness_without_a_certificate_is_unverified(self, monkeypatch):
         # an empty level set whose certificate fails the Farkas check
-        args = (np.zeros(2), [_cut([-1.0, -0.5], 4.0)], 1.0)
+        args = (np.zeros(2), _pool([[-1.0, -0.5]], [4.0]), 1.0)
         assert solve_master(*args).status == MASTER_INFEASIBLE
         monkeypatch.setattr(bundle, "_verify_farkas", lambda *a: None)
         res = solve_master(*args)
@@ -254,7 +261,7 @@ class TestSolveMaster:
 
     def test_empty_cut_pool_rejected(self):
         with pytest.raises(ValueError):
-            solve_master(np.zeros(2), [], 1.0)
+            solve_master(np.zeros(2), _pool(np.zeros((0, 2))), 1.0)
 
     def test_projection_kkt_residuals(self, rng):
         ran = 0
@@ -267,7 +274,7 @@ class TestSolveMaster:
             center = np.array([rng.uniform(-3, 1) for _ in range(m)])
             # the simplex decides whether the level set is empty
             lp = dense_lp_solve(np.zeros(m), -C, d)
-            x, mu, work, exact = _project_dual(center, C, d)
+            x, mu, work, exact = _project_dual(center, _pool(C), d)
             if lp.status != OPTIMAL:
                 assert x is None
                 continue
@@ -287,7 +294,7 @@ class TestSolveMaster:
         C = np.array([[1e3, 1e3], [1e3, 1e3 * (1.0 + d)]])
         h = np.array([-1e3, -1e3 * (1.0 + 0.5 * d)])
         center = np.array([-0.3, 0.3])
-        x, mu, work, exact = _project_dual(center, C, h)
+        x, mu, work, exact = _project_dual(center, _pool(C), h)
         assert exact
         assert work in ([0], [1])
         assert kkt_residual(center, *_stacked(C, h), x, mu) <= 1e-8
@@ -302,7 +309,7 @@ class TestSolveMaster:
         C = np.array([[1.0, 2.0, 3.0]])
         d = np.array([-14.0])
         center = np.zeros(3)
-        x, mu, work, exact = _project_dual(center, C, d)
+        x, mu, work, exact = _project_dual(center, _pool(C), d)
         assert exact
         assert work == [0]
         assert np.allclose(x, [-1.0, -2.0, -3.0], atol=1e-12)
@@ -316,7 +323,8 @@ class TestSolveMaster:
         # bound stays in the working set.
         C = np.array([[1.0, 1.0, 1.0, 1.0]])
         center = np.array([-1.0, -2.0, 0.0, -3.0])
-        x, mu, work, exact = _project_dual(center, C, np.array([10.0]))
+        x, mu, work, exact = _project_dual(center, _pool(C),
+                                           np.array([10.0]))
         assert exact
         assert work == [1 + 2]
         assert np.array_equal(x, center)
@@ -331,7 +339,7 @@ class TestSolveMaster:
             start = np.array([rng.uniform(-2, -0.1) for _ in range(m)])
             d = C @ start + np.array([rng.uniform(0, 1) for _ in range(n_cuts)])
             center = np.array([rng.uniform(-3, 1) for _ in range(m)])
-            x, mu, work, exact = _project_dual(center, C, d)
+            x, mu, work, exact = _project_dual(center, _pool(C), d)
             x_ref, _, _, exact_ref = project_with_bound_rows(center, C, d,
                                                              start)
             assert exact and exact_ref
@@ -347,7 +355,7 @@ class TestSolveMaster:
         # vertex does, relative to the larger of the center and the
         # projection (a far level set puts the projection far out)
         center, C, d, start = level_set
-        x, mu, _, exact = _project_dual(center, C, d)
+        x, mu, _, exact = _project_dual(center, _pool(C), d)
         if start is None:
             assert x is None
             return
@@ -367,7 +375,7 @@ class TestSolveMaster:
         # offsets -d at f_lev = 0: feasible exactly when HiGHS finds it
         # nonempty, and an empty one never comes back feasible
         center, C, d, start = level_set
-        res = solve_master(center, [_cut(g, -o) for g, o in zip(C, d)], 0.0)
+        res = solve_master(center, _pool(C, -d), 0.0)
         if start is None:
             assert res.status != MASTER_FEASIBLE
         else:
@@ -431,9 +439,10 @@ class TestSolveMaster:
         real = bundle._project_dual
         checked = []
 
-        def checked_projection(center, C, d):
-            x, mu, work, exact = real(center, C, d)
+        def checked_projection(center, pool, d):
+            x, mu, work, exact = real(center, pool, d)
             if x is not None and exact:
+                C = pool.gradients
                 norms = np.linalg.norm(C, axis=1)
                 tol = bundle.PROJECTION_TOL * np.maximum(
                     max(1.0, float(np.max(np.abs(x)))), np.abs(d) / norms)
@@ -593,8 +602,8 @@ class TestRunDual:
                         MasterResult(MASTER_INFEASIBLE, None, bound=math.inf)]
                        * 3)
 
-        def master(lam_hat, cuts, f_lev):
-            return next(answers, None) or real(lam_hat, cuts, f_lev)
+        def master(lam_hat, pool, f_lev):
+            return next(answers, None) or real(lam_hat, pool, f_lev)
 
         monkeypatch.setattr(bundle, "solve_master", master)
         res = run_dual(inst, "I", iter_limit=7)
@@ -742,7 +751,8 @@ class TestRunDual:
 
 def _recorded_run(monkeypatch, inst, case, table, **kw):
     """``run_dual``, with the dual evaluations it made (multipliers and
-    value, in order) and the cut pool each of its masters received."""
+    value, in order) and the cut pool each of its masters received, as its
+    gradients and offsets."""
     evals, pools = [], []
     real_eval = bundle.evaluate_dual_function
     real_master = bundle.solve_master
@@ -752,9 +762,9 @@ def _recorded_run(monkeypatch, inst, case, table, **kw):
         evals.append((np.array(lam, dtype=float), value))
         return value
 
-    def master(lam_hat, cuts, f_lev):
-        pools.append(list(cuts))
-        return real_master(lam_hat, cuts, f_lev)
+    def master(lam_hat, pool, f_lev):
+        pools.append((pool.gradients.copy(), pool.offsets.copy()))
+        return real_master(lam_hat, pool, f_lev)
 
     monkeypatch.setattr(bundle, "evaluate_dual_function", evaluate)
     monkeypatch.setattr(bundle, "solve_master", master)
@@ -765,16 +775,14 @@ def _recorded_run(monkeypatch, inst, case, table, **kw):
     return res, evals, pools
 
 
-def _model_minimum(cuts):
+def _model_minimum(G, o):
     """HiGHS's minimum over ``lam <= 0`` of the cut model ``max_k g_k . lam
-    + o_k``, solved as ``min t`` subject to ``g_k . lam - t <= -o_k``; -inf
-    where the model is unbounded below."""
-    G = np.array([c.gradient for c in cuts])
-    o = np.array([c.offset for c in cuts])
+    + o_k`` (gradients ``G``, offsets ``o``), solved as ``min t`` subject to
+    ``g_k . lam - t <= -o_k``; -inf where the model is unbounded below."""
     m = G.shape[1]
     obj = np.zeros(m + 1)
     obj[-1] = 1.0
-    res = linprog(obj, A_ub=np.hstack([G, -np.ones((len(cuts), 1))]),
+    res = linprog(obj, A_ub=np.hstack([G, -np.ones((len(o), 1))]),
                   b_ub=-o, bounds=[(None, 0.0)] * m + [(None, None)],
                   method="highs")
     assert res.status in (0, 3), res.message
@@ -812,18 +820,19 @@ class TestCutPool:
                     inst.deadline * coeffs.idle_gain[v] if v else 0.0))
                     for v in order])
             want = [pair for group in groups for pair in group]
-            cuts = pools[-1]
+            G, o = pools[-1]
             # the last master sees every evaluation's cuts but, at most, the
             # last evaluation's
-            assert len(cuts) in (len(want), len(want) - len(groups[-1]))
-            for cut, (lam, total) in zip(cuts, want):
-                assert abs(cut.value_at(lam) - total) <= \
+            assert len(o) in (len(want), len(want) - len(groups[-1]))
+            for g, offset, (lam, total) in zip(G, o, want):
+                assert abs(float(g @ lam) + offset - total) <= \
                     1e-9 * max(1.0, abs(total))
             extra += sum(len(group) - 1 for group in groups)
             m = len(table.target_ids)
             for _ in range(5):
                 lam = random_multipliers(rng, m, scale=8.0)
-                top = max(c.value_at(lam) for c in cuts)
+                top = max(float(g @ lam) + offset
+                          for g, offset in zip(G, o))
                 f_val = evaluate_dual_function(table, lam, case).value
                 ora = oracle_relaxation(table, inst, lam, case).value
                 assert top <= f_val + 1e-9 * max(1.0, abs(f_val))
@@ -852,7 +861,7 @@ class TestCutPool:
         assert len(pools) == res.iterations
         for row, cuts in zip(res.trace[1:], pools):
             if row.master_status == MASTER_INFEASIBLE:
-                low = _model_minimum(cuts)
+                low = _model_minimum(*cuts)
                 assert row.lb <= low + 1e-9 * max(1.0, abs(low))
 
     @pytest.mark.parametrize("case, args, kw", [
@@ -909,6 +918,144 @@ class TestCutPool:
             assert row.f_value == row.ub == value0.value
             assert row.lb == min(lb0, value0.value)
         assert evaluated < 35
+
+
+def _result_bytes(res):
+    """Everything a ``run_dual`` result records, with ``best_lam`` as bytes
+    and the trace rows without their wall times."""
+    rows = [{k: v for k, v in row.to_dict().items() if k != "wall_time"}
+            for row in res.trace]
+    return repr((res.status, res.dual_bound, res.lower_bound,
+                 res.initial_bound, res.best_lam.tobytes(), res.iterations,
+                 rows, res.solution, res.repair_solution))
+
+
+def _reference_projection(center, pool, d):
+    """The projection before the cut pool, on the pool's gradients."""
+    return reference_master.project_dual(center, pool.gradients, d)
+
+
+class TestArrayMaster:
+    """The cut pool, the one-pass cut builder and the projection on
+    preallocated buffers against the code they replaced, byte for byte:
+    the projection of ``tests/reference_master.py`` and the route-by-route
+    cut loop of ``tests/reference_cuts.py``."""
+
+    @staticmethod
+    def _same_projection(center, C, d):
+        x, w, work, exact = _project_dual(center, _pool(C), d)
+        x_ref, w_ref, work_ref, exact_ref = reference_master.project_dual(
+            center, C, d)
+        assert (x is None) == (x_ref is None)
+        if x is not None:
+            assert x.tobytes() == x_ref.tobytes()
+        assert w.tobytes() == w_ref.tobytes()
+        assert (work, exact) == (work_ref, exact_ref)
+        return x
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_wide_level_sets())
+    def test_projection_matches_the_reference_bytes(self, level_set):
+        # feasible and empty level sets alike: the projection or the
+        # weights, the working set and the flag, also from a center whose
+        # zeros are -0.0, whose signs the steps keep
+        center, C, d, _ = level_set
+        self._same_projection(center, C, d)
+        self._same_projection(np.where(center == 0.0, -0.0, center), C, d)
+
+    @pytest.mark.parametrize("params", [
+        (35, 12, 0.01, 1000.0, 1.0, 0.3, "empty", 4191505880),
+        (39, 5, 0.01, 1000.0, 1000.0, 0.1, "empty", 2559851831),
+        (37, 12, 0.01, 1000.0, 1.0, 0.1, "empty", 2373363519)])
+    def test_every_exit_matches_the_reference_bytes(self, params):
+        # a certified empty set, a singular Gram matrix and the step cap
+        center, C, d, _ = _wide_level_set(*params)
+        assert self._same_projection(center, C, d) is None
+
+    def test_pool_grown_in_batches_stacks_as_one(self):
+        # norms and unit rows computed per batch equal those of the whole
+        # stack, a zero gradient keeps norm 1, and adding cuts replaces the
+        # pool's arrays without changing the ones it held
+        rng = np.random.default_rng(0)
+        C, o = rng.normal(size=(9, 5)), rng.normal(size=9)
+        C[3] = 0.0
+        pool = CutPool(C[:2], o[:2])
+        held = pool.gradients, pool.offsets, pool.norms, pool.rows
+        copies = [a.copy() for a in held]
+        pool.add(C[2:7], o[2:7])
+        pool.add(C[7:], o[7:])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(held, copies))
+        norms = np.sqrt(np.einsum("ij,ij->i", C, C))
+        norms[norms == 0.0] = 1.0
+        assert len(pool) == 9 and norms[3] == 1.0
+        assert pool.gradients.tobytes() == C.tobytes()
+        assert pool.offsets.tobytes() == o.tobytes()
+        assert pool.norms.tobytes() == norms.tobytes()
+        assert pool.rows.tobytes() == np.vstack(
+            [C / norms[:, None], np.eye(5)]).tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 8),
+           st.sampled_from(["I", "II"]), st.sampled_from([15.0, 25.0, 40.0]),
+           st.sampled_from([0.01, 0.1, 1.0]),
+           st.sampled_from([0.0, 0.5, 5.0]))
+    def test_cut_pass_matches_the_route_loop(self, seed, n, m, case, radius,
+                                             min_coverage, scale):
+        # routes of different lengths, with and without idle stops
+        inst = generate_instance(
+            seed, n, m, case=case, deadline_scale=0.2 if case == "II" else None,
+            coverage_radius=radius, min_coverage=min_coverage)
+        assume(inst.targets)
+        table = build_index_table(inst)
+        lam = -scale * np.random.default_rng(seed).random(len(inst.targets))
+        try:
+            value = evaluate_dual_function(table, lam, case)
+        except InfeasibleInstanceError:
+            return
+        got = bundle._candidate_cuts(value, table)
+        want = reference_cuts.candidate_cuts(value, table)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("case, args, kw", [
+        pytest.param("I", (s, 6, 60),
+                     dict(coverage_radius=20.0, min_coverage=0.01),
+                     id=f"wide-I-{s}") for s in range(2)] + [
+        pytest.param("I", (0,), dict(preset="small"), id="small-I-0"),
+        pytest.param("II", (0, 7, 10), {}, id="desk-II-0")])
+    def test_run_dual_matches_the_references(self, case, args, kw,
+                                             monkeypatch):
+        # the benchmark's workload shapes: every evaluation's cuts and
+        # every projection equal the references' on the same inputs, and a
+        # run with the references patched in records the same bytes
+        inst = generate_instance(*args, case=case, **kw)
+        table = build_index_table(inst)
+        values, projections = [], []
+        real_eval, real_projection = (bundle.evaluate_dual_function,
+                                      bundle._project_dual)
+
+        def evaluate(*args, **kw):
+            values.append(real_eval(*args, **kw))
+            return values[-1]
+
+        def project(center, pool, d):
+            projections.append((center, pool.gradients, d))
+            return real_projection(center, pool, d)
+
+        monkeypatch.setattr(bundle, "evaluate_dual_function", evaluate)
+        monkeypatch.setattr(bundle, "_project_dual", project)
+        got = run_dual(inst, case, table=table)
+        monkeypatch.undo()
+        assert len(values) > 1 and projections
+        for value in values:
+            cuts = bundle._candidate_cuts(value, table)
+            ref = reference_cuts.candidate_cuts(value, table)
+            assert [a.tobytes() for a in cuts] == [a.tobytes() for a in ref]
+        for center, C, d in projections:
+            self._same_projection(center, C, d)
+        monkeypatch.setattr(bundle, "make_cut", reference_cuts.make_cuts)
+        monkeypatch.setattr(bundle, "_project_dual", _reference_projection)
+        want = run_dual(inst, case, table=table)
+        assert _result_bytes(got) == _result_bytes(want)
 
 
 class TestGreedyRepair:

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import (case2_search_value, random_desk_instance,
                       random_multipliers, relax_value)
+from coverage_routing.bundle import evaluate_dual_function
 from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import build_index_table, generate_instance
 from coverage_routing.labeling_case2 import (Case2Solver, LabelC2, curve,
                                              dominates_case2, knapsack_times,
                                              reconstruct, solve_case2)
 from coverage_routing.oracle import oracle_relaxation
-from coverage_routing.relaxation import build_coeffs
+from coverage_routing.relaxation import RelaxCoeffs, build_coeffs
 from coverage_routing.simplex import dense_lp_solve
 
 
@@ -456,6 +457,28 @@ class TestSolveCase2:
         coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "II")
         assert Case2Solver(coeffs, 0).solve() is None
         assert solve_case2(coeffs).results == dict.fromkeys(coeffs.idle_set)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_evaluation_computes_the_net_rates_once(self, seed,
+                                                        monkeypatch):
+        # the desk-II shape at lam = 0, where the screen settles every
+        # candidate: the screen's fill reads the idle set's net-rate matrix
+        # that the search keys were built from, so one evaluation computes
+        # it once
+        calls = []
+        real = RelaxCoeffs.net_rates
+
+        def counted(self, vbar):
+            calls.append(vbar)
+            return real(self, vbar)
+
+        inst = generate_instance(seed, 7, 10, case="II")
+        table = build_index_table(inst)
+        lam = np.zeros(len(table.target_ids))
+        idle_set = build_coeffs(table, lam, "II").idle_set
+        monkeypatch.setattr(RelaxCoeffs, "net_rates", counted)
+        evaluate_dual_function(table, lam, "II")
+        assert calls == [idle_set]
 
     def test_bad_idle_candidate_rejected(self):
         inst = generate_instance(41, 2, 4, coverage_radius=35.0)

@@ -160,18 +160,20 @@ class TestConvexityAndCuts:
                 value = evaluate_dual_function(table, lam, case)
             except InfeasibleInstanceError:
                 pytest.skip("deadline admits no route")
-            cut = make_cut(value.best, table)
-            assert cut.value_at(lam) == pytest.approx(value.value, abs=1e-8)
+            (gradient,), (offset,) = make_cut([value.best], table)
+            assert float(gradient @ lam) + offset == pytest.approx(
+                value.value, abs=1e-8)
             for _ in range(20):
                 probe = random_multipliers(rng, m, scale=8.0)
                 f_probe = oracle_relaxation(table, inst, probe, case).value
-                assert cut.value_at(probe) <= f_probe + 1e-8
+                assert float(gradient @ probe) + offset <= f_probe + 1e-8
 
     @pytest.mark.parametrize("case", ["I", "II"])
     def test_cut_gradient_is_the_witness_shortfall(self, rng, case):
         # a cut and the witness route read one coverage kernel: for every
-        # candidate's route, the gradient is the requirements minus the
-        # witness's per-target coverage, bit for bit
+        # candidate's route, in one cut pass over all of them, the gradient
+        # is the requirements minus the witness's per-target coverage, bit
+        # for bit
         done = idle = 0
         while done < 8:
             inst = random_desk_instance(rng, n_range=(2, 5), m_range=(2, 6),
@@ -182,14 +184,14 @@ class TestConvexityAndCuts:
                 value = evaluate_dual_function(table, lam, case)
             except InfeasibleInstanceError:
                 continue
-            for timing in value.routes.results.values():
-                if timing is None:
-                    continue
-                cut = make_cut(timing, table)
+            timings = [timing for timing in value.routes.results.values()
+                       if timing is not None]
+            for timing, gradient, offset in zip(
+                    timings, *make_cut(timings, table)):
                 sol = timing_to_solution(timing, table)
                 cov = np.array([c for _, c in sol.per_target_coverage])
-                assert np.array_equal(cut.gradient, table.required - cov)
-                assert cut.offset == sol.objective
+                assert np.array_equal(gradient, table.required - cov)
+                assert offset == sol.objective
                 idle += timing.vbar != 0
             done += 1
         assert idle > 0
@@ -202,13 +204,13 @@ class TestConvexityAndCuts:
             [(10.0, 3.0)], deadline=9000.0, coverage_radius=4.0)
         table = _table(inst)
         value = evaluate_dual_function(table, np.zeros(1), "I")
-        cut = make_cut(value.best, table)
+        _, (offset,) = make_cut([value.best], table)
         assert value.best.vbar == 0
         expect = 0.0
         for (i, j), t in zip(zip(value.best.nodes[:-1], value.best.nodes[1:]),
                              value.best.times):
             expect += table.coverage_rate[table.arc_id[(i, j)], 0] * t
         # offset = priority * coverage for the single target
-        coverage = cut.offset / table.priorities[0]
+        coverage = offset / table.priorities[0]
         assert coverage == pytest.approx(expect, rel=1e-12)
         assert coverage < inst.deadline  # no T-sized term crept in
