@@ -9,13 +9,11 @@ loop; exhaustive oracles certify every layer at desk scale.
 """
 
 from .bundle import (CutPool, DualResult, MasterResult, TraceRow,
-                     evaluate_dual_function, kkt_residual, run_dual,
-                     solve_master)
+                     evaluate_dual_function, run_dual, solve_master)
 from .errors import (BudgetExceededError, CoverageRoutingError, CyclingError,
                      DegenerateSegmentError, InfeasibleInstanceError,
                      SchemaError, TargetTooCloseError)
-from .geometry import (ArcIndex, ChordIntersection, Point2, arc_coverage_index,
-                       arc_risk_index, chord_disk_intersect, dist, point_index)
+from .geometry import Point2, dist, distances, point_rates, segment_disk_batch
 from .instance import (ArcIndexTable, Instance, PathSolution, Physics, Target,
                        ValidateOptions, ValidationReport, Vehicle, Waypoint,
                        arc_energy, build_index_table, generate_instance,

@@ -42,7 +42,7 @@ certificate can hold on such an instance, so ``LB`` stays at the floor.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,9 +93,6 @@ class TraceRow:
     f_lev: Optional[float]
     master_status: str
     wall_time: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -312,18 +309,6 @@ def _project_dual(center: np.ndarray, pool: CutPool, d: np.ndarray
             np.copyto(u_b, 0.0, where=gone)
     # the step cap: the iterate is no projection, and it may have run off
     return None, np.zeros(k + m), active(), False
-
-
-def kkt_residual(center: np.ndarray, G: np.ndarray, h: np.ndarray,
-                 x: np.ndarray, mu: np.ndarray) -> float:
-    """Worst violation of the projection optimality system (stationarity,
-    primal/dual feasibility, complementarity)."""
-    station = np.max(np.abs(2.0 * (x - center) + G.T @ mu)) if len(G) else \
-        np.max(np.abs(2.0 * (x - center)))
-    primal = max(0.0, float(np.max(G @ x - h))) if len(G) else 0.0
-    dual = max(0.0, float(-mu.min())) if mu.size else 0.0
-    comp = float(np.max(np.abs(mu * (G @ x - h)))) if len(G) else 0.0
-    return max(station, primal, dual, comp)
 
 
 def solve_master(lam_hat: np.ndarray, pool: CutPool,

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional
@@ -236,7 +237,7 @@ def _cmd_solve(args) -> int:
     if args.trace is not None:
         # wall-clock column makes the trace run-dependent by nature; the
         # byte-stable artifact is the result record, not this file
-        rows = [json.dumps(row.to_dict(), sort_keys=True)
+        rows = [json.dumps(asdict(row), sort_keys=True)
                 for row in res.trace]
         args.trace.write_text("\n".join(rows) + "\n")
     return EXIT_OK if res.status == bundle.CONVERGED else EXIT_LIMIT

@@ -1,4 +1,4 @@
-"""Chord-disk intersections and the per-arc detection/surveillance indices.
+"""The chord-disk geometry behind the per-arc and per-waypoint indices.
 
 A stationary sensor at point ``w`` acts on a vehicle at rate ``factor / d**2``
 while the vehicle is inside the sensor's disk.  For straight-line motion at
@@ -11,32 +11,30 @@ form: with ``theta`` the angle subtended at ``w`` by the sub-segment endpoints
 
 :func:`segment_disk_batch` computes the sub-segment and the two leading
 factors (a rate per unit time and the in-disk fraction) for a whole batch of
-segments against a whole batch of disk centers at once; the per-pair
-functions below are single-entry calls into it.  The same machinery serves
-both the risk side (detection of the vehicle by a target) and the coverage
-side (surveillance of the target by the vehicle); only the factor and radius
-differ.
+segments against a whole batch of disk centers at once, and
+:func:`distances` and :func:`point_rates` give the rate while idling at a
+waypoint.  These three are the geometry API: the index table and the
+target cleaning pass read nothing else.  The arithmetic would serve a
+target's detection of the vehicle as well, with the target's factor and
+radius; the schema keeps those, but no solver reads them.
 
-The batch arithmetic is the per-pair arithmetic, element by element: numpy's
+The batch arithmetic is the scalar arithmetic, element by element: numpy's
 ``+ - * /``, ``sqrt`` and ``abs`` round exactly as Python floats do, and the
 transcendental steps (``hypot``, ``atan2``, ``sin``) stay scalar ``math``
 calls, because numpy's versions differ from them in the last bit on a
-fraction of inputs.  A batch entry is therefore bit-identical to the
-per-pair result.
+fraction of inputs.  A batch entry is therefore bit-identical to the same
+computation on one pair in Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateSegmentError, TargetTooCloseError
-
-EMPTY = "empty"
-SEGMENT = "segment"
 
 # Below this subtended angle, theta/sin(theta) is evaluated by series to
 # avoid 0/0 on radial chords.
@@ -58,41 +56,6 @@ class Point2:
 def dist(a: Point2, b: Point2) -> float:
     """Euclidean distance between two points."""
     return math.hypot(b.x - a.x, b.y - a.y)
-
-
-@dataclass(frozen=True)
-class ChordIntersection:
-    """The sub-segment of ``[a, b]`` inside a closed disk.
-
-    ``p_start``/``p_end`` are ordered from ``a`` toward ``b`` and ``frac`` is
-    the sub-segment length divided by the full segment length.  A tangent
-    touch (single point) counts as empty: it has zero length and contributes
-    nothing to any time integral.
-    """
-
-    kind: str
-    p_start: Optional[Point2]
-    p_end: Optional[Point2]
-    frac: float
-
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == EMPTY
-
-
-_EMPTY_CHORD = ChordIntersection(EMPTY, None, None, 0.0)
-
-
-@dataclass(frozen=True)
-class ArcIndex:
-    """Per-unit-time index of an arc against one disk, plus in-disk fraction.
-
-    The total effect of traversing the arc in time ``t`` is
-    ``per_time_index * frac * t``.
-    """
-
-    per_time_index: float
-    frac: float
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +136,9 @@ class SegmentDiskBatch:
     hit: np.ndarray
     #: the center lies farther than ``eps`` from the closed segment
     clear: np.ndarray
-    #: ``ArcIndex.per_time_index`` of each pair; 0 where the chord is empty
-    #: or the pair fails the clearance test
+    #: the in-disk index per unit time, ``factor * theta / (sin(theta) *
+    #: d(p,w) * d(q,w))``; 0 where the chord is empty or the pair fails the
+    #: clearance test
     per_time: np.ndarray
 
     @property
@@ -279,50 +243,22 @@ def on_waypoint_error(w: Point2, eps: float) -> TargetTooCloseError:
 
 
 # ---------------------------------------------------------------------------
-# single pairs
+# single pairs: nothing in the package calls these; bench/tracing.py times
+# the geometry layer under these two names
 
 
-def _single(a: Point2, b: Point2, c: Point2, factor: float, radius: float,
-            eps: float = 0.0) -> SegmentDiskBatch:
-    return segment_disk_batch([a.x], [a.y], [b.x], [b.y], [c.x], [c.y],
-                              factor, radius, eps)
+@dataclass(frozen=True)
+class ArcIndex:
+    """One pair's ``per_time`` and ``frac`` entries."""
 
-
-def chord_disk_intersect(a: Point2, b: Point2, center: Point2,
-                         radius: float) -> ChordIntersection:
-    """Intersect segment ``[a, b]`` with the closed disk around ``center``.
-
-    Raises :class:`DegenerateSegmentError` when ``a == b`` and ``ValueError``
-    for a non-positive radius.
-    """
-    batch = _single(a, b, center, 0.0, radius)
-    if not batch.hit[0, 0]:
-        return _EMPTY_CHORD
-    s_lo, s_hi = float(batch.s_lo[0, 0]), float(batch.s_hi[0, 0])
-    ux, uy = b.x - a.x, b.y - a.y
-    return ChordIntersection(
-        SEGMENT,
-        Point2(a.x + s_lo * ux, a.y + s_lo * uy),
-        Point2(a.x + s_hi * ux, a.y + s_hi * uy),
-        s_hi - s_lo,
-    )
-
-
-def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    """Distance from ``p`` to the closed segment ``[a, b]``."""
-    try:
-        fr = _frame([a.x], [a.y], [b.x], [b.y], [p.x], [p.y])
-    except DegenerateSegmentError:
-        return dist(p, a)
-    dx, dy = fr.foot_offsets()
-    return math.hypot(float(dx[0, 0]), float(dy[0, 0]))
+    per_time_index: float
+    frac: float
 
 
 def _arc_index(i: Point2, j: Point2, w: Point2, factor: float, radius: float,
-               eps: float, what: str) -> ArcIndex:
-    if factor < 0.0:
-        raise ValueError(f"{what} factor must be nonnegative, got {factor}")
-    batch = _single(i, j, w, factor, radius, eps)
+               eps: float) -> ArcIndex:
+    batch = segment_disk_batch([i.x], [i.y], [j.x], [j.y], [w.x], [w.y],
+                               factor, radius, eps)
     if not batch.clear[0, 0]:
         raise on_arc_error(w, eps)
     return ArcIndex(float(batch.per_time[0, 0]), float(batch.frac[0, 0]))
@@ -330,32 +266,13 @@ def _arc_index(i: Point2, j: Point2, w: Point2, factor: float, radius: float,
 
 def arc_risk_index(i: Point2, j: Point2, w: Point2, sigma: float,
                    risk_radius: float, eps: float = 0.0) -> ArcIndex:
-    """Detection-exposure index of arc ``(i, j)`` against target ``w``.
-
-    ``sigma`` scales the inverse-square detection rate and ``risk_radius`` is
-    the detection disk radius.  Targets within ``eps`` of the segment are
-    rejected (the index would be singular there).
-    """
-    return _arc_index(i, j, w, sigma, risk_radius, eps, "risk")
+    """Arc ``(i, j)`` against target ``w``'s detection disk; raises
+    :class:`TargetTooCloseError` for a target within ``eps`` of the arc."""
+    return _arc_index(i, j, w, sigma, risk_radius, eps)
 
 
 def arc_coverage_index(i: Point2, j: Point2, w: Point2, rho: float,
                        coverage_radius: float, eps: float = 0.0) -> ArcIndex:
-    """Surveillance index of arc ``(i, j)`` over target ``w``.
-
-    Identical geometry to :func:`arc_risk_index` with the vehicle's coverage
-    factor and coverage radius in place of the target's detection parameters.
-    """
-    return _arc_index(i, j, w, rho, coverage_radius, eps, "coverage")
-
-
-def point_index(p: Point2, w: Point2, factor: float, radius: float,
-                eps: float = 0.0) -> float:
-    """Per-unit-time index while idling at ``p``: ``factor/d**2`` inside the
-    closed disk, zero outside."""
-    if factor < 0.0:
-        raise ValueError(f"factor must be nonnegative, got {factor}")
-    d = dist(p, w)
-    if d <= eps:
-        raise on_waypoint_error(w, eps)
-    return float(point_rates(np.array([d]), factor, radius)[0])
+    """:func:`arc_risk_index` with the vehicle's coverage factor and
+    radius."""
+    return _arc_index(i, j, w, rho, coverage_radius, eps)

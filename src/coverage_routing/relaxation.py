@@ -134,8 +134,7 @@ class BestRoutes:
     ``values`` holds every candidate's best value (None where no route fits
     the deadline).  :meth:`timing` builds a candidate's timed route only
     when asked, so a caller that needs one route pays for one; ``results``
-    builds them all.  Equality and ``repr`` go by content: every
-    candidate's value and node route, and the two counts.
+    builds them all.
     """
 
     def __init__(self, values: Dict[int, Optional[float]],
@@ -162,21 +161,6 @@ class BestRoutes:
     def results(self) -> Dict[int, Optional[PathTiming]]:
         """Every candidate's best timed route (None where none fits)."""
         return {vbar: self.timing(vbar) for vbar in self.values}
-
-    def _content(self) -> tuple:
-        routes = {vbar: None if bt is None else bt.nodes
-                  for vbar, bt in self.results.items()}
-        return self.values, routes, self.labels_stored, self.labels_alive
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BestRoutes):
-            return NotImplemented
-        return self._content() == other._content()
-
-    def __repr__(self) -> str:
-        values, routes, stored, alive = self._content()
-        return (f"BestRoutes(values={values!r}, routes={routes!r}, "
-                f"labels_stored={stored!r}, labels_alive={alive!r})")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,46 @@ from coverage_routing.instance import (Instance, Physics, Target, Vehicle,
                                        Waypoint, build_index_table,
                                        finalize_instance, generate_instance,
                                        serialize_instance)
-from coverage_routing.geometry import Point2
+from coverage_routing.geometry import Point2, segment_disk_batch
+
+
+class KernelPair(NamedTuple):
+    """One entry of the geometry kernel in Python floats, with the ends of
+    its chord (both at the segment's start where the chord is empty)."""
+
+    hit: bool
+    clear: bool
+    p_start: Point2
+    p_end: Point2
+    frac: float
+    per_time: float
+    rate: float
+
+
+def kernel_pair(a, b, w, factor, radius, eps=0.0):
+    """``segment_disk_batch`` of the one segment ``[a, b]`` against the one
+    disk around ``w``."""
+    batch = segment_disk_batch([a.x], [a.y], [b.x], [b.y], [w.x], [w.y],
+                               factor, radius, eps)
+    s_lo, s_hi = float(batch.s_lo[0, 0]), float(batch.s_hi[0, 0])
+    ux, uy = b.x - a.x, b.y - a.y
+    return KernelPair(bool(batch.hit[0, 0]), bool(batch.clear[0, 0]),
+                      Point2(a.x + s_lo * ux, a.y + s_lo * uy),
+                      Point2(a.x + s_hi * ux, a.y + s_hi * uy),
+                      float(batch.frac[0, 0]), float(batch.per_time[0, 0]),
+                      float(batch.rate[0, 0]))
+
+
+def raw_instance(waypoints, targets, radius, factor=1.0):
+    """Instance straight from (x, y) pairs, neither validated nor cleaned;
+    the first waypoint is both depots."""
+    pts = [Point2(*p) for p in [waypoints[0], *waypoints[1:], waypoints[0]]]
+    return Instance(
+        waypoints=tuple(Waypoint(k, p, 0.0, 100.0) for k, p in enumerate(pts)),
+        targets=tuple(Target(k, Point2(*p), 1.0, 1.0, 1.0, 0.1)
+                      for k, p in enumerate(targets)),
+        vehicle=Vehicle(factor, radius, 1.0, 10.0, 1e9),
+        physics=Physics(), deadline=100.0)
 
 
 def make_instance(waypoints, targets, *, deadline, coverage_radius=10.0,

@@ -1,7 +1,9 @@
 """One-route-at-a-time reference for the cut builder: the loop that built
-each idle candidate's cut with its own coverage call before
+each idle candidate's cut with its own coverage sum before
 ``coverage_routing.relaxation.make_cut`` built one evaluation's cuts in one
-array pass.  Tests compare the package against it for exact equality."""
+array pass.  Each route's coverage is the arc-by-arc sum of
+``reference_repair.route_coverage``, so no package code computes it.  Tests
+compare the package against it for exact equality."""
 
 from __future__ import annotations
 
@@ -10,14 +12,20 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from coverage_routing.instance import ArcIndexTable
-from coverage_routing.relaxation import PathTiming, RelaxValue, timed_coverage
+from coverage_routing.relaxation import PathTiming, RelaxValue
+from reference_repair import route_coverage
 
 
 def make_cut(timing: PathTiming, table: ArcIndexTable
              ) -> Tuple[np.ndarray, float]:
     """One route's cut: the gradient ``required - coverage`` and the
-    offset ``priorities . coverage``."""
-    _, coverage = timed_coverage(timing, table)
+    offset ``priorities . coverage``, with the deadline remainder idled at
+    the route's idle stop."""
+    idle = 0.0
+    if timing.vbar:
+        idle = max(0.0, table.instance.deadline - float(sum(timing.times)))
+    coverage = route_coverage(table, timing.nodes, timing.times, timing.vbar,
+                              idle)
     return table.required - coverage, float(table.priorities @ coverage)
 
 

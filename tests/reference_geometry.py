@@ -1,26 +1,49 @@
 """Per-pair reference for the batch geometry kernel: the scalar chord, index
 and cleaning code that ``coverage_routing.geometry`` and
-``coverage_routing.instance`` replaced with one array kernel.  Tests compare
-the package against it for exact equality, errors included."""
+``coverage_routing.instance`` replaced with one array kernel.  It takes
+nothing from the package but ``Point2``, ``dist`` and the errors.  Tests
+compare the package against it for exact equality, errors included."""
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from coverage_routing.errors import DegenerateSegmentError, TargetTooCloseError
-from coverage_routing.geometry import (ArcIndex, ChordIntersection, Point2,
-                                       dist)
-from coverage_routing.instance import Instance, _segment_pairs
+from coverage_routing.geometry import Point2, dist
 
 _SMALL_ANGLE = 1e-4
-_EMPTY_CHORD = ChordIntersection("empty", None, None, 0.0)
+
+
+class Chord(NamedTuple):
+    """The sub-segment of ``[a, b]`` inside a closed disk, its ends ordered
+    from ``a`` toward ``b``, and its share of the segment's length.  A
+    tangent touch counts as empty: no ends and a zero share."""
+
+    p_start: Optional[Point2]
+    p_end: Optional[Point2]
+    frac: float
+
+    @property
+    def is_empty(self) -> bool:
+        return self.p_start is None
+
+
+class ArcIndex(NamedTuple):
+    """An arc's index per unit time against one disk, and its in-disk
+    share."""
+
+    per_time_index: float
+    frac: float
+
+
+_EMPTY_CHORD = Chord(None, None, 0.0)
 
 
 def chord_disk_intersect(a: Point2, b: Point2, center: Point2,
-                         radius: float) -> ChordIntersection:
+                         radius: float) -> Chord:
     ux, uy = b.x - a.x, b.y - a.y
     seg2 = ux * ux + uy * uy
     if seg2 == 0.0:
@@ -41,8 +64,7 @@ def chord_disk_intersect(a: Point2, b: Point2, center: Point2,
     s_hi = min(1.0, t_mid + half)
     if s_lo >= s_hi:
         return _EMPTY_CHORD
-    return ChordIntersection(
-        "segment",
+    return Chord(
         Point2(a.x + s_lo * ux, a.y + s_lo * uy),
         Point2(a.x + s_hi * ux, a.y + s_hi * uy),
         s_hi - s_lo,
@@ -99,7 +121,16 @@ def point_index(p: Point2, w: Point2, factor: float, radius: float,
     return 0.0
 
 
-def table_arrays(instance: Instance):
+def _segment_pairs(n: int) -> Iterator[Tuple[int, int]]:
+    """Node pairs joined by some arc of a network with ``n`` interior
+    waypoints: every pair except the two depots."""
+    for i in range(n + 2):
+        for j in range(i + 1, n + 2):
+            if (i, j) != (0, n + 1):
+                yield (i, j)
+
+
+def table_arrays(instance):
     """``(coverage_rate, wp_cov, node_dist)`` of ``ArcIndexTable``, one
     geometry call per pair."""
     n = instance.n
@@ -135,7 +166,7 @@ def table_arrays(instance: Instance):
     return coverage_rate, wp_cov, node_dist
 
 
-def removed_targets(instance: Instance) -> List[Tuple[int, str]]:
+def removed_targets(instance) -> List[Tuple[int, str]]:
     """The targets the cleaning pass drops, in target order, with reasons."""
     eps = instance.eps_geo
     radius = instance.vehicle.coverage_radius

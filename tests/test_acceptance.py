@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import (case2_search_value, random_desk_instance,
+import reference_geometry as ref
+from conftest import (case2_search_value, kernel_pair, random_desk_instance,
                       random_multipliers, relax_value)
 from coverage_routing.bundle import evaluate_dual_function, run_dual
 from coverage_routing.cli import main as cli_main
 from coverage_routing.errors import InfeasibleInstanceError
-from coverage_routing.geometry import (Point2, arc_risk_index,
-                                       chord_disk_intersect, dist,
-                                       point_segment_distance)
+from coverage_routing.geometry import Point2, dist
 from coverage_routing.instance import build_index_table, generate_instance
 from coverage_routing.labeling_case2 import knapsack_times
 from coverage_routing.oracle import oracle_primal, oracle_relaxation
@@ -34,12 +33,10 @@ def _report(num, name, detail=""):
 
 def test_criterion_1_geometry_exactness():
     t0 = time.time()
-    radial = arc_risk_index(Point2(1, 0), Point2(2, 0), Point2(0, 0), 1.0, 3.0)
-    assert radial.per_time_index * radial.frac * 1.0 == \
-        pytest.approx(0.5, abs=1e-9)
-    perp = arc_risk_index(Point2(-1, 1), Point2(1, 1), Point2(0, 0), 1.0, 2.0)
-    assert perp.per_time_index * perp.frac * 2.0 == \
-        pytest.approx(math.pi / 2, abs=1e-9)
+    radial = kernel_pair(Point2(1, 0), Point2(2, 0), Point2(0, 0), 1.0, 3.0)
+    assert radial.rate * 1.0 == pytest.approx(0.5, abs=1e-9)
+    perp = kernel_pair(Point2(-1, 1), Point2(1, 1), Point2(0, 0), 1.0, 2.0)
+    assert perp.rate * 2.0 == pytest.approx(math.pi / 2, abs=1e-9)
 
     rng = random.Random(101)
     checked = 0
@@ -49,13 +46,13 @@ def test_criterion_1_geometry_exactness():
         b = Point2(rng.uniform(-10, 10), rng.uniform(-10, 10))
         w = Point2(rng.uniform(-8, 8), rng.uniform(-8, 8))
         r = rng.uniform(0.5, 8.0)
-        if dist(a, b) < 1e-6 or point_segment_distance(w, a, b) < 1e-3:
+        if dist(a, b) < 1e-6 or ref.point_segment_distance(w, a, b) < 1e-3:
             continue
         t = rng.uniform(0.1, 5.0)
-        idx = arc_risk_index(a, b, w, 1.3, r)
-        total = idx.per_time_index * idx.frac * t
+        total = kernel_pair(a, b, w, 1.3, r).rate * t
 
-        ch = chord_disk_intersect(a, b, w, r)
+        # quadrature over the reference's chord, not the kernel's
+        ch = ref.chord_disk_intersect(a, b, w, r)
         if ch.is_empty:
             expect = 0.0
         else:

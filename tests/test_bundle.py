@@ -16,7 +16,7 @@ from coverage_routing.bundle import (CONVERGED, LB_FLOOR, MASTER_FEASIBLE,
                                      MASTER_INFEASIBLE, MASTER_UNVERIFIED,
                                      CutPool, MasterResult, _project_dual,
                                      _verify_farkas, evaluate_dual_function,
-                                     kkt_residual, run_dual, solve_master,
+                                     run_dual, solve_master,
                                      timing_to_solution)
 from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import (ValidateOptions, build_index_table,
@@ -39,6 +39,17 @@ def _pool(gradients, offsets=None):
     if offsets is None:
         offsets = np.zeros(len(gradients))
     return CutPool(gradients, np.asarray(offsets, dtype=float))
+
+
+def kkt_residual(center, G, h, x, mu):
+    """Worst violation of the projection optimality system (stationarity,
+    primal/dual feasibility, complementarity)."""
+    station = np.max(np.abs(2.0 * (x - center) + G.T @ mu)) if len(G) else \
+        np.max(np.abs(2.0 * (x - center)))
+    primal = max(0.0, float(np.max(G @ x - h))) if len(G) else 0.0
+    dual = max(0.0, float(-mu.min())) if mu.size else 0.0
+    comp = float(np.max(np.abs(mu * (G @ x - h)))) if len(G) else 0.0
+    return max(station, primal, dual, comp)
 
 
 def _stacked(C, d):
@@ -923,8 +934,8 @@ class TestCutPool:
 def _result_bytes(res):
     """Everything a ``run_dual`` result records, with ``best_lam`` as bytes
     and the trace rows without their wall times."""
-    rows = [{k: v for k, v in row.to_dict().items() if k != "wall_time"}
-            for row in res.trace]
+    rows = [{k: v for k, v in dataclasses.asdict(row).items()
+             if k != "wall_time"} for row in res.trace]
     return repr((res.status, res.dual_bound, res.lower_bound,
                  res.initial_bound, res.best_lam.tobytes(), res.iterations,
                  rows, res.solution, res.repair_solution))

@@ -239,13 +239,19 @@ class TestSolveVerify:
 
     def test_unknown_meta_case_input_error(self, tmp_path,
                                            desk_instance_file, capsys):
-        doc = json.loads(desk_instance_file.read_text())
-        doc["meta"]["case"] = "X"
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run(["solve", str(bad)]) == 4
-        assert "meta.case" in capsys.readouterr().err
+        """An unknown case, a coverage radius that is not positive or a
+        negative coverage factor is an input error (exit 4)."""
+        for block, key, bad, reason in (
+                ("meta", "case", "X", "meta.case"),
+                ("vehicle", "coverage_radius", 0.0, "radius must be positive"),
+                ("vehicle", "coverage_factor", -1.0, "factor nonnegative")):
+            doc = json.loads(desk_instance_file.read_text())
+            doc[block][key] = bad
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run(["solve", str(path)]) == 4
+            assert reason in capsys.readouterr().err
 
     @pytest.mark.parametrize("which,doc", [
         ("solution", []),

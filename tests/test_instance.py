@@ -8,29 +8,16 @@ from hypothesis import strategies as st
 
 import reference_geometry as ref
 import reference_repair as ref_repair
-from conftest import make_instance, too_many_waypoints_document
+from conftest import make_instance, raw_instance, too_many_waypoints_document
 from coverage_routing.errors import SchemaError, TargetTooCloseError
 from coverage_routing.geometry import Point2
-from coverage_routing.instance import (Instance, PathSolution, Physics,
-                                       Target, ValidateOptions, Vehicle,
-                                       Waypoint, arc_energy,
-                                       build_index_table, finalize_instance,
+from coverage_routing.instance import (PathSolution, ValidateOptions,
+                                       arc_energy, build_index_table,
+                                       finalize_instance,
                                        generate_instance, instance_to_json,
                                        load_instance, load_solution,
                                        serialize_instance, solution_to_json,
                                        validate_solution)
-
-
-def raw_instance(waypoints, targets, radius, factor=1.0):
-    """Instance straight from (x, y) pairs, neither validated nor cleaned;
-    the first waypoint is both depots."""
-    pts = [Point2(*p) for p in [waypoints[0], *waypoints[1:], waypoints[0]]]
-    return Instance(
-        waypoints=tuple(Waypoint(k, p, 0.0, 100.0) for k, p in enumerate(pts)),
-        targets=tuple(Target(k, Point2(*p), 1.0, 1.0, 1.0, 0.1)
-                      for k, p in enumerate(targets)),
-        vehicle=Vehicle(factor, radius, 1.0, 10.0, 1e9),
-        physics=Physics(), deadline=100.0)
 
 
 # One instance per kind of edge: against the arc (0,0)-(4,0), (2,3) makes a
@@ -142,10 +129,15 @@ class TestSerialization:
             load_instance(doc)
 
     def test_speed_bounds_rejected(self):
-        doc = serialize_instance(generate_instance(1, 3, 3))
-        doc["vehicle"]["speed_min"] = 20.0
-        with pytest.raises(SchemaError):
-            load_instance(doc)
+        """Vehicle parameters out of range: speed bounds out of order, a
+        coverage radius that is not positive, a negative coverage factor."""
+        for key, bad in (("speed_min", 20.0), ("coverage_radius", 0.0),
+                         ("coverage_radius", -1.0),
+                         ("coverage_factor", -1.0)):
+            doc = serialize_instance(generate_instance(1, 3, 3))
+            doc["vehicle"][key] = bad
+            with pytest.raises(SchemaError):
+                load_instance(doc)
 
     def test_only_energy_and_window_close_may_be_infinite(self):
         doc = serialize_instance(generate_instance(1, 3, 3))

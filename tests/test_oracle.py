@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_instance, random_desk_instance, random_multipliers
+from conftest import (kernel_pair, make_instance, random_desk_instance,
+                      random_multipliers)
 from coverage_routing.errors import BudgetExceededError, InfeasibleInstanceError
-from coverage_routing.geometry import arc_coverage_index
 from coverage_routing.instance import build_index_table, generate_instance
 from coverage_routing.oracle import (iter_paths, oracle_primal,
                                      oracle_relaxation)
@@ -83,9 +83,8 @@ class TestOraclePrimal:
                              coverage_radius=5.0, min_coverage=0.0)
         table = build_index_table(inst)
         prim = oracle_primal(inst, table)
-        idx = arc_coverage_index(inst.point(0), inst.point(1),
-                                 inst.targets[0].point, 1.0, 5.0)
-        arc_rate = idx.per_time_index * idx.frac
+        arc_rate = kernel_pair(inst.point(0), inst.point(1),
+                               inst.targets[0].point, 1.0, 5.0).rate
         idle_rate = 1.0  # factor / d^2 at distance 1
         min_leg = 10.0 / 10.0
         assert idle_rate > arc_rate  # idling must dominate slowing down
