@@ -18,7 +18,7 @@ from .instance import (ArcIndexTable, Instance, PathSolution, Physics, Target,
                        ValidateOptions, ValidationReport, Vehicle, Waypoint,
                        arc_energy, build_index_table, generate_instance,
                        instance_to_json, load_instance, load_solution,
-                       save_instance, save_solution, validate_solution)
+                       save_solution, validate_solution)
 from .labeling_case1 import solve_case1
 from .labeling_case2 import (Case2Solver, LabelC2, curve, dominates_case2,
                              knapsack_times, solve_case2)

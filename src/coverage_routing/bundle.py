@@ -51,8 +51,8 @@ from .instance import (VALIDATE_TOL, ArcIndexTable, Instance, PathSolution,
                        build_index_table)
 from .labeling_case1 import solve_case1
 from .labeling_case2 import RATIO_SLOPE, solve_case2
-from .relaxation import (CASE_I, PathTiming, RelaxValue, assemble_f_value,
-                         build_coeffs, make_cut, timed_coverage)
+from .relaxation import (CASE_I, PathTiming, RelaxValue, _idle_time,
+                         assemble_f_value, build_coeffs, make_cut)
 # not called here: bench/tracing.py times the simplex under this name
 from .simplex import dense_lp_solve  # noqa: F401
 
@@ -425,7 +425,8 @@ def timing_to_solution(timing: PathTiming,
                        table: ArcIndexTable) -> PathSolution:
     """Materialize a relaxation witness as a route: with an idle stop the
     whole deadline remainder is spent there."""
-    idle, cov = timed_coverage(timing, table)
+    idle = _idle_time(timing, table)
+    cov = table.route_coverage(timing.nodes, timing.times, timing.vbar, idle)
     return _route_solution(table, timing.nodes, timing.times, timing.vbar,
                            idle, cov)
 

@@ -244,6 +244,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # an unwritable --out fails here, before the report reaches stdout
+    if args.out is not None:
+        _probe_writable(args.out)
     inst = load_instance(args.instance)
     sol = load_solution(args.solution)
     opts = ValidateOptions(

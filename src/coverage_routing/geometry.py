@@ -14,9 +14,11 @@ factors (a rate per unit time and the in-disk fraction) for a whole batch of
 segments against a whole batch of disk centers at once, and
 :func:`distances` and :func:`point_rates` give the rate while idling at a
 waypoint.  These three are the geometry API: the index table and the
-target cleaning pass read nothing else.  The arithmetic would serve a
-target's detection of the vehicle as well, with the target's factor and
-radius; the schema keeps those, but no solver reads them.
+target cleaning pass read nothing else.  A center too close to a point for
+its inverse-square rate to fit a float gets ``inf`` or ``nan``, which the
+index table refuses.  The arithmetic would serve a target's detection of
+the vehicle as well, with the target's factor and radius; the schema keeps
+those, but no solver reads them.
 
 The batch arithmetic is the scalar arithmetic, element by element: numpy's
 ``+ - * /``, ``sqrt`` and ``abs`` round exactly as Python floats do, and the
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,41 +89,6 @@ def _theta_over_sin(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Frame(NamedTuple):
-    """Segments (rows) against centers (columns): each segment's start and
-    direction, its squared length, and the center's projection onto the
-    segment's line in segment parameter units."""
-
-    ax: np.ndarray
-    ay: np.ndarray
-    ux: np.ndarray
-    uy: np.ndarray
-    seg2: np.ndarray
-    t_mid: np.ndarray
-    cx: np.ndarray
-    cy: np.ndarray
-
-    def foot_offsets(self):
-        """Center minus its nearest point of the closed segment."""
-        s = _below1(_above0(self.t_mid))
-        return (self.cx - (self.ax + s * self.ux),
-                self.cy - (self.ay + s * self.uy))
-
-
-def _frame(ax, ay, bx, by, cx, cy) -> _Frame:
-    ax, ay, bx, by = (np.asarray(v, dtype=float)[:, None] for v in (ax, ay, bx, by))
-    cx, cy = (np.asarray(v, dtype=float)[None, :] for v in (cx, cy))
-    ux, uy = bx - ax, by - ay
-    seg2 = ux * ux + uy * uy
-    degenerate = np.flatnonzero(seg2 == 0.0)
-    if degenerate.size:
-        k = degenerate[0]
-        raise DegenerateSegmentError(
-            f"segment endpoints coincide at ({float(ax[k, 0])}, {float(ay[k, 0])})")
-    t_mid = -((ax - cx) * ux + (ay - cy) * uy) / seg2
-    return _Frame(ax, ay, ux, uy, seg2, t_mid, cx, cy)
-
-
 @dataclass(frozen=True)
 class SegmentDiskBatch:
     """Every segment of a batch against every disk center of a batch.  Each
@@ -166,15 +132,25 @@ def segment_disk_batch(ax, ay, bx, by, cx, cy, factor: float, radius: float,
     """
     if factor < 0.0:
         raise ValueError(f"factor must be nonnegative, got {factor}")
-    fr = _frame(ax, ay, bx, by, cx, cy)
+    ax, ay, bx, by = (np.asarray(v, dtype=float)[:, None] for v in (ax, ay, bx, by))
+    cx, cy = (np.asarray(v, dtype=float)[None, :] for v in (cx, cy))
+    ux, uy = bx - ax, by - ay
+    seg2 = ux * ux + uy * uy
+    degenerate = np.flatnonzero(seg2 == 0.0)
+    if degenerate.size:
+        k = degenerate[0]
+        raise DegenerateSegmentError(
+            f"segment endpoints coincide at ({float(ax[k, 0])}, {float(ay[k, 0])})")
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    ax, ay, ux, uy, cx, cy = fr.ax, fr.ay, fr.ux, fr.uy, fr.cx, fr.cy
+    # the center's foot on the segment's line, in segment parameter units
+    t_mid = -((ax - cx) * ux + (ay - cy) * uy) / seg2
 
-    # Clearance: np.hypot may differ from math.hypot in the last bit, so it
-    # only settles the pairs far from the threshold; math.hypot decides the
-    # rest.
-    dx, dy = fr.foot_offsets()
+    # Clearance, from the center's offset to its nearest segment point:
+    # np.hypot may differ from math.hypot in the last bit, so it only
+    # settles the pairs far from the threshold; math.hypot decides the rest.
+    s = _below1(_above0(t_mid))
+    dx, dy = cx - (ax + s * ux), cy - (ay + s * uy)
     near = np.hypot(dx, dy) <= 2.0 * eps
     clear = ~near
     clear[near] = ~(_hypot(dx[near], dy[near]) <= eps)
@@ -183,13 +159,13 @@ def segment_disk_batch(ax, ay, bx, by, cx, cy, factor: float, radius: float,
     # with half from the signed center-to-line distance.  This form keeps
     # the computed endpoints on the circle to ~1 ulp instead of solving the
     # raw quadratic.
-    seg_len = np.sqrt(fr.seg2)
+    seg_len = np.sqrt(seg2)
     line_dist = ((ax - cx) * uy - (ay - cy) * ux) / seg_len
     half2 = radius * radius - line_dist * line_dist
     hit = ~(half2 <= 0.0)
     half = np.sqrt(np.where(hit, half2, 0.0)) / seg_len
-    lo = _above0(fr.t_mid - half)
-    hi = _below1(fr.t_mid + half)
+    lo = _above0(t_mid - half)
+    hi = _below1(t_mid + half)
     hit &= ~(lo >= hi)
     s_lo = np.where(hit, lo, 0.0)
     s_hi = np.where(hit, hi, 0.0)
@@ -234,12 +210,6 @@ def on_arc_error(w: Point2, eps: float) -> TargetTooCloseError:
     """The error for a target ``w`` within ``eps`` of an arc."""
     return TargetTooCloseError(
         f"target at ({w.x}, {w.y}) lies on arc within clearance {eps}")
-
-
-def on_waypoint_error(w: Point2, eps: float) -> TargetTooCloseError:
-    """The error for a target ``w`` within ``eps`` of a waypoint."""
-    return TargetTooCloseError(
-        f"target at ({w.x}, {w.y}) coincides with waypoint within {eps}")
 
 
 # ---------------------------------------------------------------------------

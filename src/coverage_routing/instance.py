@@ -296,10 +296,6 @@ def instance_to_json(instance: Instance) -> str:
     return json_text(serialize_instance(instance))
 
 
-def save_instance(instance: Instance, path: Union[str, Path]) -> None:
-    Path(path).write_text(instance_to_json(instance))
-
-
 def _read_json(source: Union[str, Path, dict]) -> dict:
     """The JSON object in the file at ``source``, or ``source`` itself when
     it is already a parsed document."""
@@ -506,29 +502,36 @@ class ArcIndexTable:
         eps = instance.eps_geo
         veh = instance.vehicle
         rows, cols = self._arc_rows, self._arc_cols
-        chords = geometry.segment_disk_batch(
-            xs[rows], ys[rows], xs[cols], ys[cols], tx, ty,
-            veh.coverage_factor, veh.coverage_radius, eps)
+        # A target clear of every arc can still sit so close to a node that
+        # an inverse-square rate leaves the float range: a quotient overflows,
+        # or a squared distance underflows to 0 (0/0 at a zero factor).
+        # numpy stays silent about those divisions; the guard below refuses
+        # the target by name before any rate is used.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            chords = geometry.segment_disk_batch(
+                xs[rows], ys[rows], xs[cols], ys[cols], tx, ty,
+                veh.coverage_factor, veh.coverage_radius, eps)
+            # coverage per unit travel time on the arc as a whole
+            self.coverage_rate = chords.rate
+            self.wp_cov = geometry.point_rates(
+                geometry.distances(xs[1:n + 1], ys[1:n + 1], tx, ty),
+                veh.coverage_factor, veh.coverage_radius)
         if not chords.clear.all():
             k, col = np.unravel_index(np.argmin(chords.clear), chords.clear.shape)
             (i, j), t = self.arcs[k], instance.targets[col]
             exc = geometry.on_arc_error(t.point, eps)
             raise TargetTooCloseError(
                 f"target {t.id} against arc ({i},{j}): {exc}") from exc
-        # coverage per unit travel time on the arc as a whole
-        self.coverage_rate = chords.rate
-
-        inner = slice(1, n + 1)
-        d = geometry.distances(xs[inner], ys[inner], tx, ty)
-        close = d <= eps
-        if close.any():
-            k, col = np.unravel_index(np.argmax(close), d.shape)
-            t = instance.targets[col]
-            exc = geometry.on_waypoint_error(t.point, eps)
-            raise TargetTooCloseError(
-                f"target {t.id} against waypoint {k + 1}: {exc}") from exc
-        self.wp_cov = geometry.point_rates(d, veh.coverage_factor,
-                                           veh.coverage_radius)
+        for rates, where in (
+                (self.coverage_rate, lambda k: "arc ({},{})".format(*self.arcs[k])),
+                (self.wp_cov, lambda k: f"waypoint {k + 1}")):
+            finite = np.isfinite(rates)
+            if not finite.all():
+                k, col = np.unravel_index(np.argmin(finite), finite.shape)
+                t = instance.targets[col]
+                raise TargetTooCloseError(
+                    f"target {t.id} against {where(k)}: target at ({t.point.x}, "
+                    f"{t.point.y}) is too close for a finite coverage rate")
 
         self.priorities = np.array([t.priority for t in instance.targets])
         self.required = np.array([t.min_coverage for t in instance.targets])

@@ -208,21 +208,13 @@ def _idle_time(timing: PathTiming, table: ArcIndexTable) -> float:
     return max(0.0, table.instance.deadline - float(sum(timing.times)))
 
 
-def timed_coverage(timing: PathTiming, table: ArcIndexTable
-                   ) -> Tuple[float, np.ndarray]:
-    """A timed route's idle time (:func:`_idle_time`) and its per-target
-    coverage."""
-    idle = _idle_time(timing, table)
-    return idle, table.route_coverage(timing.nodes, timing.times, timing.vbar,
-                                      idle)
-
-
 def make_cut(timings: Sequence[PathTiming], table: ArcIndexTable
              ) -> Tuple[np.ndarray, np.ndarray]:
     """The cuts ``gradient . lam + offset`` of timed routes, built in one
     pass: one row of gradients ``required - coverage`` and one offset
     ``priorities . coverage`` per route, in the given order, with
-    ``coverage`` the route's per-target coverage (:func:`timed_coverage`).
+    ``coverage`` the route's per-target coverage at its idle time
+    (:func:`_idle_time`).
 
     The routes' arc rates are gathered at once, padded to the longest route
     with zero-time arcs and closed by the idle stop's rate at the idle time

@@ -111,6 +111,26 @@ def too_many_waypoints_document():
     return doc
 
 
+def singular_rate_document(waypoint_x, target, factor=1.0):
+    """Instance document with both depots at the origin, one interior
+    waypoint at ``(waypoint_x, 0)`` and one target.  At these scales the
+    loader keeps the target, farther than ``eps_geo`` from every arc, yet an
+    inverse-square rate leaves the float range."""
+    return serialize_instance(raw_instance(
+        [(0.0, 0.0), (waypoint_x, 0.0)], [target], 10.0, factor=factor))
+
+
+#: (waypoint_x, target, factor) of instances whose index table is singular:
+#: a target whose squared distance to waypoint 1 underflows to 0, one whose
+#: arc rate overflows, and one, at a small coverage factor, whose arc rates
+#: are finite but whose idle rate at waypoint 1 is not
+SINGULAR_RATES = {
+    "waypoint-underflow": (1e-160, (1e-160, 1e-165), 1.0),
+    "arc-overflow": (2e-160, (1e-160, 1e-166), 1.0),
+    "idle-only": (1e-155, (1e-155, 1e-162), 1e-10),
+}
+
+
 def random_multipliers(rng, m, scale=5.0):
     return np.array([-rng.uniform(0.0, scale) for _ in range(m)])
 

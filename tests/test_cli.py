@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import coverage_routing
-from conftest import too_many_waypoints_document
+from conftest import (SINGULAR_RATES, singular_rate_document,
+                      too_many_waypoints_document)
 from coverage_routing.cli import main
 from coverage_routing.instance import load_instance
 
@@ -204,6 +205,30 @@ class TestSolveVerify:
         assert out == ""
         assert "input error" in err and "solved in" not in err
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_unwritable_verify_out_fails_before_report(
+            self, tmp_path, capsys, desk_instance_file):
+        """``verify --out`` into a missing directory is an input error (exit
+        4) found before the report is printed: nothing on stdout."""
+        res = tmp_path / "res.json"
+        run(["solve", str(desk_instance_file), "--out", str(res)])
+        sol_file = res.with_suffix(res.suffix + ".sol.json")
+        capsys.readouterr()
+        assert run(["verify", str(desk_instance_file), str(sol_file),
+                    "--out", str(tmp_path / "missing" / "x.json")]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "input error" in err
+
+    @pytest.mark.parametrize("kind", sorted(SINGULAR_RATES))
+    def test_singular_rate_input_error(self, tmp_path, capsys, kind):
+        """A target too close for a finite coverage rate is an input error
+        (exit 4) with nothing on stdout, not a record of NaN bounds."""
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(singular_rate_document(
+            *SINGULAR_RATES[kind])))
+        assert run(["solve", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "too close for a finite coverage rate" in err
 
     def test_too_many_waypoints_input_error(self, tmp_path, capsys):
         path = tmp_path / "big.json"

@@ -341,6 +341,12 @@ class TestScalarReference:
                         (chord.p_end.x, chord.p_end.y)
 
     def test_degenerate_segment_in_batch_rejected(self):
+        segs = ([0.0, 1.0], [0.0, 2.0], [3.0, 1.0], [0.0, 2.0], [5.0], [5.0])
         with pytest.raises(DegenerateSegmentError, match=r"coincide at \(1.0, 2.0\)"):
-            segment_disk_batch([0.0, 1.0], [0.0, 2.0], [3.0, 1.0], [0.0, 2.0],
-                               [5.0], [5.0], 1.0, 1.0)
+            segment_disk_batch(*segs, 1.0, 1.0)
+        # the error order: a negative factor, then coincident endpoints,
+        # then a non-positive radius
+        with pytest.raises(ValueError, match="factor must be nonnegative"):
+            segment_disk_batch(*segs, -1.0, 0.0)
+        with pytest.raises(DegenerateSegmentError):
+            segment_disk_batch(*segs, 1.0, 0.0)

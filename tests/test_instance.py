@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import reference_geometry as ref
 import reference_repair as ref_repair
-from conftest import make_instance, raw_instance, too_many_waypoints_document
+from conftest import (SINGULAR_RATES, make_instance, raw_instance,
+                      singular_rate_document, too_many_waypoints_document)
 from coverage_routing.errors import SchemaError, TargetTooCloseError
 from coverage_routing.geometry import Point2
 from coverage_routing.instance import (PathSolution, ValidateOptions,
@@ -241,6 +242,24 @@ class TestIndexTable:
         assert str(info.value) == (
             f"target 1 against arc (0,2): target at (15.0, 0.0) lies on arc "
             f"within clearance {eps}")
+
+    @pytest.mark.parametrize("kind, where", [
+        ("waypoint-underflow", "arc (0,1)"),
+        ("arc-overflow", "arc (0,1)"),
+        ("idle-only", "waypoint 1"),
+    ])
+    def test_singular_rate_refused_by_name(self, kind, where):
+        # the loader keeps the target; the table refuses it by name instead
+        # of filling an infinite rate (under filterwarnings = error, a numpy
+        # divide or overflow warning would fail this test)
+        x, target, factor = SINGULAR_RATES[kind]
+        inst = load_instance(singular_rate_document(x, target, factor))
+        assert [t.point for t in inst.targets] == [Point2(*target)]
+        with pytest.raises(TargetTooCloseError) as info:
+            build_index_table(inst)
+        assert str(info.value) == (
+            f"target 0 against {where}: target at {target} is too close for "
+            f"a finite coverage rate")
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(st.integers(0, 10 ** 6), st.integers(1, 9), st.integers(1, 8),
