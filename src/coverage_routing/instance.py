@@ -12,12 +12,13 @@ index so the optimization layers never touch raw geometry.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -113,18 +114,12 @@ class Instance:
     def point(self, node: int) -> Point2:
         return self.waypoints[node].point
 
-    def arcs(self) -> Iterator[Tuple[int, int]]:
-        """All arcs: (V minus exit) x V, minus self-loops and (0, exit)."""
-        out = self.exit_id
-        for i in range(out):
-            for j in range(out + 1):
-                if i == j or (i == 0 and j == out):
-                    continue
-                yield (i, j)
+    def arcs(self) -> Tuple[Tuple[int, int], ...]:
+        return _arcs(self.n)
 
     @property
     def arc_count(self) -> int:
-        return _arc_count(self.n)
+        return len(self.arcs())
 
     @property
     def eps_geo(self) -> float:
@@ -139,22 +134,20 @@ class Instance:
         return dict(self.meta)
 
 
-def _arc_count(n: int) -> int:
-    """Arcs of a network with ``n`` interior waypoints."""
-    n1 = n + 1
-    return n1 * (n1 + 1) - n1 - 1
-
-
-def _segment_pairs(n: int) -> Iterator[Tuple[int, int]]:
-    """Unordered node pairs whose segment is traversed by some arc of a
-    network with ``n`` interior waypoints (every pair except the depot
-    pair)."""
+@functools.lru_cache(maxsize=8)
+def _arcs(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The arcs of a network with ``n`` interior waypoints: (V minus exit)
+    x V, minus self-loops and (0, exit)."""
     out = n + 1
-    for i in range(out + 1):
-        for j in range(i + 1, out + 1):
-            if i == 0 and j == out:
-                continue
-            yield (i, j)
+    return tuple((i, j) for i in range(out) for j in range(out + 1)
+                 if i != j and (i or j != out))
+
+
+@functools.lru_cache(maxsize=8)
+def _segment_pairs(n: int) -> Tuple[Tuple[int, int], ...]:
+    """Unordered node pairs whose segment some arc traverses: the arcs
+    ``(i, j)`` with ``i < j``, in arc order."""
+    return tuple((i, j) for (i, j) in _arcs(n) if i < j)
 
 
 def _check_finite(where: str, obj, may_be_inf: Tuple[str, ...] = ()) -> None:
@@ -226,12 +219,16 @@ def _clean_targets(instance: Instance) -> Instance:
     """Drop targets that sit on an arc or that no arc/waypoint can cover."""
     xs, ys = _xy([w.point for w in instance.waypoints])
     tx, ty = _xy([t.point for t in instance.targets])
-    i, j = np.array(list(_segment_pairs(instance.n)), dtype=np.intp).T
+    i, j = np.array(_segment_pairs(instance.n), dtype=np.intp).T
     radius = instance.vehicle.coverage_radius
-    chords = geometry.segment_disk_batch(xs[i], ys[i], xs[j], ys[j], tx, ty,
-                                         0.0, radius, instance.eps_geo)
     inner = slice(1, instance.n + 1)
-    near_waypoint = geometry.distances(xs[inner], ys[inner], tx, ty) <= radius
+    # a target far beyond a tiny network overflows the kernel's quotients;
+    # an infinite distance still reads as out of reach
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        chords = geometry.segment_disk_batch(xs[i], ys[i], xs[j], ys[j], tx,
+                                             ty, 0.0, radius, instance.eps_geo)
+        near_waypoint = geometry.distances(xs[inner], ys[inner], tx, ty) \
+            <= radius
     on_arc = ~chords.clear.all(axis=0)
     coverable = near_waypoint.any(axis=0) | chords.hit.any(axis=0)
     kept: List[Target] = []
@@ -266,30 +263,16 @@ def json_text(doc: dict) -> str:
 
 
 def serialize_instance(instance: Instance) -> dict:
-    return {
-        "meta": instance.meta_dict(),
-        "deadline": instance.deadline,
-        "physics": {"beta": instance.physics.beta, "gamma": instance.physics.gamma},
-        "vehicle": {
-            "coverage_factor": instance.vehicle.coverage_factor,
-            "coverage_radius": instance.vehicle.coverage_radius,
-            "speed_min": instance.vehicle.speed_min,
-            "speed_max": instance.vehicle.speed_max,
-            "energy_max": instance.vehicle.energy_max,
-            "priority": instance.vehicle.priority,
-        },
-        "waypoints": [
-            {"id": w.id, "x": w.point.x, "y": w.point.y,
-             "window_open": w.window_open, "window_close": w.window_close}
-            for w in instance.waypoints
-        ],
-        "targets": [
-            {"id": t.id, "x": t.point.x, "y": t.point.y,
-             "risk_factor": t.risk_factor, "priority": t.priority,
-             "risk_radius": t.risk_radius, "min_coverage": t.min_coverage}
-            for t in instance.targets
-        ],
-    }
+    """The instance's dataclass fields, each point flattened into ``x`` and
+    ``y``; the removed targets are not written."""
+    doc = asdict(instance)
+    del doc["removed_targets"]
+    doc["meta"] = instance.meta_dict()
+    for key in ("waypoints", "targets"):
+        doc[key] = list(doc[key])
+        for record in doc[key]:
+            record.update(record.pop("point"))
+    return doc
 
 
 def instance_to_json(instance: Instance) -> str:
@@ -452,9 +435,9 @@ def generate_instance(seed: int,
                                   RISK_RADIUS, min_coverage))
 
     all_pts = [depot] + pts + [depot]
-    max_d = max(geometry.dist(all_pts[i], all_pts[j])
-                for (i, j) in _segment_pairs(n_waypoints))
-    deadline = _arc_count(n_waypoints) * max_d * scale
+    arcs = _arcs(n_waypoints)
+    max_d = max(geometry.dist(all_pts[i], all_pts[j]) for (i, j) in arcs)
+    deadline = len(arcs) * max_d * scale
 
     waypoints = tuple(
         Waypoint(idx, p, 0.0, deadline) for idx, p in enumerate(all_pts))
@@ -486,7 +469,7 @@ class ArcIndexTable:
         n = instance.n
         self.n = n
         self.exit_id = instance.exit_id
-        self.arcs: Tuple[Tuple[int, int], ...] = tuple(instance.arcs())
+        self.arcs: Tuple[Tuple[int, int], ...] = instance.arcs()
         self.arc_id: Dict[Tuple[int, int], int] = {
             a: k for k, a in enumerate(self.arcs)}
         self._arc_rows, self._arc_cols = np.array(self.arcs, dtype=np.intp).T
@@ -502,11 +485,17 @@ class ArcIndexTable:
         eps = instance.eps_geo
         veh = instance.vehicle
         rows, cols = self._arc_rows, self._arc_cols
+        self.priorities = np.array([t.priority for t in instance.targets])
+        self.required = np.array([t.min_coverage for t in instance.targets])
         # A target clear of every arc can still sit so close to a node that
         # an inverse-square rate leaves the float range: a quotient overflows,
         # or a squared distance underflows to 0 (0/0 at a zero factor).
-        # numpy stays silent about those divisions; the guard below refuses
-        # the target by name before any rate is used.
+        # Finite rates can still give a route more coverage than the float
+        # range holds.  A route has at most n + 1 arcs, each covering at most
+        # its rate at its slowest time, and idles for at most the deadline;
+        # the cuts square that coverage and weight it by priority.  numpy
+        # stays silent about all this; the guards below refuse the target by
+        # name before any rate is used.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             chords = geometry.segment_disk_batch(
                 xs[rows], ys[rows], xs[cols], ys[cols], tx, ty,
@@ -516,12 +505,19 @@ class ArcIndexTable:
             self.wp_cov = geometry.point_rates(
                 geometry.distances(xs[1:n + 1], ys[1:n + 1], tx, ty),
                 veh.coverage_factor, veh.coverage_radius)
+            arc_cov = self.coverage_rate * self.max_time[:, None]
+            idle_cov = self.wp_cov * instance.deadline
+            most = ((n + 1) * arc_cov.max(axis=0) + idle_cov.max(axis=0)) \
+                * np.maximum(self.priorities, 1.0)
         if not chords.clear.all():
             k, col = np.unravel_index(np.argmin(chords.clear), chords.clear.shape)
             (i, j), t = self.arcs[k], instance.targets[col]
             exc = geometry.on_arc_error(t.point, eps)
             raise TargetTooCloseError(
                 f"target {t.id} against arc ({i},{j}): {exc}") from exc
+        held = most <= 1e150  # False for inf and NaN too
+        if held.all():
+            return
         for rates, where in (
                 (self.coverage_rate, lambda k: "arc ({},{})".format(*self.arcs[k])),
                 (self.wp_cov, lambda k: f"waypoint {k + 1}")):
@@ -532,9 +528,17 @@ class ArcIndexTable:
                 raise TargetTooCloseError(
                     f"target {t.id} against {where(k)}: target at ({t.point.x}, "
                     f"{t.point.y}) is too close for a finite coverage rate")
-
-        self.priorities = np.array([t.priority for t in instance.targets])
-        self.required = np.array([t.min_coverage for t in instance.targets])
+        # every rate is finite: name the largest term of the bound
+        col = np.argmin(held)
+        k, v = arc_cov[:, col].argmax(), idle_cov[:, col].argmax()
+        where = (f"waypoint {v + 1}"
+                 if idle_cov[v, col] >= (n + 1) * arc_cov[k, col]
+                 else "arc ({},{})".format(*self.arcs[k]))
+        t = instance.targets[col]
+        raise TargetTooCloseError(
+            f"target {t.id} against {where}: target at ({t.point.x}, "
+            f"{t.point.y}) is too close for its route coverage to stay "
+            f"within the float range")
 
     def matrix(self, per_arc: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """Scatter a per-arc vector into a dense (n+2)x(n+2) node matrix;
@@ -723,7 +727,6 @@ def validate_solution(instance: Instance, sol: PathSolution,
     opts = opts or ValidateOptions()
     checks: List[ConstraintCheck] = []
     arcs = sol.arcs()
-    valid_arcs = set()
     structural = 0
 
     if len(sol.nodes) < 2 or sol.nodes[0] != 0 or sol.nodes[-1] != instance.exit_id:
@@ -806,7 +809,6 @@ def validate_solution(instance: Instance, sol: PathSolution,
     if opts.check_time_windows:
         slack = math.inf
         clock = instance.waypoints[0].window_open
-        ok = True
         for (i, j), t in zip(arcs, sol.times):
             clock += t
             wp = instance.waypoints[j]

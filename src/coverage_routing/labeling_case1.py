@@ -48,7 +48,7 @@ visited waypoints.
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -180,12 +180,9 @@ def _fill_chunk(n: int, exit_id: int, vin: np.ndarray, vexit: np.ndarray,
     return best, trace
 
 
-def solve_case1(coeffs: RelaxCoeffs,
-                net: Optional[np.ndarray] = None) -> BestRoutes:
+def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:
     """Best simple route for each idle candidate of ``coeffs``, timed at
-    the candidate's bound times (the deadline is ignored).  ``net`` is the
-    idle set's net-rate matrix, ``coeffs.net_rates(coeffs.idle_set)``; a
-    caller that has it passes it, and it is computed here otherwise.
+    the candidate's bound times (the deadline is ignored).
 
     A candidate's value is the maximum sum of arc values over routes from
     the entry to the exit depot through at least one waypoint; for
@@ -204,10 +201,8 @@ def solve_case1(coeffs: RelaxCoeffs,
             f"case {coeffs.case} needs a {nbytes / 2**30:.1f} GiB table for "
             f"{n} waypoints, above the {MAX_TABLE_BYTES / 2**30:.0f} GiB "
             f"limit")
-    if net is None:
-        net = coeffs.net_rates(vbars)
-    times = coeffs.bound_times(net)
-    values = table.matrix(net * times, fill=_NEG)
+    times = coeffs.bound_times(coeffs.net)
+    values = table.matrix(coeffs.net * times, fill=_NEG)
     vin = values[:, :n + 1].transpose(2, 0, 1)
     vexit = values[:, :n + 1, table.exit_id].copy()
     vexit[:, 0] = 0.0

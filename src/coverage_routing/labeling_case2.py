@@ -37,10 +37,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .labeling_case1 import solve_case1
+from .labeling_case1 import _NEG, solve_case1
 from .relaxation import BestRoutes, PathTiming, RelaxCoeffs
-
-_NEG = -1e300
 
 RATIO_SLOPE = "slope"          # order tradeoff arcs by value per unit time
 RATIO_PER_DISTANCE = "per-distance"  # order by value per unit distance
@@ -207,8 +205,9 @@ class Case2Solver:
                  ratio_mode: str = RATIO_SLOPE, use_dominance: bool = True):
         table = coeffs.table
         n = table.n
-        if not (vbar == 0 or 1 <= vbar <= n):
-            raise ValueError(f"idle candidate {vbar} is not a waypoint id")
+        if vbar not in coeffs.idle_set:
+            raise ValueError(f"idle candidate {vbar} is not in the idle set "
+                             f"{coeffs.idle_set}")
         self.coeffs = coeffs
         self.vbar = vbar
         self.vb_bit = 0 if vbar == 0 else 1 << (vbar - 1)
@@ -338,12 +337,11 @@ def solve_case2(coeffs: RelaxCoeffs, ratio_mode: str = RATIO_SLOPE,
     strictly between its speed bounds); multiplier constants and the
     idle-gain term are the caller's to add.
     """
-    nets = coeffs.net_rates(coeffs.idle_set)
-    keys = _ratio_keys(nets, coeffs.table.arc_dist, ratio_mode)
-    free = solve_case1(coeffs, nets).results
+    keys = _ratio_keys(coeffs.net, coeffs.table.arc_dist, ratio_mode)
+    free = solve_case1(coeffs).results
     results = {}
     stored = alive = 0
-    for vbar, net, key in zip(coeffs.idle_set, nets, keys):
+    for vbar, net, key in zip(coeffs.idle_set, coeffs.net, keys):
         route = free[vbar]
         if float(np.sum(route.times)) <= coeffs.deadline:
             results[vbar] = _time_route(coeffs, vbar, route.nodes, net, key)

@@ -27,7 +27,7 @@ produced it, and so tight for the dual function where the candidate wins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from .instance import ArcIndexTable
 
 CASE_I = "I"
 CASE_II = "II"
-
-#: one idle candidate, or a sequence of them
-Idle = Union[int, Sequence[int]]
 
 _LAMBDA_TOL = 1e-12
 
@@ -64,23 +61,21 @@ class RelaxCoeffs:
     constant: float                # sum_w required_w * lam_w
     idle_set: Tuple[int, ...]      # 0 plus every waypoint with positive gain
     idle_gain: Dict[int, float]
-    f_raw: np.ndarray              # per arc, gross value rate
+    #: per arc, value per unit time net of the idle opportunity cost: one
+    #: row per candidate, in ``idle_set`` order
+    net: np.ndarray
 
     @property
     def deadline(self) -> float:
         return self.table.instance.deadline
 
-    def net_rates(self, vbar: Idle) -> np.ndarray:
-        """Per-arc value per unit time, net of the idle opportunity cost; a
-        sequence of candidates gives one row per candidate."""
-        if np.ndim(vbar):
-            gains = np.array([self.idle_gain[v] for v in vbar])
-            return self.f_raw - gains[:, None]
-        return self.f_raw - self.idle_gain[vbar]
+    def net_rates(self, vbar: int) -> np.ndarray:
+        """Candidate ``vbar``'s row of :attr:`net`."""
+        return self.net[self.idle_set.index(vbar)]
 
     def bound_times(self, net: np.ndarray) -> np.ndarray:
         """Optimal times without the deadline, in either case, for the net
-        rates ``net`` (:meth:`net_rates`): slowest where the rate is
+        rates ``net`` (rows of :attr:`net`): slowest where the rate is
         positive, fastest otherwise."""
         return np.where(net > 0.0, self.table.max_time, self.table.min_time)
 
@@ -97,23 +92,22 @@ def build_coeffs(table: ArcIndexTable, lam: Sequence[float],
         raise ValueError(f"case must be 'I' or 'II', got {case!r}")
     lam = check_multipliers(lam, len(table.target_ids))
     weights = table.priorities - lam
-    f_raw = table.coverage_rate @ weights
     gains = table.wp_cov @ weights
 
     idle_gain = {0: 0.0}
-    idle_set = [0]
     for i in range(1, table.n + 1):
         g = float(gains[i - 1])
         if g > 0.0:
-            idle_set.append(i)
             idle_gain[i] = g
+    net = table.coverage_rate @ weights - np.array(
+        list(idle_gain.values()))[:, None]
     return RelaxCoeffs(
         table=table,
         case=case,
         constant=float(table.required @ lam),
-        idle_set=tuple(idle_set),
+        idle_set=tuple(idle_gain),
         idle_gain=idle_gain,
-        f_raw=f_raw,
+        net=net,
     )
 
 

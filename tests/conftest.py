@@ -113,9 +113,10 @@ def too_many_waypoints_document():
 
 def singular_rate_document(waypoint_x, target, factor=1.0):
     """Instance document with both depots at the origin, one interior
-    waypoint at ``(waypoint_x, 0)`` and one target.  At these scales the
-    loader keeps the target, farther than ``eps_geo`` from every arc, yet an
-    inverse-square rate leaves the float range."""
+    waypoint at ``(waypoint_x, 0)`` and one target.  At the scales of
+    :data:`SINGULAR_RATES` the loader keeps the target, farther than
+    ``eps_geo`` from every arc, yet an inverse-square rate leaves the float
+    range."""
     return serialize_instance(raw_instance(
         [(0.0, 0.0), (waypoint_x, 0.0)], [target], 10.0, factor=factor))
 
@@ -129,6 +130,19 @@ SINGULAR_RATES = {
     "arc-overflow": (2e-160, (1e-160, 1e-166), 1.0),
     "idle-only": (1e-155, (1e-155, 1e-162), 1e-10),
 }
+
+#: (waypoint_x, target, factor, where) of instances whose rates are all
+#: finite but where a route covers the target beyond the float range: by
+#: idling at waypoint 1 for the deadline (its idle rate is 1.1e307), or, at
+#: a huge coverage factor, on arc (0,1)
+ROUTE_OVERFLOW = {
+    "idle": (1e-145, (1e-145, 3e-154), 1.0, "waypoint 1"),
+    "arc": (1.0, (0.5, 1e-3), 1e290, "arc (0,1)"),
+}
+
+#: (waypoint_x, target) of a target so far beyond a network of sub-1e-150
+#: extent that the geometry kernel's quotients overflow; it is out of reach
+FAR_TARGET = (1e-160, (1e200, 0.0))
 
 
 def random_multipliers(rng, m, scale=5.0):

@@ -526,6 +526,21 @@ class TestRunDual:
         assert res.dual_bound == pytest.approx(res.initial_bound)
         assert np.all(res.best_lam == 0.0)
 
+    def test_time_limit_stops_after_row_zero(self):
+        # an instance that does not converge at trace row 0: a tiny time
+        # limit stops the run there, and its bound is row 0's evaluated
+        # value, the dual at lam = 0
+        inst = generate_instance(1, 5, 8, coverage_radius=40.0,
+                                 min_coverage=0.01)
+        table = build_index_table(inst)
+        assert run_dual(inst, "I", table=table).iterations >= 2
+        res = run_dual(inst, "I", time_limit=1e-9, table=table)
+        assert res.status == bundle.TIME_LIMIT
+        assert res.iterations == 0 and len(res.trace) == 1
+        lam0 = np.zeros(len(table.target_ids))
+        assert res.dual_bound == res.trace[0].f_value == \
+            evaluate_dual_function(table, lam0, "I").value
+
     def test_infeasible_deadline_raises(self):
         inst = make_instance([("depot", (0.0, 0.0)), (50.0, 0.0)],
                              [(25.0, 2.0)], deadline=1.0, coverage_radius=5.0)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import coverage_routing
-from conftest import (SINGULAR_RATES, singular_rate_document,
-                      too_many_waypoints_document)
+from conftest import (FAR_TARGET, ROUTE_OVERFLOW, SINGULAR_RATES,
+                      singular_rate_document, too_many_waypoints_document)
 from coverage_routing.cli import main
 from coverage_routing.instance import load_instance
 
@@ -229,6 +229,70 @@ class TestSolveVerify:
         assert run(["solve", str(path)]) == 4
         out, err = capsys.readouterr()
         assert out == "" and "too close for a finite coverage rate" in err
+
+    @pytest.mark.parametrize("kind", sorted(ROUTE_OVERFLOW))
+    def test_route_coverage_overflow_input_error(self, tmp_path, capsys,
+                                                 kind):
+        """Finite rates whose route coverage leaves the float range are an
+        input error (exit 4) with nothing on stdout, not a record of
+        infinite bounds."""
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(singular_rate_document(
+            *ROUTE_OVERFLOW[kind][:3])))
+        assert run(["solve", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "within the float range" in err
+
+    def test_far_target_solves_without_warning(self, tmp_path, capsys):
+        """A target far out of reach of a tiny network is dropped on load,
+        and the solve finishes (exit 0) with no numpy warning, which
+        filterwarnings = error would raise."""
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(singular_rate_document(*FAR_TARGET)))
+        assert run(["solve", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "converged"
+
+    def test_time_limit_exit_code(self, tmp_path):
+        # the instance of test_iteration_limit_exit_code does not converge
+        # at trace row 0, so a tiny time limit stops it there (exit 2) with
+        # the row's evaluated value as its bound
+        inst = tmp_path / "i.json"
+        run(["gen", "--waypoints", "5", "--targets", "8", "--seed", "1",
+             "--case", "I", "--coverage-radius", "40",
+             "--min-coverage", "0.01", "--out", str(inst)])
+        out = tmp_path / "r.json"
+        assert run(["solve", str(inst), "--time-limit", "1e-9",
+                    "--out", str(out)]) == 2
+        record = json.loads(out.read_text())
+        assert record["status"] == "time-limit"
+        assert record["iterations"] == 0
+        assert record["dual_bound"] == record["initial_bound"]
+
+    def test_oracle_primal_within_dual_bound(self, tmp_path):
+        # low requirements that some route meets: the oracle's primal
+        # optimum is reported next to the dual bound, and lies below it
+        inst = tmp_path / "i.json"
+        assert run(["gen", "--waypoints", "4", "--targets", "5", "--seed",
+                    "11", "--case", "II", "--coverage-radius", "30",
+                    "--min-coverage", "0.01", "--out", str(inst)]) == 0
+        out = tmp_path / "r.json"
+        assert run(["solve", str(inst), "--oracle", "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        block = record["oracle"]
+        assert block["primal"] <= record["dual_bound"]
+        assert block["bound_gap"] == record["dual_bound"] - block["primal"]
+        assert block["weak_duality_ok"] is True
+
+    def test_verify_out_matches_stdout(self, tmp_path, desk_instance_file,
+                                       capsys):
+        res = tmp_path / "res.json"
+        run(["solve", str(desk_instance_file), "--out", str(res)])
+        sol_file = res.with_suffix(res.suffix + ".sol.json")
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["verify", str(desk_instance_file), str(sol_file),
+                    "--out", str(report)]) == 0
+        assert report.read_text() == capsys.readouterr().out
 
     def test_too_many_waypoints_input_error(self, tmp_path, capsys):
         path = tmp_path / "big.json"

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 import reference_geometry as ref
 import reference_repair as ref_repair
-from conftest import (SINGULAR_RATES, make_instance, raw_instance,
-                      singular_rate_document, too_many_waypoints_document)
+from conftest import (FAR_TARGET, ROUTE_OVERFLOW, SINGULAR_RATES,
+                      make_instance, raw_instance, singular_rate_document,
+                      too_many_waypoints_document)
+from coverage_routing.cli import main as cli_main
 from coverage_routing.errors import SchemaError, TargetTooCloseError
 from coverage_routing.geometry import Point2
 from coverage_routing.instance import (PathSolution, ValidateOptions,
@@ -33,6 +36,38 @@ EDGES_NO_FACTOR = raw_instance([(0.0, 0.0), (4.0, 0.0)],
 # targets on an arc and on a waypoint, next to coverable and uncoverable ones
 ON_ARC = raw_instance([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)],
                       [(15.0, 5.0), (15.0, 0.0), (10.0, 0.0), (40.0, 40.0)], 10.0)
+
+
+#: edits of a generated instance document that validation refuses, each
+#: with its refusal
+BAD_DOCUMENTS = {
+    "no-interior-waypoint": (
+        lambda d: d.update(waypoints=[d["waypoints"][0],
+                                      dict(d["waypoints"][-1], id=1)]),
+        "need at least one interior waypoint"),
+    "ids-out-of-order": (lambda d: d["waypoints"][2].update(id=1),
+                         "found id 1 at position 2"),
+    "empty-window": (
+        lambda d: d["waypoints"][1].update(window_open=d["deadline"] + 1.0),
+        "waypoint 1 has an empty time window"),
+    "zero-deadline": (lambda d: d.update(deadline=0.0),
+                      "deadline must be positive"),
+    "negative-deadline": (lambda d: d.update(deadline=-5.0),
+                          "deadline must be positive"),
+    "duplicate-target-id": (
+        lambda d: d["targets"][1].update(id=d["targets"][0]["id"]),
+        "duplicate or negative target id"),
+    "negative-requirement": (
+        lambda d: d["targets"][0].update(min_coverage=-0.5),
+        "negative coverage requirement"),
+    "zero-risk-radius": (lambda d: d["targets"][0].update(risk_radius=0.0),
+                         "bad risk parameters"),
+    "negative-risk-factor": (
+        lambda d: d["targets"][0].update(risk_factor=-1.0),
+        "bad risk parameters"),
+    "negative-priority": (lambda d: d["targets"][0].update(priority=-1.0),
+                          "negative priority"),
+}
 
 
 @st.composite
@@ -93,6 +128,17 @@ class TestGeneration:
         assert len(arcs) == inst.arc_count == inst.n ** 2 + 2 * inst.n
         assert (0, inst.exit_id) not in arcs
         assert all(i != j for (i, j) in arcs)
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((0,), dict(preset="tiny"), "unknown preset"),
+        ((0,), {}, "give a preset"),
+        ((0, 0, 3), {}, "sizes must be at least 1"),
+        ((0, 3, 0), {}, "sizes must be at least 1"),
+        ((0, 3, 3), dict(case="III"), "case must be 'I' or 'II'"),
+    ])
+    def test_bad_parameters_refused(self, args, kwargs, message):
+        with pytest.raises(SchemaError, match=message):
+            generate_instance(*args, **kwargs)
 
     def test_depots_share_location(self):
         inst = generate_instance(9, 4, 3)
@@ -174,6 +220,30 @@ class TestSerialization:
         # apart, but the squared offset underflows to 0
         with pytest.raises(SchemaError, match="waypoints 0 and 1 coincide"):
             make_instance([(0.0, 0.0), (0.0, 1e-200)], [], deadline=10.0)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_DOCUMENTS))
+    def test_invalid_document_refused(self, tmp_path, capsys, kind):
+        # refused on load, and by ``covroute solve`` as an input error (exit
+        # 4) with nothing on stdout
+        edit, message = BAD_DOCUMENTS[kind]
+        doc = serialize_instance(generate_instance(1, 3, 3))
+        edit(doc)
+        with pytest.raises(SchemaError, match=message):
+            load_instance(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["solve", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    def test_negative_target_id_refused(self):
+        # the file reader refuses a negative id before validation does; an
+        # instance built in code meets the validation rule
+        inst = generate_instance(1, 3, 3)
+        bad = replace(inst, targets=(replace(inst.targets[0], id=-1),))
+        with pytest.raises(SchemaError,
+                           match="duplicate or negative target id -1"):
+            finalize_instance(bad)
 
     def test_waypoint_limit(self):
         assert load_instance(serialize_instance(
@@ -261,6 +331,27 @@ class TestIndexTable:
             f"target 0 against {where}: target at {target} is too close for "
             f"a finite coverage rate")
 
+    def test_far_target_dropped_without_warning(self):
+        # the geometry kernel's quotients overflow for a target this far
+        # from a network this small; the target is out of reach, and no
+        # numpy warning (an error under filterwarnings = error) escapes
+        inst = load_instance(singular_rate_document(*FAR_TARGET))
+        assert inst.targets == ()
+        assert inst.removed_targets == ((0, "uncoverable"),)
+
+    @pytest.mark.parametrize("kind", sorted(ROUTE_OVERFLOW))
+    def test_route_coverage_overflow_refused_by_name(self, kind):
+        # every rate is finite, but a route would cover the target beyond
+        # the float range: the table refuses it, naming the arc or waypoint
+        x, target, factor, where = ROUTE_OVERFLOW[kind]
+        inst = load_instance(singular_rate_document(x, target, factor))
+        assert [t.point for t in inst.targets] == [Point2(*target)]
+        with pytest.raises(TargetTooCloseError) as info:
+            build_index_table(inst)
+        assert str(info.value) == (
+            f"target 0 against {where}: target at {target} is too close for "
+            f"its route coverage to stay within the float range")
+
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(st.integers(0, 10 ** 6), st.integers(1, 9), st.integers(1, 8),
            st.integers(1, 4), st.sampled_from([-1.0, 0.0, 0.5, 30.0]))
@@ -314,6 +405,27 @@ class TestArcEnergy:
     def test_bad_speed(self):
         with pytest.raises(ValueError):
             arc_energy(1.0, 0.0, 1.0, 1.0)
+
+
+#: routes through :func:`_square_instance` (exit depot 3) that break one
+#: structural rule each
+BAD_ROUTES = {
+    "starts-off-entry": dict(nodes=(1, 2, 3), times=(4.0, 5.0)),
+    "ends-off-exit": dict(nodes=(0, 1, 2), times=(2.0, 4.0)),
+    "one-node": dict(nodes=(0,), times=()),
+    "time-per-arc": dict(nodes=(0, 1, 2, 3), times=(2.0, 4.0)),
+    "zero-time": dict(nodes=(0, 1, 2, 3), times=(2.0, 0.0, 5.0)),
+    "negative-time": dict(nodes=(0, 1, 2, 3), times=(2.0, -4.0, 5.0)),
+    "not-an-arc": dict(nodes=(0, 3), times=(5.0,)),
+    "idle-off-route": dict(nodes=(0, 1, 3), times=(2.0, 2.0), idle_node=2,
+                           idle_time=1.0),
+    "idle-at-depot": dict(nodes=(0, 1, 3), times=(2.0, 2.0), idle_node=0,
+                          idle_time=1.0),
+    "negative-idle-time": dict(nodes=(0, 1, 3), times=(2.0, 2.0),
+                               idle_node=1, idle_time=-1.0),
+    "idle-time-without-stop": dict(nodes=(0, 1, 3), times=(2.0, 2.0),
+                                   idle_time=1.0),
+}
 
 
 def _square_instance():
@@ -397,6 +509,21 @@ class TestValidateSolution:
         report = validate_solution(inst, sol)
         assert not report.ok
         assert not report.constraints[0].passed
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ROUTES))
+    def test_bad_route_fails_path_structure(self, tmp_path, capsys, kind):
+        # one broken rule, so path-structure is the only check, at slack -1;
+        # ``covroute verify`` reports it with exit 1
+        inst = _square_instance()
+        sol = PathSolution(**BAD_ROUTES[kind])
+        report = validate_solution(inst, sol)
+        assert [(c.name, c.passed, c.slack) for c in report.constraints] == [
+            ("path-structure", False, -1.0)]
+        paths = tmp_path / "inst.json", tmp_path / "sol.json"
+        paths[0].write_text(instance_to_json(inst))
+        paths[1].write_text(solution_to_json(sol))
+        assert cli_main(["verify", *map(str, paths)]) == 1
+        assert json.loads(capsys.readouterr().out) == report.to_dict()
 
     def test_speed_bound_violation(self):
         inst = _square_instance()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import reference_case1
 from reference_case1 import arc_values
 from conftest import random_desk_instance, random_multipliers, relax_value
-from coverage_routing import labeling_case1
+from coverage_routing import bundle, labeling_case1
 from coverage_routing.bundle import evaluate_dual_function
 from coverage_routing.errors import SchemaError
 from coverage_routing.instance import build_index_table, generate_instance
@@ -244,22 +244,28 @@ class TestSolveCase1:
 
 
 def test_one_fill_computes_the_net_rates_once(monkeypatch):
-    # every candidate's bound times and arc values come from one net-rate
-    # matrix, also when every route is traced and timed
-    calls = []
-    real = RelaxCoeffs.net_rates
+    # every candidate's bound times and arc values come from the net-rate
+    # matrix that the evaluation's one build_coeffs call made, also when
+    # every route is traced and timed: the fill looks up no row of it
+    built, calls = [], []
+    real_build, real_rates = bundle.build_coeffs, RelaxCoeffs.net_rates
+
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
 
     def counted(self, vbar):
         calls.append(vbar)
-        return real(self, vbar)
+        return real_rates(self, vbar)
 
+    monkeypatch.setattr(bundle, "build_coeffs", build)
     monkeypatch.setattr(RelaxCoeffs, "net_rates", counted)
     inst = generate_instance(0, 6, 60, case="I", coverage_radius=20.0)
     table = build_index_table(inst)
-    coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
-    assert len(coeffs.idle_set) > 2
-    assert all(solve_case1(coeffs).results.values())
-    assert calls == [coeffs.idle_set]
+    value = evaluate_dual_function(table, np.zeros(len(table.target_ids)), "I")
+    assert len(built) == 1 and len(built[0].idle_set) > 2
+    assert all(value.routes.results.values())
+    assert calls == []
 
 
 def test_size_guard_flips_between_21_and_22_waypoints(monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (case2_search_value, random_desk_instance,
-                      random_multipliers, relax_value)
+from conftest import (case2_search_value, make_instance,
+                      random_desk_instance, random_multipliers, relax_value)
+from coverage_routing import bundle
 from coverage_routing.bundle import evaluate_dual_function
 from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import build_index_table, generate_instance
@@ -462,23 +463,33 @@ class TestSolveCase2:
     def test_one_evaluation_computes_the_net_rates_once(self, seed,
                                                         monkeypatch):
         # the desk-II shape at lam = 0, where the screen settles every
-        # candidate: the screen's fill reads the idle set's net-rate matrix
-        # that the search keys were built from, so one evaluation computes
-        # it once
-        calls = []
-        real = RelaxCoeffs.net_rates
+        # candidate: the screen's fill and its search keys both read the
+        # net-rate matrix of the evaluation's one build_coeffs call, and
+        # the screen looks up no row of it
+        built, calls, searched = [], [], []
+        real_build, real_rates = bundle.build_coeffs, RelaxCoeffs.net_rates
+        real_solve = Case2Solver.solve
+
+        def build(*args):
+            built.append(real_build(*args))
+            return built[-1]
 
         def counted(self, vbar):
             calls.append(vbar)
-            return real(self, vbar)
+            return real_rates(self, vbar)
+
+        def solve(self):
+            searched.append(self.vbar)
+            return real_solve(self)
 
         inst = generate_instance(seed, 7, 10, case="II")
         table = build_index_table(inst)
-        lam = np.zeros(len(table.target_ids))
-        idle_set = build_coeffs(table, lam, "II").idle_set
+        monkeypatch.setattr(bundle, "build_coeffs", build)
         monkeypatch.setattr(RelaxCoeffs, "net_rates", counted)
-        evaluate_dual_function(table, lam, "II")
-        assert calls == [idle_set]
+        monkeypatch.setattr(Case2Solver, "solve", solve)
+        evaluate_dual_function(table, np.zeros(len(table.target_ids)), "II")
+        assert len(built) == 1 and searched == []
+        assert calls == []
 
     def test_bad_idle_candidate_rejected(self):
         inst = generate_instance(41, 2, 4, coverage_radius=35.0)
@@ -486,3 +497,16 @@ class TestSolveCase2:
         coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "II")
         with pytest.raises(ValueError, match="idle candidate 7"):
             Case2Solver(coeffs, 7)
+
+    def test_waypoint_outside_idle_set_rejected(self):
+        # no waypoint covers the target, so the idle set is (0,): waypoint
+        # 1 has no net-rate row to search with
+        inst = make_instance(
+            [("depot", (0.0, 0.0)), (20.0, 0.0), (20.0, 20.0)],
+            [(10.0, 3.0)], deadline=5000.0, coverage_radius=4.0)
+        table = build_index_table(inst)
+        coeffs = build_coeffs(table, np.zeros(1), "II")
+        assert coeffs.idle_set == (0,)
+        with pytest.raises(ValueError,
+                           match=r"idle candidate 1 is not in the idle set"):
+            Case2Solver(coeffs, 1)

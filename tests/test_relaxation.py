@@ -38,6 +38,21 @@ class TestBuildCoeffs:
         assert coeffs.idle_set == (0,)
         assert coeffs.idle_gain == {0: 0.0}
 
+    def test_net_rates_one_row_per_candidate(self):
+        # one net-rate matrix, rows in idle-set order: the gross rate of
+        # each arc minus the candidate's idle gain, and net_rates looks a
+        # row up
+        inst = generate_instance(11, 4, 6, coverage_radius=25.0)
+        table = _table(inst)
+        lam = random_multipliers(random.Random(2), len(table.target_ids))
+        coeffs = build_coeffs(table, lam, "I")
+        assert len(coeffs.idle_set) > 2
+        assert coeffs.net.shape == (len(coeffs.idle_set), len(table.arcs))
+        gross = table.coverage_rate @ (table.priorities - lam)
+        for vbar, row in zip(coeffs.idle_set, coeffs.net):
+            assert row.tobytes() == (gross - coeffs.idle_gain[vbar]).tobytes()
+            assert np.array_equal(coeffs.net_rates(vbar), row)
+
     def test_sign_rule_selects_bounds(self):
         inst = generate_instance(11, 4, 6, coverage_radius=25.0)
         table = _table(inst)
@@ -70,7 +85,7 @@ class TestBuildCoeffs:
         table = _table(inst)
         lam = random_multipliers(random.Random(1), len(table.target_ids))
         coeffs = build_coeffs(table, lam, "II")
-        times = coeffs.bound_times(coeffs.net_rates(coeffs.idle_set))
+        times = coeffs.bound_times(coeffs.net)
         for vbar, row in zip(coeffs.idle_set, times):
             net = coeffs.net_rates(vbar)
             assert np.array_equal(row, coeffs.bound_times(net))
