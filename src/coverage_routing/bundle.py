@@ -537,6 +537,8 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     lb0, repair = _greedy_primal_repair(table, value0.best)
     lam_hat = lam0
     lb, ub = min(lb0, value0.value), value0.value
+    if not len(lam0):
+        lb = ub  # no targets, no multipliers: row 0 is the dual optimum
     best_lam, best_value = lam0.copy(), value0
     trace = [TraceRow(0, value0.value, lb, ub, None, "initial",
                       time.monotonic() - t0)]

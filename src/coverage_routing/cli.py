@@ -193,15 +193,11 @@ def _cmd_solve(args) -> int:
     if case not in ("I", "II"):
         raise SchemaError(f"meta.case must be 'I' or 'II', got {case!r}")
     table = build_index_table(inst)
-    try:
-        res = bundle.run_dual(
-            inst, case, phi=args.phi, tol=args.tol,
-            iter_limit=args.iter_limit, time_limit=args.time_limit,
-            ratio_mode=args.ratio_mode,
-            table=table)
-    except InfeasibleInstanceError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    res = bundle.run_dual(
+        inst, case, phi=args.phi, tol=args.tol,
+        iter_limit=args.iter_limit, time_limit=args.time_limit,
+        ratio_mode=args.ratio_mode,
+        table=table)
     wall = time.monotonic() - t0
 
     record = {

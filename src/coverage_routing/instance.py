@@ -316,7 +316,11 @@ def _num(doc: Union[dict, list], key: Union[str, int], where: str,
     v = _field(doc, key, where)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"field '{key}' in {where} must be a number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer past the float range
+        raise SchemaError(f"field '{key}' in {where} is too large for a "
+                          f"float") from None
     if not allow_inf and not math.isfinite(v):
         raise SchemaError(f"field '{key}' in {where} must be finite, got {v}")
     return v
@@ -479,8 +483,17 @@ class ArcIndexTable:
         tx, ty = _xy([t.point for t in instance.targets])
         self.node_dist = geometry.distances(xs, ys, xs, ys)
         self.arc_dist = self.node_dist[self._arc_rows, self._arc_cols]
-        self.min_time = self.arc_dist / instance.vehicle.speed_max
-        self.max_time = self.arc_dist / instance.vehicle.speed_min
+        with np.errstate(over="ignore"):
+            self.min_time = self.arc_dist / instance.vehicle.speed_max
+            self.max_time = self.arc_dist / instance.vehicle.speed_min
+        # a route's time adds up at most n + 1 slowest arc times
+        k = int(self.max_time.argmax())
+        if not math.isfinite((n + 1) * float(self.max_time[k])):
+            raise SchemaError(
+                "arc ({},{}) of length {} at speed_min {} takes too long: a "
+                "route of {} such arcs leaves the float range".format(
+                    *self.arcs[k], self.arc_dist[k],
+                    instance.vehicle.speed_min, n + 1))
 
         eps = instance.eps_geo
         veh = instance.vehicle

@@ -24,16 +24,17 @@ the best completed label is timed.
 
 The screen: :func:`solve_case2` first fills the deadline-free
 ``labeling_case1`` table for all idle candidates.  A candidate whose best
-route there fits the deadline at its bound times takes that route, timed
-at those bound times under either key order; no route beats its
-deadline-free value.  Only the other candidates are searched.
+route there fits the deadline at its bound times keeps the fill's route,
+times and value: no route beats its deadline-free value, and under either
+key order the pour would only repeat those times.  Only the others are
+searched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -177,25 +178,9 @@ def knapsack_times(net: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
     return times, float(net @ times)
 
 
-def _ratio_keys(net: np.ndarray, dist: np.ndarray, ratio_mode: str) -> np.ndarray:
-    """Tradeoff-arc keys: ``net`` itself, or per unit of ``dist``."""
+def _check_ratio_mode(ratio_mode: str) -> None:
     if ratio_mode not in (RATIO_SLOPE, RATIO_PER_DISTANCE):
         raise ValueError(f"unknown ratio mode {ratio_mode!r}")
-    return net if ratio_mode == RATIO_SLOPE else net / dist
-
-
-def _time_route(coeffs: RelaxCoeffs, vbar: int, nodes: Sequence[int],
-                net: np.ndarray, keys: np.ndarray) -> Optional[PathTiming]:
-    """Knapsack timing of route ``nodes`` under the deadline, from the
-    per-arc rates ``net`` and ``keys``; None when it cannot meet it."""
-    table = coeffs.table
-    ids = table.arc_ids(nodes)
-    timed = knapsack_times(net[ids], table.min_time[ids], table.max_time[ids],
-                           coeffs.deadline, keys[ids])
-    if timed is None:
-        return None
-    times, value = timed
-    return PathTiming(vbar, tuple(nodes), tuple(map(float, times)), value)
 
 
 class Case2Solver:
@@ -215,8 +200,10 @@ class Case2Solver:
         self.n = n
         self.exit_id = table.exit_id
         self.use_dominance = use_dominance
+        _check_ratio_mode(ratio_mode)
         self.net = coeffs.net_rates(vbar)
-        self.keys = _ratio_keys(self.net, table.arc_dist, ratio_mode)
+        self.keys = (self.net if ratio_mode == RATIO_SLOPE
+                     else self.net / table.arc_dist)
         self.net_m = table.matrix(self.net, fill=_NEG)
         self.key_m = (self.net_m if ratio_mode == RATIO_SLOPE
                       else table.matrix(self.keys, fill=_NEG))
@@ -322,9 +309,14 @@ class Case2Solver:
                     best, top = label, value
         if best is None:
             return None
-        return _time_route(self.coeffs, self.vbar,
-                           reconstruct(best) + [self.exit_id], self.net,
-                           self.keys)
+        nodes = reconstruct(best) + [self.exit_id]
+        table, ids = self.coeffs.table, self.coeffs.table.arc_ids(nodes)
+        timed = knapsack_times(self.net[ids], table.min_time[ids],
+                               table.max_time[ids], self.T, self.keys[ids])
+        if timed is None:
+            return None
+        return PathTiming(self.vbar, tuple(nodes), tuple(map(float, timed[0])),
+                          timed[1])
 
 
 def solve_case2(coeffs: RelaxCoeffs, ratio_mode: str = RATIO_SLOPE,
@@ -335,16 +327,16 @@ def solve_case2(coeffs: RelaxCoeffs, ratio_mode: str = RATIO_SLOPE,
 
     A value is the route's exact optimal timing value (at most one arc
     strictly between its speed bounds); multiplier constants and the
-    idle-gain term are the caller's to add.
+    idle-gain term are the caller's to add.  A settled candidate keeps the
+    fill's own answer.
     """
-    keys = _ratio_keys(coeffs.net, coeffs.table.arc_dist, ratio_mode)
+    _check_ratio_mode(ratio_mode)
     free = solve_case1(coeffs).results
     results = {}
     stored = alive = 0
-    for vbar, net, key in zip(coeffs.idle_set, coeffs.net, keys):
-        route = free[vbar]
+    for vbar, route in free.items():
         if float(np.sum(route.times)) <= coeffs.deadline:
-            results[vbar] = _time_route(coeffs, vbar, route.nodes, net, key)
+            results[vbar] = route
             continue
         solver = Case2Solver(coeffs, vbar, ratio_mode, use_dominance)
         results[vbar] = solver.solve()

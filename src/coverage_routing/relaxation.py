@@ -17,7 +17,8 @@ Without the deadline the optimal travel time per arc is bound-valued and
 known from the sign of ``net_rate`` (:meth:`RelaxCoeffs.bound_times`).  With
 a deadline slack enough to never bind (case I) that timing is optimal.  In
 case II the times stay free: the timing problem is a continuous knapsack,
-and ``labeling_case2`` says where the bound timing still settles it.
+and ``labeling_case2`` keeps the deadline-free answer, bound times and all,
+wherever that route fits the deadline.
 
 Each idle candidate's best route also yields an affine underestimator (cut)
 of the dual function, tight for that candidate at the multiplier vector that

@@ -43,7 +43,8 @@ def kernel_pair(a, b, w, factor, radius, eps=0.0):
                       float(batch.rate[0, 0]))
 
 
-def raw_instance(waypoints, targets, radius, factor=1.0):
+def raw_instance(waypoints, targets, radius, factor=1.0, deadline=100.0,
+                 speeds=(1.0, 10.0)):
     """Instance straight from (x, y) pairs, neither validated nor cleaned;
     the first waypoint is both depots."""
     pts = [Point2(*p) for p in [waypoints[0], *waypoints[1:], waypoints[0]]]
@@ -51,8 +52,8 @@ def raw_instance(waypoints, targets, radius, factor=1.0):
         waypoints=tuple(Waypoint(k, p, 0.0, 100.0) for k, p in enumerate(pts)),
         targets=tuple(Target(k, Point2(*p), 1.0, 1.0, 1.0, 0.1)
                       for k, p in enumerate(targets)),
-        vehicle=Vehicle(factor, radius, 1.0, 10.0, 1e9),
-        physics=Physics(), deadline=100.0)
+        vehicle=Vehicle(factor, radius, *speeds, 1e9),
+        physics=Physics(), deadline=deadline)
 
 
 def make_instance(waypoints, targets, *, deadline, coverage_radius=10.0,
@@ -111,14 +112,16 @@ def too_many_waypoints_document():
     return doc
 
 
-def singular_rate_document(waypoint_x, target, factor=1.0):
+def singular_rate_document(waypoint_x, target, factor=1.0, radius=10.0,
+                           **kw):
     """Instance document with both depots at the origin, one interior
-    waypoint at ``(waypoint_x, 0)`` and one target.  At the scales of
-    :data:`SINGULAR_RATES` the loader keeps the target, farther than
-    ``eps_geo`` from every arc, yet an inverse-square rate leaves the float
-    range."""
+    waypoint at ``(waypoint_x, 0)`` and one target; ``kw`` may set the
+    deadline and the speeds.  At the scales of :data:`SINGULAR_RATES` the
+    loader keeps the target, farther than ``eps_geo`` from every arc, yet an
+    inverse-square rate leaves the float range."""
     return serialize_instance(raw_instance(
-        [(0.0, 0.0), (waypoint_x, 0.0)], [target], 10.0, factor=factor))
+        [(0.0, 0.0), (waypoint_x, 0.0)], [target], radius, factor=factor,
+        **kw))
 
 
 #: (waypoint_x, target, factor) of instances whose index table is singular:
@@ -143,6 +146,21 @@ ROUTE_OVERFLOW = {
 #: (waypoint_x, target) of a target so far beyond a network of sub-1e-150
 #: extent that the geometry kernel's quotients overflow; it is out of reach
 FAR_TARGET = (1e-160, (1e200, 0.0))
+
+#: a target out of reach, dropped on load, and a deadline no route meets:
+#: case I solves with no targets, case II is infeasible
+NO_TARGETS = singular_rate_document(5.0, (50.0, 50.0), radius=1.0,
+                                    deadline=0.01)
+
+#: documents whose travel times leave the float range: arc (0,1) takes
+#: 1e400 at the slowest speed, or 1e308, where a route of two such arcs
+#: takes 2e308 (the target there sits on the arc and is dropped)
+TIME_OVERFLOW = {
+    "arc": singular_rate_document(1e200, (-1e200, 1e200), deadline=1e300,
+                                  speeds=(1e-200, 1e-199)),
+    "route": singular_rate_document(1e300, (1e300, 5.0), deadline=1e300,
+                                    speeds=(1e-8, 1.0)),
+}
 
 
 def random_multipliers(rng, m, scale=5.0):

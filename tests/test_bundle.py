@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import (case2_search_value, make_instance,
+from conftest import (NO_TARGETS, case2_search_value, make_instance,
                       random_desk_instance, random_multipliers)
 from coverage_routing import bundle
 from coverage_routing.bundle import (CONVERGED, LB_FLOOR, MASTER_FEASIBLE,
@@ -540,6 +540,21 @@ class TestRunDual:
         lam0 = np.zeros(len(table.target_ids))
         assert res.dual_bound == res.trace[0].f_value == \
             evaluate_dual_function(table, lam0, "I").value
+
+    def test_no_targets_converge_at_row_zero(self):
+        # the one target is dropped on load and no route meets the
+        # deadline, so the repair finds none: without multipliers, row 0's
+        # value is the dual optimum, and LB is set to it, with no master
+        # call; case II has no route at all
+        inst = load_instance(NO_TARGETS)
+        assert inst.targets == ()
+        res = run_dual(inst, "I")
+        assert res.status == CONVERGED and res.iterations == 0
+        assert res.repair_solution is None
+        assert res.lower_bound == res.dual_bound == res.initial_bound
+        assert math.isfinite(res.dual_bound)
+        with pytest.raises(InfeasibleInstanceError):
+            run_dual(inst, "II")
 
     def test_infeasible_deadline_raises(self):
         inst = make_instance([("depot", (0.0, 0.0)), (50.0, 0.0)],

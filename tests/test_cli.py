@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import coverage_routing
-from conftest import (FAR_TARGET, ROUTE_OVERFLOW, SINGULAR_RATES,
-                      singular_rate_document, too_many_waypoints_document)
+from conftest import (FAR_TARGET, NO_TARGETS, ROUTE_OVERFLOW, SINGULAR_RATES,
+                      TIME_OVERFLOW, singular_rate_document,
+                      too_many_waypoints_document)
 from coverage_routing.cli import main
 from coverage_routing.instance import load_instance
 
@@ -251,6 +252,29 @@ class TestSolveVerify:
         path.write_text(json.dumps(singular_rate_document(*FAR_TARGET)))
         assert run(["solve", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "converged"
+
+    @pytest.mark.parametrize("kind", sorted(TIME_OVERFLOW))
+    def test_travel_time_overflow_input_error(self, tmp_path, capsys, kind):
+        """Travel times past the float range are an input error (exit 4)
+        that names the arc, with nothing on stdout and no numpy warning."""
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(TIME_OVERFLOW[kind]))
+        assert run(["solve", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "arc (0,1) of length" in err
+
+    def test_no_targets_exit_code(self, tmp_path, capsys):
+        """With its one target dropped on load, case I converges at row 0
+        with finite bounds (exit 0); no route meets the deadline, so case
+        II is infeasible (exit 3)."""
+        path = tmp_path / "none.json"
+        path.write_text(json.dumps(NO_TARGETS))
+        assert run(["solve", str(path), "--case", "I"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "converged" and record["iterations"] == 0
+        assert record["lower_bound"] == record["dual_bound"] == 0.0
+        assert run(["solve", str(path), "--case", "II"]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_time_limit_exit_code(self, tmp_path):
         # the instance of test_iteration_limit_exit_code does not converge

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import reference_geometry as ref
 import reference_repair as ref_repair
 from conftest import (FAR_TARGET, ROUTE_OVERFLOW, SINGULAR_RATES,
-                      make_instance, raw_instance, singular_rate_document,
-                      too_many_waypoints_document)
+                      TIME_OVERFLOW, make_instance, raw_instance,
+                      singular_rate_document, too_many_waypoints_document)
 from coverage_routing.cli import main as cli_main
 from coverage_routing.errors import SchemaError, TargetTooCloseError
 from coverage_routing.geometry import Point2
@@ -352,6 +352,19 @@ class TestIndexTable:
             f"target 0 against {where}: target at {target} is too close for "
             f"its route coverage to stay within the float range")
 
+    @pytest.mark.parametrize("kind, length, speed", [
+        ("arc", "1e+200", "1e-200"), ("route", "1e+300", "1e-08")])
+    def test_travel_time_overflow_refused_by_name(self, kind, length, speed):
+        # an arc time, or a route's n + 1 of them, past the float range is
+        # an input error naming the arc, not a numpy warning followed by a
+        # target refused as too close
+        inst = load_instance(TIME_OVERFLOW[kind])
+        with pytest.raises(SchemaError) as info:
+            build_index_table(inst)
+        assert str(info.value) == (
+            f"arc (0,1) of length {length} at speed_min {speed} takes too "
+            f"long: a route of 2 such arcs leaves the float range")
+
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(st.integers(0, 10 ** 6), st.integers(1, 9), st.integers(1, 8),
            st.integers(1, 4), st.sampled_from([-1.0, 0.0, 0.5, 30.0]))
@@ -594,3 +607,28 @@ class TestSolutionSerialization:
     def test_bad_document(self):
         with pytest.raises(SchemaError):
             load_solution({"nodes": [0, 1]})
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_integer_past_float_range_refused(tmp_path, capsys, command):
+    # an integer of 401 digits as the instance's deadline, or as a solution
+    # time: refused on load as a schema error naming the field, and by the
+    # CLI as an input error (exit 4) with nothing on stdout
+    doc = serialize_instance(generate_instance(1, 3, 3))
+    sol = {"nodes": [0, 1, 4], "times": [1.0, 2.0]}
+    if command == "solve":
+        doc["deadline"] = 10 ** 400
+        load, bad, field = load_instance, doc, "'deadline' in document"
+    else:
+        sol["times"][1] = 10 ** 400
+        load, bad, field = load_solution, sol, "'1' in times"
+    message = f"field {field} is too large for a float"
+    with pytest.raises(SchemaError, match=message):
+        load(bad)
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst_path.write_text(json.dumps(doc))
+    sol_path.write_text(json.dumps(sol))
+    assert cli_main([command, str(inst_path)]
+                    + ([str(sol_path)] if command == "verify" else [])) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and message in err

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (case2_search_value, make_instance,
                       random_desk_instance, random_multipliers, relax_value)
-from coverage_routing import bundle
+from coverage_routing import bundle, labeling_case2
 from coverage_routing.bundle import evaluate_dual_function
 from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import build_index_table, generate_instance
@@ -363,6 +363,40 @@ class TestSolveCase2:
                 totals.append(gain + r.value)
             v2 = coeffs2.constant + max(totals)
             assert v2 == pytest.approx(v1.value, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_screen_keeps_the_case1_answer_bit_for_bit(self, seed):
+        # on a case-I instance no route binds, so the screen settles every
+        # candidate and returns the fill's own answer: the value, the best
+        # timed route and every candidate's value and timing are case I's
+        inst = generate_instance(seed, 6, 12, coverage_radius=20.0)
+        table = build_index_table(inst)
+        rng = random.Random(seed)
+        for _ in range(5):
+            lam = random_multipliers(rng, len(table.target_ids))
+            one, two = (evaluate_dual_function(table, lam, case)
+                        for case in ("I", "II"))
+            assert repr(two) == repr(one)
+            assert repr(two.routes.values) == repr(one.routes.values)
+            assert repr(two.routes.results) == repr(one.routes.results)
+
+    def test_screen_times_no_route(self, monkeypatch):
+        # at lam = 0 the screen settles every candidate of this instance,
+        # and a settled candidate keeps the fill's timing: no knapsack runs
+        calls = []
+        real = labeling_case2.knapsack_times
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        inst = generate_instance(0, 5, 8, case="II")
+        table = build_index_table(inst)
+        monkeypatch.setattr(labeling_case2, "knapsack_times", counted)
+        value = evaluate_dual_function(table, np.zeros(len(table.target_ids)),
+                                       "II")
+        assert len(value.routes.values) > 1
+        assert calls == []
 
     def test_three_way_battery(self, rng):
         compared = 0
