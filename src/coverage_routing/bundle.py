@@ -46,6 +46,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg
 
 from .instance import (VALIDATE_TOL, ArcIndexTable, Instance, PathSolution,
                        build_index_table)
@@ -108,6 +110,23 @@ class MasterResult:
 
 # ---------------------------------------------------------------------------
 # projection master
+
+#: the LAPACK gufunc that ``np.linalg.solve`` calls for a 1-D right-hand side
+_solve1 = _umath_linalg.solve1
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _gram_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(G, rhs)`` for a square float matrix and a float
+    vector, bit for bit, without the wrapper's checks and conversions: the
+    same gufunc under the same floating-point state, so a singular ``G``
+    raises ``LinAlgError``."""
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _solve1(G, rhs, signature="dd->d")
 
 
 class CutPool:
@@ -175,19 +194,27 @@ def _project_dual(center: np.ndarray, pool: CutPool, d: np.ndarray
     null combination of those cuts meets the certificate check only within
     its rounding slack, and can bound far above the cut model's minimum.
 
-    Past the Gram system of the working cuts, a step allocates nothing: the
-    working cuts' multipliers and their ratio test are Python floats, the
-    working rows, violations, thresholds, step parts and bound ratios live
-    in buffers made once per call, and a counter tracks the free
-    coordinates.  Every operation that feeds the iterate, the multipliers
-    or the weights is the one the step made on fresh arrays, in the same
+    A step solves the Gram system of the working cuts by the LAPACK gufunc
+    that ``np.linalg.solve`` wraps, called directly (:func:`_gram_solve`),
+    and past that system it allocates nothing: the working cuts'
+    multipliers and their ratio test are Python floats, the working rows,
+    violations, thresholds, step parts and bound ratios live in buffers
+    made once per call (a step with no bound ratio skips them), the rows'
+    own share of the thresholds, ``|b|`` times the tolerance, is scaled
+    once per call, and the free coordinates are kept as a mask, as a float
+    copy of it that multiplies the working rows without a cast, and as a
+    counter.  Every operation that feeds the iterate, the multipliers or
+    the weights is the one the step made on fresh arrays, in the same
     order, so the results are the same bit for bit."""
     k, m = len(pool), len(center)
     norms, A = pool.norms, pool.rows
     b = np.concatenate([d / norms, np.zeros(m)])
-    abs_b = np.abs(b)
+    # max(|b|, scale) * tol, as max(|b| * tol, scale * tol): rounding is
+    # monotone, so the two agree bit for bit
+    tol_b = np.abs(b) * PROJECTION_TOL
     x = center.astype(float)
     free = x != 0.0
+    free_f = free.astype(float)  # the mask as the factor of a product
     n_free = int(np.count_nonzero(free))
     u_b = np.zeros(m)  # multipliers of the fixed coordinates, 0 elsewhere
     work: List[int] = []
@@ -218,8 +245,7 @@ def _project_dual(center: np.ndarray, pool: CutPool, d: np.ndarray
             # fixed coordinates are exactly 0, so only working cuts can be
             # violated among the working rows
             scale = max(1.0, float(np.maximum.reduce(np.abs(x, out=tmp))))
-            np.multiply(np.maximum(abs_b, scale, out=thr), PROJECTION_TOL,
-                        out=thr)
+            np.maximum(tol_b, scale * PROJECTION_TOL, out=thr)
             np.matmul(A, x, out=v)
             v -= b
             p = int(v.argmax())
@@ -243,10 +269,10 @@ def _project_dual(center: np.ndarray, pool: CutPool, d: np.ndarray
         v_p = float(a_p @ x) - b.item(p)
         if work:
             Aw = rows[:len(work)]
-            Af = np.multiply(Aw, free, out=masked[:len(work)])
+            Af = np.multiply(Aw, free_f, out=masked[:len(work)])
             try:
-                r_w = np.linalg.solve(Af @ Aw.T, Af @ a_p)
-            except np.linalg.LinAlgError:
+                r_w = _gram_solve(Af @ Aw.T, Af @ a_p)
+            except LinAlgError:
                 # rounding has made the working cuts dependent over the free
                 # coordinates: no weights, so no verdict
                 return None, np.zeros(k + m), active(), False
@@ -262,10 +288,14 @@ def _project_dual(center: np.ndarray, pool: CutPool, d: np.ndarray
         np.copyto(r_b, 0.0, where=free)
         ratio_w = [u / q if q > _DUAL_STEP_EPS else np.inf
                    for u, q in zip(u_w, r)]
-        ratio_b.fill(np.inf)
-        np.divide(u_b, r_b, out=ratio_b,
-                  where=np.greater(r_b, _DUAL_STEP_EPS, out=mask))
-        t1_b = float(np.minimum.reduce(ratio_b))
+        # most steps lower no fixed coordinate's multiplier and skip the
+        # bound ratios; a partial step reads them only when t1_b, finite,
+        # sets its length
+        t1_b = np.inf
+        if np.greater(r_b, _DUAL_STEP_EPS, out=mask).any():
+            ratio_b.fill(np.inf)
+            np.divide(u_b, r_b, out=ratio_b, where=mask)
+            t1_b = float(np.minimum.reduce(ratio_b))
         t1 = min(min(ratio_w, default=np.inf), t1_b)
         # z is a difference of terms as large as r, and as inexact; with as
         # many working cuts as free coordinates it is 0
@@ -292,6 +322,7 @@ def _project_dual(center: np.ndarray, pool: CutPool, d: np.ndarray
                 u_w.append(u_p)
             else:
                 free[p - k] = False
+                free_f[p - k] = 0.0
                 n_free -= 1
                 x[p - k] = 0.0
                 u_b[p - k] = u_p
@@ -305,6 +336,7 @@ def _project_dual(center: np.ndarray, pool: CutPool, d: np.ndarray
         if t1_b == t1:
             gone = np.equal(ratio_b, t1, out=mask)
             free |= gone
+            np.copyto(free_f, 1.0, where=gone)
             n_free = int(np.count_nonzero(free))
             np.copyto(u_b, 0.0, where=gone)
     # the step cap: the iterate is no projection, and it may have run off

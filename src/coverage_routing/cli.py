@@ -121,13 +121,18 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _report_removed(inst) -> None:
+    """Name on stderr each target that loading dropped, and why."""
+    for tid, reason in inst.removed_targets:
+        print(f"removed target {tid}: {reason}", file=sys.stderr)
+
+
 def _cmd_gen(args) -> int:
     inst = generate_instance(
         args.seed, args.waypoints, args.targets, preset=args.preset,
         case=args.case, deadline_scale=args.deadline_scale,
         coverage_radius=args.coverage_radius, min_coverage=args.min_coverage)
-    for tid, reason in inst.removed_targets:
-        print(f"removed target {tid}: {reason}", file=sys.stderr)
+    _report_removed(inst)
     text = instance_to_json(inst)
     if args.out is None:
         sys.stdout.write(text)
@@ -189,6 +194,7 @@ def _cmd_solve(args) -> int:
         if path is not None:
             _probe_writable(path)
     inst = load_instance(args.instance)
+    _report_removed(inst)
     case = args.case or str(inst.meta_dict().get("case") or "I")
     if case not in ("I", "II"):
         raise SchemaError(f"meta.case must be 'I' or 'II', got {case!r}")

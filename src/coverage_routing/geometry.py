@@ -25,7 +25,8 @@ The batch arithmetic is the scalar arithmetic, element by element: numpy's
 transcendental steps (``hypot``, ``atan2``, ``sin``) stay scalar ``math``
 calls, because numpy's versions differ from them in the last bit on a
 fraction of inputs.  A batch entry is therefore bit-identical to the same
-computation on one pair in Python floats.
+computation on one pair in Python floats, except on a pair whose squares
+overflow, which the kernel computes again at a smaller scale.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from .errors import DegenerateSegmentError, TargetTooCloseError
 # Below this subtended angle, theta/sin(theta) is evaluated by series to
 # avoid 0/0 on radial chords.
 _SMALL_ANGLE = 1e-4
+# A pair whose squares overflow is computed again with no coordinate above
+# 2**_RESCALE_EXP: then no product of two differences reaches 2**1024.
+_RESCALE_EXP = 500
 
 
 @dataclass(frozen=True)
@@ -119,30 +123,12 @@ class SegmentDiskBatch:
         return self.per_time * self.frac
 
 
-def segment_disk_batch(ax, ay, bx, by, cx, cy, factor: float, radius: float,
-                       eps: float = 0.0) -> SegmentDiskBatch:
-    """Segments ``[a_k, b_k]`` (coordinate arrays of equal length) against
-    closed disks of one ``radius`` around the centers ``c_l``, with the
-    inverse-square ``factor`` and the clearance ``eps``.
-
-    Raises ``ValueError`` for a negative factor or a non-positive radius and
-    :class:`DegenerateSegmentError` for a segment whose endpoints coincide.
-    Pairs that fail the clearance test are reported in ``clear``, not
-    raised, and get a zero ``per_time`` (the index is singular there).
-    """
-    if factor < 0.0:
-        raise ValueError(f"factor must be nonnegative, got {factor}")
-    ax, ay, bx, by = (np.asarray(v, dtype=float)[:, None] for v in (ax, ay, bx, by))
-    cx, cy = (np.asarray(v, dtype=float)[None, :] for v in (cx, cy))
-    ux, uy = bx - ax, by - ay
-    seg2 = ux * ux + uy * uy
-    degenerate = np.flatnonzero(seg2 == 0.0)
-    if degenerate.size:
-        k = degenerate[0]
-        raise DegenerateSegmentError(
-            f"segment endpoints coincide at ({float(ax[k, 0])}, {float(ay[k, 0])})")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+def _kernel(ax, ay, ux, uy, seg2, cx, cy, factor, radius, eps):
+    """The body of :func:`segment_disk_batch` on broadcastable arrays, with
+    ``u = b - a`` and ``seg2 = |u|^2``; ``radius`` and ``eps`` may be arrays
+    in the shape of the pairs.  Returns the batch and, per pair, whether
+    ``seg2``, ``t_mid`` (the center's foot on the segment's line) and
+    ``line_dist`` (its signed distance from that line) are all finite."""
     # the center's foot on the segment's line, in segment parameter units
     t_mid = -((ax - cx) * ux + (ay - cy) * uy) / seg2
 
@@ -153,7 +139,8 @@ def segment_disk_batch(ax, ay, bx, by, cx, cy, factor: float, radius: float,
     dx, dy = cx - (ax + s * ux), cy - (ay + s * uy)
     near = np.hypot(dx, dy) <= 2.0 * eps
     clear = ~near
-    clear[near] = ~(_hypot(dx[near], dy[near]) <= eps)
+    clear[near] = ~(_hypot(dx[near], dy[near])
+                    <= (eps[near] if isinstance(eps, np.ndarray) else eps))
 
     # The chord is t_mid -/+ half around the foot of the perpendicular,
     # with half from the signed center-to-line distance.  This form keeps
@@ -185,7 +172,63 @@ def segment_disk_batch(ax, ay, bx, by, cx, cy, factor: float, radius: float,
                          dtype=float)
         per_time[todo] = factor * _theta_over_sin(theta) / (
             _hypot(v1x, v1y) * _hypot(v2x, v2y))
-    return SegmentDiskBatch(s_lo, s_hi, hit, clear, per_time)
+    finite = np.isfinite(seg2) & np.isfinite(t_mid) & np.isfinite(line_dist)
+    return SegmentDiskBatch(s_lo, s_hi, hit, clear, per_time), finite
+
+
+def segment_disk_batch(ax, ay, bx, by, cx, cy, factor: float, radius: float,
+                       eps: float = 0.0) -> SegmentDiskBatch:
+    """Segments ``[a_k, b_k]`` (coordinate arrays of equal length) against
+    closed disks of one ``radius`` around the centers ``c_l``, with the
+    inverse-square ``factor`` and the clearance ``eps``.
+
+    Raises ``ValueError`` for a negative factor or a non-positive radius and
+    :class:`DegenerateSegmentError` for a segment whose endpoints coincide.
+    Pairs that fail the clearance test are reported in ``clear``, not
+    raised, and get a zero ``per_time`` (the index is singular there).
+
+    A pair whose ``seg2``, ``t_mid`` or ``line_dist`` is not finite (its
+    squares or products overflow) is computed again with its coordinates,
+    radius and clearance times one even power of two that brings them to
+    at most ``2**500``, and its ``per_time`` times that power's
+    square in return.  Its new entries are kept where those three are
+    finite at the smaller scale; elsewhere (a segment too short to keep a
+    length at that scale) the first ones stand.  Every other pair is
+    untouched.
+    """
+    if factor < 0.0:
+        raise ValueError(f"factor must be nonnegative, got {factor}")
+    ax, ay, bx, by = (np.asarray(v, dtype=float)[:, None] for v in (ax, ay, bx, by))
+    cx, cy = (np.asarray(v, dtype=float)[None, :] for v in (cx, cy))
+    ux, uy = bx - ax, by - ay
+    seg2 = ux * ux + uy * uy
+    degenerate = np.flatnonzero(seg2 == 0.0)
+    if degenerate.size:
+        k = degenerate[0]
+        raise DegenerateSegmentError(
+            f"segment endpoints coincide at ({float(ax[k, 0])}, {float(ay[k, 0])})")
+    if radius <= 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    out, finite = _kernel(ax, ay, ux, uy, seg2, cx, cy, factor, radius, eps)
+    if finite.all():
+        return out
+    # the pairs whose squares overflow, at a scale where they do not
+    redo = ~finite
+    pairs = [np.broadcast_to(v, redo.shape)[redo]
+             for v in (ax, ay, bx, by, cx, cy)]
+    size = np.maximum(np.abs(pairs).max(axis=0), radius)
+    shift = np.maximum(np.frexp(size)[1] - _RESCALE_EXP, 0)
+    shift += shift & 1
+    ax, ay, bx, by, cx, cy = (np.ldexp(v, -shift) for v in pairs)
+    ux, uy = bx - ax, by - ay
+    seg2 = ux * ux + uy * uy
+    scaled, ok = _kernel(ax, ay, ux, uy, seg2, cx, cy, factor,
+                         np.ldexp(radius, -shift), np.ldexp(eps, -shift))
+    where = np.flatnonzero(redo)[ok]
+    for name in ("s_lo", "s_hi", "hit", "clear"):
+        np.put(getattr(out, name), where, getattr(scaled, name)[ok])
+    np.put(out.per_time, where, np.ldexp(scaled.per_time, -2 * shift)[ok])
+    return out
 
 
 def distances(px, py, qx, qy) -> np.ndarray:

@@ -147,6 +147,11 @@ ROUTE_OVERFLOW = {
 #: extent that the geometry kernel's quotients overflow; it is out of reach
 FAR_TARGET = (1e-160, (1e200, 0.0))
 
+#: (waypoint_x, target) of a target 1.4e200 from arc (0,1), whose squared
+#: length overflows: the kernel computes that pair again at a smaller
+#: scale, and the target is out of reach
+HUGE_ARC = (1e200, (-1e200, 1e200))
+
 #: a target out of reach, dropped on load, and a deadline no route meets:
 #: case I solves with no targets, case II is infeasible
 NO_TARGETS = singular_rate_document(5.0, (50.0, 50.0), radius=1.0,

@@ -121,7 +121,7 @@ def _master_recording_singular(center, C, d, monkeypatch):
     """``solve_master`` on the level set ``{lam <= 0 : C lam <= d}`` (cuts
     with offsets ``-d`` at level 0), and whether its QP met a singular Gram
     matrix."""
-    solve, singular = np.linalg.solve, []
+    solve, singular = bundle._gram_solve, []
 
     def recorded_solve(*args):
         try:
@@ -130,7 +130,7 @@ def _master_recording_singular(center, C, d, monkeypatch):
             singular.append(1)
             raise
 
-    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    monkeypatch.setattr(bundle, "_gram_solve", recorded_solve)
     res = solve_master(center, _pool(C, -d), 0.0)
     monkeypatch.undo()
     return res, bool(singular)
@@ -974,6 +974,36 @@ def _result_bytes(res):
 def _reference_projection(center, pool, d):
     """The projection before the cut pool, on the pool's gradients."""
     return reference_master.project_dual(center, pool.gradients, d)
+
+
+class TestGramSolve:
+    """The projection's Gram solve calls LAPACK past ``np.linalg.solve``'s
+    wrapper; a numpy release that moves or changes the private gufunc fails
+    here."""
+
+    def test_matches_numpy_solve_bytes(self):
+        # Gram systems as a projection step builds them: unit rows over the
+        # free coordinates, and a unit row projected on them
+        rng = np.random.default_rng(0)
+        for n in range(1, 7):
+            for _ in range(50):
+                rows = rng.normal(size=(n + 1, 60))
+                rows /= np.linalg.norm(rows, axis=1)[:, None]
+                Aw, a_p = rows[:n], rows[n]
+                Af = Aw * (rng.random(60) < 0.7)
+                G, rhs = Af @ Aw.T, Af @ a_p
+                state = np.geterr()
+                got = bundle._gram_solve(G, rhs)
+                assert np.geterr() == state
+                assert got.tobytes() == np.linalg.solve(G, rhs).tobytes()
+
+    def test_singular_gram_raises(self):
+        rows = np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0]])
+        G, rhs = rows @ rows.T, rows @ np.array([1.0, 0.0, 0.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(G, rhs)
+        with pytest.raises(np.linalg.LinAlgError):
+            bundle._gram_solve(G, rhs)
 
 
 class TestArrayMaster:

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import coverage_routing
-from conftest import (FAR_TARGET, NO_TARGETS, ROUTE_OVERFLOW, SINGULAR_RATES,
-                      TIME_OVERFLOW, singular_rate_document,
+from conftest import (FAR_TARGET, HUGE_ARC, NO_TARGETS, ROUTE_OVERFLOW,
+                      SINGULAR_RATES, TIME_OVERFLOW, singular_rate_document,
                       too_many_waypoints_document)
 from coverage_routing.cli import main
 from coverage_routing.instance import load_instance
@@ -252,6 +252,17 @@ class TestSolveVerify:
         path.write_text(json.dumps(singular_rate_document(*FAR_TARGET)))
         assert run(["solve", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "converged"
+
+    def test_target_off_a_huge_arc_dropped_and_named(self, tmp_path, capsys):
+        """A target 1.4e200 from an arc whose squared length overflows is
+        out of reach: the solve names it on stderr as dropped and finishes
+        (exit 0), instead of refusing it as too close."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(singular_rate_document(*HUGE_ARC)))
+        assert run(["solve", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["status"] == "converged"
+        assert "removed target 0: uncoverable" in err
 
     @pytest.mark.parametrize("kind", sorted(TIME_OVERFLOW))
     def test_travel_time_overflow_input_error(self, tmp_path, capsys, kind):

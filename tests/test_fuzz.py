@@ -20,8 +20,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (FAR_TARGET, NO_TARGETS, ROUTE_OVERFLOW, TIME_OVERFLOW,
-                      singular_rate_document)
+from conftest import (FAR_TARGET, HUGE_ARC, NO_TARGETS, ROUTE_OVERFLOW,
+                      TIME_OVERFLOW, singular_rate_document)
 from coverage_routing.bundle import run_dual
 from coverage_routing.cli import main
 from coverage_routing.errors import (CoverageRoutingError,
@@ -109,6 +109,7 @@ def _expected_exit(doc: dict, case: str) -> int:
 @example(TIME_OVERFLOW["arc"], "I")
 @example(singular_rate_document(*ROUTE_OVERFLOW["idle"][:3]), "I")
 @example(singular_rate_document(*FAR_TARGET), "II")
+@example(singular_rate_document(*HUGE_ARC), "I")
 def test_every_document_solves_or_is_refused(doc, case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -339,6 +340,25 @@ class TestScalarReference:
                         (chord.p_start.x, chord.p_start.y)
                     assert (a.x + s_hi * (b.x - a.x), a.y + s_hi * (b.y - a.y)) == \
                         (chord.p_end.x, chord.p_end.y)
+
+    @pytest.mark.parametrize("power", [512, 700, 1000])
+    def test_pair_scaled_past_overflow_keeps_its_chord(self, power):
+        # a hit and a miss, every length times 2**power: the hit's squared
+        # length overflows, so the kernel computes both pairs again at a
+        # smaller scale; an exact power of two leaves the chord parameters
+        # as they were and divides per_time by its square
+        pair = ([0.0], [0.0], [10.0], [1.0], [3.0, 30.0], [2.0, 2.0])
+        base = segment_disk_batch(*pair, 1e300, 5.0, 0.01)
+        scale = 2.0 ** power
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            big = segment_disk_batch(*([v * scale for v in vs] for vs in pair),
+                                     1e300, 5.0 * scale, 0.01 * scale)
+        assert base.hit.tolist() == [[True, False]]
+        for name in ("hit", "clear", "s_lo", "s_hi"):
+            assert getattr(big, name).tobytes() == getattr(base, name).tobytes()
+        back = np.ldexp(big.per_time, 2 * power)
+        assert back[0, 1] == base.per_time[0, 1] == 0.0
+        assert math.isclose(back[0, 0], base.per_time[0, 0], rel_tol=1e-15)
 
     def test_degenerate_segment_in_batch_rejected(self):
         segs = ([0.0, 1.0], [0.0, 2.0], [3.0, 1.0], [0.0, 2.0], [5.0], [5.0])

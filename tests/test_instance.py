@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference_geometry as ref
 import reference_repair as ref_repair
-from conftest import (FAR_TARGET, ROUTE_OVERFLOW, SINGULAR_RATES,
+from conftest import (FAR_TARGET, HUGE_ARC, ROUTE_OVERFLOW, SINGULAR_RATES,
                       TIME_OVERFLOW, make_instance, raw_instance,
                       singular_rate_document, too_many_waypoints_document)
 from coverage_routing.cli import main as cli_main
@@ -336,6 +336,14 @@ class TestIndexTable:
         # from a network this small; the target is out of reach, and no
         # numpy warning (an error under filterwarnings = error) escapes
         inst = load_instance(singular_rate_document(*FAR_TARGET))
+        assert inst.targets == ()
+        assert inst.removed_targets == ((0, "uncoverable"),)
+
+    def test_target_off_a_huge_arc_dropped_as_uncoverable(self):
+        # arc (0,1)'s squared length overflows and its line distance reads
+        # inf/inf; computed again at a smaller scale, the target lies 1.4e200
+        # from the arc, out of reach, and is not kept for a NaN hit
+        inst = load_instance(singular_rate_document(*HUGE_ARC))
         assert inst.targets == ()
         assert inst.removed_targets == ((0, "uncoverable"),)
 
