@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -166,6 +168,18 @@ TIME_OVERFLOW = {
     "route": singular_rate_document(1e300, (1e300, 5.0), deadline=1e300,
                                     speeds=(1e-8, 1.0)),
 }
+
+
+def solve_outputs(out):
+    """The record, witness and meta documents that ``covroute solve --out
+    out`` wrote, refusing NaN and infinite numbers in each."""
+    def read(suffix):
+        text = Path(f"{out}{suffix}").read_text()
+
+        def refuse(token):
+            raise AssertionError(f"non-finite number {token} in {text[:200]}")
+        return json.loads(text, parse_constant=refuse)
+    return [read(suffix) for suffix in ("", ".sol.json", ".meta.json")]
 
 
 def random_multipliers(rng, m, scale=5.0):

@@ -5,14 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coverage_routing
 from conftest import (FAR_TARGET, HUGE_ARC, NO_TARGETS, ROUTE_OVERFLOW,
                       SINGULAR_RATES, TIME_OVERFLOW, singular_rate_document,
-                      too_many_waypoints_document)
+                      solve_outputs, too_many_waypoints_document)
+from coverage_routing import bundle
+from coverage_routing.bundle import LB_FLOOR, evaluate_dual_function
 from coverage_routing.cli import main
-from coverage_routing.instance import load_instance
+from coverage_routing.instance import build_index_table, load_instance
 
 
 def run(args):
@@ -75,6 +78,27 @@ def desk_instance_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def small_solve(tmp_path):
+    """The small preset's seed-3 instance and the result record of ``solve
+    --oracle --iter-limit 2 --trace``; the trace sits next to the record."""
+    inst, out = tmp_path / "small.json", tmp_path / "small-res.json"
+    assert run(["gen", "--preset", "small", "--seed", "3",
+                "--out", str(inst)]) == 0
+    assert run(["solve", str(inst), "--oracle", "--iter-limit", "2",
+                "--trace", str(tmp_path / "small.jsonl"),
+                "--out", str(out)]) == 0
+    return inst, out
+
+
+def verify_checks(capsys, *args):
+    """Exit code of ``verify args`` and its report's pass flags by name."""
+    capsys.readouterr()
+    code = run(["verify", *map(str, args)])
+    report = json.loads(capsys.readouterr().out)
+    return code, {c["name"]: c["pass"] for c in report["constraints"]}
+
+
 class TestSolveVerify:
     def test_pipeline(self, tmp_path, desk_instance_file, capsys):
         out = tmp_path / "res.json"
@@ -105,7 +129,10 @@ class TestSolveVerify:
 
     def test_iteration_limit_exit_code(self, tmp_path):
         # wide coverage disks and low requirements: the uncapped run needs
-        # more than one iteration, so a cap of 1 stops it (exit 2)
+        # more than one iteration, so a cap of 1 stops it (exit 2).  The
+        # greedy repair of the first witness finds a route, so trace row 0
+        # starts LB at its value (80.455...), not at the floor, and the
+        # capped run's witness verifies
         inst = tmp_path / "i.json"
         run(["gen", "--waypoints", "5", "--targets", "8", "--seed", "1",
              "--case", "I", "--coverage-radius", "40",
@@ -114,12 +141,107 @@ class TestSolveVerify:
         assert run(["solve", str(inst), "--out", str(out)]) == 0
         record = json.loads(out.read_text())
         assert record["status"] == "converged" and record["iterations"] >= 2
+        out, trace = tmp_path / "r1.json", tmp_path / "r1.jsonl"
         code = run(["solve", str(inst), "--iter-limit", "1",
-                    "--out", str(tmp_path / "r1.json")])
+                    "--trace", str(trace), "--out", str(out)])
         assert code == 2
-        record = json.loads((tmp_path / "r1.json").read_text())
+        record = solve_outputs(out)[0]
         assert record["status"] == "iteration-limit"
         assert record["iterations"] == 1
+        table = build_index_table(load_instance(inst))
+        value0 = evaluate_dual_function(
+            table, np.zeros(len(table.target_ids)), "I")
+        repaired, _ = bundle._greedy_primal_repair(table, value0.best)
+        row = json.loads(trace.read_text().splitlines()[0])
+        assert row["iteration"] == 0 and row["lb"] == repaired > LB_FLOOR
+        assert run(["verify", str(inst), str(out) + ".sol.json"]) == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--waypoints", "4", "--targets", "5", "--coverage-radius", "30",
+         "--min-coverage", "0.2", "--seed", "11"],
+        # a case-II deadline that binds, so the case-II label search runs
+        ["--waypoints", "7", "--targets", "10", "--case", "II",
+         "--deadline-scale", "0.04", "--min-coverage", "0.01", "--seed", "0"],
+        # wide case I: 60 targets and finite duals, many master projections;
+        # then two wide instances whose dual runs off below 0
+        # (test_bundle.py's unmet and diverging inputs)
+        ["--waypoints", "6", "--targets", "60", "--coverage-radius", "20",
+         "--min-coverage", "0.01", "--seed", "0"],
+        ["--waypoints", "6", "--targets", "60", "--coverage-radius", "20",
+         "--min-coverage", "0.1", "--seed", "4"],
+        ["--waypoints", "6", "--targets", "60", "--coverage-radius", "20",
+         "--min-coverage", "0.01", "--seed", "1"],
+    ], ids=["desk-I", "binding-II", "wide-I", "unmet-I", "diverging-I"])
+    def test_bounds_ordered_and_finite(self, tmp_path, flags):
+        """solve (exit 0 or 2) keeps LB at or below the dual bound, writes
+        no NaN or infinite number in the record, the witness or the meta
+        file, and its witness verifies."""
+        inst, out = tmp_path / "inst.json", tmp_path / "res.json"
+        assert run(["gen", *flags, "--out", str(inst)]) == 0
+        assert run(["solve", str(inst), "--out", str(out)]) in (0, 2)
+        record = solve_outputs(out)[0]
+        assert record["lower_bound"] <= record["dual_bound"]
+        assert run(["verify", str(inst), str(out) + ".sol.json"]) == 0
+
+    def test_meta_sidecar_holds_the_wall_clock(self, small_solve):
+        """``<out>.meta.json`` holds the wall-clock readings, one per trace
+        row (iterations + 1), and the record holds none of them."""
+        _, out = small_solve
+        record, _, meta = solve_outputs(out)
+        rows = [json.loads(line) for line in
+                (out.parent / "small.jsonl").read_text().splitlines()]
+        assert len(rows) == record["iterations"] + 1
+        assert meta["per_iteration_wall"] == [r["wall_time"] for r in rows]
+        assert set(meta) == {"started", "wall_time_s", "per_iteration_wall"}
+        wall_keys = set(meta) | {"wall_time"}
+        assert not wall_keys & (set(record) | set(record["witness"]))
+
+    def test_verify_flags_add_their_checks(self, tmp_path, capsys,
+                                           small_solve):
+        """Each verify flag adds its check to the report.  The small
+        witness misses some coverage requirements, so --enforce-coverage
+        adds one failing check per such target (exit 1); with every
+        requirement lowered to 0 it adds one passing check."""
+        inst, out = small_solve
+        sol = str(out) + ".sol.json"
+        code, base = verify_checks(capsys, inst, sol)
+        assert code == 0 and all(base.values())
+        for flag, name in (("--check-time-windows", "time-windows"),
+                           ("--check-energy", "energy")):
+            code, checks = verify_checks(capsys, inst, sol, flag)
+            assert code == 0 and checks == {**base, name: True}
+        code, checks = verify_checks(capsys, inst, sol, "--enforce-coverage")
+        added = checks.keys() - base.keys()
+        assert code == 1 and added
+        assert all(n.startswith("coverage[") and not checks[n] for n in added)
+        doc = json.loads(inst.read_text())
+        for target in doc["targets"]:
+            target["min_coverage"] = 0.0
+        lowered = tmp_path / "lowered.json"
+        lowered.write_text(json.dumps(doc))
+        code, checks = verify_checks(capsys, lowered, sol,
+                                     "--enforce-coverage")
+        assert code == 0 and checks == {**base, "coverage-requirement": True}
+
+    def test_oracle_budget_refusal_recorded(self, small_solve):
+        """Past the oracle's enumeration limit, --oracle records the refusal
+        for both oracle values instead of failing the solve (exit 0)."""
+        reason = "9 interior waypoints exceeds the enumeration limit (8)"
+        record = json.loads(small_solve[1].read_text())
+        assert record["oracle"] == {"relaxation_at_zero": {"error": reason},
+                                    "primal_error": reason}
+
+    def test_oracle_unreachable_requirements_recorded(self, tmp_path):
+        """Requirements no route meets: the oracle's primal is recorded as
+        unreachable, and its relaxation at 0 still matches the solver's."""
+        inst, out = tmp_path / "inst.json", tmp_path / "res.json"
+        assert run(["gen", "--waypoints", "4", "--targets", "5", "--seed",
+                    "1", "--coverage-radius", "20", "--min-coverage", "5",
+                    "--out", str(inst)]) == 0
+        assert run(["solve", str(inst), "--oracle", "--out", str(out)]) == 0
+        block = json.loads(out.read_text())["oracle"]
+        assert block["primal_error"] == "coverage requirements unreachable"
+        assert block["relaxation_at_zero"]["match"] is True
 
     def test_infeasible_deadline_exit_code(self, tmp_path, desk_instance_file):
         doc = json.loads(desk_instance_file.read_text())
@@ -278,12 +400,14 @@ class TestSolveVerify:
         """With its one target dropped on load, case I converges at row 0
         with finite bounds (exit 0); no route meets the deadline, so case
         II is infeasible (exit 3)."""
-        path = tmp_path / "none.json"
+        path, out = tmp_path / "none.json", tmp_path / "res.json"
         path.write_text(json.dumps(NO_TARGETS))
-        assert run(["solve", str(path), "--case", "I"]) == 0
+        assert run(["solve", str(path), "--case", "I",
+                    "--out", str(out)]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["status"] == "converged" and record["iterations"] == 0
         assert record["lower_bound"] == record["dual_bound"] == 0.0
+        solve_outputs(out)
         assert run(["solve", str(path), "--case", "II"]) == 3
         assert capsys.readouterr().out == ""
 

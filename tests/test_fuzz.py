@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (FAR_TARGET, HUGE_ARC, NO_TARGETS, ROUTE_OVERFLOW,
-                      TIME_OVERFLOW, singular_rate_document)
+                      TIME_OVERFLOW, singular_rate_document, solve_outputs)
 from coverage_routing.bundle import run_dual
 from coverage_routing.cli import main
 from coverage_routing.errors import (CoverageRoutingError,
@@ -66,13 +66,6 @@ def documents(draw):
 
 #: the document of :data:`NO_TARGETS` with a deadline of 401 digits
 HUGE_DEADLINE = dict(NO_TARGETS, deadline=10 ** 400)
-
-
-def _finite(text: str) -> object:
-    """The JSON document ``text``, refusing NaN and infinite numbers."""
-    def refuse(token):
-        raise AssertionError(f"non-finite number {token} in {text[:200]}")
-    return json.loads(text, parse_constant=refuse)
 
 
 def _expected_exit(doc: dict, case: str) -> int:
@@ -125,6 +118,5 @@ def test_every_document_solves_or_is_refused(doc, case):
             if code == 4:
                 assert stdout.getvalue() == ""
             elif code != 3:
-                for suffix in ("", ".sol.json", ".meta.json"):
-                    _finite(Path(str(out) + suffix).read_text())
+                solve_outputs(out)
     assert code == want, (code, want)
