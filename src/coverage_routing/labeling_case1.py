@@ -5,50 +5,62 @@ case II it is the screen described in ``labeling_case2``.
 
 Every arc's travel time is pre-optimized (bound-valued), so a route is scored
 by summing fixed arc values and the search is the Held-Karp dynamic program:
-``dp[mask, k, j]`` is the best value, for idle candidate ``k``, of a path
+``dp[k, j, mask]`` is the best value, for idle candidate ``k``, of a path
 from the entry depot that visits exactly the interior waypoints in ``mask``
 and ends at ``j`` (bit ``j-1`` of ``mask`` stands for waypoint ``j``).
 Node 0 is the entry depot, reached only by the empty path.  The candidates
 of one dual evaluation differ only in their arc values, so one fill serves
-them all along the candidate axis (it sits before the node axis, so that
-the predecessor ``argmax`` runs along contiguous memory).  One pass over
-the completed table finds every candidate's best value, end node and
-visited set; only the idle-stop exclusion and the tie column take one
-slice per candidate.  A candidate's route is back-traced and timed at its
-bound times only when asked for, so a dual evaluation, which needs the
-maximizing candidate's route alone, traces and times one.
+them all along the leading candidate axis.
 
-The table is filled layer by layer (by visited-set size).  One gather over
-all of a layer's (mask, end node) states adds every predecessor state's
-value to the arc value into the end node, and an ``argmax`` along the
-predecessor axis keeps the best.  Every sum is taken in path order, so a
+The table is filled layer by layer (by visited-set size), and it holds
+values only.  For a chunk of a layer's (end node, mask) states, one gather
+along the mask axis takes every predecessor state's value, one gather of
+the arc values into the end nodes adds to it, and one maximum-reduce along
+the node axis keeps the best.  Every sum is taken in path order, so a
 state's value is the rounded path sum of its kept route.  Keeping only the
 best path per state is exact in floating point too: every completion adds
 the same arc values, in the same order, to all paths in a state, and
 rounded addition is monotone (``a <= b`` implies ``fl(a + c) <= fl(b + c)``).
 
-Memory: one candidate's table holds ``2^n * (n+1)`` floats plus as many
-predecessor bytes.  Candidates are filled in chunks of at most
-:data:`TABLE_CHUNK_BYTES` (one candidate at least), and each layer is
-gathered in chunks of at most :data:`STATE_CHUNK_BYTES`.  The per-layer
-index arrays take 9 bytes for each of the ``n * 2^(n-1)`` states; they are
-built once per waypoint count and cached.  A fill of one chunk keeps its
-predecessor table for tracing as long as its result lives; a fill of
-several traces each chunk's routes before the chunk's tables are freed.
+The completion scan only reads the table.  Per candidate, one reduce over a
+view of the masks that hold the idle stop gives each end node's peak; by
+monotone rounding, the peak plus the exit arc's value is the best
+completion through that end node.  The rest of the scan runs across the
+candidates at once.  A candidate's route is re-derived, and timed at its
+bound times, only when asked for, so a dual evaluation, which needs the
+maximizing candidate's route alone, traces and times one.  The trace walks
+back from the end state: a state's predecessor is the first node, in
+ascending order, whose state value plus arc value, in Python floats, equals
+the state's value.  Those are the sums the fill compared, so this is the
+first of their maxima.
+
+Memory: one candidate's table holds ``2^n * (n+1)`` floats.  Candidates are
+filled in chunks of at most :data:`TABLE_CHUNK_BYTES` (one candidate at
+least), and each layer is gathered in chunks of at most
+:data:`STATE_CHUNK_BYTES`.  The per-layer index arrays take 9 bytes for each
+of the ``n * 2^(n-1)`` states; they are built once per waypoint count and
+cached.  A fill of one chunk keeps its table until each candidate's route
+has been traced once; a fill of several traces each chunk's routes, which
+frees the chunk's table, before it fills the next.  The tie search reads
+the best end nodes' columns in chunks of at most :data:`STATE_CHUNK_BYTES`.
 The search refuses, before allocating anything, an instance whose fill
 (see :func:`fill_bytes`) would exceed :data:`MAX_TABLE_BYTES`.
 
 Ties are broken per candidate, exactly as a fill for that candidate alone
-would break them.  A state keeps its smallest best predecessor node.  The
-returned route is the first best completion in this order: end node
-ascending, then visited-set size, then the lexicographic order of the sorted
-visited waypoints.
+would break them.  A state's kept path runs through its smallest best
+predecessor node.  The returned route is the first best completion in this
+order: end node ascending, then visited-set size, then the lexicographic
+order of the sorted visited waypoints.  Completions tie when their rounded
+values are equal, also where the states' own values differ.  A state value
+more than 4 ulps of the best completion below the end node's peak completes
+below it, so only the masks from that floor up to the peak are checked, by
+exact equality of their completed values.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,30 +69,31 @@ from .relaxation import BestRoutes, PathTiming, RelaxCoeffs
 
 _NEG = -1e300
 
-#: bytes of one gathered (state, predecessor, candidate) block of a layer;
+#: bytes of one gathered (candidate, predecessor, state) block of a layer;
 #: larger layers are filled in several gathers
 STATE_CHUNK_BYTES = 1 << 17
-#: bytes of the value and predecessor tables filled at once; candidates
-#: beyond them are filled in further passes
+#: bytes of the value table filled at once; candidates beyond it are
+#: filled in further passes
 TABLE_CHUNK_BYTES = 1 << 20
 #: largest fill, in bytes (see :func:`fill_bytes`): at most 21 waypoints
 MAX_TABLE_BYTES = 1 << 30
 
 
 def fill_bytes(n: int) -> int:
-    """Most bytes a fill over ``n`` waypoints holds at once: the tables of
-    one candidate chunk (value and predecessor per state), the cached
+    """Most bytes a fill over ``n`` waypoints holds at once: the value
+    table of one candidate chunk (one float per state), the cached
     per-layer index arrays, and a few state chunks of temporaries."""
-    one = (1 << n) * (n + 1) * 9
+    one = (1 << n) * (n + 1) * 8
     return max(one, TABLE_CHUNK_BYTES) + 9 * ((n << n) >> 1) \
         + 4 * STATE_CHUNK_BYTES
 
 
 @functools.lru_cache(maxsize=1)
 def _layers(n: int) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """For each visited-set size 1..n, the (mask, end node) states with the
-    end node in the mask, ordered by end node: the mask, the end node, and
-    the predecessor mask."""
+    """For each visited-set size 1..n, the (end node, mask) states with the
+    end node in the mask, ordered by end node: the state's cell (its flat
+    index ``node * 2^n + mask`` in one candidate's table), the end node,
+    and the predecessor mask."""
     masks = np.arange(1 << n, dtype=np.int32)
     sizes = np.zeros(1, dtype=np.int8)  # visited-set size of every mask
     for _ in range(n):
@@ -88,43 +101,36 @@ def _layers(n: int) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     layers = []
     for size in range(1, n + 1):
         layer = masks[sizes == size]
-        held, ends, prev = [], [], []
+        cells, ends, prev = [], [], []
         for j in range(1, n + 1):
             bit = 1 << (j - 1)
-            held.append(layer[(layer & bit) != 0])
-            ends.append(np.full(len(held[-1]), j, dtype=np.int8))
-            prev.append(held[-1] ^ bit)
-        layers.append(tuple(map(np.concatenate, (held, ends, prev))))
+            held = layer[(layer & bit) != 0]
+            cells.append(held | j << n)
+            ends.append(np.full(len(held), j, dtype=np.int8))
+            prev.append(held ^ bit)
+        layers.append(tuple(map(np.concatenate, (cells, ends, prev))))
     for layer in layers:
         for a in layer:
             a.flags.writeable = False  # shared by every later fill
     return tuple(layers)
 
 
-def _fill(n: int, vin: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Value and predecessor tables ``[mask, candidate, node]`` for the
-    candidates of ``vin``, where ``vin[j, k, i]`` is candidate ``k``'s value
-    of arc ``i -> j``."""
-    kc = vin.shape[1]
-    dp = np.full((1 << n, kc, n + 1), -np.inf)
-    par = np.zeros((1 << n, kc, n + 1), dtype=np.int8)
-    dp[0, :, 0] = 0.0
+def _fill(n: int, w: np.ndarray) -> np.ndarray:
+    """Value table ``[candidate, node, mask]`` for the candidates of ``w``,
+    where ``w[k, i, j]`` is candidate ``k``'s value of arc ``i -> j``."""
+    kc = w.shape[0]
+    dp = np.full((kc, n + 1, 1 << n), -np.inf)
+    dp[:, 0, 0] = 0.0
+    flat = dp.reshape(kc, -1)  # [candidate, cell]
     step = max(1, STATE_CHUNK_BYTES // ((n + 1) * kc * 8))
-    cells = np.arange(step * kc)
-    for held, ends, prev in _layers(n):
-        for a in range(0, len(held), step):
-            b = min(a + step, len(held))
-            # a chunk inside one end node's run indexes by that node alone
-            j = ends[a] if ends[a] == ends[b - 1] else ends[a:b]
-            # predecessors outside the visited set sit at -inf; argmax keeps
-            # the smallest best one
-            cand = dp[prev[a:b]]
-            cand += vin[j]
-            best = cand.argmax(axis=2)
-            dp[held[a:b], :, j] = cand.reshape(-1, n + 1)[
-                cells[:best.size], best.ravel()].reshape(best.shape)
-            par[held[a:b], :, j] = best
-    return dp, par
+    for cells, ends, prev in _layers(n):
+        for a in range(0, len(cells), step):
+            b = a + step
+            # predecessors outside the visited set sit at -inf
+            cand = dp.take(prev[a:b], axis=2)
+            cand += w.take(ends[a:b], axis=2)
+            flat[:, cells[a:b]] = np.maximum.reduce(cand, axis=1)
+    return dp
 
 
 def _mask_order(n: int, mask: int) -> Tuple[int, List[int]]:
@@ -134,48 +140,86 @@ def _mask_order(n: int, mask: int) -> Tuple[int, List[int]]:
 
 def _best_ends(n: int, dp: np.ndarray, vexit: np.ndarray,
                vbars: Sequence[int]
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+               ) -> Tuple[np.ndarray, List[int], List[int]]:
     """Best completion through the exit arc per candidate of a chunk: its
     value, its first best end node and its first best visited set.
-    ``vexit[k, j]`` is candidate ``k``'s value of arc ``j -> exit``, and 0
-    at the entry depot, whose column no completion reads.  The completed
-    values overwrite ``dp``."""
-    dp += vexit
-    for k, vbar in enumerate(vbars):
-        if vbar:  # masks without the idle stop do not qualify
-            dp.reshape(-1, 2, 1 << (vbar - 1), *dp.shape[1:])[
-                :, 0, :, k] = -np.inf
-    tops = dp.max(axis=0)[:, 1:]
-    best = tops.max(axis=1)
-    ends = (tops == best[:, None]).argmax(axis=1) + 1
-    # per candidate, so that no float column is copied out of the table
-    hits = np.empty(dp.shape[:2], dtype=bool)
-    for k, end in enumerate(ends):
-        np.equal(dp[:, k, end], best[k], out=hits[:, k])
-    first = hits.argmax(axis=0)
-    for k in np.flatnonzero(hits.sum(axis=0) > 1):
-        first[k] = min(np.flatnonzero(hits[:, k]).tolist(),
-                       key=functools.partial(_mask_order, n))
-    return best, ends, first
+    ``vexit[k, j-1]`` is candidate ``k``'s value of arc ``j -> exit``.  The
+    table is only read."""
+    # per-node peaks over the masks that hold the idle stop, through views
+    peaks = np.array([np.maximum.reduce(
+        dp[k, 1:].reshape(n, -1, 2, 1 << (vbar - 1))[:, :, 1], axis=(1, 2))
+        if vbar else np.maximum.reduce(dp[k, 1:], axis=1)
+        for k, vbar in enumerate(vbars)])
+    # rounding is monotone, so the completed peak is the best completion
+    tops = peaks + vexit
+    ends = tops.argmax(axis=1)  # first best end node, less one
+    rows = np.arange(len(vbars))
+    best, peak = tops[rows, ends], peaks[rows, ends]
+    totals, exits = best.tolist(), vexit[rows, ends].tolist()
+    # a value more than 4 ulps of the total below the peak completes below
+    # the total, so only masks in [floor, peak] can tie
+    floor = (peak - 4 * np.spacing(np.abs(best)))[:, None]
+    peak = peak[:, None]
+    ends += 1
+    cols = ends.tolist()
+    ties: List[List[int]] = [[] for _ in vbars]
+    step = max(1, STATE_CHUNK_BYTES // (8 * len(vbars)))
+    for a in range(0, 1 << n, step):
+        near = dp[rows, ends, a:a + step]
+        near = (near >= floor) & (near <= peak)
+        for k, m in zip(*(x.tolist() for x in near.nonzero())):
+            m += a
+            vbar = vbars[k]
+            if ((not vbar or m >> (vbar - 1) & 1)
+                    and dp.item(k, cols[k], m) + exits[k] == totals[k]):
+                ties[k].append(m)
+    firsts = [t[0] if len(t) == 1 else
+              min(t, key=functools.partial(_mask_order, n)) for t in ties]
+    return best, cols, firsts
 
 
-def _fill_chunk(n: int, exit_id: int, vin: np.ndarray, vexit: np.ndarray,
+def _trace(dp: np.ndarray, w: np.ndarray, k: int, node: int, mask: int,
+           exit_id: int) -> Tuple[int, ...]:
+    """Candidate ``k``'s route: its kept path from the entry depot to
+    ``node`` through the waypoints of ``mask``, then the exit.  A state's
+    predecessor is the first node, in ascending order, whose state value
+    plus arc value, in Python floats, equals the state's value: the first
+    maximum of the sums the fill compared."""
+    path = [exit_id]
+    value = dp.item(k, node, mask)
+    while node:
+        path.append(node)
+        mask ^= 1 << (node - 1)
+        rest, end, node = mask, node, 0
+        while rest:  # the waypoints of mask, lowest first
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length()
+            prior = dp.item(k, i, mask)
+            if prior + w.item(k, i, end) == value:
+                node, value = i, prior
+                break
+    path.append(0)
+    return tuple(reversed(path))
+
+
+def _fill_chunk(n: int, exit_id: int, w: np.ndarray, vexit: np.ndarray,
                 vbars: Sequence[int]
                 ) -> Tuple[np.ndarray, Callable[[int], Tuple[int, ...]]]:
     """Fill one candidate chunk: each candidate's best value, and a tracer
     of the ``k``-th candidate's best route.  The tracer holds the chunk's
-    predecessor table; the value table is freed on return."""
-    dp, par = _fill(n, vin)
+    value table until it has traced every candidate's route once."""
+    dp = _fill(n, w)
     best, ends, masks = _best_ends(n, dp, vexit, vbars)
+    routes: Dict[int, Tuple[int, ...]] = {}
 
     def trace(k: int) -> Tuple[int, ...]:
-        node, mask = int(ends[k]), int(masks[k])
-        route = [exit_id]
-        while node:
-            route.append(node)
-            mask, node = mask ^ (1 << (node - 1)), int(par[mask, k, node])
-        route.append(0)
-        return tuple(reversed(route))
+        nonlocal dp
+        if k not in routes:
+            routes[k] = _trace(dp, w, k, ends[k], masks[k], exit_id)
+            if len(routes) == len(vbars):
+                dp = None  # frees the table
+        return routes[k]
 
     return best, trace
 
@@ -203,23 +247,19 @@ def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:
             f"limit")
     times = coeffs.bound_times(coeffs.net)
     values = table.matrix(coeffs.net * times, fill=_NEG)
-    vin = values[:, :n + 1].transpose(2, 0, 1)
-    vexit = values[:, :n + 1, table.exit_id].copy()
-    vexit[:, 0] = 0.0
-    step = max(1, TABLE_CHUNK_BYTES // ((1 << n) * (n + 1) * 9))
+    w = np.ascontiguousarray(values[:, :n + 1, :n + 1])
+    vexit = values[:, 1:n + 1, table.exit_id]
+    step = max(1, TABLE_CHUNK_BYTES // ((1 << n) * (n + 1) * 8))
     if step >= len(vbars):
-        best, trace = _fill_chunk(n, table.exit_id,
-                                  np.ascontiguousarray(vin), vexit, vbars)
+        best, trace = _fill_chunk(n, table.exit_id, w, vexit, vbars)
     else:
         best, nodes = [], []
         for k in range(0, len(vbars), step):
-            chunk, trace = _fill_chunk(
-                n, table.exit_id,
-                np.ascontiguousarray(vin[:, k:k + step]),
-                vexit[k:k + step], vbars[k:k + step])
+            chunk, trace = _fill_chunk(n, table.exit_id, w[k:k + step],
+                                       vexit[k:k + step], vbars[k:k + step])
             best.extend(chunk)
+            # tracing every route frees the chunk's table before the next fill
             nodes.extend(map(trace, range(len(chunk))))
-            del trace  # frees the chunk's tables before the next fill
         trace = nodes.__getitem__
     found = dict(zip(vbars, map(float, best)))
 

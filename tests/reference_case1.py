@@ -1,9 +1,11 @@
-"""Per-candidate reference for the case-I completion scan: the loop that
-finds, back-traces and times each idle candidate's best route in turn, which
-``coverage_routing.labeling_case1`` replaced with one array pass and routes
-timed on demand.  It runs on the package's own table fill, chunked by the
-same byte budget.  Tests compare the package against it for exact
-equality."""
+"""Per-candidate reference for the case-I search: the ``argmax`` fill that
+keeps a predecessor byte per state in ``[mask, candidate, node]`` layout, and
+the loop that finds, back-traces and times each idle candidate's best route
+in turn.  ``coverage_routing.labeling_case1`` replaced them with a
+values-only fill in ``[candidate, node, mask]`` layout, one array pass over
+the completions and routes re-derived on demand.  The reference fills by the
+package's byte budgets and its cached layer index arrays.  Tests compare the
+package against it for exact equality."""
 
 from __future__ import annotations
 
@@ -19,6 +21,31 @@ def arc_values(coeffs: RelaxCoeffs, vbar: int) -> np.ndarray:
     """Each arc's value at its bound time, for one idle candidate."""
     net = coeffs.net_rates(vbar)
     return net * coeffs.bound_times(net)
+
+
+def fill(n: int, vin: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Value and predecessor tables ``[mask, candidate, node]`` for the
+    candidates of ``vin``, where ``vin[j, k, i]`` is candidate ``k``'s value
+    of arc ``i -> j``: each state keeps the ``argmax`` (the smallest best
+    predecessor node) of its predecessor sums."""
+    kc = vin.shape[1]
+    dp = np.full((1 << n, kc, n + 1), -np.inf)
+    par = np.zeros((1 << n, kc, n + 1), dtype=np.int8)
+    dp[0, :, 0] = 0.0
+    step = max(1, labeling_case1.STATE_CHUNK_BYTES // ((n + 1) * kc * 8))
+    cells = np.arange(step * kc)
+    for states, ends, prev in labeling_case1._layers(n):
+        held = states & ((1 << n) - 1)  # the package's cells, less the node
+        for a in range(0, len(held), step):
+            b = min(a + step, len(held))
+            j = ends[a] if ends[a] == ends[b - 1] else ends[a:b]
+            cand = dp[prev[a:b]]
+            cand += vin[j]
+            best = cand.argmax(axis=2)
+            dp[held[a:b], :, j] = cand.reshape(-1, n + 1)[
+                cells[:best.size], best.ravel()].reshape(best.shape)
+            par[held[a:b], :, j] = best
+    return dp, par
 
 
 def best_routes(n: int, exit_id: int, dp: np.ndarray, par: np.ndarray,
@@ -64,7 +91,7 @@ def solve_case1(coeffs: RelaxCoeffs) -> Dict[int, PathTiming]:
     for k in range(0, len(vbars), step):
         routes += best_routes(
             n, table.exit_id,
-            *labeling_case1._fill(n, np.ascontiguousarray(vin[:, k:k + step])),
+            *fill(n, np.ascontiguousarray(vin[:, k:k + step])),
             vexit[k:k + step], vbars[k:k + step])
     return {
         vbar: PathTiming(vbar, nodes,

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -243,6 +245,40 @@ class TestSolveCase1:
         assert len(built) == 1 and built[0] is value.best
 
 
+def test_routes_are_traced_once_on_demand(monkeypatch):
+    """A case-I dual evaluation traces one route, the maximizing
+    candidate's; building the evaluation's cuts then traces every other
+    candidate's once.  The value table lives until the last of them is
+    traced, and no longer, though the evaluation's result still does."""
+    calls, tables = [], []
+    real_trace, real_fill = labeling_case1._trace, labeling_case1._fill
+
+    def trace(dp, w, k, *args):
+        calls.append(k)
+        return real_trace(dp, w, k, *args)
+
+    def fill(*args):
+        dp = real_fill(*args)
+        tables.append(weakref.ref(dp))
+        return dp
+
+    monkeypatch.setattr(labeling_case1, "_trace", trace)
+    monkeypatch.setattr(labeling_case1, "_fill", fill)
+    inst = generate_instance(0, 6, 60, case="I", coverage_radius=20.0)
+    table = build_index_table(inst)
+    value = evaluate_dual_function(table, np.zeros(len(table.target_ids)), "I")
+    vbars = list(value.routes.values)
+    assert len(vbars) > 2 and len(tables) == 1
+    assert calls == [vbars.index(value.best.vbar)]
+    assert tables[0]() is not None
+    bundle._candidate_cuts(value, table)
+    assert sorted(calls) == list(range(len(vbars)))
+    gc.collect()
+    assert tables[0]() is None
+    assert value.routes.results[value.best.vbar] == value.best
+    assert len(calls) == len(vbars)
+
+
 def test_one_fill_computes_the_net_rates_once(monkeypatch):
     # every candidate's bound times and arc values come from the net-rate
     # matrix that the evaluation's one build_coeffs call made, also when
@@ -275,7 +311,7 @@ def test_size_guard_flips_between_21_and_22_waypoints(monkeypatch):
     formula's index-array term is the size of the cached arrays."""
     limit = labeling_case1.MAX_TABLE_BYTES
     assert fill_bytes(21) <= limit < fill_bytes(22)
-    assert fill_bytes(21) >= 2 ** 21 * 22 * 9 + 21 * 2 ** 20 * 9
+    assert fill_bytes(21) >= 2 ** 21 * 22 * 8 + 21 * 2 ** 20 * 9
     n = 5
     cached = sum(a.nbytes for layer in labeling_case1._layers(n)
                  for a in layer)
@@ -314,6 +350,36 @@ def test_fill_stays_within_fill_bytes(monkeypatch):
         assert peak + cached <= fill_bytes(n)
 
 
+def _integer_coeffs(table, ints):
+    """Case-I coefficients at zero multipliers after giving ``table``
+    coverage rates, priorities and arc time bounds that are integers from 0
+    to 2 (priorities and times from 1), drawn by ``ints(*shape, low=0)``."""
+    m = len(table.target_ids)
+    arcs = len(table.arcs)
+    table.coverage_rate = ints(arcs, m)
+    table.wp_cov = ints(table.n, m)
+    table.priorities = ints(m, low=1)
+    table.min_time = ints(arcs, low=1)
+    table.max_time = np.maximum(table.min_time, ints(arcs, low=1))
+    return build_coeffs(table, np.zeros(m), "I")
+
+
+def _assert_matches_reference(coeffs, chunked):
+    """Every idle candidate's timed route, repr for repr, equals the one the
+    frozen reference fills, traces and times; with ``chunked``, both fill
+    one candidate per chunk with one state per gather."""
+    tables, states = (1, 1) if chunked else (
+        labeling_case1.TABLE_CHUNK_BYTES, labeling_case1.STATE_CHUNK_BYTES)
+    with mock.patch.multiple(labeling_case1, TABLE_CHUNK_BYTES=tables,
+                             STATE_CHUNK_BYTES=states):
+        got = solve_case1(coeffs)
+        expect = reference_case1.solve_case1(coeffs)
+    assert list(got.results) == list(coeffs.idle_set)
+    assert got.values == {v: bt.value for v, bt in expect.items()}
+    assert ({v: repr(bt) for v, bt in got.results.items()}
+            == {v: repr(bt) for v, bt in expect.items()})
+
+
 @st.composite
 def _tied_inputs(draw):
     """Case-I coefficients whose coverage rates, priorities and arc time
@@ -326,8 +392,6 @@ def _tied_inputs(draw):
                              draw(st.integers(1, 3)), case="I",
                              coverage_radius=25.0)
     assume(inst.targets)
-    table = build_index_table(inst)
-    m = len(table.target_ids)
 
     def ints(*shape, low=0):
         size = int(np.prod(shape))
@@ -335,32 +399,90 @@ def _tied_inputs(draw):
                                       max_size=size)),
                         dtype=float).reshape(shape)
 
-    arcs = len(table.arcs)
-    table.coverage_rate = ints(arcs, m)
-    table.wp_cov = ints(n, m)
-    table.priorities = ints(m, low=1)
-    table.min_time = ints(arcs, low=1)
-    table.max_time = np.maximum(table.min_time, ints(arcs, low=1))
-    return (build_coeffs(table, np.zeros(m), "I"), draw(st.booleans()))
+    return (_integer_coeffs(build_index_table(inst), ints),
+            draw(st.booleans()))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(_tied_inputs())
 def test_routes_match_per_candidate_reference(inputs):
     """Every idle candidate's timed route, repr for repr, equals the one the
-    per-candidate scan of ``reference_case1`` traces and times, on inputs
-    full of exact ties and in fills of one candidate per chunk."""
-    coeffs, chunked = inputs
-    tables, states = (1, 1) if chunked else (
-        labeling_case1.TABLE_CHUNK_BYTES, labeling_case1.STATE_CHUNK_BYTES)
-    with mock.patch.multiple(labeling_case1, TABLE_CHUNK_BYTES=tables,
-                             STATE_CHUNK_BYTES=states):
-        got = solve_case1(coeffs)
-        expect = reference_case1.solve_case1(coeffs)
-    assert list(got.results) == list(coeffs.idle_set)
-    assert got.values == {v: bt.value for v, bt in expect.items()}
-    assert ({v: repr(bt) for v, bt in got.results.items()}
-            == {v: repr(bt) for v, bt in expect.items()})
+    per-candidate scan of ``reference_case1`` traces and times after its
+    frozen ``argmax`` fill, on inputs full of exact ties and in fills of one
+    candidate per chunk."""
+    _assert_matches_reference(*inputs)
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_and_top_bit_networks_match_reference(n, chunked):
+    """One and two waypoints, which the tied inputs above never draw, and
+    the idle stop at the highest mask bit (``vbar == n``): on integer
+    tables full of exact ties every timed route equals the frozen
+    reference's, repr for repr."""
+    rng = np.random.default_rng(n)
+
+    def ints(*shape, low=0):
+        return rng.integers(low, 3, size=shape).astype(float)
+
+    top = 0
+    for seed in range(12):
+        inst = generate_instance(seed, n, 2, case="I", coverage_radius=25.0)
+        if inst.targets:
+            coeffs = _integer_coeffs(build_index_table(inst), ints)
+            top += n in coeffs.idle_set
+            _assert_matches_reference(coeffs, chunked)
+    assert top >= 3
+
+
+def _both_engines(w, vexit, vbars):
+    """Each candidate's (value, route) from the package's fill of one chunk
+    and from the frozen reference's, for the arc values ``w[k, i, j]`` of
+    arcs ``i -> j`` and ``vexit[k, j-1]`` of arcs ``j -> exit``."""
+    n = w.shape[1] - 1
+    best, trace = labeling_case1._fill_chunk(n, n + 1, w, vexit, vbars)
+    got = [(float(value), trace(k)) for k, value in enumerate(best)]
+    dp, par = reference_case1.fill(
+        n, np.ascontiguousarray(w.transpose(2, 0, 1)))
+    return got, reference_case1.best_routes(n, n + 1, dp, par, vexit, vbars)
+
+
+def test_route_through_neg_arcs_matches_reference():
+    """Every arc into the idle stop carries the missing-arc value ``_NEG``,
+    so the candidate's best route takes one.  Its other arc values are
+    absorbed, every route through the stop ties at exactly ``_NEG``, and
+    the tie rules alone pick the route: end node 1 first, then the smaller
+    visited set."""
+    rng = np.random.default_rng(7)
+    n = 4
+    w = rng.integers(-3, 4, size=(2, n + 1, n + 1)).astype(float)
+    w[:, :, 3] = labeling_case1._NEG
+    vexit = rng.integers(-3, 4, size=(2, n)).astype(float)
+    got, expect = _both_engines(w, vexit, (0, 3))
+    assert got == expect
+    assert got[1] == (labeling_case1._NEG, (0, 3, 1, n + 1))
+    assert [repr(value) for value, _ in got] == [
+        repr(value) for value, _ in expect]
+
+
+@pytest.mark.parametrize("exit_value,best", [
+    (1.0, (2.0, (0, 1, 3))),  # both complete to 2: the smaller set wins
+    (0.5, (1.5 + 2.0 ** -52, (0, 2, 1, 3))),  # no rounding, no tie
+])
+def test_completions_that_round_equal_tie(exit_value, best):
+    """Two states at the best end node have values 1 and 1 + 2^-52.  Where
+    their completions round to the same value, the smaller visited set
+    wins, as in the frozen reference, though its state is not the end
+    node's peak: the tie is on completed values, not on state values.
+    Where they complete apart, the peak's route wins although the other
+    state lies within a few ulps of it."""
+    w = np.full((1, 3, 3), -8.0)
+    w[0, 0, 1] = 1.0  # path 0, 1 is worth 1
+    w[0, 0, 2] = 2.0 ** -52
+    w[0, 2, 1] = 1.0  # path 0, 2, 1 is worth 1 + 2^-52
+    vexit = np.array([[exit_value, -8.0]])
+    got, expect = _both_engines(w, vexit, (0,))
+    assert got == expect == [best]
 
 
 @st.composite
