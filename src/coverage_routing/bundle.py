@@ -6,7 +6,7 @@ candidate's best route, with its timing fixed, is affine in ``lam`` and lies
 at or below it everywhere; so one evaluation adds one affine cut (a gradient
 and an offset) per candidate that has a route: the maximizing candidate's
 first, then the others in idle-set order (the multicut idea of Birge &
-Louveaux, *EJOR* 1988), built after the evaluation's trace row is recorded
+Louveaux, *EJOR* 1988), built after the evaluation's wall time is stamped
 so that no bound waits for them, and all of them in one :func:`make_cut`
 pass.  The cuts live in a :class:`CutPool` of arrays that holds each cut's
 norm and unit row from the moment it is added.  The next iterate is the
@@ -18,12 +18,13 @@ needs no feasible point: it either reaches the projection or proves the
 level set empty, with steps that keep their bookkeeping in Python floats
 and preallocated buffers.  If the iterate can be projected, it is
 evaluated, its cuts are added, and ``UB`` shrinks toward the dual value.
-``LB`` moves only on a certificate that the level set is empty: weights
-``y >= 0`` summing to 1 over the cuts whose aggregated gradient ``sum y_k
-g_k`` is ``<= 0`` in every component.  The QP's last dual step supplies the
-weights, and one check, :func:`_verify_farkas`, accepts or refuses them;
-when rounding makes its working cuts dependent, or when it reaches its step
-cap, the QP stops with no point and no weights, which the check refuses.
+The master moves ``LB`` only on a certificate that the level set is empty:
+weights ``y >= 0`` summing to 1 over the cuts whose aggregated gradient
+``sum y_k g_k`` is ``<= 0`` in every component.  The QP's last dual step
+supplies the weights, and one check, :func:`_verify_farkas`, accepts or
+refuses them; when rounding makes its working cuts dependent, or when it
+reaches its step cap, the QP stops with no point and no weights, which the
+check refuses.
 The aggregated cut then lies below the dual function at every ``lam <=
 0``, so its offset ``sum y_k o_k``, above ``f_lev``, is the new ``LB``: a
 lower bound on the cut model's minimum, and often that minimum itself (the
@@ -31,12 +32,19 @@ level method of Lemarechal, Nemirovskii & Nesterov, *Math. Programming*
 1995).  An emptiness verdict without such a certificate leaves ``LB``
 alone; the next level then moves from the refuted one toward ``UB``.
 
-``LB`` starts from a greedy primal repair of the first relaxation solution
-(any feasible primal value lower-bounds the dual optimum by weak duality) or
-a deep floor when no repair is feasible.  Every route's value is at least 0,
-so a dual value below 0 proves that no route meets the requirements and that
-the dual is unbounded below: the loop stops there, converged.  No
-certificate can hold on such an instance, so ``LB`` stays at the floor.
+Every evaluation lifts ``LB`` too.  A cut whose gradient is ``<= 0`` in
+every component comes from a route that meets every requirement; if that
+route also fits the deadline (every case-II route does, a case-I route when
+its times sum to at most it), it is primal feasible, and its offset, its
+primal value, bounds the dual optimum from below by weak duality.  After
+each evaluation's cut pass ``LB`` becomes the largest such offset if that
+is higher, capped at ``UB``: the one-route vertices of the cut model's
+restricted master.  ``LB`` starts from the ``lam = 0`` evaluation's
+feasible cuts, or from a deep floor when it has none.  Every route's value
+is at least 0, so a dual value below 0 proves that no route meets the
+requirements and that the dual is unbounded below: the loop stops there,
+converged.  No certificate and no feasible cut can hold on such an
+instance, so ``LB`` stays at the floor.
 """
 
 from __future__ import annotations
@@ -88,6 +96,12 @@ _FARKAS_RTOL = 1e-9
 
 @dataclass
 class TraceRow:
+    """One iteration of :func:`run_dual`: its dual value (None when no point
+    was evaluated), the bounds after it, ``lb`` including the lift of the
+    evaluation's feasible cuts, its level and master verdict, and the
+    seconds since the run started when the verdict or evaluation returned,
+    before any of the evaluation's cuts was built."""
+
     iteration: int
     f_value: Optional[float]
     lb: float
@@ -424,18 +438,36 @@ def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
     return assemble_f_value(coeffs, routes)
 
 
-def _candidate_cuts(value: RelaxValue, table: ArcIndexTable
-                    ) -> Tuple[np.ndarray, np.ndarray]:
+def _candidate_cuts(value: RelaxValue, table: ArcIndexTable, case: str
+                    ) -> Tuple[np.ndarray, np.ndarray, float]:
     """The cut of every idle candidate's route, as gradients and offsets
     from one :func:`make_cut` pass: the maximizing candidate's first, then
     the others in idle-set order; candidates without a route add none.  A
     route with its timing fixed is affine in ``lam`` and lies at or below
     the dual function everywhere, tight at the evaluated multipliers for
-    its own candidate."""
+    its own candidate.
+
+    Also returns the largest offset among the cuts of primal-feasible
+    routes, or ``-inf`` when there is none.  A route is feasible when its
+    gradient ``required - coverage`` is ``<= 0`` in every component (a
+    float difference has the sign of the exact one, so the test is exact on
+    the computed coverage) and it fits the deadline: every case-II route
+    does, and a case-I route when its times sum to at most the deadline."""
     routes, top = value.routes, value.best.vbar
-    return make_cut([value.best] + [
+    timings = [value.best] + [
         routes.timing(vbar) for vbar, found in routes.values.items()
-        if found is not None and vbar != top], table)
+        if found is not None and vbar != top]
+    gradients, offsets = make_cut(timings, table)
+    T = table.instance.deadline
+    primal = -np.inf
+    # each gradient's largest entry (-inf with no targets): one reduce
+    # where a per-row test would cost several numpy calls per evaluation
+    worst = np.maximum.reduce(gradients, axis=1, initial=-np.inf).tolist()
+    for k, peak in enumerate(worst):
+        if peak <= 0.0 and (case != CASE_I or
+                           float(sum(timings[k].times)) <= T):
+            primal = max(primal, offsets.item(k))
+    return gradients, offsets, primal
 
 
 def _route_solution(table: ArcIndexTable, nodes: Tuple[int, ...],
@@ -463,6 +495,7 @@ def timing_to_solution(timing: PathTiming,
                            idle, cov)
 
 
+# not called here: kept only for bench/tracing.py's repair span
 def _greedy_primal_repair(table: ArcIndexTable, witness: PathTiming
                           ) -> Tuple[float, Optional[PathSolution]]:
     """Best feasible route obtainable by re-timing the witness path (all
@@ -525,7 +558,6 @@ class DualResult:
     iterations: int
     trace: Tuple[TraceRow, ...]
     solution: PathSolution
-    repair_solution: Optional[PathSolution]
 
 
 def run_dual(instance: Instance, case: str, phi: float = 0.5,
@@ -539,10 +571,12 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     meets the requirements, see the module docstring), or when a limit is
     hit; the returned ``dual_bound`` (the best evaluated value) is always a
     valid bound on the primal optimum, and ``lower_bound`` moves only on a
-    checked certificate (:func:`solve_master`).  The trace keeps one row per
-    iteration plus an initialization row; an evaluated row is recorded
-    before :func:`_candidate_cuts` builds its cuts.  Each level is the
-    ``phi`` point between ``LB`` and ``UB``, except after a
+    checked certificate (:func:`solve_master`) or on a feasible cut
+    (:func:`_candidate_cuts`).  The trace keeps one row per iteration plus
+    an initialization row.  A row's ``wall_time`` is read when its master
+    verdict or its evaluation returns, before :func:`_candidate_cuts` builds
+    an evaluation's cuts, and its ``lb`` includes their lift.  Each level
+    is the ``phi`` point between ``LB`` and ``UB``, except after a
     ``MASTER_UNVERIFIED`` row, where the refuted level takes ``LB``'s place:
     such a row evaluates no point and moves no bound, whether its
     certificate failed or the projection stopped short at the step cap.
@@ -566,15 +600,16 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
 
     lam0 = np.zeros(len(table.target_ids))
     value0 = evaluate_dual_function(table, lam0, case, ratio_mode)
-    lb0, repair = _greedy_primal_repair(table, value0.best)
+    wall = time.monotonic() - t0
+    gradients, offsets, primal = _candidate_cuts(value0, table, case)
+    pool = CutPool(gradients, offsets)
     lam_hat = lam0
-    lb, ub = min(lb0, value0.value), value0.value
+    ub = value0.value
+    lb = min(ub, max(LB_FLOOR, primal))
     if not len(lam0):
         lb = ub  # no targets, no multipliers: row 0 is the dual optimum
     best_lam, best_value = lam0.copy(), value0
-    trace = [TraceRow(0, value0.value, lb, ub, None, "initial",
-                      time.monotonic() - t0)]
-    pool = CutPool(*_candidate_cuts(value0, table))
+    trace = [TraceRow(0, value0.value, lb, ub, None, "initial", wall)]
 
     def converged() -> bool:
         return ub < 0.0 or ub - lb <= tol * max(1.0, abs(ub))
@@ -598,20 +633,24 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
             verdict = MASTER_UNVERIFIED
         if verdict == MASTER_INFEASIBLE:
             lb = max(f_lev, master.bound)
-        floor = f_lev if verdict == MASTER_UNVERIFIED else lb
         if verdict != MASTER_FEASIBLE:
+            floor = f_lev if verdict == MASTER_UNVERIFIED else lb
             trace.append(TraceRow(iterations, None, lb, ub, f_lev, verdict,
                                   time.monotonic() - t0))
             continue
         lam_hat = master.lam
         value = evaluate_dual_function(table, master.lam, case, ratio_mode)
+        wall = time.monotonic() - t0
         if value.value < ub:
             ub = value.value
             best_lam = master.lam.copy()
             best_value = value
+        gradients, offsets, primal = _candidate_cuts(value, table, case)
+        pool.add(gradients, offsets)
+        # a feasible cut lifts LB, capped at UB; LB never falls
+        lb = floor = max(lb, min(ub, primal))
         trace.append(TraceRow(iterations, value.value, lb, ub, f_lev,
-                              MASTER_FEASIBLE, time.monotonic() - t0))
-        pool.add(*_candidate_cuts(value, table))
+                              MASTER_FEASIBLE, wall))
     if converged():
         status = CONVERGED
 
@@ -624,5 +663,4 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
         iterations=iterations,
         trace=tuple(trace),
         solution=timing_to_solution(best_value.best, table),
-        repair_solution=repair,
     )

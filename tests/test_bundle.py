@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -543,14 +545,14 @@ class TestRunDual:
 
     def test_no_targets_converge_at_row_zero(self):
         # the one target is dropped on load and no route meets the
-        # deadline, so the repair finds none: without multipliers, row 0's
+        # deadline, so no cut is feasible: without multipliers, row 0's
         # value is the dual optimum, and LB is set to it, with no master
         # call; case II has no route at all
         inst = load_instance(NO_TARGETS)
         assert inst.targets == ()
         res = run_dual(inst, "I")
         assert res.status == CONVERGED and res.iterations == 0
-        assert res.repair_solution is None
+        assert sum(res.solution.times) > inst.deadline
         assert res.lower_bound == res.dual_bound == res.initial_bound
         assert math.isfinite(res.dual_bound)
         with pytest.raises(InfeasibleInstanceError):
@@ -750,10 +752,28 @@ class TestRunDual:
         assert coeffs.constant + gain + path_val == \
             pytest.approx(res.dual_bound, rel=1e-9, abs=1e-8)
 
-    def test_witness_solutions_validate(self, rng):
-        for _ in range(4):
-            inst = random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6),
-                                        case="II")
+    def test_witness_solutions_validate(self, rng, monkeypatch):
+        # the witness route validates, and so does every route whose cut can
+        # lift LB (gradient <= 0; every case-II route fits the deadline): it
+        # meets every requirement, its value is its cut's offset, and LB
+        # ends at least there.  Four random desk draws, then two draws with
+        # wide coverage disks and low requirements, where such routes occur
+        passes, real_cut = [], bundle.make_cut
+
+        def cut(timings, table):
+            gradients, offsets = real_cut(timings, table)
+            passes.append((timings, gradients, offsets))
+            return gradients, offsets
+
+        monkeypatch.setattr(bundle, "make_cut", cut)
+        draws = [random_desk_instance(rng, n_range=(3, 5), m_range=(3, 6),
+                                      case="II") for _ in range(4)]
+        draws += [generate_instance(seed, 5, 8, case="II",
+                                    coverage_radius=40.0, min_coverage=0.01)
+                  for seed in (0, 1)]
+        lifting = 0
+        for inst in draws:
+            passes.clear()
             table = build_index_table(inst)
             try:
                 res = run_dual(inst, "II", tol=1e-4, iter_limit=200,
@@ -762,11 +782,19 @@ class TestRunDual:
                 continue
             report = validate_solution(inst, res.solution, table=table)
             assert report.ok
-            if res.repair_solution is not None:
-                rep = validate_solution(
-                    inst, res.repair_solution,
-                    ValidateOptions(enforce_coverage=True), table=table)
-                assert rep.ok
+            for timings, gradients, offsets in passes:
+                for timing, g, o in zip(timings, gradients, offsets):
+                    if not np.all(g <= 0.0):
+                        continue
+                    lifting += 1
+                    sol = timing_to_solution(timing, table)
+                    assert sol.objective == o
+                    rep = validate_solution(
+                        inst, sol, ValidateOptions(enforce_coverage=True),
+                        table=table)
+                    assert rep.ok
+                    assert res.lower_bound >= min(o, res.dual_bound)
+        assert lifting > 0
 
     def test_table_of_another_instance_rejected(self):
         inst = generate_instance(61, 3, 4, coverage_radius=25.0)
@@ -907,44 +935,74 @@ class TestCutPool:
 
     @pytest.mark.parametrize("case, args, kw", [
         ("I", (0, 6, 60), dict(coverage_radius=20.0, min_coverage=0.01)),
-        ("II", (1, 5, 8), dict(coverage_radius=40.0, min_coverage=0.01))])
+        ("II", (1, 5, 8), dict(coverage_radius=40.0, min_coverage=0.01)),
+        ("I", (1, 5, 8), dict(coverage_radius=40.0, min_coverage=0.01))])
     def test_cuts_are_built_after_their_trace_row(self, case, args, kw,
                                                   monkeypatch):
-        # an evaluated row, row 0 included, is recorded before any of its
-        # cuts is built, so no bound waits for a cut; a row that evaluates
-        # nothing builds none
-        events = []
+        # a row's wall time is read before any of its cuts is built, so no
+        # bound waits for a cut, and the row is made after them, its LB
+        # lifted by their feasible routes (gradient <= 0, within the
+        # deadline) and capped at UB; a row that evaluates nothing builds
+        # none.  A fake clock ticks once per read, so each row's wall time
+        # names the read that stamped it
+        events, ticks = [], itertools.count()
         real_cut, real_row = bundle.make_cut, bundle.TraceRow
 
-        def cut(*args):
-            events.append("cut")
-            return real_cut(*args)
+        def monotonic():
+            events.append(("clock", float(next(ticks))))
+            return events[-1][1]
+
+        def cut(timings, table):
+            gradients, offsets = real_cut(timings, table)
+            events.append(("cut", timings, gradients, offsets))
+            return gradients, offsets
 
         def row(*args):
-            events.append("empty" if args[1] is None else "row")
+            events.append(("row",))
             return real_row(*args)
 
+        monkeypatch.setattr(bundle, "time",
+                            types.SimpleNamespace(monotonic=monotonic))
         monkeypatch.setattr(bundle, "make_cut", cut)
         monkeypatch.setattr(bundle, "TraceRow", row)
-        res = run_dual(generate_instance(*args, case=case, **kw), case)
-        assert res.iterations > 1
-        assert events[0] == "row"
-        # the number of cuts built after each row, up to the next one
-        kinds, built = [], []
+        inst = generate_instance(*args, case=case, **kw)
+        res = run_dual(inst, case)
+        monkeypatch.undo()
+        assert res.iterations > 1 and events[0] == ("clock", 0.0)
+        # the events before each row, back to the one before it
+        segments = [[]]
         for event in events:
-            if event == "cut":
-                built[-1] += 1
+            if event[0] == "row":
+                segments.append([])
             else:
-                kinds.append(event)
-                built.append(0)
-        assert len(kinds) == len(res.trace)
-        for kind, cuts in zip(kinds, built):
-            assert (cuts > 0) == (kind == "row")
+                segments[-1].append(event)
+        assert len(segments) == len(res.trace) + 1 and not segments[-1]
+        lb, lifts = LB_FLOOR, 0
+        for trow, segment in zip(res.trace, segments):
+            stamp = segment.index(("clock", trow.wall_time))
+            cuts = [i for i, event in enumerate(segment) if event[0] == "cut"]
+            assert len(cuts) == (trow.f_value is not None)
+            if not cuts:
+                assert trow.lb >= lb
+                lb = trow.lb
+                continue
+            assert stamp < cuts[0]
+            _, timings, gradients, offsets = segment[cuts[0]]
+            lift = max((o for t, g, o in zip(timings, gradients, offsets)
+                        if np.all(g <= 0.0) and (
+                            case == "II" or
+                            sum(t.times) <= inst.deadline)),
+                       default=-math.inf)
+            assert trow.lb == max(lb, min(trow.ub, lift))
+            lifts += trow.lb > lb
+            lb = trow.lb
+        assert lifts > 0
 
     def test_small_preset_evaluates_fewer_points(self):
         # 35 trace rows were evaluated on these seeds with the winner's cut
-        # alone; row 0 is the lam = 0 evaluation and the repair of its
-        # winner, as before
+        # alone; row 0 is the lam = 0 evaluation, and its LB the largest
+        # value of a route among that evaluation's cuts that meets every
+        # requirement within the deadline, capped at the dual value
         evaluated = 0
         for seed in range(4):
             inst = generate_instance(seed, preset="small", case="I")
@@ -954,10 +1012,10 @@ class TestCutPool:
             evaluated += sum(r.f_value is not None for r in res.trace)
             value0 = evaluate_dual_function(
                 table, np.zeros(len(inst.targets)), "I")
-            lb0, _ = bundle._greedy_primal_repair(table, value0.best)
+            lifted = reference_cuts.feasible_bound(value0, table, "I")
             row = res.trace[0]
             assert row.f_value == row.ub == value0.value
-            assert row.lb == min(lb0, value0.value)
+            assert row.lb == min(max(LB_FLOOR, lifted), value0.value)
         assert evaluated < 35
 
 
@@ -968,7 +1026,7 @@ def _result_bytes(res):
              if k != "wall_time"} for row in res.trace]
     return repr((res.status, res.dual_bound, res.lower_bound,
                  res.initial_bound, res.best_lam.tobytes(), res.iterations,
-                 rows, res.solution, res.repair_solution))
+                 rows, res.solution))
 
 
 def _reference_projection(center, pool, d):
@@ -1083,9 +1141,10 @@ class TestArrayMaster:
             value = evaluate_dual_function(table, lam, case)
         except InfeasibleInstanceError:
             return
-        got = bundle._candidate_cuts(value, table)
+        *got, lifted = bundle._candidate_cuts(value, table, case)
         want = reference_cuts.candidate_cuts(value, table)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert lifted == reference_cuts.feasible_bound(value, table, case)
 
     @pytest.mark.parametrize("case, args, kw", [
         pytest.param("I", (s, 6, 60),
@@ -1118,9 +1177,10 @@ class TestArrayMaster:
         monkeypatch.undo()
         assert len(values) > 1 and projections
         for value in values:
-            cuts = bundle._candidate_cuts(value, table)
+            *cuts, lifted = bundle._candidate_cuts(value, table, case)
             ref = reference_cuts.candidate_cuts(value, table)
             assert [a.tobytes() for a in cuts] == [a.tobytes() for a in ref]
+            assert lifted == reference_cuts.feasible_bound(value, table, case)
         for center, C, d in projections:
             self._same_projection(center, C, d)
         monkeypatch.setattr(bundle, "make_cut", reference_cuts.make_cuts)
@@ -1225,3 +1285,82 @@ class TestGreedyRepair:
                     inst, sol, ValidateOptions(enforce_coverage=True),
                     table=table).ok
         assert routes == found
+
+
+class TestFeasibleCutLift:
+    """``LB`` from the cuts of primal-feasible routes: a route that meets
+    every requirement (its gradient is ``<= 0``) within the deadline is a
+    primal solution, so its value, its cut's offset, is at most the primal
+    optimum and bounds the dual optimum from below."""
+
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_lifted_bounds_stay_below_the_primal(self, rng, case):
+        # every LB that a feasible cut sets, on an evaluated row, is at most
+        # the exact primal optimum.  Certificate LBs bound the dual instead,
+        # and exceed the primal where there is a duality gap, so they are
+        # not checked here
+        done = lifted = 0
+        while done < 6:
+            inst = random_desk_instance(
+                rng, n_range=(3, 6), m_range=(3, 6), case=case,
+                radius_choices=(40.0,), min_coverage=0.01)
+            table = build_index_table(inst)
+            try:
+                primal = oracle_primal(inst, table).value
+            except InfeasibleInstanceError:
+                continue
+            res = run_dual(inst, case, iter_limit=300, table=table)
+            lb = LB_FLOOR
+            for row in res.trace:
+                if row.f_value is not None and row.lb > lb:
+                    lifted += 1
+                    assert row.lb <= primal + 1e-12 * abs(primal)
+                lb = row.lb
+            done += 1
+        assert lifted >= done
+
+    def test_route_past_the_deadline_lifts_nothing(self):
+        # a tight case-I deadline: the lam = 0 winner meets every
+        # requirement but takes more than the deadline, so it lifts nothing
+        # and row 0 stays at the floor.  Its value is the dual value, about
+        # twice the primal optimum, and would have closed the run at once
+        inst = generate_instance(0, 3, 6, case="I", deadline_scale=0.05,
+                                 coverage_radius=40.0, min_coverage=0.01)
+        table = build_index_table(inst)
+        value0 = evaluate_dual_function(
+            table, np.zeros(len(inst.targets)), "I")
+        gradients, offsets, lifted = bundle._candidate_cuts(value0, table,
+                                                            "I")
+        assert np.all(gradients[0] <= 0.0) and offsets[0] == value0.value
+        assert sum(value0.best.times) > inst.deadline
+        assert lifted == -math.inf
+        assert offsets[0] > oracle_primal(inst, table).value
+        res = run_dual(inst, "I", table=table)
+        assert res.trace[0].lb == LB_FLOOR and res.iterations >= 1
+
+    def test_binding_case2_converges_at_row_zero(self):
+        # lam = 0 is optimal, and the lam = 0 winner meets every requirement
+        # within the deadline: its cut lifts LB to UB at row 0
+        inst = generate_instance(10, 7, 10, case="II", deadline_scale=0.04,
+                                 min_coverage=0.01)
+        res = run_dual(inst, "II")
+        assert res.status == CONVERGED and res.iterations == 0
+        assert res.lower_bound == res.dual_bound == res.initial_bound
+
+    @pytest.mark.parametrize("case, seeds, iterations", [
+        ("I", 30, 208), ("II", 30, 304)])
+    def test_battery_leaves_the_floor_at_row_zero(self, case, seeds,
+                                                  iterations):
+        # wide coverage disks and low requirements: feasible cuts at
+        # lam = 0 set LB off the floor on most seeds (18 and 17 of 40 with
+        # the greedy repair of the lam = 0 winner), and the runs take fewer
+        # iterations than the 208 and 304 they took with that repair
+        off = total = 0
+        for seed in range(40):
+            inst = generate_instance(seed, 5, 8, case=case,
+                                     coverage_radius=40.0, min_coverage=0.01)
+            res = run_dual(inst, case, iter_limit=300)
+            assert res.status == CONVERGED
+            off += res.trace[0].lb != LB_FLOOR
+            total += res.iterations
+        assert off >= seeds and total < iterations

@@ -12,10 +12,10 @@ import coverage_routing
 from conftest import (FAR_TARGET, HUGE_ARC, NO_TARGETS, ROUTE_OVERFLOW,
                       SINGULAR_RATES, TIME_OVERFLOW, singular_rate_document,
                       solve_outputs, too_many_waypoints_document)
-from coverage_routing import bundle
 from coverage_routing.bundle import LB_FLOOR, evaluate_dual_function
 from coverage_routing.cli import main
 from coverage_routing.instance import build_index_table, load_instance
+import reference_cuts
 
 
 def run(args):
@@ -129,10 +129,10 @@ class TestSolveVerify:
 
     def test_iteration_limit_exit_code(self, tmp_path):
         # wide coverage disks and low requirements: the uncapped run needs
-        # more than one iteration, so a cap of 1 stops it (exit 2).  The
-        # greedy repair of the first witness finds a route, so trace row 0
-        # starts LB at its value (80.455...), not at the floor, and the
-        # capped run's witness verifies
+        # more than one iteration, so a cap of 1 stops it (exit 2).  A route
+        # of the lam = 0 evaluation meets every requirement within the
+        # deadline, so trace row 0 starts LB at the largest such route's
+        # value, not at the floor, and the capped run's witness verifies
         inst = tmp_path / "i.json"
         run(["gen", "--waypoints", "5", "--targets", "8", "--seed", "1",
              "--case", "I", "--coverage-radius", "40",
@@ -151,9 +151,10 @@ class TestSolveVerify:
         table = build_index_table(load_instance(inst))
         value0 = evaluate_dual_function(
             table, np.zeros(len(table.target_ids)), "I")
-        repaired, _ = bundle._greedy_primal_repair(table, value0.best)
+        lifted = reference_cuts.feasible_bound(value0, table, "I")
         row = json.loads(trace.read_text().splitlines()[0])
-        assert row["iteration"] == 0 and row["lb"] == repaired > LB_FLOOR
+        assert row["iteration"] == 0 and row["lb"] == lifted > LB_FLOOR
+        assert lifted < row["ub"]
         assert run(["verify", str(inst), str(out) + ".sol.json"]) == 0
 
     @pytest.mark.parametrize("flags", [

@@ -271,7 +271,7 @@ def test_routes_are_traced_once_on_demand(monkeypatch):
     assert len(vbars) > 2 and len(tables) == 1
     assert calls == [vbars.index(value.best.vbar)]
     assert tables[0]() is not None
-    bundle._candidate_cuts(value, table)
+    bundle._candidate_cuts(value, table, "I")
     assert sorted(calls) == list(range(len(vbars)))
     gc.collect()
     assert tables[0]() is None
