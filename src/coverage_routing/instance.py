@@ -150,31 +150,55 @@ def _segment_pairs(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((i, j) for (i, j) in _arcs(n) if i < j)
 
 
+@functools.lru_cache(maxsize=8)
+def _arc_nodes(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs' tail and head nodes as index arrays, and the indices of
+    the arcs ``(i, j)`` with ``i < j``: one arc per segment, in arc order.
+    Read-only, since every caller shares them."""
+    rows, cols = np.array(_arcs(n), dtype=np.intp).T
+    segments = np.flatnonzero(rows < cols)
+    for a in (rows, cols, segments):
+        a.setflags(write=False)
+    return rows, cols, segments
+
+
+@functools.lru_cache(maxsize=8)
+def _field_names(cls) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _check_finite(where: str, obj, may_be_inf: Tuple[str, ...] = ()) -> None:
     """Every float field of the dataclass ``obj`` must be finite; the fields
     named in ``may_be_inf`` may also be +inf (the file format's rule)."""
-    for f in fields(obj):
-        v = getattr(obj, f.name)
+    for name in _field_names(type(obj)):
+        v = getattr(obj, name)
         if isinstance(v, float) and not (
-                math.isfinite(v) or (f.name in may_be_inf and v == math.inf)):
-            raise SchemaError(f"field '{f.name}' in {where} must be finite, got {v}")
+                math.isfinite(v) or (name in may_be_inf and v == math.inf)):
+            raise SchemaError(f"field '{name}' in {where} must be finite, got {v}")
 
 
-def validate_instance(instance: Instance) -> None:
-    """Raise :class:`SchemaError` on any structural defect, or on a number
-    that :func:`load_instance` would refuse (NaN, or an infinity outside
-    ``energy_max`` and ``window_close``)."""
+def _check_numbers(instance: Instance) -> None:
+    """Refuse a number that :func:`load_instance` would refuse: NaN, or an
+    infinity outside ``energy_max`` and ``window_close``."""
+    _check_finite("document", instance)  # the deadline
+    _check_finite("physics", instance.physics)
+    _check_finite("vehicle", instance.vehicle, ("energy_max",))
+    for pos, wp in enumerate(instance.waypoints):
+        _check_finite(f"waypoints[{pos}]", wp, ("window_close",))
+    for t in instance.targets:
+        _check_finite(f"target {t.id}", t)
+
+
+def _check_structure(instance: Instance) -> None:
+    """Refuse every defect but a bad number: sizes, ids, windows, ranges and
+    coincident waypoints."""
     n = instance.n
     if n < 1:
         raise SchemaError("need at least one interior waypoint")
     if n > MAX_WAYPOINTS:
         raise SchemaError(f"at most {MAX_WAYPOINTS} interior waypoints are "
                           f"supported, got {n}")
-    _check_finite("document", instance)  # the deadline
-    _check_finite("physics", instance.physics)
-    _check_finite("vehicle", instance.vehicle, ("energy_max",))
     for pos, wp in enumerate(instance.waypoints):
-        _check_finite(f"waypoints[{pos}]", wp, ("window_close",))
         if wp.id != pos:
             raise SchemaError(f"waypoint ids must be 0..{n + 1} in order, "
                               f"found id {wp.id} at position {pos}")
@@ -193,7 +217,6 @@ def validate_instance(instance: Instance) -> None:
         if t.id in seen or t.id < 0:
             raise SchemaError(f"duplicate or negative target id {t.id}")
         seen.add(t.id)
-        _check_finite(f"target {t.id}", t)
         if t.min_coverage < 0:
             raise SchemaError(f"target {t.id} has negative coverage requirement")
         if t.risk_radius <= 0 or t.risk_factor < 0:
@@ -209,28 +232,83 @@ def validate_instance(instance: Instance) -> None:
             raise SchemaError(f"waypoints {i} and {j} coincide")
 
 
+def validate_instance(instance: Instance) -> None:
+    """Raise :class:`SchemaError` on any structural defect, or on a number
+    that :func:`load_instance` would refuse (NaN, or an infinity outside
+    ``energy_max`` and ``window_close``).  The numbers are checked first."""
+    _check_numbers(instance)
+    _check_structure(instance)
+
+
 def _xy(points: Sequence[Point2]) -> Tuple[np.ndarray, np.ndarray]:
     """The points' x and y coordinates as two arrays."""
     return (np.array([p.x for p in points], dtype=float),
             np.array([p.y for p in points], dtype=float))
 
 
-def _clean_targets(instance: Instance) -> Instance:
-    """Drop targets that sit on an arc or that no arc/waypoint can cover."""
+def _target_geometry(instance: Instance):
+    """The chord batch of every arc (rows, in arc order) against every
+    target (columns), with the vehicle's coverage factor and radius and the
+    clearance ``eps_geo``, and every interior waypoint's distance to every
+    target.  A target far beyond a tiny network overflows the kernel's
+    quotients, and one too close to a node its inverse-square rates; numpy
+    stays silent about both, and the callers read what they need."""
     xs, ys = _xy([w.point for w in instance.waypoints])
     tx, ty = _xy([t.point for t in instance.targets])
-    i, j = np.array(_segment_pairs(instance.n), dtype=np.intp).T
-    radius = instance.vehicle.coverage_radius
-    inner = slice(1, instance.n + 1)
-    # a target far beyond a tiny network overflows the kernel's quotients;
-    # an infinite distance still reads as out of reach
+    rows, cols, _ = _arc_nodes(instance.n)
+    veh = instance.vehicle
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        chords = geometry.segment_disk_batch(xs[i], ys[i], xs[j], ys[j], tx,
-                                             ty, 0.0, radius, instance.eps_geo)
-        near_waypoint = geometry.distances(xs[inner], ys[inner], tx, ty) \
-            <= radius
-    on_arc = ~chords.clear.all(axis=0)
-    coverable = near_waypoint.any(axis=0) | chords.hit.any(axis=0)
+        chords = geometry.segment_disk_batch(
+            xs[rows], ys[rows], xs[cols], ys[cols], tx, ty,
+            veh.coverage_factor, veh.coverage_radius, instance.eps_geo)
+        wp_dist = geometry.distances(xs[1:instance.n + 1],
+                                     ys[1:instance.n + 1], tx, ty)
+    return chords, wp_dist
+
+
+#: The hand-off from target cleaning to the index table: the instance that
+#: :func:`_clean_targets` returned last, the geometry of every target it
+#: read, and the columns of the kept targets (None when it kept them all).
+#: It holds one instance at most, and the table takes it only for that very
+#: object (compared with ``is``, so an equal instance built otherwise
+#: computes its own) and clears it.
+_cleaned: Optional[tuple] = None
+
+
+def _take_geometry(instance: Instance):
+    """:func:`_target_geometry` of ``instance``: the kept columns of the
+    cleaning pass's arrays when ``instance`` is the instance cleaning
+    returned last, else a new pass.  Every kernel entry is computed pair by
+    pair, so both ways give the same bytes, and ``np.take`` keeps the
+    columns in row-major order, as a new pass lays them out: the solvers'
+    sums over a column-major table round differently."""
+    global _cleaned
+    handoff = _cleaned
+    if handoff is None or handoff[0] is not instance:
+        return _target_geometry(instance)
+    _cleaned = None
+    _, chords, wp_dist, kept = handoff
+    if kept is None:
+        return chords, wp_dist
+    return (geometry.SegmentDiskBatch(
+        *(np.take(getattr(chords, f), kept, axis=1)
+          for f in _field_names(type(chords)))),
+        np.take(wp_dist, kept, axis=1))
+
+
+def _clean_targets(instance: Instance) -> Instance:
+    """Drop targets that sit on an arc or that no arc/waypoint can cover.
+
+    The one geometry pass of a loaded instance runs here, over every arc
+    with the vehicle's factor; the on-arc and coverable tests read its
+    ``i < j`` rows, one per segment.  The result is handed to the index
+    table of the instance returned (see :func:`_take_geometry`)."""
+    global _cleaned
+    chords, wp_dist = _target_geometry(instance)
+    segments = _arc_nodes(instance.n)[2]
+    on_arc = ~chords.clear[segments].all(axis=0)
+    coverable = ((wp_dist <= instance.vehicle.coverage_radius).any(axis=0)
+                 | chords.hit[segments].any(axis=0))
     kept: List[Target] = []
     removed: List[Tuple[int, str]] = []
     for t, arc, cov in zip(instance.targets, on_arc, coverable):
@@ -240,10 +318,14 @@ def _clean_targets(instance: Instance) -> Instance:
             kept.append(t)
         else:
             removed.append((t.id, "uncoverable"))
-    if not removed:
-        return instance
-    return replace(instance, targets=tuple(kept),
-                   removed_targets=instance.removed_targets + tuple(removed))
+    kept_cols = None
+    if removed:
+        instance = replace(
+            instance, targets=tuple(kept),
+            removed_targets=instance.removed_targets + tuple(removed))
+        kept_cols = np.flatnonzero(~on_arc & coverable)
+    _cleaned = (instance, chords, wp_dist, kept_cols)
+    return instance
 
 
 def finalize_instance(instance: Instance) -> Instance:
@@ -299,9 +381,10 @@ def _object(v, what: str) -> dict:
 
 def _field(doc: Union[dict, list], key: Union[str, int], where: str):
     """``doc[key]`` of an object, or of an array at a valid index."""
-    if isinstance(doc, dict) and key not in doc:
-        raise SchemaError(f"missing field '{key}' in {where}")
-    return doc[key]
+    try:
+        return doc[key]
+    except KeyError:
+        raise SchemaError(f"missing field '{key}' in {where}") from None
 
 
 def _array(doc: dict, key: str, where: str) -> list:
@@ -313,22 +396,28 @@ def _array(doc: dict, key: str, where: str) -> list:
 
 def _num(doc: Union[dict, list], key: Union[str, int], where: str,
          allow_inf: bool = False) -> float:
+    """``doc[key]`` as a finite float; with ``allow_inf``, +inf too (the
+    only infinity the file format has)."""
     v = _field(doc, key, where)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"field '{key}' in {where} must be a number, got {v!r}")
-    try:
-        v = float(v)
-    except OverflowError:  # an integer past the float range
-        raise SchemaError(f"field '{key}' in {where} is too large for a "
-                          f"float") from None
-    if not allow_inf and not math.isfinite(v):
+    if type(v) is not float:
+        if (type(v) is not int
+                and (isinstance(v, bool) or not isinstance(v, (int, float)))):
+            raise SchemaError(
+                f"field '{key}' in {where} must be a number, got {v!r}")
+        try:
+            v = float(v)
+        except OverflowError:  # an integer past the float range
+            raise SchemaError(f"field '{key}' in {where} is too large for a "
+                              f"float") from None
+    if not math.isfinite(v) and not (allow_inf and v == math.inf):
         raise SchemaError(f"field '{key}' in {where} must be finite, got {v}")
     return v
 
 
 def _ident(doc: Union[dict, list], key: Union[str, int], where: str) -> int:
     v = _field(doc, key, where)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+    is_int = type(v) is int or (isinstance(v, int) and not isinstance(v, bool))
+    if not is_int or v < 0:
         raise SchemaError(f"field '{key}' in {where} must be a nonnegative integer")
     return v
 
@@ -336,7 +425,12 @@ def _ident(doc: Union[dict, list], key: Union[str, int], where: str) -> int:
 def load_instance(source: Union[str, Path, dict]) -> Instance:
     """Build a validated :class:`Instance` from a JSON file path or a parsed
     document.  Targets dropped during cleaning are reported on
-    ``instance.removed_targets``."""
+    ``instance.removed_targets``.
+
+    Each number is checked once, as it is read (:func:`_num`), so the
+    instance then gets the structural checks of :func:`validate_instance`
+    alone.  Cleaning runs the instance's one geometry pass, which the index
+    table built next for the returned instance reuses."""
     doc = _read_json(source)
     for key in ("waypoints", "targets", "vehicle", "physics", "deadline"):
         if key not in doc:
@@ -386,7 +480,8 @@ def load_instance(source: Union[str, Path, dict]) -> Instance:
         deadline=_num(doc, "deadline", "document"),
         meta=tuple(sorted(meta.items())),
     )
-    return finalize_instance(instance)
+    _check_structure(instance)
+    return _clean_targets(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +561,12 @@ def generate_instance(seed: int,
 
 class ArcIndexTable:
     """Precomputed coverage indices for every (arc, target) and (interior
-    waypoint, target) pair, plus node distances and arc time bounds."""
+    waypoint, target) pair, plus node distances and arc time bounds.
+
+    The table of the instance that target cleaning returned last takes the
+    kept columns of cleaning's geometry pass; any other instance (one built
+    by ``replace``, or never cleaned) runs the same pass itself.  Both give
+    the same bytes."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -476,11 +576,10 @@ class ArcIndexTable:
         self.arcs: Tuple[Tuple[int, int], ...] = instance.arcs()
         self.arc_id: Dict[Tuple[int, int], int] = {
             a: k for k, a in enumerate(self.arcs)}
-        self._arc_rows, self._arc_cols = np.array(self.arcs, dtype=np.intp).T
+        self._arc_rows, self._arc_cols, _ = _arc_nodes(n)
         self.target_ids: Tuple[int, ...] = tuple(t.id for t in instance.targets)
 
         xs, ys = _xy([w.point for w in instance.waypoints])
-        tx, ty = _xy([t.point for t in instance.targets])
         self.node_dist = geometry.distances(xs, ys, xs, ys)
         self.arc_dist = self.node_dist[self._arc_rows, self._arc_cols]
         with np.errstate(over="ignore"):
@@ -495,9 +594,6 @@ class ArcIndexTable:
                     *self.arcs[k], self.arc_dist[k],
                     instance.vehicle.speed_min, n + 1))
 
-        eps = instance.eps_geo
-        veh = instance.vehicle
-        rows, cols = self._arc_rows, self._arc_cols
         self.priorities = np.array([t.priority for t in instance.targets])
         self.required = np.array([t.min_coverage for t in instance.targets])
         # A target clear of every arc can still sit so close to a node that
@@ -509,15 +605,13 @@ class ArcIndexTable:
         # the cuts square that coverage and weight it by priority.  numpy
         # stays silent about all this; the guards below refuse the target by
         # name before any rate is used.
+        chords, wp_dist = _take_geometry(instance)
+        veh = instance.vehicle
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            chords = geometry.segment_disk_batch(
-                xs[rows], ys[rows], xs[cols], ys[cols], tx, ty,
-                veh.coverage_factor, veh.coverage_radius, eps)
             # coverage per unit travel time on the arc as a whole
             self.coverage_rate = chords.rate
             self.wp_cov = geometry.point_rates(
-                geometry.distances(xs[1:n + 1], ys[1:n + 1], tx, ty),
-                veh.coverage_factor, veh.coverage_radius)
+                wp_dist, veh.coverage_factor, veh.coverage_radius)
             arc_cov = self.coverage_rate * self.max_time[:, None]
             idle_cov = self.wp_cov * instance.deadline
             most = ((n + 1) * arc_cov.max(axis=0) + idle_cov.max(axis=0)) \
@@ -525,7 +619,7 @@ class ArcIndexTable:
         if not chords.clear.all():
             k, col = np.unravel_index(np.argmin(chords.clear), chords.clear.shape)
             (i, j), t = self.arcs[k], instance.targets[col]
-            exc = geometry.on_arc_error(t.point, eps)
+            exc = geometry.on_arc_error(t.point, instance.eps_geo)
             raise TargetTooCloseError(
                 f"target {t.id} against arc ({i},{j}): {exc}") from exc
         held = most <= 1e150  # False for inf and NaN too

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,10 +12,12 @@ import reference_repair as ref_repair
 from conftest import (FAR_TARGET, HUGE_ARC, ROUTE_OVERFLOW, SINGULAR_RATES,
                       TIME_OVERFLOW, make_instance, raw_instance,
                       singular_rate_document, too_many_waypoints_document)
+from coverage_routing import instance as instance_module
 from coverage_routing.cli import main as cli_main
 from coverage_routing.errors import SchemaError, TargetTooCloseError
 from coverage_routing.geometry import Point2
-from coverage_routing.instance import (PathSolution, ValidateOptions,
+from coverage_routing.instance import (Instance, PathSolution,
+                                       ValidateOptions,
                                        arc_energy, build_index_table,
                                        finalize_instance,
                                        generate_instance, instance_to_json,
@@ -192,6 +194,7 @@ class TestSerialization:
         doc["waypoints"][1]["window_close"] = math.inf
         load_instance(doc)
         for block, key, bad in ((doc["vehicle"], "energy_max", math.nan),
+                                (doc["vehicle"], "energy_max", -math.inf),
                                 (doc["waypoints"][1], "window_close", math.nan),
                                 (doc["waypoints"][1], "window_close", -math.inf),
                                 (doc["targets"][0], "min_coverage", math.inf)):
@@ -199,6 +202,19 @@ class TestSerialization:
             with pytest.raises(SchemaError, match="must be finite"):
                 load_instance(doc)
             block[key] = good
+
+    def test_nan_token_refused_by_solve(self, tmp_path, capsys):
+        # Python's JSON reader takes a bare NaN token; the loader refuses it
+        # itself, even in a field that may be +inf, as an input error
+        doc = serialize_instance(generate_instance(1, 3, 3))
+        doc["vehicle"]["energy_max"] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert '"energy_max": NaN' in path.read_text()
+        assert cli_main(["solve", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "field 'energy_max' in vehicle must be finite, got nan" in err
 
     def test_target_on_arc_cleaned_with_report(self):
         # target exactly halfway between the two interior waypoints
@@ -252,6 +268,142 @@ class TestSerialization:
             load_instance(too_many_waypoints_document())
 
 
+def _assert_table_matches_reference(inst):
+    """The index table of ``inst``, or its refusal, equals the per-pair
+    reference's byte for byte, in the reference's row-major layout."""
+    try:
+        want = ref.table_arrays(inst)
+    except TargetTooCloseError as exc:
+        with pytest.raises(TargetTooCloseError) as got:
+            build_index_table(inst)
+        assert str(got.value) == str(exc)
+        assert str(got.value.__cause__) == str(exc.__cause__)
+        return
+    table = build_index_table(inst)
+    for name, arr in zip(("coverage_rate", "wp_cov", "node_dist"), want):
+        assert getattr(table, name).shape == arr.shape
+        assert getattr(table, name).strides == arr.strides
+        assert getattr(table, name).tobytes() == arr.tobytes()
+
+
+#: every array of an index table
+TABLE_ARRAYS = ("coverage_rate", "wp_cov", "node_dist", "arc_dist",
+                "min_time", "max_time", "priorities", "required")
+
+#: the benchmark's generator shapes: the small preset, 7 waypoints x 10
+#: targets in case II, and 6 waypoints x 60 targets at radius 20
+GENERATOR_SHAPES = (
+    [dict(seed=s, preset="small") for s in range(4)]
+    + [dict(seed=s, n_waypoints=7, n_targets=10, case="II") for s in range(4)]
+    + [dict(seed=s, n_waypoints=6, n_targets=60, coverage_radius=20.0,
+            min_coverage=0.01) for s in range(8)])
+
+
+def _document(shape, extra: bool) -> dict:
+    """The generated instance's document; with ``extra``, two more targets
+    that cleaning drops: one on the segment of waypoints 1 and 2, first in
+    the list, and one out of reach, in the middle."""
+    doc = serialize_instance(generate_instance(**shape))
+    if extra:
+        w1, w2 = doc["waypoints"][1], doc["waypoints"][2]
+        base = dict(doc["targets"][0])
+        tid = max(t["id"] for t in doc["targets"]) + 1
+        doc["targets"].insert(0, dict(base, id=tid, x=(w1["x"] + w2["x"]) / 2,
+                                      y=(w1["y"] + w2["y"]) / 2))
+        doc["targets"].insert(len(doc["targets"]) // 2,
+                              dict(base, id=tid + 1, x=1e4, y=1e4))
+    return doc
+
+
+def _assert_same_table(got, want):
+    """Equal arrays, byte for byte and in the same memory layout: a
+    reduction over a column-major copy of equal values can round another
+    way."""
+    for name in TABLE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.strides == b.strides, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _scratch_table(inst):
+    """The table of an equal instance that no cleaning pass returned, so
+    the table computes its geometry itself."""
+    twin = replace(inst)
+    assert twin == inst and twin is not inst
+    return build_index_table(twin)
+
+
+class TestGeometryHandoff:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = instance_module.geometry.segment_disk_batch
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return kernel(*args, **kwargs)
+        monkeypatch.setattr(instance_module.geometry, "segment_disk_batch",
+                            counted)
+        return calls
+
+    @pytest.mark.parametrize("extra", [False, True])
+    @pytest.mark.parametrize("shape", GENERATOR_SHAPES,
+                             ids=lambda s: "-".join(map(str, s.values())))
+    def test_loaded_table_is_byte_exact(self, kernel_calls, shape, extra):
+        # one kernel pass serves the loaded instance's cleaning and its
+        # table, and gives the bytes of a pass over the kept targets alone
+        doc = _document(shape, extra)
+        kernel_calls.clear()  # generation's own pass
+        loaded = load_instance(doc)
+        table = build_index_table(loaded)
+        assert len(kernel_calls) == 1
+        if extra:
+            added = [t["id"] for t in doc["targets"]
+                     if t["id"] not in {u.id for u in loaded.targets}]
+            assert loaded.removed_targets == ((added[0], "on-arc"),
+                                              (added[1], "uncoverable"))
+            assert len(loaded.targets) == len(doc["targets"]) - 2
+        else:
+            assert loaded.removed_targets == ()
+        _assert_same_table(table, _scratch_table(loaded))
+        assert len(kernel_calls) == 2
+
+    def test_handoff_never_crosses_instances(self, kernel_calls):
+        doc_a, doc_b = (_document(GENERATOR_SHAPES[-1 - k], True)
+                        for k in range(2))
+        kernel_calls.clear()  # generation's own passes
+        # a table for B right after loading A
+        b = load_instance(doc_b)
+        a = load_instance(doc_a)
+        _assert_same_table(build_index_table(b), _scratch_table(b))
+        # a table for a copy of A with one target dropped
+        fewer = replace(a, targets=a.targets[1:])
+        _assert_same_table(build_index_table(fewer), _scratch_table(fewer))
+        # a second table for A, after another instance was loaded
+        first = build_index_table(a)
+        load_instance(doc_b)
+        _assert_same_table(build_index_table(a), first)
+        _assert_same_table(first, _scratch_table(a))
+        # one pass per load, and one per table but A's first, the only
+        # table that had a hand-off to take
+        assert len(kernel_calls) == 3 + 6
+
+    def test_loaded_instance_value_unchanged(self):
+        # the hand-off adds nothing to the instance: a loaded instance
+        # compares, hashes, prints and serializes as one built from the
+        # same fields
+        loaded = load_instance(_document(GENERATOR_SHAPES[0], True))
+        twin = Instance(**{f.name: getattr(loaded, f.name)
+                           for f in fields(Instance)})
+        assert [f.name for f in fields(Instance)] == [
+            "waypoints", "targets", "vehicle", "physics", "deadline", "meta",
+            "removed_targets"]
+        assert loaded == twin and hash(loaded) == hash(twin)
+        assert repr(loaded) == repr(twin)
+        assert serialize_instance(loaded) == serialize_instance(twin)
+        assert load_instance(serialize_instance(loaded)) == loaded
+
+
 class TestIndexTable:
     def test_out_of_range_target_zero_row(self):
         inst = make_instance([(0.0, 0.0), (10.0, 0.0)], [(50.0, 0.0)],
@@ -276,18 +428,10 @@ class TestIndexTable:
     @example(EDGES_NO_FACTOR)
     @example(ON_ARC)
     def test_every_entry_matches_scalar_reference(self, inst):
-        try:
-            want = ref.table_arrays(inst)
-        except TargetTooCloseError as exc:
-            with pytest.raises(TargetTooCloseError) as got:
-                build_index_table(inst)
-            assert str(got.value) == str(exc)
-            assert str(got.value.__cause__) == str(exc.__cause__)
-            return
-        table = build_index_table(inst)
-        for name, arr in zip(("coverage_rate", "wp_cov", "node_dist"), want):
-            assert getattr(table, name).shape == arr.shape
-            assert getattr(table, name).tobytes() == arr.tobytes()
+        # the raw instance computes its own geometry pass; the cleaned one
+        # takes the kept columns of its cleaning pass
+        _assert_table_matches_reference(inst)
+        _assert_table_matches_reference(finalize_instance(inst))
 
     def test_edge_instance_reaches_each_branch(self):
         a, b = EDGES.point(0), EDGES.point(1)
