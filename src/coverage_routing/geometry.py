@@ -16,8 +16,8 @@ segments against a whole batch of disk centers at once, and
 waypoint.  These three are the geometry API: the index table and the
 target cleaning pass read nothing else, and one pass serves both.  Cleaning
 runs the batch over every arc against every target, with the vehicle's
-factor; the index table of the instance it returns takes the kept targets'
-columns of that batch, so a loaded instance runs the kernel once.  A
+factor; when it drops no target, the index table of the instance it returns
+reads that batch, so a loaded instance runs the kernel once.  A
 center too close to a point for its inverse-square rate to fit a float gets
 ``inf`` or ``nan``, which the index table refuses.  The arithmetic would
 serve a target's detection of the vehicle as well, with the target's factor

@@ -162,19 +162,14 @@ def _arc_nodes(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, segments
 
 
-@functools.lru_cache(maxsize=8)
-def _field_names(cls) -> Tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
 def _check_finite(where: str, obj, may_be_inf: Tuple[str, ...] = ()) -> None:
     """Every float field of the dataclass ``obj`` must be finite; the fields
     named in ``may_be_inf`` may also be +inf (the file format's rule)."""
-    for name in _field_names(type(obj)):
-        v = getattr(obj, name)
+    for f in fields(obj):
+        v = getattr(obj, f.name)
         if isinstance(v, float) and not (
-                math.isfinite(v) or (name in may_be_inf and v == math.inf)):
-            raise SchemaError(f"field '{name}' in {where} must be finite, got {v}")
+                math.isfinite(v) or (f.name in may_be_inf and v == math.inf)):
+            raise SchemaError(f"field '{f.name}' in {where} must be finite, got {v}")
 
 
 def _check_numbers(instance: Instance) -> None:
@@ -267,42 +262,33 @@ def _target_geometry(instance: Instance):
 
 
 #: The hand-off from target cleaning to the index table: the instance that
-#: :func:`_clean_targets` returned last, the geometry of every target it
-#: read, and the columns of the kept targets (None when it kept them all).
-#: It holds one instance at most, and the table takes it only for that very
-#: object (compared with ``is``, so an equal instance built otherwise
-#: computes its own) and clears it.
+#: :func:`_clean_targets` returned last, when it kept every target, and the
+#: geometry it read.  It holds one instance at most, and the table takes it
+#: only for that very object (compared with ``is``, so an equal instance
+#: built otherwise computes its own) and clears it.
 _cleaned: Optional[tuple] = None
 
 
 def _take_geometry(instance: Instance):
-    """:func:`_target_geometry` of ``instance``: the kept columns of the
-    cleaning pass's arrays when ``instance`` is the instance cleaning
-    returned last, else a new pass.  Every kernel entry is computed pair by
-    pair, so both ways give the same bytes, and ``np.take`` keeps the
-    columns in row-major order, as a new pass lays them out: the solvers'
-    sums over a column-major table round differently."""
+    """:func:`_target_geometry` of ``instance``: the cleaning pass's arrays
+    when ``instance`` is the instance cleaning returned last, else a new
+    pass, with the same bytes."""
     global _cleaned
     handoff = _cleaned
     if handoff is None or handoff[0] is not instance:
         return _target_geometry(instance)
     _cleaned = None
-    _, chords, wp_dist, kept = handoff
-    if kept is None:
-        return chords, wp_dist
-    return (geometry.SegmentDiskBatch(
-        *(np.take(getattr(chords, f), kept, axis=1)
-          for f in _field_names(type(chords)))),
-        np.take(wp_dist, kept, axis=1))
+    return handoff[1:]
 
 
 def _clean_targets(instance: Instance) -> Instance:
     """Drop targets that sit on an arc or that no arc/waypoint can cover.
 
-    The one geometry pass of a loaded instance runs here, over every arc
-    with the vehicle's factor; the on-arc and coverable tests read its
-    ``i < j`` rows, one per segment.  The result is handed to the index
-    table of the instance returned (see :func:`_take_geometry`)."""
+    The geometry pass runs here over every arc, with the vehicle's factor;
+    the on-arc and coverable tests read its ``i < j`` rows, one per
+    segment.  When no target is dropped, the pass is handed to the index
+    table of the instance returned (see :func:`_take_geometry`); a cleaned
+    copy builds its table from scratch."""
     global _cleaned
     chords, wp_dist = _target_geometry(instance)
     segments = _arc_nodes(instance.n)[2]
@@ -318,13 +304,11 @@ def _clean_targets(instance: Instance) -> Instance:
             kept.append(t)
         else:
             removed.append((t.id, "uncoverable"))
-    kept_cols = None
     if removed:
-        instance = replace(
-            instance, targets=tuple(kept),
-            removed_targets=instance.removed_targets + tuple(removed))
-        kept_cols = np.flatnonzero(~on_arc & coverable)
-    _cleaned = (instance, chords, wp_dist, kept_cols)
+        _cleaned = None
+        return replace(instance, targets=tuple(kept),
+                       removed_targets=instance.removed_targets + tuple(removed))
+    _cleaned = (instance, chords, wp_dist)
     return instance
 
 
@@ -416,8 +400,7 @@ def _num(doc: Union[dict, list], key: Union[str, int], where: str,
 
 def _ident(doc: Union[dict, list], key: Union[str, int], where: str) -> int:
     v = _field(doc, key, where)
-    is_int = type(v) is int or (isinstance(v, int) and not isinstance(v, bool))
-    if not is_int or v < 0:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
         raise SchemaError(f"field '{key}' in {where} must be a nonnegative integer")
     return v
 
@@ -429,8 +412,8 @@ def load_instance(source: Union[str, Path, dict]) -> Instance:
 
     Each number is checked once, as it is read (:func:`_num`), so the
     instance then gets the structural checks of :func:`validate_instance`
-    alone.  Cleaning runs the instance's one geometry pass, which the index
-    table built next for the returned instance reuses."""
+    alone.  When cleaning drops no target, its geometry pass is the one the
+    index table built next for the returned instance reads."""
     doc = _read_json(source)
     for key in ("waypoints", "targets", "vehicle", "physics", "deadline"):
         if key not in doc:
@@ -563,10 +546,10 @@ class ArcIndexTable:
     """Precomputed coverage indices for every (arc, target) and (interior
     waypoint, target) pair, plus node distances and arc time bounds.
 
-    The table of the instance that target cleaning returned last takes the
-    kept columns of cleaning's geometry pass; any other instance (one built
-    by ``replace``, or never cleaned) runs the same pass itself.  Both give
-    the same bytes."""
+    The table of the instance that target cleaning returned last, with
+    every target kept, reads cleaning's geometry pass; any other instance
+    (one built by ``replace``, or whose cleaning dropped targets) runs the
+    same pass itself.  Both give the same bytes."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
