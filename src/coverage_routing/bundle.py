@@ -89,8 +89,8 @@ PROJECTION_MAX_STEPS = 1000
 #: to count as positive
 _ZERO_STEP = 1e-9
 _DUAL_STEP_EPS = 1e-12
-#: rounding allowance of a Farkas certificate's ``y.A >= 0``, relative to
-#: the largest entry of ``A``, with ``y`` scaled to sum to 1
+#: rounding allowance of a Farkas certificate's ``y.G <= 0``, relative to
+#: the largest entry of ``G``, with ``y`` scaled to sum to 1
 _FARKAS_RTOL = 1e-9
 
 
@@ -133,23 +133,30 @@ def _raise_singular(err, flag):
     raise LinAlgError("Singular matrix")
 
 
+def _linalg_state() -> np.errstate:
+    """The floating-point state under which ``np.linalg.solve`` calls its
+    gufunc: a singular matrix raises ``LinAlgError``, and overflow,
+    division by zero and underflow pass silently."""
+    return np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
 def _gram_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``np.linalg.solve(G, rhs)`` for a square float matrix and a float
     vector, bit for bit, without the wrapper's checks and conversions: the
-    same gufunc under the same floating-point state, so a singular ``G``
-    raises ``LinAlgError``."""
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _solve1(G, rhs, signature="dd->d")
+    same gufunc, called under :func:`_linalg_state`, which the caller
+    enters, so a singular ``G`` raises ``LinAlgError``."""
+    return _solve1(G, rhs, signature="dd->d")
 
 
 class CutPool:
     """The cuts ``g . lam + o`` a run has collected, one row each, in the
     order they were added: their gradients and offsets, and for the
     projection each gradient's norm (1 for a zero gradient) and ``rows``,
-    the gradients at unit norm stacked over the bound rows ``I``.  Norms
-    and unit rows are computed once per cut, and ``rows`` is rebuilt only
-    when cuts are added."""
+    the gradients at unit norm stacked over the bound rows ``I``; for the
+    certificate check, ``max_abs``, the largest ``|entry|`` of the
+    gradients (0 with none).  Norms and unit rows are computed once per
+    cut, and ``rows`` is rebuilt only when cuts are added."""
 
     def __init__(self, gradients: np.ndarray, offsets: np.ndarray):
         m = gradients.shape[1]
@@ -157,6 +164,7 @@ class CutPool:
         self.offsets = np.zeros(0)
         self.norms = np.zeros(0)
         self.rows = np.eye(m)
+        self.max_abs = 0.0
         self.add(gradients, offsets)
 
     def __len__(self) -> int:
@@ -172,6 +180,8 @@ class CutPool:
         self.norms = np.concatenate([self.norms, norms])
         self.rows = np.concatenate(
             [self.rows[:k], gradients / norms[:, None], self.rows[k:]])
+        self.max_abs = max(self.max_abs,
+                           float(np.abs(gradients).max(initial=0.0)))
 
 
 def _project_dual(center: np.ndarray, pool: CutPool, d: np.ndarray
@@ -209,17 +219,25 @@ def _project_dual(center: np.ndarray, pool: CutPool, d: np.ndarray
     its rounding slack, and can bound far above the cut model's minimum.
 
     A step solves the Gram system of the working cuts by the LAPACK gufunc
-    that ``np.linalg.solve`` wraps, called directly (:func:`_gram_solve`),
-    and past that system it allocates nothing: the working cuts'
-    multipliers and their ratio test are Python floats, the working rows,
-    violations, thresholds, step parts and bound ratios live in buffers
-    made once per call (a step with no bound ratio skips them), the rows'
-    own share of the thresholds, ``|b|`` times the tolerance, is scaled
-    once per call, and the free coordinates are kept as a mask, as a float
-    copy of it that multiplies the working rows without a cast, and as a
-    counter.  Every operation that feeds the iterate, the multipliers or
-    the weights is the one the step made on fresh arrays, in the same
-    order, so the results are the same bit for bit."""
+    that ``np.linalg.solve`` wraps, called directly (:func:`_gram_solve`).
+    The floating-point state that ``np.linalg.solve`` sets for it
+    (:func:`_linalg_state`) is entered once per projection, around all of
+    its steps: a ``LinAlgError`` raised anywhere in them ends the
+    projection with no verdict, and the caller's state comes back on every
+    exit.  Past the Gram system a step allocates nothing: the working cuts'
+    multipliers and their ratio test are Python floats, and the working
+    rows, violations, step parts and bound ratios live in buffers made once
+    per call (a step with no bound ratio skips them).  The free coordinates
+    are kept as a mask, as a float copy of it that multiplies the working
+    rows without a cast, and as a counter.  The rows' own share of the
+    violation thresholds, ``|b|`` times the tolerance, is scaled once per
+    call; a step compares the largest violation with its own threshold
+    alone, and forms them all only when that violation is within it.
+    ``r_b`` is ``s`` with its free entries zeroed and ``z`` is ``s - r_b``:
+    ``s`` on the free entries and ``+0.0`` on the fixed ones.  Every
+    operation that feeds the iterate, the multipliers or the weights is the
+    one the step made on fresh arrays, in the same order, so the results
+    are the same bit for bit."""
     k, m = len(pool), len(center)
     norms, A = pool.norms, pool.rows
     b = np.concatenate([d / norms, np.zeros(m)])
@@ -254,105 +272,115 @@ def _project_dual(center: np.ndarray, pool: CutPool, d: np.ndarray
         out[k:] = on_bounds
         return out
 
-    for _ in range(PROJECTION_MAX_STEPS):
-        if p < 0:
-            # fixed coordinates are exactly 0, so only working cuts can be
-            # violated among the working rows
-            scale = max(1.0, float(np.maximum.reduce(np.abs(x, out=tmp))))
-            np.maximum(tol_b, scale * PROJECTION_TOL, out=thr)
-            np.matmul(A, x, out=v)
-            v -= b
-            p = int(v.argmax())
-            if not v[p] > thr[p]:
-                # the largest violation is within its tolerance: look for
-                # the largest among those that are not
-                np.copyto(v, -np.inf, where=np.less_equal(v, thr, out=met))
-                p = int(v.argmax())
-                if v[p] == -np.inf:
-                    return (x, over_rows(np.multiply(u_w, 2.0), 2.0 * u_b),
-                            active(), True)
-            u_p = 0.0
-            if p in work:
-                # a working row that rounding has let slip is added anew,
-                # keeping its multiplier
-                i = work.index(p)
-                del work[i]
-                u_p = u_w.pop(i)
-                rows[i:len(work)] = rows[i + 1:len(work) + 1]
-        a_p = A[p]
-        v_p = float(a_p @ x) - b.item(p)
-        if work:
-            Aw = rows[:len(work)]
-            Af = np.multiply(Aw, free_f, out=masked[:len(work)])
-            try:
-                r_w = _gram_solve(Af @ Aw.T, Af @ a_p)
-            except LinAlgError:
-                # rounding has made the working cuts dependent over the free
-                # coordinates: no weights, so no verdict
-                return None, np.zeros(k + m), active(), False
-            np.subtract(a_p, np.matmul(Aw.T, r_w, out=s), out=s)
-        else:
-            r_w = np.zeros(0)
-            s[:] = a_p
-        r = r_w.tolist()
-        # s is z on the free coordinates and r on the fixed ones
-        z.fill(0.0)
-        np.copyto(z, s, where=free)
-        np.copyto(r_b, s)
-        np.copyto(r_b, 0.0, where=free)
-        ratio_w = [u / q if q > _DUAL_STEP_EPS else np.inf
-                   for u, q in zip(u_w, r)]
-        # most steps lower no fixed coordinate's multiplier and skip the
-        # bound ratios; a partial step reads them only when t1_b, finite,
-        # sets its length
-        t1_b = np.inf
-        if np.greater(r_b, _DUAL_STEP_EPS, out=mask).any():
-            ratio_b.fill(np.inf)
-            np.divide(u_b, r_b, out=ratio_b, where=mask)
-            t1_b = float(np.minimum.reduce(ratio_b))
-        t1 = min(min(ratio_w, default=np.inf), t1_b)
-        # z is a difference of terms as large as r, and as inexact; with as
-        # many working cuts as free coordinates it is 0
-        zz = float(z @ z)
-        # |r|'s sum as numpy takes it: fewer than 8 terms left to right
-        size = sum(map(abs, r)) if len(r) < 8 else float(np.abs(r_w).sum())
-        moves = (len(work) < n_free and
-                 zz > (_ZERO_STEP * (1.0 + size)) ** 2)
-        if not moves and t1 == np.inf:
-            weights = over_rows(-r_w, -r_b)
-            weights[p] += 1.0 / norms[p] if p < k else 1.0
-            return None, weights, active(), True
-        t2 = max(v_p, 0.0) / zz if moves else np.inf
-        t = min(t1, t2)
-        if moves:
-            x -= np.multiply(z, t, out=tmp)
-        u_w = [u - t * q for u, q in zip(u_w, r)]
-        u_b -= np.multiply(r_b, t, out=tmp)
-        u_p += t
-        if t2 <= t1:
-            if p < k:
-                rows[len(work)] = a_p
-                work.append(p)
-                u_w.append(u_p)
-            else:
-                free[p - k] = False
-                free_f[p - k] = 0.0
-                n_free -= 1
-                x[p - k] = 0.0
-                u_b[p - k] = u_p
-            p = -1
-            continue
-        if t1 in ratio_w:
-            kept = [i for i, ratio in enumerate(ratio_w) if ratio != t1]
-            work = [work[i] for i in kept]
-            u_w = [u_w[i] for i in kept]
-            rows[:len(kept)] = rows[kept]
-        if t1_b == t1:
-            gone = np.equal(ratio_b, t1, out=mask)
-            free |= gone
-            np.copyto(free_f, 1.0, where=gone)
-            n_free = int(np.count_nonzero(free))
-            np.copyto(u_b, 0.0, where=gone)
+    with _linalg_state():
+        try:
+            for _ in range(PROJECTION_MAX_STEPS):
+                if p < 0:
+                    # fixed coordinates are exactly 0, so only working cuts
+                    # can be violated among the working rows
+                    scale = max(1.0,
+                                float(np.maximum.reduce(np.abs(x, out=tmp))))
+                    np.matmul(A, x, out=v)
+                    v -= b
+                    p = int(v.argmax())
+                    if not v.item(p) > max(tol_b.item(p),
+                                           scale * PROJECTION_TOL):
+                        # the largest violation is within its tolerance:
+                        # look for the largest among those that are not
+                        np.maximum(tol_b, scale * PROJECTION_TOL, out=thr)
+                        np.copyto(v, -np.inf,
+                                  where=np.less_equal(v, thr, out=met))
+                        p = int(v.argmax())
+                        if v[p] == -np.inf:
+                            return (x, over_rows(np.multiply(u_w, 2.0),
+                                                 2.0 * u_b),
+                                    active(), True)
+                    u_p = 0.0
+                    if p in work:
+                        # a working row that rounding has let slip is added
+                        # anew, keeping its multiplier
+                        i = work.index(p)
+                        del work[i]
+                        u_p = u_w.pop(i)
+                        rows[i:len(work)] = rows[i + 1:len(work) + 1]
+                a_p = A[p]
+                v_p = float(a_p @ x) - b.item(p)
+                if work:
+                    Aw = rows[:len(work)]
+                    Af = np.multiply(Aw, free_f, out=masked[:len(work)])
+                    r_w = _gram_solve(Af @ Aw.T, Af @ a_p)
+                    np.subtract(a_p, np.matmul(Aw.T, r_w, out=s), out=s)
+                else:
+                    r_w = np.zeros(0)
+                    s[:] = a_p
+                r = r_w.tolist()
+                # s is z on the free coordinates and r on the fixed ones:
+                # s - s is +0.0 and s - 0.0 is s, sign of 0 included
+                np.copyto(r_b, s)
+                np.copyto(r_b, 0.0, where=free)
+                np.subtract(s, r_b, out=z)
+                ratio_w = [u / q if q > _DUAL_STEP_EPS else np.inf
+                           for u, q in zip(u_w, r)]
+                # most steps lower no fixed coordinate's multiplier and skip
+                # the bound ratios; a partial step reads them only when
+                # t1_b, finite, sets its length
+                t1_b = np.inf
+                if not np.maximum.reduce(r_b) <= _DUAL_STEP_EPS:
+                    ratio_b.fill(np.inf)
+                    np.divide(u_b, r_b, out=ratio_b,
+                              where=np.greater(r_b, _DUAL_STEP_EPS, out=mask))
+                    t1_b = float(np.minimum.reduce(ratio_b))
+                t1 = min(min(ratio_w, default=np.inf), t1_b)
+                # z is a difference of terms as large as r, and as inexact;
+                # with as many working cuts as free coordinates it is 0
+                zz = float(z @ z)
+                # |r|'s sum as numpy takes it: fewer than 8 terms left to
+                # right
+                size = (sum(map(abs, r)) if len(r) < 8
+                        else float(np.abs(r_w).sum()))
+                moves = (len(work) < n_free and
+                         zz > (_ZERO_STEP * (1.0 + size)) ** 2)
+                if not moves and t1 == np.inf:
+                    weights = over_rows(-r_w, -r_b)
+                    weights[p] += 1.0 / norms[p] if p < k else 1.0
+                    return None, weights, active(), True
+                t2 = max(v_p, 0.0) / zz if moves else np.inf
+                t = min(t1, t2)
+                if moves:
+                    x -= np.multiply(z, t, out=tmp)
+                u_w = [u - t * q for u, q in zip(u_w, r)]
+                u_b -= np.multiply(r_b, t, out=tmp)
+                u_p += t
+                if t2 <= t1:
+                    if p < k:
+                        rows[len(work)] = a_p
+                        work.append(p)
+                        u_w.append(u_p)
+                    else:
+                        free[p - k] = False
+                        free_f[p - k] = 0.0
+                        n_free -= 1
+                        x[p - k] = 0.0
+                        u_b[p - k] = u_p
+                    p = -1
+                    continue
+                if t1 in ratio_w:
+                    kept = [i for i, ratio in enumerate(ratio_w)
+                            if ratio != t1]
+                    work = [work[i] for i in kept]
+                    u_w = [u_w[i] for i in kept]
+                    rows[:len(kept)] = rows[kept]
+                if t1_b == t1:
+                    gone = np.equal(ratio_b, t1, out=mask)
+                    free |= gone
+                    np.copyto(free_f, 1.0, where=gone)
+                    n_free = int(np.count_nonzero(free))
+                    np.copyto(u_b, 0.0, where=gone)
+        except LinAlgError:
+            # in practice the Gram solve: rounding has made the working cuts
+            # dependent over the free coordinates.  No weights, so no
+            # verdict
+            return None, np.zeros(k + m), active(), False
     # the step cap: the iterate is no projection, and it may have run off
     return None, np.zeros(k + m), active(), False
 
@@ -383,7 +411,8 @@ def solve_master(lam_hat: np.ndarray, pool: CutPool,
     rhs = f_lev - pool.offsets
     x, mu, work, exact = _project_dual(lam_hat, pool, rhs)
     if x is None:
-        y = _verify_farkas(mu[:len(pool)], -pool.gradients, rhs)
+        y = _verify_farkas(mu[:len(pool)], pool.gradients, rhs,
+                           pool.max_abs)
         if y is None:
             return MasterResult(MASTER_UNVERIFIED, None, exact=exact)
         return MasterResult(MASTER_INFEASIBLE, None,
@@ -392,24 +421,27 @@ def solve_master(lam_hat: np.ndarray, pool: CutPool,
                         tuple(sorted(work)))
 
 
-def _verify_farkas(u: np.ndarray, A_all: np.ndarray,
-                   b_all: np.ndarray) -> Optional[np.ndarray]:
+def _verify_farkas(u: np.ndarray, G: np.ndarray, b: np.ndarray,
+                   max_abs: float) -> Optional[np.ndarray]:
     """Return ``u``, clipped at 0 and scaled to sum to 1, if it certifies
-    infeasibility of ``Ax <= b, x >= 0``, else None.
+    that ``{lam <= 0 : G lam <= b}`` is empty, else None; ``max_abs`` is
+    the largest ``|entry|`` of ``G``.
 
     The check reads the scaled vector only, so it gives the same verdict at
-    any scale of ``u``: ``u.b < 0``, and every component of ``u.A`` at least
-    ``-_FARKAS_RTOL * max|A|``, which admits the rounding of the sum and
-    nothing a wrong verdict leaves.  The bound that the master reads from
-    ``u`` is not exact, though: where the cut model's minimum sits at a far
-    ``x``, the admitted slack times that ``x`` can lift the bound above it."""
+    any scale of ``u``: ``u.b < 0``, and every component of ``u.G`` at most
+    ``_FARKAS_RTOL * max_abs``, which admits the rounding of the sum and
+    nothing a wrong verdict leaves.  In ``mu = -lam >= 0`` it is the
+    certificate of ``-G mu <= b``, with the sign folded into the comparison:
+    negation is exact, so the verdict is the same bit for bit.  The bound
+    that the master reads from ``u`` is not exact, though: where the cut
+    model's minimum sits at a far ``lam``, the admitted slack times that
+    ``lam`` can lift the bound above it."""
     u = np.maximum(u, 0.0)
     total = float(u.sum())
     if not (np.isfinite(total) and total > 0.0):
         return None
     u = u / total
-    floor = -_FARKAS_RTOL * float(np.max(np.abs(A_all), initial=0.0))
-    if u @ b_all < 0.0 and np.all(A_all.T @ u >= floor):
+    if u @ b < 0.0 and np.all(G.T @ u <= _FARKAS_RTOL * max_abs):
         return u
     return None
 

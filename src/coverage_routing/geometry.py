@@ -61,6 +61,16 @@ class Point2:
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
 
+def unchecked_point(x: float, y: float) -> Point2:
+    """``Point2(x, y)`` for coordinates the caller has already checked
+    finite: the fields are set without ``__post_init__``'s second check."""
+    p = object.__new__(Point2)
+    # as the frozen dataclass's own __init__ sets its fields
+    object.__setattr__(p, "x", x)
+    object.__setattr__(p, "y", y)
+    return p
+
+
 def dist(a: Point2, b: Point2) -> float:
     """Euclidean distance between two points."""
     return math.hypot(b.x - a.x, b.y - a.y)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry
 from .errors import SchemaError, TargetTooCloseError
-from .geometry import Point2
+from .geometry import Point2, unchecked_point
 
 #: fixed parameters of generated instances: the side of the square field,
 #: the range target priorities are drawn from, every target's risk factor and
@@ -410,7 +410,8 @@ def load_instance(source: Union[str, Path, dict]) -> Instance:
     document.  Targets dropped during cleaning are reported on
     ``instance.removed_targets``.
 
-    Each number is checked once, as it is read (:func:`_num`), so the
+    Each number is checked once, as it is read (:func:`_num`): points are
+    built from checked coordinates without ``Point2``'s own check, and the
     instance then gets the structural checks of :func:`validate_instance`
     alone.  When cleaning drops no target, its geometry pass is the one the
     index table built next for the returned instance reads."""
@@ -437,7 +438,7 @@ def load_instance(source: Union[str, Path, dict]) -> Instance:
         _object(w, where)
         waypoints.append(Waypoint(
             id=_ident(w, "id", where),
-            point=Point2(_num(w, "x", where), _num(w, "y", where)),
+            point=unchecked_point(_num(w, "x", where), _num(w, "y", where)),
             window_open=_num(w, "window_open", where) if "window_open" in w else 0.0,
             window_close=(_num(w, "window_close", where, allow_inf=True)
                           if "window_close" in w else math.inf),
@@ -448,7 +449,7 @@ def load_instance(source: Union[str, Path, dict]) -> Instance:
         _object(t, where)
         targets.append(Target(
             id=_ident(t, "id", where),
-            point=Point2(_num(t, "x", where), _num(t, "y", where)),
+            point=unchecked_point(_num(t, "x", where), _num(t, "y", where)),
             risk_factor=_num(t, "risk_factor", where),
             priority=_num(t, "priority", where),
             risk_radius=_num(t, "risk_radius", where),

@@ -13,10 +13,15 @@ of one dual evaluation differ only in their arc values, so one fill serves
 them all along the leading candidate axis.
 
 The table is filled layer by layer (by visited-set size), and it holds
-values only.  For a chunk of a layer's (end node, mask) states, one gather
-along the mask axis takes every predecessor state's value, one gather of
-the arc values into the end nodes adds to it, and one maximum-reduce along
-the node axis keeps the best.  Every sum is taken in path order, so a
+values only.  A layer's (end node, mask) states are ordered by end node,
+``C(n-1, s-1)`` of them per node at visited-set size ``s``, so a chunk of
+them holds whole end-node groups or lies inside one group.  For a chunk,
+one gather along the mask axis takes every predecessor state's value, the
+arc values into the end nodes are added to it by broadcasting (onto the
+gather viewed as ``[candidate, predecessor, end node, state]``, or as one
+column inside a group), and one maximum-reduce along the node axis keeps
+the best.  A layer that fits one chunk is gathered whole, with no slice of
+its index arrays.  Every sum is taken in path order, so a
 state's value is the rounded path sum of its kept route.  Keeping only the
 best path per state is exact in floating point too: every completion adds
 the same arc values, in the same order, to all paths in a state, and
@@ -93,7 +98,8 @@ def _layers(n: int) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """For each visited-set size 1..n, the (end node, mask) states with the
     end node in the mask, ordered by end node: the state's cell (its flat
     index ``node * 2^n + mask`` in one candidate's table), the end node,
-    and the predecessor mask."""
+    and the predecessor mask.  The fill relies on the end nodes' order
+    alone; the tests' reference fill reads their array."""
     masks = np.arange(1 << n, dtype=np.int32)
     sizes = np.zeros(1, dtype=np.int8)  # visited-set size of every mask
     for _ in range(n):
@@ -123,13 +129,33 @@ def _fill(n: int, w: np.ndarray) -> np.ndarray:
     dp[:, 0, 0] = 0.0
     flat = dp.reshape(kc, -1)  # [candidate, cell]
     step = max(1, STATE_CHUNK_BYTES // ((n + 1) * kc * 8))
-    for cells, ends, prev in _layers(n):
-        for a in range(0, len(cells), step):
-            b = a + step
+    into = w[:, :, 1:, None]  # [candidate, predecessor, end node, 1]
+    for cells, _, prev in _layers(n):
+        per = len(cells) // n  # states per end node
+        if len(cells) <= step:
             # predecessors outside the visited set sit at -inf
-            cand = dp.take(prev[a:b], axis=2)
-            cand += w.take(ends[a:b], axis=2)
-            flat[:, cells[a:b]] = np.maximum.reduce(cand, axis=1)
+            cand = dp.take(prev, axis=2)
+            groups = cand.reshape(kc, n + 1, n, per)  # a view
+            groups += into
+            flat[:, cells] = np.maximum.reduce(cand, axis=1)
+        elif per <= step:
+            # chunks of whole end-node groups
+            size = step // per * per
+            for a in range(0, len(cells), size):
+                b = a + size
+                cand = dp.take(prev[a:b], axis=2)
+                groups = cand.reshape(kc, n + 1, -1, per)
+                groups += into[:, :, a // per:b // per]
+                flat[:, cells[a:b]] = np.maximum.reduce(cand, axis=1)
+        else:
+            # chunks inside one end node's group
+            for j in range(n):
+                column = into[:, :, j]
+                for a in range(j * per, (j + 1) * per, step):
+                    b = min(a + step, (j + 1) * per)
+                    cand = dp.take(prev[a:b], axis=2)
+                    cand += column
+                    flat[:, cells[a:b]] = np.maximum.reduce(cand, axis=1)
     return dp
 
 

@@ -119,6 +119,18 @@ def _wide_level_sets(draw):
         draw(st.integers(0, 2 ** 32 - 1)))
 
 
+#: level sets built empty whose cuts are dependent up to rounding on most
+#: coordinates, and ones on which the projection runs to its step cap
+_NEARLY_DEPENDENT_EMPTY = [
+    (35, 12, 0.01, 1000.0, 1.0, 0.3, "empty", 4191505880),
+    (39, 5, 0.01, 1000.0, 1000.0, 0.1, "empty", 2559851831),
+    (37, 5, 0.1, 1000.0, 1.0, 0.5, "empty", 3887611424),
+    (34, 7, 0.01, 1000.0, 10.0, 0.1, "empty", 2760433148)]
+_STEP_CAPPED_EMPTY = [
+    (37, 12, 0.01, 1000.0, 1.0, 0.1, "empty", 2373363519),
+    (30, 12, 0.01, 1000.0, 1.0, 0.3, "empty", 3133076801)]
+
+
 def _master_recording_singular(center, C, d, monkeypatch):
     """``solve_master`` on the level set ``{lam <= 0 : C lam <= d}`` (cuts
     with offsets ``-d`` at level 0), and whether its QP met a singular Gram
@@ -395,11 +407,7 @@ class TestSolveMaster:
             assert res.status == MASTER_FEASIBLE
             assert res.exact
 
-    @pytest.mark.parametrize("params", [
-        (35, 12, 0.01, 1000.0, 1.0, 0.3, "empty", 4191505880),
-        (39, 5, 0.01, 1000.0, 1000.0, 0.1, "empty", 2559851831),
-        (37, 5, 0.1, 1000.0, 1.0, 0.5, "empty", 3887611424),
-        (34, 7, 0.01, 1000.0, 10.0, 0.1, "empty", 2760433148)])
+    @pytest.mark.parametrize("params", _NEARLY_DEPENDENT_EMPTY)
     def test_nearly_dependent_empty_sets_never_come_back_feasible(
             self, params, monkeypatch):
         # sets built empty whose cuts are dependent up to rounding on most
@@ -429,9 +437,7 @@ class TestSolveMaster:
             assert model.status == 0
             assert 0.0 < res.bound <= model.fun
 
-    @pytest.mark.parametrize("params", [
-        (37, 12, 0.01, 1000.0, 1.0, 0.1, "empty", 2373363519),
-        (30, 12, 0.01, 1000.0, 1.0, 0.3, "empty", 3133076801)])
+    @pytest.mark.parametrize("params", _STEP_CAPPED_EMPTY)
     def test_step_capped_projection_is_no_verdict(self, params, monkeypatch):
         # sets built empty, and empty to HiGHS, on which the QP runs to the
         # step cap with no singular Gram matrix while its iterate runs off
@@ -443,6 +449,50 @@ class TestSolveMaster:
         assert not singular
         assert res.status == MASTER_UNVERIFIED and not res.exact
         assert res.lam is None and res.bound is None
+
+    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("exit_", ["feasible", "certified", "unverified",
+                                       "singular", "step-cap"])
+    def test_floating_point_state_comes_back(self, exit_, nested,
+                                             monkeypatch):
+        # the projection enters np.linalg.solve's floating-point state once
+        # for all of its steps; every exit of solve_master gives the
+        # caller's state back, numpy's default or one the caller set
+        flagged = []
+
+        def solve():
+            if exit_ == "feasible":
+                return solve_master(np.array([-1.0, -2.0]),
+                                    _pool([[1.0, 1.0]], [0.0]), -1.0), False
+            if exit_ in ("certified", "unverified"):
+                if exit_ == "unverified":
+                    monkeypatch.setattr(bundle, "_verify_farkas",
+                                        lambda *a: None)
+                return solve_master(np.zeros(2), _pool([[-1.0, -0.5]], [4.0]),
+                                    1.0), False
+            params = (_NEARLY_DEPENDENT_EMPTY[1] if exit_ == "singular"
+                      else _STEP_CAPPED_EMPTY[0])
+            center, C, d, _ = _wide_level_set(*params)
+            return _master_recording_singular(center, C, d, monkeypatch)
+
+        def run():
+            state, call = np.geterr(), np.geterrcall()
+            res, singular = solve()
+            assert (np.geterr(), np.geterrcall()) == (state, call)
+            return res, singular
+
+        if nested:
+            with np.errstate(divide="raise", over="warn", under="print",
+                             invalid="call", call=flagged.append):
+                res, singular = run()
+        else:
+            res, singular = run()
+        assert not flagged
+        assert singular == (exit_ == "singular")
+        assert res.status == {"feasible": MASTER_FEASIBLE,
+                              "certified": MASTER_INFEASIBLE}.get(
+                                  exit_, MASTER_UNVERIFIED)
+        assert res.exact == (exit_ not in ("singular", "step-cap"))
 
     def test_projection_meets_every_row_along_a_run(self, monkeypatch):
         # small-I instance 2 projects far centers while LB sits at the
@@ -483,14 +533,14 @@ class TestSolveMaster:
 
 
 class TestFarkasCheck:
-    # The master's emptiness check in mu = -lam >= 0 space, rows -g_k . mu
-    # <= f_lev - o_k, for the cuts (g, o) = ((1, -2), 5) and ((-1 + d, 1), 7)
-    # at f_lev = 2.  Equal weights aggregate the gradients to (d / 2, -1 / 2)
+    # The master's emptiness check on the rows g_k . lam <= f_lev - o_k over
+    # lam <= 0, for the cuts (g, o) = ((1, -2), 5) and ((-1 + d, 1), 7) at
+    # f_lev = 2.  Equal weights aggregate the gradients to (d / 2, -1 / 2)
     # and the offsets to 6 > 2: with d <= 0 the system is empty.
     @staticmethod
     def system(d=0.0):
-        A = -np.array([[1.0, -2.0], [-1.0 + d, 1.0]])
-        return A, 2.0 - np.array([5.0, 7.0])
+        G = np.array([[1.0, -2.0], [-1.0 + d, 1.0]])
+        return G, 2.0 - np.array([5.0, 7.0]), float(np.max(np.abs(G)))
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_valid_certificate_accepted_at_any_scale(self, scale):
@@ -512,9 +562,42 @@ class TestFarkasCheck:
             assert (got is not None) == ok
 
     def test_no_weight_or_no_gap_is_no_certificate(self):
-        A, b = self.system()
-        assert _verify_farkas(np.array([-1.0, 0.0]), A, b) is None
-        assert _verify_farkas(np.array([1.0, 1.0]), A, -b) is None
+        G, b, top = self.system()
+        assert _verify_farkas(np.array([-1.0, 0.0]), G, b, top) is None
+        assert _verify_farkas(np.array([1.0, 1.0]), G, -b, top) is None
+
+    @pytest.mark.parametrize("params",
+                             _NEARLY_DEPENDENT_EMPTY + _STEP_CAPPED_EMPTY)
+    def test_folded_sign_matches_the_negated_pool(self, params):
+        # the check reads the pool's gradients with the sign folded into
+        # its comparison, and max|G| from the pool; on the pinned empty
+        # draws it compares every component, accepts and bounds exactly as
+        # the check on a negated copy, -G . y >= -rtol * max|-G|, did
+        center, C, d, _ = _wide_level_set(*params)
+        pool = _pool(C, -d)
+        rhs = 0.0 - pool.offsets
+        _, mu, _, _ = _project_dual(center, pool, rhs)
+        A = -pool.gradients
+        assert pool.max_abs == float(np.max(np.abs(A), initial=0.0))
+        got = _verify_farkas(mu[:len(pool)], pool.gradients, rhs,
+                             pool.max_abs)
+        y = np.maximum(mu[:len(pool)], 0.0)
+        total = float(y.sum())
+        if not total > 0.0:
+            assert got is None
+            return
+        y = y / total
+        floor = -bundle._FARKAS_RTOL * float(np.max(np.abs(A), initial=0.0))
+        old = A.T @ y >= floor
+        assert np.array_equal(pool.gradients.T @ y
+                              <= bundle._FARKAS_RTOL * pool.max_abs, old)
+        if y @ rhs < 0.0 and old.all():
+            assert got.tobytes() == y.tobytes()
+            res = solve_master(center, pool, 0.0)
+            assert res.status == MASTER_INFEASIBLE
+            assert res.bound == float(y @ pool.offsets)
+        else:
+            assert got is None
 
 
 class TestRunDual:
@@ -1036,8 +1119,21 @@ def _reference_projection(center, pool, d):
 
 class TestGramSolve:
     """The projection's Gram solve calls LAPACK past ``np.linalg.solve``'s
-    wrapper; a numpy release that moves or changes the private gufunc fails
-    here."""
+    wrapper, under the floating-point state that the projection enters once
+    for all of its steps; a numpy release that moves or changes the private
+    gufunc fails here."""
+
+    @staticmethod
+    def _solve_as_a_step(G, rhs):
+        """``bundle._gram_solve`` under ``bundle._linalg_state``, as a
+        projection step calls it; the caller's state comes back, also when
+        the solve raises."""
+        state, call = np.geterr(), np.geterrcall()
+        try:
+            with bundle._linalg_state():
+                return bundle._gram_solve(G, rhs)
+        finally:
+            assert (np.geterr(), np.geterrcall()) == (state, call)
 
     def test_matches_numpy_solve_bytes(self):
         # Gram systems as a projection step builds them: unit rows over the
@@ -1050,9 +1146,7 @@ class TestGramSolve:
                 Aw, a_p = rows[:n], rows[n]
                 Af = Aw * (rng.random(60) < 0.7)
                 G, rhs = Af @ Aw.T, Af @ a_p
-                state = np.geterr()
-                got = bundle._gram_solve(G, rhs)
-                assert np.geterr() == state
+                got = self._solve_as_a_step(G, rhs)
                 assert got.tobytes() == np.linalg.solve(G, rhs).tobytes()
 
     def test_singular_gram_raises(self):
@@ -1061,7 +1155,7 @@ class TestGramSolve:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(G, rhs)
         with pytest.raises(np.linalg.LinAlgError):
-            bundle._gram_solve(G, rhs)
+            self._solve_as_a_step(G, rhs)
 
 
 class TestArrayMaster:

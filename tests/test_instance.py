@@ -216,6 +216,39 @@ class TestSerialization:
         assert out == ""
         assert "field 'energy_max' in vehicle must be finite, got nan" in err
 
+    def test_loader_checks_each_coordinate_once(self, monkeypatch):
+        # the loader's number check refuses a non-finite coordinate, so its
+        # points skip Point2's own check and come back equal to checked
+        # ones; a coordinate that is not finite is refused all the same
+        inst = generate_instance(6, 4, 6)
+        assert len(inst.targets) == 4
+        doc = serialize_instance(inst)
+
+        def refuse(self):
+            raise AssertionError("Point2 checked a loaded coordinate again")
+
+        monkeypatch.setattr(Point2, "__post_init__", refuse)
+        loaded = load_instance(doc)
+        monkeypatch.undo()
+        points = [p.point for p in loaded.waypoints + loaded.targets]
+        assert all(type(p) is Point2 for p in points)
+        assert loaded == inst
+        assert [hash(p) for p in points] == [
+            hash(Point2(p.x, p.y)) for p in points]
+        for block, bad in ((doc["waypoints"][2], math.inf),
+                           (doc["targets"][0], math.nan)):
+            good, block["y"] = block["y"], bad
+            with pytest.raises(SchemaError, match="must be finite"):
+                load_instance(doc)
+            block["y"] = good
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf),
+                                      (-math.inf, math.nan)])
+    def test_point_elsewhere_refuses_non_finite_coordinates(self, x, y):
+        # every Point2 built outside the loader still checks its coordinates
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            Point2(x, y)
+
     def test_target_on_arc_cleaned_with_report(self):
         # target exactly halfway between the two interior waypoints
         inst = make_instance([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)],

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import tracemalloc
 import weakref
 from unittest import mock
@@ -433,6 +434,43 @@ def test_small_and_top_bit_networks_match_reference(n, chunked):
             top += n in coeffs.idle_set
             _assert_matches_reference(coeffs, chunked)
     assert top >= 3
+
+
+@pytest.mark.parametrize("several", [False, True])
+@pytest.mark.parametrize("edge", ["on-a-boundary", "one-state-short",
+                                  "inside-a-group"])
+@pytest.mark.parametrize("n", range(6, 11))
+def test_chunks_at_end_node_group_edges_match_reference(n, edge, several):
+    """A layer's states are ordered by end node, and the fill adds the arc
+    values of whole end-node groups, or of one group, per chunk.  Gathers
+    sized to end exactly on a group boundary of the widest layer, one state
+    short of one, and inside one group (the other layers then fall on or
+    off their own boundaries), in fills of one candidate or of several: on
+    integer tables full of exact ties every value and timed route equals
+    the frozen reference's, repr for repr."""
+    rng = np.random.default_rng(n)
+
+    def ints(*shape, low=0):
+        return rng.integers(low, 3, size=shape).astype(float)
+
+    inst = generate_instance(n, n, 4, case="I", coverage_radius=25.0)
+    coeffs = _integer_coeffs(build_index_table(inst), ints)
+    assert len(coeffs.idle_set) > 2
+    kc = len(coeffs.idle_set) if several else 1
+    per = math.comb(n - 1, (n - 1) // 2)  # states per end node, widest
+    states = {"on-a-boundary": per, "one-state-short": per - 1,
+              "inside-a-group": per // 2 + 1}[edge]
+    with mock.patch.multiple(
+            labeling_case1,
+            TABLE_CHUNK_BYTES=labeling_case1.TABLE_CHUNK_BYTES if several
+            else 1,
+            STATE_CHUNK_BYTES=states * (n + 1) * kc * 8):
+        got = solve_case1(coeffs)
+        expect = reference_case1.solve_case1(coeffs)
+    assert ({v: repr(got.values[v]) for v in coeffs.idle_set}
+            == {v: repr(bt.value) for v, bt in expect.items()})
+    assert ({v: repr(bt) for v, bt in got.results.items()}
+            == {v: repr(bt) for v, bt in expect.items()})
 
 
 def _both_engines(w, vexit, vbars):
