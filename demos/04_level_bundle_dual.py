@@ -2,7 +2,9 @@
 
 Each relaxation solve yields an affine cut; the next multiplier iterate is
 the projection of the current one onto the level set of the cut model.  The
-upper bound is a certified bound on the best achievable weighted coverage,
+level column is the phi point between LB and UB, or, after a row whose value
+came within half the stopping gap of its level, the lower jumped level LB
+plus that half gap.  The upper bound is a certified bound on the best achievable weighted coverage,
 which the exhaustive primal solver confirms at desk scale.
 """
 

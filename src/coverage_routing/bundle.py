@@ -11,8 +11,13 @@ so that no bound waits for them, and all of them in one :func:`make_cut`
 pass.  The cuts live in a :class:`CutPool` of arrays that holds each cut's
 norm and unit row from the moment it is added.  The next iterate is the
 projection of the current one onto the level set ``{lam <= 0 : all cuts <=
-f_lev}`` with ``f_lev = phi*LB + (1-phi)*UB``; the master sees only the
-iterate, the pool and ``f_lev``.  It projects by one dual active-set QP
+f_lev}`` with ``f_lev = phi*LB + (1-phi)*UB``, except after an exact row:
+an evaluation whose value is at most its level plus ``h``, half the stopping
+gap.  The cut model is then tight where it was evaluated, so the next level
+is lowered to ``LB + h`` if that is below the ``phi`` point, the highest
+level at which one more exact evaluation closes the gap; a certificate that
+refutes it lifts ``LB`` and allows one more such jump.  The master sees only
+the iterate, the pool and ``f_lev``.  It projects by one dual active-set QP
 (Goldfarb & Idnani, *Math. Programming* 1983) started at the iterate, which
 needs no feasible point: it either reaches the projection or proves the
 level set empty, with steps that keep their bookkeeping in Python floats
@@ -67,6 +72,10 @@ from .relaxation import (CASE_I, PathTiming, RelaxValue, _idle_time,
 from .simplex import dense_lp_solve  # noqa: F401
 
 LB_FLOOR = -1e9
+#: levels lowered to half the stopping gap above the floor after an exact
+#: row, the later ones each after a certificate refuted the one before (see
+#: :func:`run_dual`)
+LEVEL_JUMPS = 2
 
 CONVERGED = "converged"
 ITERATION_LIMIT = "iteration-limit"
@@ -608,10 +617,17 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     an initialization row.  A row's ``wall_time`` is read when its master
     verdict or its evaluation returns, before :func:`_candidate_cuts` builds
     an evaluation's cuts, and its ``lb`` includes their lift.  Each level
-    is the ``phi`` point between ``LB`` and ``UB``, except after a
-    ``MASTER_UNVERIFIED`` row, where the refuted level takes ``LB``'s place:
-    such a row evaluates no point and moves no bound, whether its
-    certificate failed or the projection stopped short at the step cap.
+    is the ``phi`` point between the floor and ``UB``.  The floor is
+    ``LB``, except after a ``MASTER_UNVERIFIED`` row, where the refuted
+    level takes its place: such a row evaluates no point and moves no
+    bound, whether its certificate failed or the projection stopped short
+    at the step cap.  With ``h = 0.5 * tol * max(1, |UB|)``, half the
+    stopping gap, a row is exact when its dual value is at most its level
+    plus ``h``.  After an exact row the level is ``min(phi point, floor +
+    h)``, for up to :data:`LEVEL_JUMPS` rows: the next jump is taken only
+    when a certificate refuted the last one (from the lifted ``LB``), and
+    the ``phi`` point returns after the last jump, after an unverified row
+    and after an evaluation that is not exact.
     ``ratio_mode`` applies to case II only; the case-II search always
     prunes by dominance.  ``time_limit`` (seconds, ``inf`` allowed) must be
     positive and ``iter_limit`` at least 1.  A given ``table`` must be the
@@ -649,6 +665,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     status = ITERATION_LIMIT
     iterations = 0
     floor = lb  # the level's lower end: LB, or a refuted level left unproved
+    jumps = 0  # jumped levels left, LEVEL_JUMPS after an exact row
     while iterations < iter_limit:
         if converged():
             status = CONVERGED
@@ -657,7 +674,10 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
             status = TIME_LIMIT
             break
         iterations += 1
+        half = 0.5 * tol * max(1.0, abs(ub))  # half the stopping gap
         f_lev = phi * floor + (1.0 - phi) * ub
+        if jumps:
+            f_lev = min(f_lev, floor + half)
         master = solve_master(lam_hat, pool, f_lev)
         verdict = master.status
         if verdict == MASTER_INFEASIBLE and not master.bound <= ub:
@@ -666,6 +686,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
         if verdict == MASTER_INFEASIBLE:
             lb = max(f_lev, master.bound)
         if verdict != MASTER_FEASIBLE:
+            jumps = jumps - 1 if verdict == MASTER_INFEASIBLE and jumps else 0
             floor = f_lev if verdict == MASTER_UNVERIFIED else lb
             trace.append(TraceRow(iterations, None, lb, ub, f_lev, verdict,
                                   time.monotonic() - t0))
@@ -677,6 +698,9 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
             ub = value.value
             best_lam = master.lam.copy()
             best_value = value
+        # exact: the value is within half the stopping gap of the level
+        # that the cut model met at this point
+        jumps = LEVEL_JUMPS if value.value <= f_lev + half else 0
         gradients, offsets, primal = _candidate_cuts(value, table, case)
         pool.add(gradients, offsets)
         # a feasible cut lifts LB, capped at UB; LB never falls

@@ -90,7 +90,12 @@ def _build_parser() -> _Parser:
     s.add_argument("instance", type=Path)
     s.add_argument("--case", choices=["I", "II"], default=None,
                    help="default: the instance's generated case, else I")
-    s.add_argument("--phi", type=_phi, default=0.5)
+    s.add_argument("--phi", type=_phi, default=0.5,
+                   help="level position inside (0, 1): each level is "
+                        "phi*LB + (1-phi)*UB, or LB plus half the stopping "
+                        "gap where that is lower, after a row whose value "
+                        "came within that half gap of its level "
+                        "(default 0.5)")
     s.add_argument("--tol", type=_positive, default=1e-4)
     s.add_argument("--time-limit", type=_positive, default=None)
     s.add_argument("--iter-limit", type=_iter_limit, default=1000)

@@ -42,7 +42,7 @@ first of their maxima.
 Memory: one candidate's table holds ``2^n * (n+1)`` floats.  Candidates are
 filled in chunks of at most :data:`TABLE_CHUNK_BYTES` (one candidate at
 least), and each layer is gathered in chunks of at most
-:data:`STATE_CHUNK_BYTES`.  The per-layer index arrays take 9 bytes for each
+:data:`STATE_CHUNK_BYTES`.  The per-layer index arrays take 8 bytes for each
 of the ``n * 2^(n-1)`` states; they are built once per waypoint count and
 cached.  A fill of one chunk keeps its table until each candidate's route
 has been traced once; a fill of several traces each chunk's routes, which
@@ -89,17 +89,16 @@ def fill_bytes(n: int) -> int:
     table of one candidate chunk (one float per state), the cached
     per-layer index arrays, and a few state chunks of temporaries."""
     one = (1 << n) * (n + 1) * 8
-    return max(one, TABLE_CHUNK_BYTES) + 9 * ((n << n) >> 1) \
+    return max(one, TABLE_CHUNK_BYTES) + 8 * ((n << n) >> 1) \
         + 4 * STATE_CHUNK_BYTES
 
 
 @functools.lru_cache(maxsize=1)
-def _layers(n: int) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+def _layers(n: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
     """For each visited-set size 1..n, the (end node, mask) states with the
     end node in the mask, ordered by end node: the state's cell (its flat
-    index ``node * 2^n + mask`` in one candidate's table), the end node,
-    and the predecessor mask.  The fill relies on the end nodes' order
-    alone; the tests' reference fill reads their array."""
+    index ``node * 2^n + mask`` in one candidate's table, so ``cell >> n``
+    is its end node) and the predecessor mask."""
     masks = np.arange(1 << n, dtype=np.int32)
     sizes = np.zeros(1, dtype=np.int8)  # visited-set size of every mask
     for _ in range(n):
@@ -107,14 +106,13 @@ def _layers(n: int) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     layers = []
     for size in range(1, n + 1):
         layer = masks[sizes == size]
-        cells, ends, prev = [], [], []
+        cells, prev = [], []
         for j in range(1, n + 1):
             bit = 1 << (j - 1)
             held = layer[(layer & bit) != 0]
             cells.append(held | j << n)
-            ends.append(np.full(len(held), j, dtype=np.int8))
             prev.append(held ^ bit)
-        layers.append(tuple(map(np.concatenate, (cells, ends, prev))))
+        layers.append(tuple(map(np.concatenate, (cells, prev))))
     for layer in layers:
         for a in layer:
             a.flags.writeable = False  # shared by every later fill
@@ -130,7 +128,7 @@ def _fill(n: int, w: np.ndarray) -> np.ndarray:
     flat = dp.reshape(kc, -1)  # [candidate, cell]
     step = max(1, STATE_CHUNK_BYTES // ((n + 1) * kc * 8))
     into = w[:, :, 1:, None]  # [candidate, predecessor, end node, 1]
-    for cells, _, prev in _layers(n):
+    for cells, prev in _layers(n):
         per = len(cells) // n  # states per end node
         if len(cells) <= step:
             # predecessors outside the visited set sit at -inf

@@ -34,8 +34,9 @@ def fill(n: int, vin: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     dp[0, :, 0] = 0.0
     step = max(1, labeling_case1.STATE_CHUNK_BYTES // ((n + 1) * kc * 8))
     cells = np.arange(step * kc)
-    for states, ends, prev in labeling_case1._layers(n):
+    for states, prev in labeling_case1._layers(n):
         held = states & ((1 << n) - 1)  # the package's cells, less the node
+        ends = states >> n
         for a in range(0, len(held), step):
             b = min(a + step, len(held))
             j = ends[a] if ends[a] == ends[b - 1] else ends[a:b]

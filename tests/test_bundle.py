@@ -175,6 +175,77 @@ class TestLevelParameter:
         assert init.lb < init.ub
         assert first.f_lev == 0.5 * init.lb + 0.5 * init.ub
 
+    @pytest.mark.parametrize("case, args, kw, kinds", [
+        # binding case II, 7 waypoints: a converging jump; a jump that is
+        # not exact; a refuted jump, then the second jump
+        ("II", (0, 7, 10), dict(deadline_scale=0.04), {"converged"}),
+        ("II", (1, 7, 10), dict(deadline_scale=0.04),
+         {"not exact", "converged"}),
+        ("II", (6, 7, 10), dict(deadline_scale=0.04),
+         {"refuted", "converged"}),
+        # wide disks, 5 waypoints: all three branches on one run, and two
+        # refuted jumps in a row
+        ("I", (9, 5, 8), dict(coverage_radius=40.0),
+         {"refuted", "not exact", "converged"}),
+        ("I", (10, 5, 8), dict(coverage_radius=40.0),
+         {"refuted", "refuted twice"})])
+    def test_jumped_levels_on_pinned_draws(self, case, args, kw, kinds):
+        # after an exact row the level jumps to half the stopping gap above
+        # the floor: it converges the run on its row, or a certificate
+        # refutes it and one more jump is taken from the lifted LB, or its
+        # evaluation is not exact; a second refutation and an evaluation
+        # that is not exact bring the phi point back
+        inst = generate_instance(*args, case=case, min_coverage=0.01, **kw)
+        res = run_dual(inst, case)
+        assert res.status == CONVERGED
+        steps = _replayed_levels(res.trace)
+        assert all(row.f_lev == level for _, row, _, level, _ in steps)
+        assert {kind for *_, kind in steps} - {None, "exact"} == kinds
+        for (*_, kind), (_, row, point, level, _) in zip(steps, steps[1:]):
+            if kind in ("not exact", "refuted twice"):
+                assert level == point
+            if kind == "refuted":
+                assert row.f_lev < point  # the second jump
+        if "converged" in kinds:
+            assert steps[-1][-1] == "converged"
+            last = res.trace[-1]
+            assert last.f_value == last.ub
+            assert last.ub - last.lb <= 1e-4 * max(1.0, abs(last.ub))
+
+    def test_value_past_half_the_gap_is_not_exact(self):
+        # row 8's value lies 1.29 h above its level (h half the stopping
+        # gap): not exact, so row 9 takes the phi point, not LB + h
+        inst = generate_instance(34, 5, 8, case="I", coverage_radius=40.0,
+                                 min_coverage=0.01)
+        res = run_dual(inst, "I")
+        prev, row, nxt = res.trace[7:10]
+        h = 0.5 * 1e-4 * max(1.0, abs(prev.ub))
+        assert row.f_lev + h < row.f_value <= row.f_lev + 2.0 * h
+        assert nxt.f_lev == 0.5 * row.lb + 0.5 * row.ub
+        assert all(kind is None for *_, kind in _replayed_levels(res.trace))
+
+    @pytest.mark.parametrize("case, count, args, kw, most", [
+        ("I", 8, (6, 60), dict(coverage_radius=20.0, min_coverage=0.01),
+         (74, 52)),
+        ("I", 4, (), dict(preset="small"), (28, 20)),
+        ("II", 4, (7, 10), {}, (4, 8))], ids=["wide-I", "small-I", "desk-II"])
+    def test_workload_counts(self, case, count, args, kw, most):
+        # the benchmark's batches (instances 0..count-1 of each shape; its
+        # symmetric copies have bit-identical index tables): iterations and
+        # dual evaluations, row 0 included, at most these totals, since
+        # counts are what a change to the level, the pool or the master
+        # moves reliably.  desk-II converges in one master call per instance
+        iterations = evaluations = 0
+        for seed in range(count):
+            inst = generate_instance(seed, *args, case=case, **kw)
+            res = run_dual(inst, case, phi=0.5, tol=1e-4)
+            assert res.status == CONVERGED
+            iterations += res.iterations
+            evaluations += sum(r.f_value is not None for r in res.trace)
+        assert iterations <= most[0] and evaluations <= most[1]
+        if case == "II":
+            assert (iterations, evaluations) == most
+
 
 class TestCase2Screen:
     @pytest.fixture
@@ -669,13 +740,10 @@ class TestRunDual:
             assert all(a <= b + 1e-12 for a, b in zip(lbs, lbs[1:]))
             assert all(a >= b - 1e-12 for a, b in zip(ubs, ubs[1:]))
             assert all(r.lb <= r.ub for r in res.trace)
-            for prev, row in zip(res.trace, res.trace[1:]):
-                # the level is the phi = 0.5 point of the previous bracket;
-                # after an unverified emptiness the refuted level is its
-                # lower end instead of LB
-                low = (prev.f_lev if prev.master_status == MASTER_UNVERIFIED
-                       else prev.lb)
-                assert row.f_lev == 0.5 * low + (1.0 - 0.5) * prev.ub
+            for prev, row, _, level, _ in _replayed_levels(res.trace):
+                # the level is the phi = 0.5 point of the previous bracket,
+                # or the jumped level below it (see _replayed_levels)
+                assert row.f_lev == level
                 assert prev.lb - 1e-12 <= row.f_lev <= prev.ub + 1e-12
                 if row.master_status == MASTER_INFEASIBLE:
                     # a certificate lifts LB at least to the refuted level
@@ -899,6 +967,44 @@ class TestRunDual:
         # an infinite time limit is no limit
         res = run_dual(inst, "I", time_limit=math.inf, iter_limit=1)
         assert res.iterations <= 1
+
+
+def _replayed_levels(trace, phi=0.5, tol=1e-4):
+    """``run_dual``'s level rule replayed over a trace: for each row after
+    row 0, ``(prev, row, point, level, kind)``.  ``point`` is the phi point
+    between the floor and the previous row's ``ub``; the floor is the
+    previous ``lb``, or after an unverified row its refuted level.  An
+    evaluated row is exact when its value is at most its level plus ``h``,
+    half the stopping gap at the previous ``ub``.  After an exact row,
+    ``level`` is ``min(point, floor + h)`` for up to two rows: the second
+    only when a certificate refutes the first.  Else it is ``point``.
+
+    ``kind`` says how a row went whose level lay below its phi point:
+    "converged" (an evaluation that ends the trace), "exact", "not exact",
+    "refuted" (a certificate, with a jump left), "refuted twice" or
+    "unverified"; it is None on every other row."""
+    steps, jumps = [], 0
+    for prev, row in zip(trace, trace[1:]):
+        low = prev.f_lev if prev.master_status == MASTER_UNVERIFIED \
+            else prev.lb
+        point = phi * low + (1.0 - phi) * prev.ub
+        h = 0.5 * tol * max(1.0, abs(prev.ub))
+        level = min(point, low + h) if jumps else point
+        kind = None
+        if row.master_status == MASTER_FEASIBLE:
+            exact = row.f_value <= level + h
+            if level < point:
+                kind = ("not exact" if not exact else "converged"
+                        if row is trace[-1] else "exact")
+            jumps = 2 if exact else 0
+        else:
+            if level < point:
+                kind = ("unverified" if row.master_status == MASTER_UNVERIFIED
+                        else "refuted" if jumps == 2 else "refuted twice")
+            jumps = jumps - 1 if row.master_status == MASTER_INFEASIBLE \
+                and jumps else 0
+        steps.append((prev, row, point, level, kind))
+    return steps
 
 
 def _recorded_run(monkeypatch, inst, case, table, **kw):

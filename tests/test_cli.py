@@ -601,13 +601,13 @@ def _solve_capped(inst, *flags):
 
 def test_oversized_case1_table_input_error(tmp_path):
     """30 waypoints pass the 63-waypoint cap, but the case-I table would
-    take 383 GiB: solve refuses it before allocating (exit 4)."""
+    take 368 GiB: solve refuses it before allocating (exit 4)."""
     inst = tmp_path / "inst.json"
     assert run(["gen", "--waypoints", "30", "--targets", "3",
                 "--out", str(inst)]) == 0
     proc = _solve_capped(inst)
     assert proc.returncode == 4, proc.stderr
-    assert "case I needs a 383.0 GiB table" in proc.stderr
+    assert "case I needs a 368.0 GiB table" in proc.stderr
 
 
 def test_oversized_case2_fill_input_error(tmp_path):
@@ -620,4 +620,4 @@ def test_oversized_case2_fill_input_error(tmp_path):
     for mode in ("slope", "per-distance"):
         proc = _solve_capped(inst, "--ratio-mode", mode)
         assert proc.returncode == 4, proc.stderr
-        assert "case II needs a 383.0 GiB table" in proc.stderr
+        assert "case II needs a 368.0 GiB table" in proc.stderr

@@ -312,11 +312,11 @@ def test_size_guard_flips_between_21_and_22_waypoints(monkeypatch):
     formula's index-array term is the size of the cached arrays."""
     limit = labeling_case1.MAX_TABLE_BYTES
     assert fill_bytes(21) <= limit < fill_bytes(22)
-    assert fill_bytes(21) >= 2 ** 21 * 22 * 8 + 21 * 2 ** 20 * 9
+    assert fill_bytes(21) >= 2 ** 21 * 22 * 8 + 21 * 2 ** 20 * 8
     n = 5
     cached = sum(a.nbytes for layer in labeling_case1._layers(n)
                  for a in layer)
-    assert cached == 9 * n * 2 ** (n - 1)
+    assert cached == 8 * n * 2 ** (n - 1)
     inst = generate_instance(41, n, 4, coverage_radius=35.0)
     table = build_index_table(inst)
     coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "I")
