@@ -531,7 +531,8 @@ def timing_to_solution(timing: PathTiming,
     """Materialize a relaxation witness as a route: with an idle stop the
     whole deadline remainder is spent there."""
     idle = _idle_time(timing, table)
-    cov = table.route_coverage(timing.nodes, timing.times, timing.vbar, idle)
+    (cov,) = table.route_coverage(
+        [(timing.nodes, timing.times, timing.vbar, idle)])
     return _route_solution(table, timing.nodes, timing.times, timing.vbar,
                            idle, cov)
 
@@ -544,11 +545,10 @@ def _greedy_primal_repair(table: ArcIndexTable, witness: PathTiming
     deadline remainder at one of its waypoints, or at none.
 
     Every (timing, idle stop) pair is covered at once: one coverage call
-    for the timings, each waypoint's idle term broadcast over them, and one
-    coverage mask.  Each feasible pair is scored by its objective; the
-    first strict maximum wins, in the order fast, witnessed, slow, then no
-    idle stop, then the waypoints in path order, and only its route is
-    built."""
+    over all of them, and one coverage mask.  Each feasible pair is scored
+    by its objective; the first strict maximum wins, in the order fast,
+    witnessed, slow, then no idle stop, then the waypoints in path order,
+    and only its route is built."""
     nodes = witness.nodes
     ids = table.arc_ids(nodes)
     T = table.instance.deadline
@@ -556,18 +556,14 @@ def _greedy_primal_repair(table: ArcIndexTable, witness: PathTiming
     timings = [table.min_time[ids], np.asarray(witness.times, dtype=float)]
     if float(slow.sum()) <= T:
         timings.append(slow)
-    times = np.array(timings)
     totals = np.array([t.sum() for t in timings])
     idle = T - totals
     stops = [0] + [v for v in nodes if 0 < v <= table.n]
 
-    base = table.route_coverage(nodes, times, None, 0.0)
-    # coverage per (timing, idle stop, target): the idle term only where
-    # the idle time is positive, as route_coverage adds it
-    cov = np.repeat(base[:, None, :], len(stops), axis=1)
-    spent = idle > 0
-    rates = table.wp_cov[np.array(stops[1:], dtype=np.intp) - 1]
-    cov[spent, 1:] += rates * idle[spent, None, None]
+    # coverage per (timing, idle stop, target)
+    cov = table.route_coverage(
+        [(nodes, t, s, w) for t, w in zip(timings, idle) for s in stops]
+    ).reshape(len(timings), len(stops), len(table.target_ids))
     ok = np.all(cov >= table.required - VALIDATE_TOL, axis=2)
     ok[totals > T + VALIDATE_TOL] = False
 
@@ -580,7 +576,7 @@ def _greedy_primal_repair(table: ArcIndexTable, witness: PathTiming
         return LB_FLOOR, None
     objective, j, s = best
     vbar = stops[s]
-    return objective, _route_solution(table, nodes, times[j], vbar,
+    return objective, _route_solution(table, nodes, timings[j], vbar,
                                       float(idle[j]) if vbar else 0.0,
                                       cov[j, s])
 

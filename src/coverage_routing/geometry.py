@@ -16,12 +16,13 @@ segments against a whole batch of disk centers at once, and
 waypoint.  These three are the geometry API: the index table and the
 target cleaning pass read nothing else, and one pass serves both.  Cleaning
 runs the batch over every arc against every target, with the vehicle's
-factor; when it drops no target, the index table of the instance it returns
-reads that batch, so a loaded instance runs the kernel once.  A
-center too close to a point for its inverse-square rate to fit a float gets
-``inf`` or ``nan``, which the index table refuses.  The arithmetic would
-serve a target's detection of the vehicle as well, with the target's factor
-and radius; the schema keeps those, but no solver reads them.
+factor; when it drops no target, the batch stays on the instance it returns
+until the first index table built for it takes it off, so a loaded instance
+runs the kernel once.  A center too close to a point for its inverse-square
+rate to fit a float gets ``inf`` or ``nan``, which the index table refuses.
+The arithmetic would serve a target's detection of the vehicle as well,
+with the target's factor and radius; the schema keeps those, but no solver
+reads them.
 
 The batch arithmetic is the scalar arithmetic, element by element: numpy's
 ``+ - * /``, ``sqrt`` and ``abs`` round exactly as Python floats do, and the

@@ -144,13 +144,6 @@ def _arcs(n: int) -> Tuple[Tuple[int, int], ...]:
 
 
 @functools.lru_cache(maxsize=8)
-def _segment_pairs(n: int) -> Tuple[Tuple[int, int], ...]:
-    """Unordered node pairs whose segment some arc traverses: the arcs
-    ``(i, j)`` with ``i < j``, in arc order."""
-    return tuple((i, j) for (i, j) in _arcs(n) if i < j)
-
-
-@functools.lru_cache(maxsize=8)
 def _arc_nodes(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arcs' tail and head nodes as index arrays, and the indices of
     the arcs ``(i, j)`` with ``i < j``: one arc per segment, in arc order.
@@ -218,7 +211,8 @@ def _check_structure(instance: Instance) -> None:
             raise SchemaError(f"target {t.id} has bad risk parameters")
         if t.priority < 0:
             raise SchemaError(f"target {t.id} has negative priority")
-    for (i, j) in _segment_pairs(n):
+    rows, cols, segments = _arc_nodes(n)
+    for i, j in zip(rows[segments].tolist(), cols[segments].tolist()):
         # the squared length, not the distance: a segment whose square
         # underflows to 0 has no direction for the chord geometry
         a, b = instance.point(i), instance.point(j)
@@ -261,35 +255,14 @@ def _target_geometry(instance: Instance):
     return chords, wp_dist
 
 
-#: The hand-off from target cleaning to the index table: the instance that
-#: :func:`_clean_targets` returned last, when it kept every target, and the
-#: geometry it read.  It holds one instance at most, and the table takes it
-#: only for that very object (compared with ``is``, so an equal instance
-#: built otherwise computes its own) and clears it.
-_cleaned: Optional[tuple] = None
-
-
-def _take_geometry(instance: Instance):
-    """:func:`_target_geometry` of ``instance``: the cleaning pass's arrays
-    when ``instance`` is the instance cleaning returned last, else a new
-    pass, with the same bytes."""
-    global _cleaned
-    handoff = _cleaned
-    if handoff is None or handoff[0] is not instance:
-        return _target_geometry(instance)
-    _cleaned = None
-    return handoff[1:]
-
-
 def _clean_targets(instance: Instance) -> Instance:
     """Drop targets that sit on an arc or that no arc/waypoint can cover.
 
     The geometry pass runs here over every arc, with the vehicle's factor;
     the on-arc and coverable tests read its ``i < j`` rows, one per
-    segment.  When no target is dropped, the pass is handed to the index
-    table of the instance returned (see :func:`_take_geometry`); a cleaned
-    copy builds its table from scratch."""
-    global _cleaned
+    segment.  When no target is dropped, the pass stays on the instance
+    returned, and the first index table built for it takes it off; a
+    cleaned copy builds its table from scratch."""
     chords, wp_dist = _target_geometry(instance)
     segments = _arc_nodes(instance.n)[2]
     on_arc = ~chords.clear[segments].all(axis=0)
@@ -305,10 +278,11 @@ def _clean_targets(instance: Instance) -> Instance:
         else:
             removed.append((t.id, "uncoverable"))
     if removed:
-        _cleaned = None
         return replace(instance, targets=tuple(kept),
                        removed_targets=instance.removed_targets + tuple(removed))
-    _cleaned = (instance, chords, wp_dist)
+    # as the frozen dataclass's own __init__ sets its fields; not a field,
+    # so the instance compares, hashes and prints as before
+    object.__setattr__(instance, "_geometry", (chords, wp_dist))
     return instance
 
 
@@ -413,8 +387,8 @@ def load_instance(source: Union[str, Path, dict]) -> Instance:
     Each number is checked once, as it is read (:func:`_num`): points are
     built from checked coordinates without ``Point2``'s own check, and the
     instance then gets the structural checks of :func:`validate_instance`
-    alone.  When cleaning drops no target, its geometry pass is the one the
-    index table built next for the returned instance reads."""
+    alone.  When cleaning drops no target, the first index table built for
+    the returned instance reads cleaning's geometry pass."""
     doc = _read_json(source)
     for key in ("waypoints", "targets", "vehicle", "physics", "deadline"):
         if key not in doc:
@@ -547,10 +521,11 @@ class ArcIndexTable:
     """Precomputed coverage indices for every (arc, target) and (interior
     waypoint, target) pair, plus node distances and arc time bounds.
 
-    The table of the instance that target cleaning returned last, with
-    every target kept, reads cleaning's geometry pass; any other instance
-    (one built by ``replace``, or whose cleaning dropped targets) runs the
-    same pass itself.  Both give the same bytes."""
+    The first table of an instance that target cleaning returned with
+    every target kept takes cleaning's geometry pass off the instance; any
+    other table (a second one, or one of an instance built by ``replace``
+    or whose cleaning dropped targets) runs the same pass itself.  Both
+    give the same bytes."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -589,7 +564,8 @@ class ArcIndexTable:
         # the cuts square that coverage and weight it by priority.  numpy
         # stays silent about all this; the guards below refuse the target by
         # name before any rate is used.
-        chords, wp_dist = _take_geometry(instance)
+        chords, wp_dist = (instance.__dict__.pop("_geometry", None)
+                           or _target_geometry(instance))
         veh = instance.vehicle
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             # coverage per unit travel time on the arc as a whole
@@ -642,24 +618,29 @@ class ArcIndexTable:
         """Arc ids of the consecutive node pairs of a route."""
         return [self.arc_id[a] for a in zip(nodes[:-1], nodes[1:])]
 
-    def route_coverage(self, nodes: Sequence[int], times: Sequence[float],
-                       idle_node: Optional[int], idle_time: float) -> np.ndarray:
-        """Per-target coverage of a route: each arc's coverage rate times its
-        travel time, added in path order, plus the idle stop's rate times
-        the idle time, added last and only when the idle time is positive
-        (no idle stop when ``idle_node`` is None or 0).
+    def route_coverage(self, routes: Sequence[tuple]) -> np.ndarray:
+        """Per-target coverage of a batch of timed routes ``(nodes, times,
+        idle_node, idle_time)``, one row per route: each arc's coverage rate
+        times its travel time, added in path order, then the idle stop's
+        rate times the idle time, added only when ``idle_node`` is set
+        (neither None nor 0) and the idle time is positive.
 
-        ``times`` may hold a batch of timings of the route, one per row
-        (shape ``(J, L)`` for ``L`` arcs); the result then has one row of
-        target coverages per timing, each equal bit for bit to the call
-        with that timing alone."""
-        times = np.asarray(times, dtype=float)
-        rates = self.coverage_rate[self.arc_ids(nodes)]
-        # a running sum adds the arc terms one by one, in path order
-        cov = np.add.accumulate(times[..., None] * rates, axis=-2)[..., -1, :]
-        if idle_node and idle_time > 0:
-            cov += self.wp_cov[idle_node - 1] * idle_time
-        return cov
+        The routes' arc rates are gathered at once, padded to the longest
+        route with zero-time arcs and closed by an idle term (at time 0
+        without an idle stop), and one running sum along the path axis adds
+        each route's terms in that order.  A zero-time term adds nothing,
+        so each row equals the call with its route alone, bit for bit."""
+        ids = [self.arc_ids(nodes) for nodes, _, _, _ in routes]
+        width = max(map(len, ids))
+        times = np.array([
+            [*t] + [0.0] * (width - len(t)) + [w if v and w > 0 else 0.0]
+            for (_, t, v, w) in routes])
+        # a route without an idle stop takes some waypoint's rate at time 0
+        rates = np.concatenate(
+            [self.coverage_rate[[row + [0] * (width - len(row)) for row in ids]],
+             self.wp_cov[[(v or 0) - 1 for _, _, v, _ in routes], None]],
+            axis=1)
+        return np.add.accumulate(times[..., None] * rates, axis=1)[:, -1]
 
 
 def build_index_table(instance: Instance) -> ArcIndexTable:
@@ -859,8 +840,8 @@ def validate_solution(instance: Instance, sol: PathSolution,
     checks.append(ConstraintCheck("deadline", deadline_slack >= -VALIDATE_TOL,
                                   deadline_slack))
 
-    cov = table.route_coverage(sol.nodes, sol.times, sol.idle_node,
-                               sol.idle_time)
+    (cov,) = table.route_coverage(
+        [(sol.nodes, sol.times, sol.idle_node, sol.idle_time)])
     objective = float(table.priorities @ cov)
 
     if sol.objective is not None:

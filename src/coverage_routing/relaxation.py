@@ -205,26 +205,13 @@ def _idle_time(timing: PathTiming, table: ArcIndexTable) -> float:
 
 def make_cut(timings: Sequence[PathTiming], table: ArcIndexTable
              ) -> Tuple[np.ndarray, np.ndarray]:
-    """The cuts ``gradient . lam + offset`` of timed routes, built in one
-    pass: one row of gradients ``required - coverage`` and one offset
-    ``priorities . coverage`` per route, in the given order, with
-    ``coverage`` the route's per-target coverage at its idle time
-    (:func:`_idle_time`).
-
-    The routes' arc rates are gathered at once, padded to the longest route
-    with zero-time arcs and closed by the idle stop's rate at the idle time
-    (0 without one), and one running sum along the path axis adds each
-    route's terms in path order, idle term last; a zero-time term adds
-    nothing, so every row equals :meth:`ArcIndexTable.route_coverage` of
-    its route bit for bit."""
-    ids = [table.arc_ids(timing.nodes) for timing in timings]
-    width = max(map(len, ids))
-    times = np.array([[*timing.times] + [0.0] * (width - len(timing.times))
-                      + [_idle_time(timing, table)] for timing in timings])
-    # a route without an idle stop takes some waypoint's rate at time 0
-    rates = np.concatenate(
-        [table.coverage_rate[[row + [0] * (width - len(row)) for row in ids]],
-         table.wp_cov[[timing.vbar - 1 for timing in timings], None]], axis=1)
-    cov = np.add.accumulate(times[..., None] * rates, axis=1)[:, -1]
+    """The cuts ``gradient . lam + offset`` of timed routes: one row of
+    gradients ``required - coverage`` and one offset ``priorities .
+    coverage`` per route, in the given order, with ``coverage`` the
+    route's row of one :meth:`ArcIndexTable.route_coverage` call at its
+    idle time (:func:`_idle_time`)."""
+    cov = table.route_coverage([
+        (timing.nodes, timing.times, timing.vbar, _idle_time(timing, table))
+        for timing in timings])
     offsets = np.array([float(table.priorities @ row) for row in cov])
     return table.required - cov, offsets

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -402,9 +404,9 @@ class TestGeometryHandoff:
         _assert_same_table(table, _scratch_table(loaded))
         assert len(kernel_calls) == (3 if extra else 2)
 
-    # Each of the next three fails alone when the slot skips its ``is``
-    # test: the table would read another instance's geometry.  The two
-    # documents keep every target, so each load leaves a hand-off.
+    # Each of the next three fails alone when a table reads a geometry pass
+    # that is not its own instance's.  The two documents keep every target,
+    # so each load leaves its pass on the instance it returns.
 
     def test_handoff_not_taken_by_another_instance(self):
         b = load_instance(_document(GENERATOR_SHAPES[-2], False))
@@ -426,13 +428,31 @@ class TestGeometryHandoff:
         _assert_same_table(build_index_table(a), first)
         _assert_same_table(first, _scratch_table(a))
         # one pass per load, and one per table but A's first, the only
-        # table that had a hand-off to take
+        # table that found a pass on its instance
         assert len(kernel_calls) == 2 + 2
 
+    def test_table_after_another_load_runs_no_kernel(self, kernel_calls):
+        # a later load leaves an earlier instance's pass where it is
+        a = load_instance(_document(GENERATOR_SHAPES[-1], False))
+        load_instance(_document(GENERATOR_SHAPES[-2], False))
+        kernel_calls.clear()
+        table = build_index_table(a)
+        assert kernel_calls == []
+        _assert_same_table(table, _scratch_table(a))
+
+    def test_loaded_instance_freed_without_a_table(self):
+        # nothing but the instance holds its pass, or the instance: once
+        # dropped, a loaded instance that never got a table is freed
+        loaded = load_instance(_document(GENERATOR_SHAPES[-1], False))
+        alive = weakref.ref(loaded)
+        del loaded
+        gc.collect()
+        assert alive() is None
+
     def test_loaded_instance_value_unchanged(self):
-        # the hand-off adds nothing to the instance: a loaded instance
-        # compares, hashes, prints and serializes as one built from the
-        # same fields
+        # the geometry pass cleaning leaves on a loaded instance is no
+        # field: the instance compares, hashes, prints and serializes as
+        # one built from the same fields
         loaded = load_instance(_document(GENERATOR_SHAPES[0], False))
         twin = Instance(**{f.name: getattr(loaded, f.name)
                            for f in fields(Instance)})
@@ -560,29 +580,32 @@ class TestIndexTable:
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(st.integers(0, 10 ** 6), st.integers(1, 9), st.integers(1, 8),
-           st.integers(1, 4), st.sampled_from([-1.0, 0.0, 0.5, 30.0]))
+           st.lists(st.sampled_from([-1.0, 0.0, 0.5, 30.0]), min_size=1,
+                    max_size=4))
     def test_batched_route_coverage_matches_one_timing_calls(
-            self, seed, n, m, batch, idle_time):
-        # a random route through the instance, timed ``batch`` ways between
-        # its all-fast and all-slow times: each row of one batched call is
-        # the call with that timing alone, and that call sums arc by arc
-        # like the per-pair reference, bit for bit
+            self, seed, n, m, idle_times):
+        # one to four random routes of their own lengths through the
+        # instance, each timed between its all-fast and all-slow times, with
+        # its own idle stop (None and 0 mean none) and idle time: each row
+        # of one batched call is the call with that route alone, and that
+        # call sums arc by arc like the per-pair reference, bit for bit
         inst = generate_instance(seed, n, m, coverage_radius=30.0)
         table = build_index_table(inst)
         r = np.random.default_rng(seed)
-        stops = r.permutation(np.arange(1, n + 1))[:r.integers(1, n + 1)]
-        nodes = [0, *map(int, stops), n + 1]
-        ids = table.arc_ids(nodes)
-        times = r.uniform(table.min_time[ids], table.max_time[ids],
-                          (batch, len(ids)))
-        idle_node = int(r.choice([0, *stops]))
-        cov = table.route_coverage(nodes, times, idle_node, idle_time)
-        assert cov.shape == (batch, len(inst.targets))
-        for row, t in zip(cov, times):
-            one = table.route_coverage(nodes, t, idle_node, idle_time)
+        routes = []
+        for idle_time in idle_times:
+            stops = r.permutation(np.arange(1, n + 1))[:r.integers(1, n + 1)]
+            nodes = [0, *map(int, stops), n + 1]
+            ids = table.arc_ids(nodes)
+            times = tuple(r.uniform(table.min_time[ids], table.max_time[ids]))
+            idle_node = [None, 0, *map(int, stops)][r.integers(len(stops) + 2)]
+            routes.append((nodes, times, idle_node, idle_time))
+        cov = table.route_coverage(routes)
+        assert cov.shape == (len(routes), len(inst.targets))
+        for row, route in zip(cov, routes):
+            (one,) = table.route_coverage([route])
             assert row.tobytes() == one.tobytes()
-            want = ref_repair.route_coverage(table, nodes, tuple(t),
-                                             idle_node, idle_time)
+            want = ref_repair.route_coverage(table, *route)
             assert one.tobytes() == want.tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=300)
