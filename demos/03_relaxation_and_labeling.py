@@ -59,7 +59,7 @@ print(f"searches stored {routes.labels_stored} labels, "
       f"{routes.labels_alive} left alive")
 best2 = None
 for vbar, res in routes.results.items():
-    free_time = sum(free[vbar].times)
+    free_time = free[vbar].total
     # the search runs here for every candidate, to show that it agrees with
     # the screen
     search = Case2Solver(coeffs2, vbar).solve()
@@ -69,7 +69,7 @@ for vbar, res in routes.results.items():
         continue
     gain = T * coeffs2.idle_gain[vbar] if vbar else 0.0
     total = coeffs2.constant + gain + res.value
-    ids = table2.arc_ids(res.nodes)
+    ids = list(res.arcs)
     lo, hi = table2.min_time[ids], table2.max_time[ids]
     t = np.asarray(res.times)
     interior = int(np.sum((t > lo + 1e-9) & (t < hi - 1e-9)))

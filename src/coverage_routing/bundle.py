@@ -493,7 +493,8 @@ def _candidate_cuts(value: RelaxValue, table: ArcIndexTable, case: str
     gradient ``required - coverage`` is ``<= 0`` in every component (a
     float difference has the sign of the exact one, so the test is exact on
     the computed coverage) and it fits the deadline: every case-II route
-    does, and a case-I route when its times sum to at most the deadline."""
+    does (its recorded travel time, :attr:`PathTiming.total`, is at most
+    the deadline), and a case-I route when its recorded travel time is."""
     routes, top = value.routes, value.best.vbar
     timings = [value.best] + [
         routes.timing(vbar) for vbar, found in routes.values.items()
@@ -505,8 +506,7 @@ def _candidate_cuts(value: RelaxValue, table: ArcIndexTable, case: str
     # where a per-row test would cost several numpy calls per evaluation
     worst = np.maximum.reduce(gradients, axis=1, initial=-np.inf).tolist()
     for k, peak in enumerate(worst):
-        if peak <= 0.0 and (case != CASE_I or
-                           float(sum(timings[k].times)) <= T):
+        if peak <= 0.0 and (case != CASE_I or timings[k].total <= T):
             primal = max(primal, offsets.item(k))
     return gradients, offsets, primal
 
@@ -532,7 +532,7 @@ def timing_to_solution(timing: PathTiming,
     whole deadline remainder is spent there."""
     idle = _idle_time(timing, table)
     (cov,) = table.route_coverage(
-        [(timing.nodes, timing.times, timing.vbar, idle)])
+        [(timing.arcs, timing.times, timing.vbar, idle)])
     return _route_solution(table, timing.nodes, timing.times, timing.vbar,
                            idle, cov)
 
@@ -550,7 +550,7 @@ def _greedy_primal_repair(table: ArcIndexTable, witness: PathTiming
     witnessed, slow, then no idle stop, then the waypoints in path order,
     and only its route is built."""
     nodes = witness.nodes
-    ids = table.arc_ids(nodes)
+    ids = list(witness.arcs)
     T = table.instance.deadline
     slow = table.max_time[ids]
     timings = [table.min_time[ids], np.asarray(witness.times, dtype=float)]
@@ -562,7 +562,7 @@ def _greedy_primal_repair(table: ArcIndexTable, witness: PathTiming
 
     # coverage per (timing, idle stop, target)
     cov = table.route_coverage(
-        [(nodes, t, s, w) for t, w in zip(timings, idle) for s in stops]
+        [(ids, t, s, w) for t, w in zip(timings, idle) for s in stops]
     ).reshape(len(timings), len(stops), len(table.target_ids))
     ok = np.all(cov >= table.required - VALIDATE_TOL, axis=2)
     ok[totals > T + VALIDATE_TOL] = False

@@ -144,6 +144,16 @@ def _arcs(n: int) -> Tuple[Tuple[int, int], ...]:
 
 
 @functools.lru_cache(maxsize=8)
+def _arc_grid(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The arc ids of a network with ``n`` interior waypoints as a grid:
+    ``grid[i][j]`` is the id of arc ``(i, j)``, -1 where there is none."""
+    grid = [[-1] * (n + 2) for _ in range(n + 2)]
+    for k, (i, j) in enumerate(_arcs(n)):
+        grid[i][j] = k
+    return tuple(map(tuple, grid))
+
+
+@functools.lru_cache(maxsize=8)
 def _arc_nodes(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arcs' tail and head nodes as index arrays, and the indices of
     the arcs ``(i, j)`` with ``i < j``: one arc per segment, in arc order.
@@ -619,25 +629,27 @@ class ArcIndexTable:
         return [self.arc_id[a] for a in zip(nodes[:-1], nodes[1:])]
 
     def route_coverage(self, routes: Sequence[tuple]) -> np.ndarray:
-        """Per-target coverage of a batch of timed routes ``(nodes, times,
-        idle_node, idle_time)``, one row per route: each arc's coverage rate
-        times its travel time, added in path order, then the idle stop's
-        rate times the idle time, added only when ``idle_node`` is set
-        (neither None nor 0) and the idle time is positive.
+        """Per-target coverage of a batch of timed routes ``(arcs, times,
+        idle_node, idle_time)``, one row per route, where ``arcs`` are the
+        route's arc ids in path order (:meth:`arc_ids` of its nodes): each
+        arc's coverage rate times its travel time, added in path order,
+        then the idle stop's rate times the idle time, added only when
+        ``idle_node`` is set (neither None nor 0) and the idle time is
+        positive.
 
         The routes' arc rates are gathered at once, padded to the longest
         route with zero-time arcs and closed by an idle term (at time 0
         without an idle stop), and one running sum along the path axis adds
         each route's terms in that order.  A zero-time term adds nothing,
         so each row equals the call with its route alone, bit for bit."""
-        ids = [self.arc_ids(nodes) for nodes, _, _, _ in routes]
-        width = max(map(len, ids))
+        width = max(len(arcs) for arcs, _, _, _ in routes)
         times = np.array([
             [*t] + [0.0] * (width - len(t)) + [w if v and w > 0 else 0.0]
             for (_, t, v, w) in routes])
         # a route without an idle stop takes some waypoint's rate at time 0
         rates = np.concatenate(
-            [self.coverage_rate[[row + [0] * (width - len(row)) for row in ids]],
+            [self.coverage_rate[[[*arcs] + [0] * (width - len(arcs))
+                                 for arcs, _, _, _ in routes]],
              self.wp_cov[[(v or 0) - 1 for _, _, v, _ in routes], None]],
             axis=1)
         return np.add.accumulate(times[..., None] * rates, axis=1)[:, -1]
@@ -841,7 +853,7 @@ def validate_solution(instance: Instance, sol: PathSolution,
                                   deadline_slack))
 
     (cov,) = table.route_coverage(
-        [(sol.nodes, sol.times, sol.idle_node, sol.idle_time)])
+        [(table.arc_ids(sol.nodes), sol.times, sol.idle_node, sol.idle_time)])
     objective = float(table.priorities @ cov)
 
     if sol.objective is not None:

@@ -8,12 +8,15 @@ by summing fixed arc values and the search is the Held-Karp dynamic program:
 ``dp[k, j, mask]`` is the best value, for idle candidate ``k``, of a path
 from the entry depot that visits exactly the interior waypoints in ``mask``
 and ends at ``j`` (bit ``j-1`` of ``mask`` stands for waypoint ``j``).
-Node 0 is the entry depot, reached only by the empty path.  The candidates
-of one dual evaluation differ only in their arc values, so one fill serves
-them all along the leading candidate axis.
+Node 0 is the entry depot; its row stays at -inf.  The candidates of one
+dual evaluation differ only in their arc values, so one fill serves them
+all along the leading candidate axis.
 
 The table is filled layer by layer (by visited-set size), and it holds
-values only.  A layer's (end node, mask) states are ordered by end node,
+values only.  The first layer is written directly: the depot is a
+one-waypoint state's only predecessor, so its value is ``0.0`` plus the
+entry arc's value, as a gather's maximum would give it.  Every later
+layer is gathered.  A layer's (end node, mask) states are ordered by end node,
 ``C(n-1, s-1)`` of them per node at visited-set size ``s``, so a chunk of
 them holds whole end-node groups or lies inside one group.  For a chunk,
 one gather along the mask axis takes every predecessor state's value, the
@@ -37,7 +40,11 @@ maximizing candidate's route alone, traces and times one.  The trace walks
 back from the end state: a state's predecessor is the first node, in
 ascending order, whose state value plus arc value, in Python floats, equals
 the state's value.  Those are the sums the fill compared, so this is the
-first of their maxima.
+first of their maxima.  The walk yields the route's arc ids as well as its
+nodes (from a grid of arc ids cached per waypoint count), and the route's
+times are taken at those ids, so the route's record (see
+:class:`~coverage_routing.relaxation.PathTiming`) carries both for every
+later reader.
 
 Memory: one candidate's table holds ``2^n * (n+1)`` floats.  Candidates are
 filled in chunks of at most :data:`TABLE_CHUNK_BYTES` (one candidate at
@@ -70,9 +77,13 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import SchemaError
+from .instance import _arc_grid
 from .relaxation import BestRoutes, PathTiming, RelaxCoeffs
 
 _NEG = -1e300
+
+#: a traced route: its nodes and its arc ids, in path order
+Route = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 #: bytes of one gathered (candidate, predecessor, state) block of a layer;
 #: larger layers are filled in several gathers
@@ -124,11 +135,14 @@ def _fill(n: int, w: np.ndarray) -> np.ndarray:
     where ``w[k, i, j]`` is candidate ``k``'s value of arc ``i -> j``."""
     kc = w.shape[0]
     dp = np.full((kc, n + 1, 1 << n), -np.inf)
-    dp[:, 0, 0] = 0.0
     flat = dp.reshape(kc, -1)  # [candidate, cell]
+    first, *layers = _layers(n)
+    # the entry depot is a one-waypoint state's only finite predecessor, so
+    # the gather's maximum is 0.0 plus the entry arc's value
+    flat[:, first[0]] = 0.0 + w[:, 0, 1:]
     step = max(1, STATE_CHUNK_BYTES // ((n + 1) * kc * 8))
     into = w[:, :, 1:, None]  # [candidate, predecessor, end node, 1]
-    for cells, prev in _layers(n):
+    for cells, prev in layers:
         per = len(cells) // n  # states per end node
         if len(cells) <= step:
             # predecessors outside the visited set sit at -inf
@@ -203,13 +217,14 @@ def _best_ends(n: int, dp: np.ndarray, vexit: np.ndarray,
 
 
 def _trace(dp: np.ndarray, w: np.ndarray, k: int, node: int, mask: int,
-           exit_id: int) -> Tuple[int, ...]:
+           exit_id: int, grid: Tuple[Tuple[int, ...], ...]) -> Route:
     """Candidate ``k``'s route: its kept path from the entry depot to
-    ``node`` through the waypoints of ``mask``, then the exit.  A state's
-    predecessor is the first node, in ascending order, whose state value
-    plus arc value, in Python floats, equals the state's value: the first
-    maximum of the sums the fill compared."""
-    path = [exit_id]
+    ``node`` through the waypoints of ``mask``, then the exit, as its nodes
+    and its arc ids (looked up in ``grid``, see ``instance._arc_grid``).  A
+    state's predecessor is the first node, in ascending order, whose state
+    value plus arc value, in Python floats, equals the state's value: the
+    first maximum of the sums the fill compared."""
+    path, arcs = [exit_id], [grid[node][exit_id]]
     value = dp.item(k, node, mask)
     while node:
         path.append(node)
@@ -223,24 +238,27 @@ def _trace(dp: np.ndarray, w: np.ndarray, k: int, node: int, mask: int,
             if prior + w.item(k, i, end) == value:
                 node, value = i, prior
                 break
+        arcs.append(grid[node][end])  # node 0 once the mask is empty
     path.append(0)
-    return tuple(reversed(path))
+    return tuple(reversed(path)), tuple(reversed(arcs))
 
 
 def _fill_chunk(n: int, exit_id: int, w: np.ndarray, vexit: np.ndarray,
                 vbars: Sequence[int]
-                ) -> Tuple[np.ndarray, Callable[[int], Tuple[int, ...]]]:
+                ) -> Tuple[np.ndarray, Callable[[int], Route]]:
     """Fill one candidate chunk: each candidate's best value, and a tracer
-    of the ``k``-th candidate's best route.  The tracer holds the chunk's
-    value table until it has traced every candidate's route once."""
+    of the ``k``-th candidate's best route (its nodes and arc ids).  The
+    tracer holds the chunk's value table until it has traced every
+    candidate's route once."""
     dp = _fill(n, w)
     best, ends, masks = _best_ends(n, dp, vexit, vbars)
-    routes: Dict[int, Tuple[int, ...]] = {}
+    grid = _arc_grid(n)
+    routes: Dict[int, Route] = {}
 
-    def trace(k: int) -> Tuple[int, ...]:
+    def trace(k: int) -> Route:
         nonlocal dp
         if k not in routes:
-            routes[k] = _trace(dp, w, k, ends[k], masks[k], exit_id)
+            routes[k] = _trace(dp, w, k, ends[k], masks[k], exit_id, grid)
             if len(routes) == len(vbars):
                 dp = None  # frees the table
         return routes[k]
@@ -277,22 +295,21 @@ def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:
     if step >= len(vbars):
         best, trace = _fill_chunk(n, table.exit_id, w, vexit, vbars)
     else:
-        best, nodes = [], []
+        best, traced = [], []
         for k in range(0, len(vbars), step):
             chunk, trace = _fill_chunk(n, table.exit_id, w[k:k + step],
                                        vexit[k:k + step], vbars[k:k + step])
             best.extend(chunk)
             # tracing every route frees the chunk's table before the next fill
-            nodes.extend(map(trace, range(len(chunk))))
-        trace = nodes.__getitem__
+            traced.extend(map(trace, range(len(chunk))))
+        trace = traced.__getitem__
     found = dict(zip(vbars, map(float, best)))
 
     def route(vbar: int) -> PathTiming:
         k = vbars.index(vbar)
-        path = trace(k)
-        return PathTiming(vbar, path,
-                          tuple(map(float, times[k, table.arc_ids(path)])),
-                          found[vbar])
+        path, arcs = trace(k)
+        t = times[k].take(arcs).tolist()
+        return PathTiming(vbar, path, tuple(t), found[vbar], arcs, sum(t))
 
     states = len(vbars) * (n << (n - 1))
     return BestRoutes(found, route, states, states)

@@ -24,10 +24,11 @@ the best completed label is timed.
 
 The screen: :func:`solve_case2` first fills the deadline-free
 ``labeling_case1`` table for all idle candidates.  A candidate whose best
-route there fits the deadline at its bound times keeps the fill's route,
-times and value: no route beats its deadline-free value, and under either
-key order the pour would only repeat those times.  Only the others are
-searched.
+route there fits the deadline at its bound times (its recorded travel
+time, :attr:`PathTiming.total`, is at most the deadline) keeps the fill's
+route record, times and value: no route beats its deadline-free value, and
+under either key order the pour would only repeat those times.  Only the
+others are searched.
 """
 
 from __future__ import annotations
@@ -161,7 +162,11 @@ def knapsack_times(net: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
     into positive-rate arcs in decreasing key order, ties broken by position.
 
     Returns None when even the all-fast timing overruns the budget.  At most
-    one arc ends up strictly between its bounds.
+    one arc ends up strictly between its bounds.  Poured times can add up,
+    in floats, to a few ulps above the budget; then the last arc that
+    received time is lowered by that overrun and stepped down by ulps until
+    both the built-in ``sum`` and ``math.fsum`` of the times are at most
+    the budget.  Timings that fit are left as poured.
     """
     if keys is None:
         keys = net
@@ -169,12 +174,25 @@ def knapsack_times(net: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
     slack = budget - float(times.sum())
     if slack < 0.0:
         return None
+    last = None
     for idx in sorted(range(len(net)), key=lambda k: (-keys[k], k)):
         if net[idx] <= 0.0 or slack <= 0.0:
             break
         add = min(slack, float(t_hi[idx] - t_lo[idx]))
-        times[idx] += add
-        slack -= add
+        if add > 0.0:
+            times[idx] += add
+            slack -= add
+            last = idx
+    if last is not None:
+        seq = times.tolist()
+        over = max(sum(seq), math.fsum(seq)) - budget
+        if over > 0.0:
+            # one ulp of the budget is many of a short arc's time, so the
+            # steps start from the time less the overrun
+            seq[last] -= over
+            while sum(seq) > budget or math.fsum(seq) > budget:
+                seq[last] = math.nextafter(seq[last], -math.inf)
+            times[last] = seq[last]
     return times, float(net @ times)
 
 
@@ -315,8 +333,9 @@ class Case2Solver:
                                table.max_time[ids], self.T, self.keys[ids])
         if timed is None:
             return None
-        return PathTiming(self.vbar, tuple(nodes), tuple(map(float, timed[0])),
-                          timed[1])
+        times = timed[0].tolist()
+        return PathTiming(self.vbar, tuple(nodes), tuple(times), timed[1],
+                          tuple(ids), sum(times))
 
 
 def solve_case2(coeffs: RelaxCoeffs, ratio_mode: str = RATIO_SLOPE,
@@ -328,14 +347,16 @@ def solve_case2(coeffs: RelaxCoeffs, ratio_mode: str = RATIO_SLOPE,
     A value is the route's exact optimal timing value (at most one arc
     strictly between its speed bounds); multiplier constants and the
     idle-gain term are the caller's to add.  A settled candidate keeps the
-    fill's own answer.
+    fill's own answer.  Every route comes with its arc ids and its travel
+    time recorded (:class:`PathTiming`), and that travel time is at most
+    the deadline.
     """
     _check_ratio_mode(ratio_mode)
     free = solve_case1(coeffs).results
     results = {}
     stored = alive = 0
     for vbar, route in free.items():
-        if float(np.sum(route.times)) <= coeffs.deadline:
+        if route.total <= coeffs.deadline:
             results[vbar] = route
             continue
         solver = Case2Solver(coeffs, vbar, ratio_mode, use_dominance)

@@ -114,12 +114,20 @@ def build_coeffs(table: ArcIndexTable, lam: Sequence[float],
 
 @dataclass(frozen=True)
 class PathTiming:
-    """A candidate path with per-arc travel times for a fixed idle stop."""
+    """A candidate path with per-arc travel times for a fixed idle stop.
+
+    Its producer also records the path's arc ids (``arcs``, one per
+    consecutive node pair, as :meth:`ArcIndexTable.arc_ids` gives them) and
+    its travel time (``total``, the built-in ``sum`` of ``times``), so that
+    every later reader takes them from here.  Both are left out of equality
+    and ``repr``: they follow from the other fields."""
 
     vbar: int
     nodes: Tuple[int, ...]
     times: Tuple[float, ...]
     value: float                   # sum of net_rate * time over the path
+    arcs: Tuple[int, ...] = field(compare=False, repr=False)
+    total: float = field(compare=False, repr=False)
 
 
 class BestRoutes:
@@ -196,11 +204,12 @@ def assemble_f_value(coeffs: RelaxCoeffs, best: BestRoutes) -> RelaxValue:
 
 
 def _idle_time(timing: PathTiming, table: ArcIndexTable) -> float:
-    """A timed route's idle time: the whole deadline remainder at its idle
-    stop, 0 without one."""
+    """A timed route's idle time: the whole deadline remainder after its
+    travel time (:attr:`PathTiming.total`) at its idle stop, 0 without
+    one."""
     if not timing.vbar:
         return 0.0
-    return max(0.0, table.instance.deadline - float(sum(timing.times)))
+    return max(0.0, table.instance.deadline - timing.total)
 
 
 def make_cut(timings: Sequence[PathTiming], table: ArcIndexTable
@@ -208,10 +217,11 @@ def make_cut(timings: Sequence[PathTiming], table: ArcIndexTable
     """The cuts ``gradient . lam + offset`` of timed routes: one row of
     gradients ``required - coverage`` and one offset ``priorities .
     coverage`` per route, in the given order, with ``coverage`` the
-    route's row of one :meth:`ArcIndexTable.route_coverage` call at its
-    idle time (:func:`_idle_time`)."""
+    route's row of one :meth:`ArcIndexTable.route_coverage` call over the
+    routes' recorded arc ids, at each route's idle time
+    (:func:`_idle_time`)."""
     cov = table.route_coverage([
-        (timing.nodes, timing.times, timing.vbar, _idle_time(timing, table))
+        (timing.arcs, timing.times, timing.vbar, _idle_time(timing, table))
         for timing in timings])
     offsets = np.array([float(table.priorities @ row) for row in cov])
     return table.required - cov, offsets

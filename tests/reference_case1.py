@@ -94,7 +94,10 @@ def solve_case1(coeffs: RelaxCoeffs) -> Dict[int, PathTiming]:
             n, table.exit_id,
             *fill(n, np.ascontiguousarray(vin[:, k:k + step])),
             vexit[k:k + step], vbars[k:k + step])
-    return {
-        vbar: PathTiming(vbar, nodes,
-                         tuple(map(float, t[table.arc_ids(nodes)])), value)
-        for vbar, t, (value, nodes) in zip(vbars, times, routes)}
+    out = {}
+    for vbar, t, (value, nodes) in zip(vbars, times, routes):
+        ids = table.arc_ids(nodes)
+        timed = tuple(map(float, t[ids]))
+        out[vbar] = PathTiming(vbar, nodes, timed, value, tuple(ids),
+                               sum(timed))
+    return out

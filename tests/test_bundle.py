@@ -1327,12 +1327,17 @@ class TestArrayMaster:
     @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 8),
            st.sampled_from(["I", "II"]), st.sampled_from([15.0, 25.0, 40.0]),
            st.sampled_from([0.01, 0.1, 1.0]),
-           st.sampled_from([0.0, 0.5, 5.0]))
+           st.sampled_from([0.0, 0.5, 5.0]), st.sampled_from([0.04, 0.2]))
     def test_cut_pass_matches_the_route_loop(self, seed, n, m, case, radius,
-                                             min_coverage, scale):
-        # routes of different lengths, with and without idle stops
+                                             min_coverage, scale, deadline):
+        # routes of different lengths, with and without idle stops, from
+        # the case-I fill, the case-II screen and the case-II search: the
+        # cut pass reads each route's recorded arc ids and travel time, and
+        # the reference loop re-derives both from the route's nodes and
+        # times
         inst = generate_instance(
-            seed, n, m, case=case, deadline_scale=0.2 if case == "II" else None,
+            seed, n, m, case=case,
+            deadline_scale=deadline if case == "II" else None,
             coverage_radius=radius, min_coverage=min_coverage)
         assume(inst.targets)
         table = build_index_table(inst)
@@ -1341,6 +1346,14 @@ class TestArrayMaster:
             value = evaluate_dual_function(table, lam, case)
         except InfeasibleInstanceError:
             return
+        for timing in value.routes.results.values():
+            if timing is None:
+                continue
+            assert timing.arcs == tuple(table.arc_ids(timing.nodes))
+            assert timing.total == sum(timing.times)
+            if case == "II":
+                # what the feasible-cut lift takes for granted
+                assert timing.total <= inst.deadline
         *got, lifted = bundle._candidate_cuts(value, table, case)
         want = reference_cuts.candidate_cuts(value, table)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

@@ -585,27 +585,29 @@ class TestIndexTable:
     def test_batched_route_coverage_matches_one_timing_calls(
             self, seed, n, m, idle_times):
         # one to four random routes of their own lengths through the
-        # instance, each timed between its all-fast and all-slow times, with
-        # its own idle stop (None and 0 mean none) and idle time: each row
-        # of one batched call is the call with that route alone, and that
-        # call sums arc by arc like the per-pair reference, bit for bit
+        # instance, each given by its arc ids and timed between its
+        # all-fast and all-slow times, with its own idle stop (None and 0
+        # mean none) and idle time: each row of one batched call is the
+        # call with that route alone, and that call sums arc by arc like
+        # the per-pair reference over the route's nodes, bit for bit
         inst = generate_instance(seed, n, m, coverage_radius=30.0)
         table = build_index_table(inst)
         r = np.random.default_rng(seed)
-        routes = []
+        routes, paths = [], []
         for idle_time in idle_times:
             stops = r.permutation(np.arange(1, n + 1))[:r.integers(1, n + 1)]
             nodes = [0, *map(int, stops), n + 1]
             ids = table.arc_ids(nodes)
             times = tuple(r.uniform(table.min_time[ids], table.max_time[ids]))
             idle_node = [None, 0, *map(int, stops)][r.integers(len(stops) + 2)]
-            routes.append((nodes, times, idle_node, idle_time))
+            routes.append((tuple(ids), times, idle_node, idle_time))
+            paths.append(nodes)
         cov = table.route_coverage(routes)
         assert cov.shape == (len(routes), len(inst.targets))
-        for row, route in zip(cov, routes):
+        for row, route, nodes in zip(cov, routes, paths):
             (one,) = table.route_coverage([route])
             assert row.tobytes() == one.tobytes()
-            want = ref_repair.route_coverage(table, *route)
+            want = ref_repair.route_coverage(table, nodes, *route[1:])
             assert one.tobytes() == want.tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=300)

@@ -439,7 +439,7 @@ def test_small_and_top_bit_networks_match_reference(n, chunked):
 @pytest.mark.parametrize("several", [False, True])
 @pytest.mark.parametrize("edge", ["on-a-boundary", "one-state-short",
                                   "inside-a-group"])
-@pytest.mark.parametrize("n", range(6, 11))
+@pytest.mark.parametrize("n", [1, 2, *range(6, 11)])
 def test_chunks_at_end_node_group_edges_match_reference(n, edge, several):
     """A layer's states are ordered by end node, and the fill adds the arc
     values of whole end-node groups, or of one group, per chunk.  Gathers
@@ -447,7 +447,9 @@ def test_chunks_at_end_node_group_edges_match_reference(n, edge, several):
     short of one, and inside one group (the other layers then fall on or
     off their own boundaries), in fills of one candidate or of several: on
     integer tables full of exact ties every value and timed route equals
-    the frozen reference's, repr for repr."""
+    the frozen reference's, repr for repr.  The first layer is written
+    directly, not gathered; at one waypoint it is the whole fill, and at
+    two the one gathered layer follows it."""
     rng = np.random.default_rng(n)
 
     def ints(*shape, low=0):
@@ -455,7 +457,7 @@ def test_chunks_at_end_node_group_edges_match_reference(n, edge, several):
 
     inst = generate_instance(n, n, 4, case="I", coverage_radius=25.0)
     coeffs = _integer_coeffs(build_index_table(inst), ints)
-    assert len(coeffs.idle_set) > 2
+    assert len(coeffs.idle_set) > min(n, 2)
     kc = len(coeffs.idle_set) if several else 1
     per = math.comb(n - 1, (n - 1) // 2)  # states per end node, widest
     states = {"on-a-boundary": per, "one-state-short": per - 1,
@@ -479,7 +481,7 @@ def _both_engines(w, vexit, vbars):
     arcs ``i -> j`` and ``vexit[k, j-1]`` of arcs ``j -> exit``."""
     n = w.shape[1] - 1
     best, trace = labeling_case1._fill_chunk(n, n + 1, w, vexit, vbars)
-    got = [(float(value), trace(k)) for k, value in enumerate(best)]
+    got = [(float(value), trace(k)[0]) for k, value in enumerate(best)]
     dp, par = reference_case1.fill(
         n, np.ascontiguousarray(w.transpose(2, 0, 1)))
     return got, reference_case1.best_routes(n, n + 1, dp, par, vexit, vbars)

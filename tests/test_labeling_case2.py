@@ -344,6 +344,47 @@ class TestKnapsackTiming:
         assert knapsack_times(np.array([1.0]), np.array([2.0]),
                               np.array([3.0]), 1.0) is None
 
+    def test_poured_times_fit_the_deadline_in_floats(self):
+        """Random routes through generated instances (4-9 waypoints,
+        ``deadline_scale`` 0.04-0.2), timed for every candidate at zero
+        multipliers: the times' built-in sum and ``math.fsum`` are at most
+        the deadline, every time stays within its arc's bounds and at most
+        one arc lies strictly between them (a full arc is ``lo + (hi -
+        lo)``, which can round one ulp either side of ``hi``), and the value
+        is the rates times the returned times.  The pour alone overruns the
+        deadline by an ulp on about one timing in a hundred."""
+        rng = np.random.default_rng(0)
+        timed = 0
+        for seed in range(60):
+            n = 4 + seed % 6
+            inst = generate_instance(
+                seed, n, 6, case="II", coverage_radius=20.0,
+                deadline_scale=float(rng.uniform(0.04, 0.2)))
+            table = build_index_table(inst)
+            coeffs = build_coeffs(table, np.zeros(len(table.target_ids)),
+                                  "II")
+            T = inst.deadline
+            for vbar in coeffs.idle_set:
+                net = coeffs.net_rates(vbar)
+                for _ in range(10):
+                    stops = rng.permutation(np.arange(1, n + 1))
+                    stops = stops[:rng.integers(1, n + 1)].tolist()
+                    ids = table.arc_ids([0, *stops, n + 1])
+                    lo, hi = table.min_time[ids], table.max_time[ids]
+                    res = knapsack_times(net[ids], lo, hi, T)
+                    if res is None:
+                        continue
+                    times, value = res
+                    seq = times.tolist()
+                    assert sum(seq) <= T and math.fsum(seq) <= T
+                    assert np.all(lo <= times)
+                    assert np.all(times <= np.nextafter(hi, np.inf))
+                    below = np.nextafter(hi, -np.inf)
+                    assert np.sum((times > lo) & (times < below)) <= 1
+                    assert value == float(net[ids] @ times)
+                    timed += 1
+        assert timed > 2000
+
 
 class TestSolveCase2:
     def test_reduces_to_case1_when_deadline_slack(self, rng):

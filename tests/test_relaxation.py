@@ -5,9 +5,12 @@ import pytest
 
 from conftest import (make_instance, random_desk_instance, random_multipliers,
                       relax_value)
+from coverage_routing import labeling_case1
 from coverage_routing.bundle import (evaluate_dual_function,
                                      timing_to_solution)
 from coverage_routing.instance import build_index_table, generate_instance
+from coverage_routing.labeling_case1 import solve_case1
+from coverage_routing.labeling_case2 import Case2Solver, solve_case2
 from coverage_routing.oracle import oracle_primal, oracle_relaxation
 from coverage_routing.relaxation import (PathTiming, assemble_f_value,
                                          build_coeffs, make_cut)
@@ -229,3 +232,57 @@ class TestConvexityAndCuts:
         coverage = offset / table.priorities[0]
         assert coverage == pytest.approx(expect, rel=1e-12)
         assert coverage < inst.deadline  # no T-sized term crept in
+
+
+class TestRouteRecords:
+    """A route's producer records its arc ids and travel time once, and
+    every reader takes them from the record: each candidate's ``arcs`` are
+    the table's arc ids of its nodes, and its ``total`` is the built-in
+    sum of its times, on desk-size draws (7 waypoints, 10 targets), in
+    fills of one chunk and of one candidate per chunk."""
+
+    @staticmethod
+    def _check(routes, table):
+        timings = [t for t in routes.results.values() if t is not None]
+        assert timings
+        for t in timings:
+            assert t.arcs == tuple(table.arc_ids(t.nodes))
+            assert all(type(k) is int for k in t.arcs)
+            assert type(t.total) is float and t.total == sum(t.times)
+
+    @staticmethod
+    def _multipliers(table, seed):
+        m = len(table.target_ids)
+        return np.zeros(m), random_multipliers(random.Random(seed), m)
+
+    @pytest.mark.parametrize("table_bytes",
+                             [labeling_case1.TABLE_CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_case1_records(self, seed, table_bytes, monkeypatch):
+        monkeypatch.setattr(labeling_case1, "TABLE_CHUNK_BYTES", table_bytes)
+        table = _table(generate_instance(seed, 7, 10, case="I"))
+        for lam in self._multipliers(table, seed):
+            self._check(solve_case1(build_coeffs(table, lam, "I")), table)
+
+    @pytest.mark.parametrize("table_bytes",
+                             [labeling_case1.TABLE_CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_case2_records(self, seed, table_bytes, monkeypatch):
+        # at the desk deadline the screen settles the candidates; at 0.04
+        # of it most are searched
+        searched = []
+        solve = Case2Solver.solve
+
+        def counted(self):
+            searched.append(solve(self))
+            return searched[-1]
+
+        monkeypatch.setattr(labeling_case1, "TABLE_CHUNK_BYTES", table_bytes)
+        monkeypatch.setattr(Case2Solver, "solve", counted)
+        for scale in (None, 0.04):
+            table = _table(generate_instance(seed, 7, 10, case="II",
+                                             deadline_scale=scale))
+            for lam in self._multipliers(table, seed):
+                self._check(solve_case2(build_coeffs(table, lam, "II")),
+                            table)
+        assert any(t is not None for t in searched)

@@ -1,0 +1,101 @@
+"""SHA-256 of the ``run_dual`` records of the benchmark batches and of the
+deep case-I probe, for checking that a change keeps every record's bytes.
+
+    python3 tools/record_hash.py                # whole batches
+    python3 tools/record_hash.py --limit 1      # first instance of each batch
+
+A record is a solve's status, its three bounds, the bytes of ``best_lam``,
+its iteration count, its trace rows without ``wall_time``, and its witness
+route.  The batches are the benchmark's workload inputs, read through
+``bench/harness.make_inputs`` at workload seeds 0 and 1 and solved as the
+benchmark solves them; the deep probe is a 15-waypoint case-I instance
+(generator seed 3, 12 targets, coverage radius 20, ``min_coverage=0.01``)
+stopped after 3 iterations.
+One line per batch and one for the probe give each part's hash prefix; the
+last line is the hash of everything, in that order.
+
+BLAS runs single-threaded, as in the benchmark.  The bytes depend on the
+BLAS kernel the machine selects, so compare hashes from one machine only.
+"""
+
+from __future__ import annotations
+
+import os
+
+# single-threaded numpy: set before numpy is first imported
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import harness  # noqa: E402  (puts src/ on the path)
+from coverage_routing import bundle, instance  # noqa: E402
+
+#: workload seeds of the hashed batches
+SEEDS = (0, 1)
+#: the deep case-I probe: generator arguments and iteration cap
+DEEP_PROBE = dict(seed=3, n_waypoints=15, n_targets=12, case="I",
+                  coverage_radius=20.0, min_coverage=0.01)
+DEEP_ITERATIONS = 3
+
+
+def record(res: "bundle.DualResult") -> bytes:
+    """The bytes of everything a ``run_dual`` result records, with
+    ``best_lam`` as raw bytes and the trace rows without their wall
+    times."""
+    rows = [{k: v for k, v in dataclasses.asdict(row).items()
+             if k != "wall_time"} for row in res.trace]
+    return repr((res.status, res.dual_bound, res.lower_bound,
+                 res.initial_bound, res.best_lam.tobytes(), res.iterations,
+                 rows, res.solution)).encode()
+
+
+def batch_records(wl: "harness.Workload", seed: int, limit):
+    """Records of one workload batch, solved as the benchmark solves it."""
+    insts, tables = harness.load_all(harness.make_inputs(wl, seed, limit))
+    return [record(bundle.run_dual(inst, wl.case, phi=harness.PHI,
+                                   tol=harness.TOL, table=table))
+            for inst, table in zip(insts, tables)]
+
+
+def deep_record() -> bytes:
+    inst = instance.generate_instance(**DEEP_PROBE)
+    return record(bundle.run_dual(inst, DEEP_PROBE["case"],
+                                  iter_limit=DEEP_ITERATIONS))
+
+
+def parts(limit):
+    """``(label, records)`` of every batch, seed by seed, then of the deep
+    probe."""
+    for seed in SEEDS:
+        for name, wl in harness.WORKLOADS.items():
+            yield f"{name} seed {seed}", batch_records(wl, seed, limit)
+    yield "deep case-I probe", [deep_record()]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--limit", type=int, default=None,
+                    help="hash only the first LIMIT instances of each batch")
+    args = ap.parse_args(argv)
+
+    total = hashlib.sha256()
+    for label, records in parts(args.limit):
+        part = hashlib.sha256()
+        for rec in records:
+            part.update(rec)
+            total.update(rec)
+        print(f"{label}: {len(records)} records {part.hexdigest()[:16]}")
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
