@@ -7,9 +7,10 @@ at or below it everywhere; so one evaluation adds one affine cut (a gradient
 and an offset) per candidate that has a route: the maximizing candidate's
 first, then the others in idle-set order (the multicut idea of Birge &
 Louveaux, *EJOR* 1988), built after the evaluation's wall time is stamped
-so that no bound waits for them, and all of them in one :func:`make_cut`
-pass.  The cuts live in a :class:`CutPool` of arrays that holds each cut's
-norm and unit row from the moment it is added.  The next iterate is the
+so that no bound waits for them (in case I, no bound waits for a route
+either), and all of them in one :func:`make_cut` pass.  The cuts live in
+a :class:`CutPool` of arrays that holds each cut's norm and unit row from
+the moment it is added.  The next iterate is the
 projection of the current one onto the level set ``{lam <= 0 : all cuts <=
 f_lev}`` with ``f_lev = phi*LB + (1-phi)*UB``, except after an exact row:
 an evaluation whose value is at most its level plus ``h``, half the stopping
@@ -109,7 +110,8 @@ class TraceRow:
     was evaluated), the bounds after it, ``lb`` including the lift of the
     evaluation's feasible cuts, its level and master verdict, and the
     seconds since the run started when the verdict or evaluation returned,
-    before any of the evaluation's cuts was built."""
+    before any of the evaluation's cuts was built and, in case I, before
+    any of its routes was chosen."""
 
     iteration: int
     f_value: Optional[float]
@@ -465,10 +467,12 @@ def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
     """Exact dual-function value at ``lam``: the best path over the idle
     candidates.  One labeling call answers every candidate: a table fill in
     case I, the screened search of ``labeling_case2`` in case II.  The
-    candidates are compared by value, and in case I only the maximizing
-    candidate's route is traced and timed here.  The value's ``routes``
-    give every other candidate's route; :func:`_candidate_cuts` turns them
-    all into cuts.
+    candidates are compared by value.  In case I no route is chosen, traced
+    or timed here: the fill's values alone give the result, and the
+    maximizing candidate's route (:attr:`RelaxValue.best`) and the value's
+    ``routes`` are built when :func:`_candidate_cuts` turns them all into
+    cuts.  The case-II screen times every candidate's deadline-free route
+    before it has a value, so there the routes precede the result.
 
     ``ratio_mode`` and ``use_dominance`` steer the case-II search only."""
     coeffs = build_coeffs(table, lam, case)
@@ -495,7 +499,7 @@ def _candidate_cuts(value: RelaxValue, table: ArcIndexTable, case: str
     the computed coverage) and it fits the deadline: every case-II route
     does (its recorded travel time, :attr:`PathTiming.total`, is at most
     the deadline), and a case-I route when its recorded travel time is."""
-    routes, top = value.routes, value.best.vbar
+    routes, top = value.routes, value.vbar
     timings = [value.best] + [
         routes.timing(vbar) for vbar, found in routes.values.items()
         if found is not None and vbar != top]
@@ -612,8 +616,9 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     (:func:`_candidate_cuts`).  The trace keeps one row per iteration plus
     an initialization row.  A row's ``wall_time`` is read when its master
     verdict or its evaluation returns, before :func:`_candidate_cuts` builds
-    an evaluation's cuts, and its ``lb`` includes their lift.  Each level
-    is the ``phi`` point between the floor and ``UB``.  The floor is
+    an evaluation's cuts (and, in case I, chooses and traces its routes),
+    and its ``lb`` includes their lift.  Each level is the ``phi`` point
+    between the floor and ``UB``.  The floor is
     ``LB``, except after a ``MASTER_UNVERIFIED`` row, where the refuted
     level takes its place: such a row evaluates no point and moves no
     bound, whether its certificate failed or the projection stopped short

@@ -30,21 +30,25 @@ best path per state is exact in floating point too: every completion adds
 the same arc values, in the same order, to all paths in a state, and
 rounded addition is monotone (``a <= b`` implies ``fl(a + c) <= fl(b + c)``).
 
-The completion scan only reads the table.  Per candidate, one reduce over a
-view of the masks that hold the idle stop gives each end node's peak; by
-monotone rounding, the peak plus the exit arc's value is the best
-completion through that end node.  The rest of the scan runs across the
-candidates at once.  A candidate's route is re-derived, and timed at its
-bound times, only when asked for, so a dual evaluation, which needs the
-maximizing candidate's route alone, traces and times one.  The trace walks
-back from the end state: a state's predecessor is the first node, in
-ascending order, whose state value plus arc value, in Python floats, equals
-the state's value.  Those are the sums the fill compared, so this is the
-first of their maxima.  The walk yields the route's arc ids as well as its
-nodes (from a grid of arc ids cached per waypoint count), and the route's
-times are taken at those ids, so the route's record (see
-:class:`~coverage_routing.relaxation.PathTiming`) carries both for every
-later reader.
+The completion scan only reads the table, in two halves.  The value half
+runs right after the fill.  Per candidate, one reduce over a view of the
+masks that hold the idle stop gives each end node's peak; by monotone
+rounding, the peak plus the exit arc's value is the best completion
+through that end node, and the candidate's value is the largest of them.
+No route is needed for a value, so a dual evaluation, which compares the
+candidates by value, chooses, traces and times none.  The route half runs
+once, across the candidates of a chunk at once, when the first of their
+routes is asked for: it finds each candidate's first best end node and
+visited set (the tie rules below), reusing the value half's peaks.  A
+candidate's route is then re-derived, and timed at its bound times, only
+when asked for.  The trace walks back from the end state: a state's
+predecessor is the first node, in ascending order, whose state value plus
+arc value, in Python floats, equals the state's value.  Those are the sums
+the fill compared, so this is the first of their maxima.  The walk yields
+the route's arc ids as well as its nodes (from a grid of arc ids cached
+per waypoint count), and the route's times are taken at those ids, so the
+route's record (see :class:`~coverage_routing.relaxation.PathTiming`)
+carries both for every later reader.
 
 Memory: one candidate's table holds ``2^n * (n+1)`` floats.  Candidates are
 filled in chunks of at most :data:`TABLE_CHUNK_BYTES` (one candidate at
@@ -176,20 +180,29 @@ def _mask_order(n: int, mask: int) -> Tuple[int, List[int]]:
     return bin(mask).count("1"), [b for b in range(n) if mask >> b & 1]
 
 
-def _best_ends(n: int, dp: np.ndarray, vexit: np.ndarray,
-               vbars: Sequence[int]
-               ) -> Tuple[np.ndarray, List[int], List[int]]:
-    """Best completion through the exit arc per candidate of a chunk: its
-    value, its first best end node and its first best visited set.
-    ``vexit[k, j-1]`` is candidate ``k``'s value of arc ``j -> exit``.  The
-    table is only read."""
+def _tops(n: int, dp: np.ndarray, vexit: np.ndarray, vbars: Sequence[int]
+          ) -> Tuple[np.ndarray, np.ndarray]:
+    """The value half of the completion scan: per candidate of a chunk,
+    each end node's peak over the masks that hold the idle stop, and its
+    completion through the exit arc (``vexit[k, j-1]`` is candidate
+    ``k``'s value of arc ``j -> exit``).  A candidate's value is its row
+    maximum of the completions.  The table is only read."""
     # per-node peaks over the masks that hold the idle stop, through views
     peaks = np.array([np.maximum.reduce(
         dp[k, 1:].reshape(n, -1, 2, 1 << (vbar - 1))[:, :, 1], axis=(1, 2))
         if vbar else np.maximum.reduce(dp[k, 1:], axis=1)
         for k, vbar in enumerate(vbars)])
     # rounding is monotone, so the completed peak is the best completion
-    tops = peaks + vexit
+    return peaks, peaks + vexit
+
+
+def _best_ends(n: int, dp: np.ndarray, vexit: np.ndarray,
+               vbars: Sequence[int], peaks: np.ndarray, tops: np.ndarray
+               ) -> Tuple[List[int], List[int]]:
+    """The route half of the completion scan: per candidate of a chunk, its
+    first best end node and its first best visited set, from the value
+    half's ``peaks`` and completed ``tops`` (see :func:`_tops`).  The table
+    is only read."""
     ends = tops.argmax(axis=1)  # first best end node, less one
     rows = np.arange(len(vbars))
     best, peak = tops[rows, ends], peaks[rows, ends]
@@ -213,7 +226,7 @@ def _best_ends(n: int, dp: np.ndarray, vexit: np.ndarray,
                 ties[k].append(m)
     firsts = [t[0] if len(t) == 1 else
               min(t, key=functools.partial(_mask_order, n)) for t in ties]
-    return best, cols, firsts
+    return cols, firsts
 
 
 def _trace(dp: np.ndarray, w: np.ndarray, k: int, node: int, mask: int,
@@ -248,22 +261,28 @@ def _fill_chunk(n: int, exit_id: int, w: np.ndarray, vexit: np.ndarray,
                 ) -> Tuple[np.ndarray, Callable[[int], Route]]:
     """Fill one candidate chunk: each candidate's best value, and a tracer
     of the ``k``-th candidate's best route (its nodes and arc ids).  The
-    tracer holds the chunk's value table until it has traced every
-    candidate's route once."""
+    values come from the value half of the completion scan alone; the
+    tracer's first call runs the route half for every candidate of the
+    chunk.  The tracer holds the chunk's value table until it has traced
+    every candidate's route once."""
     dp = _fill(n, w)
-    best, ends, masks = _best_ends(n, dp, vexit, vbars)
+    peaks, tops = _tops(n, dp, vexit, vbars)
     grid = _arc_grid(n)
+    ends = None  # each candidate's best end node and visited set
     routes: Dict[int, Route] = {}
 
     def trace(k: int) -> Route:
-        nonlocal dp
+        nonlocal dp, ends
         if k not in routes:
-            routes[k] = _trace(dp, w, k, ends[k], masks[k], exit_id, grid)
+            if ends is None:
+                ends = _best_ends(n, dp, vexit, vbars, peaks, tops)
+            nodes, masks = ends
+            routes[k] = _trace(dp, w, k, nodes[k], masks[k], exit_id, grid)
             if len(routes) == len(vbars):
                 dp = None  # frees the table
         return routes[k]
 
-    return best, trace
+    return np.maximum.reduce(tops, axis=1), trace
 
 
 def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:

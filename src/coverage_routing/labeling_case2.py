@@ -161,12 +161,13 @@ def knapsack_times(net: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
     fixed route: everything starts fast and the leftover budget is poured
     into positive-rate arcs in decreasing key order, ties broken by position.
 
-    Returns None when even the all-fast timing overruns the budget.  At most
-    one arc ends up strictly between its bounds.  Poured times can add up,
-    in floats, to a few ulps above the budget; then the last arc that
-    received time is lowered by that overrun and stepped down by ulps until
-    both the built-in ``sum`` and ``math.fsum`` of the times are at most
-    the budget.  Timings that fit are left as poured.
+    Returns None when even the all-fast timing overruns the budget.  A
+    fully poured arc takes exactly its upper bound, and at most one arc ends
+    up strictly between its bounds.  Poured times can add up, in floats, to
+    a few ulps above the budget; then the last arc that received time is
+    lowered by that overrun and stepped down by ulps until both the
+    built-in ``sum`` and ``math.fsum`` of the times are at most the budget.
+    Timings that fit are left as poured.
     """
     if keys is None:
         keys = net
@@ -178,9 +179,12 @@ def knapsack_times(net: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
     for idx in sorted(range(len(net)), key=lambda k: (-keys[k], k)):
         if net[idx] <= 0.0 or slack <= 0.0:
             break
-        add = min(slack, float(t_hi[idx] - t_lo[idx]))
+        span = float(t_hi[idx] - t_lo[idx])
+        add = min(slack, span)
         if add > 0.0:
-            times[idx] += add
+            # a full arc takes exactly t_hi: t_lo + (t_hi - t_lo) can round
+            # an ulp above it
+            times[idx] = t_hi[idx] if add == span else times[idx] + add
             slack -= add
             last = idx
     if last is not None:

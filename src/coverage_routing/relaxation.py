@@ -27,6 +27,7 @@ produced it, and so tight for the dual function where the candidate wins.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -169,12 +170,28 @@ class BestRoutes:
 @dataclass(frozen=True)
 class RelaxValue:
     """The relaxation optimum at one multiplier vector: its value, the
-    maximizing candidate's timed route, and every candidate's best route
-    (``routes``, left out of equality and ``repr``)."""
+    maximizing candidate (``vbar``) and every candidate's best route
+    (``routes``).  The maximizing candidate's timed route, :attr:`best`, is
+    built the first time it is read and kept, so a caller that needs only
+    the value chooses no route.  Equality and ``repr`` compare the value
+    and that route."""
 
     value: float
-    best: PathTiming
+    vbar: int = field(compare=False)
     routes: BestRoutes = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def best(self) -> PathTiming:
+        """The maximizing candidate's timed route."""
+        return self.routes.timing(self.vbar)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.best) == (other.value, other.best)
+
+    def __repr__(self) -> str:
+        return f"RelaxValue(value={self.value!r}, best={self.best!r})"
 
 
 def assemble_f_value(coeffs: RelaxCoeffs, best: BestRoutes) -> RelaxValue:
@@ -182,9 +199,10 @@ def assemble_f_value(coeffs: RelaxCoeffs, best: BestRoutes) -> RelaxValue:
 
     ``best`` holds each idle candidate's optimal value, or None when no path
     through it fits the deadline.  The totals are compared by value, and
-    only the maximizing candidate's route is timed (the first one in
-    ``coeffs.idle_set`` order among equal totals).  The no-idle branch must
-    be solvable, otherwise no route fits at all and the instance is
+    the maximizing candidate is the first one in ``coeffs.idle_set`` order
+    among equal totals; its route is left to :attr:`RelaxValue.best`, so
+    no route is chosen or timed here.  The no-idle branch must be
+    solvable, otherwise no route fits at all and the instance is
     infeasible.
     """
     if best.values.get(0) is None:
@@ -199,8 +217,7 @@ def assemble_f_value(coeffs: RelaxCoeffs, best: BestRoutes) -> RelaxValue:
         tot = gain_term + value
         if top is None or tot > top:
             top, top_vbar = tot, vbar
-    return RelaxValue(value=coeffs.constant + top,
-                      best=best.timing(top_vbar), routes=best)
+    return RelaxValue(coeffs.constant + top, top_vbar, best)
 
 
 def _idle_time(timing: PathTiming, table: ArcIndexTable) -> float:

@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 
 from conftest import (NO_TARGETS, case2_search_value, make_instance,
                       random_desk_instance, random_multipliers)
-from coverage_routing import bundle
+from coverage_routing import bundle, labeling_case1
 from coverage_routing.bundle import (CONVERGED, LB_FLOOR, MASTER_FEASIBLE,
                                      MASTER_INFEASIBLE, MASTER_UNVERIFIED,
                                      CutPool, MasterResult, _project_dual,
@@ -672,6 +672,58 @@ class TestFarkasCheck:
 
 
 class TestRunDual:
+    @staticmethod
+    def _route_work_readings(monkeypatch, inst, case):
+        """Run one ``run_dual`` iteration under a counting clock, whose
+        every reading by ``bundle`` advances it by one, with the case-I
+        tracer and tie scan recording the clock's last reading.  Returns
+        the reading that stamped row 0's ``wall_time`` and the recorded
+        (step, reading) pairs in call order."""
+        ticks = itertools.count(1)
+        last = [0]
+
+        def monotonic():
+            last[0] = next(ticks)
+            return float(last[0])
+
+        def recorded(step, fn):
+            def wrapper(*args):
+                work.append((step, last[0]))
+                return fn(*args)
+            return wrapper
+
+        work = []
+        monkeypatch.setattr(bundle, "time",
+                            types.SimpleNamespace(monotonic=monotonic))
+        monkeypatch.setattr(labeling_case1, "_trace",
+                            recorded("trace", labeling_case1._trace))
+        monkeypatch.setattr(labeling_case1, "_best_ends",
+                            recorded("ties", labeling_case1._best_ends))
+        res = run_dual(inst, case, iter_limit=1)
+        # the run's start is the clock's first reading
+        return 1 + res.trace[0].wall_time, work
+
+    def test_case1_stamps_row_zero_before_any_route(self, monkeypatch):
+        # in a fill of one chunk, the lam = 0 evaluation returns on the
+        # fill's values alone: the tie scan and every trace run in the cut
+        # pass, after row 0's wall time is read
+        inst = generate_instance(0, 6, 60, case="I", coverage_radius=20.0)
+        stamp, work = self._route_work_readings(monkeypatch, inst, "I")
+        assert work and work[0] == ("ties", stamp)
+        assert min(reading for _, reading in work) == stamp
+
+    def test_case2_screen_traces_before_row_zero(self, monkeypatch):
+        # the case-II screen times every candidate's deadline-free route
+        # before it has a value, so its tie scan and traces come before
+        # row 0's stamp
+        inst = generate_instance(0, 5, 8, case="II")
+        table = build_index_table(inst)
+        idle = build_coeffs(table, np.zeros(len(table.target_ids)),
+                            "II").idle_set
+        stamp, work = self._route_work_readings(monkeypatch, inst, "II")
+        assert [w for w in work if w[1] < stamp] == \
+            [("ties", 1)] + [("trace", 1)] * len(idle)
+
     def test_zero_requirements_converge_immediately(self):
         inst = generate_instance(61, 4, 5, coverage_radius=25.0,
                                  min_coverage=0.0)

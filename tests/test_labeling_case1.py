@@ -227,30 +227,48 @@ class TestSolveCase1:
                                              1])
     def test_dual_evaluation_times_one_route(self, monkeypatch, table_bytes):
         """A case-I dual evaluation compares every candidate's value but
-        traces and times only the maximizing candidate's route, in a fill
-        of one chunk and in a fill of one candidate per chunk."""
-        built = []
+        builds no timed route; in a fill of one chunk it traces none either
+        (a fill of one candidate per chunk traces each chunk's routes
+        before it fills the next).  The first read of the value's ``best``
+        builds the maximizing candidate's timed route, and only it; later
+        reads return that route."""
+        built, traced = [], []
         init = PathTiming.__init__
+        real_trace = labeling_case1._trace
 
         def counted(self, *args, **kwargs):
             init(self, *args, **kwargs)
             built.append(self)
 
+        def trace(*args):
+            traced.append(args[2])
+            return real_trace(*args)
+
+        one_chunk = table_bytes == labeling_case1.TABLE_CHUNK_BYTES
         monkeypatch.setattr(PathTiming, "__init__", counted)
+        monkeypatch.setattr(labeling_case1, "_trace", trace)
         monkeypatch.setattr(labeling_case1, "TABLE_CHUNK_BYTES", table_bytes)
         inst = generate_instance(0, 6, 60, case="I", coverage_radius=20.0)
         table = build_index_table(inst)
         lam = np.zeros(len(table.target_ids))
-        assert len(build_coeffs(table, lam, "I").idle_set) > 2
+        candidates = len(build_coeffs(table, lam, "I").idle_set)
+        assert candidates > 2
         value = evaluate_dual_function(table, lam, "I")
-        assert len(built) == 1 and built[0] is value.best
+        assert built == []
+        assert len(traced) == (0 if one_chunk else candidates)
+        best = value.best
+        assert len(built) == 1 and built[0] is best
+        assert len(traced) == (1 if one_chunk else candidates)
+        assert value.best is best
+        assert len(built) == 1
 
 
 def test_routes_are_traced_once_on_demand(monkeypatch):
-    """A case-I dual evaluation traces one route, the maximizing
-    candidate's; building the evaluation's cuts then traces every other
-    candidate's once.  The value table lives until the last of them is
-    traced, and no longer, though the evaluation's result still does."""
+    """A case-I dual evaluation traces no route; reading the maximizing
+    candidate's route traces it, and building the evaluation's cuts then
+    traces every other candidate's once.  The value table lives until the
+    last of them is traced, and no longer, though the evaluation's result
+    still does."""
     calls, tables = [], []
     real_trace, real_fill = labeling_case1._trace, labeling_case1._fill
 
@@ -270,13 +288,15 @@ def test_routes_are_traced_once_on_demand(monkeypatch):
     value = evaluate_dual_function(table, np.zeros(len(table.target_ids)), "I")
     vbars = list(value.routes.values)
     assert len(vbars) > 2 and len(tables) == 1
-    assert calls == [vbars.index(value.best.vbar)]
+    assert calls == []
+    best = value.best
+    assert calls == [vbars.index(value.vbar)] and best.vbar == value.vbar
     assert tables[0]() is not None
     bundle._candidate_cuts(value, table, "I")
     assert sorted(calls) == list(range(len(vbars)))
     gc.collect()
     assert tables[0]() is None
-    assert value.routes.results[value.best.vbar] == value.best
+    assert value.routes.results[value.vbar] == value.best
     assert len(calls) == len(vbars)
 
 
@@ -526,14 +546,14 @@ def test_completions_that_round_equal_tie(exit_value, best):
 
 
 @st.composite
-def _case1_inputs(draw):
-    """A generated case-I instance with at least one target, and multipliers
-    that are zero or random and non-positive."""
+def _case1_inputs(draw, radii=(5.0, 10.0, 15.0, 25.0)):
+    """A generated case-I instance with at least one target, at one of the
+    coverage ``radii``, and multipliers that are zero or random and
+    non-positive."""
     inst = generate_instance(draw(st.integers(0, 10 ** 6)),
                              draw(st.integers(1, 6)), draw(st.integers(1, 6)),
                              case="I",
-                             coverage_radius=draw(st.sampled_from(
-                                 [5.0, 10.0, 15.0, 25.0])))
+                             coverage_radius=draw(st.sampled_from(radii)))
     m = len(inst.targets)
     assume(m > 0)
     if draw(st.booleans()):
@@ -559,3 +579,42 @@ def test_fill_is_exact_and_matches_oracle(inputs):
     got = relax_value(table, inst, lam, "I")
     orc = oracle_relaxation(table, inst, lam, "I")
     assert abs(got.value - orc.value) <= 1e-8 * max(1.0, abs(orc.value))
+
+
+@pytest.mark.parametrize("table_bytes", [labeling_case1.TABLE_CHUNK_BYTES, 1])
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(inputs=_case1_inputs((10.0, 25.0, 40.0)))
+def test_values_come_before_routes_and_match_them(table_bytes, inputs):
+    """Each candidate's value comes from the value half of the completion
+    scan, before any route is chosen in a fill of one chunk, and equals bit
+    for bit both the path-order sum of the arc values of the route that the
+    route half traces later and the frozen reference's value, in fills of
+    one chunk and of one candidate per chunk.  At radius 40 most targets
+    are covered from every arc, so many visited sets tie."""
+    inst, lam = inputs
+    coeffs = build_coeffs(build_index_table(inst), lam, "I")
+    one_chunk = table_bytes == labeling_case1.TABLE_CHUNK_BYTES
+    scans = []
+    real_ends = labeling_case1._best_ends
+
+    def best_ends(*args):
+        scans.append(len(args[3]))
+        return real_ends(*args)
+
+    with mock.patch.multiple(labeling_case1, TABLE_CHUNK_BYTES=table_bytes,
+                             _best_ends=best_ends):
+        got = solve_case1(coeffs)
+        values = {vbar: repr(value) for vbar, value in got.values.items()}
+        if one_chunk:
+            assert scans == []
+        routes = got.results
+        expect = reference_case1.solve_case1(coeffs)
+    assert sum(scans) == len(coeffs.idle_set)
+    resums = {}
+    for k, (vbar, route) in enumerate(routes.items()):
+        total = 0.0  # the fill's sums, in path order
+        for arc, t in zip(route.arcs, route.times):
+            total += coeffs.net.item(k, arc) * t
+        resums[vbar] = repr(total)
+    assert values == resums
+    assert values == {vbar: repr(bt.value) for vbar, bt in expect.items()}

@@ -348,10 +348,9 @@ class TestKnapsackTiming:
         """Random routes through generated instances (4-9 waypoints,
         ``deadline_scale`` 0.04-0.2), timed for every candidate at zero
         multipliers: the times' built-in sum and ``math.fsum`` are at most
-        the deadline, every time stays within its arc's bounds and at most
-        one arc lies strictly between them (a full arc is ``lo + (hi -
-        lo)``, which can round one ulp either side of ``hi``), and the value
-        is the rates times the returned times.  The pour alone overruns the
+        the deadline, every time stays within its arc's bounds (a full arc
+        takes exactly ``hi``) and at most one arc lies strictly between
+        them, and the value is the rates times the returned times.  The pour alone overruns the
         deadline by an ulp on about one timing in a hundred."""
         rng = np.random.default_rng(0)
         timed = 0
@@ -378,9 +377,8 @@ class TestKnapsackTiming:
                     seq = times.tolist()
                     assert sum(seq) <= T and math.fsum(seq) <= T
                     assert np.all(lo <= times)
-                    assert np.all(times <= np.nextafter(hi, np.inf))
-                    below = np.nextafter(hi, -np.inf)
-                    assert np.sum((times > lo) & (times < below)) <= 1
+                    assert np.all(times <= hi)
+                    assert np.sum((times > lo) & (times < hi)) <= 1
                     assert value == float(net[ids] @ times)
                     timed += 1
         assert timed > 2000

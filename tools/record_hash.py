@@ -1,5 +1,6 @@
-"""SHA-256 of the ``run_dual`` records of the benchmark batches and of the
-deep case-I probe, for checking that a change keeps every record's bytes.
+"""SHA-256 of the ``run_dual`` records of the benchmark batches, of the
+deep case-I probe and of the binding case-II probes, for checking that a
+change keeps every record's bytes.
 
     python3 tools/record_hash.py                # whole batches
     python3 tools/record_hash.py --limit 1      # first instance of each batch
@@ -10,9 +11,13 @@ route.  The batches are the benchmark's workload inputs, read through
 ``bench/harness.make_inputs`` at workload seeds 0 and 1 and solved as the
 benchmark solves them; the deep probe is a 15-waypoint case-I instance
 (generator seed 3, 12 targets, coverage radius 20, ``min_coverage=0.01``)
-stopped after 3 iterations.
-One line per batch and one for the probe give each part's hash prefix; the
-last line is the hash of everything, in that order.
+stopped after 3 iterations.  The binding probes are 7-waypoint case-II
+instances (generator seeds 0, 1 and 2, 10 targets, ``deadline_scale=0.04``,
+``min_coverage=0.01``) solved to convergence; their deadline binds, so they
+run the case-II label search and its knapsack timing, which no batch
+reaches.  ``--limit`` keeps the first LIMIT of them too.
+One line per batch and one per probe part give each part's hash prefix;
+the last line is the hash of everything, in that order.
 
 BLAS runs single-threaded, as in the benchmark.  The bytes depend on the
 BLAS kernel the machine selects, so compare hashes from one machine only.
@@ -44,6 +49,10 @@ SEEDS = (0, 1)
 DEEP_PROBE = dict(seed=3, n_waypoints=15, n_targets=12, case="I",
                   coverage_radius=20.0, min_coverage=0.01)
 DEEP_ITERATIONS = 3
+#: the binding case-II probes: generator seeds and arguments
+BINDING_SEEDS = (0, 1, 2)
+BINDING_PROBE = dict(n_waypoints=7, n_targets=10, case="II",
+                     deadline_scale=0.04, min_coverage=0.01)
 
 
 def record(res: "bundle.DualResult") -> bytes:
@@ -71,13 +80,23 @@ def deep_record() -> bytes:
                                   iter_limit=DEEP_ITERATIONS))
 
 
+def binding_records(limit):
+    """Records of the binding case-II probes, the first ``limit`` of them
+    (all with None)."""
+    insts = [instance.generate_instance(seed, **BINDING_PROBE)
+             for seed in BINDING_SEEDS[:limit]]
+    return [record(bundle.run_dual(inst, BINDING_PROBE["case"]))
+            for inst in insts]
+
+
 def parts(limit):
     """``(label, records)`` of every batch, seed by seed, then of the deep
-    probe."""
+    probe and of the binding probes."""
     for seed in SEEDS:
         for name, wl in harness.WORKLOADS.items():
             yield f"{name} seed {seed}", batch_records(wl, seed, limit)
     yield "deep case-I probe", [deep_record()]
+    yield "binding case-II probes", binding_records(limit)
 
 
 def main(argv=None) -> int:
