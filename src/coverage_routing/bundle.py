@@ -110,8 +110,9 @@ class TraceRow:
     was evaluated), the bounds after it, ``lb`` including the lift of the
     evaluation's feasible cuts, its level and master verdict, and the
     seconds since the run started when the verdict or evaluation returned,
-    before any of the evaluation's cuts was built and, in case I, before
-    any of its routes was chosen."""
+    before any of the evaluation's cuts was built and, in case I and in a
+    certified case II (see ``labeling_case2``), before any of its routes
+    was chosen."""
 
     iteration: int
     f_value: Optional[float]
@@ -471,8 +472,10 @@ def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
     or timed here: the fill's values alone give the result, and the
     maximizing candidate's route (:attr:`RelaxValue.best`) and the value's
     ``routes`` are built when :func:`_candidate_cuts` turns them all into
-    cuts.  The case-II screen times every candidate's deadline-free route
-    before it has a value, so there the routes precede the result.
+    cuts.  So it is in case II where the table's slowest-route certificate
+    shows that the deadline cannot bind.  Elsewhere the case-II screen
+    times every candidate's deadline-free route before it has a value, so
+    there the routes precede the result.
 
     ``ratio_mode`` and ``use_dominance`` steer the case-II search only."""
     coeffs = build_coeffs(table, lam, case)
@@ -616,7 +619,9 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     (:func:`_candidate_cuts`).  The trace keeps one row per iteration plus
     an initialization row.  A row's ``wall_time`` is read when its master
     verdict or its evaluation returns, before :func:`_candidate_cuts` builds
-    an evaluation's cuts (and, in case I, chooses and traces its routes),
+    an evaluation's cuts (and, in case I and in a case II whose deadline
+    the slowest-route certificate rules out, chooses and traces its
+    routes),
     and its ``lb`` includes their lift.  Each level is the ``phi`` point
     between the floor and ``UB``.  The floor is
     ``LB``, except after a ``MASTER_UNVERIFIED`` row, where the refuted

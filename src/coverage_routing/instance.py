@@ -562,6 +562,10 @@ class ArcIndexTable:
                 "route of {} such arcs leaves the float range".format(
                     *self.arcs[k], self.arc_dist[k],
                     instance.vehicle.speed_min, n + 1))
+        #: the slowest-route certificate: the largest path-order sum of
+        #: ``max_time`` over the routes a ``labeling_case1`` fill scores,
+        #: set by the table's first case-II fill (None before it)
+        self.slowest_route: Optional[float] = None
 
         self.priorities = np.array([t.priority for t in instance.targets])
         self.required = np.array([t.min_coverage for t in instance.targets])

@@ -82,7 +82,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .instance import _arc_grid
-from .relaxation import BestRoutes, PathTiming, RelaxCoeffs
+from .relaxation import CASE_II, BestRoutes, PathTiming, RelaxCoeffs
 
 _NEG = -1e300
 
@@ -259,14 +259,16 @@ def _trace(dp: np.ndarray, w: np.ndarray, k: int, node: int, mask: int,
 def _fill_chunk(n: int, exit_id: int, w: np.ndarray, vexit: np.ndarray,
                 vbars: Sequence[int]
                 ) -> Tuple[np.ndarray, Callable[[int], Route]]:
-    """Fill one candidate chunk: each candidate's best value, and a tracer
-    of the ``k``-th candidate's best route (its nodes and arc ids).  The
-    values come from the value half of the completion scan alone; the
-    tracer's first call runs the route half for every candidate of the
-    chunk.  The tracer holds the chunk's value table until it has traced
-    every candidate's route once."""
+    """Fill one candidate chunk: each row's best value, and a tracer of the
+    ``k``-th candidate's best route (its nodes and arc ids).  Rows of ``w``
+    beyond ``vbars`` are value-only rows without an idle stop: they get a
+    value and never a route.  The values come from the value half of the
+    completion scan alone; the tracer's first call runs the route half for
+    every candidate of the chunk.  The tracer holds the chunk's value table
+    until it has traced every candidate's route once."""
     dp = _fill(n, w)
-    peaks, tops = _tops(n, dp, vexit, vbars)
+    kc = len(vbars)
+    peaks, tops = _tops(n, dp, vexit, (*vbars, *[0] * (len(w) - kc)))
     grid = _arc_grid(n)
     ends = None  # each candidate's best end node and visited set
     routes: Dict[int, Route] = {}
@@ -275,10 +277,11 @@ def _fill_chunk(n: int, exit_id: int, w: np.ndarray, vexit: np.ndarray,
         nonlocal dp, ends
         if k not in routes:
             if ends is None:
-                ends = _best_ends(n, dp, vexit, vbars, peaks, tops)
+                ends = _best_ends(n, dp[:kc], vexit[:kc], vbars, peaks[:kc],
+                                  tops[:kc])
             nodes, masks = ends
             routes[k] = _trace(dp, w, k, nodes[k], masks[k], exit_id, grid)
-            if len(routes) == len(vbars):
+            if len(routes) == kc:
                 dp = None  # frees the table
         return routes[k]
 
@@ -295,7 +298,11 @@ def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:
     multiplier constant and the idle-gain term, which the caller adds.
     A route is traced and timed when :meth:`BestRoutes.timing` asks for it.
     The label counts are the reachable (end node, visited set) states over
-    all candidates; the table prunes none.
+    all candidates; the table prunes none.  The first case-II fill of a
+    table scores one value-only row more, with ``max_time`` as arc values
+    and no idle stop, and keeps its value on the table as the
+    slowest-route certificate (:attr:`ArcIndexTable.slowest_route`, read
+    by ``labeling_case2``).
     """
     table = coeffs.table
     n = table.n
@@ -307,21 +314,30 @@ def solve_case1(coeffs: RelaxCoeffs) -> BestRoutes:
             f"{n} waypoints, above the {MAX_TABLE_BYTES / 2**30:.0f} GiB "
             f"limit")
     times = coeffs.bound_times(coeffs.net)
-    values = table.matrix(coeffs.net * times, fill=_NEG)
+    per_arc = coeffs.net * times
+    # the table's first case-II fill scores one more row, the slowest-route
+    # certificate's: max_time as arc values, no idle stop
+    certify = coeffs.case == CASE_II and table.slowest_route is None
+    if certify:
+        per_arc = np.vstack([per_arc, table.max_time])
+    values = table.matrix(per_arc, fill=_NEG)
     w = np.ascontiguousarray(values[:, :n + 1, :n + 1])
     vexit = values[:, 1:n + 1, table.exit_id]
     step = max(1, TABLE_CHUNK_BYTES // ((1 << n) * (n + 1) * 8))
-    if step >= len(vbars):
+    if step >= len(w):
         best, trace = _fill_chunk(n, table.exit_id, w, vexit, vbars)
     else:
         best, traced = [], []
-        for k in range(0, len(vbars), step):
-            chunk, trace = _fill_chunk(n, table.exit_id, w[k:k + step],
-                                       vexit[k:k + step], vbars[k:k + step])
-            best.extend(chunk)
+        for k in range(0, len(w), step):
+            chunk = vbars[k:k + step]
+            rows, trace = _fill_chunk(n, table.exit_id, w[k:k + step],
+                                      vexit[k:k + step], chunk)
+            best.extend(rows)
             # tracing every route frees the chunk's table before the next fill
             traced.extend(map(trace, range(len(chunk))))
         trace = traced.__getitem__
+    if certify:
+        table.slowest_route = float(best[-1])
     found = dict(zip(vbars, map(float, best)))
 
     def route(vbar: int) -> PathTiming:

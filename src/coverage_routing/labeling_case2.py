@@ -29,6 +29,20 @@ time, :attr:`PathTiming.total`, is at most the deadline) keeps the fill's
 route record, times and value: no route beats its deadline-free value, and
 under either key order the pour would only repeat those times.  Only the
 others are searched.
+
+Where the deadline cannot bind, the screen is skipped.  The table's
+slowest-route certificate (:attr:`ArcIndexTable.slowest_route`, scored by
+the table's first case-II fill) is the largest path-order sum of
+``max_time`` over the routes the fill scores.  Every bound time is at most
+its arc's ``max_time``, rounding is monotone, and the fill keeps every
+state's largest path sum, so no route's bound times add up, in path
+order, to more than the certificate.  Python 3.12 and later ``sum`` floats
+with compensation, which can exceed the path-order sum by a few ulps of it,
+so the check allows ``4 (n+2)`` units of ``2**-52`` on the certificate.
+When the certificate with that allowance is at most the deadline, every
+candidate's route fits, and :func:`solve_case2` returns the fill's own
+answer, routes untraced, as case I does: the evaluation has its value
+before any route is chosen.
 """
 
 from __future__ import annotations
@@ -342,6 +356,15 @@ class Case2Solver:
                           tuple(ids), sum(times))
 
 
+def _deadline_free(coeffs: RelaxCoeffs) -> bool:
+    """True when the table's slowest-route certificate, with its allowance
+    for compensated summation, is at most the deadline, so that no route
+    of the screen's fill overruns it (see the module docstring)."""
+    table = coeffs.table
+    return (table.slowest_route * (1.0 + 4 * (table.n + 2) * 2.0 ** -52)
+            <= coeffs.deadline)
+
+
 def solve_case2(coeffs: RelaxCoeffs, ratio_mode: str = RATIO_SLOPE,
                 use_dominance: bool = True) -> BestRoutes:
     """Best deadline-feasible route for each idle candidate of ``coeffs``
@@ -353,13 +376,20 @@ def solve_case2(coeffs: RelaxCoeffs, ratio_mode: str = RATIO_SLOPE,
     idle-gain term are the caller's to add.  A settled candidate keeps the
     fill's own answer.  Every route comes with its arc ids and its travel
     time recorded (:class:`PathTiming`), and that travel time is at most
-    the deadline.
+    the deadline.  Where the table's slowest-route certificate shows that
+    no route can overrun the deadline, the fill's own answer is returned
+    whole, with label counts 0 and no route chosen, traced or timed: as in
+    case I, the routes are built when first asked for.
     """
     _check_ratio_mode(ratio_mode)
-    free = solve_case1(coeffs).results
+    free = solve_case1(coeffs)
+    if _deadline_free(coeffs):
+        # the screen would settle every candidate, and no search runs
+        free.labels_stored = free.labels_alive = 0
+        return free
     results = {}
     stored = alive = 0
-    for vbar, route in free.items():
+    for vbar, route in free.results.items():
         if route.total <= coeffs.deadline:
             results[vbar] = route
             continue

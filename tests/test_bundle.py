@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 
 from conftest import (NO_TARGETS, case2_search_value, make_instance,
                       random_desk_instance, random_multipliers)
-from coverage_routing import bundle, labeling_case1
+from coverage_routing import bundle, labeling_case1, labeling_case2
 from coverage_routing.bundle import (CONVERGED, LB_FLOOR, MASTER_FEASIBLE,
                                      MASTER_INFEASIBLE, MASTER_UNVERIFIED,
                                      CutPool, MasterResult, _project_dual,
@@ -24,6 +24,7 @@ from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import (ValidateOptions, build_index_table,
                                        generate_instance, instance_to_json,
                                        load_instance, validate_solution)
+from coverage_routing.labeling_case1 import solve_case1
 from coverage_routing.labeling_case2 import Case2Solver
 from coverage_routing.oracle import oracle_primal, oracle_relaxation
 from coverage_routing.relaxation import build_coeffs
@@ -712,14 +713,33 @@ class TestRunDual:
         assert work and work[0] == ("ties", stamp)
         assert min(reading for _, reading in work) == stamp
 
-    def test_case2_screen_traces_before_row_zero(self, monkeypatch):
-        # the case-II screen times every candidate's deadline-free route
-        # before it has a value, so its tie scan and traces come before
-        # row 0's stamp
-        inst = generate_instance(0, 5, 8, case="II")
+    @staticmethod
+    def _certified(inst):
+        """Whether the instance's slowest-route certificate shows that its
+        deadline cannot bind, and its idle candidates at ``lam = 0``."""
         table = build_index_table(inst)
-        idle = build_coeffs(table, np.zeros(len(table.target_ids)),
-                            "II").idle_set
+        coeffs = build_coeffs(table, np.zeros(len(table.target_ids)), "II")
+        solve_case1(coeffs)
+        return labeling_case2._deadline_free(coeffs), coeffs.idle_set
+
+    def test_certified_case2_stamps_row_zero_before_any_route(
+            self, monkeypatch):
+        # on a desk-II instance no route can overrun the deadline, so the
+        # lam = 0 evaluation returns on the fill's values alone, as in case
+        # I: the tie scan and every trace run after row 0's stamp
+        inst = generate_instance(0, 7, 10, case="II")
+        assert self._certified(inst)[0]
+        stamp, work = self._route_work_readings(monkeypatch, inst, "II")
+        assert work and work[0] == ("ties", stamp)
+        assert min(reading for _, reading in work) == stamp
+
+    def test_case2_screen_traces_before_row_zero(self, monkeypatch):
+        # where the certificate does not rule the deadline out, the case-II
+        # screen times every candidate's deadline-free route before it has
+        # a value, so its tie scan and traces come before row 0's stamp
+        inst = generate_instance(0, 5, 8, case="II")
+        certified, idle = self._certified(inst)
+        assert not certified
         stamp, work = self._route_work_readings(monkeypatch, inst, "II")
         assert [w for w in work if w[1] < stamp] == \
             [("ties", 1)] + [("trace", 1)] * len(idle)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -9,15 +10,17 @@ from hypothesis import strategies as st
 
 from conftest import (case2_search_value, make_instance,
                       random_desk_instance, random_multipliers, relax_value)
-from coverage_routing import bundle, labeling_case2
+from coverage_routing import bundle, labeling_case1, labeling_case2
 from coverage_routing.bundle import evaluate_dual_function
 from coverage_routing.errors import InfeasibleInstanceError
 from coverage_routing.instance import build_index_table, generate_instance
+from coverage_routing.labeling_case1 import solve_case1
 from coverage_routing.labeling_case2 import (Case2Solver, LabelC2, curve,
                                              dominates_case2, knapsack_times,
                                              reconstruct, solve_case2)
 from coverage_routing.oracle import oracle_relaxation
-from coverage_routing.relaxation import RelaxCoeffs, build_coeffs
+from coverage_routing.relaxation import (PathTiming, RelaxCoeffs,
+                                         build_coeffs)
 from coverage_routing.simplex import dense_lp_solve
 
 
@@ -583,3 +586,136 @@ class TestSolveCase2:
         with pytest.raises(ValueError,
                            match=r"idle candidate 1 is not in the idle set"):
             Case2Solver(coeffs, 1)
+
+
+def _slowest_by_enumeration(table):
+    """The largest path-order sum of ``max_time`` over every simple route
+    from the entry depot through at least one waypoint to the exit."""
+    n, slowest = table.n, -math.inf
+    for size in range(1, n + 1):
+        for order in itertools.permutations(range(1, n + 1), size):
+            total = 0.0
+            for arc in table.arc_ids((0, *order, table.exit_id)):
+                total += float(table.max_time[arc])
+            slowest = max(slowest, total)
+    return slowest
+
+
+def _screened(coeffs, ratio_mode=labeling_case2.RATIO_SLOPE):
+    """``solve_case2`` with the slowest-route certificate turned off, so
+    that the screen runs whatever the certificate says."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling_case2, "_deadline_free", lambda coeffs: False)
+        return solve_case2(coeffs, ratio_mode)
+
+
+def _content(routes):
+    """Every candidate's value and timed route, in candidate order, and
+    the label counts, as ``repr`` strings."""
+    return (repr(routes.values), repr(list(routes.results.items())),
+            routes.labels_stored, routes.labels_alive)
+
+
+class TestSlowestRouteCertificate:
+    def test_certificate_is_sound_and_matches_the_screen(self):
+        """Over random case-II draws, the first case-II fill's certificate
+        is the enumerated slowest route (up to 6 waypoints); where it
+        certifies the deadline, every fill route fits it and
+        ``solve_case2`` returns the screen's answer bit for bit."""
+        seen = []
+
+        @settings(derandomize=True, deadline=None, max_examples=150)
+        @given(st.integers(0, 10**6), st.integers(2, 7), st.integers(2, 8),
+               st.floats(0.02, 0.3),
+               st.sampled_from([labeling_case2.RATIO_SLOPE,
+                                labeling_case2.RATIO_PER_DISTANCE]),
+               st.booleans())
+        def check(seed, n, m, scale, ratio_mode, zero):
+            inst = generate_instance(seed, n, m, case="II",
+                                     deadline_scale=scale)
+            table = build_index_table(inst)
+            k = len(table.target_ids)
+            lam = (np.zeros(k) if zero
+                   else random_multipliers(random.Random(seed), k))
+            coeffs = build_coeffs(table, lam, "II")
+            assert table.slowest_route is None
+            free = solve_case1(coeffs)
+            if n <= 6:
+                assert table.slowest_route == _slowest_by_enumeration(table)
+            certified = labeling_case2._deadline_free(coeffs)
+            seen.append(certified)
+            if not certified:
+                return
+            assert all(route.total <= inst.deadline
+                       for route in free.results.values())
+            assert _content(solve_case2(coeffs, ratio_mode)) == \
+                _content(_screened(coeffs, ratio_mode))
+
+        check()
+        assert 20 <= sum(seen) <= len(seen) - 20
+
+    @pytest.mark.parametrize("step", [0, 1, None])
+    def test_deadline_at_the_certificate_runs_the_screen(self, step):
+        # a desk-II instance rebuilt with its deadline at its certificate
+        # and one ulp above it refuses the certificate and runs the screen,
+        # which traces every candidate's route; at the certificate with
+        # its allowance it is certified and gives the screen's answer
+        inst = generate_instance(0, 7, 10, case="II")
+        table = build_index_table(inst)
+        lam = np.zeros(len(table.target_ids))
+        solve_case1(build_coeffs(table, lam, "II"))
+        slowest = table.slowest_route
+        assert slowest < inst.deadline
+        deadline = (slowest if step == 0 else
+                    math.nextafter(slowest, math.inf) if step == 1 else
+                    slowest * (1.0 + 4 * (inst.n + 2) * 2.0 ** -52))
+        table = build_index_table(dataclasses.replace(inst,
+                                                      deadline=deadline))
+        coeffs = build_coeffs(table, lam, "II")
+        traced = []
+        real_trace = labeling_case1._trace
+
+        def trace(*args):
+            traced.append(args[2])
+            return real_trace(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(labeling_case1, "_trace", trace)
+            routes = solve_case2(coeffs)
+        assert table.slowest_route == slowest
+        assert labeling_case2._deadline_free(coeffs) == (step is None)
+        assert len(traced) == (0 if step is None else len(coeffs.idle_set))
+        assert _content(routes) == _content(_screened(coeffs))
+
+    def test_certified_evaluation_builds_no_route(self, monkeypatch):
+        """A certified case-II dual evaluation, in a fill of one chunk,
+        builds and traces no route; the first read of the value's ``best``
+        builds the maximizing candidate's timed route, and only it."""
+        built, traced = [], []
+        init = PathTiming.__init__
+        real_trace = labeling_case1._trace
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        def trace(*args):
+            traced.append(args[2])
+            return real_trace(*args)
+
+        monkeypatch.setattr(PathTiming, "__init__", counted)
+        monkeypatch.setattr(labeling_case1, "_trace", trace)
+        inst = generate_instance(0, 7, 10, case="II")
+        table = build_index_table(inst)
+        lam = np.zeros(len(table.target_ids))
+        coeffs = build_coeffs(table, lam, "II")
+        assert len(coeffs.idle_set) > 1
+        value = evaluate_dual_function(table, lam, "II")
+        assert labeling_case2._deadline_free(coeffs)
+        assert value.routes.labels_stored == value.routes.labels_alive == 0
+        assert built == [] and traced == []
+        best = value.best
+        assert len(built) == 1 and built[0] is best
+        assert len(traced) == 1
+        assert value.best is best
+        assert len(built) == 1

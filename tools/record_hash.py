@@ -8,10 +8,12 @@ change keeps every record's bytes.
 A record is a solve's status, its three bounds, the bytes of ``best_lam``,
 its iteration count, its trace rows without ``wall_time``, and its witness
 route.  The batches are the benchmark's workload inputs, read through
-``bench/harness.make_inputs`` at workload seeds 0 and 1 and solved as the
-benchmark solves them; the deep probe is a 15-waypoint case-I instance
-(generator seed 3, 12 targets, coverage radius 20, ``min_coverage=0.01``)
-stopped after 3 iterations.  The binding probes are 7-waypoint case-II
+``bench/harness.make_inputs`` at workload seed 0 and solved as the
+benchmark solves them.  Seed 0 alone: a workload seed only picks one of
+the square's eight symmetries per instance, and those leave the index
+table, and so every record, bit-identical.  The deep probe is a
+15-waypoint case-I instance (generator seed 3, 12 targets, coverage
+radius 20, ``min_coverage=0.01``) stopped after 3 iterations.  The binding probes are 7-waypoint case-II
 instances (generator seeds 0, 1 and 2, 10 targets, ``deadline_scale=0.04``,
 ``min_coverage=0.01``) solved to convergence; their deadline binds, so they
 run the case-II label search and its knapsack timing, which no batch
@@ -43,8 +45,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import harness  # noqa: E402  (puts src/ on the path)
 from coverage_routing import bundle, instance  # noqa: E402
 
-#: workload seeds of the hashed batches
-SEEDS = (0, 1)
+#: workload seeds of the hashed batches (another seed gives the same bytes)
+SEEDS = (0,)
 #: the deep case-I probe: generator arguments and iteration cap
 DEEP_PROBE = dict(seed=3, n_waypoints=15, n_targets=12, case="I",
                   coverage_radius=20.0, min_coverage=0.01)
