@@ -40,8 +40,8 @@ alone; the next level then moves from the refuted one toward ``UB``.
 
 Every evaluation lifts ``LB`` too.  A cut whose gradient is ``<= 0`` in
 every component comes from a route that meets every requirement; if that
-route also fits the deadline (every case-II route does, a case-I route when
-its times sum to at most it), it is primal feasible, and its offset, its
+route also fits the deadline (its recorded travel time is at most it, as
+every case-II route's is), it is primal feasible, and its offset, its
 primal value, bounds the dual optimum from below by weak duality.  After
 each evaluation's cut pass ``LB`` becomes the largest such offset if that
 is higher, capped at ``UB``: the one-route vertices of the cut model's
@@ -463,8 +463,8 @@ def _verify_farkas(u: np.ndarray, G: np.ndarray, b: np.ndarray,
 
 
 def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
-                           case: str, ratio_mode: str = RATIO_SLOPE,
-                           use_dominance: bool = True) -> RelaxValue:
+                           case: str, ratio_mode: str = RATIO_SLOPE
+                           ) -> RelaxValue:
     """Exact dual-function value at ``lam``: the best path over the idle
     candidates.  One labeling call answers every candidate: a table fill in
     case I, the screened search of ``labeling_case2`` in case II.  The
@@ -477,16 +477,17 @@ def evaluate_dual_function(table: ArcIndexTable, lam: Sequence[float],
     times every candidate's deadline-free route before it has a value, so
     there the routes precede the result.
 
-    ``ratio_mode`` and ``use_dominance`` steer the case-II search only."""
+    ``ratio_mode`` steers the case-II search only, which always prunes by
+    dominance."""
     coeffs = build_coeffs(table, lam, case)
     if case == CASE_I:
         routes = solve_case1(coeffs)
     else:
-        routes = solve_case2(coeffs, ratio_mode, use_dominance)
+        routes = solve_case2(coeffs, ratio_mode)
     return assemble_f_value(coeffs, routes)
 
 
-def _candidate_cuts(value: RelaxValue, table: ArcIndexTable, case: str
+def _candidate_cuts(value: RelaxValue, table: ArcIndexTable
                     ) -> Tuple[np.ndarray, np.ndarray, float]:
     """The cut of every idle candidate's route, as gradients and offsets
     from one :func:`make_cut` pass: the maximizing candidate's first, then
@@ -499,9 +500,9 @@ def _candidate_cuts(value: RelaxValue, table: ArcIndexTable, case: str
     routes, or ``-inf`` when there is none.  A route is feasible when its
     gradient ``required - coverage`` is ``<= 0`` in every component (a
     float difference has the sign of the exact one, so the test is exact on
-    the computed coverage) and it fits the deadline: every case-II route
-    does (its recorded travel time, :attr:`PathTiming.total`, is at most
-    the deadline), and a case-I route when its recorded travel time is."""
+    the computed coverage) and it fits the deadline: its recorded travel
+    time, :attr:`PathTiming.total`, is at most the deadline, one test in
+    either case (every case-II route passes it, see ``solve_case2``)."""
     routes, top = value.routes, value.vbar
     timings = [value.best] + [
         routes.timing(vbar) for vbar, found in routes.values.items()
@@ -513,7 +514,7 @@ def _candidate_cuts(value: RelaxValue, table: ArcIndexTable, case: str
     # where a per-row test would cost several numpy calls per evaluation
     worst = np.maximum.reduce(gradients, axis=1, initial=-np.inf).tolist()
     for k, peak in enumerate(worst):
-        if peak <= 0.0 and (case != CASE_I or timings[k].total <= T):
+        if peak <= 0.0 and timings[k].total <= T:
             primal = max(primal, offsets.item(k))
     return gradients, offsets, primal
 
@@ -621,23 +622,22 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     verdict or its evaluation returns, before :func:`_candidate_cuts` builds
     an evaluation's cuts (and, in case I and in a case II whose deadline
     the slowest-route certificate rules out, chooses and traces its
-    routes),
-    and its ``lb`` includes their lift.  Each level is the ``phi`` point
-    between the floor and ``UB``.  The floor is
-    ``LB``, except after a ``MASTER_UNVERIFIED`` row, where the refuted
-    level takes its place: such a row evaluates no point and moves no
-    bound, whether its certificate failed or the projection stopped short
-    at the step cap.  With ``h = 0.5 * tol * max(1, |UB|)``, half the
-    stopping gap, a row is exact when its dual value is at most its level
-    plus ``h``.  After an exact row the level is ``min(phi point, floor +
-    h)``, for up to :data:`LEVEL_JUMPS` rows: the next jump is taken only
-    when a certificate refuted the last one (from the lifted ``LB``), and
-    the ``phi`` point returns after the last jump, after an unverified row
-    and after an evaluation that is not exact.
-    ``ratio_mode`` applies to case II only; the case-II search always
-    prunes by dominance.  ``time_limit`` (seconds, ``inf`` allowed) must be
-    positive and ``iter_limit`` at least 1.  A given ``table`` must be the
-    instance's index table.
+    routes), and its ``lb`` includes their lift.  Each level is the ``phi``
+    point between the floor and ``UB``.  The floor is ``LB``, except after
+    a ``MASTER_UNVERIFIED`` row, where the refuted level takes its place:
+    such a row evaluates no point and moves no bound, whether its
+    certificate failed or the projection stopped short at the step cap.
+    With ``h = 0.5 * tol * max(1, |UB|)``, half the stopping gap, a row is
+    exact when its dual value is at most its level plus ``h``.  After an
+    exact row the level is ``min(phi point, floor + h)``, for up to
+    :data:`LEVEL_JUMPS` rows: the next jump is taken only when a
+    certificate refuted the last one (from the lifted ``LB``), and the
+    ``phi`` point returns after the last jump, after an unverified row and
+    after an evaluation that is not exact.  ``ratio_mode`` applies to case
+    II only; the case-II search always prunes by dominance.
+    ``time_limit`` (seconds, ``inf`` allowed) must be positive and
+    ``iter_limit`` at least 1.  A given ``table`` must be the instance's
+    index table.
     """
     if not (0.0 < phi < 1.0):
         raise ValueError(f"phi must sit strictly inside (0, 1), got {phi}")
@@ -655,7 +655,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
     lam0 = np.zeros(len(table.target_ids))
     value0 = evaluate_dual_function(table, lam0, case, ratio_mode)
     wall = time.monotonic() - t0
-    gradients, offsets, primal = _candidate_cuts(value0, table, case)
+    gradients, offsets, primal = _candidate_cuts(value0, table)
     pool = CutPool(gradients, offsets)
     lam_hat = lam0
     ub = value0.value
@@ -707,7 +707,7 @@ def run_dual(instance: Instance, case: str, phi: float = 0.5,
         # exact: the value is within half the stopping gap of the level
         # that the cut model met at this point
         jumps = LEVEL_JUMPS if value.value <= f_lev + half else 0
-        gradients, offsets, primal = _candidate_cuts(value, table, case)
+        gradients, offsets, primal = _candidate_cuts(value, table)
         pool.add(gradients, offsets)
         # a feasible cut lifts LB, capped at UB; LB never falls
         lb = floor = max(lb, min(ub, primal))

@@ -39,7 +39,7 @@ No route is needed for a value, so a dual evaluation, which compares the
 candidates by value, chooses, traces and times none.  The route half runs
 once, across the candidates of a chunk at once, when the first of their
 routes is asked for: it finds each candidate's first best end node and
-visited set (the tie rules below), reusing the value half's peaks.  A
+visited set (the tie rules below) from the value half's completions.  A
 candidate's route is then re-derived, and timed at its bound times, only
 when asked for.  The trace walks back from the end state: a state's
 predecessor is the first node, in ascending order, whose state value plus
@@ -67,10 +67,9 @@ would break them.  A state's kept path runs through its smallest best
 predecessor node.  The returned route is the first best completion in this
 order: end node ascending, then visited-set size, then the lexicographic
 order of the sorted visited waypoints.  Completions tie when their rounded
-values are equal, also where the states' own values differ.  A state value
-more than 4 ulps of the best completion below the end node's peak completes
-below it, so only the masks from that floor up to the peak are checked, by
-exact equality of their completed values.
+values are equal, also where the states' own values differ: a visited set
+ties when its state value plus the exit arc's value, the sum the value half
+compared, equals the best completion.
 """
 
 from __future__ import annotations
@@ -181,52 +180,47 @@ def _mask_order(n: int, mask: int) -> Tuple[int, List[int]]:
 
 
 def _tops(n: int, dp: np.ndarray, vexit: np.ndarray, vbars: Sequence[int]
-          ) -> Tuple[np.ndarray, np.ndarray]:
+          ) -> np.ndarray:
     """The value half of the completion scan: per candidate of a chunk,
-    each end node's peak over the masks that hold the idle stop, and its
-    completion through the exit arc (``vexit[k, j-1]`` is candidate
-    ``k``'s value of arc ``j -> exit``).  A candidate's value is its row
-    maximum of the completions.  The table is only read."""
+    each end node's best completion through the exit arc (``vexit[k,
+    j-1]`` is candidate ``k``'s value of arc ``j -> exit``) over the masks
+    that hold the idle stop.  A candidate's value is its row maximum.  The
+    table is only read."""
     # per-node peaks over the masks that hold the idle stop, through views
     peaks = np.array([np.maximum.reduce(
         dp[k, 1:].reshape(n, -1, 2, 1 << (vbar - 1))[:, :, 1], axis=(1, 2))
         if vbar else np.maximum.reduce(dp[k, 1:], axis=1)
         for k, vbar in enumerate(vbars)])
     # rounding is monotone, so the completed peak is the best completion
-    return peaks, peaks + vexit
+    return peaks + vexit
 
 
 def _best_ends(n: int, dp: np.ndarray, vexit: np.ndarray,
-               vbars: Sequence[int], peaks: np.ndarray, tops: np.ndarray
+               vbars: Sequence[int], tops: np.ndarray
                ) -> Tuple[List[int], List[int]]:
     """The route half of the completion scan: per candidate of a chunk, its
     first best end node and its first best visited set, from the value
-    half's ``peaks`` and completed ``tops`` (see :func:`_tops`).  The table
-    is only read."""
+    half's completions ``tops`` (see :func:`_tops`): a visited set ties
+    where its state value plus the exit arc's value equals the best.  The
+    table is only read."""
     ends = tops.argmax(axis=1)  # first best end node, less one
     rows = np.arange(len(vbars))
-    best, peak = tops[rows, ends], peaks[rows, ends]
-    totals, exits = best.tolist(), vexit[rows, ends].tolist()
-    # a value more than 4 ulps of the total below the peak completes below
-    # the total, so only masks in [floor, peak] can tie
-    floor = (peak - 4 * np.spacing(np.abs(best)))[:, None]
-    peak = peak[:, None]
+    best = tops[rows, ends][:, None]
+    exits = vexit[rows, ends][:, None]
     ends += 1
-    cols = ends.tolist()
     ties: List[List[int]] = [[] for _ in vbars]
     step = max(1, STATE_CHUNK_BYTES // (8 * len(vbars)))
     for a in range(0, 1 << n, step):
-        near = dp[rows, ends, a:a + step]
-        near = (near >= floor) & (near <= peak)
-        for k, m in zip(*(x.tolist() for x in near.nonzero())):
+        done = dp[rows, ends, a:a + step]  # a copy, completed in place
+        done += exits
+        for k, m in zip(*(x.tolist() for x in (done == best).nonzero())):
             m += a
             vbar = vbars[k]
-            if ((not vbar or m >> (vbar - 1) & 1)
-                    and dp.item(k, cols[k], m) + exits[k] == totals[k]):
+            if not vbar or m >> (vbar - 1) & 1:
                 ties[k].append(m)
     firsts = [t[0] if len(t) == 1 else
               min(t, key=functools.partial(_mask_order, n)) for t in ties]
-    return cols, firsts
+    return ends.tolist(), firsts
 
 
 def _trace(dp: np.ndarray, w: np.ndarray, k: int, node: int, mask: int,
@@ -268,7 +262,7 @@ def _fill_chunk(n: int, exit_id: int, w: np.ndarray, vexit: np.ndarray,
     until it has traced every candidate's route once."""
     dp = _fill(n, w)
     kc = len(vbars)
-    peaks, tops = _tops(n, dp, vexit, (*vbars, *[0] * (len(w) - kc)))
+    tops = _tops(n, dp, vexit, (*vbars, *[0] * (len(w) - kc)))
     grid = _arc_grid(n)
     ends = None  # each candidate's best end node and visited set
     routes: Dict[int, Route] = {}
@@ -277,8 +271,7 @@ def _fill_chunk(n: int, exit_id: int, w: np.ndarray, vexit: np.ndarray,
         nonlocal dp, ends
         if k not in routes:
             if ends is None:
-                ends = _best_ends(n, dp[:kc], vexit[:kc], vbars, peaks[:kc],
-                                  tops[:kc])
+                ends = _best_ends(n, dp[:kc], vexit[:kc], vbars, tops[:kc])
             nodes, masks = ends
             routes[k] = _trace(dp, w, k, nodes[k], masks[k], exit_id, grid)
             if len(routes) == kc:

@@ -175,18 +175,19 @@ def knapsack_times(net: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
     fixed route: everything starts fast and the leftover budget is poured
     into positive-rate arcs in decreasing key order, ties broken by position.
 
-    Returns None when even the all-fast timing overruns the budget.  A
-    fully poured arc takes exactly its upper bound, and at most one arc ends
-    up strictly between its bounds.  Poured times can add up, in floats, to
-    a few ulps above the budget; then the last arc that received time is
-    lowered by that overrun and stepped down by ulps until both the
+    Returns None when even the all-fast timing overruns the budget by the
+    built-in ``sum`` of its times, the :attr:`PathTiming.total` it records.
+    A fully poured arc takes exactly its upper bound, and at most one arc
+    ends up strictly between its bounds.  Poured times can add up, in
+    floats, to a few ulps above the budget; then the last arc that received
+    time is lowered by that overrun and stepped down by ulps until both the
     built-in ``sum`` and ``math.fsum`` of the times are at most the budget.
-    Timings that fit are left as poured.
+    So every timing returned has its ``total`` at most the budget.
     """
     if keys is None:
         keys = net
     times = t_lo.astype(float).copy()
-    slack = budget - float(times.sum())
+    slack = budget - sum(times.tolist())
     if slack < 0.0:
         return None
     last = None
@@ -376,10 +377,12 @@ def solve_case2(coeffs: RelaxCoeffs, ratio_mode: str = RATIO_SLOPE,
     idle-gain term are the caller's to add.  A settled candidate keeps the
     fill's own answer.  Every route comes with its arc ids and its travel
     time recorded (:class:`PathTiming`), and that travel time is at most
-    the deadline.  Where the table's slowest-route certificate shows that
-    no route can overrun the deadline, the fill's own answer is returned
-    whole, with label counts 0 and no route chosen, traced or timed: as in
-    case I, the routes are built when first asked for.
+    the deadline: the screen and :func:`knapsack_times` test that sum.
+    Where the table's slowest-route certificate shows that no route can
+    overrun the deadline, the fill's own answer is returned whole, with
+    label counts 0 and no route chosen, traced or timed: as in case I, the
+    routes are built when first asked for.  ``use_dominance=False``
+    searches without dominance, the reference for the pruning.
     """
     _check_ratio_mode(ratio_mode)
     free = solve_case1(coeffs)

@@ -213,8 +213,7 @@ def assemble_f_value(coeffs: RelaxCoeffs, best: BestRoutes) -> RelaxValue:
         value = best.values.get(vbar)
         if value is None:
             continue
-        gain_term = coeffs.deadline * coeffs.idle_gain[vbar] if vbar else 0.0
-        tot = gain_term + value
+        tot = coeffs.deadline * coeffs.idle_gain[vbar] + value
         if top is None or tot > top:
             top, top_vbar = tot, vbar
     return RelaxValue(coeffs.constant + top, top_vbar, best)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coverage_routing.bundle import evaluate_dual_function
-from coverage_routing.labeling_case2 import Case2Solver
+from coverage_routing.labeling_case2 import Case2Solver, solve_case2
 from coverage_routing.relaxation import (BestRoutes, assemble_f_value,
                                          build_coeffs)
 from coverage_routing.instance import (Instance, Physics, Target, Vehicle,
@@ -188,8 +188,12 @@ def random_multipliers(rng, m, scale=5.0):
 
 def relax_value(table, inst, lam, case, use_dominance=True,
                 ratio_mode="slope"):
-    return evaluate_dual_function(table, lam, case, ratio_mode=ratio_mode,
-                                  use_dominance=use_dominance)
+    """The dual-function value at ``lam``; with ``use_dominance=False``,
+    that of the screened case-II search without dominance."""
+    if use_dominance:
+        return evaluate_dual_function(table, lam, case, ratio_mode=ratio_mode)
+    coeffs = build_coeffs(table, lam, case)
+    return assemble_f_value(coeffs, solve_case2(coeffs, ratio_mode, False))
 
 
 def case2_search_value(table, inst, lam, use_dominance=True,

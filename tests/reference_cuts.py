@@ -57,17 +57,16 @@ def candidate_cuts(value: RelaxValue, table: ArcIndexTable
     return make_cuts(_candidate_routes(value), table)
 
 
-def feasible_bound(value: RelaxValue, table: ArcIndexTable,
-                   case: str) -> float:
+def feasible_bound(value: RelaxValue, table: ArcIndexTable) -> float:
     """The largest offset among the cuts of :func:`candidate_cuts` whose
     route is primal feasible, one route at a time, or ``-inf`` when none
     is: the route meets every requirement (each gradient entry is at most
-    0) and fits the deadline (a case-I route when its times, summed in
-    path order, are at most the deadline; a case-II route always)."""
+    0) and fits the deadline (its times, summed in path order, are at most
+    the deadline), in either case."""
     best = -math.inf
     for timing in _candidate_routes(value):
         gradient, offset = make_cut(timing, table)
-        fits = case == "II" or sum(timing.times) <= table.instance.deadline
+        fits = sum(timing.times) <= table.instance.deadline
         if fits and all(g <= 0.0 for g in gradient.tolist()):
             best = max(best, offset)
     return best

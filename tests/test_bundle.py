@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import (NO_TARGETS, case2_search_value, make_instance,
-                      random_desk_instance, random_multipliers)
+                      random_desk_instance, random_multipliers, relax_value)
 from coverage_routing import bundle, labeling_case1, labeling_case2
 from coverage_routing.bundle import (CONVERGED, LB_FLOOR, MASTER_FEASIBLE,
                                      MASTER_INFEASIBLE, MASTER_UNVERIFIED,
@@ -27,7 +27,7 @@ from coverage_routing.instance import (ValidateOptions, build_index_table,
 from coverage_routing.labeling_case1 import solve_case1
 from coverage_routing.labeling_case2 import Case2Solver
 from coverage_routing.oracle import oracle_primal, oracle_relaxation
-from coverage_routing.relaxation import build_coeffs
+from coverage_routing.relaxation import BestRoutes, RelaxValue, build_coeffs
 from coverage_routing.simplex import OPTIMAL, dense_lp_solve
 from reference_master import project_full_rows, project_with_bound_rows
 import reference_cuts
@@ -284,10 +284,10 @@ class TestCase2Screen:
                 ref = case2_search_value(table, inst, lam, **kw)
             except InfeasibleInstanceError:
                 with pytest.raises(InfeasibleInstanceError):
-                    evaluate_dual_function(table, lam, "II", **kw)
+                    relax_value(table, inst, lam, "II", **kw)
                 continue
             before = len(searched)
-            value = evaluate_dual_function(table, lam, "II", **kw)
+            value = relax_value(table, inst, lam, "II", **kw)
             assert abs(value.value - ref.value) <= \
                 1e-8 * max(1.0, abs(ref.value))
             searches += len(searched) - before
@@ -1273,7 +1273,7 @@ class TestCutPool:
             evaluated += sum(r.f_value is not None for r in res.trace)
             value0 = evaluate_dual_function(
                 table, np.zeros(len(inst.targets)), "I")
-            lifted = reference_cuts.feasible_bound(value0, table, "I")
+            lifted = reference_cuts.feasible_bound(value0, table)
             row = res.trace[0]
             assert row.f_value == row.ub == value0.value
             assert row.lb == min(max(LB_FLOOR, lifted), value0.value)
@@ -1424,12 +1424,12 @@ class TestArrayMaster:
             assert timing.arcs == tuple(table.arc_ids(timing.nodes))
             assert timing.total == sum(timing.times)
             if case == "II":
-                # what the feasible-cut lift takes for granted
+                # solve_case2 returns no route past the deadline
                 assert timing.total <= inst.deadline
-        *got, lifted = bundle._candidate_cuts(value, table, case)
+        *got, lifted = bundle._candidate_cuts(value, table)
         want = reference_cuts.candidate_cuts(value, table)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        assert lifted == reference_cuts.feasible_bound(value, table, case)
+        assert lifted == reference_cuts.feasible_bound(value, table)
 
     @pytest.mark.parametrize("case, args, kw", [
         pytest.param("I", (s, 6, 60),
@@ -1462,10 +1462,10 @@ class TestArrayMaster:
         monkeypatch.undo()
         assert len(values) > 1 and projections
         for value in values:
-            *cuts, lifted = bundle._candidate_cuts(value, table, case)
+            *cuts, lifted = bundle._candidate_cuts(value, table)
             ref = reference_cuts.candidate_cuts(value, table)
             assert [a.tobytes() for a in cuts] == [a.tobytes() for a in ref]
-            assert lifted == reference_cuts.feasible_bound(value, table, case)
+            assert lifted == reference_cuts.feasible_bound(value, table)
         for center, C, d in projections:
             self._same_projection(center, C, d)
         monkeypatch.setattr(bundle, "make_cut", reference_cuts.make_cuts)
@@ -1614,14 +1614,31 @@ class TestFeasibleCutLift:
         table = build_index_table(inst)
         value0 = evaluate_dual_function(
             table, np.zeros(len(inst.targets)), "I")
-        gradients, offsets, lifted = bundle._candidate_cuts(value0, table,
-                                                            "I")
+        gradients, offsets, lifted = bundle._candidate_cuts(value0, table)
         assert np.all(gradients[0] <= 0.0) and offsets[0] == value0.value
         assert sum(value0.best.times) > inst.deadline
         assert lifted == -math.inf
         assert offsets[0] > oracle_primal(inst, table).value
         res = run_dual(inst, "I", table=table)
         assert res.trace[0].lb == LB_FLOOR and res.iterations >= 1
+
+    def test_case2_route_past_the_deadline_lifts_nothing(self):
+        # one case-II rule with case I's: a route that meets every
+        # requirement but whose recorded travel time is an ulp past the
+        # deadline is no primal solution, so its cut lifts nothing
+        inst = generate_instance(10, 7, 10, case="II", deadline_scale=0.04,
+                                 min_coverage=0.01)
+        table = build_index_table(inst)
+        value0 = evaluate_dual_function(
+            table, np.zeros(len(inst.targets)), "II")
+        route = dataclasses.replace(
+            value0.routes.timing(0),
+            total=math.nextafter(inst.deadline, math.inf))
+        value = RelaxValue(route.value, 0,
+                           BestRoutes.from_results({0: route}, 0, 0))
+        gradients, offsets, lifted = bundle._candidate_cuts(value, table)
+        assert len(offsets) == 1 and np.all(gradients[0] <= 0.0)
+        assert lifted == -math.inf
 
     def test_binding_case2_converges_at_row_zero(self):
         # lam = 0 is optimal, and the lam = 0 winner meets every requirement

@@ -151,7 +151,7 @@ class TestSolveVerify:
         table = build_index_table(load_instance(inst))
         value0 = evaluate_dual_function(
             table, np.zeros(len(table.target_ids)), "I")
-        lifted = reference_cuts.feasible_bound(value0, table, "I")
+        lifted = reference_cuts.feasible_bound(value0, table)
         row = json.loads(trace.read_text().splitlines()[0])
         assert row["iteration"] == 0 and row["lb"] == lifted > LB_FLOOR
         assert lifted < row["ub"]

@@ -292,7 +292,7 @@ def test_routes_are_traced_once_on_demand(monkeypatch):
     best = value.best
     assert calls == [vbars.index(value.vbar)] and best.vbar == value.vbar
     assert tables[0]() is not None
-    bundle._candidate_cuts(value, table, "I")
+    bundle._candidate_cuts(value, table)
     assert sorted(calls) == list(range(len(vbars)))
     gc.collect()
     assert tables[0]() is None

@@ -387,6 +387,31 @@ class TestKnapsackTiming:
         assert timed > 2000
 
 
+    def test_accepts_what_fits_by_total(self):
+        """Random 8-11-arc routes with random rate signs.  At a budget of
+        the built-in ``sum`` of the fast times, the sum that
+        :attr:`PathTiming.total` records, the all-fast timing fits and is
+        never refused; at that budget and at numpy's sum of the fast
+        times, every returned timing's built-in sum is at most the budget.
+        numpy sums eight or more floats pairwise, so the two sums differ
+        on many of these routes."""
+        rng = np.random.default_rng(0)
+        differ = 0
+        for _ in range(2000):
+            k = int(rng.integers(8, 12))
+            t_lo = rng.uniform(1.0, 60.0, k)
+            t_hi = t_lo + rng.uniform(0.0, 30.0, k)
+            net = rng.choice([-1.0, 1.0], k) * rng.uniform(0.1, 5.0, k)
+            total = sum(t_lo.tolist())
+            differ += total != float(t_lo.sum())
+            assert knapsack_times(net, t_lo, t_hi, total) is not None
+            for budget in (total, float(t_lo.sum())):
+                res = knapsack_times(net, t_lo, t_hi, budget)
+                if res is not None:
+                    assert sum(res[0].tolist()) <= budget
+        assert differ > 200
+
+
 class TestSolveCase2:
     def test_reduces_to_case1_when_deadline_slack(self, rng):
         for _ in range(5):
